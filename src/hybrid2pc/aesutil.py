@@ -1,15 +1,37 @@
-"""Thin AES-ECB helpers shared by the DRBG and the garbling engine.
+"""Thin AES helpers shared by the DRBG and the garbling engine.
 
-ECB over a caller-built block sequence is used as (a) the block cipher
-inside CTR-DRBG and (b) the fixed-key permutation inside the garbling
-hash. Both call sites batch many blocks into one update() so the OpenSSL
-backend amortises across AES-NI.
+Two modes are used:
+
+* CTR, inside CTR-DRBG. SP 800-90A defines the DRBG's output blocks as
+  AES_K(V+1), AES_K(V+2), ... with V a 128-bit big-endian counter that
+  wraps mod 2^128. That is exactly the keystream of AES-CTR started at
+  counter block V+1, since CTR mode increments the whole 16-byte block as
+  one big-endian integer. One CTR context therefore replaces building the
+  counter blocks and encrypting them under ECB, and it can write straight
+  into a caller's buffer.
+* ECB over caller-built blocks, for the fixed-key permutation inside the
+  garbling hash.
+
+Both batch many blocks into one call so the OpenSSL backend amortises
+across AES-NI.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+_M128 = (1 << 128) - 1
+
+
+def ctr_encryptor(key: bytes, counter: int):
+    """AES-CTR context whose keystream is AES_key(counter), AES_key(counter+1), ...
+
+    The counter wraps mod 2^128. Encrypting zeros yields the keystream;
+    update_into() writes it into a preallocated buffer.
+    """
+    iv = (counter & _M128).to_bytes(16, "big")
+    return Cipher(algorithms.AES(key), modes.CTR(iv)).encryptor()
 
 
 def ecb_encryptor(key: bytes):
@@ -22,9 +44,3 @@ def ecb_encryptor(key: bytes):
         return enc.update(buf)
 
     return encrypt
-
-
-def ecb_encrypt_blocks(key: bytes, blocks: np.ndarray) -> np.ndarray:
-    """Encrypt an (n, 16) uint8 array of blocks, returning the same shape."""
-    out = ecb_encryptor(key)(blocks)
-    return np.frombuffer(out, dtype=np.uint8).reshape(blocks.shape)

@@ -1,7 +1,7 @@
 """Command-line entry points: dealer service, party runner, bench, circuits.
 
     h2pc stp    --listen HOST:PORT [--timeout S]
-    h2pc party  --role {0,1} --program {svm,nn,bench,circuit}
+    h2pc party  --role {0,1} --program {svm,nn,bench}
                 --stp HOST:PORT (--listen HOST:PORT | --peer HOST:PORT)
                 [--config FILE] [--profile lan|wan] [--report json]
     h2pc bench  [--n 1000] [--width 32] [--report json]
@@ -36,7 +36,6 @@ EXIT_OFFLINE_FAIL = 10
 EXIT_MISMATCH = 11
 EXIT_PROTOCOL_FAIL = 12
 EXIT_CONNECT_FAIL = 13
-EXIT_USAGE = 14
 
 
 class OfflineFailure(Exception):
@@ -196,13 +195,8 @@ def cmd_party(args) -> int:
         return EXIT_CONNECT_FAIL
     t0 = time.perf_counter()
     try:
-        if args.program == "svm":
-            result = _run_svm(args, cfg, channel)
-        elif args.program == "nn":
-            result = _run_nn(args, cfg, channel)
-        else:
-            print(f"unknown program {args.program!r}", file=sys.stderr)
-            return EXIT_USAGE
+        run = _run_svm if args.program == "svm" else _run_nn
+        result = run(args, cfg, channel)
     except transport.RemoteError as e:
         print(f"offline phase failed: {e}", file=sys.stderr)
         return EXIT_MISMATCH if "MISMATCH" in e.code else EXIT_OFFLINE_FAIL
@@ -256,19 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stp", help="run the offline dealer")
     s.add_argument("--listen", default="127.0.0.1:7700")
     s.add_argument("--timeout", type=float, default=60.0)
-    s.add_argument("--null-cipher", action="store_true")
     s.set_defaults(fn=cmd_stp)
 
     s = sub.add_parser("party", help="run one party of a program")
     s.add_argument("--role", type=int, required=True, choices=(0, 1))
     s.add_argument("--program", required=True,
-                   choices=("svm", "nn", "bench", "circuit"))
+                   choices=("svm", "nn", "bench"))
     s.add_argument("--stp", help="dealer address host:port")
     s.add_argument("--listen", help="role 0: listen here for the peer")
     s.add_argument("--peer", help="role 1: connect to role 0 here")
     s.add_argument("--config", help="JSON config file")
     s.add_argument("--profile", choices=(ml.LAN, ml.WAN), default=ml.LAN)
-    s.add_argument("--null-cipher", action="store_true", default=True)
     s.add_argument("--report", choices=("json",))
     s.add_argument("--n", type=int, default=1000)
     s.add_argument("--width", type=int, default=32)

@@ -20,10 +20,20 @@ Stream layouts:
     BMT  role 0: a-bits, b-bits, c-bits      role 1: a-bits, b-bits
     OT   sender: q0,q1 interleaved per item  receiver: r bits
     VDP  role 0: per product: n_d elems, a2  role 1: per product: n_d elems
+
+Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
+every 64 KB; the typed draws are views over the bytes it writes. Role 1's
+bundle is laid out as
+
+    seed1 | c1_amt (l-bit LE) | c1_bmt (packed, LSB-first) | qr | a3 (l-bit LE)
+
+and is written once into one buffer by the dealer and read back through
+views of the received payload by the client.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +55,10 @@ def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:
     return Drbg(seed, personalization(tag, index))
 
 
+# ring l, alpha, beta | num_amt, num_bmt, num_ot | number of dot products
+_MANIFEST_HEAD = struct.Struct("<3B3QI")
+
+
 @dataclass(frozen=True)
 class ResourceManifest:
     """What a session needs dealt; must match byte-for-byte across parties."""
@@ -55,45 +69,37 @@ class ResourceManifest:
     num_bmt: int = 0
     num_ot: int = 0
     vdp_lengths: tuple[int, ...] = ()
+    # vdp_lengths as the u32 little-endian array that goes on the wire
+    vdp_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
         if min((self.num_amt, self.num_bmt, self.num_ot), default=0) < 0:
             raise ValueError("negative resource count")
-        if any(n < 1 for n in self.vdp_lengths):
+        lengths = np.asarray(self.vdp_lengths, dtype=np.int64)
+        if lengths.size and lengths.min() < 1:
             raise ValueError("dot product lengths must be >= 1")
+        if lengths.size and lengths.max() > 0xFFFFFFFF:
+            raise ValueError("dot product lengths must fit in 32 bits")
+        object.__setattr__(self, "vdp_array", lengths.astype("<u4"))
 
     def encode(self) -> bytes:
         """Manifest payload; the session id travels in the frame header."""
         p = self.ring
-        out = bytearray([p.l, p.alpha, p.beta])
-        for n in (self.num_amt, self.num_bmt, self.num_ot):
-            out += n.to_bytes(8, "little")
-        out += len(self.vdp_lengths).to_bytes(4, "little")
-        for n in self.vdp_lengths:
-            out += n.to_bytes(4, "little")
-        return bytes(out)
+        head = _MANIFEST_HEAD.pack(p.l, p.alpha, p.beta, self.num_amt, self.num_bmt,
+                                   self.num_ot, len(self.vdp_array))
+        return head + self.vdp_array.tobytes()
 
     @classmethod
     def decode(cls, session_id: bytes, payload: bytes) -> "ResourceManifest":
-        if len(payload) < 3 + 24 + 4:
+        if len(payload) < _MANIFEST_HEAD.size:
             raise ValueError("manifest payload too short")
-        l, alpha, beta = payload[0], payload[1], payload[2]
-        pos = 3
-        counts = []
-        for _ in range(3):
-            counts.append(int.from_bytes(payload[pos : pos + 8], "little"))
-            pos += 8
-        k = int.from_bytes(payload[pos : pos + 4], "little")
-        pos += 4
-        if len(payload) != pos + 4 * k:
+        l, alpha, beta, *counts, k = _MANIFEST_HEAD.unpack_from(payload)
+        if len(payload) != _MANIFEST_HEAD.size + 4 * k:
             raise ValueError("manifest payload length mismatch")
-        lengths = tuple(
-            int.from_bytes(payload[pos + 4 * i : pos + 4 * i + 4], "little")
-            for i in range(k)
-        )
-        return cls(session_id, RingParams(l, alpha, beta), *counts, lengths)
+        lengths = np.frombuffer(payload, dtype="<u4", count=k, offset=_MANIFEST_HEAD.size)
+        return cls(session_id, RingParams(l, alpha, beta), *counts, tuple(lengths.tolist()))
 
 
 def _elem_dtype(p: RingParams) -> np.dtype:
@@ -134,6 +140,23 @@ class PartyMaterial:
     vdp: VdpShare | None = None
 
 
+def _sections(buf, offset: int, p: RingParams, n_amt: int, n_bmt: int, n_ot: int,
+              n_vdp: int) -> list[np.ndarray]:
+    """Views of the four correction sections of buf, starting at offset."""
+    dt = _elem_dtype(p)
+    out = []
+    for dtype, count in ((dt, n_amt), (np.uint8, (n_bmt + 7) // 8),
+                         (np.uint8, n_ot * MASK_BYTES), (dt, n_vdp)):
+        out.append(np.frombuffer(buf, dtype=dtype, count=count, offset=offset))
+        offset += out[-1].nbytes
+    out[2] = out[2].reshape(n_ot, MASK_BYTES)
+    return out
+
+
+def _payload_size(p: RingParams, n_amt: int, n_bmt: int, n_ot: int, n_vdp: int) -> int:
+    return (n_amt + n_vdp) * p.nbytes + (n_bmt + 7) // 8 + n_ot * MASK_BYTES
+
+
 @dataclass
 class Corrections:
     """Dealer output completing role 1's view; the only non-seed payload."""
@@ -143,59 +166,43 @@ class Corrections:
     qr: np.ndarray  # (n, 16)
     a3: np.ndarray
 
-    def encode(self, p: RingParams) -> bytes:
-        dt = _elem_dtype(p)
-        parts = [
-            self.c1_amt.astype(dt).tobytes(),
-            np.packbits(self.c1_bmt, bitorder="little").tobytes(),
-            self.qr.tobytes(),
-            self.a3.astype(dt).tobytes(),
-        ]
-        return b"".join(parts)
+    def encode(self, p: RingParams, prefix: bytes = b"") -> bytearray:
+        """prefix followed by the correction payload, written into one buffer."""
+        counts = (len(self.c1_amt), len(self.c1_bmt), len(self.qr), len(self.a3))
+        out = bytearray(len(prefix) + _payload_size(p, *counts))
+        out[: len(prefix)] = prefix
+        amt, bmt, qr, a3 = _sections(out, len(prefix), p, *counts)
+        amt[...] = self.c1_amt
+        bmt[...] = np.packbits(self.c1_bmt, bitorder="little")
+        qr[...] = self.qr
+        a3[...] = self.a3
+        return out
 
     @classmethod
-    def decode(cls, payload: bytes, m: ResourceManifest) -> "Corrections":
+    def decode(cls, payload, m: ResourceManifest, offset: int = 0) -> "Corrections":
+        """Parse payload[offset:]; qr is a view into payload, not a copy."""
         p = m.ring
-        dt = _elem_dtype(p)
-        sizes = [
-            m.num_amt * p.nbytes,
-            (m.num_bmt + 7) // 8,
-            m.num_ot * MASK_BYTES,
-            len(m.vdp_lengths) * p.nbytes,
-        ]
-        if len(payload) != sum(sizes):
+        counts = (m.num_amt, m.num_bmt, m.num_ot, len(m.vdp_lengths))
+        if len(payload) - offset != _payload_size(p, *counts):
             raise ValueError("correction payload length mismatch")
-        pos = 0
-        chunks = []
-        for s in sizes:
-            chunks.append(payload[pos : pos + s])
-            pos += s
-        c1_amt = np.frombuffer(chunks[0], dtype=dt).astype(np.uint64)
-        c1_bmt = np.unpackbits(
-            np.frombuffer(chunks[1], dtype=np.uint8), bitorder="little"
-        )[: m.num_bmt]
-        qr = np.frombuffer(chunks[2], dtype=np.uint8).reshape(m.num_ot, MASK_BYTES)
-        a3 = np.frombuffer(chunks[3], dtype=dt).astype(np.uint64)
-        return cls(c1_amt, c1_bmt, qr, a3)
+        amt, bmt, qr, a3 = _sections(payload, offset, p, *counts)
+        c1_bmt = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
+        return cls(amt.astype(np.uint64), c1_bmt, qr, a3.astype(np.uint64))
 
 
-def _draw_vdp(d: Drbg, lengths, mask: int, with_scalar: bool):
-    total = int(sum(lengths))
-    if with_scalar:
-        # per-product layout: n elems then the a2 scalar
-        raw = d.ring_elems(total + len(lengths), mask)
-        vec = np.empty(total, dtype=np.uint64)
-        scalar = np.empty(len(lengths), dtype=np.uint64)
-        pos = 0
-        off = 0
-        for i, n in enumerate(lengths):
-            vec[off : off + n] = raw[pos : pos + n]
-            scalar[i] = raw[pos + n]
-            pos += n + 1
-            off += n
-        return VdpShare(tuple(lengths), vec, scalar)
-    raw = d.ring_elems(total, mask)
-    return VdpShare(tuple(lengths), raw, np.zeros(len(lengths), dtype=np.uint64))
+def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool) -> VdpShare:
+    lengths = m.vdp_array.astype(np.int64)
+    total = int(lengths.sum())
+    if not with_scalar:
+        raw = d.ring_elems(total, mask)
+        return VdpShare(m.vdp_lengths, raw, np.zeros(len(lengths), dtype=np.uint64))
+    # per-product layout: n elems then the a2 scalar, so product i's scalar
+    # sits after the first i+1 vectors and i earlier scalars
+    raw = d.ring_elems(total + len(lengths), mask)
+    at = np.cumsum(lengths) + np.arange(len(lengths))
+    is_vec = np.ones(len(raw), dtype=bool)
+    is_vec[at] = False
+    return VdpShare(m.vdp_lengths, raw[is_vec], raw[at])
 
 
 def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
@@ -207,7 +214,7 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
     q = _stream(seed0, TAG_OT_SEND).blocks(2 * m.num_ot).reshape(m.num_ot, 2, 16)
-    vdp = _draw_vdp(_stream(seed0, TAG_VDP), m.vdp_lengths, p.mask, with_scalar=True)
+    vdp = _draw_vdp(_stream(seed0, TAG_VDP), m, p.mask, with_scalar=True)
     return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, vdp=vdp)
 
 
@@ -220,11 +227,31 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
     r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
-    vdp = _draw_vdp(_stream(seed1, TAG_VDP), m.vdp_lengths, p.mask, with_scalar=False)
+    vdp = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
     empty = np.zeros(m.num_amt, dtype=np.uint64)
     return PartyMaterial(
         1, p, a, b, empty, ba, bb, np.zeros(m.num_bmt, dtype=np.uint8), ot_r=r, vdp=vdp
     )
+
+
+_SELECT_CHUNK = 1 << 14  # OT items per pass; keeps each pass cache-resident
+
+
+def _select_masks(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """qr = q[r] per item, as the branch-free q0 ^ ((q0 ^ q1) & -r) over
+    64-bit words; q is (n, 2, 16) uint8, r is 0/1 per item."""
+    words = q.view("<u8")  # (n, 2, 2): item, q0/q1, word
+    sel = r.astype(np.uint64)
+    np.negative(sel, out=sel)  # all-ones where r = 1
+    out = np.empty((len(q), 2), dtype="<u8")
+    for lo in range(0, len(q), _SELECT_CHUNK):
+        hi = lo + _SELECT_CHUNK
+        for w in (0, 1):
+            q0, t = words[lo:hi, 0, w], out[lo:hi, w]
+            np.bitwise_xor(q0, words[lo:hi, 1, w], out=t)
+            t &= sel[lo:hi]
+            t ^= q0
+    return out.view(np.uint8)
 
 
 def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> Corrections:
@@ -235,7 +262,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> Corr
     m1 = expand_role1(seed1, m)
     c1_amt = ((m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c) & mask
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
-    qr = np.where(m1.ot_r[:, None].astype(bool), m0.ot_q[:, 1], m0.ot_q[:, 0])
+    qr = _select_masks(m0.ot_q, m1.ot_r)
     if m.vdp_lengths:
         prod = (m0.vdp.vec * m1.vdp.vec) & mask
         sums = np.add.reduceat(prod, m0.vdp.offsets[:-1]) & mask

@@ -18,6 +18,7 @@ Everything is SIMD over an instance axis: label state has shape
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,18 @@ def _rotl1(x: np.ndarray) -> np.ndarray:
     return out.view(np.uint8).reshape(x.shape)
 
 
+# One fixed-key AES context per thread: keyed once, never shared, since
+# both parties may garble and evaluate as threads of one process.
+_fixed = threading.local()
+
+
+def _fixed_key_encrypt(blk: np.ndarray) -> bytes:
+    enc = getattr(_fixed, "encrypt", None)
+    if enc is None:
+        enc = _fixed.encrypt = ecb_encryptor(FIXED_KEY)
+    return enc(blk)
+
+
 def _hash_labels(x: np.ndarray, ids: np.ndarray, slot: int) -> np.ndarray:
     """H(X, t) over a flat (m, 16) label array; ids are u64 tweak counters."""
     m = x.reshape(-1, 16).shape[0]
@@ -57,7 +70,7 @@ def _hash_labels(x: np.ndarray, ids: np.ndarray, slot: int) -> np.ndarray:
     tw[:, 0] = ids.reshape(-1)
     tw[:, 1] = slot
     blk = _rotl1(x.reshape(-1, 16)) ^ tw.view(np.uint8).reshape(-1, 16)
-    enc = ecb_encryptor(FIXED_KEY)(blk)
+    enc = _fixed_key_encrypt(blk)
     out = np.frombuffer(enc, dtype=np.uint8).reshape(-1, 16) ^ blk
     return out.reshape(x.shape)
 

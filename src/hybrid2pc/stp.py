@@ -41,21 +41,23 @@ class CorrelatedBundle:
     seed: bytes
     corrections: Corrections | None
 
-    def encode(self, ring) -> bytes:
+    def encode(self, ring) -> bytes | bytearray:
+        """Role 0: the seed. Role 1: seed and corrections in one buffer."""
         if self.role == 0:
             return self.seed
-        return self.seed + self.corrections.encode(ring)
+        return self.corrections.encode(ring, prefix=self.seed)
 
     @classmethod
     def decode(cls, role: int, payload: bytes, manifest: ResourceManifest):
-        seed, rest = payload[:SEED_BYTES], payload[SEED_BYTES:]
-        if len(seed) != SEED_BYTES:
+        """Parse a bundle; role 1's corrections are views into payload."""
+        if len(payload) < SEED_BYTES:
             raise ValueError("bundle too short")
+        seed = bytes(payload[:SEED_BYTES])
         if role == 0:
-            if rest:
+            if len(payload) != SEED_BYTES:
                 raise ValueError("unexpected trailing bytes in role-0 bundle")
             return cls(0, seed, None)
-        return cls(1, seed, Corrections.decode(rest, manifest))
+        return cls(1, seed, Corrections.decode(payload, manifest, offset=SEED_BYTES))
 
     def materialize(self, manifest: ResourceManifest) -> PartyMaterial:
         """Seed expansion on the party side; the dealer did the same."""
@@ -106,6 +108,7 @@ class StpServer:
                 return
             t = threading.Thread(target=self._handle, args=(sock,), daemon=True)
             t.start()
+            self._threads = [x for x in self._threads if x.is_alive()]
             self._threads.append(t)
 
     def _handle(self, sock):

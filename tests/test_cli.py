@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from hybrid2pc import bench, cli
 
 
@@ -84,3 +86,15 @@ def test_unreachable_stp_exit_code(tmp_path):
     p0.communicate(timeout=60)
     assert p1.returncode == cli.EXIT_OFFLINE_FAIL
     assert p0.returncode == cli.EXIT_OFFLINE_FAIL
+
+
+@pytest.mark.parametrize("argv", [
+    ["stp", "--null-cipher"],
+    ["party", "--role", "0", "--program", "svm", "--null-cipher"],
+    ["party", "--role", "0", "--program", "circuit"],
+])
+def test_removed_options_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from hybrid2pc import correlated as cr
 from hybrid2pc.ring import RingParams
+from hybrid2pc.stp import CorrelatedBundle
 
 SEED0 = hashlib.sha256(b"party-0").digest()
 SEED1 = hashlib.sha256(b"party-1").digest()
@@ -148,3 +149,50 @@ def test_manifest_validation():
         cr.ResourceManifest(bytes(3), L32)
     with pytest.raises(ValueError):
         manifest(vdp_lengths=(0,))
+
+
+# Digests of the normative expansion of a mixed manifest (ragged dot
+# products, reads that cross 64 KB DRBG requests). Parties and dealer must
+# derive every byte identically, so a change to a stream layout, the DRBG
+# or the correction encoding must fail here.
+PINNED_MANIFEST = dict(
+    num_amt=3001, num_bmt=1001, num_ot=3003,
+    vdp_lengths=tuple((7 * i) % 13 + 1 for i in range(2000)),
+)
+PINNED = {
+    "manifest": "0e8cccc5b845447a69e8e0f4297d352d6069f20ca1dc1ac407357b2bf3a0288b",
+    "role0": "3ca25ddce8887567cee5e6969e43e9a748b47aa763338a7849d1df6563e8ca57",
+    "role1": "3c315de319a367ded18cf79323c4fd70d01c2e78bb841682ac74d50cfa6779a2",
+    "corrections": "3ae9b449ee62a5dc49a84dd0fc18f6449a3351a940b018b93e6ada3f453a9415",
+    "bundle1": "ed2506c1f1da844b704ecc588f995ffb37476ae88b5327350f101c3a7fafd45b",
+}
+
+
+def _arrays_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _pinned_digests() -> dict:
+    m = manifest(**PINNED_MANIFEST)
+    m0 = cr.expand_role0(SEED0, m)
+    m1 = cr.expand_role1(SEED1, m)
+    corr = cr.compute_corrections(SEED0, SEED1, m)
+    return {
+        "manifest": hashlib.sha256(m.encode()).hexdigest(),
+        "role0": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m0.bmt_a, m0.bmt_b,
+                                m0.bmt_c, m0.ot_q, m0.vdp.vec, m0.vdp.scalar),
+        "role1": _arrays_digest(m1.amt_a, m1.amt_b, m1.bmt_a, m1.bmt_b, m1.ot_r,
+                                m1.vdp.vec),
+        "corrections": _arrays_digest(corr.c1_amt, corr.c1_bmt, corr.qr, corr.a3),
+        "bundle1": hashlib.sha256(
+            bytes(CorrelatedBundle(1, SEED1, corr).encode(m.ring))).hexdigest(),
+    }
+
+
+def test_expansion_and_corrections_pinned():
+    assert _pinned_digests() == PINNED

@@ -1,10 +1,13 @@
+import hashlib
+import threading
+
 import numpy as np
 from conftest import SEED0, SEED1, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import ring, transport
 from hybrid2pc.correlated import gen_ot_masks
-from hybrid2pc.gc import GcSession, garble, new_offset
+from hybrid2pc.gc import GcSession, evaluate, garble, new_offset
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 
@@ -197,3 +200,35 @@ def test_gc_rounds_constant_in_size(channels):
         run_circuit(chans, cc.build_add(16, "size"), x, x)
         counts.append(chans[0].ledger.messages() + chans[1].ledger.messages())
     assert counts[0] == counts[1]
+
+
+def _garble_digest(jobs) -> str:
+    """Garble and evaluate (all-zero inputs) every job; digest everything."""
+    h = hashlib.sha256()
+    for circ, cycles, ninst, seed in jobs:
+        rng = np.random.default_rng(seed)
+        g = garble(circ, cycles, rng, new_offset(rng), ninst=ninst)
+        for t in g.tables:
+            h.update(t)
+        for labels in (*g.in_zero.values(), *g.reg_zero.values(), g.out_zero, g.decode):
+            h.update(np.ascontiguousarray(labels).tobytes())
+        out = evaluate(circ, cycles, g.tables, g.in_zero, g.reg_zero, ninst)
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+def test_concurrent_garbling_matches_serial():
+    # the fixed-key hash keeps one AES context per thread; two threads
+    # garbling at once must produce exactly the serial tables and labels
+    jobs = [(cc.build_add(32, "size"), 1, 5, 1), (cc.build_cmp(16, "depth"), 1, 9, 2),
+            (cc.build_counter(6), 4, 3, 3), (cc.build_relu(32), 1, 16, 4)]
+    serial = _garble_digest(jobs)
+    start = threading.Barrier(2)
+    got = []
+
+    def worker():
+        start.wait()
+        got.extend(_garble_digest(jobs) for _ in range(3))
+
+    run_parties(worker, worker)
+    assert got == [serial] * 6

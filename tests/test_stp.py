@@ -167,3 +167,16 @@ def test_online_traffic_refused(server):
     with pytest.raises(RemoteError):
         chan.recv_expect(transport.BUNDLE)
     chan.close()
+
+
+def test_handler_threads_pruned():
+    # every session spawns two handler threads; finished ones must not pile up
+    srv = stp.StpServer(timeout=5.0).start()
+    try:
+        for _ in range(50):
+            m = manifest(num_amt=2)
+            _, errs, _ = fetch_both(srv, {0: m, 1: m})
+            assert errs == [None, None]
+        assert len(srv._threads) <= 10
+    finally:
+        srv.stop()
