@@ -35,12 +35,18 @@ def ctr_encryptor(key: bytes, counter: int):
 
 
 def ecb_encryptor(key: bytes):
-    """Returns fn(buf: bytes|ndarray) -> bytes encrypting 16-byte blocks."""
+    """Returns fn(blocks: ndarray) -> ndarray encrypting 16-byte blocks.
+
+    The result has the input's shape and dtype. It is written by
+    update_into into a fresh array, which is several times faster than
+    update() for the garbling hash's batches of tens of thousands of blocks.
+    """
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
-    def encrypt(buf) -> bytes:
-        if isinstance(buf, np.ndarray):
-            buf = buf.tobytes()
-        return enc.update(buf)
+    def encrypt(blocks: np.ndarray) -> np.ndarray:
+        src = np.ascontiguousarray(blocks)
+        out = np.empty(src.nbytes + 16, dtype=np.uint8)  # update_into's slack
+        enc.update_into(memoryview(src).cast("B"), out)
+        return out[: src.nbytes].view(src.dtype).reshape(src.shape)
 
     return encrypt

@@ -8,9 +8,19 @@ Registers turn the netlist sequential: a register's q wire acts as a
 source each cycle, loaded from its d wire at the end of the previous one.
 
 Two build styles exist where it matters: "size" (ripple structures, the
-cheapest gate count, used under garbling where only AND count is paid)
-and "depth" (parallel-prefix structures minimising AND depth, used under
-GMW where every AND level costs a round).
+fewest ANDs, used under garbling where only AND count is paid) and
+"depth" (parallel-prefix structures minimising AND depth, used under GMW
+where every AND level costs a round). The "size" adders chain 1-AND full
+adders, carry c' = c ^ ((a ^ c) & (b ^ c)) and sum a ^ b ^ c
+(Kolesnikov-Sadeghi-Schneider, CANS 2009): at w bits, add and sub take
+w-1 ANDs and the signed compare w, at AND depth w-1 and w.
+
+levelize() turns a netlist into a schedule of local spans and AND levels,
+each span further split into layers of independent XOR and NOT gates;
+Circuit.levelized computes it once per circuit object. run_spans() walks
+that schedule with one vectorised XOR per layer and a callback per AND
+level; GMW, garbling and evaluation all run on it, while simulate() keeps
+a plain per-gate loop as the reference.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +64,19 @@ class Circuit:
     go: np.ndarray  # int32 output wire
     registers: tuple[Register, ...] = ()
     name: str = ""
+    _levelized: "LevelizedCircuit | None" = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def levelized(self) -> "LevelizedCircuit":
+        """levelize(self), computed on first use and kept with the circuit.
+
+        Threads that race on the first use each levelize; the results are
+        equal, so whichever is kept serves all.
+        """
+        if self._levelized is None:
+            self._levelized = levelize(self)
+        return self._levelized
 
     @property
     def num_gates(self) -> int:
@@ -100,18 +124,36 @@ class Circuit:
         return self
 
 
+class Span(NamedTuple):
+    """One step of a levelized schedule, as wire-index arrays.
+
+    layers: (a, b, out) per layer of mutually independent XOR and NOT
+    gates, run in order. A NOT gate reads b = nwires, the extra row in
+    which each interpreter keeps its NOT mask. ands: gate indices of the
+    AND level that follows; and_a, and_b, and_out: their wires.
+    """
+
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    ands: np.ndarray
+    and_a: np.ndarray
+    and_b: np.ndarray
+    and_out: np.ndarray
+
+
 @dataclass
 class LevelizedCircuit:
     """Execution schedule: alternating local spans and AND levels.
 
     schedule is a list of (local_gate_idx, and_gate_idx) pairs; running
     them in order satisfies all dependencies. depth == number of AND
-    levels == count of non-empty and batches.
+    levels == count of non-empty and batches. spans holds the same steps
+    split into layers of independent gates for run_spans.
     """
 
     circuit: Circuit
     gate_level: np.ndarray
     schedule: list[tuple[np.ndarray, np.ndarray]]
+    spans: list[Span]
 
     @property
     def depth(self) -> int:
@@ -123,18 +165,34 @@ class LevelizedCircuit:
 
 
 def levelize(c: Circuit) -> LevelizedCircuit:
-    """Minimal AND-level assignment by longest path over AND dependencies."""
-    wire_level = np.zeros(c.nwires, dtype=np.int32)
-    gate_level = np.zeros(c.num_gates, dtype=np.int32)
-    for i in range(c.num_gates):
-        a, b = int(c.ga[i]), int(c.gb[i])
-        lvl = wire_level[a] if c.op[i] == NOT else max(wire_level[a], wire_level[b])
-        if c.op[i] == AND:
-            lvl += 1
-        gate_level[i] = lvl
-        wire_level[int(c.go[i])] = lvl
+    """Minimal AND-level assignment by longest path over AND dependencies.
+
+    Within a level, each XOR or NOT gate goes to the first layer after
+    the local gates of that level it reads.
+    """
+    op, ga, gb, go = c.op.tolist(), c.ga.tolist(), c.gb.tolist(), c.go.tolist()
+    wire_level = [0] * c.nwires
+    wire_layer = [0] * c.nwires  # local layer within its level, 0 for sources
+    gate_level = [0] * len(op)
+    gate_layer = [0] * len(op)
+    for i, kind in enumerate(op):
+        a, b = ga[i], (ga[i] if kind == NOT else gb[i])
+        la, lb = wire_level[a], wire_level[b]
+        if kind == AND:
+            lvl, layer = max(la, lb) + 1, 0
+        else:
+            lvl = max(la, lb)
+            layer = 1 + max(wire_layer[a] if la == lvl else 0,
+                            wire_layer[b] if lb == lvl else 0)
+        gate_level[i] = wire_level[go[i]] = lvl
+        gate_layer[i] = wire_layer[go[i]] = layer
+    gate_level = np.array(gate_level, dtype=np.int32)
+    gate_layer = np.array(gate_layer, dtype=np.int32)
+    gin_a = c.ga.astype(np.intp)
+    gin_b = np.where(c.op == NOT, c.nwires, c.gb).astype(np.intp)
+    gout = c.go.astype(np.intp)
     max_lvl = int(gate_level.max(initial=0))
-    schedule = []
+    schedule, spans = [], []
     is_and = c.op == AND
     idx = np.arange(c.num_gates)
     for lvl in range(max_lvl + 1):
@@ -142,9 +200,28 @@ def levelize(c: Circuit) -> LevelizedCircuit:
         locals_ = idx[at & ~is_and]
         ands = idx[(gate_level == lvl + 1) & is_and] if lvl < max_lvl else idx[:0]
         schedule.append((locals_, ands))
-    if not schedule:
-        schedule.append((idx[:0], idx[:0]))
-    return LevelizedCircuit(c, gate_level, schedule)
+        layer_of = gate_layer[locals_]
+        layers = []
+        for k in range(1, int(layer_of.max(initial=0)) + 1):
+            g = locals_[layer_of == k]
+            layers.append((gin_a[g], gin_b[g], gout[g]))
+        spans.append(Span(tuple(layers), ands, gin_a[ands], gin_b[ands], gout[ands]))
+    return LevelizedCircuit(c, gate_level, schedule, spans)
+
+
+def run_spans(lc: LevelizedCircuit, vals: np.ndarray, and_level) -> None:
+    """One cycle of lc over vals, a per-wire array with one extra row.
+
+    Row nwires must hold the interpreter's NOT mask: all ones in the
+    clear, R under garbling, 0 for the evaluator, role 0's share under
+    GMW. Every local layer is one XOR over the wire axis. Each AND level
+    calls and_level(span, a_vals, b_vals), which returns the output values.
+    """
+    for span in lc.spans:
+        for a, b, o in span.layers:
+            vals[o] = vals[a] ^ vals[b]
+        if len(span.ands):
+            vals[span.and_out] = and_level(span, vals[span.and_a], vals[span.and_b])
 
 
 class Builder:
@@ -294,17 +371,30 @@ class Builder:
             heapq.heappush(heap, (self._level[w], counter, w))
         return heap[0][2]
 
+    def full_carry(self, a: int, b: int, c: int) -> int:
+        """Carry out of the bit sum a + b + c with one AND:
+        c ^ ((a ^ c) & (b ^ c))."""
+        return self.xor(c, self.and_(self.xor(a, c), self.xor(b, c)))
+
     def adder_word(self, a, b, cin: int = CONST0, variant: str = SIZE):
-        """Sum bits of a + b + cin modulo 2^w."""
+        """Sum bits of a + b + cin modulo 2^w.
+
+        SIZE: a ripple of 1-AND full adders (Kolesnikov-Sadeghi-Schneider,
+        CANS 2009), sum = a ^ b ^ c and carry by full_carry. That is w-1
+        ANDs at AND depth w-1. DEPTH: carry lookahead over generate and
+        propagate bits, ceil(log2 w) AND levels for w <= 8 and a Sklansky
+        prefix above that.
+        """
         w = len(a)
+        if variant == SIZE:
+            out, c = [], cin
+            for i in range(w):
+                out.append(self.xor(self.xor(a[i], c), b[i]))
+                if i < w - 1:
+                    c = self.full_carry(a[i], b[i], c)
+            return out
         p = [self.xor(a[i], b[i]) for i in range(w)]
         g = [self.and_(a[i], b[i]) for i in range(w)]
-        if variant == SIZE:
-            carries = [cin]
-            for i in range(w - 1):
-                # c_{i+1} = g_i xor (p_i and c_i)
-                carries.append(self.xor(g[i], self.and_(p[i], carries[i])))
-            return [self.xor(p[i], carries[i]) for i in range(w)]
         if w <= 8:
             # flat carry-lookahead: c_{i+1} = XOR_j g_j * p_{j+1..i}, one
             # AND-tree per term, reaching the ceil(log2 w) depth floor
@@ -339,15 +429,19 @@ class Builder:
         return [self.xor(p[i], carries[i]) for i in range(w)]
 
     def carry_out(self, a, b, cin: int, variant: str = SIZE) -> int:
-        """Carry out of a + b + cin over the full width."""
+        """Carry out of a + b + cin over the full width.
+
+        SIZE: w chained full_carry steps, w ANDs at AND depth w. DEPTH: a
+        binary tree of (generate, propagate) merges.
+        """
         w = len(a)
-        p = [self.xor(a[i], b[i]) for i in range(w)]
-        g = [self.and_(a[i], b[i]) for i in range(w)]
         if variant == SIZE:
             c = cin
             for i in range(w):
-                c = self.xor(g[i], self.and_(p[i], c))
+                c = self.full_carry(a[i], b[i], c)
             return c
+        p = [self.xor(a[i], b[i]) for i in range(w)]
+        g = [self.and_(a[i], b[i]) for i in range(w)]
         # depth: binary-tree merge of (G, P) block pairs
         nodes = [(g[i], p[i]) for i in range(w)]
         if cin != CONST0:

@@ -5,15 +5,23 @@ global offset R whose low bit is 1, so label LSBs double as the
 point-and-permute bits. The garbling hash is the standard fixed-key
 construction H(X, t) = E(2X ^ t) ^ 2X ^ t with E a fixed-key AES-128
 permutation, 2X a one-bit rotation, and a tweak t unique per
-(gate, cycle, instance, half-gate slot).
+(gate, cycle, instance, half-gate slot) within a session: GcSession
+passes a tweak base that grows by tweak_span() after every run, so a
+label carried into a later run is never hashed under a tweak used before.
 
 Per AND gate two ciphertexts travel (generator and evaluator halves);
 XOR and NOT are free. Sequential circuits garble each cycle afresh; a
 2-ciphertext translation table per register carries the evaluator's
 active label from one cycle's d wire to the next cycle's q wire.
 
-Everything is SIMD over an instance axis: label state has shape
-(nwires, ninst, 16) and each AND level costs one batched AES call.
+Everything is SIMD over an instance axis. Label state is one array of
+shape (nwires + 1, ninst, 2) holding each label as a little-endian u64
+pair. garble and evaluate walk the circuit's cached layered schedule
+(circuits.run_spans): a layer of independent XOR and NOT gates is one XOR
+over fancy-indexed rows, NOT reading a row that holds R (garbler) or 0
+(evaluator). Each AND level hashes all its half-gate inputs in one AES
+call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R. The
+tables of one cycle are written into one preallocated buffer.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import transport
 from .aesutil import ecb_encryptor
-from .circuits import CONST0, CONST1, XOR, Circuit, levelize
+from .circuits import CONST0, CONST1, Circuit, run_spans
 from .ot import OtReceiver, OtSender
 from .transport import Channel
 
@@ -36,19 +44,23 @@ _SLOT_GEN = 0
 _SLOT_EVAL = 1
 _SLOT_REG = 2
 
+_U64 = np.dtype("<u8")
+_ONE = np.uint64(1)
+
 
 class GcError(RuntimeError):
     pass
 
 
-def _rotl1(x: np.ndarray) -> np.ndarray:
-    """One-bit left rotation of 128-bit little-endian blocks."""
-    v = np.ascontiguousarray(x).view("<u8").reshape(-1, 2)
-    lo, hi = v[:, 0], v[:, 1]
-    out = np.empty_like(v)
-    out[:, 0] = (lo << np.uint64(1)) | (hi >> np.uint64(63))
-    out[:, 1] = (hi << np.uint64(1)) | (lo >> np.uint64(63))
-    return out.view(np.uint8).reshape(x.shape)
+def _rotl1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One-bit left rotation of 128-bit labels held as (..., 2) u64 pairs."""
+    lo, hi = x[..., 0], x[..., 1]
+    out = np.empty_like(x) if out is None else out
+    np.left_shift(lo, _ONE, out=out[..., 0])
+    out[..., 0] |= hi >> np.uint64(63)
+    np.left_shift(hi, _ONE, out=out[..., 1])
+    out[..., 1] |= lo >> np.uint64(63)
+    return out
 
 
 # One fixed-key AES context per thread: keyed once, never shared, since
@@ -56,23 +68,37 @@ def _rotl1(x: np.ndarray) -> np.ndarray:
 _fixed = threading.local()
 
 
-def _fixed_key_encrypt(blk: np.ndarray) -> bytes:
+def _fixed_key_encrypt(blk: np.ndarray) -> np.ndarray:
     enc = getattr(_fixed, "encrypt", None)
     if enc is None:
         enc = _fixed.encrypt = ecb_encryptor(FIXED_KEY)
     return enc(blk)
 
 
-def _hash_labels(x: np.ndarray, ids: np.ndarray, slot: int) -> np.ndarray:
-    """H(X, t) over a flat (m, 16) label array; ids are u64 tweak counters."""
-    m = x.reshape(-1, 16).shape[0]
-    tw = np.zeros((m, 2), dtype="<u8")
-    tw[:, 0] = ids.reshape(-1)
-    tw[:, 1] = slot
-    blk = _rotl1(x.reshape(-1, 16)) ^ tw.view(np.uint8).reshape(-1, 16)
-    enc = _fixed_key_encrypt(blk)
-    out = np.frombuffer(enc, dtype=np.uint8).reshape(-1, 16) ^ blk
-    return out.reshape(x.shape)
+def _hash(blk: np.ndarray, ids: np.ndarray, slots) -> np.ndarray:
+    """H(X, t) for blk = rotated labels of shape (k, ..., 2), in place.
+
+    ids: u64 tweak counters broadcast over the leading axis; slots: one
+    half-gate slot per entry of the leading axis.
+    """
+    blk[..., 0] ^= ids
+    for k, slot in enumerate(slots):
+        if slot:
+            blk[k, ..., 1] ^= np.uint64(slot)
+    out = _fixed_key_encrypt(blk)
+    out ^= blk
+    return out
+
+
+def _ids(first: np.ndarray, ninst: int, base: int) -> np.ndarray:
+    """Tweak counters first * ninst + instance + base, shape (len(first), ninst)."""
+    return (first.astype(np.uint64)[:, None] * np.uint64(ninst)
+            + np.arange(ninst, dtype=np.uint64) + np.uint64(base))
+
+
+def _sel(x: np.ndarray) -> np.ndarray:
+    """All-ones u64 where the label's permute bit is set, else 0; (..., 1)."""
+    return np.uint64(0) - (x[..., :1] & _ONE)
 
 
 def _lsb(x: np.ndarray) -> np.ndarray:
@@ -94,6 +120,11 @@ def _fresh(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(0, 256, size=shape + (16,), dtype=np.uint8)
 
 
+def tweak_span(c: Circuit, cycles: int, ninst: int) -> int:
+    """Tweak counters one garbling of c uses, from its base upwards."""
+    return cycles * max(c.num_gates, len(c.registers)) * ninst
+
+
 @dataclass
 class YaoShare:
     """Per-wire garbled-circuit sharing: zero labels (garbler) or active
@@ -112,7 +143,7 @@ class YaoShare:
 
 @dataclass
 class Garbling:
-    tables: list[bytes]  # one chunk per cycle
+    tables: list[bytearray]  # one chunk per cycle
     in_zero: dict[int, np.ndarray]  # input wire -> (ninst, 16) zero label
     reg_zero: dict[int, np.ndarray]  # cycle-0 q wire -> zero label
     out_zero: np.ndarray  # (nout, ninst, 16) final-cycle zero labels
@@ -120,75 +151,96 @@ class Garbling:
     num_and: int
 
 
+def _table_words(c: Circuit, cyc: int, ninst: int) -> int:
+    """u64 words of cycle cyc's tables: two ciphertexts per AND gate and,
+    after cycle 0, two per register, for every instance."""
+    nregs = len(c.registers) if cyc else 0
+    return 4 * (c.num_and + nregs) * ninst
+
+
 def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
-           ninst: int = 1, preset: dict[int, np.ndarray] | None = None) -> Garbling:
-    """Garble ninst instances of the circuit; deterministic given rng."""
-    lc = levelize(c)
+           ninst: int = 1, preset: dict[int, np.ndarray] | None = None,
+           tweak: int = 0) -> Garbling:
+    """Garble ninst instances of the circuit; deterministic given rng.
+
+    tweak is the first tweak counter; the run uses tweak_span() of them.
+    """
+    lc = c.levelized
     preset = preset or {}
-    zero = np.zeros((c.nwires, ninst, 16), dtype=np.uint8)
-    in_zero = {}
-    for w in (*c.inputs0, *c.inputs1):
-        zero[w] = preset[w] if w in preset else _fresh(rng, (ninst,))
-        in_zero[w] = zero[w].copy()
-    reg_zero = {}
-    for r in c.registers:
-        zero[r.q] = _fresh(rng, (ninst,))
+    R64 = R.view(_U64)
+    rR = _rotl1(R64)
+    zero = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)
+    zero8 = zero.view(np.uint8)
+    zero[c.nwires] = R64  # NOT a == a ^ R
+    inputs = [*c.inputs0, *c.inputs1]
+    drawn = [w for w in inputs if w not in preset]
+    if drawn:
+        zero8[drawn] = _fresh(rng, (len(drawn), ninst))
+    for w in inputs:
+        if w in preset:
+            zero8[w] = preset[w]
+    in_zero = {w: zero8[w].copy() for w in inputs}
+    reg_q = [r.q for r in c.registers]
+    reg_d = [r.d for r in c.registers]
+    nregs = len(reg_q)
+    if nregs:
         # q labels are re-randomised every cycle; keep the cycle-0 pair
-        reg_zero[r.q] = zero[r.q].copy()
-    ngates, nregs = c.num_gates, len(c.registers)
+        zero8[reg_q] = _fresh(rng, (nregs, ninst))
+    reg_zero = {q: zero8[q].copy() for q in reg_q}
+    ngates = c.num_gates
     tables = []
     for cyc in range(cycles):
-        chunk = []
-        if cyc:
+        buf = bytearray(8 * _table_words(c, cyc, ninst))
+        table = np.frombuffer(buf, dtype=_U64)
+        pos = 0
+        if cyc and nregs:
             # register translation: fresh q labels keyed by old d labels
-            old = np.stack([zero[r.d] for r in c.registers])  # (nregs, ninst, 16)
-            fresh_q = _fresh(rng, (nregs, ninst))
-            ids = (
-                np.arange(nregs, dtype=np.uint64)[:, None] * np.uint64(ninst)
-                + np.arange(ninst, dtype=np.uint64)[None, :]
-                + np.uint64((cyc - 1) * nregs * ninst)
-            )
-            h0 = _hash_labels(old, ids, _SLOT_REG)
-            h1 = _hash_labels(old ^ R, ids, _SLOT_REG)
-            p = _lsb(old)
+            old = zero[reg_d]  # (nregs, ninst, 2)
+            fresh_q = _fresh(rng, (nregs, ninst)).view(_U64)
+            blk = np.empty((2,) + old.shape, dtype=_U64)
+            _rotl1(old, blk[0])
+            np.bitwise_xor(blk[0], rR, out=blk[1])
+            h0, h1 = _hash(blk, _ids(np.arange(nregs), ninst,
+                                     tweak + (cyc - 1) * nregs * ninst),
+                           (_SLOT_REG, _SLOT_REG))
             row_a = h0 ^ fresh_q  # goes to slot lsb(O0)
-            row_b = h1 ^ fresh_q ^ R  # goes to slot lsb(O1) = 1 - lsb(O0)
-            rows = np.empty((nregs, ninst, 2, 16), dtype=np.uint8)
-            sel = p[..., None, None].astype(bool)
-            rows[..., 0, :] = np.where(sel[..., 0, :], row_b, row_a)
-            rows[..., 1, :] = np.where(sel[..., 0, :], row_a, row_b)
-            chunk.append(rows.tobytes())
-            for i, r in enumerate(c.registers):
-                zero[r.q] = fresh_q[i]
-        for locals_, ands in lc.schedule:
-            for i in locals_:
-                a, b, o = int(c.ga[i]), int(c.gb[i]), int(c.go[i])
-                zero[o] = zero[a] ^ zero[b] if c.op[i] == XOR else zero[a] ^ R
-            if not len(ands):
-                continue
-            A0 = zero[c.ga[ands]]  # (g, ninst, 16)
-            B0 = zero[c.gb[ands]]
-            ids = (
-                np.asarray(ands, dtype=np.uint64)[:, None] * np.uint64(ninst)
-                + np.arange(ninst, dtype=np.uint64)[None, :]
-                + np.uint64(cyc * ngates * ninst)
-            )
-            ha0 = _hash_labels(A0, ids, _SLOT_GEN)
-            ha1 = _hash_labels(A0 ^ R, ids, _SLOT_GEN)
-            hb0 = _hash_labels(B0, ids, _SLOT_EVAL)
-            hb1 = _hash_labels(B0 ^ R, ids, _SLOT_EVAL)
-            pa, pb = _lsb(A0), _lsb(B0)
-            tg = ha0 ^ ha1 ^ _mask16(pb, R)
-            te = hb0 ^ hb1 ^ A0
-            w0 = ha0 ^ _mask16(pa, tg) ^ hb0 ^ _mask16(pb, te ^ A0)
-            zero[c.go[ands]] = w0
-            pair = np.stack([tg, te], axis=2)  # (g, ninst, 2, 16)
-            chunk.append(pair.tobytes())
-        tables.append(b"".join(chunk))
-    out_zero = np.stack([zero[w] for w in c.outputs]) if c.outputs else np.zeros(
-        (0, ninst, 16), np.uint8
-    )
-    decode = _lsb(out_zero).copy()
+            row_b = h1 ^ fresh_q ^ R64  # goes to slot lsb(O1) = 1 - lsb(O0)
+            swap = (row_a ^ row_b) & _sel(old)
+            pos = 4 * nregs * ninst
+            rows = table[:pos].reshape(nregs, ninst, 2, 2)
+            np.bitwise_xor(row_a, swap, out=rows[:, :, 0])
+            np.bitwise_xor(row_b, swap, out=rows[:, :, 1])
+            zero[reg_q] = fresh_q
+        base = tweak + cyc * ngates * ninst
+
+        def garble_and(span, A0, B0):
+            nonlocal pos
+            g = len(span.ands)
+            blk = np.empty((4, g, ninst, 2), dtype=_U64)
+            _rotl1(A0, blk[0])
+            np.bitwise_xor(blk[0], rR, out=blk[1])
+            _rotl1(B0, blk[2])
+            np.bitwise_xor(blk[2], rR, out=blk[3])
+            ha0, ha1, hb0, hb1 = _hash(blk, _ids(span.ands, ninst, base),
+                                       (_SLOT_GEN, _SLOT_GEN, _SLOT_EVAL, _SLOT_EVAL))
+            pa, pb = _sel(A0), _sel(B0)
+            pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
+            pos += 4 * g * ninst
+            tg, te = pair[:, :, 0], pair[:, :, 1]
+            np.bitwise_xor(ha0, ha1, out=tg)
+            tg ^= R64 & pb
+            hb1 ^= hb0  # te ^ A0
+            np.bitwise_xor(hb1, A0, out=te)
+            hb1 &= pb
+            ha0 ^= hb0
+            ha0 ^= hb1
+            ha0 ^= tg & pa
+            return ha0
+
+        run_spans(lc, zero, garble_and)
+        tables.append(buf)
+    out_zero = zero8[list(c.outputs)]
+    decode = _lsb(out_zero)
     for k, w in enumerate(c.outputs):
         if w in (CONST0, CONST1):
             decode[k] = w  # carries the public value itself
@@ -196,67 +248,58 @@ def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
                     c.num_and * cycles)
 
 
-def evaluate(c: Circuit, cycles: int, tables: list[bytes],
-             active_in: dict[int, np.ndarray],
-             reg_active: dict[int, np.ndarray], ninst: int = 1) -> np.ndarray:
-    """Walk the garbling with active labels; returns (nout, ninst, 16)."""
-    lc = levelize(c)
-    act = np.zeros((c.nwires, ninst, 16), dtype=np.uint8)
+def evaluate(c: Circuit, cycles: int, tables: list, active_in: dict[int, np.ndarray],
+             reg_active: dict[int, np.ndarray], ninst: int = 1,
+             tweak: int = 0) -> np.ndarray:
+    """Walk the garbling with active labels; returns (nout, ninst, 16).
+
+    tweak must equal the garbler's.
+    """
+    lc = c.levelized
+    act = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)  # NOT row stays 0
+    act8 = act.view(np.uint8)
     for w in (*c.inputs0, *c.inputs1):
-        act[w] = active_in[w]
-    for r in c.registers:
-        act[r.q] = reg_active[r.q]
-    ngates, nregs = c.num_gates, len(c.registers)
+        act8[w] = active_in[w]
+    reg_q = [r.q for r in c.registers]
+    reg_d = [r.d for r in c.registers]
+    nregs = len(reg_q)
+    for q in reg_q:
+        act8[q] = reg_active[q]
+    ngates = c.num_gates
     for cyc in range(cycles):
-        buf = tables[cyc]
-        pos = 0
-        if cyc:
-            old = np.stack([act[r.d] for r in c.registers])
-            size = nregs * ninst * 2 * 16
-            rows = np.frombuffer(buf[pos : pos + size], np.uint8).reshape(
-                nregs, ninst, 2, 16
-            )
-            pos += size
-            ids = (
-                np.arange(nregs, dtype=np.uint64)[:, None] * np.uint64(ninst)
-                + np.arange(ninst, dtype=np.uint64)[None, :]
-                + np.uint64((cyc - 1) * nregs * ninst)
-            )
-            h = _hash_labels(old, ids, _SLOT_REG)
-            sel = _lsb(old)[..., None].astype(bool)
-            picked = np.where(sel, rows[:, :, 1, :], rows[:, :, 0, :])
-            fresh = h ^ picked
-            for i, r in enumerate(c.registers):
-                act[r.q] = fresh[i]
-        for locals_, ands in lc.schedule:
-            for i in locals_:
-                a, b, o = int(c.ga[i]), int(c.gb[i]), int(c.go[i])
-                act[o] = act[a] ^ act[b] if c.op[i] == XOR else act[a]
-            if not len(ands):
-                continue
-            g = len(ands)
-            size = g * ninst * 2 * 16
-            pair = np.frombuffer(buf[pos : pos + size], np.uint8).reshape(
-                g, ninst, 2, 16
-            )
-            pos += size
-            tg, te = pair[:, :, 0], pair[:, :, 1]
-            Aa = act[c.ga[ands]]
-            Ba = act[c.gb[ands]]
-            ids = (
-                np.asarray(ands, dtype=np.uint64)[:, None] * np.uint64(ninst)
-                + np.arange(ninst, dtype=np.uint64)[None, :]
-                + np.uint64(cyc * ngates * ninst)
-            )
-            ha = _hash_labels(Aa, ids, _SLOT_GEN)
-            hb = _hash_labels(Ba, ids, _SLOT_EVAL)
-            sa, sb = _lsb(Aa), _lsb(Ba)
-            act[c.go[ands]] = ha ^ _mask16(sa, tg) ^ hb ^ _mask16(sb, te ^ Aa)
-        if pos != len(buf):
+        if len(tables[cyc]) != 8 * _table_words(c, cyc, ninst):
             raise GcError("table chunk length mismatch")
-    if not c.outputs:
-        return np.zeros((0, ninst, 16), np.uint8)
-    return np.stack([act[w] for w in c.outputs])
+        table = np.frombuffer(tables[cyc], dtype=_U64)
+        pos = 0
+        if cyc and nregs:
+            old = act[reg_d]
+            pos = 4 * nregs * ninst
+            rows = table[:pos].reshape(nregs, ninst, 2, 2)
+            blk = _rotl1(old)[None]
+            (h,) = _hash(blk, _ids(np.arange(nregs), ninst,
+                                   tweak + (cyc - 1) * nregs * ninst), (_SLOT_REG,))
+            sel = _sel(old)
+            act[reg_q] = h ^ rows[:, :, 0] ^ ((rows[:, :, 0] ^ rows[:, :, 1]) & sel)
+        base = tweak + cyc * ngates * ninst
+
+        def evaluate_and(span, Aa, Ba):
+            nonlocal pos
+            g = len(span.ands)
+            blk = np.empty((2, g, ninst, 2), dtype=_U64)
+            _rotl1(Aa, blk[0])
+            _rotl1(Ba, blk[1])
+            ha, hb = _hash(blk, _ids(span.ands, ninst, base), (_SLOT_GEN, _SLOT_EVAL))
+            pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
+            pos += 4 * g * ninst
+            te = pair[:, :, 1] ^ Aa
+            te &= _sel(Ba)
+            ha ^= hb
+            ha ^= te
+            ha ^= pair[:, :, 0] & _sel(Aa)
+            return ha
+
+        run_spans(lc, act, evaluate_and)
+    return act8[list(c.outputs)]
 
 
 class GcSession:
@@ -264,6 +307,8 @@ class GcSession:
 
     A single free-XOR offset R spans the session, so labels produced by
     b2y or retained from an earlier run() feed later circuits directly.
+    The tweak base likewise spans the session: both roles advance it by
+    tweak_span() after every run, so no (label, tweak) pair repeats.
     """
 
     def __init__(self, role: int, channel: Channel,
@@ -274,6 +319,7 @@ class GcSession:
         self.ot = ot
         self.rng = rng if rng is not None else np.random.default_rng()
         self.R = new_offset(self.rng) if role == 0 else None
+        self.tweak = 0
         self.rounds = 0
 
     # ----- input sharings -----
@@ -318,9 +364,10 @@ class GcSession:
         decode: "evaluator", "both", or "none" (keep labels for y2b).
         Returns decoded bits (nout, ninst) or a YaoShare when "none".
         """
-        if self.role == 0:
-            return self._run_garbler(c, bind0, bind1, cycles, ninst, decode)
-        return self._run_evaluator(c, bind0, bind1, cycles, ninst, decode)
+        run = self._run_garbler if self.role == 0 else self._run_evaluator
+        out = run(c, bind0, bind1, cycles, ninst, decode)
+        self.tweak += tweak_span(c, cycles, ninst)
+        return out
 
     def _run_garbler(self, c, bind0, bind1, cycles, ninst, decode):
         preset = {}
@@ -332,15 +379,15 @@ class GcSession:
         if kind0 == "yao":
             for k, w in enumerate(c.inputs0):
                 preset[w] = val0.labels[:, k]
-        g = garble(c, cycles, self.rng, self.R, ninst, preset)
+        g = garble(c, cycles, self.rng, self.R, ninst, preset, self.tweak)
         for chunk in g.tables:
             self.channel.send(transport.GC_TABLES, len(g.tables).to_bytes(4, "little") + chunk)
         # active labels for garbler-known bits and register initials
         known = []
         if kind0 == "bits" and c.inputs0:
             bits = np.atleast_2d(np.asarray(val0, np.uint8))
-            for k, w in enumerate(c.inputs0):
-                known.append(g.in_zero[w] ^ _mask16(bits[:, k], self.R))
+            z = np.stack([g.in_zero[w] for w in c.inputs0])
+            known.append((z ^ _mask16(bits.T, self.R)).reshape(-1, 16))
         for r in c.registers:
             z = g.reg_zero[r.q]
             known.append(z ^ self.R if r.init else z)
@@ -368,7 +415,7 @@ class GcSession:
         while total is None or len(tables) < total:
             raw = self.channel.recv_expect(transport.GC_TABLES)
             total = int.from_bytes(raw[:4], "little")
-            tables.append(raw[4:])
+            tables.append(memoryview(raw)[4:])
         active = {}
         kind0, val0 = bind0 if bind0 else (None, None)
         kind1, val1 = bind1 if bind1 else (None, None)
@@ -399,7 +446,7 @@ class GcSession:
             for k, w in enumerate(c.inputs1):
                 active[w] = got[k]
         self.rounds += 1
-        out_active = evaluate(c, cycles, tables, active, reg_active, ninst)
+        out_active = evaluate(c, cycles, tables, active, reg_active, ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.transpose(out_active, (1, 0, 2)), 1)
         raw = self.channel.recv_expect(transport.GC_DECODE)

@@ -1,9 +1,11 @@
 """Two-party GMW evaluation on XOR-shared bits.
 
-XOR and NOT gates are local (NOT flips role 0's share only). Each AND
-level costs one communication round: for every AND lane (gate x SIMD
-instance) the parties mask their operand shares with a Boolean triple,
-exchange the packed (d, e) bits, and combine
+XOR and NOT gates are local (NOT flips role 0's share only). They run
+as the circuit's layers of independent gates (circuits.run_spans), one
+XOR over the wire axis per layer; NOT reads a row holding 1 at role 0 and
+0 at role 1. Each AND level costs one communication round: for every AND
+lane (gate x SIMD instance) the parties mask their operand shares with a
+Boolean triple, exchange the packed (d, e) bits, and combine
 
     z_i = (b_i & d) ^ (a_i & e) ^ c_i  [^ (d & e) at role 0]
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .circuits import CONST1, XOR, Circuit, LevelizedCircuit
+from .circuits import CONST1, LevelizedCircuit, Span, run_spans
 from .correlated import PartyMaterial
 from .transport import Channel, ProtocolError
 
@@ -107,37 +109,26 @@ class GmwEngine:
         ninst = max(in0.bits.shape[0], in1.bits.shape[0])
         if in0.width != len(c.inputs0) or in1.width != len(c.inputs1):
             raise GmwError("input width mismatch")
-        vals = np.zeros((c.nwires, ninst), dtype=np.uint8)
+        vals = np.zeros((c.nwires + 1, ninst), dtype=np.uint8)
         if self.role == 0:
             vals[CONST1] = 1
+            vals[c.nwires] = 1  # NOT mask
         if c.inputs0:
             vals[list(c.inputs0)] = in0.bits.T
         if c.inputs1:
             vals[list(c.inputs1)] = in1.bits.T
-        for r in c.registers:
-            vals[r.q] = r.init if self.role == 0 else 0
+        reg_q = [r.q for r in c.registers]
+        reg_d = [r.d for r in c.registers]
+        if reg_q and self.role == 0:
+            vals[reg_q] = np.array([r.init for r in c.registers], np.uint8)[:, None]
         for cyc in range(cycles):
-            if cyc:
-                latched = [vals[r.d].copy() for r in c.registers]
-                for r, v in zip(c.registers, latched):
-                    vals[r.q] = v
-            for locals_, ands in lc.schedule:
-                self._run_locals(c, vals, locals_)
-                if len(ands):
-                    self._run_and_level(c, vals, ands, ninst)
+            if cyc and reg_q:
+                vals[reg_q] = vals[reg_d]
+            run_spans(lc, vals, self._and_level)
         return BoolShare(vals[list(c.outputs)].T, self.role)
 
-    def _run_locals(self, c: Circuit, vals, idx):
-        for i in idx:
-            a, b, o = int(c.ga[i]), int(c.gb[i]), int(c.go[i])
-            if c.op[i] == XOR:
-                vals[o] = vals[a] ^ vals[b]
-            else:  # NOT: only role 0 flips
-                vals[o] = vals[a] ^ 1 if self.role == 0 else vals[a]
-
-    def _run_and_level(self, c: Circuit, vals, ands, ninst: int):
-        x = vals[c.ga[ands]]  # (gates, ninst)
-        y = vals[c.gb[ands]]
+    def _and_level(self, span: Span, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """One AND level over operand shares x, y of shape (gates, ninst)."""
         lanes = x.size
         a, b, cc = self._take(lanes)
         a = a.reshape(x.shape)
@@ -163,7 +154,7 @@ class GmwEngine:
         z = (b & d) ^ (a & e) ^ cc
         if self.role == 0:
             z ^= d & e
-        vals[c.go[ands]] = z
+        return z
 
     def reveal(self, s: BoolShare, to: str = "both") -> np.ndarray | None:
         payload = np.packbits(s.bits, bitorder="little").tobytes()

@@ -265,7 +265,7 @@ def gmw_stage(kind: str, w: int, nvals: int = 1) -> cc.LevelizedCircuit:
             c = cc.build_max_tree(nvals, w, cc.DEPTH)
         else:
             raise MlError(f"no GMW stage {kind!r}")
-        _gmw_stage_cache[key] = cc.levelize(c)
+        _gmw_stage_cache[key] = c.levelized
     return _gmw_stage_cache[key]
 
 

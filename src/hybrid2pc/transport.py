@@ -6,6 +6,11 @@ small fixed sync header (e.g. the GMW level index); the ledger books those
 bytes as framing, not protocol payload, so that ledger values stay
 directly comparable to the protocol's closed-form bit counts.
 
+Frames are not copied on their way through: send hands the header and
+the payload to one scatter-gather sendmsg, and a received payload is the
+buffer it was read into (a bytearray in null-cipher mode). Headers are
+bytes, since session ids serve as keys.
+
 In null-cipher mode nothing else is added and payload accounting is
 byte-exact. The PSK-AEAD mode seals each frame with AES-GCM under a
 pre-shared key (header as associated data, per-direction nonce counters);
@@ -75,7 +80,7 @@ class RemoteError(TransportError):
 class Frame:
     msg_type: int
     session: bytes
-    payload: bytes
+    payload: bytes | bytearray
 
 
 class ByteLedger:
@@ -125,10 +130,10 @@ class ByteLedger:
 class NullCipher:
     overhead = 0
 
-    def seal(self, header: bytes, payload: bytes) -> bytes:
+    def seal(self, header: bytes, payload):
         return payload
 
-    def open(self, header: bytes, data: bytes) -> bytes:
+    def open(self, header: bytes, data):
         return data
 
 
@@ -175,23 +180,36 @@ class Channel:
     def phase_mark(self, phase: str):
         self.phase = phase
 
-    def send(self, msg_type: int, payload: bytes):
+    def send(self, msg_type: int, payload):
+        """Frame and send payload, any bytes-like object; never copied
+        under the null cipher."""
         if self.session is None:
             raise ProtocolError("session not yet established")
-        if len(payload) > MAX_PAYLOAD:
-            raise FrameTooLarge(f"{len(payload)} bytes exceeds frame limit")
+        size = memoryview(payload).nbytes
+        if size > MAX_PAYLOAD:
+            raise FrameTooLarge(f"{size} bytes exceeds frame limit")
         header = struct.pack("<IB", 0, msg_type) + self.session
-        body = self.cipher.seal(header, bytes(payload))
+        body = memoryview(self.cipher.seal(header, payload)).cast("B")
         header = struct.pack("<IB", len(body), msg_type) + self.session
         try:
-            self.sock.sendall(header + body)
+            self._send_parts([memoryview(header), body])
         except OSError as e:
             raise Disconnected(str(e)) from None
         meta = _META_BYTES.get(msg_type, 0)
         self.ledger.record(self.phase, self.peer, "sent", msg_type,
-                           len(payload) - meta, HEADER_LEN + len(body))
+                           size - meta, HEADER_LEN + len(body))
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _send_parts(self, parts: list[memoryview]):
+        """sendall over several buffers with scatter-gather sendmsg."""
+        parts = [p for p in parts if len(p)]
+        while parts:
+            sent = self.sock.sendmsg(parts)
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if sent:
+                parts[0] = parts[0][sent:]
+
+    def _recv_exact(self, n: int) -> bytearray:
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
@@ -203,10 +221,10 @@ class Channel:
             if r == 0:
                 raise Disconnected("peer closed the connection")
             got += r
-        return bytes(buf)
+        return buf
 
     def recv(self) -> Frame:
-        header = self._recv_exact(HEADER_LEN)
+        header = bytes(self._recv_exact(HEADER_LEN))
         length, msg_type = struct.unpack("<IB", header[:5])
         session = header[5:]
         if length > MAX_PAYLOAD + self.cipher.overhead:
@@ -223,7 +241,7 @@ class Channel:
                            len(payload) - meta, HEADER_LEN + len(body))
         return Frame(msg_type, session, payload)
 
-    def exchange(self, msg_type: int, payload: bytes) -> bytes:
+    def exchange(self, msg_type: int, payload) -> bytes | bytearray:
         """Symmetric send+recv of the same frame type, deadlock-free.
 
         Both parties call this in the same protocol step; the send runs on
@@ -247,7 +265,7 @@ class Channel:
             raise exc[0]
         return reply
 
-    def recv_expect(self, msg_type: int) -> bytes:
+    def recv_expect(self, msg_type: int) -> bytes | bytearray:
         frame = self.recv()
         if frame.msg_type == ERROR and msg_type != ERROR:
             raise RemoteError(frame.payload.decode("utf-8", "replace"))

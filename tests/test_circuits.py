@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybrid2pc import circuits as cc
-from hybrid2pc import ring
+from hybrid2pc import ml, ring
 from hybrid2pc.ring import RingParams
 
 
@@ -239,3 +239,46 @@ def test_build_by_name():
 def test_width_zero_rejected():
     with pytest.raises(cc.CircuitError):
         cc.build_add(0)
+
+
+def test_size_builders_use_one_and_per_full_adder():
+    # Kolesnikov-Sadeghi-Schneider: w-1 ANDs per adder, w per comparator
+    assert cc.build_add(32, "size").num_and == 31
+    assert cc.build_sub(32, "size").num_and == 31
+    assert cc.build_cmp(32, "size").num_and == 32
+    assert [ml.stage_circuit(kind, 32, 12).num_and
+            for kind in ("identity", "relu", "sign")] == [31, 62, 63]
+    for w in (8, 16, 32):
+        assert cc.levelize(cc.build_add(w, "size")).depth == w - 1
+
+
+@pytest.mark.parametrize("circ", [
+    cc.build_add(16, "size"), cc.build_sub(16, "depth"), cc.build_cmp(32, "size"),
+    cc.build_argmax(5, 8, "depth"), cc.build_counter(5), cc.build_mux(8),
+], ids=lambda c: c.name)
+def test_spans_layer_the_schedule(circ):
+    lc = cc.levelize(circ)
+    one = circ.nwires  # the NOT-mask row
+    assert len(lc.spans) == len(lc.schedule)
+    for span, (locals_, ands) in zip(lc.spans, lc.schedule):
+        # the layers hold exactly the span's local gates, NOT reading `one`
+        order = np.concatenate([o for _, _, o in span.layers] + [np.zeros(0, np.intp)])
+        assert sorted(order.tolist()) == sorted(circ.go[locals_].tolist())
+        for g in locals_:
+            k = next(i for i, (_, _, o) in enumerate(span.layers) if circ.go[g] in o)
+            a, b, o = span.layers[k]
+            j = o.tolist().index(circ.go[g])
+            assert a[j] == circ.ga[g]
+            assert b[j] == (one if circ.op[g] == cc.NOT else circ.gb[g])
+        # no layer reads a wire written by itself or a later layer
+        for k, (a, b, _) in enumerate(span.layers):
+            later = set(np.concatenate([o for _, _, o in span.layers[k:]]).tolist())
+            assert not later & (set(a.tolist()) | set(b.tolist()))
+        assert np.array_equal(span.ands, ands)
+        assert np.array_equal(span.and_out, circ.go[ands])
+
+
+def test_levelized_is_computed_once():
+    c = cc.build_cmp(16, "size")
+    assert c.levelized is c.levelized
+    assert c.levelized.depth == cc.levelize(c).depth == 16

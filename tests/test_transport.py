@@ -111,3 +111,28 @@ def test_ledger_monotone_snapshot():
     snap = c0.ledger.snapshot()
     (key,) = snap.keys()
     assert snap[key] == (9, 3 * (HEADER_LEN + 3), 3)
+
+
+@pytest.mark.parametrize("cipher_key", [None, bytes(32)])
+def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
+    # bytes, bytearray and memoryview payloads cross as the same frame
+    data = bytes(range(256)) * 300
+    books = []
+    for payload in (data, bytearray(data), memoryview(bytearray(data))[5:-7]):
+        expect = bytes(payload)
+        c0, c1 = channel_pair(cipher_key=cipher_key)
+        c0.send(transport.GC_TABLES, payload)
+        c0.send(transport.APP_SHARE, payload)
+        assert c1.recv().payload == expect
+        assert c1.recv_expect(transport.APP_SHARE) == expect
+        books.append((c0.ledger.payload_bytes(direction="sent"),
+                      c0.ledger.wire_bytes(direction="sent"),
+                      c1.ledger.payload_bytes(direction="recv"),
+                      c1.ledger.wire_bytes(direction="recv")))
+        overhead = 16 if cipher_key else 0
+        n = len(expect)
+        assert books[-1] == (2 * n - 4, 2 * (HEADER_LEN + n + overhead),
+                             2 * n - 4, 2 * (HEADER_LEN + n + overhead))
+        c0.close()
+        c1.close()
+    assert books[0] == books[1]
