@@ -153,7 +153,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr=None, sid=None) -> BenchRo
             "EQ": lambda: cc.build_eq(w),
             "MUX": lambda: cc.build_mux(w),
         }[op]()
-        lc = cc.levelize(circ)
+        lc = circ.levelized
         m = ResourceManifest(sid, p, num_bmt=circ.num_and * n)
         x0, x1 = _share_bits(len(circ.inputs0), n, rng)
         y0, y1 = _share_bits(len(circ.inputs1), n, rng)
@@ -210,7 +210,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr=None, sid=None) -> BenchRo
     if op == "a2y":
         m = ResourceManifest(sid, p, num_ot=n * w)
         x0, x1 = _share_vec(p, n, rng)
-        adder = convert.adder_circuit(w)
+        adder = cc.stage_circuit("identity", w)
         row = _measure(
             m,
             lambda se: convert.a2y(se.gc, x0, p),

@@ -15,6 +15,13 @@ adders, carry c' = c ^ ((a ^ c) & (b ^ c)) and sum a ^ b ^ c
 (Kolesnikov-Sadeghi-Schneider, CANS 2009): at w bits, add and sub take
 w-1 ANDs and the signed compare w, at AND depth w-1 and w.
 
+stage_circuit() compiles the protocol's garbled stages: per-value share
+adders, a free fixed-point shift, then a stage body (relu, max, argmax,
+sign), each body a Builder word method that the library builders share.
+It, build_relu and build_max_tree (the GMW stages) are cached per
+process with functools.cache, so each stage netlist is built, and
+levelized through Circuit.levelized, once.
+
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
 Circuit.levelized computes it once per circuit object. run_spans() walks
@@ -25,6 +32,7 @@ a plain per-gate loop as the reference.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -478,6 +486,42 @@ class Builder:
     def eq_zero(self, a) -> int:
         return self.and_tree([self.not_(x) for x in a])
 
+    def shr_word(self, a, amount: int, fill: int):
+        """a shifted right by a constant, vacated bits set to fill: pure
+        rewiring, zero gates."""
+        w = len(a)
+        return [a[i + amount] if i + amount < w else fill for i in range(w)]
+
+    def relu_word(self, a):
+        """a if a > 0 (signed) else 0; one AND level deep."""
+        keep = self.not_(a[-1])
+        return [self.and_(a[i], keep) for i in range(len(a) - 1)] + [CONST0]
+
+    def max_word(self, vals, variant: str = SIZE):
+        """Signed maximum of the words in vals, by a tree of compare-and-mux."""
+        while len(vals) > 1:
+            nxt = []
+            for k in range(0, len(vals) - 1, 2):
+                gt = self.signed_gt(vals[k], vals[k + 1], variant)
+                nxt.append(self.mux_word(gt, vals[k], vals[k + 1]))
+            if len(vals) % 2:
+                nxt.append(vals[-1])
+            vals = nxt
+        return vals[0]
+
+    def argmax_index(self, vals, variant: str = SIZE):
+        """Little-endian index bits of the signed maximum of the words in
+        vals, ceil(log2 n) of them; the first maximum wins ties."""
+        idx_w = max(1, (len(vals) - 1).bit_length())
+        best = vals[0]
+        best_idx = [CONST0] * idx_w
+        for j in range(1, len(vals)):
+            gt = self.signed_gt(vals[j], best, variant)
+            best = self.mux_word(gt, vals[j], best)
+            j_bits = [CONST1 if (j >> k) & 1 else CONST0 for k in range(idx_w)]
+            best_idx = self.mux_word(gt, j_bits, best_idx)
+        return best_idx
+
 
 # ----- library builders -----
 
@@ -548,13 +592,12 @@ def build_bitxor(w: int, variant: str = SIZE) -> Circuit:
     return b.build()
 
 
+@functools.cache
 def build_relu(w: int, variant: str = SIZE) -> Circuit:
     """x if x > 0 else 0; one AND level deep."""
     _check_width(w)
     b = Builder(f"relu{w}")
-    x = b.inputs(0, w)
-    keep = b.not_(x[-1])
-    b.outputs = [b.and_(x[i], keep) for i in range(w - 1)] + [CONST0]
+    b.outputs = b.relu_word(b.inputs(0, w))
     return b.build()
 
 
@@ -563,8 +606,7 @@ def build_shift(w: int, amount: int, arithmetic: bool = True) -> Circuit:
     _check_width(w)
     b = Builder(f"shr{w}_{amount}{'a' if arithmetic else 'l'}")
     x = b.inputs(0, w)
-    fill = x[-1] if arithmetic else CONST0
-    b.outputs = [x[i + amount] if i + amount < w else fill for i in range(w)]
+    b.outputs = b.shr_word(x, amount, x[-1] if arithmetic else CONST0)
     return b.build()
 
 
@@ -579,34 +621,50 @@ def build_argmax(n: int, w: int, variant: str = SIZE) -> Circuit:
         raise CircuitError("argmax needs at least one value")
     b = Builder(f"argmax{n}x{w}_{variant}")
     flat = b.inputs(0, n * w)
-    vals = [flat[i * w : (i + 1) * w] for i in range(n)]
-    idx_w = max(1, (n - 1).bit_length())
-    best = vals[0]
-    best_idx = [CONST0] * idx_w
-    for j in range(1, n):
-        gt = b.signed_gt(vals[j], best, variant)
-        best = b.mux_word(gt, vals[j], best)
-        j_bits = [CONST1 if (j >> k) & 1 else CONST0 for k in range(idx_w)]
-        best_idx = b.mux_word(gt, j_bits, best_idx)
-    b.outputs = best_idx
+    b.outputs = b.argmax_index([flat[i * w : (i + 1) * w] for i in range(n)], variant)
     return b.build()
 
 
+@functools.cache
 def build_max_tree(n: int, w: int, variant: str = SIZE) -> Circuit:
     """Signed maximum of n w-bit values (pooling helper)."""
     _check_width(w)
     b = Builder(f"max{n}x{w}_{variant}")
     flat = b.inputs(0, n * w)
-    vals = [flat[i * w : (i + 1) * w] for i in range(n)]
-    while len(vals) > 1:
-        nxt = []
-        for k in range(0, len(vals) - 1, 2):
-            gt = b.signed_gt(vals[k], vals[k + 1], variant)
-            nxt.append(b.mux_word(gt, vals[k], vals[k + 1]))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    b.outputs = vals[0]
+    b.outputs = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
+    return b.build()
+
+
+@functools.cache
+def stage_circuit(kind: str, w: int, shift: int = 0, nvals: int = 1) -> Circuit:
+    """Garbled-stage circuit: per-value share adders, free shift rewiring,
+    then the stage function. Inputs: role i supplies nvals*w share bits.
+
+    kind: "identity" (the a2y adder), "relu" per value, "sign" (1 iff the
+    value is positive), or "max"/"argmax" over the nvals values. Stages
+    are garbled, so the adders and compares are SIZE.
+    """
+    _check_width(w)
+    b = Builder(f"stage_{kind}{nvals}x{w}_shr{shift}")
+    in0 = b.inputs(0, nvals * w)
+    in1 = b.inputs(1, nvals * w)
+    vals = []
+    for i in range(nvals):
+        s = b.adder_word(in0[i * w : (i + 1) * w], in1[i * w : (i + 1) * w])
+        vals.append(b.shr_word(s, shift, s[-1]))
+    if kind == "identity":
+        b.outputs = [x for v in vals for x in v]
+    elif kind == "relu":
+        b.outputs = [x for v in vals for x in b.relu_word(v)]
+    elif kind == "max":
+        b.outputs = b.max_word(vals)
+    elif kind == "argmax":
+        b.outputs = b.argmax_index(vals)
+    elif kind == "sign":
+        (v,) = vals
+        b.outputs = [b.and_(b.not_(v[-1]), b.not_(b.eq_zero(v)))]
+    else:
+        raise CircuitError(f"unknown stage kind {kind!r}")
     return b.build()
 
 

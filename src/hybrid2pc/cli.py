@@ -1,7 +1,7 @@
 """Command-line entry points: dealer service, party runner, bench, circuits.
 
     h2pc stp    --listen HOST:PORT [--timeout S]
-    h2pc party  --role {0,1} --program {svm,nn,bench}
+    h2pc party  --role {0,1} --program {svm,nn}
                 --stp HOST:PORT (--listen HOST:PORT | --peer HOST:PORT)
                 [--config FILE] [--profile lan|wan] [--report json]
     h2pc bench  [--n 1000] [--width 32] [--report json]
@@ -183,12 +183,6 @@ def _run_nn(args, cfg: dict, channel) -> dict:
 def cmd_party(args) -> int:
     cfg = _load_config(args.config)
     try:
-        if args.program == "bench":
-            stp_addr = _addr(args.stp) if args.stp else None
-            rows = bench_mod.run_bench(n=args.n, width=args.width,
-                                       stp_addr=stp_addr)
-            print(bench_mod.format_table(rows))
-            return EXIT_OK
         channel = _connect_peer(args)
     except (OSError, transport.TransportError) as e:
         print(f"peer connection failed: {e}", file=sys.stderr)
@@ -254,16 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("party", help="run one party of a program")
     s.add_argument("--role", type=int, required=True, choices=(0, 1))
-    s.add_argument("--program", required=True,
-                   choices=("svm", "nn", "bench"))
+    s.add_argument("--program", required=True, choices=("svm", "nn"))
     s.add_argument("--stp", help="dealer address host:port")
     s.add_argument("--listen", help="role 0: listen here for the peer")
     s.add_argument("--peer", help="role 1: connect to role 0 here")
     s.add_argument("--config", help="JSON config file")
     s.add_argument("--profile", choices=(ml.LAN, ml.WAN), default=ml.LAN)
     s.add_argument("--report", choices=("json",))
-    s.add_argument("--n", type=int, default=1000)
-    s.add_argument("--width", type=int, default=32)
     s.set_defaults(fn=cmd_party)
 
     s = sub.add_parser("bench", help="loopback benchmark of atomic ops")

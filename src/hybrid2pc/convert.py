@@ -2,8 +2,10 @@
 
 Routes follow the cheapest-composition rule: the garbled<->Boolean hop is
 free (label LSBs), so a2b goes through the garbled domain (a2y then y2b)
-and y2a through the Boolean one (y2b then b2a). The two OT-based
-conversions are:
+and y2a through the Boolean one (y2b then b2a). a2y runs the garbled
+"identity" stage of circuits.stage_circuit: a share adder, with the
+pending fixed-point shift as free rewiring. The two OT-based conversions
+are:
 
   b2y  one 128-bit OT per bit, messages (Y0 ^ s0*R, Y0 ^ (1-s0)*R)
   b2a  one l-bit OT per bit j, messages ((s0_j ^ b) * 2^j - r_j) mod 2^l
@@ -23,41 +25,14 @@ from .ot import OtReceiver, OtSender
 from .ring import RingParams
 
 
-def _share_bits(s: ArithShare, p: RingParams) -> np.ndarray:
-    return ring.bits_of(s.value, p)
-
-
-_adder_cache: dict[tuple, circuits.Circuit] = {}
-
-
-def adder_circuit(w: int, shift: int = 0) -> circuits.Circuit:
-    """Size-optimised adder with an optional free arithmetic-shift rewiring
-    of the sum (discharges pending fixed-point scale)."""
-    key = (w, shift)
-    if key not in _adder_cache:
-        b = circuits.Builder(f"a2y_add{w}_shr{shift}")
-        x = b.inputs(0, w)
-        y = b.inputs(1, w)
-        s = b.adder_word(x, y, circuits.CONST0, circuits.SIZE)
-        if shift:
-            s = [s[i + shift] if i + shift < w else s[-1] for i in range(w)]
-        b.outputs = s
-        _adder_cache[key] = b.build()
-    return _adder_cache[key]
-
-
 def a2y(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> YaoShare:
-    """Garbled sharing of x0 + x1 mod 2^l via a garbled adder.
+    """Garbled sharing of x0 + x1 mod 2^l: the "identity" stage circuit.
 
     Both parties feed their additive shares; shift > 0 additionally
     discharges that many fixed-point scale bits for free on the way out.
     """
-    c = adder_circuit(p.l, shift)
-    ninst = len(x)
-    bits = _share_bits(x, p)
-    if gc.role == 0:
-        return gc.run(c, ("bits", bits), ("bits", None), ninst=ninst, decode="none")
-    return gc.run(c, ("bits", None), ("bits", bits), ninst=ninst, decode="none")
+    c = circuits.stage_circuit("identity", p.l, shift)
+    return gc.run_shares(c, ring.bits_of(x.value, p), len(x), "none")
 
 
 def y2b(gc: GcSession, ys: YaoShare) -> BoolShare:

@@ -320,7 +320,6 @@ class GcSession:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.R = new_offset(self.rng) if role == 0 else None
         self.tweak = 0
-        self.rounds = 0
 
     # ----- input sharings -----
 
@@ -338,10 +337,8 @@ class GcSession:
             flat = y0.reshape(-1, 16)
             offs = _mask16(bits.reshape(-1), self.R)
             self.ot.send(flat ^ offs, flat ^ offs ^ self.R, 128)
-            self.rounds += 1
             return YaoShare(y0, 0)
         got = self.ot.recv(bits.reshape(-1), 128)
-        self.rounds += 1
         return YaoShare(got.reshape(ninst, w, 16), 1)
 
     def y2b(self, ys: YaoShare) -> np.ndarray:
@@ -368,6 +365,13 @@ class GcSession:
         out = run(c, bind0, bind1, cycles, ninst, decode)
         self.tweak += tweak_span(c, cycles, ninst)
         return out
+
+    def run_shares(self, c: Circuit, bits: np.ndarray, ninst: int, decode: str):
+        """run() with each role feeding its own share bits into its own
+        input group: role 0's as the garbler's, role 1's by OT."""
+        mine, theirs = ("bits", bits), ("bits", None)
+        binds = (mine, theirs) if self.role == 0 else (theirs, mine)
+        return self.run(c, *binds, ninst=ninst, decode=decode)
 
     def _run_garbler(self, c, bind0, bind1, cycles, ninst, decode):
         preset = {}
@@ -397,7 +401,6 @@ class GcSession:
             # wire-major flattening, mirrored by the evaluator's choices
             m0 = np.stack([g.in_zero[w] for w in c.inputs1], axis=0).reshape(-1, 16)
             self.ot.send(m0, m0 ^ self.R, 128)
-        self.rounds += 1
         if decode == "none":
             return YaoShare(np.transpose(g.out_zero, (1, 0, 2)), 0)
         payload = np.packbits(g.decode, bitorder="little").tobytes()
@@ -405,7 +408,6 @@ class GcSession:
         if decode == "both":
             raw = self.channel.recv_expect(transport.GC_DECODE)
             bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-            self.rounds += 1
             return bits[: g.decode.size].reshape(g.decode.shape)
         return None
 
@@ -445,7 +447,6 @@ class GcSession:
             ).reshape(len(c.inputs1), ninst, 16)
             for k, w in enumerate(c.inputs1):
                 active[w] = got[k]
-        self.rounds += 1
         out_active = evaluate(c, cycles, tables, active, reg_active, ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.transpose(out_active, (1, 0, 2)), 1)
@@ -461,5 +462,4 @@ class GcSession:
             self.channel.send(
                 transport.GC_DECODE, np.packbits(bits, bitorder="little").tobytes()
             )
-            self.rounds += 1
         return bits

@@ -68,8 +68,12 @@ class GmwEngine:
         self.channel = channel
         self.material = material
         self._cursor = 0
-        self._round_index = 0
-        self.rounds = 0
+        self._round_index = 0  # AND levels exchanged; each GMW_DE frame's index
+
+    @property
+    def rounds(self) -> int:
+        """Communication rounds so far: one per AND level and cycle."""
+        return self._round_index
 
     def bmt_left(self) -> int:
         return 0 if self.material is None else len(self.material.bmt_a) - self._cursor
@@ -147,7 +151,6 @@ class GmwEngine:
                 f"local round {self._round_index}"
             )
         self._round_index += 1
-        self.rounds += 1
         other = np.unpackbits(np.frombuffer(reply[4:], np.uint8), bitorder="little")
         d = d_share ^ other[:lanes].reshape(x.shape)
         e = e_share ^ other[lanes : 2 * lanes].reshape(x.shape)

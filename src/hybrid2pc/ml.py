@@ -24,6 +24,7 @@ import numpy as np
 from . import circuits as cc
 from . import convert, ring
 from .ass import ArithShare
+from .circuits import stage_circuit
 from .correlated import ResourceManifest
 from .gmw import BoolShare
 from .ring import RingParams
@@ -193,82 +194,6 @@ def _pad_shares(vals: np.ndarray, in_shape, pad) -> np.ndarray:
     return out.reshape(b.shape[0], -1)
 
 
-# ----- fused Boolean-stage circuits -----
-
-_stage_cache: dict[tuple, cc.Circuit] = {}
-
-
-def stage_circuit(kind: str, w: int, shift: int, nvals: int = 1,
-                  variant: str = cc.SIZE) -> cc.Circuit:
-    """Garbled-stage circuit: per-value share adders, free shift rewiring,
-    then the stage function. Inputs: role i supplies nvals*w share bits."""
-    key = (kind, w, shift, nvals, variant)
-    if key in _stage_cache:
-        return _stage_cache[key]
-    b = cc.Builder(f"stage_{kind}{nvals}x{w}_shr{shift}")
-    in0 = b.inputs(0, nvals * w)
-    in1 = b.inputs(1, nvals * w)
-    vals = []
-    for i in range(nvals):
-        s = b.adder_word(in0[i * w : (i + 1) * w], in1[i * w : (i + 1) * w],
-                         cc.CONST0, variant)
-        if shift:
-            s = [s[j + shift] if j + shift < w else s[-1] for j in range(w)]
-        vals.append(s)
-    if kind == "identity":
-        b.outputs = [x for v in vals for x in v]
-    elif kind == "relu":
-        outs = []
-        for v in vals:
-            keep = b.not_(v[-1])
-            outs.extend([b.and_(v[i], keep) for i in range(w - 1)] + [cc.CONST0])
-        b.outputs = outs
-    elif kind == "max":
-        cur = vals
-        while len(cur) > 1:
-            nxt = []
-            for i in range(0, len(cur) - 1, 2):
-                gt = b.signed_gt(cur[i], cur[i + 1], variant)
-                nxt.append(b.mux_word(gt, cur[i], cur[i + 1]))
-            if len(cur) % 2:
-                nxt.append(cur[-1])
-            cur = nxt
-        b.outputs = cur[0]
-    elif kind == "argmax":
-        idx_w = max(1, (nvals - 1).bit_length())
-        best, best_idx = vals[0], [cc.CONST0] * idx_w
-        for j in range(1, nvals):
-            gt = b.signed_gt(vals[j], best, variant)
-            best = b.mux_word(gt, vals[j], best)
-            j_bits = [cc.CONST1 if (j >> t) & 1 else cc.CONST0 for t in range(idx_w)]
-            best_idx = b.mux_word(gt, j_bits, best_idx)
-        b.outputs = best_idx
-    elif kind == "sign":
-        (v,) = vals
-        b.outputs = [b.and_(b.not_(v[-1]), b.not_(b.eq_zero(v)))]
-    else:
-        raise MlError(f"unknown stage kind {kind!r}")
-    _stage_cache[key] = b.build()
-    return _stage_cache[key]
-
-
-_gmw_stage_cache: dict[tuple, cc.LevelizedCircuit] = {}
-
-
-def gmw_stage(kind: str, w: int, nvals: int = 1) -> cc.LevelizedCircuit:
-    """Boolean-share stage for the lan profile; all inputs in group 0."""
-    key = (kind, w, nvals)
-    if key not in _gmw_stage_cache:
-        if kind == "relu":
-            c = cc.build_relu(w)
-        elif kind == "max":
-            c = cc.build_max_tree(nvals, w, cc.DEPTH)
-        else:
-            raise MlError(f"no GMW stage {kind!r}")
-        _gmw_stage_cache[key] = c.levelized
-    return _gmw_stage_cache[key]
-
-
 # ----- manifest planning -----
 
 
@@ -290,16 +215,14 @@ def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
             num_ot += n * p.l  # garbled share adders
             num_ot += n * p.l  # back to additive
             if profile == LAN:
-                num_bmt += n * gmw_stage("relu", p.l).num_and
-            else:
-                pass  # ReLU folded into the garbled stage
+                num_bmt += n * cc.build_relu(p.l).num_and
         elif isinstance(layer, MaxPool):
             n_in = batch * int(np.prod(in_shape))
             n_out = batch * int(np.prod(out_shape))
             kk = layer.window * layer.window
             num_ot += n_in * p.l + n_out * p.l
             if profile == LAN:
-                num_bmt += (n_out) * gmw_stage("max", p.l, kk).num_and
+                num_bmt += n_out * cc.build_max_tree(kk, p.l, cc.DEPTH).num_and
         elif isinstance(layer, ArgMax):
             num_ot += batch * int(np.prod(in_shape)) * p.l
     return ResourceManifest(session_id, p, num_bmt=num_bmt, num_ot=num_ot,
@@ -315,12 +238,14 @@ def plan_svm_manifest(d: int, batch: int, p: RingParams,
 # ----- secure execution -----
 
 
-def _boolean_stage(se: PartySession, x: ArithShare, kind: str, w_count: int,
-                   shift: int, profile: str, group_idx=None):
+def _boolean_stage(se: PartySession, x: ArithShare, kind: str, shift: int,
+                   profile: str, group_idx=None):
     """a2y (+rewired shift) -> stage -> back to additive shares.
 
-    group_idx, when given, gathers values into stage groups (pooling);
-    kind "relu" applies per value.
+    wan garbles the whole stage; lan garbles only the identity stage and
+    runs relu or max in GMW on the Boolean shares. group_idx, when given,
+    gathers values into stage groups (pooling); kind "relu" applies per
+    value.
     """
     p = se.ring
     if group_idx is None:
@@ -330,30 +255,15 @@ def _boolean_stage(se: PartySession, x: ArithShare, kind: str, w_count: int,
         ninst, nvals = group_idx.shape
         stage_in = x.value[group_idx.reshape(-1)]
     share_bits = ring.bits_of(stage_in, p).reshape(ninst, nvals * p.l)
-    if profile == WAN:
-        circ = stage_circuit(kind, p.l, shift, nvals)
-        if se.role == 0:
-            ys = se.gc.run(circ, ("bits", share_bits), ("bits", None),
-                           ninst=ninst, decode="none")
-        else:
-            ys = se.gc.run(circ, ("bits", None), ("bits", share_bits),
-                           ninst=ninst, decode="none")
-        out_bits = convert.y2b(se.gc, ys)
-    else:
-        circ = stage_circuit("identity", p.l, shift, nvals)
-        if se.role == 0:
-            ys = se.gc.run(circ, ("bits", share_bits), ("bits", None),
-                           ninst=ninst, decode="none")
-        else:
-            ys = se.gc.run(circ, ("bits", None), ("bits", share_bits),
-                           ninst=ninst, decode="none")
-        summed = convert.y2b(se.gc, ys)
-        lc = gmw_stage("relu" if kind == "relu" else "max", p.l, nvals)
+    circ = stage_circuit(kind if profile == WAN else "identity", p.l, shift, nvals)
+    out_bits = convert.y2b(se.gc, se.gc.run_shares(circ, share_bits, ninst, "none"))
+    if profile != WAN:
+        gmw_circ = (cc.build_relu(p.l) if kind == "relu"
+                    else cc.build_max_tree(nvals, p.l, cc.DEPTH))
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
-        out_bits = se.gmw.evaluate(lc, summed, empty)
+        out_bits = se.gmw.evaluate(gmw_circ.levelized, out_bits, empty)
     # relu keeps per-value instances; max emits one value per group
-    out = convert.b2a(se.role, p, se.ot, out_bits, se.rng)
-    return out
+    return convert.b2a(se.role, p, se.ot, out_bits, se.rng)
 
 
 def _reveal_stage(se: PartySession, x: ArithShare, kind: str, nvals: int,
@@ -362,12 +272,8 @@ def _reveal_stage(se: PartySession, x: ArithShare, kind: str, nvals: int,
     p = se.ring
     ninst = len(x) // nvals
     share_bits = ring.bits_of(x.value, p).reshape(ninst, nvals * p.l)
-    circ = stage_circuit(kind, p.l, shift, nvals)
-    if se.role == 0:
-        return se.gc.run(circ, ("bits", share_bits), ("bits", None),
-                         ninst=ninst, decode="evaluator")
-    return se.gc.run(circ, ("bits", None), ("bits", share_bits),
-                     ninst=ninst, decode="evaluator")
+    return se.gc.run_shares(stage_circuit(kind, p.l, shift, nvals), share_bits,
+                            ninst, "evaluator")
 
 
 def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
@@ -427,13 +333,12 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
             summed = gathered.sum(axis=2, dtype=np.uint64) & np.uint64(p.mask)
             x = ArithShare(summed.reshape(-1), se.role)
         elif isinstance(layer, Act):
-            x = _boolean_stage(se, x, "relu", 1, shift, profile)
+            x = _boolean_stage(se, x, "relu", shift, profile)
         elif isinstance(layer, MaxPool):
             idx = _pool_indices(in_shape, layer.window)
             offs = (np.arange(batch) * int(np.prod(in_shape)))[:, None, None]
             group_idx = (idx[None] + offs).reshape(-1, idx.shape[1])
-            x = _boolean_stage(se, x, "max", idx.shape[1], shift, profile,
-                               group_idx=group_idx)
+            x = _boolean_stage(se, x, "max", shift, profile, group_idx=group_idx)
         elif isinstance(layer, ArgMax):
             nvals = int(np.prod(in_shape))
             bits = _reveal_stage(se, x, "argmax", nvals, shift)

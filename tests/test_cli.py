@@ -92,6 +92,9 @@ def test_unreachable_stp_exit_code(tmp_path):
     ["stp", "--null-cipher"],
     ["party", "--role", "0", "--program", "svm", "--null-cipher"],
     ["party", "--role", "0", "--program", "circuit"],
+    ["party", "--role", "0", "--program", "bench"],
+    ["party", "--role", "0", "--program", "svm", "--n", "10"],
+    ["party", "--role", "0", "--program", "svm", "--width", "32"],
 ])
 def test_removed_options_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
