@@ -11,7 +11,8 @@ Linear algebra on shares is local. Three interactive primitives exist:
 
 mul_da is the length-1 special case of vdp and shares its randomness.
 All primitives are batched: any number of independent instances ride one
-round.
+round. Triples and dot-product masks are drawn from single-use supplies
+(correlated.Supply) before anything is sent.
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .correlated import PartyMaterial
+from .correlated import PartyMaterial, Supply
 from .ring import RingParams
 from .transport import Channel
 
 
 class AssError(RuntimeError):
-    pass
-
-
-class TripleExhausted(AssError):
     pass
 
 
@@ -88,43 +85,13 @@ class AssEngine:
         self.role = role
         self.p = p
         self.channel = channel
-        self.material = material
-        self._amt_cursor = 0
-        self._vdp_cursor = 0
-        self.rounds = 0
-
-    # supply accounting
-
-    def _take_triples(self, n: int):
-        m = self.material
-        if m is None or self._amt_cursor + n > len(m.amt_a):
-            raise TripleExhausted(f"need {n} arithmetic triples")
-        s = slice(self._amt_cursor, self._amt_cursor + n)
-        self._amt_cursor += n
-        return m.amt_a[s], m.amt_b[s], m.amt_c[s]
-
-    def _take_vdp(self, lengths):
-        m = self.material
-        if m is None:
-            raise TripleExhausted("no dot-product randomness dealt")
-        i = self._vdp_cursor
-        if i + len(lengths) > len(m.vdp.lengths):
-            raise TripleExhausted(f"need {len(lengths)} dot-product masks")
-        got = m.vdp.lengths[i : i + len(lengths)]
-        if tuple(got) != tuple(lengths):
-            raise AssError(
-                f"dot-product lengths {tuple(lengths)} do not match the "
-                f"manifest entries {tuple(got)}"
-            )
-        self._vdp_cursor += len(lengths)
-        lo, hi = m.vdp.offsets[i], m.vdp.offsets[i + len(lengths)]
-        return m.vdp.vec[lo:hi], m.vdp.scalar[i : i + len(lengths)]
-
-    def amt_left(self) -> int:
-        return 0 if self.material is None else len(self.material.amt_a) - self._amt_cursor
-
-    def vdp_left(self) -> int:
-        return 0 if self.material is None else len(self.material.vdp.lengths) - self._vdp_cursor
+        m = material
+        self.amt = Supply("amt", *(() if m is None else (m.amt_a, m.amt_b, m.amt_c)))
+        v = None if m is None else m.vdp
+        # one row per dot product: its length, mask-vector start, scalar
+        self.vdp_masks = Supply("vdp", *(() if v is None else
+                                         (v.lengths, v.offsets[:-1], v.scalar)))
+        self._vdp_vec = None if v is None else v.vec
 
     # wire helpers
 
@@ -142,13 +109,12 @@ class AssEngine:
         """Triple-based multiplication, elementwise over the batch."""
         mask = np.uint64(self.p.mask)
         n = len(x)
-        a, b, c = self._take_triples(n)
+        a, b, c = self.amt.take(n)
         e_share = (x.value - a) & mask
         f_share = (y.value - b) & mask
         theirs = self.channel.exchange(
             transport.ASS_EF, self._elems_to_bytes(np.concatenate([e_share, f_share]))
         )
-        self.rounds += 1
         other = self._bytes_to_elems(theirs)
         e = (e_share + other[:n]) & mask
         f = (f_share + other[n:]) & mask
@@ -175,7 +141,12 @@ class AssEngine:
         total = int(offsets[-1])
         if len(y) != total:
             raise AssError("shared vector length does not match lengths")
-        a_vec, scalar = self._take_vdp(lengths)
+        got, start, scalar = self.vdp_masks.take(len(lengths))
+        if tuple(got) != tuple(lengths):
+            raise AssError(f"dot-product lengths {tuple(lengths)} do not match "
+                           f"the manifest entries {tuple(got)}")
+        lo = start[0] if total else 0
+        a_vec = self._vdp_vec[lo : lo + total]
         if self.role == 0:
             x = np.atleast_1d(np.asarray(x_clear, dtype=np.uint64)) & mask
             if len(x) != total:
@@ -184,7 +155,6 @@ class AssEngine:
             v = self._bytes_to_elems(
                 self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u))
             )
-            self.rounds += 1
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
             term = (x * y.value - a_vec * v) & mask
             z = (np.add.reduceat(term, offsets[:-1]) & mask) + scalar
@@ -193,7 +163,6 @@ class AssEngine:
         u = self._bytes_to_elems(
             self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v))
         )
-        self.rounds += 1
         # z1 = sum <y>1*(x+a0) + a3, per product
         term = (y.value * u) & mask
         z = (np.add.reduceat(term, offsets[:-1]) & mask) + scalar
@@ -206,7 +175,6 @@ class AssEngine:
             other = self.channel.exchange(
                 transport.APP_REVEAL, self._elems_to_bytes(s.value)
             )
-            self.rounds += 1
             return (s.value + self._bytes_to_elems(other)) & mask
         target = 0 if to == "role0" else 1
         if self.role == target:

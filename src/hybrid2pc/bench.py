@@ -60,23 +60,8 @@ def _run_both(f0, f1):
     return res
 
 
-def _sessions(manifest: ResourceManifest, stp_addr=None, seed=7):
+def _sessions(manifest: ResourceManifest, stp_addr, seed=7):
     c0, c1 = transport.channel_pair(session=manifest.session_id)
-    if stp_addr is None:
-        from .correlated import (apply_corrections, compute_corrections,
-                                 expand_role0, expand_role1)
-
-        s0 = secrets.token_bytes(32)
-        s1 = secrets.token_bytes(32)
-        m0 = expand_role0(s0, manifest)
-        m1 = apply_corrections(expand_role1(s1, manifest),
-                               compute_corrections(s0, s1, manifest))
-        for ch in (c0, c1):
-            ch.phase_mark(transport.ONLINE)
-        return (
-            PartySession(0, manifest, m0, c0, np.random.default_rng(seed)),
-            PartySession(1, manifest, m1, c1, np.random.default_rng(seed + 1)),
-        )
     made = _run_both(
         lambda: PartySession.offline(0, manifest, stp_addr, c0,
                                      np.random.default_rng(seed)),
@@ -86,7 +71,7 @@ def _sessions(manifest: ResourceManifest, stp_addr=None, seed=7):
     return tuple(made)
 
 
-def _measure(manifest, f0, f1, stp_addr=None):
+def _measure(manifest, f0, f1, stp_addr):
     se0, se1 = _sessions(manifest, stp_addr)
     offline = se1.channel.ledger.payload_bytes(phase=transport.OFFLINE,
                                                direction="recv")
@@ -118,7 +103,7 @@ def _share_bits(w, n, rng):
     return gmw.share_bits(bits, rng)
 
 
-def bench_op(op: str, n: int, p: RingParams, stp_addr=None, sid=None) -> BenchRow:
+def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
     rng = np.random.default_rng(1234)
     sid = sid if sid is not None else secrets.token_bytes(16)
     w = p.l

@@ -635,15 +635,20 @@ def build_max_tree(n: int, w: int, variant: str = SIZE) -> Circuit:
     return b.build()
 
 
-@functools.cache
 def stage_circuit(kind: str, w: int, shift: int = 0, nvals: int = 1) -> Circuit:
     """Garbled-stage circuit: per-value share adders, free shift rewiring,
     then the stage function. Inputs: role i supplies nvals*w share bits.
 
     kind: "identity" (the a2y adder), "relu" per value, "sign" (1 iff the
     value is positive), or "max"/"argmax" over the nvals values. Stages
-    are garbled, so the adders and compares are SIZE.
+    are garbled, so the adders and compares are SIZE. One cache entry per
+    netlist, however the arguments are spelled.
     """
+    return _stage_circuit(kind, int(w), int(shift), int(nvals))
+
+
+@functools.cache
+def _stage_circuit(kind: str, w: int, shift: int, nvals: int) -> Circuit:
     _check_width(w)
     b = Builder(f"stage_{kind}{nvals}x{w}_shr{shift}")
     in0 = b.inputs(0, nvals * w)

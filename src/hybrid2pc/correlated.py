@@ -29,6 +29,13 @@ bundle is laid out as
 
 and is written once into one buffer by the dealer and read back through
 views of the received payload by the client.
+
+Online, every dealt item is single-use: reusing a Beaver triple or a
+precomputed-OT mask leaks the inputs it masked. Each engine therefore
+reads its material only through a Supply, a cursor over one resource's
+parallel arrays. take(n) hands out the next n rows and never the same row
+twice; a draw past the end raises Exhausted before the party sends
+anything, so an over-drawing party puts no frame on the wire.
 """
 
 from __future__ import annotations
@@ -49,6 +56,33 @@ TAG_BMT = 0x02
 TAG_OT_SEND = 0x03
 TAG_OT_RECV = 0x04
 TAG_VDP = 0x05
+
+
+class Exhausted(RuntimeError):
+    """A draw asked for more dealt items than the supply has left."""
+
+
+class Supply:
+    """Single-use rows of one dealt resource over its parallel arrays.
+
+    Built without arrays (no material dealt), every draw fails.
+    """
+
+    def __init__(self, name: str, *arrays):
+        self.name = name
+        self.arrays = arrays
+        self.used = 0
+
+    def left(self) -> int:
+        return len(self.arrays[0]) - self.used if self.arrays else 0
+
+    def take(self, n: int) -> tuple:
+        """The next n rows of every array; raises Exhausted, taking nothing."""
+        if not self.arrays or n > self.left():
+            raise Exhausted(f"need {n} {self.name}, {self.left()} left (single-use)")
+        rows = slice(self.used, self.used + n)
+        self.used += n
+        return tuple(a[rows] for a in self.arrays)
 
 
 def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:

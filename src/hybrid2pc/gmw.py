@@ -9,9 +9,10 @@ Boolean triple, exchange the packed (d, e) bits, and combine
 
     z_i = (b_i & d) ^ (a_i & e) ^ c_i  [^ (d & e) at role 0]
 
-Triples are consumed in (level, gate, instance, cycle) order so both
-parties stay aligned without negotiation; every level frame carries a
-round index and mismatches abort with a desync error.
+Triples are drawn from a single-use supply (correlated.Supply) in
+(level, gate, instance, cycle) order so both parties stay aligned without
+negotiation; every level frame carries a round index and mismatches abort
+with a desync error.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ import numpy as np
 
 from . import transport
 from .circuits import CONST1, LevelizedCircuit, Span, run_spans
-from .correlated import PartyMaterial
+from .correlated import PartyMaterial, Supply
 from .transport import Channel, ProtocolError
 
 
 class GmwError(RuntimeError):
-    pass
-
-
-class TripleExhausted(GmwError):
     pass
 
 
@@ -66,25 +63,14 @@ class GmwEngine:
                  material: PartyMaterial | None = None):
         self.role = role
         self.channel = channel
-        self.material = material
-        self._cursor = 0
+        m = material
+        self.bmt = Supply("bmt", *(() if m is None else (m.bmt_a, m.bmt_b, m.bmt_c)))
         self._round_index = 0  # AND levels exchanged; each GMW_DE frame's index
 
     @property
     def rounds(self) -> int:
         """Communication rounds so far: one per AND level and cycle."""
         return self._round_index
-
-    def bmt_left(self) -> int:
-        return 0 if self.material is None else len(self.material.bmt_a) - self._cursor
-
-    def _take(self, n: int):
-        m = self.material
-        if m is None or self._cursor + n > len(m.bmt_a):
-            raise TripleExhausted(f"need {n} Boolean triples, {self.bmt_left()} left")
-        s = slice(self._cursor, self._cursor + n)
-        self._cursor += n
-        return m.bmt_a[s], m.bmt_b[s], m.bmt_c[s]
 
     def share_input(self, bits, owner: int, rng: np.random.Generator) -> BoolShare:
         """Owner samples a random share and ships the complement."""
@@ -134,7 +120,7 @@ class GmwEngine:
     def _and_level(self, span: Span, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """One AND level over operand shares x, y of shape (gates, ninst)."""
         lanes = x.size
-        a, b, cc = self._take(lanes)
+        a, b, cc = self.bmt.take(lanes)
         a = a.reshape(x.shape)
         b = b.reshape(x.shape)
         cc = cc.reshape(x.shape)

@@ -9,9 +9,9 @@ messages regardless of batch size):
         b'=0: (q0^m0, q1^m1)    b'=1: (q0^m1, q1^m0)
     receiver outputs m_b = s_r xor q_r
 
-Masks are 128-bit; shorter messages use a mask prefix, wider ones expand
-the mask through the DRBG as a one-time pad. A watermark cursor enforces
-single use of every mask.
+Masks are 128-bit and messages at most that wide; shorter messages use a
+mask prefix. Every mask is drawn once from a single-use supply
+(correlated.Supply) before the party sends anything.
 """
 
 from __future__ import annotations
@@ -19,31 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import transport
-from .drbg import Drbg
+from .correlated import Supply
 from .transport import Channel
 
 K_BITS = 128
-_PAD_PERS = b"\xf0otpad"
 
 
 class OtError(RuntimeError):
     pass
 
 
-class MaskExhausted(OtError):
-    pass
-
-
-def _expand_masks(q: np.ndarray, nbytes: int) -> np.ndarray:
-    """Per-transfer message masks of nbytes from 16-byte base masks."""
-    if nbytes <= 16:
-        return q[..., :nbytes]
-    flat = q.reshape(-1, 16)
-    out = np.empty(flat.shape[:1] + (nbytes,), dtype=np.uint8)
-    for i, base in enumerate(flat):
-        pad = Drbg(bytes(base) + bytes(16), _PAD_PERS).fill_bytes(nbytes)
-        out[i] = np.frombuffer(pad, dtype=np.uint8)
-    return out.reshape(q.shape[:-1] + (nbytes,))
+def _message_bytes(mbits: int) -> int:
+    if mbits > K_BITS:
+        raise OtError(f"messages of {mbits} bits exceed the {K_BITS}-bit masks")
+    return (mbits + 7) // 8
 
 
 def _as_message_array(m, n: int, nbytes: int) -> np.ndarray:
@@ -57,36 +46,23 @@ class OtSender:
     """Holds (q0, q1) mask pairs; role 0 in every protocol here."""
 
     def __init__(self, q: np.ndarray, channel: Channel):
-        self.q = q  # (n, 2, 16)
+        self.masks = Supply("ot", q)  # (n, 2, 16) mask pairs
         self.channel = channel
-        self.cursor = 0
-
-    def available(self) -> int:
-        return len(self.q) - self.cursor
-
-    def _take(self, n: int) -> np.ndarray:
-        if self.cursor + n > len(self.q):
-            raise MaskExhausted(
-                f"need {n} OT masks, {self.available()} left (single-use)"
-            )
-        q = self.q[self.cursor : self.cursor + n]
-        self.cursor += n
-        return q
 
     def send(self, m0, m1, mbits: int):
         """Serve one batch; m0/m1 are (n, ceil(mbits/8)) uint8 arrays."""
-        nbytes = (mbits + 7) // 8
+        nbytes = _message_bytes(mbits)
         n = len(np.asarray(m0))
         if n == 0:
             return
         m0 = _as_message_array(m0, n, nbytes)
         m1 = _as_message_array(m1, n, nbytes)
-        q = self._take(n)
+        (q,) = self.masks.take(n)
         flipped = np.unpackbits(
             np.frombuffer(self.channel.recv_expect(transport.OT_CHOICES), np.uint8),
             bitorder="little",
         )[:n].astype(bool)
-        qm = _expand_masks(q, nbytes)
+        qm = q[..., :nbytes]
         # b'=0 keeps message order, b'=1 swaps it
         s0 = np.where(flipped[:, None], qm[:, 0] ^ m1, qm[:, 0] ^ m0)
         s1 = np.where(flipped[:, None], qm[:, 1] ^ m0, qm[:, 1] ^ m1)
@@ -106,34 +82,23 @@ class OtReceiver:
     """Holds (r, qr); role 1 in every protocol here."""
 
     def __init__(self, r: np.ndarray, qr: np.ndarray, channel: Channel):
-        self.r = r
-        self.qr = qr
+        self.masks = Supply("ot", r, qr)  # choice bits and (n, 16) selected masks
         self.channel = channel
-        self.cursor = 0
-
-    def available(self) -> int:
-        return len(self.r) - self.cursor
 
     def recv(self, choices, mbits: int) -> np.ndarray:
-        nbytes = (mbits + 7) // 8
+        nbytes = _message_bytes(mbits)
         b = np.asarray(choices, dtype=np.uint8)
         n = len(b)
         if n == 0:
             return np.zeros((0, nbytes), dtype=np.uint8)
-        if self.cursor + n > len(self.r):
-            raise MaskExhausted(
-                f"need {n} OT masks, {self.available()} left (single-use)"
-            )
-        r = self.r[self.cursor : self.cursor + n]
-        qr = self.qr[self.cursor : self.cursor + n]
-        self.cursor += n
+        r, qr = self.masks.take(n)
         self.channel.send(
             transport.OT_CHOICES, np.packbits(r ^ b, bitorder="little").tobytes()
         )
         raw = self.channel.recv_expect(transport.OT_PAIRS)
         pairs = np.frombuffer(raw, dtype=np.uint8).reshape(n, 2, nbytes)
         s_r = pairs[np.arange(n), r]
-        return s_r ^ _expand_masks(qr, nbytes)
+        return s_r ^ qr[:, :nbytes]
 
     def recv_ring(self, choices, ring) -> np.ndarray:
         raw = self.recv(choices, ring.l)

@@ -1,8 +1,9 @@
 """One party's bundle of engines over a single channel and material set.
 
 Created either from a dealer bundle fetched over the wire (offline()) or
-directly from expanded material (tests, in-process benches). All engines
-draw from the same dealt supplies; exhaustion accounting spans them.
+directly from expanded material (tests). Each engine draws its dealt
+items from single-use supplies (correlated.Supply); leftovers() reads the
+four of them.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ class PartySession:
     def leftovers(self) -> dict:
         """Undealt-but-unconsumed resources; empty when the manifest was
         planned exactly."""
-        out = {
-            "amt": self.ass.amt_left(),
-            "bmt": self.gmw.bmt_left(),
-            "ot": self.ot.available(),
-            "vdp": self.ass.vdp_left(),
-        }
-        return {k: v for k, v in out.items() if v}
+        supplies = (self.ass.amt, self.gmw.bmt, self.ot.masks, self.ass.vdp_masks)
+        return {s.name: s.left() for s in supplies if s.left()}
 
     def assert_exhausted(self):
         left = self.leftovers()

@@ -3,9 +3,9 @@ import pytest
 import scipy.stats
 from conftest import deal, run_parties
 
-from hybrid2pc import ass
-from hybrid2pc.ass import ArithShare, AssEngine, AssError, TripleExhausted
-from hybrid2pc.correlated import PartyMaterial, ResourceManifest, VdpShare
+from hybrid2pc import ass, transport
+from hybrid2pc.ass import ArithShare, AssEngine, AssError
+from hybrid2pc.correlated import Exhausted, PartyMaterial, ResourceManifest, VdpShare
 from hybrid2pc.ring import RingParams
 
 L8 = RingParams(8)
@@ -113,7 +113,7 @@ def test_mul_mt_exhaustive_l8(channels):
     y0, y1 = ass.share(y, L8, rng)
     z0, z1 = run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
     assert np.array_equal(ass.reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
-    assert e0.rounds == 1
+    assert channels[0].ledger.messages(msg_type=transport.ASS_EF, direction="sent") == 1
 
 
 def test_mul_mt_comm_bytes_and_round(channels):
@@ -128,7 +128,7 @@ def test_mul_mt_comm_bytes_and_round(channels):
     for ch in (c0, c1):
         assert ch.ledger.payload_bytes(direction="sent") == 1000 * 2 * 4
         assert ch.ledger.messages(direction="sent") == 1
-    assert e0.rounds == e1.rounds == 1
+        assert ch.ledger.messages(msg_type=transport.ASS_EF, direction="sent") == 1
 
 
 def test_triple_exhaustion(channels):
@@ -136,7 +136,7 @@ def test_triple_exhaustion(channels):
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(5)
     x0, x1 = ass.share(np.zeros(3, np.uint64), L8, rng)
-    with pytest.raises(TripleExhausted):
+    with pytest.raises(Exhausted):
         e0.mul_mt(x0, x0)
 
 
@@ -189,7 +189,7 @@ def test_mul_da_comm_half_of_mt(channels):
     # l bits per direction per multiplication (vs 2*l on the triple path)
     for ch in (c0, c1):
         assert ch.ledger.payload_bytes(direction="sent") == 1000 * 4
-    assert e0.rounds == 1
+    assert c0.ledger.messages(msg_type=transport.DA_MASKED, direction="sent") == 1
 
 
 def test_vdp_matches_plaintext_oracle(channels):
@@ -207,7 +207,8 @@ def test_vdp_matches_plaintext_oracle(channels):
     mask = np.uint64(L32.mask)
     expect = np.add.reduceat((x * y) & mask, np.arange(0, trials * n, n)) & mask
     assert np.array_equal(got, expect)
-    assert e0.rounds == 1  # one round regardless of batch
+    # one round regardless of batch
+    assert channels[0].ledger.messages(msg_type=transport.DA_MASKED, direction="sent") == 1
 
 
 def test_general_two_shared_operand_da_oracle():

@@ -358,5 +358,11 @@ def test_max_and_argmax_stages_random_32bit():
 
 def test_protocol_circuits_built_once():
     assert ml.stage_circuit("identity", 32, 12) is ml.stage_circuit("identity", 32, 12)
+    # every spelling of one stage shares one cache entry
+    before = cc._stage_circuit.cache_info().currsize
+    sign = cc.stage_circuit("sign", 13, 2)
+    assert sign is cc.stage_circuit("sign", 13, 2, 1)
+    assert sign is cc.stage_circuit(kind="sign", w=np.int64(13), shift=2, nvals=1)
+    assert cc._stage_circuit.cache_info().currsize == before + 1
     assert cc.build_relu(32) is cc.build_relu(32)
     assert cc.build_max_tree(4, 32, cc.DEPTH) is cc.build_max_tree(4, 32, cc.DEPTH)

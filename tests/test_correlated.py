@@ -3,9 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import deal, run_parties
+
+from hybrid2pc import circuits as cc
 from hybrid2pc import correlated as cr
+from hybrid2pc.ass import ArithShare, AssEngine
+from hybrid2pc.gmw import BoolShare, GmwEngine
+from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
+from hybrid2pc.session import PartySession
 from hybrid2pc.stp import CorrelatedBundle
+from hybrid2pc.transport import Disconnected, channel_pair
 
 SEED0 = hashlib.sha256(b"party-0").digest()
 SEED1 = hashlib.sha256(b"party-1").digest()
@@ -196,3 +204,100 @@ def _pinned_digests() -> dict:
 
 def test_expansion_and_corrections_pinned():
     assert _pinned_digests() == PINNED
+
+
+# Over-draws through each engine: (manifest, drawing role, draw(material,
+# channel)), each asking for one item more than was dealt.
+
+
+def _draw_amt(mat, ch):
+    x = ArithShare(np.zeros(3, np.uint64), 0)
+    AssEngine(0, L32, ch, mat).mul_mt(x, x)
+
+
+def _draw_bmt(mat, ch):
+    x = BoolShare(np.zeros((1, 8), np.uint8), 1)
+    GmwEngine(1, ch, mat).evaluate(cc.levelize(cc.build_bitand(8)), x, x)
+
+
+def _draw_vdp(mat, ch):
+    AssEngine(1, L32, ch, mat).vdp(None, ArithShare(np.zeros(3, np.uint64), 1), [2, 1])
+
+
+def _draw_ot_sender(mat, ch):
+    m = np.zeros((5, 16), np.uint8)
+    OtSender(mat.ot_q, ch).send(m, m, 128)
+
+
+def _draw_ot_receiver(mat, ch):
+    OtReceiver(mat.ot_r, mat.ot_qr, ch).recv(np.zeros(5, np.uint8), 128)
+
+
+OVERDRAWS = {
+    "amt": (dict(num_amt=2), 0, _draw_amt),
+    "bmt": (dict(num_bmt=7), 1, _draw_bmt),
+    "vdp": (dict(vdp_lengths=(2,)), 1, _draw_vdp),
+    "ot-sender": (dict(num_ot=4), 0, _draw_ot_sender),
+    "ot-receiver": (dict(num_ot=4), 1, _draw_ot_receiver),
+}
+
+
+@pytest.mark.parametrize("resource", OVERDRAWS)
+def test_overdraw_raises_exhausted_before_any_frame(resource):
+    kw, role, draw = OVERDRAWS[resource]
+    mats = deal(manifest(**kw))
+    chans = channel_pair()
+    try:
+        with pytest.raises(cr.Exhausted):
+            draw(mats[role], chans[role])
+        assert chans[role].ledger.messages() == 0
+        chans[role].close()
+        with pytest.raises(Disconnected):  # the peer's socket holds no frame
+            chans[1 - role].recv()
+    finally:
+        for ch in chans:
+            ch.close()
+
+
+def test_supply_is_single_use():
+    s = cr.Supply("amt", np.arange(5), np.arange(5) * 10)
+    a, b = s.take(2)
+    assert a.tolist() == [0, 1] and b.tolist() == [0, 10]
+    assert s.take(3)[0].tolist() == [2, 3, 4] and s.left() == 0
+    with pytest.raises(cr.Exhausted):
+        s.take(1)
+    assert s.used == 5
+    with pytest.raises(cr.Exhausted):  # no material dealt
+        cr.Supply("bmt").take(0)
+
+
+def test_leftovers_name_every_supply():
+    # the manifest deals one item more of each resource than the run draws
+    m = manifest(num_amt=3, num_bmt=9, num_ot=5, vdp_lengths=(2, 1))
+    lc = cc.levelize(cc.build_bitand(8))
+    chans = channel_pair()
+    sessions = [PartySession(r, m, mat, ch)
+                for r, (mat, ch) in enumerate(zip(deal(m), chans))]
+
+    def run(se):
+        zero = np.zeros(2, np.uint64)
+        se.ass.mul_mt(ArithShare(zero, se.role), ArithShare(zero, se.role))
+        bits = BoolShare(np.zeros((1, 8), np.uint8), se.role)
+        se.gmw.evaluate(lc, bits, bits)
+        if se.role == 0:
+            se.ot.send(np.zeros((4, 16), np.uint8), np.ones((4, 16), np.uint8), 128)
+        else:
+            se.ot.recv(np.zeros(4, np.uint8), 128)
+        se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), [2])
+
+    try:
+        run_parties(lambda: run(sessions[0]), lambda: run(sessions[1]))
+    finally:
+        for ch in chans:
+            ch.close()
+    for se in sessions:
+        assert se.leftovers() == {"amt": 1, "bmt": 1, "ot": 1, "vdp": 1}
+        supplies = (se.ass.amt, se.gmw.bmt, se.ot.masks, se.ass.vdp_masks)
+        assert [s.used for s in supplies] == [2, 8, 4, 1]
+        with pytest.raises(AssertionError):
+            se.assert_exhausted()

@@ -352,7 +352,7 @@ def _gmw_outputs(circ, in0, in1, rng):
     finally:
         c0_.close()
         c1_.close()
-    assert e0.bmt_left() == 0
+    assert e0.bmt.left() == 0
     return gmw.reconstruct_bits(s0, s1)
 
 

@@ -4,8 +4,8 @@ from conftest import deal, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import gmw, transport
-from hybrid2pc.correlated import PartyMaterial, ResourceManifest
-from hybrid2pc.gmw import BoolShare, GmwEngine, TripleExhausted
+from hybrid2pc.correlated import Exhausted, PartyMaterial, ResourceManifest
+from hybrid2pc.gmw import BoolShare, GmwEngine
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import ProtocolError
 
@@ -133,7 +133,7 @@ def test_triple_exhaustion(channels):
     e0, e1 = engines(channels, 5)
     circ = cc.build_bitand(8)
     lc = cc.levelize(circ)
-    with pytest.raises(TripleExhausted):
+    with pytest.raises(Exhausted):
         run_parties(
             lambda: e0.evaluate(lc, BoolShare(np.zeros((1, 8), np.uint8), 0),
                                 BoolShare(np.zeros((1, 8), np.uint8), 0)),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import SEED0, SEED1, run_parties
 
-from hybrid2pc.correlated import gen_ot_masks
-from hybrid2pc.ot import MaskExhausted, OtError, OtReceiver, OtSender
+from hybrid2pc.correlated import Exhausted, gen_ot_masks
+from hybrid2pc.ot import OtError, OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 
 
@@ -92,15 +92,18 @@ def test_narrow_messages(channels):
     assert np.array_equal(got, np.where(b[:, None].astype(bool), m1, m0))
 
 
-def test_wide_messages_use_mask_expansion(channels):
+def test_wide_messages_rejected(channels):
+    # messages wider than the 128-bit masks are refused before any draw or send
+    c0, c1 = channels
     n = 50
-    rng = np.random.default_rng(5)
     snd, rcv = make_pair(n, channels)
-    m0 = rng.integers(0, 256, size=(n, 64), dtype=np.uint8)
-    m1 = rng.integers(0, 256, size=(n, 64), dtype=np.uint8)
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1, 512), lambda: rcv.recv(b, 512))
-    assert np.array_equal(got, np.where(b[:, None].astype(bool), m1, m0))
+    m = np.zeros((n, 64), dtype=np.uint8)
+    with pytest.raises(OtError):
+        snd.send(m, m, 512)
+    with pytest.raises(OtError):
+        rcv.recv(np.zeros(n, np.uint8), 129)
+    assert snd.masks.left() == rcv.masks.left() == n
+    assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0
 
 
 def test_ring_message_helpers(channels):
@@ -118,13 +121,16 @@ def test_ring_message_helpers(channels):
 
 
 def test_mask_exhaustion(channels):
+    c0, c1 = channels
     snd, rcv = make_pair(10, channels)
-    m = np.zeros((11, 16), np.uint8)
-    with pytest.raises(MaskExhausted):
-        snd._take(11)
-    with pytest.raises(MaskExhausted):
-        rcv.cursor = 5
+    with pytest.raises(Exhausted):
+        snd.masks.take(11)
+    assert snd.masks.left() == 10  # a failed draw takes nothing
+    rcv.masks.take(5)
+    with pytest.raises(Exhausted):
         rcv.recv(np.zeros(6, np.uint8), 128)
+    assert rcv.masks.left() == 5
+    assert c1.ledger.messages() == 0
 
 
 def test_width_mismatch_rejected(channels):
