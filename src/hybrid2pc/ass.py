@@ -6,12 +6,13 @@ Linear algebra on shares is local. Three interactive primitives exist:
            masked operands (2l bits each way per product, one round)
   mul_da   cleartext-at-role-0 x shared, the offline-shifted three-party
            multiplication (l bits each way per product, one round)
-  vdp      whole dot products of a cleartext vector against a shared one,
-           consuming a single correction scalar per product
+  vdp      one linear layer: a block of equal-length dot products of a
+           cleartext vector against a shared one, consuming one dealt
+           block (products, length) and one correction scalar per product
 
-mul_da is the length-1 special case of vdp and shares its randomness.
+mul_da is vdp over a block of length 1 and shares its randomness.
 All primitives are batched: any number of independent instances ride one
-round. Triples and dot-product masks are drawn from single-use supplies
+round. Triples and dot-product blocks are drawn from single-use supplies
 (correlated.Supply) before anything is sent.
 """
 
@@ -81,17 +82,13 @@ class AssEngine:
     """Per-session engine; owns this role's triple/VDP supplies."""
 
     def __init__(self, role: int, p: RingParams, channel: Channel,
-                 material: PartyMaterial | None = None):
+                 material: PartyMaterial):
         self.role = role
         self.p = p
         self.channel = channel
-        m = material
-        self.amt = Supply("amt", *(() if m is None else (m.amt_a, m.amt_b, m.amt_c)))
-        v = None if m is None else m.vdp
-        # one row per dot product: its length, mask-vector start, scalar
-        self.vdp_masks = Supply("vdp", *(() if v is None else
-                                         (v.lengths, v.offsets[:-1], v.scalar)))
-        self._vdp_vec = None if v is None else v.vec
+        self.amt = Supply("amt", material.amt_a, material.amt_b, material.amt_c)
+        # one row per dealt block: its (products, length) masks and scalars
+        self.vdp_masks = Supply("vdp", material.vdp_mask, material.vdp_scalar)
 
     # wire helpers
 
@@ -125,48 +122,41 @@ class AssEngine:
 
     def mul_da(self, x_clear, y: ArithShare) -> ArithShare:
         """Du-Atallah multiplication: role 0 holds x in the clear."""
-        n = len(y)
-        return self.vdp(x_clear, y, [1] * n)
+        return self.vdp(x_clear, y, 1)
 
-    def vdp(self, x_clear, y: ArithShare, lengths) -> ArithShare:
-        """Batched dot products of cleartext x (role 0) against shared y.
+    def vdp(self, x_clear, y: ArithShare, length: int) -> ArithShare:
+        """Dot products of cleartext x (role 0) against shared y.
 
-        lengths partitions the flat vectors into products; the output has
-        one share per product. Consumes one VDPS entry per product; the
-        lengths must match the manifest order exactly.
+        x and y hold the products of the next dealt block back to back,
+        each of the given length; the output has one share per product.
+        The block must match: len(y) == products * length.
         """
         mask = np.uint64(self.p.mask)
-        lengths = list(lengths)
-        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        total = int(offsets[-1])
-        if len(y) != total:
-            raise AssError("shared vector length does not match lengths")
-        got, start, scalar = self.vdp_masks.take(len(lengths))
-        if tuple(got) != tuple(lengths):
-            raise AssError(f"dot-product lengths {tuple(lengths)} do not match "
-                           f"the manifest entries {tuple(got)}")
-        lo = start[0] if total else 0
-        a_vec = self._vdp_vec[lo : lo + total]
+        (a_vec,), (scalar,) = self.vdp_masks.take(1)
+        n, k = a_vec.shape
+        if k != length or len(y) != n * k:
+            raise AssError(f"{len(y)} elements in products of length {length} do "
+                           f"not match the dealt block of {n} x {k}")
+        a_vec = a_vec.reshape(-1)
         if self.role == 0:
             x = np.atleast_1d(np.asarray(x_clear, dtype=np.uint64)) & mask
-            if len(x) != total:
-                raise AssError("cleartext vector length does not match lengths")
+            if len(x) != n * k:
+                raise AssError("cleartext vector length does not match the block")
             u = (x + a_vec) & mask
             v = self._bytes_to_elems(
                 self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u))
             )
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
-            term = (x * y.value - a_vec * v) & mask
-            z = (np.add.reduceat(term, offsets[:-1]) & mask) + scalar
-            return ArithShare(z & mask, 0)
-        v = (y.value + a_vec) & mask
-        u = self._bytes_to_elems(
-            self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v))
-        )
-        # z1 = sum <y>1*(x+a0) + a3, per product
-        term = (y.value * u) & mask
-        z = (np.add.reduceat(term, offsets[:-1]) & mask) + scalar
-        return ArithShare(z & mask, 1)
+            term = x * y.value - a_vec * v
+        else:
+            v = (y.value + a_vec) & mask
+            u = self._bytes_to_elems(
+                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v))
+            )
+            # z1 = sum <y>1*(x+a0) + a3, per product
+            term = y.value * u
+        # uint64 arithmetic wraps mod 2^64, a multiple of 2^l: mask once
+        return ArithShare((term.reshape(n, k).sum(axis=1) + scalar) & mask, self.role)
 
     def reveal(self, s: ArithShare, to: str = "both") -> np.ndarray | None:
         """Open a share vector to one or both parties."""

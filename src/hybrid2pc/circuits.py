@@ -159,7 +159,6 @@ class LevelizedCircuit:
     """
 
     circuit: Circuit
-    gate_level: np.ndarray
     schedule: list[tuple[np.ndarray, np.ndarray]]
     spans: list[Span]
 
@@ -214,7 +213,7 @@ def levelize(c: Circuit) -> LevelizedCircuit:
             g = locals_[layer_of == k]
             layers.append((gin_a[g], gin_b[g], gout[g]))
         spans.append(Span(tuple(layers), ands, gin_a[ands], gin_b[ands], gout[ands]))
-    return LevelizedCircuit(c, gate_level, schedule, spans)
+    return LevelizedCircuit(c, schedule, spans)
 
 
 def run_spans(lc: LevelizedCircuit, vals: np.ndarray, and_level) -> None:
@@ -294,9 +293,6 @@ class Builder:
         if a == b:
             return a
         return self._emit(AND, a, b)
-
-    def or_(self, a: int, b: int) -> int:
-        return self.not_(self.and_(self.not_(a), self.not_(b)))
 
     def not_(self, a: int) -> int:
         if a == CONST0:

@@ -21,6 +21,11 @@ Stream layouts:
     OT   sender: q0,q1 interleaved per item  receiver: r bits
     VDP  role 0: per product: n_d elems, a2  role 1: per product: n_d elems
 
+The manifest lists dot products as blocks (products, length), one per
+linear layer, i.e. one per vdp call, in call order. A block's material is
+one (products, length) mask matrix per role and one scalar per product;
+blocking changes no stream byte, since the products are drawn in order.
+
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
 every 64 KB; the typed draws are views over the bytes it writes. Role 1's
 bundle is laid out as
@@ -89,8 +94,9 @@ def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:
     return Drbg(seed, personalization(tag, index))
 
 
-# ring l, alpha, beta | num_amt, num_bmt, num_ot | number of dot products
-_MANIFEST_HEAD = struct.Struct("<3B3QI")
+# ring l, alpha, beta | num_amt, num_bmt, num_ot; then one u32 pair
+# (products, length) per dot-product block, the count implied by the size
+_MANIFEST_HEAD = struct.Struct("<3B3Q")
 
 
 @dataclass(frozen=True)
@@ -102,58 +108,44 @@ class ResourceManifest:
     num_amt: int = 0
     num_bmt: int = 0
     num_ot: int = 0
-    vdp_lengths: tuple[int, ...] = ()
-    # vdp_lengths as the u32 little-endian array that goes on the wire
-    vdp_array: np.ndarray = field(init=False, repr=False, compare=False)
+    vdp_blocks: tuple[tuple[int, int], ...] = ()  # (products, length) per vdp call
 
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
         if min((self.num_amt, self.num_bmt, self.num_ot), default=0) < 0:
             raise ValueError("negative resource count")
-        lengths = np.asarray(self.vdp_lengths, dtype=np.int64)
-        if lengths.size and lengths.min() < 1:
-            raise ValueError("dot product lengths must be >= 1")
-        if lengths.size and lengths.max() > 0xFFFFFFFF:
-            raise ValueError("dot product lengths must fit in 32 bits")
-        object.__setattr__(self, "vdp_array", lengths.astype("<u4"))
+        blocks = np.asarray(self.vdp_blocks, dtype=np.int64).reshape(-1, 2)
+        if blocks.size and (blocks.min() < 1 or blocks.max() > 0xFFFFFFFF):
+            raise ValueError("dot-product blocks need 1 to 2^32-1 products and length")
+        object.__setattr__(self, "vdp_blocks", tuple(map(tuple, blocks.tolist())))
+
+    @property
+    def vdp_lengths(self) -> tuple[int, ...]:
+        """One length per dot product, expanded from vdp_blocks. The
+        protocol works on blocks; this stays because perfbench/spans.py
+        reads it for its correlated.vdp_* counters, which would otherwise
+        read 0 without an error."""
+        return tuple(k for n, k in self.vdp_blocks for _ in range(n))
 
     def encode(self) -> bytes:
         """Manifest payload; the session id travels in the frame header."""
         p = self.ring
         head = _MANIFEST_HEAD.pack(p.l, p.alpha, p.beta, self.num_amt, self.num_bmt,
-                                   self.num_ot, len(self.vdp_array))
-        return head + self.vdp_array.tobytes()
+                                   self.num_ot)
+        return head + np.asarray(self.vdp_blocks, dtype="<u4").tobytes()
 
     @classmethod
     def decode(cls, session_id: bytes, payload: bytes) -> "ResourceManifest":
-        if len(payload) < _MANIFEST_HEAD.size:
-            raise ValueError("manifest payload too short")
-        l, alpha, beta, *counts, k = _MANIFEST_HEAD.unpack_from(payload)
-        if len(payload) != _MANIFEST_HEAD.size + 4 * k:
-            raise ValueError("manifest payload length mismatch")
-        lengths = np.frombuffer(payload, dtype="<u4", count=k, offset=_MANIFEST_HEAD.size)
-        return cls(session_id, RingParams(l, alpha, beta), *counts, tuple(lengths.tolist()))
+        if len(payload) < _MANIFEST_HEAD.size or (len(payload) - _MANIFEST_HEAD.size) % 8:
+            raise ValueError("manifest payload is not a head plus u32 pairs")
+        l, alpha, beta, *counts = _MANIFEST_HEAD.unpack_from(payload)
+        blocks = np.frombuffer(payload, dtype="<u4", offset=_MANIFEST_HEAD.size)
+        return cls(session_id, RingParams(l, alpha, beta), *counts, blocks.reshape(-1, 2))
 
 
 def _elem_dtype(p: RingParams) -> np.dtype:
     return np.dtype(f"<u{p.nbytes}")
-
-
-@dataclass
-class VdpShare:
-    """One party's view of the dot-product randomness, ragged over products."""
-
-    lengths: tuple[int, ...]
-    vec: np.ndarray  # concatenated per-product mask vectors
-    scalar: np.ndarray  # a2 (role 0) or a3 (role 1), one per product
-    offsets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.offsets = np.concatenate(([0], np.cumsum(self.lengths))).astype(np.int64)
-
-    def vec_for(self, i: int) -> np.ndarray:
-        return self.vec[self.offsets[i] : self.offsets[i + 1]]
 
 
 @dataclass
@@ -171,7 +163,9 @@ class PartyMaterial:
     ot_q: np.ndarray | None = None  # sender: (n, 2, 16) mask pairs
     ot_r: np.ndarray | None = None  # receiver: choice-mask bits
     ot_qr: np.ndarray | None = None  # receiver: (n, 16) selected masks
-    vdp: VdpShare | None = None
+    # per dealt block: (products, length) masks, and a2 (role 0) / a3 (role 1)
+    vdp_mask: list[np.ndarray] = field(default_factory=list)
+    vdp_scalar: list[np.ndarray] = field(default_factory=list)
 
 
 def _sections(buf, offset: int, p: RingParams, n_amt: int, n_bmt: int, n_ot: int,
@@ -216,7 +210,7 @@ class Corrections:
     def decode(cls, payload, m: ResourceManifest, offset: int = 0) -> "Corrections":
         """Parse payload[offset:]; qr is a view into payload, not a copy."""
         p = m.ring
-        counts = (m.num_amt, m.num_bmt, m.num_ot, len(m.vdp_lengths))
+        counts = (m.num_amt, m.num_bmt, m.num_ot, sum(n for n, _ in m.vdp_blocks))
         if len(payload) - offset != _payload_size(p, *counts):
             raise ValueError("correction payload length mismatch")
         amt, bmt, qr, a3 = _sections(payload, offset, p, *counts)
@@ -224,19 +218,22 @@ class Corrections:
         return cls(amt.astype(np.uint64), c1_bmt, qr, a3.astype(np.uint64))
 
 
-def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool) -> VdpShare:
-    lengths = m.vdp_array.astype(np.int64)
-    total = int(lengths.sum())
-    if not with_scalar:
-        raw = d.ring_elems(total, mask)
-        return VdpShare(m.vdp_lengths, raw, np.zeros(len(lengths), dtype=np.uint64))
-    # per-product layout: n elems then the a2 scalar, so product i's scalar
-    # sits after the first i+1 vectors and i earlier scalars
-    raw = d.ring_elems(total + len(lengths), mask)
-    at = np.cumsum(lengths) + np.arange(len(lengths))
-    is_vec = np.ones(len(raw), dtype=bool)
-    is_vec[at] = False
-    return VdpShare(m.vdp_lengths, raw[is_vec], raw[at])
+def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
+    """Per block, the (products, length) masks and one scalar per product.
+
+    One draw per role. Role 0's stream holds each product's length masks
+    then its a2, so a block's slice is (products, length + 1); role 1's
+    holds only the masks. Role 1's scalars are zero until corrected.
+    """
+    w = int(with_scalar)
+    sizes = [n * (k + w) for n, k in m.vdp_blocks]
+    raw = d.ring_elems(sum(sizes), mask)
+    vecs, scalars = [], []
+    for (n, k), part in zip(m.vdp_blocks, np.split(raw, np.cumsum(sizes)[:-1])):
+        rows = part.reshape(n, k + w)
+        vecs.append(np.ascontiguousarray(rows[:, :k]))
+        scalars.append(rows[:, k].copy() if w else np.zeros(n, dtype=np.uint64))
+    return vecs, scalars
 
 
 def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
@@ -248,8 +245,8 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
     q = _stream(seed0, TAG_OT_SEND).blocks(2 * m.num_ot).reshape(m.num_ot, 2, 16)
-    vdp = _draw_vdp(_stream(seed0, TAG_VDP), m, p.mask, with_scalar=True)
-    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, vdp=vdp)
+    vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, p.mask, with_scalar=True)
+    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, vdp_mask=vec, vdp_scalar=a2)
 
 
 def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
@@ -261,11 +258,10 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
     r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
-    vdp = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
+    vec, zero = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
     empty = np.zeros(m.num_amt, dtype=np.uint64)
-    return PartyMaterial(
-        1, p, a, b, empty, ba, bb, np.zeros(m.num_bmt, dtype=np.uint8), ot_r=r, vdp=vdp
-    )
+    return PartyMaterial(1, p, a, b, empty, ba, bb, np.zeros(m.num_bmt, dtype=np.uint8),
+                         ot_r=r, vdp_mask=vec, vdp_scalar=zero)
 
 
 _SELECT_CHUNK = 1 << 14  # OT items per pass; keeps each pass cache-resident
@@ -297,13 +293,9 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> Corr
     c1_amt = ((m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c) & mask
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
     qr = _select_masks(m0.ot_q, m1.ot_r)
-    if m.vdp_lengths:
-        prod = (m0.vdp.vec * m1.vdp.vec) & mask
-        sums = np.add.reduceat(prod, m0.vdp.offsets[:-1]) & mask
-        a3 = (sums - m0.vdp.scalar) & mask
-    else:
-        a3 = np.zeros(0, dtype=np.uint64)
-    return Corrections(c1_amt, c1_bmt, qr, a3)
+    a3 = [((v0 * v1).sum(axis=1) - a2) & mask  # sums wrap mod 2^64, a multiple of 2^l
+          for v0, v1, a2 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar)]
+    return Corrections(c1_amt, c1_bmt, qr, np.concatenate([np.zeros(0, np.uint64), *a3]))
 
 
 def apply_corrections(mat: PartyMaterial, corr: Corrections) -> PartyMaterial:
@@ -312,7 +304,8 @@ def apply_corrections(mat: PartyMaterial, corr: Corrections) -> PartyMaterial:
     mat.amt_c = corr.c1_amt
     mat.bmt_c = corr.c1_bmt
     mat.ot_qr = corr.qr
-    mat.vdp.scalar = corr.a3
+    ends = np.cumsum([len(v) for v in mat.vdp_mask], dtype=np.int64)
+    mat.vdp_scalar = [corr.a3[e - len(v) : e] for v, e in zip(mat.vdp_mask, ends)]
     return mat
 
 
@@ -350,9 +343,9 @@ def gen_ot_masks(seed_s: bytes, seed_r: bytes, n: int):
     return ms.ot_q, mr.ot_r, corr.qr
 
 
-def gen_vdps(seed0: bytes, seed1: bytes, lengths, p: RingParams):
-    """Returns (role0 VdpShare with a2, role1 VdpShare, a3 corrections)."""
-    m = _mini_manifest(p, vdp_lengths=tuple(lengths))
+def gen_vdps(seed0: bytes, seed1: bytes, blocks, p: RingParams):
+    """Returns ((role0 masks, a2) per block, role1 masks per block, a3 flat)."""
+    m = _mini_manifest(p, vdp_blocks=tuple(blocks))
     m0, m1 = expand_role0(seed0, m), expand_role1(seed1, m)
     corr = compute_corrections(seed0, seed1, m)
-    return m0.vdp, m1.vdp, corr.a3
+    return (m0.vdp_mask, m0.vdp_scalar), m1.vdp_mask, corr.a3

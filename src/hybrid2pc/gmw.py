@@ -59,12 +59,10 @@ def reconstruct_bits(s0: BoolShare, s1: BoolShare) -> np.ndarray:
 
 
 class GmwEngine:
-    def __init__(self, role: int, channel: Channel,
-                 material: PartyMaterial | None = None):
+    def __init__(self, role: int, channel: Channel, material: PartyMaterial):
         self.role = role
         self.channel = channel
-        m = material
-        self.bmt = Supply("bmt", *(() if m is None else (m.bmt_a, m.bmt_b, m.bmt_c)))
+        self.bmt = Supply("bmt", material.bmt_a, material.bmt_b, material.bmt_c)
         self._round_index = 0  # AND levels exchanged; each GMW_DE frame's index
 
     @property

@@ -1,11 +1,13 @@
 """Private SVM classification and neural-network inference.
 
 The server (role 0) holds the model in the clear; the client (role 1)
-holds the query. Linear layers (convolution via im2col, fully connected,
-mean pooling) run on additive shares using the cleartext-operand dot
-product; non-linear layers (ReLU, max pooling) run as Boolean circuits in
-GMW ("lan" profile) or garbled circuits ("wan" profile); the final argmax
-or sign always runs garbled, decoding only to the client.
+holds the query. Linear layers run on additive shares: a convolution
+(via im2col) or a fully connected layer (one window over the whole input)
+is one block of equal-length cleartext-operand dot products, i.e. one
+vdp call, and mean pooling is local. Non-linear layers (ReLU, max
+pooling) run as Boolean circuits in GMW ("lan" profile) or garbled
+circuits ("wan" profile); the final argmax or sign always runs garbled,
+decoding only to the client.
 
 Fixed-point scale bookkeeping: every linear layer over beta-scaled
 operands leaves the output scaled by an extra 2^beta (and mean-pooling by
@@ -171,7 +173,16 @@ def _conv_indices(in_shape, k, stride, pad):
     base = (ci * hh * ww + ki * ww + kj).reshape(-1)  # (ch*k*k,)
     oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
     start = (oi * stride * ww + oj * stride).reshape(-1)  # (oh*ow,)
-    return start[:, None] + base[None, :], (hh, ww), (oh, ow)
+    return start[:, None] + base[None, :]
+
+
+def _windows(layer, in_shape, vals: np.ndarray) -> np.ndarray:
+    """(batch, npos, klen) inputs of a Conv or FC layer's dot products;
+    FC is one window over the whole input."""
+    if isinstance(layer, FC):
+        return vals.reshape(len(vals), 1, layer.din)
+    idx = _conv_indices(in_shape, layer.kernel, layer.stride, layer.pad)
+    return _pad_shares(vals, in_shape, layer.pad)[:, idx]
 
 
 def _pool_indices(in_shape, k):
@@ -194,75 +205,79 @@ def _pad_shares(vals: np.ndarray, in_shape, pad) -> np.ndarray:
     return out.reshape(b.shape[0], -1)
 
 
+def _stage_groups(layer, in_shape, batch: int) -> np.ndarray:
+    """(instances, values) indices into the batch's flat activations: one
+    value per ReLU instance, one pool window per MaxPool instance."""
+    n = int(np.prod(in_shape))
+    if isinstance(layer, Act):
+        return np.arange(batch * n)[:, None]
+    idx = _pool_indices(in_shape, layer.window)
+    return (idx[None] + (np.arange(batch) * n)[:, None, None]).reshape(-1, idx.shape[1])
+
+
+def _stage_circuits(layer, nvals: int, shift: int, profile: str, l: int):
+    """(garbled stage, GMW body or None) of an Act (relu) or MaxPool stage.
+
+    wan garbles the whole stage; lan garbles only the identity stage and
+    runs relu or max in GMW on its output bits.
+    """
+    kind = "relu" if isinstance(layer, Act) else "max"
+    if profile == WAN:
+        return stage_circuit(kind, l, shift, nvals), None
+    body = cc.build_relu(l) if kind == "relu" else cc.build_max_tree(nvals, l, cc.DEPTH)
+    return stage_circuit("identity", l, shift, nvals), body
+
+
 # ----- manifest planning -----
 
 
 def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
                      session_id: bytes) -> ResourceManifest:
     """Exact resource counts for one nn_infer call; consumed to zero."""
-    vdp: list[int] = []
+    blocks = []
     num_ot = 0
     num_bmt = 0
     for layer, in_shape, out_shape, shift in _schedule(net, p):
-        if isinstance(layer, Conv):
-            klen = layer.kernel * layer.kernel * in_shape[0]
-            npos = out_shape[1] * out_shape[2]
-            vdp += [klen] * (batch * layer.maps * npos)
-        elif isinstance(layer, FC):
-            vdp += [layer.din] * (batch * layer.dout)
-        elif isinstance(layer, Act):
-            n = batch * int(np.prod(in_shape))
-            num_ot += n * p.l  # garbled share adders
-            num_ot += n * p.l  # back to additive
-            if profile == LAN:
-                num_bmt += n * cc.build_relu(p.l).num_and
-        elif isinstance(layer, MaxPool):
-            n_in = batch * int(np.prod(in_shape))
-            n_out = batch * int(np.prod(out_shape))
-            kk = layer.window * layer.window
-            num_ot += n_in * p.l + n_out * p.l
-            if profile == LAN:
-                num_bmt += n_out * cc.build_max_tree(kk, p.l, cc.DEPTH).num_and
+        nout = int(np.prod(out_shape))
+        ninst, nvals = batch * nout, int(np.prod(in_shape)) // nout
+        if isinstance(layer, (Conv, FC)):
+            klen = layer.din if isinstance(layer, FC) else layer.kernel ** 2 * in_shape[0]
+            blocks.append((ninst, klen))
+        elif isinstance(layer, (Act, MaxPool)):
+            garbled, body = _stage_circuits(layer, nvals, shift, profile, p.l)
+            # evaluator share bits into the garbled stage, then b2a per output bit
+            num_ot += ninst * (len(garbled.inputs1) + len((body or garbled).outputs))
+            num_bmt += ninst * body.num_and if body else 0
         elif isinstance(layer, ArgMax):
-            num_ot += batch * int(np.prod(in_shape)) * p.l
+            num_ot += ninst * len(stage_circuit("argmax", p.l, shift, nvals).inputs1)
     return ResourceManifest(session_id, p, num_bmt=num_bmt, num_ot=num_ot,
-                            vdp_lengths=tuple(vdp))
+                            vdp_blocks=tuple(blocks))
 
 
 def plan_svm_manifest(d: int, batch: int, p: RingParams,
                       session_id: bytes) -> ResourceManifest:
-    return ResourceManifest(session_id, p, num_ot=batch * p.l,
-                            vdp_lengths=(d,) * batch)
+    num_ot = batch * len(stage_circuit("sign", p.l, p.beta).inputs1)
+    return ResourceManifest(session_id, p, num_ot=num_ot, vdp_blocks=((batch, d),))
 
 
 # ----- secure execution -----
 
 
-def _boolean_stage(se: PartySession, x: ArithShare, kind: str, shift: int,
-                   profile: str, group_idx=None):
-    """a2y (+rewired shift) -> stage -> back to additive shares.
+def _boolean_stage(se: PartySession, x: ArithShare, layer, shift: int,
+                   profile: str, group_idx: np.ndarray):
+    """a2y (+rewired shift) -> Act or MaxPool stage -> additive shares.
 
-    wan garbles the whole stage; lan garbles only the identity stage and
-    runs relu or max in GMW on the Boolean shares. group_idx, when given,
-    gathers values into stage groups (pooling); kind "relu" applies per
-    value.
+    Each row of group_idx gathers one instance's values (one for relu, a
+    pool window for max); the output holds one value per instance.
     """
     p = se.ring
-    if group_idx is None:
-        nvals, ninst = 1, len(x)
-        stage_in = x.value
-    else:
-        ninst, nvals = group_idx.shape
-        stage_in = x.value[group_idx.reshape(-1)]
-    share_bits = ring.bits_of(stage_in, p).reshape(ninst, nvals * p.l)
-    circ = stage_circuit(kind if profile == WAN else "identity", p.l, shift, nvals)
-    out_bits = convert.y2b(se.gc, se.gc.run_shares(circ, share_bits, ninst, "none"))
-    if profile != WAN:
-        gmw_circ = (cc.build_relu(p.l) if kind == "relu"
-                    else cc.build_max_tree(nvals, p.l, cc.DEPTH))
+    ninst, nvals = group_idx.shape
+    share_bits = ring.bits_of(x.value[group_idx.reshape(-1)], p).reshape(ninst, nvals * p.l)
+    garbled, body = _stage_circuits(layer, nvals, shift, profile, p.l)
+    out_bits = convert.y2b(se.gc, se.gc.run_shares(garbled, share_bits, ninst, "none"))
+    if body is not None:
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
-        out_bits = se.gmw.evaluate(gmw_circ.levelized, out_bits, empty)
-    # relu keeps per-value instances; max emits one value per group
+        out_bits = se.gmw.evaluate(body.levelized, out_bits, empty)
     return convert.b2a(se.role, p, se.ot, out_bits, se.rng)
 
 
@@ -295,50 +310,24 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
         x = se.ass.share_input(None, owner=1, rng=se.rng)
     result = None
     for layer, in_shape, out_shape, shift in sched:
-        if isinstance(layer, Conv):
-            idx, padded_hw, (oh, ow) = _conv_indices(
-                in_shape, layer.kernel, layer.stride, layer.pad
-            )
-            padded = _pad_shares(x.value.reshape(batch, -1), in_shape, layer.pad)
-            windows = padded[:, idx]  # (batch, npos, klen)
-            npos, klen = windows.shape[1:]
-            y_flat = np.broadcast_to(
-                windows[:, None], (batch, layer.maps, npos, klen)
-            ).reshape(-1)
-            lengths = [klen] * (batch * layer.maps * npos)
+        if isinstance(layer, (Conv, FC)):
+            windows = _windows(layer, in_shape, x.value.reshape(batch, -1))
+            shape = (batch, out_shape[0]) + windows.shape[1:]  # (batch, maps, npos, klen)
+            y = np.broadcast_to(windows[:, None], shape).reshape(-1)
+            kern = None
             if se.role == 0:
-                kern = ring.encode(layer.weights.reshape(layer.maps, -1), p)
-                x_clear = np.broadcast_to(
-                    kern[None, :, None, :], (batch, layer.maps, npos, klen)
-                ).reshape(-1)
-                x = se.ass.vdp(x_clear, ArithShare(y_flat, 0), lengths)
-            else:
-                x = se.ass.vdp(None, ArithShare(y_flat, 1), lengths)
-        elif isinstance(layer, FC):
-            vals = x.value.reshape(batch, layer.din)
-            y_flat = np.repeat(vals, layer.dout, axis=0).reshape(-1)
-            lengths = [layer.din] * (batch * layer.dout)
-            if se.role == 0:
-                wt = ring.encode(layer.weights, p)  # (dout, din)
-                x_clear = np.broadcast_to(
-                    wt[None], (batch, layer.dout, layer.din)
-                ).reshape(-1)
-                x = se.ass.vdp(x_clear, ArithShare(y_flat, 0), lengths)
-            else:
-                x = se.ass.vdp(None, ArithShare(y_flat, 1), lengths)
+                kern = ring.encode(layer.weights.reshape(out_shape[0], -1), p)
+                kern = np.broadcast_to(kern[None, :, None], shape).reshape(-1)
+            x = se.ass.vdp(kern, ArithShare(y, se.role), shape[3])
         elif isinstance(layer, MeanPool):
             idx = _pool_indices(in_shape, layer.window)
             per_im = x.value.reshape(batch, -1)
             gathered = per_im[:, idx]  # (batch, groups, k*k)
             summed = gathered.sum(axis=2, dtype=np.uint64) & np.uint64(p.mask)
             x = ArithShare(summed.reshape(-1), se.role)
-        elif isinstance(layer, Act):
-            x = _boolean_stage(se, x, "relu", shift, profile)
-        elif isinstance(layer, MaxPool):
-            idx = _pool_indices(in_shape, layer.window)
-            offs = (np.arange(batch) * int(np.prod(in_shape)))[:, None, None]
-            group_idx = (idx[None] + offs).reshape(-1, idx.shape[1])
-            x = _boolean_stage(se, x, "max", shift, profile, group_idx=group_idx)
+        elif isinstance(layer, (Act, MaxPool)):
+            groups = _stage_groups(layer, in_shape, batch)
+            x = _boolean_stage(se, x, layer, shift, profile, groups)
         elif isinstance(layer, ArgMax):
             nvals = int(np.prod(in_shape))
             bits = _reveal_stage(se, x, "argmax", nvals, shift)
@@ -358,16 +347,15 @@ def svm_classify(se: PartySession, model: SvmModel | None,
         x = se.ass.share_input(enc.reshape(-1), owner=1, rng=se.rng)
     else:
         x = se.ass.share_input(None, owner=1, rng=se.rng)
-    lengths = [d] * batch
     if se.role == 0:
         w = np.asarray(model.w, dtype=np.float64)
         w = np.broadcast_to(w, (batch, d)) if w.ndim == 1 else w
-        z = se.ass.vdp(ring.encode(w, p).reshape(-1), ArithShare(x.value, 0), lengths)
+        z = se.ass.vdp(ring.encode(w, p).reshape(-1), ArithShare(x.value, 0), d)
         # subtract the private intercept at scale 2^(2*beta)
         b_enc = ring.encode(np.broadcast_to(np.asarray(model.b), (batch,)), p)
         z.value = (z.value - (b_enc << np.uint64(p.beta))) & np.uint64(p.mask)
     else:
-        z = se.ass.vdp(None, ArithShare(x.value, 1), lengths)
+        z = se.ass.vdp(None, ArithShare(x.value, 1), d)
     bits = _reveal_stage(se, z, "sign", 1, p.beta)
     if se.role == 1:
         return np.where(bits[0].astype(bool), 1, -1)
@@ -382,20 +370,12 @@ def nn_oracle(net: NetSpec, images: np.ndarray, p: RingParams) -> np.ndarray:
     x = ring.encode(images.reshape(batch, -1), p)
     mask = np.uint64(p.mask)
     for layer, in_shape, out_shape, shift in _schedule(net, p):
-        if isinstance(layer, Conv):
-            idx, _, (oh, ow) = _conv_indices(in_shape, layer.kernel,
-                                             layer.stride, layer.pad)
-            padded = _pad_shares(x.reshape(batch, -1), in_shape, layer.pad)
-            windows = padded[:, idx]  # (batch, npos, klen)
-            kern = ring.encode(layer.weights.reshape(layer.maps, -1), p)
-            prod = (windows[:, None] * kern[None, :, None, :]) & mask
-            x = (prod.sum(axis=3, dtype=np.uint64) & mask).reshape(batch, -1)
-            # (batch, maps*npos), map-major like the secure path
-        elif isinstance(layer, FC):
-            vals = x.reshape(batch, layer.din)
-            wt = ring.encode(layer.weights, p)
-            prod = (vals[:, None, :] * wt[None]) & mask
-            x = prod.sum(axis=2, dtype=np.uint64) & mask
+        if isinstance(layer, (Conv, FC)):
+            windows = _windows(layer, in_shape, x)  # (batch, npos, klen)
+            kern = ring.encode(layer.weights.reshape(out_shape[0], -1), p)
+            prod = windows[:, None] * kern[None, :, None, :]
+            # (batch, maps, npos), map-major like the secure path
+            x = prod.sum(axis=3, dtype=np.uint64) & mask
         elif isinstance(layer, MeanPool):
             idx = _pool_indices(in_shape, layer.window)
             x = x.reshape(batch, -1)[:, idx].sum(axis=2, dtype=np.uint64) & mask

@@ -170,7 +170,7 @@ def test_criterion_3_protocol_oracles():
         srng = np.random.default_rng(seed)
         x0, x1 = ass.share(x, p, srng)
         y0, y1 = ass.share(y, p, srng)
-        m = ResourceManifest(bytes(16), p, num_amt=nn, vdp_lengths=(1,) * nn)
+        m = ResourceManifest(bytes(16), p, num_amt=nn, vdp_blocks=((nn, 1),))
         s0, s1 = _sessions(m)
         z0, z1 = run_parties(lambda: s0.ass.mul_mt(x0, y0),
                              lambda: s1.ass.mul_mt(x1, y1))
@@ -191,11 +191,11 @@ def test_criterion_3_protocol_oracles():
         xv = rng.integers(0, p.modulus, length * count, dtype=np.uint64)
         yv = rng.integers(0, p.modulus, length * count, dtype=np.uint64)
         y0, y1 = ass.share(yv, p, rng)
-        m = ResourceManifest(bytes(16), p, vdp_lengths=(length,) * count)
+        m = ResourceManifest(bytes(16), p, vdp_blocks=((count, length),))
         s0, s1 = _sessions(m)
         z0, z1 = run_parties(
-            lambda: s0.ass.vdp(xv, y0, [length] * count),
-            lambda: s1.ass.vdp(None, y1, [length] * count),
+            lambda: s0.ass.vdp(xv, y0, length),
+            lambda: s1.ass.vdp(None, y1, length),
         )
         got = ass.reconstruct(z0, z1, p).astype(object)
         prods = (xv.astype(object) * yv.astype(object)) % p.modulus

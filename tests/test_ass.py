@@ -5,7 +5,7 @@ from conftest import deal, run_parties
 
 from hybrid2pc import ass, transport
 from hybrid2pc.ass import ArithShare, AssEngine, AssError
-from hybrid2pc.correlated import Exhausted, PartyMaterial, ResourceManifest, VdpShare
+from hybrid2pc.correlated import Exhausted, PartyMaterial, ResourceManifest
 from hybrid2pc.ring import RingParams
 
 L8 = RingParams(8)
@@ -147,8 +147,9 @@ def test_mul_da_trace_example(channels):
     zu = np.zeros(0, np.uint64)
 
     def mk(role, vec, scalar):
-        vdp = VdpShare((1,), np.array([vec], np.uint64), np.array([scalar], np.uint64))
-        return PartyMaterial(role, L8, zu, zu, zu, zeros, zeros, zeros, vdp=vdp)
+        return PartyMaterial(role, L8, zu, zu, zu, zeros, zeros, zeros,
+                             vdp_mask=[np.array([[vec]], np.uint64)],
+                             vdp_scalar=[np.array([scalar], np.uint64)])
 
     e0 = AssEngine(0, L8, c0, mk(0, 10, 7))
     e1 = AssEngine(1, L8, c1, mk(1, 20, 193))
@@ -163,7 +164,7 @@ def test_mul_da_trace_example(channels):
 
 
 def test_mul_da_exhaustive_l8(channels):
-    m = manifest(ring=L8, vdp_lengths=(1,) * (1 << 16))
+    m = manifest(ring=L8, vdp_blocks=((1 << 16, 1),))
     e0, e1 = engines(channels, m)
     xs = np.arange(256, dtype=np.uint64)
     x = np.repeat(xs, 256)
@@ -178,7 +179,7 @@ def test_mul_da_exhaustive_l8(channels):
 
 def test_mul_da_comm_half_of_mt(channels):
     c0, c1 = channels
-    m = manifest(vdp_lengths=(1,) * 1000)
+    m = manifest(vdp_blocks=((1000, 1),))
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(7)
     y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, rng)
@@ -194,14 +195,14 @@ def test_mul_da_comm_half_of_mt(channels):
 
 def test_vdp_matches_plaintext_oracle(channels):
     n, trials = 100, 10**4
-    m = manifest(vdp_lengths=(n,) * trials)
+    m = manifest(vdp_blocks=((trials, n),))
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(8)
     x = rng.integers(0, L32.modulus, trials * n, dtype=np.uint64)
     y = rng.integers(0, L32.modulus, trials * n, dtype=np.uint64)
     y0, y1 = ass.share(y, L32, rng)
     z0, z1 = run_parties(
-        lambda: e0.vdp(x, y0, [n] * trials), lambda: e1.vdp(None, y1, [n] * trials)
+        lambda: e0.vdp(x, y0, n), lambda: e1.vdp(None, y1, n)
     )
     got = ass.reconstruct(z0, z1, L32)
     mask = np.uint64(L32.mask)
@@ -241,10 +242,11 @@ def test_general_two_shared_operand_da_oracle():
 
 
 def test_vdp_length_mismatch_rejected(channels):
-    m = manifest(vdp_lengths=(3,))
+    m = manifest(vdp_blocks=((1, 3),))
     e0, e1 = engines(channels, m)
     with pytest.raises(AssError):
-        e0.vdp(np.zeros(4, np.uint64), ArithShare(np.zeros(4, np.uint64), 0), [4])
+        e0.vdp(np.zeros(4, np.uint64), ArithShare(np.zeros(4, np.uint64), 0), 4)
+    assert channels[0].ledger.messages() == 0
 
 
 def test_reveal_one_sided(channels):

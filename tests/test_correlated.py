@@ -80,25 +80,40 @@ def test_vdps_formula_example():
 
 
 def test_vdps_relation():
-    lengths = [1, 2, 100, 7]
-    v0, v1, a3 = cr.gen_vdps(SEED0, SEED1, lengths, L32)
+    blocks = [(1, 1), (1, 2), (1, 100), (1, 7)]
+    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, blocks, L32)
+    a2 = np.concatenate(a2)
     mask = np.uint64(L32.mask)
-    for i in range(len(lengths)):
-        dot = int(((v0.vec_for(i) * v1.vec_for(i)) & mask).sum() & mask)
-        assert (int(v0.scalar[i]) + int(a3[i])) % L32.modulus == dot
+    for i in range(len(blocks)):
+        dot = int(((v0[i] * v1[i]) & mask).sum() & mask)
+        assert (int(a2[i]) + int(a3[i])) % L32.modulus == dot
 
 
 def test_vdps_length_one_is_single_mult_shift():
-    v0, v1, a3 = cr.gen_vdps(SEED0, SEED1, [1], L32)
-    a0, a1 = int(v0.vec[0]), int(v1.vec[0])
-    assert (a0 * a1 - int(v0.scalar[0])) % L32.modulus == int(a3[0])
+    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, [(1, 1)], L32)
+    a0, a1 = int(v0[0][0, 0]), int(v1[0][0, 0])
+    assert (a0 * a1 - int(a2[0][0])) % L32.modulus == int(a3[0])
+
+
+def test_blocking_leaves_streams_and_corrections_unchanged():
+    # one block of 3 products and three blocks of 1 draw the same bytes
+    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, [(3, 5), (2, 1)], L32)
+    (w0, b2), w1, b3 = cr.gen_vdps(SEED0, SEED1, [(1, 5)] * 3 + [(1, 1)] * 2, L32)
+    assert [v.shape for v in v0] == [v.shape for v in v1] == [(3, 5), (2, 1)]
+    for whole, parts in ((v0, w0), (v1, w1), (a2, b2)):
+        assert np.array_equal(np.concatenate([v.ravel() for v in whole]),
+                              np.concatenate([v.ravel() for v in parts]))
+    assert np.array_equal(a3, b3)
+    mask = np.uint64(L32.mask)
+    dots = np.concatenate([(v * w).sum(axis=1) & mask for v, w in zip(v0, v1)])
+    assert np.array_equal((np.concatenate(a2) + a3) & mask, dots)
 
 
 def test_seed_symmetry_dealer_vs_party():
     # the dealer's locally expanded views and a party's own expansion are
     # byte-identical; hash both sides over 10^5 items of each kind
     m = manifest(num_amt=10**5, num_bmt=10**5, num_ot=10**5,
-                 vdp_lengths=(1,) * 10**5)
+                 vdp_blocks=((10**5, 1),))
 
     def digest(mat):
         h = hashlib.sha256()
@@ -107,7 +122,8 @@ def test_seed_symmetry_dealer_vs_party():
         for arr in (mat.ot_q, mat.ot_r, mat.ot_qr):
             if arr is not None:
                 h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(mat.vdp.vec.tobytes() + mat.vdp.scalar.tobytes())
+        for arr in mat.vdp_mask + mat.vdp_scalar:
+            h.update(arr.tobytes())
         return h.digest()
 
     assert digest(cr.expand_role0(SEED0, m)) == digest(cr.expand_role0(SEED0, m))
@@ -136,7 +152,7 @@ def test_stream_independence_across_resource_types():
 
 def test_correction_payload_sizes():
     # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT
-    m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, vdp_lengths=(3, 9))
+    m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, vdp_blocks=((1, 3), (1, 9)))
     corr = cr.compute_corrections(SEED0, SEED1, m)
     payload = corr.encode(L32)
     assert len(payload) == 1000 * 4 + 125 + 1000 * 16 + 2 * 4
@@ -148,15 +164,31 @@ def test_correction_payload_sizes():
 
 
 def test_manifest_roundtrip():
-    m = manifest(num_amt=5, num_bmt=6, num_ot=7, vdp_lengths=(1, 2, 3))
+    m = manifest(num_amt=5, num_bmt=6, num_ot=7, vdp_blocks=((1, 1), (1, 2), (1, 3)))
     assert cr.ResourceManifest.decode(m.session_id, m.encode()) == m
+
+
+def test_manifest_is_head_plus_one_pair_per_block():
+    m = manifest(num_ot=7, vdp_blocks=[(19600, 25), (2000, 980)])
+    payload = m.encode()
+    assert len(payload) == 27 + 2 * 8
+    assert np.frombuffer(payload[27:], "<u4").tolist() == [19600, 25, 2000, 980]
+    back = cr.ResourceManifest.decode(m.session_id, payload)
+    assert back == m and back.vdp_blocks == ((19600, 25), (2000, 980))
+    assert m.vdp_lengths == (25,) * 19600 + (980,) * 2000
+    for bad in (payload[:-1], payload + bytes(4), payload[:26],
+                payload[:27] + bytes(8), payload[:31] + bytes(4)):
+        with pytest.raises(ValueError):
+            cr.ResourceManifest.decode(m.session_id, bad)
 
 
 def test_manifest_validation():
     with pytest.raises(ValueError):
         cr.ResourceManifest(bytes(3), L32)
     with pytest.raises(ValueError):
-        manifest(vdp_lengths=(0,))
+        manifest(vdp_blocks=((1, 0),))
+    with pytest.raises(ValueError):
+        manifest(vdp_blocks=((0, 3),))
 
 
 # Digests of the normative expansion of a mixed manifest (ragged dot
@@ -165,10 +197,10 @@ def test_manifest_validation():
 # or the correction encoding must fail here.
 PINNED_MANIFEST = dict(
     num_amt=3001, num_bmt=1001, num_ot=3003,
-    vdp_lengths=tuple((7 * i) % 13 + 1 for i in range(2000)),
+    vdp_blocks=tuple((1, (7 * i) % 13 + 1) for i in range(2000)),
 )
 PINNED = {
-    "manifest": "0e8cccc5b845447a69e8e0f4297d352d6069f20ca1dc1ac407357b2bf3a0288b",
+    "manifest": "cfeeff0056a99bca99d9ac4ed73728d9b77d3a38ddabe40fc76e9d83b670845e",
     "role0": "3ca25ddce8887567cee5e6969e43e9a748b47aa763338a7849d1df6563e8ca57",
     "role1": "3c315de319a367ded18cf79323c4fd70d01c2e78bb841682ac74d50cfa6779a2",
     "corrections": "3ae9b449ee62a5dc49a84dd0fc18f6449a3351a940b018b93e6ada3f453a9415",
@@ -185,6 +217,11 @@ def _arrays_digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def _flat(blocks) -> np.ndarray:
+    """Per-block arrays as the one flat vector the digests were taken over."""
+    return np.concatenate([b.ravel() for b in blocks])
+
+
 def _pinned_digests() -> dict:
     m = manifest(**PINNED_MANIFEST)
     m0 = cr.expand_role0(SEED0, m)
@@ -193,9 +230,10 @@ def _pinned_digests() -> dict:
     return {
         "manifest": hashlib.sha256(m.encode()).hexdigest(),
         "role0": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m0.bmt_a, m0.bmt_b,
-                                m0.bmt_c, m0.ot_q, m0.vdp.vec, m0.vdp.scalar),
+                                m0.bmt_c, m0.ot_q, _flat(m0.vdp_mask),
+                                _flat(m0.vdp_scalar)),
         "role1": _arrays_digest(m1.amt_a, m1.amt_b, m1.bmt_a, m1.bmt_b, m1.ot_r,
-                                m1.vdp.vec),
+                                _flat(m1.vdp_mask)),
         "corrections": _arrays_digest(corr.c1_amt, corr.c1_bmt, corr.qr, corr.a3),
         "bundle1": hashlib.sha256(
             bytes(CorrelatedBundle(1, SEED1, corr).encode(m.ring))).hexdigest(),
@@ -221,7 +259,9 @@ def _draw_bmt(mat, ch):
 
 
 def _draw_vdp(mat, ch):
-    AssEngine(1, L32, ch, mat).vdp(None, ArithShare(np.zeros(3, np.uint64), 1), [2, 1])
+    e = AssEngine(1, L32, ch, mat)
+    e.vdp_masks.take(1)  # the one dealt block
+    e.vdp(None, ArithShare(np.zeros(2, np.uint64), 1), 2)
 
 
 def _draw_ot_sender(mat, ch):
@@ -236,7 +276,7 @@ def _draw_ot_receiver(mat, ch):
 OVERDRAWS = {
     "amt": (dict(num_amt=2), 0, _draw_amt),
     "bmt": (dict(num_bmt=7), 1, _draw_bmt),
-    "vdp": (dict(vdp_lengths=(2,)), 1, _draw_vdp),
+    "vdp": (dict(vdp_blocks=((1, 2),)), 1, _draw_vdp),
     "ot-sender": (dict(num_ot=4), 0, _draw_ot_sender),
     "ot-receiver": (dict(num_ot=4), 1, _draw_ot_receiver),
 }
@@ -273,7 +313,7 @@ def test_supply_is_single_use():
 
 def test_leftovers_name_every_supply():
     # the manifest deals one item more of each resource than the run draws
-    m = manifest(num_amt=3, num_bmt=9, num_ot=5, vdp_lengths=(2, 1))
+    m = manifest(num_amt=3, num_bmt=9, num_ot=5, vdp_blocks=((1, 2), (1, 1)))
     lc = cc.levelize(cc.build_bitand(8))
     chans = channel_pair()
     sessions = [PartySession(r, m, mat, ch)
@@ -288,7 +328,7 @@ def test_leftovers_name_every_supply():
             se.ot.send(np.zeros((4, 16), np.uint8), np.ones((4, 16), np.uint8), 128)
         else:
             se.ot.recv(np.zeros(4, np.uint8), 128)
-        se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), [2])
+        se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), 2)
 
     try:
         run_parties(lambda: run(sessions[0]), lambda: run(sessions[1]))

@@ -123,6 +123,17 @@ def test_mnist_architecture_dimensions():
     assert m.vdp_lengths[1080:] == (100,) * 10
 
 
+def test_mnist_plan_is_one_block_per_linear_layer():
+    net = ml.mnist_like_net(np.random.default_rng(4), P32)
+    m = ml.plan_nn_manifest(net, P32, 20, ml.LAN, bytes(16))
+    assert m.vdp_blocks == ((19600, 25), (2000, 980), (200, 100))
+    assert len(m.encode()) == 27 + 8 * 3
+    assert (m.num_ot, m.num_bmt) == (1388800, 669600)
+    m = ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16))
+    assert m.vdp_blocks == ((980, 25), (100, 980), (10, 100))
+    assert (m.num_ot, m.num_bmt) == (69440, 0)
+
+
 def test_empty_net_zero_manifest():
     net = ml.NetSpec((1, 2, 2), [])
     m = ml.plan_nn_manifest(net, P32, 5, ml.LAN, bytes(16))

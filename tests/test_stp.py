@@ -1,4 +1,5 @@
 import secrets
+import struct
 import threading
 
 import numpy as np
@@ -49,7 +50,7 @@ def manifest(**kw):
 def test_bundles_satisfy_relations(server):
     sid = secrets.token_bytes(16)
     m = manifest(session_id=sid, num_amt=500, num_bmt=300, num_ot=200,
-                 vdp_lengths=(4, 4, 9))
+                 vdp_blocks=((2, 4), (1, 9)))
     (b0, b1), errs, _ = fetch_both(server, {0: m, 1: m})
     assert errs == [None, None]
     assert b0.seed != b1.seed
@@ -62,9 +63,10 @@ def test_bundles_satisfy_relations(server):
     )
     chosen = np.where(m1.ot_r[:, None].astype(bool), m0.ot_q[:, 1], m0.ot_q[:, 0])
     assert np.array_equal(chosen, m1.ot_qr)
-    for i in range(3):
-        dot = int(((m0.vdp.vec_for(i) * m1.vdp.vec_for(i)) & mask).sum() & mask)
-        assert (int(m0.vdp.scalar[i]) + int(m1.vdp.scalar[i])) % L32.modulus == dot
+    assert [v.shape for v in m1.vdp_mask] == [(2, 4), (1, 9)]
+    for v0, v1, a2, a3 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar, m1.vdp_scalar):
+        dot = ((v0 * v1) & mask).sum(axis=1) & mask
+        assert np.array_equal((a2 + a3) & mask, dot)
 
 
 def test_manifest_mismatch_rejected(server):
@@ -167,6 +169,31 @@ def test_online_traffic_refused(server):
     with pytest.raises(RemoteError):
         chan.recv_expect(transport.BUNDLE)
     chan.close()
+
+
+_BLOCKS = manifest(session_id=bytes(16), num_amt=1, vdp_blocks=((2, 3),)).encode()
+MALFORMED = {
+    "short-head": _BLOCKS[:26],
+    "partial-pair": _BLOCKS[:-1],
+    "extra-half-pair": _BLOCKS + bytes(4),
+    "zero-products": _BLOCKS[:27] + struct.pack("<2I", 0, 3),
+    "zero-length": _BLOCKS[:27] + struct.pack("<2I", 2, 0),
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_block_manifest_rejected(server, payload):
+    # a payload that is not the head plus whole (products, length) pairs,
+    # or that names an empty block, is refused before any session starts
+    chan = transport.Channel(transport.tcp_connect(*server.address),
+                             secrets.token_bytes(16))
+    try:
+        chan.send(transport.MANIFEST, bytes([0]) + payload)
+        with pytest.raises(RemoteError) as ei:
+            chan.recv_expect(transport.BUNDLE)
+        assert ei.value.code == "MALFORMED_MANIFEST"
+    finally:
+        chan.close()
 
 
 def test_handler_threads_pruned():
