@@ -19,8 +19,9 @@ stage_circuit() compiles the protocol's garbled stages: per-value share
 adders, a free fixed-point shift, then a stage body (relu, max, argmax,
 sign), each body a Builder word method that the library builders share.
 It, build_relu and build_max_tree (the GMW stages) are cached per
-process with functools.cache, so each stage netlist is built, and
-levelized through Circuit.levelized, once.
+process with functools.cache, keyed on normalised arguments, so each
+stage netlist is built, and levelized through Circuit.levelized, once
+however its arguments are spelled.
 
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
@@ -588,9 +589,14 @@ def build_bitxor(w: int, variant: str = SIZE) -> Circuit:
     return b.build()
 
 
-@functools.cache
 def build_relu(w: int, variant: str = SIZE) -> Circuit:
-    """x if x > 0 else 0; one AND level deep."""
+    """x if x > 0 else 0; one AND level deep. Both variants are the same
+    netlist, so they share one cache entry."""
+    return _relu(int(w))
+
+
+@functools.cache
+def _relu(w: int) -> Circuit:
     _check_width(w)
     b = Builder(f"relu{w}")
     b.outputs = b.relu_word(b.inputs(0, w))
@@ -621,9 +627,13 @@ def build_argmax(n: int, w: int, variant: str = SIZE) -> Circuit:
     return b.build()
 
 
-@functools.cache
 def build_max_tree(n: int, w: int, variant: str = SIZE) -> Circuit:
     """Signed maximum of n w-bit values (pooling helper)."""
+    return _max_tree(int(n), int(w), variant)
+
+
+@functools.cache
+def _max_tree(n: int, w: int, variant: str) -> Circuit:
     _check_width(w)
     b = Builder(f"max{n}x{w}_{variant}")
     flat = b.inputs(0, n * w)

@@ -1,11 +1,12 @@
 """Share-type conversions between additive, Boolean, and garbled sharings.
 
-Routes follow the cheapest-composition rule: the garbled<->Boolean hop is
-free (label LSBs), so a2b goes through the garbled domain (a2y then y2b)
-and y2a through the Boolean one (y2b then b2a). a2y runs the garbled
-"identity" stage of circuits.stage_circuit: a share adder, with the
-pending fixed-point shift as free rewiring. The two OT-based conversions
-are:
+Every conversion lives here; gc only garbles and evaluates. Routes follow
+the cheapest-composition rule: the garbled<->Boolean hop is free (label
+LSBs), so a2b goes through the garbled domain (a2y then y2b) and y2a
+through the Boolean one (y2b then b2a). a2y runs the garbled "identity"
+stage of circuits.stage_circuit as one GcSession.run: a share adder, with
+the pending fixed-point shift as free rewiring. The two OT-based
+conversions are:
 
   b2y  one 128-bit OT per bit, messages (Y0 ^ s0*R, Y0 ^ (1-s0)*R)
   b2a  one l-bit OT per bit j, messages ((s0_j ^ b) * 2^j - r_j) mod 2^l
@@ -37,11 +38,20 @@ def a2y(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> YaoShare
 
 def y2b(gc: GcSession, ys: YaoShare) -> BoolShare:
     """Free: both sides keep their label LSBs (LSB(R) = 1)."""
-    return BoolShare(gc.y2b(ys), gc.role)
+    return BoolShare(ys.lsb_bits(), gc.role)
 
 
 def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
-    return gc.b2y(bs.bits)
+    """Boolean -> garbled via one 128-bit OT per bit; the garbler draws
+    zero labels Y0, the evaluator ends up holding Y0 ^ (s0 ^ s1)*R."""
+    bits = bs.bits
+    if gc.role == 0:
+        y0 = gc.rng.integers(0, 256, size=bits.shape + (16,), dtype=np.uint8)
+        m0 = y0.reshape(-1, 16) ^ bits.reshape(-1, 1) * gc.R
+        gc.ot.send(m0, m0 ^ gc.R, 128)
+        return YaoShare(y0, 0)
+    got = gc.ot.recv(bits.reshape(-1), 128)
+    return YaoShare(got.reshape(bits.shape + (16,)), 1)
 
 
 def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,

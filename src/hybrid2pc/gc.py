@@ -20,8 +20,13 @@ pair. garble and evaluate walk the circuit's cached layered schedule
 (circuits.run_spans): a layer of independent XOR and NOT gates is one XOR
 over fancy-indexed rows, NOT reading a row that holds R (garbler) or 0
 (evaluator). Each AND level hashes all its half-gate inputs in one AES
-call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R. The
-tables of one cycle are written into one preallocated buffer.
+call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R.
+
+A run has one data shape from garbler to evaluator: the labels of each
+input group are one (width, ninst, 16) array, and every cycle's tables
+are written, in order, into one preallocated buffer that GcSession sends
+as one GC_TABLES frame. The conversions into and out of the garbled
+domain live in convert.
 """
 
 from __future__ import annotations
@@ -127,15 +132,11 @@ def tweak_span(c: Circuit, cycles: int, ninst: int) -> int:
 
 @dataclass
 class YaoShare:
-    """Per-wire garbled-circuit sharing: zero labels (garbler) or active
-    labels (evaluator), shape (instances, width, 16)."""
+    """Garbled sharing: zero labels (garbler) or active labels
+    (evaluator), shape (instances, width, 16)."""
 
     labels: np.ndarray
     role: int
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
     def lsb_bits(self) -> np.ndarray:
         return _lsb(self.labels)
@@ -143,56 +144,53 @@ class YaoShare:
 
 @dataclass
 class Garbling:
-    tables: list[bytearray]  # one chunk per cycle
-    in_zero: dict[int, np.ndarray]  # input wire -> (ninst, 16) zero label
-    reg_zero: dict[int, np.ndarray]  # cycle-0 q wire -> zero label
+    tables: bytearray  # every cycle's tables, in cycle order
+    in_zero: np.ndarray  # (len(inputs0) + len(inputs1), ninst, 16), inputs0 first
+    reg_zero: np.ndarray  # (nregs, ninst, 16) cycle-0 q zero labels
     out_zero: np.ndarray  # (nout, ninst, 16) final-cycle zero labels
     decode: np.ndarray  # (nout, ninst) decode bits
-    num_and: int
 
 
-def _table_words(c: Circuit, cyc: int, ninst: int) -> int:
-    """u64 words of cycle cyc's tables: two ciphertexts per AND gate and,
-    after cycle 0, two per register, for every instance."""
-    nregs = len(c.registers) if cyc else 0
-    return 4 * (c.num_and + nregs) * ninst
+def _table_bytes(c: Circuit, cycles: int, ninst: int) -> int:
+    """Bytes of a run's tables: two ciphertexts per AND gate per cycle and,
+    after cycle 0, two per register per cycle, for every instance."""
+    return 32 * (c.num_and * cycles + len(c.registers) * (cycles - 1)) * ninst
 
 
 def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
-           ninst: int = 1, preset: dict[int, np.ndarray] | None = None,
-           tweak: int = 0) -> Garbling:
+           ninst: int = 1, preset=None, tweak: int = 0) -> Garbling:
     """Garble ninst instances of the circuit; deterministic given rng.
 
-    tweak is the first tweak counter; the run uses tweak_span() of them.
+    preset holds, per input group, a (width, ninst, 16) array of zero
+    labels to use, or None to draw fresh ones. tweak is the first tweak
+    counter; the run uses tweak_span() of them.
     """
     lc = c.levelized
-    preset = preset or {}
     R64 = R.view(_U64)
     rR = _rotl1(R64)
     zero = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)
     zero8 = zero.view(np.uint8)
     zero[c.nwires] = R64  # NOT a == a ^ R
-    inputs = [*c.inputs0, *c.inputs1]
-    drawn = [w for w in inputs if w not in preset]
+    groups = (list(c.inputs0), list(c.inputs1))
+    preset = preset or (None, None)
+    drawn = [w for ws, pre in zip(groups, preset) if pre is None for w in ws]
     if drawn:
         zero8[drawn] = _fresh(rng, (len(drawn), ninst))
-    for w in inputs:
-        if w in preset:
-            zero8[w] = preset[w]
-    in_zero = {w: zero8[w].copy() for w in inputs}
+    for ws, pre in zip(groups, preset):
+        if pre is not None:
+            zero8[ws] = pre
+    in_zero = zero8[groups[0] + groups[1]]
     reg_q = [r.q for r in c.registers]
     reg_d = [r.d for r in c.registers]
     nregs = len(reg_q)
     if nregs:
         # q labels are re-randomised every cycle; keep the cycle-0 pair
         zero8[reg_q] = _fresh(rng, (nregs, ninst))
-    reg_zero = {q: zero8[q].copy() for q in reg_q}
-    ngates = c.num_gates
-    tables = []
+    reg_zero = zero8[reg_q]
+    tables = bytearray(_table_bytes(c, cycles, ninst))
+    table = np.frombuffer(tables, dtype=_U64)
+    pos = 0
     for cyc in range(cycles):
-        buf = bytearray(8 * _table_words(c, cyc, ninst))
-        table = np.frombuffer(buf, dtype=_U64)
-        pos = 0
         if cyc and nregs:
             # register translation: fresh q labels keyed by old d labels
             old = zero[reg_d]  # (nregs, ninst, 2)
@@ -206,12 +204,12 @@ def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
             row_a = h0 ^ fresh_q  # goes to slot lsb(O0)
             row_b = h1 ^ fresh_q ^ R64  # goes to slot lsb(O1) = 1 - lsb(O0)
             swap = (row_a ^ row_b) & _sel(old)
-            pos = 4 * nregs * ninst
-            rows = table[:pos].reshape(nregs, ninst, 2, 2)
+            rows = table[pos : pos + 4 * nregs * ninst].reshape(nregs, ninst, 2, 2)
+            pos += 4 * nregs * ninst
             np.bitwise_xor(row_a, swap, out=rows[:, :, 0])
             np.bitwise_xor(row_b, swap, out=rows[:, :, 1])
             zero[reg_q] = fresh_q
-        base = tweak + cyc * ngates * ninst
+        base = tweak + cyc * c.num_gates * ninst
 
         def garble_and(span, A0, B0):
             nonlocal pos
@@ -238,49 +236,44 @@ def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
             return ha0
 
         run_spans(lc, zero, garble_and)
-        tables.append(buf)
     out_zero = zero8[list(c.outputs)]
     decode = _lsb(out_zero)
     for k, w in enumerate(c.outputs):
         if w in (CONST0, CONST1):
             decode[k] = w  # carries the public value itself
-    return Garbling(tables, in_zero, reg_zero, out_zero, decode,
-                    c.num_and * cycles)
+    return Garbling(tables, in_zero, reg_zero, out_zero, decode)
 
 
-def evaluate(c: Circuit, cycles: int, tables: list, active_in: dict[int, np.ndarray],
-             reg_active: dict[int, np.ndarray], ninst: int = 1,
-             tweak: int = 0) -> np.ndarray:
+def evaluate(c: Circuit, cycles: int, tables, active_in: np.ndarray,
+             reg_active: np.ndarray, ninst: int = 1, tweak: int = 0) -> np.ndarray:
     """Walk the garbling with active labels; returns (nout, ninst, 16).
 
+    active_in and reg_active are shaped as Garbling.in_zero and reg_zero;
     tweak must equal the garbler's.
     """
+    if len(tables) != _table_bytes(c, cycles, ninst):
+        raise GcError("table buffer length mismatch")
     lc = c.levelized
     act = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)  # NOT row stays 0
     act8 = act.view(np.uint8)
-    for w in (*c.inputs0, *c.inputs1):
-        act8[w] = active_in[w]
+    act8[[*c.inputs0, *c.inputs1]] = active_in
     reg_q = [r.q for r in c.registers]
     reg_d = [r.d for r in c.registers]
     nregs = len(reg_q)
-    for q in reg_q:
-        act8[q] = reg_active[q]
-    ngates = c.num_gates
+    act8[reg_q] = reg_active
+    table = np.frombuffer(tables, dtype=_U64)
+    pos = 0
     for cyc in range(cycles):
-        if len(tables[cyc]) != 8 * _table_words(c, cyc, ninst):
-            raise GcError("table chunk length mismatch")
-        table = np.frombuffer(tables[cyc], dtype=_U64)
-        pos = 0
         if cyc and nregs:
             old = act[reg_d]
-            pos = 4 * nregs * ninst
-            rows = table[:pos].reshape(nregs, ninst, 2, 2)
+            rows = table[pos : pos + 4 * nregs * ninst].reshape(nregs, ninst, 2, 2)
+            pos += 4 * nregs * ninst
             blk = _rotl1(old)[None]
             (h,) = _hash(blk, _ids(np.arange(nregs), ninst,
                                    tweak + (cyc - 1) * nregs * ninst), (_SLOT_REG,))
             sel = _sel(old)
             act[reg_q] = h ^ rows[:, :, 0] ^ ((rows[:, :, 0] ^ rows[:, :, 1]) & sel)
-        base = tweak + cyc * ngates * ninst
+        base = tweak + cyc * c.num_gates * ninst
 
         def evaluate_and(span, Aa, Ba):
             nonlocal pos
@@ -306,9 +299,10 @@ class GcSession:
     """One party's garbling context over a channel; role 0 garbles.
 
     A single free-XOR offset R spans the session, so labels produced by
-    b2y or retained from an earlier run() feed later circuits directly.
-    The tweak base likewise spans the session: both roles advance it by
-    tweak_span() after every run, so no (label, tweak) pair repeats.
+    convert.b2y or retained from an earlier run() feed later circuits
+    directly. The tweak base likewise spans the session: both roles
+    advance it by tweak_span() after every run, so no (label, tweak) pair
+    repeats.
     """
 
     def __init__(self, role: int, channel: Channel,
@@ -321,48 +315,23 @@ class GcSession:
         self.R = new_offset(self.rng) if role == 0 else None
         self.tweak = 0
 
-    # ----- input sharings -----
-
-    def b2y(self, bool_bits: np.ndarray) -> YaoShare:
-        """Boolean shares -> garbled sharing, one OT per bit.
-
-        Garbler passes its share bits; evaluator its own. Messages are
-        (Y0 ^ share0*R, Y0 ^ (1-share0)*R); the evaluator selects with
-        its share and ends up holding Y0 ^ x*R.
-        """
-        bits = np.atleast_2d(np.asarray(bool_bits, dtype=np.uint8))
-        ninst, w = bits.shape
-        if self.role == 0:
-            y0 = _fresh(self.rng, (ninst, w))
-            flat = y0.reshape(-1, 16)
-            offs = _mask16(bits.reshape(-1), self.R)
-            self.ot.send(flat ^ offs, flat ^ offs ^ self.R, 128)
-            return YaoShare(y0, 0)
-        got = self.ot.recv(bits.reshape(-1), 128)
-        return YaoShare(got.reshape(ninst, w, 16), 1)
-
-    def y2b(self, ys: YaoShare) -> np.ndarray:
-        """Garbled -> Boolean shares; free (label LSBs), zero bytes."""
-        return ys.lsb_bits().copy()
-
-    # ----- circuit execution -----
-
     def run(self, c: Circuit, bind0, bind1, cycles: int = 1, ninst: int = 1,
             decode: str = "evaluator"):
         """Garble/evaluate one circuit.
 
         bind0/bind1 describe how each input group gets its labels:
-          ("bits", arr)  owner-known bits; garbler passes role-0 bits and
-                         receives role-1 choices via OT, so the garbler
-                         passes arr=None for bind1 and the evaluator
-                         arr=None for bind0
+          ("bits", arr)  owner-known bits, shape (ninst, width); garbler
+                         passes role-0 bits and receives role-1 choices
+                         via OT, so the garbler passes arr=None for bind1
+                         and the evaluator arr=None for bind0
           ("yao", ys)    labels retained from b2y or an earlier run
           None           empty group
         decode: "evaluator", "both", or "none" (keep labels for y2b).
         Returns decoded bits (nout, ninst) or a YaoShare when "none".
         """
+        kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
         run = self._run_garbler if self.role == 0 else self._run_evaluator
-        out = run(c, bind0, bind1, cycles, ninst, decode)
+        out = run(c, kinds, vals, cycles, ninst, decode)
         self.tweak += tweak_span(c, cycles, ninst)
         return out
 
@@ -373,36 +342,26 @@ class GcSession:
         binds = (mine, theirs) if self.role == 0 else (theirs, mine)
         return self.run(c, *binds, ninst=ninst, decode=decode)
 
-    def _run_garbler(self, c, bind0, bind1, cycles, ninst, decode):
-        preset = {}
-        kind1, val1 = bind1 if bind1 else (None, None)
-        if kind1 == "yao":
-            for k, w in enumerate(c.inputs1):
-                preset[w] = val1.labels[:, k]
-        kind0, val0 = bind0 if bind0 else (None, None)
-        if kind0 == "yao":
-            for k, w in enumerate(c.inputs0):
-                preset[w] = val0.labels[:, k]
+    def _run_garbler(self, c, kinds, vals, cycles, ninst, decode):
+        preset = [np.swapaxes(v.labels, 0, 1) if k == "yao" else None
+                  for k, v in zip(kinds, vals)]
         g = garble(c, cycles, self.rng, self.R, ninst, preset, self.tweak)
-        for chunk in g.tables:
-            self.channel.send(transport.GC_TABLES, len(g.tables).to_bytes(4, "little") + chunk)
-        # active labels for garbler-known bits and register initials
-        known = []
-        if kind0 == "bits" and c.inputs0:
-            bits = np.atleast_2d(np.asarray(val0, np.uint8))
-            z = np.stack([g.in_zero[w] for w in c.inputs0])
-            known.append((z ^ _mask16(bits.T, self.R)).reshape(-1, 16))
-        for r in c.registers:
-            z = g.reg_zero[r.q]
-            known.append(z ^ self.R if r.init else z)
-        if known:
-            self.channel.send(transport.GC_INLABELS, np.concatenate(known).tobytes())
-        if kind1 == "bits" and c.inputs1:
+        self.channel.send(transport.GC_TABLES, g.tables)
+        # active labels for garbler-known bits, then register initials
+        k0 = len(c.inputs0) if kinds[0] == "bits" else 0
+        known = np.concatenate((g.in_zero[:k0], g.reg_zero))
+        if k0:
+            known[:k0] ^= _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
+        init = np.array([r.init for r in c.registers], np.uint8)
+        known[k0:] ^= _mask16(init[:, None], self.R)
+        if len(known):
+            self.channel.send(transport.GC_INLABELS, known)
+        if kinds[1] == "bits" and c.inputs1:
             # wire-major flattening, mirrored by the evaluator's choices
-            m0 = np.stack([g.in_zero[w] for w in c.inputs1], axis=0).reshape(-1, 16)
+            m0 = g.in_zero[len(c.inputs0):].reshape(-1, 16)
             self.ot.send(m0, m0 ^ self.R, 128)
         if decode == "none":
-            return YaoShare(np.transpose(g.out_zero, (1, 0, 2)), 0)
+            return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
         payload = np.packbits(g.decode, bitorder="little").tobytes()
         self.channel.send(transport.GC_DECODE, payload)
         if decode == "both":
@@ -411,45 +370,25 @@ class GcSession:
             return bits[: g.decode.size].reshape(g.decode.shape)
         return None
 
-    def _run_evaluator(self, c, bind0, bind1, cycles, ninst, decode):
-        tables = []
-        total = None
-        while total is None or len(tables) < total:
-            raw = self.channel.recv_expect(transport.GC_TABLES)
-            total = int.from_bytes(raw[:4], "little")
-            tables.append(memoryview(raw)[4:])
-        active = {}
-        kind0, val0 = bind0 if bind0 else (None, None)
-        kind1, val1 = bind1 if bind1 else (None, None)
-        if kind0 == "yao":
-            for k, w in enumerate(c.inputs0):
-                active[w] = val0.labels[:, k]
-        if kind1 == "yao":
-            for k, w in enumerate(c.inputs1):
-                active[w] = val1.labels[:, k]
-        reg_active = {}
-        expect_known = (len(c.inputs0) if kind0 == "bits" else 0) + len(c.registers)
-        if expect_known:
-            raw = self.channel.recv_expect(transport.GC_INLABELS)
-            blocks = np.frombuffer(raw, np.uint8).reshape(expect_known, ninst, 16)
-            j = 0
-            if kind0 == "bits":
-                for w in c.inputs0:
-                    active[w] = blocks[j]
-                    j += 1
-            for r in c.registers:
-                reg_active[r.q] = blocks[j]
-                j += 1
-        if kind1 == "bits" and c.inputs1:
-            bits = np.atleast_2d(np.asarray(val1, np.uint8))
-            got = self.ot.recv(
-                np.ascontiguousarray(bits.T).reshape(-1), 128
-            ).reshape(len(c.inputs1), ninst, 16)
-            for k, w in enumerate(c.inputs1):
-                active[w] = got[k]
-        out_active = evaluate(c, cycles, tables, active, reg_active, ninst, self.tweak)
+    def _run_evaluator(self, c, kinds, vals, cycles, ninst, decode):
+        tables = self.channel.recv_expect(transport.GC_TABLES)
+        n0, n1 = len(c.inputs0), len(c.inputs1)
+        active = np.empty((n0 + n1, ninst, 16), np.uint8)
+        for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
+            if kind == "yao":
+                active[rows] = np.swapaxes(val.labels, 0, 1)
+        k0 = n0 if kinds[0] == "bits" else 0
+        shape = (k0 + len(c.registers), ninst, 16)
+        raw = self.channel.recv_expect(transport.GC_INLABELS) if shape[0] else b""
+        known = np.frombuffer(raw, np.uint8).reshape(shape)
+        active[:k0] = known[:k0]
+        if kinds[1] == "bits" and n1:
+            bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
+            got = self.ot.recv(np.ascontiguousarray(bits.T).reshape(-1), 128)
+            active[n0:] = got.reshape(n1, ninst, 16)
+        out_active = evaluate(c, cycles, tables, active, known[k0:], ninst, self.tweak)
         if decode == "none":
-            return YaoShare(np.transpose(out_active, (1, 0, 2)), 1)
+            return YaoShare(np.swapaxes(out_active, 0, 1), 1)
         raw = self.channel.recv_expect(transport.GC_DECODE)
         dec = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
         nout = len(c.outputs)

@@ -18,6 +18,7 @@ identical schedule, so secure and plain results agree bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -478,7 +479,9 @@ def _read_array(buf, pos):
     pos += 1
     shape = struct.unpack_from(f"<{ndim}I", buf, pos)
     pos += 4 * ndim
-    n = int(np.prod(shape)) if ndim else 1
+    n = math.prod(shape)
+    if pos + 8 * n > len(buf):
+        raise MlError("truncated weight file")
     arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(shape)
     return arr.copy(), pos + 8 * n
 
@@ -504,11 +507,31 @@ def save_net(path: str, net: NetSpec, p: RingParams):
 
 
 def load_net(path: str) -> tuple[NetSpec, RingParams]:
-    """Reads a weight file; quantisation errors surface as OverflowError."""
+    """Reads a weight file. A malformed or truncated file, or weights
+    whose shape disagrees with their layer, raise MlError; quantisation
+    errors surface as OverflowError."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:8] != _NET_MAGIC:
         raise MlError("not a network weight file")
+    try:
+        net, p = _parse_net(buf)
+    except struct.error:
+        raise MlError("truncated weight file") from None
+    for layer, in_shape, _ in _walk(net):
+        if isinstance(layer, Conv):
+            want = (layer.maps, in_shape[0], layer.kernel, layer.kernel)
+        elif isinstance(layer, FC):
+            want = (layer.dout, layer.din)
+        else:
+            continue
+        if layer.weights.shape != want:
+            raise MlError(f"{type(layer).__name__} weights have shape "
+                          f"{layer.weights.shape}, the layer needs {want}")
+    return net, p
+
+
+def _parse_net(buf: bytes) -> tuple[NetSpec, RingParams]:
     l, alpha, beta = struct.unpack_from("<3B", buf, 8)
     p = RingParams(l, alpha, beta)
     shape = struct.unpack_from("<3I", buf, 11)

@@ -1,10 +1,11 @@
 """Framed point-to-point channels with per-phase byte accounting.
 
 Wire format, little-endian: u32 payload length | u8 message type |
-16-byte session id | payload. Some message types lead the payload with a
-small fixed sync header (e.g. the GMW level index); the ledger books those
-bytes as framing, not protocol payload, so that ledger values stay
-directly comparable to the protocol's closed-form bit counts.
+16-byte session id | payload. GMW_DE alone leads its payload with a small
+fixed sync header (the GMW level index); the ledger books those bytes as
+framing, not protocol payload, so that ledger values stay directly
+comparable to the protocol's closed-form bit counts. A garbled run's
+tables cross as one GC_TABLES frame with no header of their own.
 
 Frames are not copied on their way through: send hands the header and
 the payload to one scatter-gather sendmsg, and a received payload is the
@@ -49,7 +50,7 @@ OFFLINE = "offline"
 ONLINE = "online"
 
 # Leading sync-header bytes per message type, booked as framing.
-_META_BYTES = {GMW_DE: 4, GC_TABLES: 4}
+_META_BYTES = {GMW_DE: 4}
 
 
 class TransportError(Exception):

@@ -41,8 +41,10 @@ def test_probe_entry_points_keep_their_signatures(owner, name, params):
 
 # Data that perfbench reads, beyond calls: spans._dealt reads a manifest's
 # vdp_lengths, num_ot and num_bmt; Probe.gmw_eval iterates a levelized
-# circuit's schedule as (locals, ands) pairs; the b2a counter reads
-# BoolShare.bits. A rename would zero those metrics silently.
+# circuit's schedule as (locals, ands) pairs; Probe.gc_run reads a
+# circuit's num_and and len(registers) for its GC_TABLES byte check; the
+# b2a counter reads BoolShare.bits. A rename would zero those metrics
+# silently.
 
 
 def test_manifest_exposes_dealt_counts():
@@ -56,6 +58,11 @@ def test_levelized_schedule_yields_locals_and_ands():
     pairs = [(len(locals_), len(ands)) for locals_, ands in lc.schedule]
     assert sum(ands for _, ands in pairs) == lc.num_and
     assert sum(1 for _, ands in pairs if ands) == lc.depth
+
+
+def test_circuit_exposes_and_count_and_registers():
+    c = circuits.build_counter(4)
+    assert (c.num_and, len(c.registers)) == (2, 4)
 
 
 def test_bool_share_exposes_bits():

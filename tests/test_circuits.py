@@ -366,3 +366,10 @@ def test_protocol_circuits_built_once():
     assert cc._stage_circuit.cache_info().currsize == before + 1
     assert cc.build_relu(32) is cc.build_relu(32)
     assert cc.build_max_tree(4, 32, cc.DEPTH) is cc.build_max_tree(4, 32, cc.DEPTH)
+    # relu has one netlist for both variants; defaults and numpy ints
+    # spell the same key
+    relu = cc.build_relu(32)
+    assert relu is cc.build_relu(32, cc.SIZE) is cc.build_by_name("relu", 32, cc.DEPTH)
+    assert relu is cc.build_relu(np.int64(32))
+    tree = cc.build_max_tree(4, 32)
+    assert tree is cc.build_max_tree(4, 32, cc.SIZE) is cc.build_max_tree(np.int64(4), 32)

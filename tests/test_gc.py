@@ -57,7 +57,7 @@ def test_and_truth_table(channels):
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
     g = garble(cc.build_bitxor(16), 1, rng, new_offset(rng), ninst=4)
-    assert all(len(t) == 0 for t in g.tables)
+    assert len(g.tables) == 0
 
 
 def test_table_bytes_exact():
@@ -65,7 +65,7 @@ def test_table_bytes_exact():
     for circ in (cc.build_add(32, "size"), cc.build_cmp(16, "depth")):
         for ninst in (1, 7):
             g = garble(circ, 1, rng, new_offset(rng), ninst=ninst)
-            assert sum(len(t) for t in g.tables) == 32 * circ.num_and * ninst
+            assert len(g.tables) == 32 * circ.num_and * ninst
 
 
 def test_garble_determinism():
@@ -74,7 +74,7 @@ def test_garble_determinism():
     for _ in range(2):
         rng = np.random.default_rng(42)
         g = garble(c, 1, rng, new_offset(rng), ninst=3)
-        runs.append((b"".join(g.tables), g.decode.tobytes()))
+        runs.append((bytes(g.tables), g.decode.tobytes()))
     assert runs[0] == runs[1]
 
 
@@ -140,9 +140,24 @@ def test_decode_policy_both(channels):
 
 def test_sequential_counter_over_channel(channels):
     circ = cc.build_counter(8)
-    _, out = run_circuit(channels, circ, np.zeros((2, 0), np.uint8),
-                         np.zeros((2, 0), np.uint8), cycles=6)
+    cycles, ninst = 6, 2
+    _, out = run_circuit(channels, circ, np.zeros((ninst, 0), np.uint8),
+                         np.zeros((ninst, 0), np.uint8), cycles=cycles)
     assert np.array_equal(from_bits(out), [6, 6])
+    # every cycle's tables and register translations cross as one frame
+    led = channels[0].ledger
+    assert led.messages(msg_type=transport.GC_TABLES, direction="sent") == 1
+    nregs = len(circ.registers)
+    assert led.payload_bytes(msg_type=transport.GC_TABLES, direction="sent") == (
+        32 * (circ.num_and * cycles + nregs * (cycles - 1)) * ninst)
+
+
+def test_short_table_buffer_rejected():
+    circ = cc.build_counter(4)
+    rng = np.random.default_rng(9)
+    g = garble(circ, 3, rng, new_offset(rng), ninst=2)
+    with pytest.raises(gc_mod.GcError):
+        evaluate(circ, 3, g.tables[:-8], g.in_zero, g.reg_zero, 2)
 
 
 def test_identity_passthrough(channels):
@@ -163,7 +178,7 @@ def test_label_hygiene_permute_bits_balanced():
         rng = np.random.default_rng(seed)
         R = new_offset(rng)
         g = garble(c, 1, rng, R, ninst=1)
-        lsbs.append(int(g.in_zero[c.inputs0[0]][0, 0] & 1))
+        lsbs.append(int(g.in_zero[0, 0, 0] & 1))
     ones = sum(lsbs)
     assert 60 <= ones <= 140  # ~Binomial(200, 1/2), far beyond 6 sigma
 
@@ -213,9 +228,8 @@ def _garble_digest(jobs) -> str:
     for circ, cycles, ninst, seed in jobs:
         rng = np.random.default_rng(seed)
         g = garble(circ, cycles, rng, new_offset(rng), ninst=ninst)
-        for t in g.tables:
-            h.update(t)
-        for labels in (*g.in_zero.values(), *g.reg_zero.values(), g.out_zero, g.decode):
+        h.update(g.tables)
+        for labels in (g.in_zero, g.reg_zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
         out = evaluate(circ, cycles, g.tables, g.in_zero, g.reg_zero, ninst)
         h.update(out.tobytes())
@@ -241,11 +255,8 @@ def test_concurrent_garbling_matches_serial():
 
 def _active(circ, g, R, in0, in1):
     """Evaluator's active input labels for input bits in0, in1."""
-    active = {}
-    for bits, wires in ((in0, circ.inputs0), (in1, circ.inputs1)):
-        for k, w in enumerate(wires):
-            active[w] = g.in_zero[w] ^ (bits[:, k, None] * R)
-    return active
+    bits = np.concatenate((in0, in1), axis=1).T  # (inputs, ninst)
+    return g.in_zero ^ (bits[..., None] * R)
 
 
 def _interpreter_digest(circ, cycles, ninst, seed, preset):
@@ -254,23 +265,19 @@ def _interpreter_digest(circ, cycles, ninst, seed, preset):
     rng = np.random.default_rng(seed)
     R = new_offset(rng)
     aux = np.random.default_rng(seed + 1000)
-    pre = ({w: aux.integers(0, 256, (ninst, 16), dtype=np.uint8) for w in circ.inputs1}
-           if preset else None)
+    pre = (None, np.stack([aux.integers(0, 256, (ninst, 16), dtype=np.uint8)
+                           for _ in circ.inputs1])) if preset else None
     g = garble(circ, cycles, rng, R, ninst=ninst, preset=pre)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    reg_active = {r.q: g.reg_zero[r.q] ^ (R * np.uint8(r.init)) for r in circ.registers}
+    init = np.array([r.init for r in circ.registers], np.uint8)
+    reg_active = g.reg_zero ^ (init[:, None, None] * R)
     out = evaluate(circ, cycles, g.tables, _active(circ, g, R, in0, in1), reg_active, ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
     assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1, cycles))
     h = hashlib.sha256()
-    for t in g.tables:
-        h.update(t)
-    for w in (*circ.inputs0, *circ.inputs1):
-        h.update(np.ascontiguousarray(g.in_zero[w]).tobytes())
-    for r in circ.registers:
-        h.update(np.ascontiguousarray(g.reg_zero[r.q]).tobytes())
-    for arr in (g.out_zero, g.decode, out):
+    h.update(g.tables)
+    for arr in (g.in_zero, g.reg_zero, g.out_zero, g.decode, out):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -365,7 +372,7 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     expect = cc.simulate(circ, in0, in1)
     R = new_offset(rng)
     g = garble(circ, 1, rng, R, ninst=ninst)
-    out = evaluate(circ, 1, g.tables, _active(circ, g, R, in0, in1), {}, ninst)
+    out = evaluate(circ, 1, g.tables, _active(circ, g, R, in0, in1), g.reg_zero, ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     assert np.array_equal(_gmw_outputs(circ, in0, in1, rng), expect)
 

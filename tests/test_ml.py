@@ -261,6 +261,30 @@ def test_weight_file_malformed(tmp_path):
         ml.load_net(str(path))
 
 
+def test_weight_file_truncated(tmp_path):
+    # cut inside a weight array and inside a layer header
+    rng = np.random.default_rng(13)
+    path = tmp_path / "net.bin"
+    ml.save_net(str(path), tiny_net(rng, with_pools=True), P32)
+    data = path.read_bytes()
+    for cut in (len(data) - 8, 30):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ml.MlError, match="truncated"):
+            ml.load_net(str(path))
+
+
+def test_weight_file_shape_disagrees_with_layer(tmp_path):
+    path = tmp_path / "net.bin"
+    conv = ml.Conv(maps=5, kernel=5, weights=np.zeros((3, 1, 5, 5)))
+    ml.save_net(str(path), ml.NetSpec((1, 8, 8), [conv, ml.ArgMax()]), P32)
+    with pytest.raises(ml.MlError, match="Conv weights"):
+        ml.load_net(str(path))
+    fc = ml.FC(4, 2, np.zeros((4, 2)))
+    ml.save_net(str(path), ml.NetSpec((1, 2, 2), [fc, ml.ArgMax()]), P32)
+    with pytest.raises(ml.MlError, match="FC weights"):
+        ml.load_net(str(path))
+
+
 def test_svm_model_file_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     model = ml.SvmModel(rng.uniform(-1, 1, 20), 0.25)

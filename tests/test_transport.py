@@ -121,7 +121,7 @@ def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
     for payload in (data, bytearray(data), memoryview(bytearray(data))[5:-7]):
         expect = bytes(payload)
         c0, c1 = channel_pair(cipher_key=cipher_key)
-        c0.send(transport.GC_TABLES, payload)
+        c0.send(transport.GMW_DE, payload)
         c0.send(transport.APP_SHARE, payload)
         assert c1.recv().payload == expect
         assert c1.recv_expect(transport.APP_SHARE) == expect
