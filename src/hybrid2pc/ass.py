@@ -96,7 +96,13 @@ class AssEngine:
         dt = np.dtype(f"<u{self.p.nbytes}")
         return np.ascontiguousarray(v.astype(dt)).tobytes()
 
-    def _bytes_to_elems(self, raw: bytes) -> np.ndarray:
+    def _bytes_to_elems(self, raw: bytes, count: int | None = None) -> np.ndarray:
+        """raw as ring elements; a peer reply of other than count elements
+        means the parties are out of step and raises ProtocolError."""
+        if count is not None and len(raw) != count * self.p.nbytes:
+            raise transport.ProtocolError(
+                f"peer sent {len(raw)} bytes where {count} elements of "
+                f"{self.p.nbytes} bytes were due")
         dt = np.dtype(f"<u{self.p.nbytes}")
         return np.frombuffer(raw, dtype=dt).astype(np.uint64)
 
@@ -112,7 +118,7 @@ class AssEngine:
         theirs = self.channel.exchange(
             transport.ASS_EF, self._elems_to_bytes(np.concatenate([e_share, f_share]))
         )
-        other = self._bytes_to_elems(theirs)
+        other = self._bytes_to_elems(theirs, 2 * n)
         e = (e_share + other[:n]) & mask
         f = (f_share + other[n:]) & mask
         z = (f * a + e * b + c) & mask
@@ -144,14 +150,14 @@ class AssEngine:
                 raise AssError("cleartext vector length does not match the block")
             u = (x + a_vec) & mask
             v = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u))
+                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u)), n * k
             )
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
             term = x * y.value - a_vec * v
         else:
             v = (y.value + a_vec) & mask
             u = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v))
+                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v)), n * k
             )
             # z1 = sum <y>1*(x+a0) + a3, per product
             term = y.value * u
@@ -165,11 +171,11 @@ class AssEngine:
             other = self.channel.exchange(
                 transport.APP_REVEAL, self._elems_to_bytes(s.value)
             )
-            return (s.value + self._bytes_to_elems(other)) & mask
+            return (s.value + self._bytes_to_elems(other, len(s.value))) & mask
         target = 0 if to == "role0" else 1
         if self.role == target:
             other = self._bytes_to_elems(
-                self.channel.recv_expect(transport.APP_REVEAL)
+                self.channel.recv_expect(transport.APP_REVEAL), len(s.value)
             )
             return (s.value + other) & mask
         self.channel.send(transport.APP_REVEAL, self._elems_to_bytes(s.value))

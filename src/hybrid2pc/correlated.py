@@ -27,13 +27,13 @@ one (products, length) mask matrix per role and one scalar per product;
 blocking changes no stream byte, since the products are drawn in order.
 
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
-every 64 KB; the typed draws are views over the bytes it writes. Role 1's
-bundle is laid out as
+every 64 KB; the typed draws are views over the bytes it writes. Role 0's
+dealer bundle is seed0 alone; role 1's is laid out as
 
     seed1 | c1_amt (l-bit LE) | c1_bmt (packed, LSB-first) | qr | a3 (l-bit LE)
 
-and is written once into one buffer by the dealer and read back through
-views of the received payload by the client.
+and is written once into one buffer by the dealer. open_bundle, the only
+parser of a bundle, expands it into the role's PartyMaterial.
 
 Online, every dealt item is single-use: reusing a Beaver triple or a
 precomputed-OT mask leaks the inputs it masked. Each engine therefore
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drbg import Drbg, personalization
+from .drbg import SEED_BYTES, Drbg, personalization
 from .ring import RingParams
 
 MASK_BYTES = 16  # k = 128-bit OT masks
@@ -298,54 +298,22 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> Corr
     return Corrections(c1_amt, c1_bmt, qr, np.concatenate([np.zeros(0, np.uint64), *a3]))
 
 
-def apply_corrections(mat: PartyMaterial, corr: Corrections) -> PartyMaterial:
-    if mat.role != 1:
-        raise ValueError("corrections complete role 1's view only")
+def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
+    """One role's material from its dealer bundle; role 1's corrections
+    stay views into payload. A bundle that disagrees with the manifest
+    raises ValueError before any seed is expanded."""
+    if len(payload) < SEED_BYTES:
+        raise ValueError("bundle too short")
+    seed = bytes(payload[:SEED_BYTES])
+    if role == 0:
+        if len(payload) != SEED_BYTES:
+            raise ValueError("unexpected trailing bytes in role-0 bundle")
+        return expand_role0(seed, m)
+    corr = Corrections.decode(payload, m, offset=SEED_BYTES)
+    mat = expand_role1(seed, m)
     mat.amt_c = corr.c1_amt
     mat.bmt_c = corr.c1_bmt
     mat.ot_qr = corr.qr
     ends = np.cumsum([len(v) for v in mat.vdp_mask], dtype=np.int64)
     mat.vdp_scalar = [corr.a3[e - len(v) : e] for v, e in zip(mat.vdp_mask, ends)]
     return mat
-
-
-# Single-resource conveniences used by tests and the benchmark driver.
-
-
-def _mini_manifest(p: RingParams, **kw) -> ResourceManifest:
-    return ResourceManifest(bytes(16), p, **kw)
-
-
-def gen_amt_batch(seed0: bytes, seed1: bytes, n: int, p: RingParams):
-    """Returns ((a0,b0,c0), (a1,b1), c1) as uint64 arrays."""
-    m = _mini_manifest(p, num_amt=n)
-    m0, m1 = expand_role0(seed0, m), expand_role1(seed1, m)
-    corr = compute_corrections(seed0, seed1, m)
-    return (
-        (m0.amt_a, m0.amt_b, m0.amt_c),
-        (m1.amt_a, m1.amt_b),
-        corr.c1_amt,
-    )
-
-
-def gen_bmt_batch(seed0: bytes, seed1: bytes, n: int):
-    m = _mini_manifest(RingParams(8), num_bmt=n)
-    m0, m1 = expand_role0(seed0, m), expand_role1(seed1, m)
-    corr = compute_corrections(seed0, seed1, m)
-    return ((m0.bmt_a, m0.bmt_b, m0.bmt_c), (m1.bmt_a, m1.bmt_b), corr.c1_bmt)
-
-
-def gen_ot_masks(seed_s: bytes, seed_r: bytes, n: int):
-    """Returns (sender (n,2,16) pairs, receiver r bits, qr (n,16))."""
-    m = _mini_manifest(RingParams(8), num_ot=n)
-    ms, mr = expand_role0(seed_s, m), expand_role1(seed_r, m)
-    corr = compute_corrections(seed_s, seed_r, m)
-    return ms.ot_q, mr.ot_r, corr.qr
-
-
-def gen_vdps(seed0: bytes, seed1: bytes, blocks, p: RingParams):
-    """Returns ((role0 masks, a2) per block, role1 masks per block, a3 flat)."""
-    m = _mini_manifest(p, vdp_blocks=tuple(blocks))
-    m0, m1 = expand_role0(seed0, m), expand_role1(seed1, m)
-    corr = compute_corrections(seed0, seed1, m)
-    return (m0.vdp_mask, m0.vdp_scalar), m1.vdp_mask, corr.a3

@@ -111,7 +111,10 @@ def _conv_out(h, k, stride, pad):
 def _walk(net: NetSpec):
     """Yields (layer, in_shape, out_shape) with dimension checking."""
     shape = net.input_shape
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, (Conv, MaxPool, MeanPool)) and len(shape) != 3:
+            raise MlError(f"layer {i} ({type(layer).__name__}) needs a (channels, "
+                          f"height, width) input, got shape {shape}")
         if isinstance(layer, Conv):
             ch, h, w = shape
             oh = _conv_out(h, layer.kernel, layer.stride, layer.pad)
@@ -583,10 +586,15 @@ def load_svm(path: str) -> tuple[SvmModel, RingParams]:
         buf = f.read()
     if buf[:8] != _SVM_MAGIC:
         raise MlError("not an SVM model file")
-    l, alpha, beta = struct.unpack_from("<3B", buf, 8)
-    p = RingParams(l, alpha, beta)
-    w, pos = _read_array(buf, 11)
-    (b,) = struct.unpack_from("<d", buf, pos)
+    try:
+        l, alpha, beta = struct.unpack_from("<3B", buf, 8)
+        p = RingParams(l, alpha, beta)
+        w, pos = _read_array(buf, 11)
+        (b,) = struct.unpack_from("<d", buf, pos)
+    except struct.error:
+        raise MlError("truncated SVM model file") from None
+    if pos + 8 != len(buf):
+        raise MlError("trailing bytes in SVM model file")
     ring.encode(w, p)
     ring.encode(np.asarray(b), p)
     return SvmModel(w, b), p

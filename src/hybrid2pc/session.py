@@ -1,9 +1,9 @@
 """One party's bundle of engines over a single channel and material set.
 
-Created either from a dealer bundle fetched over the wire (offline()) or
-directly from expanded material (tests). Each engine draws its dealt
-items from single-use supplies (correlated.Supply); leftovers() reads the
-four of them.
+Created either from a dealer bundle, fetched over the wire and opened by
+correlated.open_bundle (offline()), or directly from expanded material
+(tests). Each engine draws its dealt items from single-use supplies
+(correlated.Supply); leftovers() reads the four of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import stp, transport
 from .ass import AssEngine
-from .correlated import PartyMaterial, ResourceManifest
+from .correlated import PartyMaterial, ResourceManifest, open_bundle
 from .gc import GcSession
 from .gmw import GmwEngine
 from .ot import OtReceiver, OtSender
@@ -26,7 +26,6 @@ class PartySession:
         self.role = role
         self.manifest = manifest
         self.ring = manifest.ring
-        self.material = material
         self.channel = channel
         self.rng = rng if rng is not None else np.random.default_rng()
         if role == 0:
@@ -45,7 +44,7 @@ class PartySession:
         bundle = stp.request_bundle(stp_addr, manifest, role,
                                     ledger=channel.ledger,
                                     cipher_key=stp_cipher_key)
-        material = bundle.materialize(manifest)
+        material = open_bundle(role, bundle, manifest)
         channel.phase_mark(transport.ONLINE)
         return cls(role, manifest, material, channel, rng)
 

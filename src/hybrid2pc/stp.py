@@ -6,24 +6,18 @@ computes the correction payload, and answers role 0 with its seed and
 role 1 with its seed plus the corrections. The session is then forgotten;
 only the spent session id is retained to refuse replays. The dealer is
 never contacted during the online phase.
+
+The bundle format belongs to correlated: the dealer writes role 1's with
+Corrections.encode, and a party opens its own with correlated.open_bundle.
 """
 
 from __future__ import annotations
 
 import secrets
 import threading
-from dataclasses import dataclass
 
 from . import transport
-from .correlated import (
-    Corrections,
-    PartyMaterial,
-    ResourceManifest,
-    apply_corrections,
-    compute_corrections,
-    expand_role0,
-    expand_role1,
-)
+from .correlated import ResourceManifest, compute_corrections
 from .drbg import SEED_BYTES
 from .transport import Channel, ByteLedger
 
@@ -31,39 +25,6 @@ MANIFEST_MISMATCH = "MANIFEST_MISMATCH"
 SESSION_REPLAY = "SESSION_REPLAY"
 SESSION_TIMEOUT = "SESSION_TIMEOUT"
 DUPLICATE_ROLE = "DUPLICATE_ROLE"
-
-
-@dataclass
-class CorrelatedBundle:
-    """One party's offline takeaway; everything the online phase consumes."""
-
-    role: int
-    seed: bytes
-    corrections: Corrections | None
-
-    def encode(self, ring) -> bytes | bytearray:
-        """Role 0: the seed. Role 1: seed and corrections in one buffer."""
-        if self.role == 0:
-            return self.seed
-        return self.corrections.encode(ring, prefix=self.seed)
-
-    @classmethod
-    def decode(cls, role: int, payload: bytes, manifest: ResourceManifest):
-        """Parse a bundle; role 1's corrections are views into payload."""
-        if len(payload) < SEED_BYTES:
-            raise ValueError("bundle too short")
-        seed = bytes(payload[:SEED_BYTES])
-        if role == 0:
-            if len(payload) != SEED_BYTES:
-                raise ValueError("unexpected trailing bytes in role-0 bundle")
-            return cls(0, seed, None)
-        return cls(1, seed, Corrections.decode(payload, manifest, offset=SEED_BYTES))
-
-    def materialize(self, manifest: ResourceManifest) -> PartyMaterial:
-        """Seed expansion on the party side; the dealer did the same."""
-        if self.role == 0:
-            return expand_role0(self.seed, manifest)
-        return apply_corrections(expand_role1(self.seed, manifest), self.corrections)
 
 
 class _Session:
@@ -182,16 +143,17 @@ class StpServer:
                 return
             seed0, seed1 = secrets.token_bytes(SEED_BYTES), secrets.token_bytes(SEED_BYTES)
             corr = compute_corrections(seed0, seed1, m0)
-            sess.bundles[0] = CorrelatedBundle(0, seed0, None).encode(m0.ring)
-            sess.bundles[1] = CorrelatedBundle(1, seed1, corr).encode(m0.ring)
+            sess.bundles[0] = seed0
+            sess.bundles[1] = corr.encode(m0.ring, prefix=seed1)
             # no per-session secrets survive delivery: seeds/corrections
             # live only in the encoded bundles handed out below
 
 
 def request_bundle(stp_addr, manifest: ResourceManifest, role: int,
                    ledger: ByteLedger | None = None,
-                   cipher_key: bytes | None = None) -> CorrelatedBundle:
-    """Submit the manifest, wait for this role's bundle; offline phase."""
+                   cipher_key: bytes | None = None) -> bytes:
+    """Submit the manifest, wait for this role's bundle; offline phase.
+    Returns the bundle as received; correlated.open_bundle opens it."""
     sock = transport.tcp_connect(*stp_addr)
     cipher = transport.PskCipher(cipher_key, 0) if cipher_key else None
     chan = Channel(sock, manifest.session_id, ledger=ledger, peer="stp",
@@ -202,4 +164,4 @@ def request_bundle(stp_addr, manifest: ResourceManifest, role: int,
         payload = chan.recv_expect(transport.BUNDLE)
     finally:
         chan.close()
-    return CorrelatedBundle.decode(role, payload, manifest)
+    return payload

@@ -1,6 +1,6 @@
 """Shared two-party test harness: run both roles in threads over a
-socketpair, with correlated material dealt directly from seeds (the STP
-wire path has its own tests)."""
+socketpair, with correlated material dealt from fixed seeds through the
+dealer's bundle format (the STP wire path has its own tests)."""
 
 import hashlib
 import threading
@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from hybrid2pc import correlated
+from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import channel_pair
 
 SEED0 = hashlib.sha256(b"conftest-seed-0").digest()
@@ -15,11 +16,18 @@ SEED1 = hashlib.sha256(b"conftest-seed-1").digest()
 
 
 def deal(manifest):
-    """Expand both party views as the dealer would."""
-    m0 = correlated.expand_role0(SEED0, manifest)
+    """Both party views, opened from the bundles the dealer would send."""
     corr = correlated.compute_corrections(SEED0, SEED1, manifest)
-    m1 = correlated.apply_corrections(correlated.expand_role1(SEED1, manifest), corr)
-    return m0, m1
+    bundle1 = corr.encode(manifest.ring, prefix=SEED1)
+    return (correlated.open_bundle(0, SEED0, manifest),
+            correlated.open_bundle(1, bundle1, manifest))
+
+
+def ot_masks(n):
+    """n dealt OTs: the sender's (n, 2, 16) mask pairs, the receiver's r
+    bits and its (n, 16) selected masks."""
+    m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_ot=n))
+    return m0.ot_q, m1.ot_r, m1.ot_qr
 
 
 def run_parties(f0, f1):

@@ -10,9 +10,9 @@ import threading
 import time
 
 import numpy as np
-from conftest import SEED0, SEED1, deal, run_parties
+from conftest import deal, ot_masks, run_parties
 
-from hybrid2pc import ass, circuits as cc, convert, correlated, gmw, ml, ring, stp, transport
+from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
 from hybrid2pc.bench import run_bench
 from hybrid2pc.correlated import ResourceManifest
 from hybrid2pc.gc import GcSession, garble, new_offset
@@ -134,12 +134,13 @@ def test_criterion_3_protocol_oracles():
     t0 = time.time()
     n = 10**5
     # (a) triple defining relations
-    (a0, b0, c0), (a1, b1), c1 = correlated.gen_amt_batch(SEED0, SEED1, n, RingParams(32))
+    d0, d1 = deal(ResourceManifest(bytes(16), RingParams(32), num_amt=n, num_bmt=n))
+    a0, b0, c0, a1, b1, c1 = d0.amt_a, d0.amt_b, d0.amt_c, d1.amt_a, d1.amt_b, d1.amt_c
     mask = np.uint64((1 << 32) - 1)
     assert np.array_equal(((a0 + a1) & mask) * ((b0 + b1) & mask) & mask,
                           (c0 + c1) & mask)
-    (ba0, bb0, bc0), (ba1, bb1), bc1 = correlated.gen_bmt_batch(SEED0, SEED1, n)
-    assert np.array_equal((ba0 ^ ba1) & (bb0 ^ bb1), bc0 ^ bc1)
+    assert np.array_equal((d0.bmt_a ^ d1.bmt_a) & (d0.bmt_b ^ d1.bmt_b),
+                          d0.bmt_c ^ d1.bmt_c)
 
     # (b) OT: all (r, b) plus randomized
     for r_bit in (0, 1):
@@ -155,7 +156,7 @@ def test_criterion_3_protocol_oracles():
             assert np.array_equal(got[0], m1[0] if b_bit else m0[0])
     rng = np.random.default_rng(0)
     c0c, c1c = channel_pair()
-    q, r, qr = correlated.gen_ot_masks(SEED0, SEED1, n)
+    q, r, qr = ot_masks(n)
     snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
     m0 = rng.integers(0, 256, (n, 16), np.uint8)
     m1 = rng.integers(0, 256, (n, 16), np.uint8)
@@ -237,7 +238,7 @@ def _gmw_eval(circ, in0_bits, in1_bits, seed=0):
 def _gc_eval(circ, in0_bits, in1_bits, seed=0):
     ninst = max(in0_bits.shape[0], in1_bits.shape[0])
     need = len(circ.inputs1) * ninst
-    q, r, qr = correlated.gen_ot_masks(SEED0, SEED1, need)
+    q, r, qr = ot_masks(need)
     c0, c1 = channel_pair()
     g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(seed))
     e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(seed + 1))
@@ -335,7 +336,7 @@ def test_criterion_4_engine_equivalence():
             c0.close()
             c1.close()
             # GC: fresh labels per run (every garbling draws new labels)
-            q, r, qr = correlated.gen_ot_masks(SEED0, SEED1, w1 * per * 100)
+            q, r, qr = ot_masks(w1 * per * 100)
             c0, c1 = channel_pair()
             g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(23))
             e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(29))
@@ -516,7 +517,7 @@ def test_criterion_8_round_counts():
     for circ in (cc.build_add(8, "size"), cc.build_add(64, "depth")):
         c0, c1 = channel_pair()
         need = len(circ.inputs1)
-        q, r, qr = correlated.gen_ot_masks(SEED0, SEED1, need)
+        q, r, qr = ot_masks(need)
         g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(1))
         e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(2))
         run_parties(

@@ -7,6 +7,7 @@ from hybrid2pc import ass, transport
 from hybrid2pc.ass import ArithShare, AssEngine, AssError
 from hybrid2pc.correlated import Exhausted, PartyMaterial, ResourceManifest
 from hybrid2pc.ring import RingParams
+from hybrid2pc.transport import ProtocolError
 
 L8 = RingParams(8)
 L32 = RingParams(32)
@@ -247,6 +248,35 @@ def test_vdp_length_mismatch_rejected(channels):
     with pytest.raises(AssError):
         e0.vdp(np.zeros(4, np.uint64), ArithShare(np.zeros(4, np.uint64), 0), 4)
     assert channels[0].ledger.messages() == 0
+
+
+# A peer whose reply has the wrong element count: (manifest, the engine's
+# call, the frame type and element count the fake peer answers with).
+SHORT_REPLIES = {
+    "vdp-role0": (dict(vdp_blocks=((4, 3),)), 0,
+                  lambda e: e.vdp(np.zeros(12), ArithShare(np.zeros(12), 0), 3),
+                  transport.DA_MASKED, 1),
+    "vdp-role1": (dict(vdp_blocks=((4, 3),)), 1,
+                  lambda e: e.vdp(None, ArithShare(np.zeros(12), 1), 3),
+                  transport.DA_MASKED, 1),
+    "mul_mt": (dict(num_amt=2), 0,
+               lambda e: e.mul_mt(ArithShare(np.zeros(2), 0), ArithShare(np.zeros(2), 0)),
+               transport.ASS_EF, 3),
+    "reveal": (dict(), 1, lambda e: e.reveal(ArithShare(np.zeros(2), 1)),
+               transport.APP_REVEAL, 1),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_REPLIES)
+def test_peer_reply_of_wrong_length_rejected(channels, case):
+    # numpy would broadcast a short reply into wrong shares without an error
+    kw, role, call, msg_type, count = SHORT_REPLIES[case]
+    m = manifest(**kw)
+    mat = deal(m)[role]
+    mine, fake = channels[role], channels[1 - role]
+    with pytest.raises(ProtocolError):
+        run_parties(lambda: call(AssEngine(role, L32, mine, mat)),
+                    lambda: fake.exchange(msg_type, bytes(4 * count)))
 
 
 def test_reveal_one_sided(channels):

@@ -1,14 +1,16 @@
-"""The entry points that perfbench's always-on client Probe wraps keep
-their names and parameter lists. The Probe calls through to them
+"""The entry points that perfbench's always-on client Probe wraps, and
+the dealer-side ones its traced Recorder wraps, keep their names and
+parameter lists. Both call through to them and read their arguments
 positionally (perfbench/spans.py), so a rename or a reordered parameter
-fails here instead of as failed benchmark queries."""
+fails here instead of as failed benchmark queries or counters that read
+0."""
 
 import inspect
 
 import numpy as np
 import pytest
 
-from hybrid2pc import ass, circuits, correlated, gc, gmw, ot, session, transport
+from hybrid2pc import ass, circuits, correlated, gc, gmw, ot, session, stp, transport
 from hybrid2pc.ring import RingParams
 
 CONTRACT = [
@@ -23,6 +25,11 @@ CONTRACT = [
     (transport.Channel, "send", "self, msg_type, payload"),
     (transport.Channel, "recv", "self"),
     (transport.Channel, "exchange", "self, msg_type, payload"),
+    # the dealer side: stp.corrections.s and the correlated.* dealt counters
+    (stp, "request_bundle", "stp_addr, manifest, role, ledger=None, cipher_key=None"),
+    (stp, "compute_corrections", "seed0, seed1, m"),
+    (correlated, "expand_role0", "seed0, m"),
+    (correlated, "expand_role1", "seed1, m"),
 ]
 
 

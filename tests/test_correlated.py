@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import deal, run_parties
+from conftest import deal, ot_masks, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import correlated as cr
@@ -12,7 +12,6 @@ from hybrid2pc.gmw import BoolShare, GmwEngine
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 from hybrid2pc.session import PartySession
-from hybrid2pc.stp import CorrelatedBundle
 from hybrid2pc.transport import Disconnected, channel_pair
 
 SEED0 = hashlib.sha256(b"party-0").digest()
@@ -25,6 +24,12 @@ def manifest(**kw):
     return cr.ResourceManifest(bytes(16), kw.pop("ring", L32), **kw)
 
 
+def vdps(blocks):
+    """((role-0 masks, a2) per block, role-1 masks per block, a3 flat)."""
+    t0, t1 = deal(manifest(vdp_blocks=blocks))
+    return (t0.vdp_mask, t0.vdp_scalar), t1.vdp_mask, np.concatenate(t1.vdp_scalar)
+
+
 def test_amt_correction_formula():
     # a0=1,a1=1,b0=3,b1=1,c0=5 -> c1 = 2*4-5 = 3
     p = RingParams(8)
@@ -34,7 +39,8 @@ def test_amt_correction_formula():
 
 def test_amt_relation_holds():
     n = 10**5
-    (a0, b0, c0), (a1, b1), c1 = cr.gen_amt_batch(SEED0, SEED1, n, L32)
+    t0, t1 = deal(manifest(num_amt=n))
+    a0, b0, c0, a1, b1, c1 = t0.amt_a, t0.amt_b, t0.amt_c, t1.amt_a, t1.amt_b, t1.amt_c
     mask = np.uint64(L32.mask)
     lhs = ((a0 + a1) & mask) * ((b0 + b1) & mask) & mask
     rhs = (c0 + c1) & mask
@@ -51,7 +57,8 @@ def test_bmt_relation_exhaustive():
 
 def test_bmt_batch_relation():
     n = 10**5
-    (a0, b0, c0), (a1, b1), c1 = cr.gen_bmt_batch(SEED0, SEED1, n)
+    t0, t1 = deal(manifest(num_bmt=n))
+    a0, b0, c0, a1, b1, c1 = t0.bmt_a, t0.bmt_b, t0.bmt_c, t1.bmt_a, t1.bmt_b, t1.bmt_c
     assert np.array_equal((a0 ^ a1) & (b0 ^ b1), c0 ^ c1)
 
 
@@ -64,13 +71,13 @@ def test_bmt_example_truth_table():
 
 
 def test_ot_masks_select_qr():
-    q, r, qr = cr.gen_ot_masks(SEED0, SEED1, 1000)
+    q, r, qr = ot_masks(1000)
     expect = np.where(r[:, None].astype(bool), q[:, 1], q[:, 0])
     assert np.array_equal(qr, expect)
 
 
 def test_ot_empty_batch():
-    q, r, qr = cr.gen_ot_masks(SEED0, SEED1, 0)
+    q, r, qr = ot_masks(0)
     assert q.shape == (0, 2, 16) and r.size == 0 and qr.shape == (0, 16)
 
 
@@ -81,7 +88,7 @@ def test_vdps_formula_example():
 
 def test_vdps_relation():
     blocks = [(1, 1), (1, 2), (1, 100), (1, 7)]
-    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, blocks, L32)
+    (v0, a2), v1, a3 = vdps(blocks)
     a2 = np.concatenate(a2)
     mask = np.uint64(L32.mask)
     for i in range(len(blocks)):
@@ -90,15 +97,15 @@ def test_vdps_relation():
 
 
 def test_vdps_length_one_is_single_mult_shift():
-    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, [(1, 1)], L32)
+    (v0, a2), v1, a3 = vdps([(1, 1)])
     a0, a1 = int(v0[0][0, 0]), int(v1[0][0, 0])
     assert (a0 * a1 - int(a2[0][0])) % L32.modulus == int(a3[0])
 
 
 def test_blocking_leaves_streams_and_corrections_unchanged():
     # one block of 3 products and three blocks of 1 draw the same bytes
-    (v0, a2), v1, a3 = cr.gen_vdps(SEED0, SEED1, [(3, 5), (2, 1)], L32)
-    (w0, b2), w1, b3 = cr.gen_vdps(SEED0, SEED1, [(1, 5)] * 3 + [(1, 1)] * 2, L32)
+    (v0, a2), v1, a3 = vdps([(3, 5), (2, 1)])
+    (w0, b2), w1, b3 = vdps([(1, 5)] * 3 + [(1, 1)] * 2)
     assert [v.shape for v in v0] == [v.shape for v in v1] == [(3, 5), (2, 1)]
     for whole, parts in ((v0, w0), (v1, w1), (a2, b2)):
         assert np.array_equal(np.concatenate([v.ravel() for v in whole]),
@@ -131,7 +138,7 @@ def test_seed_symmetry_dealer_vs_party():
     party_view = cr.expand_role1(SEED1, m)
     assert digest(dealer_view) == digest(party_view)
     corr = cr.compute_corrections(SEED0, SEED1, m)
-    completed = cr.apply_corrections(party_view, corr)
+    completed = cr.open_bundle(1, corr.encode(m.ring, prefix=SEED1), m)
     mask = np.uint64(L32.mask)
     m0 = cr.expand_role0(SEED0, m)
     lhs = ((m0.amt_a + completed.amt_a) & mask) * ((m0.amt_b + completed.amt_b) & mask)
@@ -236,12 +243,33 @@ def _pinned_digests() -> dict:
                                 _flat(m1.vdp_mask)),
         "corrections": _arrays_digest(corr.c1_amt, corr.c1_bmt, corr.qr, corr.a3),
         "bundle1": hashlib.sha256(
-            bytes(CorrelatedBundle(1, SEED1, corr).encode(m.ring))).hexdigest(),
+            bytes(corr.encode(m.ring, prefix=SEED1))).hexdigest(),
     }
 
 
 def test_expansion_and_corrections_pinned():
     assert _pinned_digests() == PINNED
+
+
+# A bundle that disagrees with its manifest: (role, bundle -> malformed bundle)
+MALFORMED_BUNDLES = {
+    "role0-short-of-seed": (0, lambda b: b[:31]),
+    "role1-short-of-seed": (1, lambda b: b[:31]),
+    "role0-trailing-byte": (0, lambda b: b + bytes(1)),
+    "role1-one-byte-short": (1, lambda b: b[:-1]),
+    "role1-one-byte-long": (1, lambda b: b + bytes(1)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BUNDLES)
+def test_open_bundle_rejects_malformed(case):
+    role, spoil = MALFORMED_BUNDLES[case]
+    m = manifest(num_amt=3, num_bmt=9, num_ot=2, vdp_blocks=((2, 3),))
+    corr = cr.compute_corrections(SEED0, SEED1, m)
+    bundle = (SEED0, bytes(corr.encode(m.ring, prefix=SEED1)))[role]
+    assert cr.open_bundle(role, bundle, m).role == role
+    with pytest.raises(ValueError):
+        cr.open_bundle(role, spoil(bundle), m)
 
 
 # Over-draws through each engine: (manifest, drawing role, draw(material,

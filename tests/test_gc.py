@@ -3,14 +3,14 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import SEED0, SEED1, run_parties
+from conftest import ot_masks, run_parties
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import gc as gc_mod
 from hybrid2pc import gmw, ring, transport
-from hybrid2pc.correlated import PartyMaterial, gen_ot_masks
+from hybrid2pc.correlated import PartyMaterial
 from hybrid2pc.gc import GcSession, YaoShare, evaluate, garble, new_offset
 from hybrid2pc.gmw import GmwEngine
 from hybrid2pc.ot import OtReceiver, OtSender
@@ -29,7 +29,7 @@ def from_bits(bits):
 
 def sessions(channels, num_ot, seeds=(1, 2)):
     c0, c1 = channels
-    q, r, qr = gen_ot_masks(SEED0, SEED1, num_ot)
+    q, r, qr = ot_masks(num_ot)
     g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(seeds[0]))
     e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(seeds[1]))
     return g, e

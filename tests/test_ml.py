@@ -294,6 +294,30 @@ def test_svm_model_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.w, model.w) and loaded.b == model.b
 
 
+def test_svm_model_file_truncated_or_extended(tmp_path):
+    path = tmp_path / "svm.bin"
+    ml.save_svm(str(path), ml.SvmModel(np.array([0.5, -0.25, 0.125, 1.0]), 0.5), P32)
+    data = path.read_bytes()
+    for bad, match in ((data[:-3], "truncated"), (data[:12], "truncated"),
+                       (data + bytes(2), "trailing")):
+        path.write_bytes(bad)
+        with pytest.raises(ml.MlError, match=match):
+            ml.load_svm(str(path))
+
+
+def test_spatial_layer_after_flat_activation_rejected(tmp_path):
+    fc = ml.FC(4, 4, np.zeros((4, 4)))
+    for layer in (ml.MaxPool(2), ml.MeanPool(2), ml.Conv(maps=1, kernel=1,
+                                                          weights=np.zeros((1, 1, 1, 1)))):
+        net = ml.NetSpec((1, 2, 2), [fc, layer])
+        with pytest.raises(ml.MlError, match=f"layer 1 \\({type(layer).__name__}\\)"):
+            list(ml._walk(net))
+    path = tmp_path / "net.bin"
+    ml.save_net(str(path), ml.NetSpec((1, 2, 2), [fc, ml.MaxPool(2)]), P32)
+    with pytest.raises(ml.MlError, match="MaxPool"):
+        ml.load_net(str(path))
+
+
 def test_dimension_mismatch_rejected():
     net = ml.NetSpec((1, 4, 4), [ml.FC(10, 3, np.zeros((3, 10)))])
     with pytest.raises(ml.MlError):

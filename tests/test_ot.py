@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from conftest import SEED0, SEED1, run_parties
+from conftest import ot_masks, run_parties
 
-from hybrid2pc.correlated import Exhausted, gen_ot_masks
+from hybrid2pc.correlated import Exhausted
 from hybrid2pc.ot import OtError, OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 
 
 def make_pair(n, channels):
     c0, c1 = channels
-    q, r, qr = gen_ot_masks(SEED0, SEED1, n)
+    q, r, qr = ot_masks(n)
     return OtSender(q, c0), OtReceiver(r, qr, c1)
 
 
