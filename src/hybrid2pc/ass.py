@@ -93,18 +93,10 @@ class AssEngine:
     # wire helpers
 
     def _elems_to_bytes(self, v: np.ndarray) -> bytes:
-        dt = np.dtype(f"<u{self.p.nbytes}")
-        return np.ascontiguousarray(v.astype(dt)).tobytes()
+        return np.ascontiguousarray(v.astype(self.p.wire_dtype)).tobytes()
 
-    def _bytes_to_elems(self, raw: bytes, count: int | None = None) -> np.ndarray:
-        """raw as ring elements; a peer reply of other than count elements
-        means the parties are out of step and raises ProtocolError."""
-        if count is not None and len(raw) != count * self.p.nbytes:
-            raise transport.ProtocolError(
-                f"peer sent {len(raw)} bytes where {count} elements of "
-                f"{self.p.nbytes} bytes were due")
-        dt = np.dtype(f"<u{self.p.nbytes}")
-        return np.frombuffer(raw, dtype=dt).astype(np.uint64)
+    def _bytes_to_elems(self, raw) -> np.ndarray:
+        return np.frombuffer(raw, dtype=self.p.wire_dtype).astype(np.uint64)
 
     # protocols
 
@@ -118,7 +110,7 @@ class AssEngine:
         theirs = self.channel.exchange(
             transport.ASS_EF, self._elems_to_bytes(np.concatenate([e_share, f_share]))
         )
-        other = self._bytes_to_elems(theirs, 2 * n)
+        other = self._bytes_to_elems(theirs)
         e = (e_share + other[:n]) & mask
         f = (f_share + other[n:]) & mask
         z = (f * a + e * b + c) & mask
@@ -150,44 +142,29 @@ class AssEngine:
                 raise AssError("cleartext vector length does not match the block")
             u = (x + a_vec) & mask
             v = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u)), n * k
-            )
+                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u)))
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
             term = x * y.value - a_vec * v
         else:
             v = (y.value + a_vec) & mask
             u = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v)), n * k
-            )
+                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v)))
             # z1 = sum <y>1*(x+a0) + a3, per product
             term = y.value * u
         # uint64 arithmetic wraps mod 2^64, a multiple of 2^l: mask once
         return ArithShare((term.reshape(n, k).sum(axis=1) + scalar) & mask, self.role)
 
-    def reveal(self, s: ArithShare, to: str = "both") -> np.ndarray | None:
-        """Open a share vector to one or both parties."""
-        mask = np.uint64(self.p.mask)
-        if to == "both":
-            other = self.channel.exchange(
-                transport.APP_REVEAL, self._elems_to_bytes(s.value)
-            )
-            return (s.value + self._bytes_to_elems(other, len(s.value))) & mask
-        target = 0 if to == "role0" else 1
-        if self.role == target:
-            other = self._bytes_to_elems(
-                self.channel.recv_expect(transport.APP_REVEAL), len(s.value)
-            )
-            return (s.value + other) & mask
-        self.channel.send(transport.APP_REVEAL, self._elems_to_bytes(s.value))
-        return None
-
-    def share_input(self, x, owner: int, rng: np.random.Generator) -> ArithShare:
-        """Owner splits x and ships the peer's share; one message."""
+    def share_input(self, x, count: int, owner: int,
+                    rng: np.random.Generator) -> ArithShare:
+        """Owner splits its count elements x and ships the peer's share;
+        one message, which the peer receives as count elements."""
         if self.role == owner:
+            if len(x) != count:
+                raise AssError(f"{len(x)} input elements where {count} were planned")
             mine, theirs = share(x, self.p, rng)
             if owner == 1:
                 mine, theirs = theirs, mine
             self.channel.send(transport.APP_SHARE, self._elems_to_bytes(theirs.value))
             return ArithShare(mine.value, self.role)
-        raw = self._bytes_to_elems(self.channel.recv_expect(transport.APP_SHARE))
-        return ArithShare(raw, self.role)
+        raw = self.channel.recv_expect(transport.APP_SHARE, count * self.p.nbytes)
+        return ArithShare(self._bytes_to_elems(raw), self.role)

@@ -33,7 +33,8 @@ dealer bundle is seed0 alone; role 1's is laid out as
     seed1 | c1_amt (l-bit LE) | c1_bmt (packed, LSB-first) | qr | a3 (l-bit LE)
 
 and is written once into one buffer by the dealer. open_bundle, the only
-parser of a bundle, expands it into the role's PartyMaterial.
+parser of a bundle, expands it into the role's PartyMaterial; bundle_size
+gives its length, which the party also names when it receives it.
 
 Online, every dealt item is single-use: reusing a Beaver triple or a
 precomputed-OT mask leaks the inputs it masked. Each engine therefore
@@ -144,10 +145,6 @@ class ResourceManifest:
         return cls(session_id, RingParams(l, alpha, beta), *counts, blocks.reshape(-1, 2))
 
 
-def _elem_dtype(p: RingParams) -> np.dtype:
-    return np.dtype(f"<u{p.nbytes}")
-
-
 @dataclass
 class PartyMaterial:
     """Everything one role holds after the offline phase."""
@@ -171,7 +168,7 @@ class PartyMaterial:
 def _sections(buf, offset: int, p: RingParams, n_amt: int, n_bmt: int, n_ot: int,
               n_vdp: int) -> list[np.ndarray]:
     """Views of the four correction sections of buf, starting at offset."""
-    dt = _elem_dtype(p)
+    dt = p.wire_dtype
     out = []
     for dtype, count in ((dt, n_amt), (np.uint8, (n_bmt + 7) // 8),
                          (np.uint8, n_ot * MASK_BYTES), (dt, n_vdp)):
@@ -183,6 +180,16 @@ def _sections(buf, offset: int, p: RingParams, n_amt: int, n_bmt: int, n_ot: int
 
 def _payload_size(p: RingParams, n_amt: int, n_bmt: int, n_ot: int, n_vdp: int) -> int:
     return (n_amt + n_vdp) * p.nbytes + (n_bmt + 7) // 8 + n_ot * MASK_BYTES
+
+
+def _counts(m: ResourceManifest) -> tuple[int, int, int, int]:
+    """Items per correction section: A-MTs, B-MTs, OTs and dot products."""
+    return m.num_amt, m.num_bmt, m.num_ot, sum(n for n, _ in m.vdp_blocks)
+
+
+def bundle_size(role: int, m: ResourceManifest) -> int:
+    """Bytes of role's dealer bundle for manifest m."""
+    return SEED_BYTES + (_payload_size(m.ring, *_counts(m)) if role else 0)
 
 
 @dataclass
@@ -208,12 +215,9 @@ class Corrections:
 
     @classmethod
     def decode(cls, payload, m: ResourceManifest, offset: int = 0) -> "Corrections":
-        """Parse payload[offset:]; qr is a view into payload, not a copy."""
-        p = m.ring
-        counts = (m.num_amt, m.num_bmt, m.num_ot, sum(n for n, _ in m.vdp_blocks))
-        if len(payload) - offset != _payload_size(p, *counts):
-            raise ValueError("correction payload length mismatch")
-        amt, bmt, qr, a3 = _sections(payload, offset, p, *counts)
+        """Parse payload[offset:], whose length the caller has checked
+        (open_bundle); qr is a view into payload, not a copy."""
+        amt, bmt, qr, a3 = _sections(payload, offset, m.ring, *_counts(m))
         c1_bmt = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
         return cls(amt.astype(np.uint64), c1_bmt, qr, a3.astype(np.uint64))
 
@@ -302,12 +306,11 @@ def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
     """One role's material from its dealer bundle; role 1's corrections
     stay views into payload. A bundle that disagrees with the manifest
     raises ValueError before any seed is expanded."""
-    if len(payload) < SEED_BYTES:
-        raise ValueError("bundle too short")
+    if len(payload) != bundle_size(role, m):
+        raise ValueError(f"bundle of {len(payload)} bytes where the manifest "
+                         f"implies {bundle_size(role, m)}")
     seed = bytes(payload[:SEED_BYTES])
     if role == 0:
-        if len(payload) != SEED_BYTES:
-            raise ValueError("unexpected trailing bytes in role-0 bundle")
         return expand_role0(seed, m)
     corr = Corrections.decode(payload, m, offset=SEED_BYTES)
     mat = expand_role1(seed, m)

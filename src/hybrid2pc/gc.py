@@ -365,13 +365,15 @@ class GcSession:
         payload = np.packbits(g.decode, bitorder="little").tobytes()
         self.channel.send(transport.GC_DECODE, payload)
         if decode == "both":
-            raw = self.channel.recv_expect(transport.GC_DECODE)
-            bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-            return bits[: g.decode.size].reshape(g.decode.shape)
+            raw = self.channel.recv_expect(transport.GC_DECODE, len(payload))
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=g.decode.size,
+                                 bitorder="little")
+            return bits.reshape(g.decode.shape)
         return None
 
     def _run_evaluator(self, c, kinds, vals, cycles, ninst, decode):
-        tables = self.channel.recv_expect(transport.GC_TABLES)
+        nbytes = _table_bytes(c, cycles, ninst)
+        tables = self.channel.recv_expect(transport.GC_TABLES, nbytes)
         n0, n1 = len(c.inputs0), len(c.inputs1)
         active = np.empty((n0 + n1, ninst, 16), np.uint8)
         for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
@@ -379,7 +381,8 @@ class GcSession:
                 active[rows] = np.swapaxes(val.labels, 0, 1)
         k0 = n0 if kinds[0] == "bits" else 0
         shape = (k0 + len(c.registers), ninst, 16)
-        raw = self.channel.recv_expect(transport.GC_INLABELS) if shape[0] else b""
+        raw = (self.channel.recv_expect(transport.GC_INLABELS, shape[0] * ninst * 16)
+               if shape[0] else b"")
         known = np.frombuffer(raw, np.uint8).reshape(shape)
         active[:k0] = known[:k0]
         if kinds[1] == "bits" and n1:
@@ -389,10 +392,10 @@ class GcSession:
         out_active = evaluate(c, cycles, tables, active, known[k0:], ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.swapaxes(out_active, 0, 1), 1)
-        raw = self.channel.recv_expect(transport.GC_DECODE)
-        dec = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
         nout = len(c.outputs)
-        dec = dec[: nout * ninst].reshape(nout, ninst)
+        raw = self.channel.recv_expect(transport.GC_DECODE, (nout * ninst + 7) // 8)
+        dec = np.unpackbits(np.frombuffer(raw, np.uint8), count=nout * ninst,
+                            bitorder="little").reshape(nout, ninst)
         bits = (_lsb(out_active) ^ dec).astype(np.uint8)
         for k, w in enumerate(c.outputs):
             if w in (CONST0, CONST1):

@@ -70,26 +70,6 @@ class GmwEngine:
         """Communication rounds so far: one per AND level and cycle."""
         return self._round_index
 
-    def share_input(self, bits, owner: int, rng: np.random.Generator) -> BoolShare:
-        """Owner samples a random share and ships the complement."""
-        if self.role == owner:
-            mine, theirs = share_bits(bits, rng)
-            if owner == 1:
-                mine, theirs = theirs, mine
-            ninst, width = theirs.bits.shape
-            payload = (
-                ninst.to_bytes(4, "little")
-                + width.to_bytes(4, "little")
-                + np.packbits(theirs.bits, bitorder="little").tobytes()
-            )
-            self.channel.send(transport.APP_SHARE, payload)
-            return BoolShare(mine.bits, self.role)
-        raw = self.channel.recv_expect(transport.APP_SHARE)
-        ninst = int.from_bytes(raw[:4], "little")
-        width = int.from_bytes(raw[4:8], "little")
-        flat = np.unpackbits(np.frombuffer(raw[8:], np.uint8), bitorder="little")
-        return BoolShare(flat[: ninst * width].reshape(ninst, width), self.role)
-
     def evaluate(self, lc: LevelizedCircuit, in0: BoolShare, in1: BoolShare,
                  cycles: int = 1) -> BoolShare:
         """Evaluate shares of the circuit; rounds == AND levels x cycles."""
@@ -135,25 +115,11 @@ class GmwEngine:
                 f"local round {self._round_index}"
             )
         self._round_index += 1
-        other = np.unpackbits(np.frombuffer(reply[4:], np.uint8), bitorder="little")
+        other = np.unpackbits(np.frombuffer(reply, np.uint8, offset=4), count=2 * lanes,
+                              bitorder="little")
         d = d_share ^ other[:lanes].reshape(x.shape)
-        e = e_share ^ other[lanes : 2 * lanes].reshape(x.shape)
+        e = e_share ^ other[lanes:].reshape(x.shape)
         z = (b & d) ^ (a & e) ^ cc
         if self.role == 0:
             z ^= d & e
         return z
-
-    def reveal(self, s: BoolShare, to: str = "both") -> np.ndarray | None:
-        payload = np.packbits(s.bits, bitorder="little").tobytes()
-        shape = s.bits.shape
-        if to == "both":
-            other = self.channel.exchange(transport.GMW_REVEAL, payload)
-            bits = np.unpackbits(np.frombuffer(other, np.uint8), bitorder="little")
-            return s.bits ^ bits[: s.bits.size].reshape(shape)
-        target = 0 if to == "role0" else 1
-        if self.role == target:
-            other = self.channel.recv_expect(transport.GMW_REVEAL)
-            bits = np.unpackbits(np.frombuffer(other, np.uint8), bitorder="little")
-            return s.bits ^ bits[: s.bits.size].reshape(shape)
-        self.channel.send(transport.GMW_REVEAL, payload)
-        return None

@@ -305,13 +305,13 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
     """
     p = se.ring
     sched = _schedule(net, p)
+    enc = None
     if se.role == 1:
         if images.shape[0] != batch:
             raise MlError("image count does not match the planned batch")
-        enc = ring.encode(images.reshape(batch, -1), p)
-        x = se.ass.share_input(enc.reshape(-1), owner=1, rng=se.rng)
-    else:
-        x = se.ass.share_input(None, owner=1, rng=se.rng)
+        enc = ring.encode(images.reshape(batch, -1), p).reshape(-1)
+    count = batch * int(np.prod(net.input_shape))
+    x = se.ass.share_input(enc, count, owner=1, rng=se.rng)
     result = None
     for layer, in_shape, out_shape, shift in sched:
         if isinstance(layer, (Conv, FC)):
@@ -345,12 +345,11 @@ def svm_classify(se: PartySession, model: SvmModel | None,
                  queries: np.ndarray | None, d: int, batch: int):
     """sign(w.x - b) per query; labels in {-1, +1} revealed at role 1."""
     p = se.ring
+    enc = None
     if se.role == 1:
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        enc = ring.encode(q, p)
-        x = se.ass.share_input(enc.reshape(-1), owner=1, rng=se.rng)
-    else:
-        x = se.ass.share_input(None, owner=1, rng=se.rng)
+        enc = ring.encode(q, p).reshape(-1)
+    x = se.ass.share_input(enc, batch * d, owner=1, rng=se.rng)
     if se.role == 0:
         w = np.asarray(model.w, dtype=np.float64)
         w = np.broadcast_to(w, (batch, d)) if w.ndim == 1 else w
@@ -534,9 +533,17 @@ def load_net(path: str) -> tuple[NetSpec, RingParams]:
     return net, p
 
 
-def _parse_net(buf: bytes) -> tuple[NetSpec, RingParams]:
+def _file_ring(buf: bytes) -> RingParams:
+    """The ring a weight or model file names in bytes 8-10."""
     l, alpha, beta = struct.unpack_from("<3B", buf, 8)
-    p = RingParams(l, alpha, beta)
+    try:
+        return RingParams(l, alpha, beta)
+    except ValueError as e:
+        raise MlError(f"bad ring in file header: {e}") from None
+
+
+def _parse_net(buf: bytes) -> tuple[NetSpec, RingParams]:
+    p = _file_ring(buf)
     shape = struct.unpack_from("<3I", buf, 11)
     (nlayers,) = struct.unpack_from("<I", buf, 23)
     pos = 27
@@ -587,8 +594,7 @@ def load_svm(path: str) -> tuple[SvmModel, RingParams]:
     if buf[:8] != _SVM_MAGIC:
         raise MlError("not an SVM model file")
     try:
-        l, alpha, beta = struct.unpack_from("<3B", buf, 8)
-        p = RingParams(l, alpha, beta)
+        p = _file_ring(buf)
         w, pos = _read_array(buf, 11)
         (b,) = struct.unpack_from("<d", buf, pos)
     except struct.error:

@@ -58,21 +58,18 @@ class OtSender:
         m0 = _as_message_array(m0, n, nbytes)
         m1 = _as_message_array(m1, n, nbytes)
         (q,) = self.masks.take(n)
-        flipped = np.unpackbits(
-            np.frombuffer(self.channel.recv_expect(transport.OT_CHOICES), np.uint8),
-            bitorder="little",
-        )[:n].astype(bool)
-        qm = q[..., :nbytes]
-        # b'=0 keeps message order, b'=1 swaps it
-        s0 = np.where(flipped[:, None], qm[:, 0] ^ m1, qm[:, 0] ^ m0)
-        s1 = np.where(flipped[:, None], qm[:, 1] ^ m0, qm[:, 1] ^ m1)
-        pairs = np.stack([s0, s1], axis=1)
-        self.channel.send(transport.OT_PAIRS, pairs.tobytes())
+        raw = self.channel.recv_expect(transport.OT_CHOICES, (n + 7) // 8)
+        flipped = np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
+        # b'=1 swaps the messages: with d = (m0 ^ m1) * b', s0 = q0^m0^d, s1 = q1^m1^d
+        d = (m0 ^ m1) * flipped[:, None]
+        pairs = q[..., :nbytes] ^ d[:, None]
+        pairs[:, 0] ^= m0
+        pairs[:, 1] ^= m1
+        self.channel.send(transport.OT_PAIRS, pairs)
 
     def send_ring(self, m0, m1, ring):
-        """Ring-element messages, little-endian l-bit encoding."""
-        dt = np.dtype(f"<u{ring.nbytes}")
-        enc = lambda v: np.ascontiguousarray(v.astype(dt)).view(np.uint8).reshape(
+        """Ring-element messages in the ring's wire encoding."""
+        enc = lambda v: np.ascontiguousarray(v.astype(ring.wire_dtype)).view(np.uint8).reshape(
             len(v), ring.nbytes
         )
         self.send(enc(np.asarray(m0, np.uint64)), enc(np.asarray(m1, np.uint64)), ring.l)
@@ -95,12 +92,12 @@ class OtReceiver:
         self.channel.send(
             transport.OT_CHOICES, np.packbits(r ^ b, bitorder="little").tobytes()
         )
-        raw = self.channel.recv_expect(transport.OT_PAIRS)
+        raw = self.channel.recv_expect(transport.OT_PAIRS, 2 * n * nbytes)
         pairs = np.frombuffer(raw, dtype=np.uint8).reshape(n, 2, nbytes)
         s_r = pairs[np.arange(n), r]
         return s_r ^ qr[:, :nbytes]
 
     def recv_ring(self, choices, ring) -> np.ndarray:
         raw = self.recv(choices, ring.l)
-        dt = np.dtype(f"<u{ring.nbytes}")
-        return np.ascontiguousarray(raw).view(dt).reshape(len(raw)).astype(np.uint64)
+        elems = np.ascontiguousarray(raw).view(ring.wire_dtype).reshape(len(raw))
+        return elems.astype(np.uint64)

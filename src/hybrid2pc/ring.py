@@ -74,6 +74,11 @@ class RingParams:
             raise ValueError(f"width {self.l} has no wire encoding")
         return self.l // 8
 
+    @property
+    def wire_dtype(self) -> np.dtype:
+        """An element on the wire: little-endian, nbytes wide."""
+        return np.dtype(f"<u{self.nbytes}")
+
 
 def canon(x, p: RingParams):
     """Reduce to the canonical residue in [0, 2^l) as uint64."""

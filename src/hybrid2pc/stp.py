@@ -17,7 +17,7 @@ import secrets
 import threading
 
 from . import transport
-from .correlated import ResourceManifest, compute_corrections
+from .correlated import ResourceManifest, bundle_size, compute_corrections
 from .drbg import SEED_BYTES
 from .transport import Channel, ByteLedger
 
@@ -161,7 +161,7 @@ def request_bundle(stp_addr, manifest: ResourceManifest, role: int,
     chan.phase_mark(transport.OFFLINE)
     try:
         chan.send(transport.MANIFEST, bytes([role]) + manifest.encode())
-        payload = chan.recv_expect(transport.BUNDLE)
+        payload = chan.recv_expect(transport.BUNDLE, bundle_size(role, manifest))
     finally:
         chan.close()
     return payload

@@ -12,6 +12,15 @@ the payload to one scatter-gather sendmsg, and a received payload is the
 buffer it was read into (a bytearray in null-cipher mode). Headers are
 bytes, since session ids serve as keys.
 
+Every receive names its frame's exact type and plaintext size
+(recv_expect), from shapes both parties already hold; an exchange's reply
+is the size it sent. recv compares the header with that size, plus the
+cipher's overhead, before it allocates the body, and raises ProtocolError
+on any mismatch, so an out-of-step peer can neither corrupt shares nor
+make a party allocate memory on its word. An ERROR frame in place of the
+due one surfaces as RemoteError, up to ERROR_CAP bytes. Only the dealer's
+first, unsolicited read (a bare recv) takes any size up to MAX_PAYLOAD.
+
 In null-cipher mode nothing else is added and payload accounting is
 byte-exact. The PSK-AEAD mode seals each frame with AES-GCM under a
 pre-shared key (header as associated data, per-direction nonce counters);
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 MAX_PAYLOAD = 1 << 30
+ERROR_CAP = 256  # largest ERROR payload accepted where another frame is due
 HEADER_LEN = 21
 
 # Message types.
@@ -35,7 +45,6 @@ MANIFEST = 1
 BUNDLE = 2
 ERROR = 3
 GMW_DE = 4
-GMW_REVEAL = 5
 GC_TABLES = 6
 GC_INLABELS = 7
 GC_DECODE = 8
@@ -44,7 +53,6 @@ OT_PAIRS = 10
 ASS_EF = 11
 DA_MASKED = 12
 APP_SHARE = 13
-APP_REVEAL = 14
 
 OFFLINE = "offline"
 ONLINE = "online"
@@ -177,6 +185,7 @@ class Channel:
         self.peer = peer
         self.cipher = cipher if cipher is not None else NullCipher()
         self.phase = OFFLINE
+        self._due = None  # (msg_type, nbytes) of the next recv, set by recv_expect
 
     def phase_mark(self, phase: str):
         self.phase = phase
@@ -225,11 +234,24 @@ class Channel:
         return buf
 
     def recv(self) -> Frame:
+        """Read one frame. Under recv_expect the header must announce the
+        due type and size, or an ERROR frame of at most ERROR_CAP bytes;
+        both are checked before the body is allocated."""
+        due, self._due = self._due, None
         header = bytes(self._recv_exact(HEADER_LEN))
         length, msg_type = struct.unpack("<IB", header[:5])
         session = header[5:]
-        if length > MAX_PAYLOAD + self.cipher.overhead:
-            raise FrameTooLarge(f"incoming frame of {length} bytes")
+        over = self.cipher.overhead
+        if due is None:
+            if length > MAX_PAYLOAD + over:
+                raise FrameTooLarge(f"incoming frame of {length} bytes")
+        elif msg_type == ERROR:
+            if length > ERROR_CAP + over:
+                raise ProtocolError(f"ERROR frame of {length} bytes exceeds the cap")
+        elif (msg_type, length) != (due[0], due[1] + over):
+            raise ProtocolError(
+                f"expected message type {due[0]} of {due[1]} bytes, got type "
+                f"{msg_type} of {length - over} bytes")
         body = self._recv_exact(length)
         aad = struct.pack("<IB", 0, msg_type) + session
         payload = self.cipher.open(aad, body)
@@ -243,7 +265,8 @@ class Channel:
         return Frame(msg_type, session, payload)
 
     def exchange(self, msg_type: int, payload) -> bytes | bytearray:
-        """Symmetric send+recv of the same frame type, deadlock-free.
+        """Symmetric send+recv of the same frame type, deadlock-free; the
+        reply must be the size of payload.
 
         Both parties call this in the same protocol step; the send runs on
         a helper thread so neither side can stall on a full socket buffer.
@@ -259,21 +282,21 @@ class Channel:
         t = threading.Thread(target=_send)
         t.start()
         try:
-            reply = self.recv_expect(msg_type)
+            reply = self.recv_expect(msg_type, memoryview(payload).nbytes)
         finally:
             t.join()
         if exc:
             raise exc[0]
         return reply
 
-    def recv_expect(self, msg_type: int) -> bytes | bytearray:
+    def recv_expect(self, msg_type: int, nbytes: int) -> bytes | bytearray:
+        """The payload of the next frame, which must be of msg_type and
+        exactly nbytes long; the check runs in recv, which perfbench wraps
+        with no arguments, so the due size waits on the channel."""
+        self._due = (msg_type, nbytes)
         frame = self.recv()
-        if frame.msg_type == ERROR and msg_type != ERROR:
+        if frame.msg_type == ERROR:
             raise RemoteError(frame.payload.decode("utf-8", "replace"))
-        if frame.msg_type != msg_type:
-            raise ProtocolError(
-                f"expected message type {msg_type}, got {frame.msg_type}"
-            )
         return frame.payload
 
     def close(self):

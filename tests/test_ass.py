@@ -262,8 +262,6 @@ SHORT_REPLIES = {
     "mul_mt": (dict(num_amt=2), 0,
                lambda e: e.mul_mt(ArithShare(np.zeros(2), 0), ArithShare(np.zeros(2), 0)),
                transport.ASS_EF, 3),
-    "reveal": (dict(), 1, lambda e: e.reveal(ArithShare(np.zeros(2), 1)),
-               transport.APP_REVEAL, 1),
 }
 
 
@@ -279,24 +277,13 @@ def test_peer_reply_of_wrong_length_rejected(channels, case):
                     lambda: fake.exchange(msg_type, bytes(4 * count)))
 
 
-def test_reveal_one_sided(channels):
-    m = manifest(ring=L8)
-    e0, e1 = engines(channels, m)
-    s0, s1 = ass.share(77, L8, np.random.default_rng(9))
-    r0, r1 = run_parties(
-        lambda: e0.reveal(ArithShare(s0.value, 0), to="role1"),
-        lambda: e1.reveal(ArithShare(s1.value, 1), to="role1"),
-    )
-    assert r0 is None and int(r1[0]) == 77
-
-
 def test_share_input_roundtrip(channels):
     m = manifest(ring=L32)
     e0, e1 = engines(channels, m)
     rng0, rng1 = np.random.default_rng(10), np.random.default_rng(11)
     x = np.arange(5, dtype=np.uint64)
     s0, s1 = run_parties(
-        lambda: e0.share_input(x, owner=0, rng=rng0),
-        lambda: e1.share_input(None, owner=0, rng=rng1),
+        lambda: e0.share_input(x, 5, owner=0, rng=rng0),
+        lambda: e1.share_input(None, 5, owner=0, rng=rng1),
     )
     assert np.array_equal(ass.reconstruct(s0, s1, L32), x)

@@ -5,12 +5,14 @@ positionally (perfbench/spans.py), so a rename or a reordered parameter
 fails here instead of as failed benchmark queries or counters that read
 0."""
 
+import collections
 import inspect
 
 import numpy as np
 import pytest
+from conftest import run_parties
 
-from hybrid2pc import ass, circuits, correlated, gc, gmw, ot, session, stp, transport
+from hybrid2pc import ass, circuits, correlated, gc, gmw, ml, ot, session, stp, transport
 from hybrid2pc.ring import RingParams
 
 CONTRACT = [
@@ -74,3 +76,56 @@ def test_circuit_exposes_and_count_and_registers():
 
 def test_bool_share_exposes_bits():
     assert gmw.BoolShare(np.zeros((2, 3), np.uint8), 0).bits.size == 6
+
+
+# Probe counts online_flights from a no-argument wrapper on Channel.recv.
+# A receive that read a frame without calling recv would undercount
+# flights silently; here it fails as a count that disagrees with the
+# frames the ledgers booked.
+
+
+def _session(key, manifest, call0, call1):
+    """One in-process session with a local dealer, key (or None) on the
+    dealer and peer links; returns the two parties' ledgers."""
+    srv = stp.StpServer(cipher_key=key).start()
+    c0, c1 = transport.channel_pair(manifest.session_id, cipher_key=key)
+
+    def offline(role, chan):
+        return lambda: session.PartySession.offline(role, manifest, srv.address, chan,
+                                                    stp_cipher_key=key)
+
+    try:
+        s0, s1 = run_parties(offline(0, c0), offline(1, c1))
+        run_parties(lambda: call0(s0), lambda: call1(s1))
+    finally:
+        srv.stop()
+        c0.close()
+        c1.close()
+    return c0.ledger, c1.ledger
+
+
+def test_every_received_frame_passes_through_recv(monkeypatch):
+    counts = collections.Counter()
+    orig = transport.Channel.recv
+
+    def recv(self):
+        counts[self.ledger] += 1  # keyed by object: ids of freed ledgers recur
+        return orig(self)
+
+    monkeypatch.setattr(transport.Channel, "recv", recv)
+    rng = np.random.default_rng(3)
+    p, d = RingParams(32, 7, 12), 10
+    svm = ml.SvmModel(rng.uniform(-1, 1, d), 0.25)
+    query = rng.uniform(-1, 1, (1, d))
+    ledgers = _session(bytes(range(32)), ml.plan_svm_manifest(d, 1, p, bytes([1] * 16)),
+                       lambda s: ml.svm_classify(s, svm, None, d, 1),
+                       lambda s: ml.svm_classify(s, None, query, d, 1))
+    net = ml.mnist_like_net(rng, p)
+    image = rng.uniform(0, 1, (1, 1, 28, 28))
+    ledgers += _session(None, ml.plan_nn_manifest(net, p, 1, ml.WAN, bytes([2] * 16)),
+                        lambda s: ml.nn_infer(s, net, None, 1, ml.WAN),
+                        lambda s: ml.nn_infer(s, net.public(), image, 1, ml.WAN))
+    for ledger in ledgers:
+        booked = ledger.messages(direction="recv")
+        assert booked > 2  # the dealer's bundle and online frames
+        assert counts[ledger] == booked

@@ -160,40 +160,3 @@ def test_multi_cycle_counter(channels):
     out, _ = eval_both(channels, circ, np.zeros((1, 0)), np.zeros((1, 0)),
                        num_bmt=circ.num_and * 5, cycles=5)
     assert from_bits(out)[0] == 5
-
-
-def test_share_input_and_reveal(channels):
-    e0, e1 = engines(channels, 0)
-    rng = np.random.default_rng(3)
-    bits = to_bits(np.array([0xDEADBEEF], np.uint64), 64)
-
-    def p0():
-        s = e0.share_input(bits, owner=0, rng=rng)
-        return e0.reveal(s, to="both")
-
-    def p1():
-        s = e1.share_input(None, owner=0, rng=None)
-        return e1.reveal(s, to="both")
-
-    r0, r1 = run_parties(p0, p1)
-    assert np.array_equal(r0, bits) and np.array_equal(r1, bits)
-
-
-def test_reveal_one_sided(channels):
-    e0, e1 = engines(channels, 0)
-    rng = np.random.default_rng(4)
-    s0, s1 = gmw.share_bits(np.array([[1, 0, 1]], np.uint8), rng)
-    r0, r1 = run_parties(
-        lambda: e0.reveal(BoolShare(s0.bits, 0), to="role0"),
-        lambda: e1.reveal(BoolShare(s1.bits, 1), to="role0"),
-    )
-    assert np.array_equal(r0, [[1, 0, 1]]) and r1 is None
-
-
-def test_empty_output_reveal(channels):
-    e0, e1 = engines(channels, 0)
-    r0, r1 = run_parties(
-        lambda: e0.reveal(BoolShare(np.zeros((1, 0), np.uint8), 0), to="both"),
-        lambda: e1.reveal(BoolShare(np.zeros((1, 0), np.uint8), 1), to="both"),
-    )
-    assert r0.size == 0 and r1.size == 0

@@ -322,3 +322,19 @@ def test_dimension_mismatch_rejected():
     net = ml.NetSpec((1, 4, 4), [ml.FC(10, 3, np.zeros((3, 10)))])
     with pytest.raises(ml.MlError):
         list(ml._walk(net))
+
+
+def test_ring_header_out_of_range_rejected(tmp_path):
+    # byte 8 is the ring width; MlError subclasses ValueError, so the type
+    # is compared exactly
+    path = tmp_path / "model.bin"
+    fc = ml.FC(1, 1, np.zeros((1, 1)))
+    for save, load, model in ((ml.save_net, ml.load_net, ml.NetSpec((1, 1, 1), [fc])),
+                              (ml.save_svm, ml.load_svm, ml.SvmModel(np.zeros(2), 0.0))):
+        save(str(path), model, P32)
+        data = bytearray(path.read_bytes())
+        data[8] = 99
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as ei:
+            load(str(path))
+        assert type(ei.value) is ml.MlError

@@ -1,0 +1,178 @@
+"""Every receive names its frame's exact size: a fake peer answers each
+receive site with a frame one byte too long or too short, under the null
+cipher and under PSK, and the receiving party raises ProtocolError before
+it reads the body. The fake peer sends its frames before the party runs,
+so the party's own frames wait in the socket buffer unread."""
+
+import struct
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import deal, ot_masks
+
+from hybrid2pc import circuits, gc, stp, transport
+from hybrid2pc.ass import ArithShare, AssEngine
+from hybrid2pc.correlated import ResourceManifest, bundle_size
+from hybrid2pc.gmw import BoolShare, GmwEngine
+from hybrid2pc.ot import OtReceiver, OtSender
+from hybrid2pc.ring import RingParams
+from hybrid2pc.transport import (BUNDLE, Channel, PskCipher, ProtocolError,
+                                 channel_pair)
+
+L32 = RingParams(32)
+AND8 = circuits.build_bitand(8)  # 8 + 8 inputs, 8 outputs, one AND level
+NINST = 3
+TABLES = gc._table_bytes(AND8, 1, NINST)
+DECODE = (len(AND8.outputs) * NINST + 7) // 8
+
+
+def _material(role, **kw):
+    return deal(ResourceManifest(bytes(16), L32, **kw))[role]
+
+
+def _zeros(shape):
+    return np.zeros(shape, np.uint8)
+
+
+def _yao(role):
+    """An input group bound to labels held from an earlier run: no OT."""
+    return "yao", gc.YaoShare(_zeros((NINST, 8, 16)), role)
+
+
+def _gc_garble_both(chan):
+    sess = gc.GcSession(0, chan, rng=np.random.default_rng(0))
+    sess.run(AND8, ("bits", _zeros((NINST, 8))), _yao(0), ninst=NINST, decode="both")
+
+
+T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST * 16),
+              (transport.GC_DECODE, DECODE))
+
+# site: (the party's call on its channel, every frame the fake peer sends
+# it as (type, due size), and the index of the frame whose size is spoiled)
+SITES = {
+    "OT_CHOICES": (lambda ch: OtSender(ot_masks(20)[0], ch).send(
+        _zeros((20, 1)), _zeros((20, 1)), 8), [(transport.OT_CHOICES, 3)], 0),
+    "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4)[1:], ch).recv(_zeros(4), 8),
+                 [(transport.OT_PAIRS, 2 * 4)], 0),
+    "GC_TABLES": (lambda ch: gc.GcSession(1, ch).run(AND8, _yao(1), _yao(1), ninst=NINST),
+                  [T, DEC], 0),
+    "GC_INLABELS": (lambda ch: gc.GcSession(1, ch).run(AND8, ("bits", None), _yao(1),
+                                                       ninst=NINST), [T, IN, DEC], 1),
+    "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch).run(AND8, _yao(1), _yao(1),
+                                                               ninst=NINST), [T, DEC], 1),
+    "GC_DECODE-garbler": (_gc_garble_both, [DEC], 0),
+    "APP_SHARE": (lambda ch: AssEngine(0, L32, ch, _material(0)).share_input(
+        None, 4, owner=1, rng=None), [(transport.APP_SHARE, 4 * 4)], 0),
+    "ASS_EF": (lambda ch: AssEngine(0, L32, ch, _material(0, num_amt=2)).mul_mt(
+        ArithShare(np.zeros(2), 0), ArithShare(np.zeros(2), 0)),
+        [(transport.ASS_EF, 2 * 2 * 4)], 0),
+    "DA_MASKED-role0": (lambda ch: AssEngine(0, L32, ch, _material(0, vdp_blocks=((2, 3),))
+                                             ).vdp(np.zeros(6), ArithShare(np.zeros(6), 0), 3),
+                        [(transport.DA_MASKED, 6 * 4)], 0),
+    "DA_MASKED-role1": (lambda ch: AssEngine(1, L32, ch, _material(1, vdp_blocks=((2, 3),))
+                                             ).vdp(None, ArithShare(np.zeros(6), 1), 3),
+                        [(transport.DA_MASKED, 6 * 4)], 0),
+    # a 4-byte level index (round 0, all zero) and 2 x 8 packed bits
+    "GMW_DE": (lambda ch: GmwEngine(0, ch, _material(0, num_bmt=8)).evaluate(
+        AND8.levelized, BoolShare(_zeros((1, 8)), 0), BoolShare(_zeros((1, 8)), 0)),
+        [(transport.GMW_DE, 4 + 2)], 0),
+}
+CIPHERS = {"null": None, "psk": bytes(range(32))}
+
+
+def _run_site(site, delta, key):
+    """The fake peer's frames up to the spoiled one, which is delta bytes
+    off its due size (all of them when delta is 0); then the party's call."""
+    call, frames, at = SITES[site]
+    mine, fake = channel_pair(cipher_key=key)
+    mine.sock.settimeout(10)  # a party that waits for more frames fails, not hangs
+    try:
+        for i, (t, n) in enumerate(frames if delta == 0 else frames[: at + 1]):
+            fake.send(t, bytes(n + (delta if i == at else 0)))
+        call(mine)
+    finally:
+        mine.close()
+        fake.close()
+
+
+@pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("site", SITES)
+def test_frame_of_wrong_size_rejected(site, delta, key):
+    with pytest.raises(ProtocolError):
+        _run_site(site, delta, key)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_frame_of_due_size_accepted(site):
+    # the sizes above are the due ones: the same frames, exact, pass
+    _run_site(site, 0, None)
+
+
+def _fake_dealer(key, reply_size):
+    """A dealer on localhost that answers one manifest with a BUNDLE of
+    reply_size zero bytes; returns its address and thread."""
+    srv = transport.tcp_listen("127.0.0.1", 0)
+
+    def serve():
+        sock = transport.tcp_accept(srv)
+        chan = Channel(sock, None, cipher=PskCipher(key, 1) if key else None)
+        try:
+            chan.recv()
+            chan.send(BUNDLE, bytes(reply_size))
+        finally:
+            chan.close()
+            srv.close()
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return srv.getsockname(), t
+
+
+@pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("role", [0, 1])
+def test_bundle_of_wrong_size_rejected(role, delta, key):
+    m = ResourceManifest(bytes(range(16)), L32, num_amt=3, num_bmt=9, num_ot=2,
+                         vdp_blocks=((2, 3),))
+    addr, t = _fake_dealer(key, bundle_size(role, m) + delta)
+    with pytest.raises(ProtocolError):
+        stp.request_bundle(addr, m, role, cipher_key=key)
+    t.join(10)
+    assert not t.is_alive()
+
+
+def _raw_header(chan, length, msg_type):
+    chan.sock.sendall(struct.pack("<IB", length, msg_type) + chan.session)
+
+
+def test_huge_header_rejected_before_allocating():
+    mine, fake = channel_pair()
+    _raw_header(fake, 512 << 20, transport.APP_SHARE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            mine.recv_expect(transport.APP_SHARE, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        mine.close()
+        fake.close()
+    assert peak < 1 << 20
+
+
+def test_error_frame_capped():
+    # an ERROR frame in place of the due one surfaces up to ERROR_CAP bytes
+    mine, fake = channel_pair()
+    try:
+        fake.send(transport.ERROR, b"E" * transport.ERROR_CAP)
+        with pytest.raises(transport.RemoteError):
+            mine.recv_expect(BUNDLE, 32)
+        _raw_header(fake, transport.ERROR_CAP + 1, transport.ERROR)
+        with pytest.raises(ProtocolError):
+            mine.recv_expect(BUNDLE, 32)
+    finally:
+        mine.close()
+        fake.close()

@@ -7,6 +7,7 @@ import pytest
 
 from hybrid2pc import stp, transport
 from hybrid2pc.correlated import ResourceManifest, open_bundle
+from hybrid2pc.drbg import SEED_BYTES
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import ByteLedger, RemoteError
 
@@ -167,7 +168,7 @@ def test_online_traffic_refused(server):
     chan = Channel(sock, secrets.token_bytes(16))
     chan.send(transport.GMW_DE, b"\x00\x00\x00\x00")
     with pytest.raises(RemoteError):
-        chan.recv_expect(transport.BUNDLE)
+        chan.recv_expect(transport.BUNDLE, SEED_BYTES)
     chan.close()
 
 
@@ -190,7 +191,7 @@ def test_malformed_block_manifest_rejected(server, payload):
     try:
         chan.send(transport.MANIFEST, bytes([0]) + payload)
         with pytest.raises(RemoteError) as ei:
-            chan.recv_expect(transport.BUNDLE)
+            chan.recv_expect(transport.BUNDLE, SEED_BYTES)
         assert ei.value.code == "MALFORMED_MANIFEST"
     finally:
         chan.close()

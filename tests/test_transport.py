@@ -77,7 +77,7 @@ def test_type_mismatch():
     c0, c1 = channel_pair()
     c0.send(transport.APP_SHARE, b"hello")
     with pytest.raises(ProtocolError):
-        c1.recv_expect(transport.GMW_DE)
+        c1.recv_expect(transport.GMW_DE, 5)
 
 
 def test_aead_mode_roundtrip():
@@ -124,7 +124,7 @@ def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
         c0.send(transport.GMW_DE, payload)
         c0.send(transport.APP_SHARE, payload)
         assert c1.recv().payload == expect
-        assert c1.recv_expect(transport.APP_SHARE) == expect
+        assert c1.recv_expect(transport.APP_SHARE, len(expect)) == expect
         books.append((c0.ledger.payload_bytes(direction="sent"),
                       c0.ledger.wire_bytes(direction="sent"),
                       c1.ledger.payload_bytes(direction="recv"),
