@@ -18,6 +18,8 @@ w-1 ANDs and the signed compare w, at AND depth w-1 and w.
 stage_circuit() compiles the protocol's garbled stages: per-value share
 adders, a free fixed-point shift, then a stage body (relu, max, argmax,
 sign), each body a Builder word method that the library builders share.
+After a shift by s the body runs on the l - s low bits of the shifted
+value only, since its top s bits would be copies of its sign.
 It, build_relu and build_max_tree (the GMW stages) are cached per
 process with functools.cache, keyed on normalised arguments, so each
 stage netlist is built, and levelized through Circuit.levelized, once
@@ -642,13 +644,21 @@ def _max_tree(n: int, w: int, variant: str) -> Circuit:
 
 
 def stage_circuit(kind: str, w: int, shift: int = 0, nvals: int = 1) -> Circuit:
-    """Garbled-stage circuit: per-value share adders, free shift rewiring,
-    then the stage function. Inputs: role i supplies nvals*w share bits.
+    """Garbled-stage circuit over the ring width w: per-value w-bit share
+    adders, free shift rewiring, then the stage function. Inputs: role i
+    supplies nvals*w share bits.
 
-    kind: "identity" (the a2y adder), "relu" per value, "sign" (1 iff the
-    value is positive), or "max"/"argmax" over the nvals values. Stages
-    are garbled, so the adders and compares are SIZE. One cache entry per
-    netlist, however the arguments are spelled.
+    The adders keep all w bits, since their carries need every low bit,
+    but only sum bits shift..w-1 leave them: a (w - shift)-bit two's-
+    complement value, whose w-bit arithmetic shift would only repeat its
+    top bit. The body runs at that narrow width.
+
+    kind: "identity" (the a2y adder; the narrow bits of each value),
+    "relu" per value (the narrow bits, the top one the constant-0 sign),
+    "sign" (1 iff the value is positive), or "max" (narrow bits) /
+    "argmax" (index bits) over the nvals values. Stages are garbled, so
+    the adders and compares are SIZE. One cache entry per netlist, however
+    the arguments are spelled.
     """
     return _stage_circuit(kind, int(w), int(shift), int(nvals))
 
@@ -656,13 +666,12 @@ def stage_circuit(kind: str, w: int, shift: int = 0, nvals: int = 1) -> Circuit:
 @functools.cache
 def _stage_circuit(kind: str, w: int, shift: int, nvals: int) -> Circuit:
     _check_width(w)
+    _check_width(w - shift)
     b = Builder(f"stage_{kind}{nvals}x{w}_shr{shift}")
     in0 = b.inputs(0, nvals * w)
     in1 = b.inputs(1, nvals * w)
-    vals = []
-    for i in range(nvals):
-        s = b.adder_word(in0[i * w : (i + 1) * w], in1[i * w : (i + 1) * w])
-        vals.append(b.shr_word(s, shift, s[-1]))
+    vals = [b.adder_word(in0[i * w : (i + 1) * w], in1[i * w : (i + 1) * w])[shift:]
+            for i in range(nvals)]
     if kind == "identity":
         b.outputs = [x for v in vals for x in v]
     elif kind == "relu":

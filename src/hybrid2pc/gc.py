@@ -325,10 +325,13 @@ class GcSession:
                          via OT, so the garbler passes arr=None for bind1
                          and the evaluator arr=None for bind0
           ("yao", ys)    labels retained from b2y or an earlier run
-          None           empty group
+          None           empty group; a group with wires raises GcError
         decode: "evaluator", "both", or "none" (keep labels for y2b).
         Returns decoded bits (nout, ninst) or a YaoShare when "none".
         """
+        for k, (bind, group) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
+            if bind is None and group:
+                raise GcError(f"input group {k} has {len(group)} wires but no binding")
         kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
         run = self._run_garbler if self.role == 0 else self._run_evaluator
         out = run(c, kinds, vals, cycles, ninst, decode)

@@ -12,8 +12,12 @@ decoding only to the client.
 Fixed-point scale bookkeeping: every linear layer over beta-scaled
 operands leaves the output scaled by an extra 2^beta (and mean-pooling by
 its window area); that pending shift is discharged for free as rewiring
-inside the next garbled stage. The plaintext oracle below replays the
-identical schedule, so secure and plain results agree bit-for-bit.
+inside the next garbled stage. A stage that shifts by s leaves l - s
+bits, since the top s bits of the shifted value only repeat its sign: its
+body (garbled or GMW) runs at that width, and b2a converts that many
+bits, sign-extending the top one, or the l - s - 1 bits below a ReLU's
+constant-0 sign. The plaintext oracle below replays the identical
+schedule, so secure and plain results agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -223,13 +227,20 @@ def _stage_circuits(layer, nvals: int, shift: int, profile: str, l: int):
     """(garbled stage, GMW body or None) of an Act (relu) or MaxPool stage.
 
     wan garbles the whole stage; lan garbles only the identity stage and
-    runs relu or max in GMW on its output bits.
+    runs relu or max in GMW on its l - shift output bits.
     """
     kind = "relu" if isinstance(layer, Act) else "max"
     if profile == WAN:
         return stage_circuit(kind, l, shift, nvals), None
-    body = cc.build_relu(l) if kind == "relu" else cc.build_max_tree(nvals, l, cc.DEPTH)
+    w = l - shift
+    body = cc.build_relu(w) if kind == "relu" else cc.build_max_tree(nvals, w, cc.DEPTH)
     return stage_circuit("identity", l, shift, nvals), body
+
+
+def _b2a_bits(layer, last: cc.Circuit) -> int:
+    """Bits b2a converts per instance of a stage whose last circuit is
+    last: all its outputs, but below a ReLU's constant-0 sign bit."""
+    return len(last.outputs) - isinstance(layer, Act)
 
 
 # ----- manifest planning -----
@@ -249,8 +260,8 @@ def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
             blocks.append((ninst, klen))
         elif isinstance(layer, (Act, MaxPool)):
             garbled, body = _stage_circuits(layer, nvals, shift, profile, p.l)
-            # evaluator share bits into the garbled stage, then b2a per output bit
-            num_ot += ninst * (len(garbled.inputs1) + len((body or garbled).outputs))
+            # evaluator share bits into the garbled stage, then b2a per converted bit
+            num_ot += ninst * (len(garbled.inputs1) + _b2a_bits(layer, body or garbled))
             num_bmt += ninst * body.num_and if body else 0
         elif isinstance(layer, ArgMax):
             num_ot += ninst * len(stage_circuit("argmax", p.l, shift, nvals).inputs1)
@@ -282,7 +293,9 @@ def _boolean_stage(se: PartySession, x: ArithShare, layer, shift: int,
     if body is not None:
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
         out_bits = se.gmw.evaluate(body.levelized, out_bits, empty)
-    return convert.b2a(se.role, p, se.ot, out_bits, se.rng)
+    nbits = _b2a_bits(layer, body or garbled)
+    return convert.b2a(se.role, p, se.ot, BoolShare(out_bits.bits[:, :nbits], se.role),
+                       se.rng, signed=isinstance(layer, MaxPool))
 
 
 def _reveal_stage(se: PartySession, x: ArithShare, kind: str, nvals: int,

@@ -18,8 +18,11 @@ is the size it sent. recv compares the header with that size, plus the
 cipher's overhead, before it allocates the body, and raises ProtocolError
 on any mismatch, so an out-of-step peer can neither corrupt shares nor
 make a party allocate memory on its word. An ERROR frame in place of the
-due one surfaces as RemoteError, up to ERROR_CAP bytes. Only the dealer's
-first, unsolicited read (a bare recv) takes any size up to MAX_PAYLOAD.
+due one surfaces as RemoteError, up to ERROR_CAP bytes. The dealer's
+first, unsolicited read (a bare recv on a channel that has yet to learn
+its session) is a manifest, whose size it cannot know: it takes at most
+MANIFEST_CAP bytes, checked before the body is allocated. Other bare
+reads take up to MAX_PAYLOAD.
 
 In null-cipher mode nothing else is added and payload accounting is
 byte-exact. The PSK-AEAD mode seals each frame with AES-GCM under a
@@ -38,6 +41,10 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 MAX_PAYLOAD = 1 << 30
 ERROR_CAP = 256  # largest ERROR payload accepted where another frame is due
+# largest first frame of a channel that has yet to learn its session: the
+# dealer's manifest, a role byte, a 27-byte head and 8 bytes per
+# dot-product block, so room for over 8 000 linear layers
+MANIFEST_CAP = 1 << 16
 HEADER_LEN = 21
 
 # Message types.
@@ -243,8 +250,9 @@ class Channel:
         session = header[5:]
         over = self.cipher.overhead
         if due is None:
-            if length > MAX_PAYLOAD + over:
-                raise FrameTooLarge(f"incoming frame of {length} bytes")
+            cap = MANIFEST_CAP if self.session is None else MAX_PAYLOAD
+            if length > cap + over:
+                raise FrameTooLarge(f"incoming frame of {length} bytes exceeds {cap}")
         elif msg_type == ERROR:
             if length > ERROR_CAP + over:
                 raise ProtocolError(f"ERROR frame of {length} bytes exceeds the cap")

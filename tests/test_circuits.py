@@ -248,10 +248,15 @@ def test_size_builders_use_one_and_per_full_adder():
     assert cc.build_add(32, "size").num_and == 31
     assert cc.build_sub(32, "size").num_and == 31
     assert cc.build_cmp(32, "size").num_and == 32
+    # after a shift by 12 the 31-AND share adder feeds bodies 20 bits wide
     assert [ml.stage_circuit(kind, 32, 12).num_and
-            for kind in ("identity", "relu", "sign")] == [31, 62, 63]
-    assert ml.stage_circuit("max", 32, 12, 4).num_and == 316
-    assert ml.stage_circuit("argmax", 32, 12, 10).num_and == 875
+            for kind in ("identity", "relu", "sign")] == [31, 50, 51]
+    assert ml.stage_circuit("max", 32, 12, 4).num_and == 244
+    assert ml.stage_circuit("argmax", 32, 12, 10).num_and == 671
+    # the GMW bodies at that width
+    assert cc.build_relu(20).num_and == 19
+    tree = cc.build_max_tree(4, 20, "depth")
+    assert (tree.num_and, tree.levelized.depth) == (222, 12)
     for w in (8, 16, 32):
         assert cc.levelize(cc.build_add(w, "size")).depth == w - 1
 
@@ -288,10 +293,11 @@ def test_levelized_is_computed_once():
     assert c.levelized.depth == cc.levelize(c).depth == 16
 
 
-def _pinned_netlists():
-    """Every stage and library circuit the protocol runs, in a fixed order."""
+def _pinned_netlists(narrow: bool = True):
+    """Every stage and library circuit the protocol runs, in a fixed order;
+    only the shift-0 stages and the library when narrow is False."""
     for w, shifts in ((8, (0, 3)), (32, (0, 12))):
-        for shift in shifts:
+        for shift in shifts if narrow else (0,):
             for kind, nvals in (("identity", 1), ("identity", 4), ("relu", 1),
                                 ("sign", 1), ("max", 4), ("argmax", 10)):
                 yield ml.stage_circuit(kind, w, shift, nvals)
@@ -303,16 +309,27 @@ def _pinned_netlists():
         yield cc.build_shift(w, 3, arithmetic=False)
 
 
-# recorded before the stage bodies moved into circuits; a refactor of the
-# builders must leave every netlist, and so this digest, as it is
-PINNED_NETLISTS_SHA256 = "dfcfa2ee1f02d744558bf8396f423d233c292bdf4402c015a3f885cbe1fcab7e"
+def _digest(netlists) -> str:
+    h = hashlib.sha256()
+    for c in netlists:
+        h.update(cc.emit_circuit(c).encode())
+    return h.hexdigest()
+
+
+# re-recorded when the stages after a shift became narrow; a refactor of
+# the builders must leave every netlist, and so this digest, as it is
+PINNED_NETLISTS_SHA256 = "df082d1dc5ca193b49a6b43aabb0a661f62fa12894d0579efe1ff36e64e59cd6"
+# recorded before the stages became narrow: narrowing touches no shift-0
+# stage and no library circuit
+SHIFT0_NETLISTS_SHA256 = "c1a2fcd51edf44abfe1af387696e9075186f734dd980e6c15e6376a98e8777d3"
 
 
 def test_stage_and_library_netlists_pinned():
-    h = hashlib.sha256()
-    for c in _pinned_netlists():
-        h.update(cc.emit_circuit(c).encode())
-    assert h.hexdigest() == PINNED_NETLISTS_SHA256
+    assert _digest(_pinned_netlists()) == PINNED_NETLISTS_SHA256
+
+
+def test_shift0_stage_and_library_netlists_unchanged():
+    assert _digest(_pinned_netlists(narrow=False)) == SHIFT0_NETLISTS_SHA256
 
 
 def _stage_words(c, x0, x1, w):
@@ -325,35 +342,46 @@ def _stage_words(c, x0, x1, w):
 
 @pytest.mark.parametrize("shift", [0, 3])
 def test_stages_exhaustive_8bit(shift):
-    p = RingParams(8)
+    # each stage outputs the w = 8 - shift low bits of the truncated sum v;
+    # the 8 - w bits above them only repeat bit w - 1
+    p, w = RingParams(8), 8 - shift
     x0, x1 = A8[:, None], B8[:, None]
     v = ring.truncate((A8 + B8) & np.uint64(p.mask), p, shift=shift)
+    low = v & np.uint64((1 << w) - 1)
+    sign = (low >> np.uint64(w - 1)) & np.uint64(1)
+    assert np.array_equal(v, low | sign * np.uint64((0xFF << w) & 0xFF))
     _, got = _stage_words(ml.stage_circuit("identity", 8, shift), x0, x1, 8)
-    assert np.array_equal(got, v)
-    _, got = _stage_words(ml.stage_circuit("relu", 8, shift), x0, x1, 8)
-    assert np.array_equal(got, cc.simulate_words(cc.build_relu(8), v, np.zeros((len(v), 0)), 8))
+    assert np.array_equal(got, low)
+    out, got = _stage_words(ml.stage_circuit("relu", 8, shift), x0, x1, 8)
+    assert out.shape[1] == w and not out[:, -1].any()  # the sign bit is 0
+    assert np.array_equal(got, cc.simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0)), w))
     assert np.array_equal(got, np.where(signed(v, 8) > 0, v, 0))
     _, got = _stage_words(ml.stage_circuit("sign", 8, shift), x0, x1, 8)
     assert np.array_equal(got, (signed(v, 8) > 0).astype(np.uint64))
 
 
 def test_max_and_argmax_stages_random_32bit():
+    # the narrow stages equal the library circuits at width w = 20 on the
+    # truncated values' low bits, and numpy on the values themselves
     rng = np.random.default_rng(14)
     p, shift, trials = RingParams(32), 12, 500
-    for kind, nvals, lib in (("max", 4, cc.build_max_tree(4, 32)),
-                             ("argmax", 10, cc.build_argmax(10, 32))):
+    w = p.l - shift
+    for kind, nvals, lib in (("max", 4, cc.build_max_tree(4, w)),
+                             ("argmax", 10, cc.build_argmax(10, w))):
         x0 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
         x1 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
         v = ring.truncate((x0 + x1) & np.uint64(p.mask), p, shift=shift)
+        low = v & np.uint64((1 << w) - 1)
         out, got = _stage_words(ml.stage_circuit(kind, 32, shift, nvals), x0, x1, 32)
-        ref = cc.simulate(lib, to_bits(v.reshape(-1), 32).reshape(trials, -1),
+        ref = cc.simulate(lib, to_bits(low.reshape(-1), w).reshape(trials, -1),
                           np.zeros((trials, 0), np.uint8))
         assert np.array_equal(out, ref), kind
         if kind == "max":
             expect = ring.from_signed(np.max(signed(v, 32), axis=1), p)
+            assert np.array_equal(ring.from_signed(signed(got, w), p), expect)
         else:
             expect = np.argmax(signed(v, 32), axis=1).astype(np.uint64)
-        assert np.array_equal(got, expect), kind
+            assert np.array_equal(got, expect), kind
 
 
 def test_protocol_circuits_built_once():

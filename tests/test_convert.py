@@ -99,24 +99,29 @@ def test_a2y_matches_oracle(channels):
 
 
 def test_a2y_with_scale_discharge(channels):
-    # shift debt rewired for free; result equals the truncation oracle
+    # shift debt rewired for free: the 32 - debt output bits are the low
+    # bits of the truncation oracle, whose higher bits repeat the top one;
+    # y2a sign-extends them back to the whole truncated value
     p = RingParams(32, 7, 12)
     n = 1000
-    se0, se1 = sessions(channels, ring_=p, num_ot=32 * n)
+    debt = 12
+    w = p.l - debt
+    se0, se1 = sessions(channels, ring_=p, num_ot=(32 + w) * n)
     rng = np.random.default_rng(4)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, rng)
-    debt = 12
 
-    def p0():
-        return convert.y2b(se0.gc, convert.a2y(se0.gc, x0, p, shift=debt))
+    def run(se, xs):
+        ys = convert.a2y(se.gc, xs, p, shift=debt)
+        return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.ot, ys, se.rng)
 
-    def p1():
-        return convert.y2b(se1.gc, convert.a2y(se1.gc, x1, p, shift=debt))
-
-    r0, r1 = run_parties(p0, p1)
-    got = ring.from_bits(gmw.reconstruct_bits(r0, r1), p)
-    assert np.array_equal(got, ring.truncate(x, p, shift=debt))
+    (b0, a0), (b1, a1) = run_parties(lambda: run(se0, x0), lambda: run(se1, x1))
+    got = gmw.reconstruct_bits(b0, b1)
+    expect = ring.bits_of(ring.truncate(x, p, shift=debt), p)
+    assert got.shape == (n, w)
+    assert np.array_equal(got, expect[:, :w])
+    assert np.array_equal(expect[:, w:], np.repeat(got[:, -1:], debt, axis=1))
+    assert np.array_equal(ass.reconstruct(a0, a1, p), ring.truncate(x, p, shift=debt))
 
 
 def test_b2a_exhaustive_one_bit(channels):
@@ -150,6 +155,30 @@ def test_b2a_extremes_and_random(channels):
         lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1)),
     )
     assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
+
+
+@pytest.mark.parametrize("w", range(1, 8))
+def test_b2a_narrow_weights_exhaustive_8bit(w):
+    # every w-bit pattern at l = 8: ReLU-style weights 2^j give its unsigned
+    # value, max-style weights (top bit -2^(w-1) mod 2^8) its sign extension
+    p = RingParams(8)
+    chans = transport.channel_pair()
+    vals = np.arange(1 << w, dtype=np.uint64)
+    se0, se1 = sessions(chans, ring_=p, num_ot=2 * w * len(vals))
+    bits = ring.bits_of(vals, p)[:, :w]
+    b0, b1 = gmw.share_bits(bits, np.random.default_rng(w))
+
+    def run(se, bs):
+        return [convert.b2a(se.role, p, se.ot, BoolShare(bs.bits, se.role), se.rng,
+                            signed=signed) for signed in (False, True)]
+
+    (u0, s0), (u1, s1) = run_parties(lambda: run(se0, b0), lambda: run(se1, b1))
+    assert np.array_equal(ass.reconstruct(u0, u1, p), vals)
+    extended = ring.from_signed(ring.to_signed(vals, RingParams(w)) if w > 1
+                                else -vals.astype(np.int64), p)
+    assert np.array_equal(ass.reconstruct(s0, s1, p), extended)
+    for ch in chans:
+        ch.close()
 
 
 @pytest.mark.parametrize("w", [8, 32, 64])

@@ -160,6 +160,24 @@ def test_short_table_buffer_rejected():
         evaluate(circ, 3, g.tables[:-8], g.in_zero, g.reg_zero, 2)
 
 
+@pytest.mark.parametrize("group", [0, 1])
+def test_unbound_input_group_with_wires_rejected(channels, group):
+    # a None binding is only for an empty group: for one with wires the
+    # evaluator would compute on labels nobody set
+    circ, n = cc.build_bitand(8), 3
+
+    def binds(role):
+        out = [("yao", YaoShare(np.zeros((n, 8, 16), np.uint8), role)) for _ in range(2)]
+        out[group] = None
+        return out
+
+    g, e = sessions(channels, 1)
+    with pytest.raises(gc_mod.GcError, match="no binding"):
+        run_parties(lambda: g.run(circ, *binds(0), ninst=n),
+                    lambda: e.run(circ, *binds(1), ninst=n))
+    assert [c.ledger.messages() for c in channels] == [0, 0]
+
+
 def test_identity_passthrough(channels):
     b = cc.Builder("ident")
     x = b.inputs(0, 8)

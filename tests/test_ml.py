@@ -128,10 +128,10 @@ def test_mnist_plan_is_one_block_per_linear_layer():
     m = ml.plan_nn_manifest(net, P32, 20, ml.LAN, bytes(16))
     assert m.vdp_blocks == ((19600, 25), (2000, 980), (200, 100))
     assert len(m.encode()) == 27 + 8 * 3
-    assert (m.num_ot, m.num_bmt) == (1388800, 669600)
+    assert (m.num_ot, m.num_bmt) == (1108000, 410400)
     m = ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16))
     assert m.vdp_blocks == ((980, 25), (100, 980), (10, 100))
-    assert (m.num_ot, m.num_bmt) == (69440, 0)
+    assert (m.num_ot, m.num_bmt) == (55400, 0)
 
 
 def test_empty_net_zero_manifest():
@@ -338,3 +338,39 @@ def test_ring_header_out_of_range_rejected(tmp_path):
         with pytest.raises(ValueError) as ei:
             load(str(path))
         assert type(ei.value) is ml.MlError
+
+
+def _mnist_frame_bytes(batch: int, profile: str) -> dict:
+    """Closed-form online payload bytes per frame type for MNIST-like at
+    l = 32: both ReLU layers and the argmax discharge a shift of 12, so
+    their bodies run on w = 20 bits, and b2a converts a ReLU value's 19
+    bits below its sign, one OT of 32-bit messages each."""
+    relus = (980 * batch, 100 * batch)  # ReLU values per layer
+    relu_ands = 31 if profile == ml.LAN else 50  # identity stage / relu stage
+    label_ots = [32 * n for n in relus] + [320 * batch]  # evaluator share bits
+    b2a_ots = [19 * n for n in relus]
+    return {
+        transport.GC_TABLES: 32 * (relu_ands * sum(relus) + 671 * batch),
+        transport.OT_PAIRS: 2 * 16 * sum(label_ots) + 2 * 4 * sum(b2a_ots),
+        transport.OT_CHOICES: sum((n + 7) // 8 for n in label_ots + b2a_ots),
+        # one AND level of 19 ANDs per value: 2 bits per AND lane, each way
+        transport.GMW_DE: (sum((2 * 19 * n + 7) // 8 for n in relus)
+                           if profile == ml.LAN else 0),
+    }
+
+
+@pytest.mark.parametrize("batch, profile", [(20, ml.LAN), (1, ml.WAN)])
+def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
+    rng = np.random.default_rng(15)
+    net = ml.mnist_like_net(rng, P32)
+    images = rng.uniform(-1, 1, size=(batch, 1, 28, 28))
+    got, (s0, s1) = infer_both(net, images, profile)
+    assert np.array_equal(got, ml.nn_oracle(net, images, P32))
+    # the sessions were dealt in process: their channels carry online frames only
+    for msg_type, nbytes in _mnist_frame_bytes(batch, profile).items():
+        senders = {transport.OT_CHOICES: (s1,), transport.GMW_DE: (s0, s1)}.get(msg_type, (s0,))
+        for s in senders:
+            assert s.channel.ledger.payload_bytes(direction="sent",
+                                                  msg_type=msg_type) == nbytes, msg_type
+    sent = [s.channel.ledger.payload_bytes(direction="sent") for s in (s0, s1)]
+    assert sent == ([68607250, 10183820] if profile == ml.LAN else [4081873, 504062])

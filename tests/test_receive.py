@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import deal, ot_masks
 
-from hybrid2pc import circuits, gc, stp, transport
+from hybrid2pc import circuits, gc, ml, stp, transport
 from hybrid2pc.ass import ArithShare, AssEngine
 from hybrid2pc.correlated import ResourceManifest, bundle_size
 from hybrid2pc.gmw import BoolShare, GmwEngine
@@ -161,6 +161,55 @@ def test_huge_header_rejected_before_allocating():
         mine.close()
         fake.close()
     assert peak < 1 << 20
+
+
+def _dealer_side(key=None):
+    """A channel pair whose second end reads like the dealer's: it has yet
+    to learn its session, so its first frame is an unsolicited manifest."""
+    party, dealer = channel_pair(cipher_key=key)
+    return party, Channel(dealer.sock, None, cipher=PskCipher(key, 1) if key else None)
+
+
+def test_huge_manifest_header_rejected_before_allocating():
+    party, dealer = _dealer_side()
+    _raw_header(party, 512 << 20, transport.MANIFEST)
+    dealer.sock.settimeout(10)  # a dealer that waits for the body fails, not hangs
+    tracemalloc.start()
+    try:
+        with pytest.raises(transport.FrameTooLarge):
+            dealer.recv()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        party.close()
+        dealer.close()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
+def test_bundled_net_manifests_fit_the_manifest_cap(key):
+    mnist = ml.mnist_like_net(np.random.default_rng(0), RingParams(32, 7, 12))
+    manifests = [ml.plan_nn_manifest(mnist, RingParams(32, 7, 12), batch, profile, bytes(16))
+                 for batch, profile in ((20, ml.LAN), (1, ml.WAN))]
+    manifests.append(ml.plan_nn_manifest(ml.cifar10_like_net(), RingParams(64, 13, 25), 1,
+                                         ml.LAN, bytes(16)))
+    for m in manifests:
+        party, dealer = _dealer_side(key)
+        try:
+            party.send(transport.MANIFEST, bytes([1]) + m.encode())
+            frame = dealer.recv()
+        finally:
+            party.close()
+            dealer.close()
+        assert ResourceManifest.decode(frame.session, frame.payload[1:]) == m
+    # a manifest of the largest size the cap admits passes too
+    party, dealer = _dealer_side()
+    try:
+        party.send(transport.MANIFEST, bytes(transport.MANIFEST_CAP))
+        assert len(dealer.recv().payload) == transport.MANIFEST_CAP
+    finally:
+        party.close()
+        dealer.close()
 
 
 def test_error_frame_capped():
