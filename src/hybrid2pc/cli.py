@@ -129,6 +129,20 @@ def _connect_peer(args) -> transport.Channel:
     return transport.Channel(sock, session)
 
 
+def _run_program(args, channel, manifest, key: str, call) -> dict:
+    """Offline, then the timed online call(session); the result, revealed
+    at role 1, is printed and reported under key."""
+    se = _offline(args.role, manifest, args.stp, channel)
+    t0 = time.perf_counter()
+    result = call(se)
+    out = {"online_seconds": round(time.perf_counter() - t0, 4)}
+    if result is not None:
+        out[key] = result.tolist()
+        print(f"{key}:", result.tolist())
+    se.assert_exhausted()
+    return out
+
+
 def _run_svm(args, cfg: dict, channel) -> dict:
     p = _ring_from(cfg)
     svm_cfg = cfg.get("svm", {})
@@ -138,19 +152,9 @@ def _run_svm(args, cfg: dict, channel) -> dict:
     rng = np.random.default_rng(seed)
     model = ml.SvmModel(rng.uniform(-1, 1, size=d), float(rng.uniform(-1, 1)))
     queries = rng.uniform(-1, 1, size=(batch, d))
-    manifest = ml.plan_svm_manifest(d, batch, p, channel.session)
-    se = _offline(args.role, manifest, args.stp, channel)
-    t0 = time.perf_counter()
-    if args.role == 0:
-        labels = ml.svm_classify(se, model, None, d, batch)
-    else:
-        labels = ml.svm_classify(se, None, queries, d, batch)
-    out = {"online_seconds": round(time.perf_counter() - t0, 4)}
-    if labels is not None:
-        out["labels"] = labels.tolist()
-        print("labels:", labels.tolist())
-    se.assert_exhausted()
-    return out
+    model, queries = (model, None) if args.role == 0 else (None, queries)
+    return _run_program(args, channel, ml.plan_svm_manifest(d, batch, p, channel.session),
+                        "labels", lambda se: ml.svm_classify(se, model, queries, d, batch))
 
 
 def _run_nn(args, cfg: dict, channel) -> dict:
@@ -166,18 +170,9 @@ def _run_nn(args, cfg: dict, channel) -> dict:
         net = ml.mnist_like_net(rng, p)
     images = rng.uniform(0, 1, size=(batch, *net.input_shape))
     manifest = ml.plan_nn_manifest(net, p, batch, args.profile, channel.session)
-    se = _offline(args.role, manifest, args.stp, channel)
-    t0 = time.perf_counter()
-    if args.role == 0:
-        classes = ml.nn_infer(se, net, None, batch, args.profile)
-    else:
-        classes = ml.nn_infer(se, net.public(), images, batch, args.profile)
-    out = {"online_seconds": round(time.perf_counter() - t0, 4)}
-    if classes is not None:
-        out["classes"] = classes.tolist()
-        print("classes:", classes.tolist())
-    se.assert_exhausted()
-    return out
+    net, images = (net, None) if args.role == 0 else (net.public(), images)
+    return _run_program(args, channel, manifest, "classes",
+                        lambda se: ml.nn_infer(se, net, images, batch, args.profile))
 
 
 def cmd_party(args) -> int:

@@ -1,13 +1,20 @@
 """Private SVM classification and neural-network inference.
 
 The server (role 0) holds the model in the clear; the client (role 1)
-holds the query. Linear layers run on additive shares: a convolution
-(via im2col) or a fully connected layer (one window over the whole input)
-is one block of equal-length cleartext-operand dot products, i.e. one
-vdp call, and mean pooling is local. Non-linear layers (ReLU, max
+holds the query. compile_nn walks a net once into a list of Steps, one
+per layer, and everything else reads that list: plan_nn_manifest sums
+the steps' dealt counts, nn_infer runs the steps, and nn_oracle replays
+their shifts and gathers in the clear with arithmetic of its own, so
+secure and plain results agree bit-for-bit. A step's gather has one row
+per output: a dot product's im2col window, a pool window, or one
+Boolean stage instance's values.
+
+Linear layers run on additive shares: a convolution or a fully connected
+layer is one block of equal-length cleartext-operand dot products, i.e.
+one vdp call, and mean pooling is local. Non-linear layers (ReLU, max
 pooling) run as Boolean circuits in GMW ("lan" profile) or garbled
-circuits ("wan" profile); the final argmax or sign always runs garbled,
-decoding only to the client.
+circuits ("wan" profile); the argmax every net ends in, and the SVM's
+sign, always run garbled, decoding only to the client.
 
 Fixed-point scale bookkeeping: every linear layer over beta-scaled
 operands leaves the output scaled by an extra 2^beta (and mean-pooling by
@@ -16,8 +23,7 @@ inside the next garbled stage. A stage that shifts by s leaves l - s
 bits, since the top s bits of the shifted value only repeat its sign: its
 body (garbled or GMW) runs at that width, and b2a converts that many
 bits, sign-extending the top one, or the l - s - 1 bits below a ReLU's
-constant-0 sign. The plaintext oracle below replays the identical
-schedule, so secure and plain results agree bit-for-bit.
+constant-0 sign.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class FC:
 
 @dataclass
 class Act:
-    kind: str = "relu"
+    """ReLU."""
 
 
 @dataclass
@@ -105,7 +111,7 @@ class SvmModel:
     b: np.ndarray | float
 
 
-# ----- shape / schedule walking -----
+# ----- compiling a net into steps -----
 
 
 def _conv_out(h, k, stride, pad):
@@ -147,100 +153,105 @@ def _walk(net: NetSpec):
         shape = out
 
 
-def _schedule(net: NetSpec, p: RingParams):
-    """Resolved protocol schedule: [(layer, in_shape, out_shape, shift)].
+@dataclass
+class Step:
+    """One layer of a net compiled for a batch of images.
 
-    shift is the scale debt discharged at that layer's Boolean stage
-    (Act / MaxPool / ArgMax); linear layers accumulate it instead.
+    gather holds one row per output of an image: indices into the image's
+    flat activation of n values, where index n reads a public zero (a
+    Conv's padding). A Boolean stage (Act, MaxPool or ArgMax) discharges
+    the scale debt shift in its garbled circuit; under lan an Act or
+    MaxPool then runs body in GMW on the circuit's outputs, and b2a
+    converts b2a_bits per instance (none for ArgMax, which decodes to the
+    client). block, ots and bmts are the dealt material the step consumes.
     """
-    out = []
-    debt = 0
+
+    layer: object
+    in_shape: tuple
+    out_shape: tuple
+    gather: np.ndarray
+    shift: int = 0
+    garbled: cc.Circuit | None = None
+    body: cc.Circuit | None = None
+    b2a_bits: int = 0
+    block: tuple[int, int] | None = None
+    ots: int = 0
+    bmts: int = 0
+
+
+def _window_gather(in_shape, k, stride, pad, per_channel: bool) -> np.ndarray:
+    """(outputs, window) indices of k x k windows: a Conv's window spans
+    every channel (outputs position-major), a pool's stays in one channel
+    (outputs channel-major). Padding reads index ch*h*w."""
+    ch, h, w = in_shape
+    oh, ow = _conv_out(h, k, stride, pad), _conv_out(w, k, stride, pad)
+    ci, oi, oj, ki, kj = np.ix_(*(np.arange(n) for n in (ch, oh, ow, k, k)))
+    r, c = oi * stride + ki - pad[0], oj * stride + kj - pad[0]
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    idx = np.where(inside, (ci * h + r) * w + c, ch * h * w)  # (ch, oh, ow, k, k)
+    if per_channel:
+        return idx.reshape(ch * oh * ow, k * k)
+    return idx.transpose(1, 2, 0, 3, 4).reshape(oh * ow, ch * k * k)
+
+
+def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[Step]:
+    """The one walk over a net: a Step per layer, for batch images.
+
+    The net must end in exactly one ArgMax. A linear layer over
+    beta-scaled operands adds beta to the scale debt, mean pooling adds
+    log2 of its area, and the next Boolean stage discharges the debt. wan
+    garbles a whole stage; lan garbles only the identity stage of an Act
+    or MaxPool and runs relu or max in GMW on its l - shift output bits.
+    """
+    last = len(net.layers) - 1
+    if last < 0:
+        raise MlError("a net must end in exactly one ArgMax; this one has no layers")
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, ArgMax) != (i == last):
+            raise MlError(f"layer {i} ({type(layer).__name__}): a net must end in "
+                          f"exactly one ArgMax")
+    steps, debt = [], 0
     for layer, in_shape, out_shape in _walk(net):
+        n = int(np.prod(in_shape))
+        if isinstance(layer, Conv):
+            gather = _window_gather(in_shape, layer.kernel, layer.stride, layer.pad, False)
+        elif isinstance(layer, (MeanPool, MaxPool)):
+            gather = _window_gather(in_shape, layer.window, layer.window, (0, 0), True)
+        elif isinstance(layer, Act):
+            gather = np.arange(n)[:, None]
+        else:  # FC and ArgMax: one row over the whole input
+            gather = np.arange(n)[None, :]
+        rows, nvals = gather.shape
         if isinstance(layer, (Conv, FC)):
-            step_debt, debt = debt, p.beta + debt
-            out.append((layer, in_shape, out_shape, step_debt))
+            products = batch * int(np.prod(out_shape))
+            steps.append(Step(layer, in_shape, out_shape, gather, block=(products, nvals)))
+            debt += p.beta
         elif isinstance(layer, MeanPool):
-            area = layer.window * layer.window
-            if area & (area - 1):
+            if nvals & (nvals - 1):
                 raise MlError("mean-pool area must be a power of two")
-            out.append((layer, in_shape, out_shape, 0))
-            debt += int(np.log2(area))
-        elif isinstance(layer, (Act, MaxPool, ArgMax)):
-            out.append((layer, in_shape, out_shape, debt))
+            steps.append(Step(layer, in_shape, out_shape, gather))
+            debt += nvals.bit_length() - 1
+        else:
+            kind = {Act: "relu", MaxPool: "max", ArgMax: "argmax"}[type(layer)]
+            body = None
+            if profile != WAN and kind != "argmax":
+                w = p.l - debt
+                body = cc.build_relu(w) if kind == "relu" else cc.build_max_tree(nvals, w, cc.DEPTH)
+                kind = "identity"
+            garbled = stage_circuit(kind, p.l, debt, nvals)
+            # b2a converts the stage's outputs, but below a ReLU's constant-0 sign
+            nbits = 0 if kind == "argmax" else len((body or garbled).outputs) - isinstance(layer, Act)
+            ninst = batch * rows
+            steps.append(Step(layer, in_shape, out_shape, gather, debt, garbled, body, nbits,
+                              ots=ninst * (len(garbled.inputs1) + nbits),
+                              bmts=ninst * body.num_and if body else 0))
             debt = 0
-    return out
+    return steps
 
 
-def _conv_indices(in_shape, k, stride, pad):
-    """im2col gather indices into the zero-padded flat activation."""
-    ch, h, w = in_shape
-    hh, ww = h + pad[0] + pad[1], w + pad[0] + pad[1]
-    oh = _conv_out(h, k, stride, pad)
-    ow = _conv_out(w, k, stride, pad)
-    ci, ki, kj = np.meshgrid(np.arange(ch), np.arange(k), np.arange(k), indexing="ij")
-    base = (ci * hh * ww + ki * ww + kj).reshape(-1)  # (ch*k*k,)
-    oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    start = (oi * stride * ww + oj * stride).reshape(-1)  # (oh*ow,)
-    return start[:, None] + base[None, :]
-
-
-def _windows(layer, in_shape, vals: np.ndarray) -> np.ndarray:
-    """(batch, npos, klen) inputs of a Conv or FC layer's dot products;
-    FC is one window over the whole input."""
-    if isinstance(layer, FC):
-        return vals.reshape(len(vals), 1, layer.din)
-    idx = _conv_indices(in_shape, layer.kernel, layer.stride, layer.pad)
-    return _pad_shares(vals, in_shape, layer.pad)[:, idx]
-
-
-def _pool_indices(in_shape, k):
-    ch, h, w = in_shape
-    oh, ow = h // k, w // k
-    ci, oi, oj = np.meshgrid(np.arange(ch), np.arange(oh), np.arange(ow),
-                             indexing="ij")
-    start = (ci * h * w + oi * k * w + oj * k).reshape(-1)
-    ki, kj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    within = (ki * w + kj).reshape(-1)
-    return start[:, None] + within[None, :]  # (ch*oh*ow, k*k)
-
-
-def _pad_shares(vals: np.ndarray, in_shape, pad) -> np.ndarray:
-    """(batch, ch*h*w) -> flat padded copy; padding is public zero."""
-    ch, h, w = in_shape
-    b = vals.reshape(-1, ch, h, w)
-    out = np.zeros((b.shape[0], ch, h + sum(pad), w + sum(pad)), dtype=np.uint64)
-    out[:, :, pad[0] : pad[0] + h, pad[0] : pad[0] + w] = b
-    return out.reshape(b.shape[0], -1)
-
-
-def _stage_groups(layer, in_shape, batch: int) -> np.ndarray:
-    """(instances, values) indices into the batch's flat activations: one
-    value per ReLU instance, one pool window per MaxPool instance."""
-    n = int(np.prod(in_shape))
-    if isinstance(layer, Act):
-        return np.arange(batch * n)[:, None]
-    idx = _pool_indices(in_shape, layer.window)
-    return (idx[None] + (np.arange(batch) * n)[:, None, None]).reshape(-1, idx.shape[1])
-
-
-def _stage_circuits(layer, nvals: int, shift: int, profile: str, l: int):
-    """(garbled stage, GMW body or None) of an Act (relu) or MaxPool stage.
-
-    wan garbles the whole stage; lan garbles only the identity stage and
-    runs relu or max in GMW on its l - shift output bits.
-    """
-    kind = "relu" if isinstance(layer, Act) else "max"
-    if profile == WAN:
-        return stage_circuit(kind, l, shift, nvals), None
-    w = l - shift
-    body = cc.build_relu(w) if kind == "relu" else cc.build_max_tree(nvals, w, cc.DEPTH)
-    return stage_circuit("identity", l, shift, nvals), body
-
-
-def _b2a_bits(layer, last: cc.Circuit) -> int:
-    """Bits b2a converts per instance of a stage whose last circuit is
-    last: all its outputs, but below a ReLU's constant-0 sign bit."""
-    return len(last.outputs) - isinstance(layer, Act)
+def _gather(x: np.ndarray, step: Step) -> np.ndarray:
+    """(batch, n) activations -> (batch, rows, window) by the step's gather."""
+    return np.pad(x, ((0, 0), (0, 1)))[:, step.gather]
 
 
 # ----- manifest planning -----
@@ -249,24 +260,10 @@ def _b2a_bits(layer, last: cc.Circuit) -> int:
 def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
                      session_id: bytes) -> ResourceManifest:
     """Exact resource counts for one nn_infer call; consumed to zero."""
-    blocks = []
-    num_ot = 0
-    num_bmt = 0
-    for layer, in_shape, out_shape, shift in _schedule(net, p):
-        nout = int(np.prod(out_shape))
-        ninst, nvals = batch * nout, int(np.prod(in_shape)) // nout
-        if isinstance(layer, (Conv, FC)):
-            klen = layer.din if isinstance(layer, FC) else layer.kernel ** 2 * in_shape[0]
-            blocks.append((ninst, klen))
-        elif isinstance(layer, (Act, MaxPool)):
-            garbled, body = _stage_circuits(layer, nvals, shift, profile, p.l)
-            # evaluator share bits into the garbled stage, then b2a per converted bit
-            num_ot += ninst * (len(garbled.inputs1) + _b2a_bits(layer, body or garbled))
-            num_bmt += ninst * body.num_and if body else 0
-        elif isinstance(layer, ArgMax):
-            num_ot += ninst * len(stage_circuit("argmax", p.l, shift, nvals).inputs1)
-    return ResourceManifest(session_id, p, num_bmt=num_bmt, num_ot=num_ot,
-                            vdp_blocks=tuple(blocks))
+    steps = compile_nn(net, p, batch, profile)
+    return ResourceManifest(session_id, p, num_bmt=sum(s.bmts for s in steps),
+                            num_ot=sum(s.ots for s in steps),
+                            vdp_blocks=tuple(s.block for s in steps if s.block))
 
 
 def plan_svm_manifest(d: int, batch: int, p: RingParams,
@@ -278,34 +275,28 @@ def plan_svm_manifest(d: int, batch: int, p: RingParams,
 # ----- secure execution -----
 
 
-def _boolean_stage(se: PartySession, x: ArithShare, layer, shift: int,
-                   profile: str, group_idx: np.ndarray):
+def _boolean_stage(se: PartySession, vals: np.ndarray, step: Step) -> ArithShare:
     """a2y (+rewired shift) -> Act or MaxPool stage -> additive shares.
 
-    Each row of group_idx gathers one instance's values (one for relu, a
+    Each row of vals holds one instance's value shares (one for relu, a
     pool window for max); the output holds one value per instance.
     """
     p = se.ring
-    ninst, nvals = group_idx.shape
-    share_bits = ring.bits_of(x.value[group_idx.reshape(-1)], p).reshape(ninst, nvals * p.l)
-    garbled, body = _stage_circuits(layer, nvals, shift, profile, p.l)
-    out_bits = convert.y2b(se.gc, se.gc.run_shares(garbled, share_bits, ninst, "none"))
-    if body is not None:
+    ninst = len(vals)
+    share_bits = ring.bits_of(vals, p).reshape(ninst, -1)
+    out_bits = convert.y2b(se.gc, se.gc.run_shares(step.garbled, share_bits, ninst, "none"))
+    if step.body is not None:
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
-        out_bits = se.gmw.evaluate(body.levelized, out_bits, empty)
-    nbits = _b2a_bits(layer, body or garbled)
-    return convert.b2a(se.role, p, se.ot, BoolShare(out_bits.bits[:, :nbits], se.role),
-                       se.rng, signed=isinstance(layer, MaxPool))
+        out_bits = se.gmw.evaluate(step.body.levelized, out_bits, empty)
+    return convert.b2a(se.role, p, se.ot, BoolShare(out_bits.bits[:, :step.b2a_bits], se.role),
+                       se.rng, signed=isinstance(step.layer, MaxPool))
 
 
-def _reveal_stage(se: PartySession, x: ArithShare, kind: str, nvals: int,
-                  shift: int):
-    """Final garbled stage decoded to the client only."""
-    p = se.ring
-    ninst = len(x) // nvals
-    share_bits = ring.bits_of(x.value, p).reshape(ninst, nvals * p.l)
-    return se.gc.run_shares(stage_circuit(kind, p.l, shift, nvals), share_bits,
-                            ninst, "evaluator")
+def _reveal_stage(se: PartySession, vals: np.ndarray, circuit: cc.Circuit) -> np.ndarray:
+    """Final garbled stage over (instances, values) shares, decoded to the
+    client only."""
+    share_bits = ring.bits_of(vals, se.ring).reshape(len(vals), -1)
+    return se.gc.run_shares(circuit, share_bits, len(vals), "evaluator")
 
 
 def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
@@ -317,98 +308,96 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
     protocol structure and must match the planned manifest.
     """
     p = se.ring
-    sched = _schedule(net, p)
+    *body, last = compile_nn(net, p, batch, profile)
     enc = None
     if se.role == 1:
-        if images.shape[0] != batch:
-            raise MlError("image count does not match the planned batch")
+        want = (batch, *net.input_shape)
+        if np.shape(images) != want:
+            raise MlError(f"images have shape {np.shape(images)}, the plan needs {want}")
         enc = ring.encode(images.reshape(batch, -1), p).reshape(-1)
     count = batch * int(np.prod(net.input_shape))
-    x = se.ass.share_input(enc, count, owner=1, rng=se.rng)
-    result = None
-    for layer, in_shape, out_shape, shift in sched:
+    x = se.ass.share_input(enc, count, owner=1, rng=se.rng).value.reshape(batch, -1)
+    for step in body:
+        layer, v = step.layer, _gather(x, step)  # (batch, rows, window)
         if isinstance(layer, (Conv, FC)):
-            windows = _windows(layer, in_shape, x.value.reshape(batch, -1))
-            shape = (batch, out_shape[0]) + windows.shape[1:]  # (batch, maps, npos, klen)
-            y = np.broadcast_to(windows[:, None], shape).reshape(-1)
+            maps = step.out_shape[0]
+            shape = (batch, maps) + v.shape[1:]
+            y = np.broadcast_to(v[:, None], shape).reshape(-1)
             kern = None
             if se.role == 0:
-                kern = ring.encode(layer.weights.reshape(out_shape[0], -1), p)
+                kern = ring.encode(layer.weights.reshape(maps, -1), p)
                 kern = np.broadcast_to(kern[None, :, None], shape).reshape(-1)
-            x = se.ass.vdp(kern, ArithShare(y, se.role), shape[3])
+            x = se.ass.vdp(kern, ArithShare(y, se.role), step.block[1]).value
         elif isinstance(layer, MeanPool):
-            idx = _pool_indices(in_shape, layer.window)
-            per_im = x.value.reshape(batch, -1)
-            gathered = per_im[:, idx]  # (batch, groups, k*k)
-            summed = gathered.sum(axis=2, dtype=np.uint64) & np.uint64(p.mask)
-            x = ArithShare(summed.reshape(-1), se.role)
-        elif isinstance(layer, (Act, MaxPool)):
-            groups = _stage_groups(layer, in_shape, batch)
-            x = _boolean_stage(se, x, layer, shift, profile, groups)
-        elif isinstance(layer, ArgMax):
-            nvals = int(np.prod(in_shape))
-            bits = _reveal_stage(se, x, "argmax", nvals, shift)
-            if se.role == 1:
-                weights = np.uint64(1) << np.arange(bits.shape[0], dtype=np.uint64)
-                result = (bits.astype(np.uint64).T * weights).sum(axis=1)
-    return result
+            x = v.sum(axis=2, dtype=np.uint64) & np.uint64(p.mask)
+        else:
+            x = _boolean_stage(se, v.reshape(-1, v.shape[2]), step).value
+        x = x.reshape(batch, -1)
+    bits = _reveal_stage(se, _gather(x, last)[:, 0], last.garbled)
+    if se.role == 1:
+        weights = np.uint64(1) << np.arange(bits.shape[0], dtype=np.uint64)
+        return (bits.astype(np.uint64).T * weights).sum(axis=1)
+    return None
 
 
 def svm_classify(se: PartySession, model: SvmModel | None,
                  queries: np.ndarray | None, d: int, batch: int):
-    """sign(w.x - b) per query; labels in {-1, +1} revealed at role 1."""
+    """sign(w.x - b) per query; labels in {-1, +1} revealed at role 1.
+
+    queries is (batch, d) at role 1, or (d,) when batch is 1; model.w at
+    role 0 is (d,), shared by every query, or (batch, d).
+    """
     p = se.ring
     enc = None
     if se.role == 1:
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if q.shape != (batch, d):
+            raise MlError(f"queries have shape {q.shape}, the plan needs {(batch, d)}")
         enc = ring.encode(q, p).reshape(-1)
+    elif np.shape(model.w) not in ((d,), (batch, d)):
+        raise MlError(f"model weights have shape {np.shape(model.w)}, the plan "
+                      f"needs {(d,)} or {(batch, d)}")
     x = se.ass.share_input(enc, batch * d, owner=1, rng=se.rng)
     if se.role == 0:
-        w = np.asarray(model.w, dtype=np.float64)
-        w = np.broadcast_to(w, (batch, d)) if w.ndim == 1 else w
+        w = np.broadcast_to(np.asarray(model.w, dtype=np.float64), (batch, d))
         z = se.ass.vdp(ring.encode(w, p).reshape(-1), ArithShare(x.value, 0), d)
         # subtract the private intercept at scale 2^(2*beta)
         b_enc = ring.encode(np.broadcast_to(np.asarray(model.b), (batch,)), p)
         z.value = (z.value - (b_enc << np.uint64(p.beta))) & np.uint64(p.mask)
     else:
         z = se.ass.vdp(None, ArithShare(x.value, 1), d)
-    bits = _reveal_stage(se, z, "sign", 1, p.beta)
+    bits = _reveal_stage(se, z.value[:, None], stage_circuit("sign", p.l, p.beta))
     if se.role == 1:
         return np.where(bits[0].astype(bool), 1, -1)
     return None
 
 
-# ----- plaintext fixed-point oracle (same quantisation schedule) -----
+# ----- plaintext fixed-point oracle (same compiled steps) -----
 
 
 def nn_oracle(net: NetSpec, images: np.ndarray, p: RingParams) -> np.ndarray:
+    """Class indices in the clear; reads the steps' shifts and gathers."""
     batch = images.shape[0]
+    *body, last = compile_nn(net, p, batch, WAN)  # wan's circuits are all cached
     x = ring.encode(images.reshape(batch, -1), p)
     mask = np.uint64(p.mask)
-    for layer, in_shape, out_shape, shift in _schedule(net, p):
+    for step in body:
+        layer, v = step.layer, _gather(x, step)  # (batch, rows, window)
         if isinstance(layer, (Conv, FC)):
-            windows = _windows(layer, in_shape, x)  # (batch, npos, klen)
-            kern = ring.encode(layer.weights.reshape(out_shape[0], -1), p)
-            prod = windows[:, None] * kern[None, :, None, :]
-            # (batch, maps, npos), map-major like the secure path
-            x = prod.sum(axis=3, dtype=np.uint64) & mask
+            kern = ring.encode(layer.weights.reshape(step.out_shape[0], -1), p)
+            # (batch, maps, rows), map-major like the secure path
+            x = (v[:, None] * kern[None, :, None, :]).sum(axis=3, dtype=np.uint64) & mask
         elif isinstance(layer, MeanPool):
-            idx = _pool_indices(in_shape, layer.window)
-            x = x.reshape(batch, -1)[:, idx].sum(axis=2, dtype=np.uint64) & mask
+            x = v.sum(axis=2, dtype=np.uint64) & mask
         elif isinstance(layer, Act):
-            v = ring.truncate(x, p, shift=shift)
-            s = ring.to_signed(v, p)
-            x = np.where(s > 0, v, 0)
-        elif isinstance(layer, MaxPool):
-            idx = _pool_indices(in_shape, layer.window)
-            v = ring.truncate(x, p, shift=shift).reshape(batch, -1)
-            s = ring.to_signed(v[:, idx], p)  # (batch, groups, k*k)
+            t = ring.truncate(v, p, shift=step.shift)
+            x = np.where(ring.to_signed(t, p) > 0, t, 0)
+        else:  # MaxPool
+            s = ring.to_signed(ring.truncate(v, p, shift=step.shift), p)
             x = ring.from_signed(s.max(axis=2), p)
-        elif isinstance(layer, ArgMax):
-            v = ring.truncate(x, p, shift=shift)
-            return np.argmax(ring.to_signed(v, p), axis=1).astype(np.uint64)
         x = x.reshape(batch, -1)
-    return x
+    v = ring.truncate(_gather(x, last)[:, 0], p, shift=last.shift)
+    return np.argmax(ring.to_signed(v, p), axis=1).astype(np.uint64)
 
 
 def svm_oracle(model: SvmModel, queries: np.ndarray, p: RingParams) -> np.ndarray:

@@ -1,3 +1,6 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import deal, run_parties
@@ -134,10 +137,45 @@ def test_mnist_plan_is_one_block_per_linear_layer():
     assert (m.num_ot, m.num_bmt) == (55400, 0)
 
 
-def test_empty_net_zero_manifest():
-    net = ml.NetSpec((1, 2, 2), [])
-    m = ml.plan_nn_manifest(net, P32, 5, ml.LAN, bytes(16))
-    assert m.num_amt == m.num_bmt == m.num_ot == 0 and m.vdp_lengths == ()
+def test_net_must_end_in_exactly_one_argmax():
+    # without an ArgMax, nn_infer used to return None and drop the last
+    # layer's shares; a layer after it gathered from the wrong activation
+    fc = ml.FC(4, 4, np.zeros((4, 4)))
+    for layers, bad in (([], "no layers"), ([fc], "layer 0 \\(FC\\)"),
+                        ([fc, ml.Act()], "layer 1 \\(Act\\)"),
+                        ([fc, ml.ArgMax(), ml.Act()], "layer 1 \\(ArgMax\\)"),
+                        ([ml.ArgMax(), ml.ArgMax()], "layer 0 \\(ArgMax\\)")):
+        net = ml.NetSpec((1, 2, 2), layers)
+        with pytest.raises(ml.MlError, match=bad):
+            ml.plan_nn_manifest(net, P32, 5, ml.LAN, bytes(16))
+        with pytest.raises(ml.MlError, match=bad):
+            ml.nn_oracle(net, np.zeros((1, 1, 2, 2)), P32)
+        with pytest.raises(ml.MlError, match=bad):
+            ml.nn_infer(SimpleNamespace(ring=P32, role=1), net, np.zeros((1, 1, 2, 2)), 1)
+
+
+def test_act_is_field_less():
+    # Act.kind was never read: Act("sigmoid") silently ran ReLU
+    with pytest.raises(TypeError):
+        ml.Act("sigmoid")
+
+
+def test_mis_shaped_inputs_rejected_before_any_frame():
+    # the checks run before share_input, so a session without a channel
+    # shows that nothing was sent
+    net = tiny_net(np.random.default_rng(18))
+    client = SimpleNamespace(ring=P32, role=1)
+    for images in (np.zeros((2, 36)), np.zeros((2, 1, 6, 5)), np.zeros((1, 1, 6, 6)), None):
+        with pytest.raises(ml.MlError, match="images have shape"):
+            ml.nn_infer(client, net.public(), images, 2)
+    # a (2, 5) array used to pass as one 10-feature query
+    for shape, batch in (((2, 5), 1), ((10,), 2), ((1, 10), 2), ((2, 10, 1), 2)):
+        with pytest.raises(ml.MlError, match="queries have shape"):
+            ml.svm_classify(client, None, np.zeros(shape), 10, batch)
+    server = SimpleNamespace(ring=P32, role=0)
+    for w in (np.zeros(7), np.zeros((3, 10)), np.zeros((2, 5))):
+        with pytest.raises(ml.MlError, match="model weights have shape"):
+            ml.svm_classify(server, ml.SvmModel(w, 0.0), None, 10, 2)
 
 
 def test_svm_manifest_example():
@@ -374,3 +412,125 @@ def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
                                                   msg_type=msg_type) == nbytes, msg_type
     sent = [s.channel.ledger.payload_bytes(direction="sent") for s in (s0, s1)]
     assert sent == ([68607250, 10183820] if profile == ml.LAN else [4081873, 504062])
+
+
+# sha256 over the encoded manifests and nn_oracle outputs below, recorded
+# before the planner, the executor and the oracle read one compiled step list
+PLANS_AND_ORACLE_SHA256 = "56097521bae1d007fd8a96089f78651d05b9d23f1f7b2d9e9f4f90699af5d362"
+
+
+def test_plans_and_oracle_outputs_unchanged():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(16)
+    mnist = ml.mnist_like_net(rng, P32)
+    pooled = tiny_net(rng, with_pools=True)
+    tiny = tiny_net(rng)
+    for profile in (ml.LAN, ml.WAN):
+        for batch in (1, 5, 20):
+            h.update(ml.plan_nn_manifest(mnist, P32, batch, profile, bytes(16)).encode())
+        h.update(ml.plan_nn_manifest(ml.cifar10_like_net(), RingParams(64, 13, 25), 1,
+                                     profile, bytes(16)).encode())
+        h.update(ml.plan_nn_manifest(pooled, P32, 6, profile, bytes(16)).encode())
+    for d, batch in ((10, 1), (16, 128)):
+        h.update(ml.plan_svm_manifest(d, batch, P32, bytes(16)).encode())
+    for net in (mnist, pooled, tiny):
+        images = rng.uniform(-1, 1, size=(64, *net.input_shape))
+        h.update(ml.nn_oracle(net, images, P32).tobytes())
+    assert h.hexdigest() == PLANS_AND_ORACLE_SHA256
+
+
+@pytest.mark.parametrize("net_name, profile", [("mnist", ml.LAN), ("mnist", ml.WAN),
+                                               ("pooled", ml.LAN), ("pooled", ml.WAN)])
+def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, profile):
+    rng = np.random.default_rng(17)
+    net = ml.mnist_like_net(rng, P32) if net_name == "mnist" else tiny_net(rng, with_pools=True)
+    batch = 2
+    images = rng.uniform(-1, 1, size=(batch, *net.input_shape))
+    steps = ml.compile_nn(net, P32, batch, profile)
+    s0, s1 = sessions(ml.plan_nn_manifest(net, P32, batch, profile, bytes(16)))
+    deltas = {0: [], 1: []}  # per role, (vdp, ot, bmt) drawn by each step's call
+
+    def drawn(fn, session_of):
+        def wrapped(*args):
+            se = session_of(args)
+            supplies = (se.ass.vdp_masks, se.ot.masks, se.gmw.bmt)
+            before = [s.used for s in supplies]
+            out = fn(*args)
+            deltas[se.role].append(tuple(s.used - b for s, b in zip(supplies, before)))
+            return out
+        return wrapped
+
+    for name in ("_boolean_stage", "_reveal_stage"):
+        monkeypatch.setattr(ml, name, drawn(getattr(ml, name), lambda args: args[0]))
+    for se in (s0, s1):
+        monkeypatch.setattr(se.ass, "vdp", drawn(se.ass.vdp, lambda args, se=se: se))
+    _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
+                         lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
+    assert np.array_equal(got, ml.nn_oracle(net, images, P32))
+    # every step but a local mean pool makes exactly one drawing call
+    want = [(int(s.block is not None), s.ots, s.bmts) for s in steps
+            if not isinstance(s.layer, ml.MeanPool)]
+    assert all((s.block, s.ots, s.bmts) == (None, 0, 0) for s in steps
+               if isinstance(s.layer, ml.MeanPool))
+    assert deltas[0] == deltas[1] == want
+    s0.assert_exhausted()
+    s1.assert_exhausted()
+
+
+def _grid(rng, shape):
+    """Integers k with |k| < 2^beta: reals k / 2^beta that encode exactly."""
+    return rng.integers(1 - (1 << P32.beta), 1 << P32.beta, size=shape)
+
+
+def _first_argmax(vals):
+    best = 0
+    for i, v in enumerate(vals):
+        if v > vals[best]:
+            best = i
+    return best
+
+
+def test_oracle_geometry_matches_direct_loop_reference():
+    # integer fixed point written out loop by loop, independent of the
+    # gather indices that the oracle and the executor share; values stay
+    # far below 2^31, so nothing wraps in the 32-bit ring
+    rng = np.random.default_rng(19)
+    scale = 1 << P32.beta
+    maps, k, stride, (pb, pa) = 3, 3, 2, (1, 2)
+    kern = _grid(rng, (maps, 2, k, k))
+
+    def conv(img):
+        ch, h, w = img.shape
+        oh, ow = (h + pb + pa - k) // stride + 1, (w + pb + pa - k) // stride + 1
+        out = []
+        for m in range(maps):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = 0
+                    for c in range(ch):
+                        for a in range(k):
+                            for b in range(k):
+                                r, q = i * stride + a - pb, j * stride + b - pb
+                                if 0 <= r < h and 0 <= q < w:
+                                    acc += int(kern[m, c, a, b]) * int(img[c, r, q])
+                    out.append(acc >> P32.beta)  # ArgMax discharges the product scale
+        return out
+
+    def pool(reduce):
+        def run(img):
+            ch, h, w = img.shape
+            return [reduce([int(img[c, 2 * i + a, 2 * j + b]) for a in range(2) for b in range(2)])
+                    for c in range(ch) for i in range(h // 2) for j in range(w // 2)]
+        return run
+
+    cases = [
+        (ml.Conv(maps, k, stride, (pb, pa), kern / scale), (2, 7, 6), conv),
+        # MeanPool sums a 2 x 2 window; ArgMax discharges its log2(4) = 2
+        (ml.MeanPool(2), (2, 4, 6), pool(lambda v: sum(v) >> 2)),
+        (ml.MaxPool(2), (2, 4, 6), pool(max)),
+    ]
+    for layer, shape, reference in cases:
+        x = _grid(rng, (400, *shape))
+        expect = [_first_argmax(reference(img)) for img in x]
+        net = ml.NetSpec(shape, [layer, ml.ArgMax()])
+        assert ml.nn_oracle(net, x / scale, P32).tolist() == expect, type(layer).__name__

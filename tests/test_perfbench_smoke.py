@@ -15,7 +15,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["mnist-wan-b1", "svm-psk-b1"])
+@pytest.mark.parametrize("workload", ["mnist-lan-b20", "mnist-wan-b1", "svm-psk-b1"])
 def test_benchmark_runs_correct_and_without_failures(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
