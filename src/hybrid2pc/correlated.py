@@ -32,9 +32,11 @@ dealer bundle is seed0 alone; role 1's is laid out as
 
     seed1 | c1_amt (l-bit LE) | c1_bmt (packed, LSB-first) | qr | a3 (l-bit LE)
 
-and is written once into one buffer by the dealer. open_bundle, the only
-parser of a bundle, expands it into the role's PartyMaterial; bundle_size
-gives its length, which the party also names when it receives it.
+and is written once into one buffer by compute_corrections, the dealer's
+pass. _layout sets each section's order, dtype and count; open_bundle, the
+only parser of a bundle, reads the sections back into the role's
+PartyMaterial, and bundle_size gives the length that the party also names
+when it receives it.
 
 Online, every dealt item is single-use: reusing a Beaver triple or a
 precomputed-OT mask leaks the inputs it masked. Each engine therefore
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drbg import SEED_BYTES, Drbg, personalization
-from .ring import RingParams
+from .ring import WIRE_WIDTHS, RingParams
 
 MASK_BYTES = 16  # k = 128-bit OT masks
 
@@ -114,6 +116,8 @@ class ResourceManifest:
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
+        if self.ring.l not in WIRE_WIDTHS:
+            raise ValueError(f"ring width {self.ring.l} has no wire encoding")
         if min((self.num_amt, self.num_bmt, self.num_ot), default=0) < 0:
             raise ValueError("negative resource count")
         blocks = np.asarray(self.vdp_blocks, dtype=np.int64).reshape(-1, 2)
@@ -153,10 +157,10 @@ class PartyMaterial:
     ring: RingParams
     amt_a: np.ndarray
     amt_b: np.ndarray
-    amt_c: np.ndarray  # c0 seed-derived (role 0) / c1 dealt (role 1)
+    amt_c: np.ndarray | None  # c0 seed-derived (role 0) / c1 dealt (role 1)
     bmt_a: np.ndarray
     bmt_b: np.ndarray
-    bmt_c: np.ndarray
+    bmt_c: np.ndarray | None
     ot_q: np.ndarray | None = None  # sender: (n, 2, 16) mask pairs
     ot_r: np.ndarray | None = None  # receiver: choice-mask bits
     ot_qr: np.ndarray | None = None  # receiver: (n, 16) selected masks
@@ -165,61 +169,28 @@ class PartyMaterial:
     vdp_scalar: list[np.ndarray] = field(default_factory=list)
 
 
-def _sections(buf, offset: int, p: RingParams, n_amt: int, n_bmt: int, n_ot: int,
-              n_vdp: int) -> list[np.ndarray]:
-    """Views of the four correction sections of buf, starting at offset."""
-    dt = p.wire_dtype
-    out = []
-    for dtype, count in ((dt, n_amt), (np.uint8, (n_bmt + 7) // 8),
-                         (np.uint8, n_ot * MASK_BYTES), (dt, n_vdp)):
+def _layout(m: ResourceManifest) -> tuple[tuple[np.dtype, int], ...]:
+    """Role 1's correction sections in bundle order, as (dtype, count):
+    c1_amt, c1_bmt packed LSB-first, qr, a3."""
+    dt = m.ring.wire_dtype
+    return ((dt, m.num_amt), (np.dtype(np.uint8), (m.num_bmt + 7) // 8),
+            (np.dtype(np.uint8), m.num_ot * MASK_BYTES),
+            (dt, sum(n for n, _ in m.vdp_blocks)))
+
+
+def _sections(buf, m: ResourceManifest) -> list[np.ndarray]:
+    """Views of the four correction sections of role 1's bundle buf."""
+    offset, out = SEED_BYTES, []
+    for dtype, count in _layout(m):
         out.append(np.frombuffer(buf, dtype=dtype, count=count, offset=offset))
         offset += out[-1].nbytes
-    out[2] = out[2].reshape(n_ot, MASK_BYTES)
+    out[2] = out[2].reshape(m.num_ot, MASK_BYTES)
     return out
-
-
-def _payload_size(p: RingParams, n_amt: int, n_bmt: int, n_ot: int, n_vdp: int) -> int:
-    return (n_amt + n_vdp) * p.nbytes + (n_bmt + 7) // 8 + n_ot * MASK_BYTES
-
-
-def _counts(m: ResourceManifest) -> tuple[int, int, int, int]:
-    """Items per correction section: A-MTs, B-MTs, OTs and dot products."""
-    return m.num_amt, m.num_bmt, m.num_ot, sum(n for n, _ in m.vdp_blocks)
 
 
 def bundle_size(role: int, m: ResourceManifest) -> int:
     """Bytes of role's dealer bundle for manifest m."""
-    return SEED_BYTES + (_payload_size(m.ring, *_counts(m)) if role else 0)
-
-
-@dataclass
-class Corrections:
-    """Dealer output completing role 1's view; the only non-seed payload."""
-
-    c1_amt: np.ndarray
-    c1_bmt: np.ndarray  # unpacked 0/1 bits
-    qr: np.ndarray  # (n, 16)
-    a3: np.ndarray
-
-    def encode(self, p: RingParams, prefix: bytes = b"") -> bytearray:
-        """prefix followed by the correction payload, written into one buffer."""
-        counts = (len(self.c1_amt), len(self.c1_bmt), len(self.qr), len(self.a3))
-        out = bytearray(len(prefix) + _payload_size(p, *counts))
-        out[: len(prefix)] = prefix
-        amt, bmt, qr, a3 = _sections(out, len(prefix), p, *counts)
-        amt[...] = self.c1_amt
-        bmt[...] = np.packbits(self.c1_bmt, bitorder="little")
-        qr[...] = self.qr
-        a3[...] = self.a3
-        return out
-
-    @classmethod
-    def decode(cls, payload, m: ResourceManifest, offset: int = 0) -> "Corrections":
-        """Parse payload[offset:], whose length the caller has checked
-        (open_bundle); qr is a view into payload, not a copy."""
-        amt, bmt, qr, a3 = _sections(payload, offset, m.ring, *_counts(m))
-        c1_bmt = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
-        return cls(amt.astype(np.uint64), c1_bmt, qr, a3.astype(np.uint64))
+    return SEED_BYTES + (sum(dt.itemsize * n for dt, n in _layout(m)) if role else 0)
 
 
 def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
@@ -227,7 +198,7 @@ def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
 
     One draw per role. Role 0's stream holds each product's length masks
     then its a2, so a block's slice is (products, length + 1); role 1's
-    holds only the masks. Role 1's scalars are zero until corrected.
+    holds only the masks, and its scalars come from the bundle.
     """
     w = int(with_scalar)
     sizes = [n * (k + w) for n, k in m.vdp_blocks]
@@ -236,7 +207,8 @@ def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
     for (n, k), part in zip(m.vdp_blocks, np.split(raw, np.cumsum(sizes)[:-1])):
         rows = part.reshape(n, k + w)
         vecs.append(np.ascontiguousarray(rows[:, :k]))
-        scalars.append(rows[:, k].copy() if w else np.zeros(n, dtype=np.uint64))
+        if w:
+            scalars.append(rows[:, k].copy())
     return vecs, scalars
 
 
@@ -254,7 +226,8 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
 
 
 def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
-    """Role 1's seed-derived half; corrections still missing."""
+    """Role 1's seed-derived half; amt_c, bmt_c, ot_qr and vdp_scalar
+    stay unset until open_bundle reads them from the corrections."""
     p = m.ring
     amt = _stream(seed1, TAG_AMT)
     a = amt.ring_elems(m.num_amt, p.mask)
@@ -262,10 +235,8 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
     r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
-    vec, zero = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
-    empty = np.zeros(m.num_amt, dtype=np.uint64)
-    return PartyMaterial(1, p, a, b, empty, ba, bb, np.zeros(m.num_bmt, dtype=np.uint8),
-                         ot_r=r, vdp_mask=vec, vdp_scalar=zero)
+    vec, _ = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
+    return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, vdp_mask=vec)
 
 
 _SELECT_CHUNK = 1 << 14  # OT items per pass; keeps each pass cache-resident
@@ -288,35 +259,51 @@ def _select_masks(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> Corrections:
-    """The dealer's pass: expand both seeds, emit role 1's explicit values."""
+def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> bytearray:
+    """The dealer's pass: expand both seeds and write role 1's bundle,
+    seed1 followed by its correction sections."""
     p = m.ring
     mask = np.uint64(p.mask)
     m0 = expand_role0(seed0, m)
     m1 = expand_role1(seed1, m)
     c1_amt = ((m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c) & mask
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
+    # qr is selected into aligned memory and copied in: its section starts
+    # at an offset that need not be a multiple of 8, and the u64 select
+    # runs markedly slower over unaligned words
     qr = _select_masks(m0.ot_q, m1.ot_r)
-    a3 = [((v0 * v1).sum(axis=1) - a2) & mask  # sums wrap mod 2^64, a multiple of 2^l
-          for v0, v1, a2 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar)]
-    return Corrections(c1_amt, c1_bmt, qr, np.concatenate([np.zeros(0, np.uint64), *a3]))
+    a3 = np.concatenate([np.zeros(0, np.uint64)] + [
+        (np.einsum("ij,ij->i", v0, v1) - a2) & mask  # sums wrap mod 2^64, a multiple of 2^l
+        for v0, v1, a2 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar)])
+    # a3 is built whole and both expanded views (tens of MB for a CNN batch)
+    # are dropped before the bundle is allocated: holding the views, or even
+    # the per-block a3 pieces, through that allocation lands the bundle on
+    # fresh pages and measurably slows the pass.
+    del m0, m1
+    out = bytearray(bundle_size(1, m))
+    out[:SEED_BYTES] = seed1
+    values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), qr, a3)
+    for section, v in zip(_sections(out, m), values):
+        section[...] = v
+    return out
 
 
 def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
-    """One role's material from its dealer bundle; role 1's corrections
-    stay views into payload. A bundle that disagrees with the manifest
-    raises ValueError before any seed is expanded."""
+    """One role's material from its dealer bundle; role 1's selected OT
+    masks stay a view into payload. A bundle that disagrees with the
+    manifest raises ValueError before any seed is expanded."""
     if len(payload) != bundle_size(role, m):
         raise ValueError(f"bundle of {len(payload)} bytes where the manifest "
                          f"implies {bundle_size(role, m)}")
     seed = bytes(payload[:SEED_BYTES])
     if role == 0:
         return expand_role0(seed, m)
-    corr = Corrections.decode(payload, m, offset=SEED_BYTES)
+    amt, bmt, qr, a3 = _sections(payload, m)
     mat = expand_role1(seed, m)
-    mat.amt_c = corr.c1_amt
-    mat.bmt_c = corr.c1_bmt
-    mat.ot_qr = corr.qr
-    ends = np.cumsum([len(v) for v in mat.vdp_mask], dtype=np.int64)
-    mat.vdp_scalar = [corr.a3[e - len(v) : e] for v, e in zip(mat.vdp_mask, ends)]
+    mat.amt_c = amt.astype(np.uint64)
+    mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
+    mat.ot_qr = qr
+    a3 = a3.astype(np.uint64)
+    ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
+    mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]
     return mat

@@ -385,8 +385,9 @@ def nn_oracle(net: NetSpec, images: np.ndarray, p: RingParams) -> np.ndarray:
         layer, v = step.layer, _gather(x, step)  # (batch, rows, window)
         if isinstance(layer, (Conv, FC)):
             kern = ring.encode(layer.weights.reshape(step.out_shape[0], -1), p)
-            # (batch, maps, rows), map-major like the secure path
-            x = (v[:, None] * kern[None, :, None, :]).sum(axis=3, dtype=np.uint64) & mask
+            # (batch, maps, rows), map-major like the secure path; uint64
+            # matmul wraps mod 2^64, a multiple of 2^l
+            x = np.matmul(v, kern.T).transpose(0, 2, 1) & mask
         elif isinstance(layer, MeanPool):
             x = v.sum(axis=2, dtype=np.uint64) & mask
         elif isinstance(layer, Act):

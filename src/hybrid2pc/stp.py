@@ -7,8 +7,8 @@ role 1 with its seed plus the corrections. The session is then forgotten;
 only the spent session id is retained to refuse replays. The dealer is
 never contacted during the online phase.
 
-The bundle format belongs to correlated: the dealer writes role 1's with
-Corrections.encode, and a party opens its own with correlated.open_bundle.
+The bundle format belongs to correlated: compute_corrections writes role
+1's, and a party opens its own with correlated.open_bundle.
 """
 
 from __future__ import annotations
@@ -142,11 +142,10 @@ class StpServer:
                 sess.outcome = MANIFEST_MISMATCH
                 return
             seed0, seed1 = secrets.token_bytes(SEED_BYTES), secrets.token_bytes(SEED_BYTES)
-            corr = compute_corrections(seed0, seed1, m0)
             sess.bundles[0] = seed0
-            sess.bundles[1] = corr.encode(m0.ring, prefix=seed1)
+            sess.bundles[1] = compute_corrections(seed0, seed1, m0)
             # no per-session secrets survive delivery: seeds/corrections
-            # live only in the encoded bundles handed out below
+            # live only in the bundles handed out below
 
 
 def request_bundle(stp_addr, manifest: ResourceManifest, role: int,

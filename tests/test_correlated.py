@@ -70,8 +70,10 @@ def test_bmt_example_truth_table():
     assert (c0 ^ c1) == 0 == ((a0 ^ a1) & (b0 ^ b1))
 
 
-def test_ot_masks_select_qr():
-    q, r, qr = ot_masks(1000)
+@pytest.mark.parametrize("n", [1000, 2 * cr._SELECT_CHUNK + 3])
+def test_ot_masks_select_qr(n):
+    # the dealer selects in chunks of _SELECT_CHUNK items; cross two bounds
+    q, r, qr = ot_masks(n)
     expect = np.where(r[:, None].astype(bool), q[:, 1], q[:, 0])
     assert np.array_equal(qr, expect)
 
@@ -124,10 +126,9 @@ def test_seed_symmetry_dealer_vs_party():
 
     def digest(mat):
         h = hashlib.sha256()
-        for arr in (mat.amt_a, mat.amt_b, mat.amt_c, mat.bmt_a, mat.bmt_b, mat.bmt_c):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        for arr in (mat.ot_q, mat.ot_r, mat.ot_qr):
-            if arr is not None:
+        for arr in (mat.amt_a, mat.amt_b, mat.amt_c, mat.bmt_a, mat.bmt_b, mat.bmt_c,
+                    mat.ot_q, mat.ot_r, mat.ot_qr):
+            if arr is not None:  # role 1's corrections before open_bundle
                 h.update(np.ascontiguousarray(arr).tobytes())
         for arr in mat.vdp_mask + mat.vdp_scalar:
             h.update(arr.tobytes())
@@ -137,8 +138,7 @@ def test_seed_symmetry_dealer_vs_party():
     dealer_view = cr.expand_role1(SEED1, m)
     party_view = cr.expand_role1(SEED1, m)
     assert digest(dealer_view) == digest(party_view)
-    corr = cr.compute_corrections(SEED0, SEED1, m)
-    completed = cr.open_bundle(1, corr.encode(m.ring, prefix=SEED1), m)
+    completed = cr.open_bundle(1, cr.compute_corrections(SEED0, SEED1, m), m)
     mask = np.uint64(L32.mask)
     m0 = cr.expand_role0(SEED0, m)
     lhs = ((m0.amt_a + completed.amt_a) & mask) * ((m0.amt_b + completed.amt_b) & mask)
@@ -158,16 +158,13 @@ def test_stream_independence_across_resource_types():
 
 
 def test_correction_payload_sizes():
-    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT
+    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT,
+    # l bits per dot product, after role 1's seed; role 0 gets its seed alone
     m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, vdp_blocks=((1, 3), (1, 9)))
-    corr = cr.compute_corrections(SEED0, SEED1, m)
-    payload = corr.encode(L32)
-    assert len(payload) == 1000 * 4 + 125 + 1000 * 16 + 2 * 4
-    back = cr.Corrections.decode(payload, m)
-    assert np.array_equal(back.c1_amt, corr.c1_amt)
-    assert np.array_equal(back.c1_bmt, corr.c1_bmt)
-    assert np.array_equal(back.qr, corr.qr)
-    assert np.array_equal(back.a3, corr.a3)
+    bundle = cr.compute_corrections(SEED0, SEED1, m)
+    assert len(bundle) == cr.bundle_size(1, m) == 32 + 1000 * 4 + 125 + 1000 * 16 + 2 * 4
+    assert bytes(bundle[:32]) == SEED1
+    assert cr.bundle_size(0, m) == 32
 
 
 def test_manifest_roundtrip():
@@ -196,6 +193,8 @@ def test_manifest_validation():
         manifest(vdp_blocks=((1, 0),))
     with pytest.raises(ValueError):
         manifest(vdp_blocks=((0, 3),))
+    with pytest.raises(ValueError):  # a ring with no whole-byte wire encoding
+        manifest(ring=RingParams(12), num_amt=1)
 
 
 # Digests of the normative expansion of a mixed manifest (ragged dot
@@ -233,7 +232,8 @@ def _pinned_digests() -> dict:
     m = manifest(**PINNED_MANIFEST)
     m0 = cr.expand_role0(SEED0, m)
     m1 = cr.expand_role1(SEED1, m)
-    corr = cr.compute_corrections(SEED0, SEED1, m)
+    bundle1 = cr.compute_corrections(SEED0, SEED1, m)
+    c1 = cr.open_bundle(1, bundle1, m)
     return {
         "manifest": hashlib.sha256(m.encode()).hexdigest(),
         "role0": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m0.bmt_a, m0.bmt_b,
@@ -241,9 +241,9 @@ def _pinned_digests() -> dict:
                                 _flat(m0.vdp_scalar)),
         "role1": _arrays_digest(m1.amt_a, m1.amt_b, m1.bmt_a, m1.bmt_b, m1.ot_r,
                                 _flat(m1.vdp_mask)),
-        "corrections": _arrays_digest(corr.c1_amt, corr.c1_bmt, corr.qr, corr.a3),
-        "bundle1": hashlib.sha256(
-            bytes(corr.encode(m.ring, prefix=SEED1))).hexdigest(),
+        "corrections": _arrays_digest(c1.amt_c, c1.bmt_c, c1.ot_qr,
+                                      _flat(c1.vdp_scalar)),
+        "bundle1": hashlib.sha256(bytes(bundle1)).hexdigest(),
     }
 
 
@@ -265,8 +265,7 @@ MALFORMED_BUNDLES = {
 def test_open_bundle_rejects_malformed(case):
     role, spoil = MALFORMED_BUNDLES[case]
     m = manifest(num_amt=3, num_bmt=9, num_ot=2, vdp_blocks=((2, 3),))
-    corr = cr.compute_corrections(SEED0, SEED1, m)
-    bundle = (SEED0, bytes(corr.encode(m.ring, prefix=SEED1)))[role]
+    bundle = (SEED0, bytes(cr.compute_corrections(SEED0, SEED1, m)))[role]
     assert cr.open_bundle(role, bundle, m).role == role
     with pytest.raises(ValueError):
         cr.open_bundle(role, spoil(bundle), m)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -437,6 +438,21 @@ def test_plans_and_oracle_outputs_unchanged():
         images = rng.uniform(-1, 1, size=(64, *net.input_shape))
         h.update(ml.nn_oracle(net, images, P32).tobytes())
     assert h.hexdigest() == PLANS_AND_ORACLE_SHA256
+
+
+def test_oracle_peak_memory_stays_small():
+    # each Conv and FC window meets its kernel in one integer matmul; a
+    # (batch, maps, rows, window) product would peak near 53 MB here
+    rng = np.random.default_rng(18)
+    net = ml.mnist_like_net(rng, P32)
+    images = rng.uniform(-1, 1, size=(64, *net.input_shape))
+    tracemalloc.start()
+    try:
+        ml.nn_oracle(net, images, P32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("net_name, profile", [("mnist", ml.LAN), ("mnist", ml.WAN),

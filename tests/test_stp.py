@@ -14,6 +14,20 @@ from hybrid2pc.transport import ByteLedger, RemoteError
 L32 = RingParams(32)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_dies():
+    """Fail any test in which a thread, such as a dealer handler, dies of an
+    uncaught exception: the parties would see only a disconnect or a timeout."""
+    died = []
+    hook = threading.excepthook
+    threading.excepthook = died.append
+    try:
+        yield
+    finally:
+        threading.excepthook = hook
+    assert not died, [f"{getattr(a.thread, 'name', None)}: {a.exc_value!r}" for a in died]
+
+
 @pytest.fixture(scope="module")
 def server():
     srv = stp.StpServer(timeout=1.5).start()
@@ -179,13 +193,15 @@ MALFORMED = {
     "extra-half-pair": _BLOCKS + bytes(4),
     "zero-products": _BLOCKS[:27] + struct.pack("<2I", 0, 3),
     "zero-length": _BLOCKS[:27] + struct.pack("<2I", 2, 0),
+    "no-wire-width": struct.pack("<3B3Q", 12, 0, 0, 1, 0, 0),  # l = 12, one A-MT
 }
 
 
 @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_block_manifest_rejected(server, payload):
     # a payload that is not the head plus whole (products, length) pairs,
-    # or that names an empty block, is refused before any session starts
+    # that names an empty block or a ring with no wire encoding, is
+    # refused before any session starts
     chan = transport.Channel(transport.tcp_connect(*server.address),
                              secrets.token_bytes(16))
     try:
