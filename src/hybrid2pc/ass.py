@@ -90,16 +90,6 @@ class AssEngine:
         # one row per dealt block: its (products, length) masks and scalars
         self.vdp_masks = Supply("vdp", material.vdp_mask, material.vdp_scalar)
 
-    # wire helpers
-
-    def _elems_to_bytes(self, v: np.ndarray) -> bytes:
-        return np.ascontiguousarray(v.astype(self.p.wire_dtype)).tobytes()
-
-    def _bytes_to_elems(self, raw) -> np.ndarray:
-        return np.frombuffer(raw, dtype=self.p.wire_dtype).astype(np.uint64)
-
-    # protocols
-
     def mul_mt(self, x: ArithShare, y: ArithShare) -> ArithShare:
         """Triple-based multiplication, elementwise over the batch."""
         mask = np.uint64(self.p.mask)
@@ -107,10 +97,8 @@ class AssEngine:
         a, b, c = self.amt.take(n)
         e_share = (x.value - a) & mask
         f_share = (y.value - b) & mask
-        theirs = self.channel.exchange(
-            transport.ASS_EF, self._elems_to_bytes(np.concatenate([e_share, f_share]))
-        )
-        other = self._bytes_to_elems(theirs)
+        other = self.p.from_wire(self.channel.exchange(
+            transport.ASS_EF, self.p.to_wire(np.concatenate([e_share, f_share]))))
         e = (e_share + other[:n]) & mask
         f = (f_share + other[n:]) & mask
         z = (f * a + e * b + c) & mask
@@ -141,14 +129,12 @@ class AssEngine:
             if len(x) != n * k:
                 raise AssError("cleartext vector length does not match the block")
             u = (x + a_vec) & mask
-            v = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(u)))
+            v = self.p.from_wire(self.channel.exchange(transport.DA_MASKED, self.p.to_wire(u)))
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
             term = x * y.value - a_vec * v
         else:
             v = (y.value + a_vec) & mask
-            u = self._bytes_to_elems(
-                self.channel.exchange(transport.DA_MASKED, self._elems_to_bytes(v)))
+            u = self.p.from_wire(self.channel.exchange(transport.DA_MASKED, self.p.to_wire(v)))
             # z1 = sum <y>1*(x+a0) + a3, per product
             term = y.value * u
         # uint64 arithmetic wraps mod 2^64, a multiple of 2^l: mask once
@@ -164,7 +150,7 @@ class AssEngine:
             mine, theirs = share(x, self.p, rng)
             if owner == 1:
                 mine, theirs = theirs, mine
-            self.channel.send(transport.APP_SHARE, self._elems_to_bytes(theirs.value))
+            self.channel.send(transport.APP_SHARE, self.p.to_wire(theirs.value))
             return ArithShare(mine.value, self.role)
         raw = self.channel.recv_expect(transport.APP_SHARE, count * self.p.nbytes)
-        return ArithShare(self._bytes_to_elems(raw), self.role)
+        return ArithShare(self.p.from_wire(raw), self.role)

@@ -1,10 +1,11 @@
-"""Atomic-operation benchmark: offline/online bytes, rounds, wall time.
+"""Atomic-operation benchmark: offline/online bytes, flights, wall time.
 
 Runs each operation batched (n parallel instances of the given width)
 between two in-process parties over a loopback socket pair, with a real
 dealer serving the offline phase, and reports measured byte counts next
 to their closed-form predictions. Byte counts are payload-exact in
-null-cipher mode; timings are informational only.
+null-cipher mode; flights are each role's online flights as its channel
+counts them (transport.Channel.flights); timings are informational only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class BenchRow:
     offline_bytes: int
     online_sent0: int  # role 0 -> role 1 payload bytes
     online_sent1: int
-    rounds: int
+    flights: tuple[int, int]  # online flights of role 0, role 1
     seconds: float
     predicted_online: int | None = None  # closed form, total both directions
 
@@ -73,24 +74,17 @@ def _sessions(manifest: ResourceManifest, stp_addr, seed=7):
 
 def _measure(manifest, f0, f1, stp_addr):
     se0, se1 = _sessions(manifest, stp_addr)
-    offline = se1.channel.ledger.payload_bytes(phase=transport.OFFLINE,
-                                               direction="recv")
+    offline = se1.channel.ledger.payload_bytes(phase=transport.OFFLINE, direction="recv")
     t0 = time.perf_counter()
     _run_both(lambda: f0(se0), lambda: f1(se1))
     dt = time.perf_counter() - t0
-    sent0 = se0.channel.ledger.payload_bytes(phase=transport.ONLINE,
-                                             direction="sent", peer="peer")
-    sent1 = se1.channel.ledger.payload_bytes(phase=transport.ONLINE,
-                                             direction="sent", peer="peer")
-    rounds = max(
-        se0.channel.ledger.messages(phase=transport.ONLINE, direction="sent",
-                                    peer="peer"),
-        se1.channel.ledger.messages(phase=transport.ONLINE, direction="sent",
-                                    peer="peer"),
-    )
-    se0.channel.close()
-    se1.channel.close()
-    return offline, sent0, sent1, rounds, dt
+    chans = (se0.channel, se1.channel)
+    sent0, sent1 = (c.ledger.payload_bytes(phase=transport.ONLINE, direction="sent", peer="peer")
+                    for c in chans)
+    flights = tuple(c.flights for c in chans)
+    for c in chans:
+        c.close()
+    return offline, sent0, sent1, flights, dt
 
 
 def _share_vec(p, n, rng):
@@ -169,7 +163,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         se0.channel.close()
         se1.channel.close()
         assert extra == [0, 0]
-        return BenchRow(op, 0, 0, 0, 0, 0.0, predicted_online=0)
+        return BenchRow(op, 0, 0, 0, (0, 0), 0.0, predicted_online=0)
     if op == "b2y":
         m = ResourceManifest(sid, p, num_ot=n * w)
         b0, b1 = _share_bits(w, n, rng)
@@ -230,13 +224,13 @@ def run_bench(ops=OPS, n: int = 1000, width: int = 32, stp_addr=None):
 def format_table(rows: list[BenchRow]) -> str:
     head = (f"{'op':6} {'offline(B)':>11} {'online->1(B)':>13} "
             f"{'online->0(B)':>13} {'total(B)':>10} {'predicted':>10} "
-            f"{'rounds':>6} {'time(ms)':>9}")
+            f"{'flights':>7} {'time(ms)':>9}")
     lines = [head, "-" * len(head)]
     for r in rows:
         pred = "-" if r.predicted_online is None else str(r.predicted_online)
         lines.append(
             f"{r.op:6} {r.offline_bytes:>11} {r.online_sent0:>13} "
             f"{r.online_sent1:>13} {r.online_total:>10} {pred:>10} "
-            f"{r.rounds:>6} {r.seconds * 1000:>9.2f}"
+            f"{'/'.join(map(str, r.flights)):>7} {r.seconds * 1000:>9.2f}"
         )
     return "\n".join(lines)

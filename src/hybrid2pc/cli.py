@@ -11,7 +11,8 @@ Parties connect to each other directly (role 0 listens, role 1 dials),
 fetch their offline bundles from the dealer, then run the program online.
 The demo svm/nn programs build deterministic models from the config seed
 so the two processes agree on the inputs' shapes. Reports carry per-phase
-payload bytes per direction, message counts, and wall-clock times.
+payload bytes per direction, message counts, the party's online flights
+and wall-clock times.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ def cmd_party(args) -> int:
         "wall_clock_seconds": round(time.perf_counter() - t0, 4),
         **result,
         **_ledger_snapshot(channel),
+        "online_flights": channel.flights,  # the peer channel carries no offline frame
     }
     _report(report, args.report)
     channel.close()

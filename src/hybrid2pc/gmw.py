@@ -3,9 +3,10 @@
 XOR and NOT gates are local (NOT flips role 0's share only). They run
 as the circuit's layers of independent gates (circuits.run_spans), one
 XOR over the wire axis per layer; NOT reads a row holding 1 at role 0 and
-0 at role 1. Each AND level costs one communication round: for every AND
-lane (gate x SIMD instance) the parties mask their operand shares with a
-Boolean triple, exchange the packed (d, e) bits, and combine
+0 at role 1. Each AND level costs one exchange, one flight per party
+(transport.Channel.flights): for every AND lane (gate x SIMD instance)
+the parties mask their operand shares with a Boolean triple, exchange
+the packed (d, e) bits, and combine
 
     z_i = (b_i & d) ^ (a_i & e) ^ c_i  [^ (d & e) at role 0]
 
@@ -65,14 +66,9 @@ class GmwEngine:
         self.bmt = Supply("bmt", material.bmt_a, material.bmt_b, material.bmt_c)
         self._round_index = 0  # AND levels exchanged; each GMW_DE frame's index
 
-    @property
-    def rounds(self) -> int:
-        """Communication rounds so far: one per AND level and cycle."""
-        return self._round_index
-
     def evaluate(self, lc: LevelizedCircuit, in0: BoolShare, in1: BoolShare,
                  cycles: int = 1) -> BoolShare:
-        """Evaluate shares of the circuit; rounds == AND levels x cycles."""
+        """Evaluate shares of the circuit in AND levels x cycles exchanges."""
         c = lc.circuit
         ninst = max(in0.bits.shape[0], in1.bits.shape[0])
         if in0.width != len(c.inputs0) or in1.width != len(c.inputs1):

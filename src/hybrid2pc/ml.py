@@ -118,13 +118,23 @@ def _conv_out(h, k, stride, pad):
     return (h + pad[0] + pad[1] - k) // stride + 1
 
 
+_SIZES = {Conv: ("maps", "kernel", "stride"), FC: ("din", "dout"),
+          MaxPool: ("window",), MeanPool: ("window",)}
+
+
 def _walk(net: NetSpec):
-    """Yields (layer, in_shape, out_shape) with dimension checking."""
+    """Yields (layer, in_shape, out_shape) with dimension checking; every
+    size must be at least 1."""
     shape = net.input_shape
+    if min(shape, default=0) < 1:
+        raise MlError(f"input shape {shape} has an empty axis")
     for i, layer in enumerate(net.layers):
+        name = f"layer {i} ({type(layer).__name__})"
+        for size in _SIZES.get(type(layer), ()):
+            if getattr(layer, size) < 1:
+                raise MlError(f"{name}: {size} is {getattr(layer, size)}, not at least 1")
         if isinstance(layer, (Conv, MaxPool, MeanPool)) and len(shape) != 3:
-            raise MlError(f"layer {i} ({type(layer).__name__}) needs a (channels, "
-                          f"height, width) input, got shape {shape}")
+            raise MlError(f"{name} needs a (channels, height, width) input, got shape {shape}")
         if isinstance(layer, Conv):
             ch, h, w = shape
             oh = _conv_out(h, layer.kernel, layer.stride, layer.pad)

@@ -69,10 +69,8 @@ class OtSender:
 
     def send_ring(self, m0, m1, ring):
         """Ring-element messages in the ring's wire encoding."""
-        enc = lambda v: np.ascontiguousarray(v.astype(ring.wire_dtype)).view(np.uint8).reshape(
-            len(v), ring.nbytes
-        )
-        self.send(enc(np.asarray(m0, np.uint64)), enc(np.asarray(m1, np.uint64)), ring.l)
+        m0, m1 = (ring.to_wire(m).view(np.uint8).reshape(-1, ring.nbytes) for m in (m0, m1))
+        self.send(m0, m1, ring.l)
 
 
 class OtReceiver:
@@ -98,6 +96,4 @@ class OtReceiver:
         return s_r ^ qr[:, :nbytes]
 
     def recv_ring(self, choices, ring) -> np.ndarray:
-        raw = self.recv(choices, ring.l)
-        elems = np.ascontiguousarray(raw).view(ring.wire_dtype).reshape(len(raw))
-        return elems.astype(np.uint64)
+        return ring.from_wire(self.recv(choices, ring.l))

@@ -43,7 +43,7 @@ class RingParams:
             raise ValueError(f"ring width {self.l} out of range [2, 64]")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.fixed_point and self.l != self.alpha + 2 * self.beta + 1:
+        if (self.alpha or self.beta) and self.l != self.alpha + 2 * self.beta + 1:
             raise ValueError(
                 f"fixed-point layout requires l = alpha + 2*beta + 1, "
                 f"got l={self.l}, alpha={self.alpha}, beta={self.beta}"
@@ -54,10 +54,6 @@ class RingParams:
         """Default fixed-point layout for a wire width."""
         alpha, beta = _FIXED_SPLITS[l]
         return cls(l, alpha, beta)
-
-    @property
-    def fixed_point(self) -> bool:
-        return self.alpha > 0 or self.beta > 0
 
     @property
     def mask(self) -> int:
@@ -78,6 +74,14 @@ class RingParams:
     def wire_dtype(self) -> np.dtype:
         """An element on the wire: little-endian, nbytes wide."""
         return np.dtype(f"<u{self.nbytes}")
+
+    def to_wire(self, v) -> np.ndarray:
+        """Residues in the wire encoding, as one contiguous array."""
+        return np.ascontiguousarray(v, dtype=self.wire_dtype)
+
+    def from_wire(self, raw) -> np.ndarray:
+        """Wire-encoded elements back to uint64 residues."""
+        return np.frombuffer(raw, dtype=self.wire_dtype).astype(_U64)
 
 
 def canon(x, p: RingParams):
@@ -105,11 +109,6 @@ def sub(a, b, p: RingParams):
 
 def mul(a, b, p: RingParams):
     return _binop(a, b, p, np.multiply)
-
-
-def neg(a, p: RingParams):
-    r = (-canon(a, p)) & _U64(p.mask)
-    return int(r) if r.ndim == 0 else r
 
 
 def to_signed(v, p: RingParams):

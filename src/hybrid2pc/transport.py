@@ -24,6 +24,9 @@ its session) is a manifest, whose size it cannot know: it takes at most
 MANIFEST_CAP bytes, checked before the body is allocated. Other bare
 reads take up to MAX_PAYLOAD.
 
+A channel counts its party's flights, the program's one round count: a
+flight is a run of frames the party sends with no receive in between.
+
 In null-cipher mode nothing else is added and payload accounting is
 byte-exact. The PSK-AEAD mode seals each frame with AES-GCM under a
 pre-shared key (header as associated data, per-direction nonce counters);
@@ -193,16 +196,20 @@ class Channel:
         self.cipher = cipher if cipher is not None else NullCipher()
         self.phase = OFFLINE
         self._due = None  # (msg_type, nbytes) of the next recv, set by recv_expect
+        self.flights = 0  # runs of sends with no receive in between
+        self._in_flight = False  # the last act was a send
+        self._exchanging = False  # an exchange books its flight, its helper's send not
 
     def phase_mark(self, phase: str):
         self.phase = phase
 
     def send(self, msg_type: int, payload):
-        """Frame and send payload, any bytes-like object; never copied
-        under the null cipher."""
+        """Frame and send payload, any C-contiguous buffer (bytes, numpy
+        arrays of any dtype); never copied under the null cipher."""
         if self.session is None:
             raise ProtocolError("session not yet established")
-        size = memoryview(payload).nbytes
+        payload = memoryview(payload).cast("B")
+        size = len(payload)
         if size > MAX_PAYLOAD:
             raise FrameTooLarge(f"{size} bytes exceeds frame limit")
         header = struct.pack("<IB", 0, msg_type) + self.session
@@ -212,6 +219,9 @@ class Channel:
             self._send_parts([memoryview(header), body])
         except OSError as e:
             raise Disconnected(str(e)) from None
+        if not self._exchanging:
+            self.flights += not self._in_flight
+            self._in_flight = True
         meta = _META_BYTES.get(msg_type, 0)
         self.ledger.record(self.phase, self.peer, "sent", msg_type,
                            size - meta, HEADER_LEN + len(body))
@@ -245,6 +255,7 @@ class Channel:
         due type and size, or an ERROR frame of at most ERROR_CAP bytes;
         both are checked before the body is allocated."""
         due, self._due = self._due, None
+        self._in_flight = False
         header = bytes(self._recv_exact(HEADER_LEN))
         length, msg_type = struct.unpack("<IB", header[:5])
         session = header[5:]
@@ -278,6 +289,8 @@ class Channel:
 
         Both parties call this in the same protocol step; the send runs on
         a helper thread so neither side can stall on a full socket buffer.
+        It is one flight, or continues the current one; the calling thread
+        books it, as the helper's send would race the receive that ends it.
         """
         exc = []
 
@@ -287,12 +300,15 @@ class Channel:
             except TransportError as e:  # pragma: no cover
                 exc.append(e)
 
+        self.flights += not self._in_flight
+        self._exchanging = True
         t = threading.Thread(target=_send)
         t.start()
         try:
             reply = self.recv_expect(msg_type, memoryview(payload).nbytes)
         finally:
             t.join()
+            self._exchanging = False
         if exc:
             raise exc[0]
         return reply

@@ -14,6 +14,11 @@ from hybrid2pc.transport import channel_pair
 SEED0 = hashlib.sha256(b"conftest-seed-0").digest()
 SEED1 = hashlib.sha256(b"conftest-seed-1").digest()
 
+# Online flights (role 0, role 1) of the three programs perfbench runs;
+# its online_flights is role 1's count. test_ml pins the program's counts
+# and test_perfbench_smoke the benchmark's, both against this table.
+BENCHMARKED_FLIGHTS = {"mnist-lan-b20": (9, 10), "mnist-wan-b1": (9, 8), "svm-psk-b1": (3, 2)}
+
 
 def deal(manifest):
     """Both party views, opened from the bundles the dealer would send."""

@@ -232,7 +232,7 @@ def _gmw_eval(circ, in0_bits, in1_bits, seed=0):
     out = gmw.reconstruct_bits(s0, s1)
     c0.close()
     c1.close()
-    return out, e0, lc
+    return out, (c0.flights, c1.flights), lc
 
 
 def _gc_eval(circ, in0_bits, in1_bits, seed=0):
@@ -437,6 +437,7 @@ def test_criterion_6_svm_end_to_end():
             led = s1.channel.ledger
             sent_msgs = led.messages(direction="sent", peer="peer")
             recv_msgs = led.messages(direction="recv", peer="peer")
+            flights = (s0.channel.flights, s1.channel.flights)
             non_gc = sum(
                 led.messages(direction=dd, msg_type=t)
                 for dd in ("sent", "recv")
@@ -446,12 +447,13 @@ def test_criterion_6_svm_end_to_end():
             done += b
             s0.channel.close()
             s1.channel.close()
-        msg_counts[d] = (sent_msgs, recv_msgs)
+        msg_counts[d] = (sent_msgs, recv_msgs, flights)
     assert len(set(msg_counts.values())) == 1, msg_counts  # independent of d
     dt = time.time() - t0
     assert dt < 300, f"criterion 6 took {dt:.1f}s"
-    _ok(6, f"10^4 labels match the oracle at d=10/100/1000; round pattern "
-           f"{msg_counts[10]} independent of d ({dt:.1f}s)")
+    _ok(6, f"10^4 labels match the oracle at d=10/100/1000; role 1's messages "
+           f"sent/received and both roles' flights {msg_counts[10]} independent of d "
+           f"({dt:.1f}s)")
 
 
 # --------------------------------------------------------------------------
@@ -502,17 +504,17 @@ def test_criterion_7_cnn_end_to_end():
 
 
 def test_criterion_8_round_counts():
+    # rounds are flights, as each party's channel counts them
     t0 = time.time()
-    # GMW rounds == AND-level count, for a spread of circuits
+    # GMW flights == AND-level count on both sides, for a spread of circuits
     for circ in (cc.build_add(16, "size"), cc.build_add(16, "depth"),
                  cc.build_cmp(32, "depth"), cc.build_relu(32),
                  cc.build_bitand(8)):
-        lc = cc.levelize(circ)
         in0 = np.zeros((5, len(circ.inputs0)), np.uint8)
         in1 = np.zeros((5, len(circ.inputs1)), np.uint8)
-        _, engine, _ = _gmw_eval(circ, in0, in1)
-        assert engine.rounds == lc.depth, circ.name
-    # GC online message pattern is constant regardless of circuit size
+        _, flights, lc = _gmw_eval(circ, in0, in1)
+        assert flights == (lc.depth, lc.depth), circ.name
+    # GC online message and flight pattern is constant regardless of circuit size
     msgs = []
     for circ in (cc.build_add(8, "size"), cc.build_add(64, "depth")):
         c0, c1 = channel_pair()
@@ -527,18 +529,15 @@ def test_criterion_8_round_counts():
                           ("bits", np.zeros((1, len(circ.inputs1)), np.uint8)), 1, 1),
         )
         msgs.append((c0.ledger.messages(direction="sent"),
-                     c1.ledger.messages(direction="sent")))
+                     c1.ledger.messages(direction="sent"), c0.flights, c1.flights))
         c0.close()
         c1.close()
     assert msgs[0] == msgs[1], msgs
-    # total session rounds independent of batch width: 1 vs 1000 ops
+    # each role's session flights independent of batch width: 1 vs 1000 ops
     for op in ("MULT", "AND"):
-        rounds = []
-        for n in (1, 1000):
-            row = run_bench(ops=(op,), n=n, width=32)[0]
-            rounds.append(row.rounds)
-        assert rounds[0] == rounds[1], (op, rounds)
+        flights = [run_bench(ops=(op,), n=n, width=32)[0].flights for n in (1, 1000)]
+        assert flights[0] == flights[1], (op, flights)
     dt = time.time() - t0
     assert dt < 120, f"criterion 8 took {dt:.1f}s"
-    _ok(8, f"GMW rounds == AND levels; GC message pattern constant; "
-           f"1 vs 1000 parallel ops use identical rounds ({dt:.1f}s)")
+    _ok(8, f"GMW flights == AND levels on both sides; GC message and flight pattern "
+           f"constant; 1 vs 1000 parallel ops use identical flights ({dt:.1f}s)")

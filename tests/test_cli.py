@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hybrid2pc import bench, cli
+from hybrid2pc import bench, circuits as cc, cli
 
 
 def test_bench_rows_match_predictions():
@@ -17,10 +17,24 @@ def test_bench_rows_match_predictions():
         assert by_op[op].online_total == by_op[op].predicted_online, op
 
 
+@pytest.mark.parametrize("n", [1, 1000])
+def test_bench_flights_per_op(n):
+    # each role's online flights, the same for 1 and 1000 parallel ops;
+    # GMW ops take one flight per AND level
+    ops = ("ADD", "MULT", "AND", "CMP", "EQ", "b2y", "b2a", "a2y")
+    cmp, eq = (cc.levelize(c).depth for c in (cc.build_cmp(32, cc.DEPTH), cc.build_eq(32)))
+    rows = bench.run_bench(ops=ops, n=n, width=32)
+    assert {r.op: r.flights for r in rows} == {
+        "ADD": (0, 0), "MULT": (1, 1), "AND": (1, 1), "CMP": (cmp, cmp), "EQ": (eq, eq),
+        "b2y": (1, 1), "b2a": (1, 1), "a2y": (2, 1)}
+
+
 def test_bench_table_formatting():
-    rows = bench.run_bench(ops=("ADD", "y2b"), n=16, width=32)
+    rows = bench.run_bench(ops=("ADD", "y2b", "MULT"), n=16, width=32)
     text = bench.format_table(rows)
     assert "ADD" in text and "y2b" in text and "predicted" in text
+    assert text.splitlines()[0].split()[-2] == "flights"
+    assert text.splitlines()[-1].split()[-2] == "1/1"  # MULT: role 0 / role 1
 
 
 def test_circuit_command(tmp_path, capsys):
@@ -30,8 +44,6 @@ def test_circuit_command(tmp_path, capsys):
     assert rc == 0
     text = out.read_text()
     assert text.startswith("W ")
-    from hybrid2pc import circuits as cc
-
     c = cc.parse_circuit(text)
     assert cc.levelize(c).depth == 3
 
@@ -68,6 +80,9 @@ def test_svm_demo_end_to_end(tmp_path):
         line = [ln for ln in out1.splitlines() if ln.startswith("labels:")][0]
         labels = json.loads(line.split(":", 1)[1])
         assert all(v in (-1, 1) for v in labels)
+        # the SVM's online flights, as for one query at d = 100
+        flights = [json.loads(out[out.index("{"):])["online_flights"] for out in (out0, out1)]
+        assert flights == [3, 2]
     finally:
         stp.kill()
 

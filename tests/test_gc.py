@@ -230,14 +230,16 @@ def test_yao_labels_rebind_into_next_circuit(channels):
 
 
 def test_gc_rounds_constant_in_size(channels):
-    # message count is independent of instance count
-    counts = []
+    # message and flight counts are independent of instance count
+    counts, flights = [], []
     for n in (1, 64):
         chans = transport.channel_pair()
         x = np.arange(n, dtype=np.uint64)
         run_circuit(chans, cc.build_add(16, "size"), x, x)
         counts.append(chans[0].ledger.messages() + chans[1].ledger.messages())
+        flights.append((chans[0].flights, chans[1].flights))
     assert counts[0] == counts[1]
+    assert flights[0] == flights[1]
 
 
 def _garble_digest(jobs) -> str:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import deal, run_parties
+from conftest import BENCHMARKED_FLIGHTS, deal, run_parties
 
 from hybrid2pc import ml, ring, transport
 from hybrid2pc.ring import RingParams
@@ -244,15 +244,35 @@ def test_client_privacy_message_lengths_input_independent():
 def test_rounds_independent_of_batch():
     rng = np.random.default_rng(10)
     net = tiny_net(rng)
-    counts = []
+    counts, flights = [], []
     for batch in (1, 16):
         images = rng.uniform(-1, 1, size=(batch, 1, 6, 6))
-        _, (s0, _) = infer_both(net, images, ml.LAN)
+        _, (s0, s1) = infer_both(net, images, ml.LAN)
         led = s0.channel.ledger
         counts.append(
             (led.messages(direction="sent"), led.messages(direction="recv"))
         )
+        flights.append((s0.channel.flights, s1.channel.flights))
     assert counts[0] == counts[1]
+    assert flights[0] == flights[1]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARKED_FLIGHTS))
+def test_benchmarked_programs_flights(workload):
+    # the programs perfbench runs, in process: the MNIST-like CNN at lan
+    # batch 20 and wan batch 1, and the SVM at d = 100 (PSK changes no frame)
+    rng = np.random.default_rng(3)
+    if workload == "svm-psk-b1":
+        d = 100
+        model = ml.SvmModel(rng.uniform(-1, 1, d), 0.3)
+        s0, s1 = sessions(ml.plan_svm_manifest(d, 1, P32, bytes(16)))
+        run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
+                    lambda: ml.svm_classify(s1, None, rng.uniform(-1, 1, (1, d)), d, 1))
+    else:
+        profile, batch = (ml.LAN, 20) if workload == "mnist-lan-b20" else (ml.WAN, 1)
+        images = rng.uniform(0, 1, (batch, 1, 28, 28))
+        _, (s0, s1) = infer_both(ml.mnist_like_net(rng, P32), images, profile)
+    assert (s0.channel.flights, s1.channel.flights) == BENCHMARKED_FLIGHTS[workload]
 
 
 def test_cifar_style_net_expressible():
@@ -283,6 +303,43 @@ def test_weight_file_roundtrip(tmp_path):
     assert np.array_equal(
         ml.nn_oracle(loaded, images, p), ml.nn_oracle(net, images, P32)
     )
+
+
+def _sized_net(rng, channels=1, maps=2, kernel=3, stride=1, maxpool=2, meanpool=2, dout=4):
+    """Conv -> ReLU -> max pool -> mean pool -> FC -> argmax over 8x8 images,
+    with every size a parameter."""
+    return ml.NetSpec((channels, 8, 8), [
+        ml.Conv(maps, kernel, stride, (1, 1), rng.uniform(-1, 1, (maps, channels, kernel, kernel))),
+        ml.Act(), ml.MaxPool(maxpool), ml.MeanPool(meanpool),
+        ml.FC(4 * maps, dout, rng.uniform(-1, 1, (dout, 4 * maps))), ml.ArgMax(),
+    ])
+
+
+ZERO_SIZES = {
+    "input": ({"channels": 0}, "input shape"),
+    "conv-maps": ({"maps": 0}, r"layer 0 \(Conv\): maps"),
+    "conv-kernel": ({"kernel": 0}, r"layer 0 \(Conv\): kernel"),
+    "conv-stride": ({"stride": 0}, r"layer 0 \(Conv\): stride"),
+    "maxpool-window": ({"maxpool": 0}, r"layer 2 \(MaxPool\): window"),
+    "meanpool-window": ({"meanpool": 0}, r"layer 3 \(MeanPool\): window"),
+    "fc-dout": ({"dout": 0}, r"layer 4 \(FC\): dout"),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_SIZES))
+def test_zero_sized_layers_raise_mlerror(case, tmp_path):
+    # a weight file or a net with a size of 0 is answered with an MlError
+    # naming the layer, from load_net and from compile_nn
+    rng = np.random.default_rng(12)
+    ml.compile_nn(_sized_net(rng), P32, 1, ml.LAN)  # sound at every size >= 1
+    sizes, match = ZERO_SIZES[case]
+    net = _sized_net(rng, **sizes)
+    path = str(tmp_path / "net.bin")
+    ml.save_net(path, net, P32)
+    with pytest.raises(ml.MlError, match=match):
+        ml.load_net(path)
+    with pytest.raises(ml.MlError, match=match):
+        ml.compile_nn(net, P32, 1, ml.LAN)
 
 
 def test_weight_file_overflow_detected(tmp_path):

@@ -3,7 +3,9 @@ driver starts it: three processes over loopback TCP, whose client checks
 every session's outputs against the fixed-point reference and its frame
 bytes against the method's closed forms (GC_TABLES, OT_PAIRS, DA_MASKED,
 GMW_DE). A change that breaks one of those checks fails here, in the
-test suite, and not only in a benchmark run."""
+test suite, and not only in a benchmark run. The benchmark's
+online_flights, which it counts on its own, must equal role 1's flights
+as the program counts them (BENCHMARKED_FLIGHTS, which test_ml pins)."""
 
 import json
 import os
@@ -11,11 +13,12 @@ import subprocess
 import sys
 
 import pytest
+from conftest import BENCHMARKED_FLIGHTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["mnist-lan-b20", "mnist-wan-b1", "svm-psk-b1"])
+@pytest.mark.parametrize("workload", sorted(BENCHMARKED_FLIGHTS))
 def test_benchmark_runs_correct_and_without_failures(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
@@ -25,3 +28,4 @@ def test_benchmark_runs_correct_and_without_failures(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr[-2000:]
     assert result["failed"] == 0 and result["attempted"] > 0
+    assert result["metrics"]["online_flights"]["value"] == BENCHMARKED_FLIGHTS[workload][1]

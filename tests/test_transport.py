@@ -1,6 +1,8 @@
 import threading
 
+import numpy as np
 import pytest
+from conftest import run_parties
 
 from hybrid2pc import transport
 from hybrid2pc.transport import (
@@ -115,10 +117,11 @@ def test_ledger_monotone_snapshot():
 
 @pytest.mark.parametrize("cipher_key", [None, bytes(32)])
 def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
-    # bytes, bytearray and memoryview payloads cross as the same frame
+    # bytes, bytearray, memoryview and numpy payloads cross as the same frame
     data = bytes(range(256)) * 300
     books = []
-    for payload in (data, bytearray(data), memoryview(bytearray(data))[5:-7]):
+    for payload in (data, bytearray(data), memoryview(bytearray(data))[5:-7],
+                    np.frombuffer(data, "<u4"), np.frombuffer(data, "<u8")):
         expect = bytes(payload)
         c0, c1 = channel_pair(cipher_key=cipher_key)
         c0.send(transport.GMW_DE, payload)
@@ -135,4 +138,45 @@ def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
                              2 * n - 4, 2 * (HEADER_LEN + n + overhead))
         c0.close()
         c1.close()
-    assert books[0] == books[1]
+    assert books[0] == books[1] == books[3] == books[4]
+
+
+def test_flights_are_runs_of_sends():
+    # a flight is a run of sends with no receive in between; an exchange is
+    # one flight, or continues the flight its party's last send opened
+    c0, c1 = channel_pair()
+    assert (c0.flights, c1.flights) == (0, 0)
+    c0.send(transport.APP_SHARE, b"a")
+    c0.send(transport.APP_SHARE, b"b")
+    c1.recv()
+    c1.recv()
+
+    def second(ch):
+        ch.send(transport.APP_SHARE, b"c")
+        return ch.exchange(transport.GMW_DE, b"dd")
+
+    def first(ch):
+        ch.recv()
+        return ch.exchange(transport.GMW_DE, b"ee")
+
+    assert run_parties(lambda: first(c0), lambda: second(c1)) == [b"dd", b"ee"]
+    assert (c0.flights, c1.flights) == (2, 1)
+    c0.close()
+    c1.close()
+
+
+def test_back_to_back_exchanges_are_one_flight_each():
+    # the helper thread's send must not book: a peer's reply can land
+    # before it, so a count taken in send/recv order would drift
+    rng = np.random.default_rng(5)
+    sizes = [0, 1, 1 << 20, *rng.integers(0, (1 << 20) + 1, 197).tolist()]
+    c0, c1 = channel_pair()
+
+    def party(ch, tag):
+        for n in sizes:
+            assert ch.exchange(transport.DA_MASKED, bytes([tag]) * n) == bytes([1 - tag]) * n
+
+    run_parties(lambda: party(c0, 0), lambda: party(c1, 1))
+    assert (c0.flights, c1.flights) == (200, 200)
+    c0.close()
+    c1.close()
