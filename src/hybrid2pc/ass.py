@@ -24,7 +24,7 @@ import numpy as np
 
 from . import transport
 from .correlated import PartyMaterial, Supply
-from .ring import RingParams
+from .ring import RingParams, canon
 from .transport import Channel
 
 
@@ -36,11 +36,11 @@ class AssError(RuntimeError):
 class ArithShare:
     """One party's additive share vector."""
 
-    value: np.ndarray  # uint64, canonical residues
+    value: np.ndarray  # ring elements, in the ring's dtype
     role: int
 
     def __post_init__(self):
-        self.value = np.atleast_1d(np.asarray(self.value, dtype=np.uint64))
+        self.value = np.atleast_1d(self.value)
 
     def __len__(self):
         return len(self.value)
@@ -48,15 +48,15 @@ class ArithShare:
 
 def share(x, p: RingParams, rng: np.random.Generator) -> tuple[ArithShare, ArithShare]:
     """Split x into (role 0, role 1) shares; each alone is uniform."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.uint64)) & np.uint64(p.mask)
-    r = rng.integers(0, p.modulus, size=x.shape, dtype=np.uint64)
-    return ArithShare(r, 0), ArithShare((x - r) & np.uint64(p.mask), 1)
+    x = canon(np.atleast_1d(x), p)
+    r = rng.integers(0, p.modulus, size=x.shape, dtype=p.dtype)
+    return ArithShare(r, 0), ArithShare(x - r, 1)
 
 
 def reconstruct(s0: ArithShare, s1: ArithShare, p: RingParams) -> np.ndarray:
     if s0.role == s1.role:
         raise AssError("reconstruct needs one share from each role")
-    return (s0.value + s1.value) & np.uint64(p.mask)
+    return canon(s0.value, p) + canon(s1.value, p)
 
 
 def linear(terms, p: RingParams, const=0) -> ArithShare:
@@ -69,12 +69,11 @@ def linear(terms, p: RingParams, const=0) -> ArithShare:
     if len(roles) != 1:
         raise AssError("linear combination mixes roles")
     role = roles.pop()
-    mask = np.uint64(p.mask)
-    acc = np.zeros_like(terms[0][1].value)
+    acc = np.zeros(terms[0][1].value.shape, p.dtype)
     for eta, s in terms:
-        acc = (acc + (np.uint64(int(eta) & p.mask) * s.value)) & mask
+        acc += canon(int(eta) & p.mask, p) * canon(s.value, p)
     if role == 0 and const:
-        acc = (acc + np.uint64(int(const) & p.mask)) & mask
+        acc += canon(int(const) & p.mask, p)
     return ArithShare(acc, role)
 
 
@@ -92,18 +91,17 @@ class AssEngine:
 
     def mul_mt(self, x: ArithShare, y: ArithShare) -> ArithShare:
         """Triple-based multiplication, elementwise over the batch."""
-        mask = np.uint64(self.p.mask)
         n = len(x)
         a, b, c = self.amt.take(n)
-        e_share = (x.value - a) & mask
-        f_share = (y.value - b) & mask
+        e_share = canon(x.value, self.p) - a
+        f_share = canon(y.value, self.p) - b
         other = self.p.from_wire(self.channel.exchange(
             transport.ASS_EF, self.p.to_wire(np.concatenate([e_share, f_share]))))
-        e = (e_share + other[:n]) & mask
-        f = (f_share + other[n:]) & mask
-        z = (f * a + e * b + c) & mask
+        e = e_share + other[:n]
+        f = f_share + other[n:]
+        z = f * a + e * b + c
         if self.role == 1:
-            z = (z + e * f) & mask
+            z += e * f
         return ArithShare(z, self.role)
 
     def mul_da(self, x_clear, y: ArithShare) -> ArithShare:
@@ -117,28 +115,25 @@ class AssEngine:
         each of the given length; the output has one share per product.
         The block must match: len(y) == products * length.
         """
-        mask = np.uint64(self.p.mask)
+        p = self.p
         (a_vec,), (scalar,) = self.vdp_masks.take(1)
         n, k = a_vec.shape
         if k != length or len(y) != n * k:
             raise AssError(f"{len(y)} elements in products of length {length} do "
                            f"not match the dealt block of {n} x {k}")
-        a_vec = a_vec.reshape(-1)
+        a_vec, y_val = a_vec.reshape(-1), canon(y.value, p)
         if self.role == 0:
-            x = np.atleast_1d(np.asarray(x_clear, dtype=np.uint64)) & mask
+            x = canon(np.atleast_1d(x_clear), p)
             if len(x) != n * k:
                 raise AssError("cleartext vector length does not match the block")
-            u = (x + a_vec) & mask
-            v = self.p.from_wire(self.channel.exchange(transport.DA_MASKED, self.p.to_wire(u)))
+            v = p.from_wire(self.channel.exchange(transport.DA_MASKED, p.to_wire(x + a_vec)))
             # z0 = sum x*<y>0 - sum a0*(y1+a1) + a2, per product
-            term = x * y.value - a_vec * v
+            term = x * y_val - a_vec * v
         else:
-            v = (y.value + a_vec) & mask
-            u = self.p.from_wire(self.channel.exchange(transport.DA_MASKED, self.p.to_wire(v)))
+            u = p.from_wire(self.channel.exchange(transport.DA_MASKED, p.to_wire(y_val + a_vec)))
             # z1 = sum <y>1*(x+a0) + a3, per product
-            term = y.value * u
-        # uint64 arithmetic wraps mod 2^64, a multiple of 2^l: mask once
-        return ArithShare((term.reshape(n, k).sum(axis=1) + scalar) & mask, self.role)
+            term = y_val * u
+        return ArithShare(term.reshape(n, k).sum(axis=1, dtype=p.dtype) + scalar, self.role)
 
     def share_input(self, x, count: int, owner: int,
                     rng: np.random.Generator) -> ArithShare:

@@ -768,9 +768,6 @@ def simulate(c: Circuit, in0, in1, cycles: int = 1) -> np.ndarray:
 
 def simulate_words(c: Circuit, x0: int | np.ndarray, x1, w: int, cycles: int = 1):
     """Word-level convenience wrapper around simulate()."""
-    from . import ring
-
-    p = ring.RingParams(w) if w >= 2 else None
 
     def to_bits(v, width):
         if width == 0:

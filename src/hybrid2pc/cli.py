@@ -67,10 +67,13 @@ def _load_config(path: str | None) -> dict:
 
 
 def _ring_from(cfg: dict) -> RingParams:
+    """The config's ring; alpha and beta default to the width's own split."""
     r = cfg.get("ring", {})
-    if not r:
-        return RingParams.fixed(32)
-    return RingParams(r.get("l", 32), r.get("alpha", 7), r.get("beta", 12))
+    try:
+        f = RingParams.fixed(r.get("l", 32))
+        return RingParams(f.l, r.get("alpha", f.alpha), r.get("beta", f.beta))
+    except ValueError as e:
+        raise SystemExit(f"bad ring in config: {e}") from None
 
 
 def _report(data: dict, mode: str | None):

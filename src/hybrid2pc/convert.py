@@ -74,21 +74,18 @@ def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
     """
     bits = bs.bits
     ninst, w = bits.shape
-    mask = np.uint64(p.mask)
-    weights = (np.uint64(1) << np.arange(w, dtype=np.uint64)) & mask
+    weights = np.ones(w, p.dtype) << np.arange(w, dtype=p.dtype)
     if signed and w:
-        weights[-1] = mask - weights[-1] + np.uint64(1)
+        np.negative(weights[-1:], out=weights[-1:])
     if role == 0:
         rng = rng if rng is not None else np.random.default_rng()
-        r = rng.integers(0, p.modulus, size=(ninst, w), dtype=np.uint64)
-        contrib0 = (bits * weights) & mask  # share0_j * c_j  (b = 0 case)
-        contrib1 = ((bits ^ 1) * weights) & mask
-        m0 = (contrib0 - r) & mask
-        m1 = (contrib1 - r) & mask
+        r = rng.integers(0, p.modulus, size=(ninst, w), dtype=p.dtype)
+        m0 = bits * weights - r  # share0_j * c_j - r_j  (b = 0 case)
+        m1 = (bits ^ 1) * weights - r
         ot.send_ring(m0.reshape(-1), m1.reshape(-1), p)
-        return ArithShare(r.sum(axis=1, dtype=np.uint64) & mask, 0)
+        return ArithShare(r.sum(axis=1, dtype=p.dtype), 0)
     got = ot.recv_ring(bits.reshape(-1), p).reshape(ninst, w)
-    return ArithShare(got.sum(axis=1, dtype=np.uint64) & mask, 1)
+    return ArithShare(got.sum(axis=1, dtype=p.dtype), 1)
 
 
 def a2b(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> BoolShare:

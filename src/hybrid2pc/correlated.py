@@ -15,6 +15,9 @@ adding items of one kind never shifts the values of another. Within a
 stream, elements are drawn in the documented order below; every ring
 element consumes 8 stream bytes, bits are LSB-first within bytes.
 
+Every ring element is held in the ring's dtype (ring.RingParams.dtype), so
+the sums and products below wrap mod 2^l by themselves.
+
 Stream layouts:
     AMT  role 0: a[0..n) b[0..n) c[0..n)     role 1: a[0..n) b[0..n)
     BMT  role 0: a-bits, b-bits, c-bits      role 1: a-bits, b-bits
@@ -27,16 +30,16 @@ one (products, length) mask matrix per role and one scalar per product;
 blocking changes no stream byte, since the products are drawn in order.
 
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
-every 64 KB; the typed draws are views over the bytes it writes. Role 0's
+every 64 KB; the typed draws read the bytes it writes. Role 0's
 dealer bundle is seed0 alone; role 1's is laid out as
 
-    seed1 | c1_amt (l-bit LE) | c1_bmt (packed, LSB-first) | qr | a3 (l-bit LE)
+    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr | a3 (ring dtype)
 
 and is written once into one buffer by compute_corrections, the dealer's
 pass. _layout sets each section's order, dtype and count; open_bundle, the
 only parser of a bundle, reads the sections back into the role's
-PartyMaterial, and bundle_size gives the length that the party also names
-when it receives it.
+PartyMaterial as views, and bundle_size gives the length that the party
+also names when it receives it.
 
 Online, every dealt item is single-use: reusing a Beaver triple or a
 precomputed-OT mask leaks the inputs it masked. Each engine therefore
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drbg import SEED_BYTES, Drbg, personalization
-from .ring import WIRE_WIDTHS, RingParams
+from .ring import RingParams
 
 MASK_BYTES = 16  # k = 128-bit OT masks
 
@@ -116,8 +119,6 @@ class ResourceManifest:
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
-        if self.ring.l not in WIRE_WIDTHS:
-            raise ValueError(f"ring width {self.ring.l} has no wire encoding")
         if min((self.num_amt, self.num_bmt, self.num_ot), default=0) < 0:
             raise ValueError("negative resource count")
         blocks = np.asarray(self.vdp_blocks, dtype=np.int64).reshape(-1, 2)
@@ -172,7 +173,7 @@ class PartyMaterial:
 def _layout(m: ResourceManifest) -> tuple[tuple[np.dtype, int], ...]:
     """Role 1's correction sections in bundle order, as (dtype, count):
     c1_amt, c1_bmt packed LSB-first, qr, a3."""
-    dt = m.ring.wire_dtype
+    dt = m.ring.dtype
     return ((dt, m.num_amt), (np.dtype(np.uint8), (m.num_bmt + 7) // 8),
             (np.dtype(np.uint8), m.num_ot * MASK_BYTES),
             (dt, sum(n for n, _ in m.vdp_blocks)))
@@ -193,7 +194,7 @@ def bundle_size(role: int, m: ResourceManifest) -> int:
     return SEED_BYTES + (sum(dt.itemsize * n for dt, n in _layout(m)) if role else 0)
 
 
-def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
+def _draw_vdp(d: Drbg, m: ResourceManifest, with_scalar: bool):
     """Per block, the (products, length) masks and one scalar per product.
 
     One draw per role. Role 0's stream holds each product's length masks
@@ -202,7 +203,7 @@ def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
     """
     w = int(with_scalar)
     sizes = [n * (k + w) for n, k in m.vdp_blocks]
-    raw = d.ring_elems(sum(sizes), mask)
+    raw = d.ring_elems(sum(sizes), m.ring.dtype)
     vecs, scalars = [], []
     for (n, k), part in zip(m.vdp_blocks, np.split(raw, np.cumsum(sizes)[:-1])):
         rows = part.reshape(n, k + w)
@@ -215,13 +216,11 @@ def _draw_vdp(d: Drbg, m: ResourceManifest, mask: int, with_scalar: bool):
 def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     p = m.ring
     amt = _stream(seed0, TAG_AMT)
-    a = amt.ring_elems(m.num_amt, p.mask)
-    b = amt.ring_elems(m.num_amt, p.mask)
-    c = amt.ring_elems(m.num_amt, p.mask)
+    a, b, c = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(3))
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
     q = _stream(seed0, TAG_OT_SEND).blocks(2 * m.num_ot).reshape(m.num_ot, 2, 16)
-    vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, p.mask, with_scalar=True)
+    vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, with_scalar=True)
     return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, vdp_mask=vec, vdp_scalar=a2)
 
 
@@ -230,12 +229,11 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     stay unset until open_bundle reads them from the corrections."""
     p = m.ring
     amt = _stream(seed1, TAG_AMT)
-    a = amt.ring_elems(m.num_amt, p.mask)
-    b = amt.ring_elems(m.num_amt, p.mask)
+    a, b = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(2))
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
     r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
-    vec, _ = _draw_vdp(_stream(seed1, TAG_VDP), m, p.mask, with_scalar=False)
+    vec, _ = _draw_vdp(_stream(seed1, TAG_VDP), m, with_scalar=False)
     return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, vdp_mask=vec)
 
 
@@ -262,18 +260,16 @@ def _select_masks(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> bytearray:
     """The dealer's pass: expand both seeds and write role 1's bundle,
     seed1 followed by its correction sections."""
-    p = m.ring
-    mask = np.uint64(p.mask)
     m0 = expand_role0(seed0, m)
     m1 = expand_role1(seed1, m)
-    c1_amt = ((m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c) & mask
+    c1_amt = (m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
     # qr is selected into aligned memory and copied in: its section starts
     # at an offset that need not be a multiple of 8, and the u64 select
     # runs markedly slower over unaligned words
     qr = _select_masks(m0.ot_q, m1.ot_r)
-    a3 = np.concatenate([np.zeros(0, np.uint64)] + [
-        (np.einsum("ij,ij->i", v0, v1) - a2) & mask  # sums wrap mod 2^64, a multiple of 2^l
+    a3 = np.concatenate([np.zeros(0, m.ring.dtype)] + [
+        np.einsum("ij,ij->i", v0, v1) - a2
         for v0, v1, a2 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar)])
     # a3 is built whole and both expanded views (tens of MB for a CNN batch)
     # are dropped before the bundle is allocated: holding the views, or even
@@ -289,9 +285,9 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
 
 
 def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
-    """One role's material from its dealer bundle; role 1's selected OT
-    masks stay a view into payload. A bundle that disagrees with the
-    manifest raises ValueError before any seed is expanded."""
+    """One role's material from its dealer bundle; role 1's c1, selected
+    OT masks and a3 stay views into payload. A bundle that disagrees with
+    the manifest raises ValueError before any seed is expanded."""
     if len(payload) != bundle_size(role, m):
         raise ValueError(f"bundle of {len(payload)} bytes where the manifest "
                          f"implies {bundle_size(role, m)}")
@@ -300,10 +296,9 @@ def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
         return expand_role0(seed, m)
     amt, bmt, qr, a3 = _sections(payload, m)
     mat = expand_role1(seed, m)
-    mat.amt_c = amt.astype(np.uint64)
+    mat.amt_c = amt
     mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
     mat.ot_qr = qr
-    a3 = a3.astype(np.uint64)
     ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
     mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]
     return mat

@@ -110,13 +110,14 @@ class Drbg:
 
     # Typed draws used by the correlated-randomness layer. Every ring
     # element consumes a full 8 stream bytes regardless of l, keeping
-    # layouts width-independent. Each returns a writable array over the
-    # buffer fill_bytes allocated; no further copy is made.
+    # layouts width-independent, and is those bytes' low l bits. Each
+    # returns a writable array; only a ring draw narrower than 64 bits
+    # copies the buffer fill_bytes allocated.
 
-    def ring_elems(self, n: int, mask: int) -> np.ndarray:
-        out = np.frombuffer(self.fill_bytes(8 * n), dtype="<u8")
-        out &= np.uint64(mask)
-        return out
+    def ring_elems(self, n: int, dtype: np.dtype) -> np.ndarray:
+        """n elements of the unsigned little-endian dtype."""
+        raw = np.frombuffer(self.fill_bytes(8 * n), dtype="<u8")
+        return raw.astype(dtype, copy=False)
 
     def bits(self, n: int) -> np.ndarray:
         """n bits LSB-first within bytes, as a uint8 0/1 array."""

@@ -43,7 +43,6 @@ from .ot import OtReceiver, OtSender
 from .transport import Channel
 
 FIXED_KEY = b"hybrid2pc-fixkey"
-K_BYTES = 16
 
 _SLOT_GEN = 0
 _SLOT_EVAL = 1

@@ -339,7 +339,7 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
                 kern = np.broadcast_to(kern[None, :, None], shape).reshape(-1)
             x = se.ass.vdp(kern, ArithShare(y, se.role), step.block[1]).value
         elif isinstance(layer, MeanPool):
-            x = v.sum(axis=2, dtype=np.uint64) & np.uint64(p.mask)
+            x = v.sum(axis=2, dtype=p.dtype)
         else:
             x = _boolean_stage(se, v.reshape(-1, v.shape[2]), step).value
         x = x.reshape(batch, -1)
@@ -373,7 +373,7 @@ def svm_classify(se: PartySession, model: SvmModel | None,
         z = se.ass.vdp(ring.encode(w, p).reshape(-1), ArithShare(x.value, 0), d)
         # subtract the private intercept at scale 2^(2*beta)
         b_enc = ring.encode(np.broadcast_to(np.asarray(model.b), (batch,)), p)
-        z.value = (z.value - (b_enc << np.uint64(p.beta))) & np.uint64(p.mask)
+        z.value = z.value - (b_enc << p.beta)
     else:
         z = se.ass.vdp(None, ArithShare(x.value, 1), d)
     bits = _reveal_stage(se, z.value[:, None], stage_circuit("sign", p.l, p.beta))
@@ -390,16 +390,14 @@ def nn_oracle(net: NetSpec, images: np.ndarray, p: RingParams) -> np.ndarray:
     batch = images.shape[0]
     *body, last = compile_nn(net, p, batch, WAN)  # wan's circuits are all cached
     x = ring.encode(images.reshape(batch, -1), p)
-    mask = np.uint64(p.mask)
     for step in body:
         layer, v = step.layer, _gather(x, step)  # (batch, rows, window)
         if isinstance(layer, (Conv, FC)):
             kern = ring.encode(layer.weights.reshape(step.out_shape[0], -1), p)
-            # (batch, maps, rows), map-major like the secure path; uint64
-            # matmul wraps mod 2^64, a multiple of 2^l
-            x = np.matmul(v, kern.T).transpose(0, 2, 1) & mask
+            # (batch, maps, rows), map-major like the secure path
+            x = np.matmul(v, kern.T).transpose(0, 2, 1)
         elif isinstance(layer, MeanPool):
-            x = v.sum(axis=2, dtype=np.uint64) & mask
+            x = v.sum(axis=2, dtype=p.dtype)
         elif isinstance(layer, Act):
             t = ring.truncate(v, p, shift=step.shift)
             x = np.where(ring.to_signed(t, p) > 0, t, 0)
@@ -416,12 +414,9 @@ def svm_oracle(model: SvmModel, queries: np.ndarray, p: RingParams) -> np.ndarra
     batch, d = q.shape
     w = np.asarray(model.w, dtype=np.float64)
     w = np.broadcast_to(w, (batch, d)) if w.ndim == 1 else w
-    mask = np.uint64(p.mask)
-    acc = ((ring.encode(w, p) * ring.encode(q, p)) & mask).sum(
-        axis=1, dtype=np.uint64
-    ) & mask
+    acc = (ring.encode(w, p) * ring.encode(q, p)).sum(axis=1, dtype=p.dtype)
     b_enc = ring.encode(np.broadcast_to(np.asarray(model.b), (batch,)), p)
-    acc = (acc - (b_enc << np.uint64(p.beta))) & mask
+    acc = acc - (b_enc << p.beta)
     v = ring.to_signed(ring.truncate(acc, p, shift=p.beta), p)
     return np.where(v > 0, 1, -1)
 

@@ -8,9 +8,10 @@ in the wider ring l = alpha + 2*beta + 1 so that one multiplication fits
 without losing fraction bits; the post-multiply renormalisation is an
 arithmetic right shift by beta.
 
-All operations accept Python ints or numpy arrays and vectorise; arrays
-are carried as uint64 regardless of l, with wrap-around handled by
-masking.
+All operations accept Python ints or numpy arrays and vectorise. A ring
+element is held in RingParams.dtype, the unsigned little-endian integer of
+l bits, in memory, in the dealer bundle and on the wire alike, so the
+hardware wraps every sum and product mod 2^l and no step masks.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Widths with a whole-byte wire encoding; the protocol layer only deals in
-# these. In-memory math works for any l up to 64 (tests use l=12).
+# The ring widths: those of a machine word.
 WIRE_WIDTHS = (8, 16, 32, 64)
 
 # Canonical (alpha, beta) splits satisfying l = alpha + 2*beta + 1.
 _FIXED_SPLITS = {8: (1, 3), 16: (3, 6), 32: (7, 12), 64: (13, 25)}
-
-_U64 = np.uint64
-_I64 = np.int64
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,8 @@ class RingParams:
     beta: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.l <= 64:
-            raise ValueError(f"ring width {self.l} out of range [2, 64]")
+        if self.l not in WIRE_WIDTHS:
+            raise ValueError(f"ring width {self.l} is not one of {WIRE_WIDTHS}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if (self.alpha or self.beta) and self.l != self.alpha + 2 * self.beta + 1:
@@ -51,8 +48,9 @@ class RingParams:
 
     @classmethod
     def fixed(cls, l: int) -> "RingParams":
-        """Default fixed-point layout for a wire width."""
-        alpha, beta = _FIXED_SPLITS[l]
+        """Default fixed-point layout for a ring width; any other width
+        raises the ValueError of the width check."""
+        alpha, beta = _FIXED_SPLITS.get(l, (0, 0))
         return cls(l, alpha, beta)
 
     @property
@@ -65,37 +63,35 @@ class RingParams:
 
     @property
     def nbytes(self) -> int:
-        """Wire bytes per element; only whole-byte widths may hit the wire."""
-        if self.l not in WIRE_WIDTHS:
-            raise ValueError(f"width {self.l} has no wire encoding")
+        """Bytes per element."""
         return self.l // 8
 
     @property
-    def wire_dtype(self) -> np.dtype:
-        """An element on the wire: little-endian, nbytes wide."""
+    def dtype(self) -> np.dtype:
+        """A ring element: unsigned, little-endian, nbytes wide."""
         return np.dtype(f"<u{self.nbytes}")
 
     def to_wire(self, v) -> np.ndarray:
-        """Residues in the wire encoding, as one contiguous array."""
-        return np.ascontiguousarray(v, dtype=self.wire_dtype)
+        """Elements as one contiguous array, ready to send."""
+        return np.ascontiguousarray(v, dtype=self.dtype)
 
     def from_wire(self, raw) -> np.ndarray:
-        """Wire-encoded elements back to uint64 residues."""
-        return np.frombuffer(raw, dtype=self.wire_dtype).astype(_U64)
+        """A view of received bytes as elements."""
+        return np.frombuffer(raw, dtype=self.dtype)
 
 
 def canon(x, p: RingParams):
-    """Reduce to the canonical residue in [0, 2^l) as uint64."""
-    a = np.asarray(x)
-    if a.dtype.kind == "i":
-        a = a.astype(np.int64).view(_U64)
-    else:
-        a = a.astype(_U64)
-    return a & _U64(p.mask)
+    """The residue in [0, 2^l) as p.dtype; no copy of an array already in it."""
+    return np.asarray(x).astype(p.dtype, copy=False)
+
+
+def _signed(a: np.ndarray, p: RingParams) -> np.ndarray:
+    """The same bits viewed as two's-complement integers of l bits."""
+    return a.view(f"<i{p.nbytes}")
 
 
 def _binop(a, b, p, op):
-    r = op(canon(a, p), canon(b, p)) & _U64(p.mask)
+    r = op(canon(a, p), canon(b, p))
     return int(r) if r.ndim == 0 else r
 
 
@@ -113,8 +109,7 @@ def mul(a, b, p: RingParams):
 
 def to_signed(v, p: RingParams):
     """Two's-complement interpretation: v - 2^l when the top bit is set."""
-    a = canon(v, p)
-    s = (a << _U64(64 - p.l)).view(_I64) >> _I64(64 - p.l)
+    s = _signed(canon(v, p), p)
     return int(s) if s.ndim == 0 else s
 
 
@@ -153,25 +148,18 @@ def truncate(v, p: RingParams, shift: int | None = None):
     toward -infinity.
     """
     n = p.beta if shift is None else shift
-    if n == 0:
-        out = canon(v, p)
-        return int(out) if out.ndim == 0 else out
-    a = canon(v, p)
-    s = (a << _U64(64 - p.l)).view(_I64) >> _I64(64 - p.l + n)
-    out = s.view(_U64) & _U64(p.mask)
+    out = (_signed(canon(v, p), p) >> n).view(p.dtype)
     return int(out) if out.ndim == 0 else out
 
 
 def bits_of(v, p: RingParams) -> np.ndarray:
     """Little-endian bit decomposition, shape (..., l), dtype uint8."""
-    a = np.asarray(canon(v, p))
-    shifts = np.arange(p.l, dtype=np.uint64)
-    return ((a[..., None] >> shifts) & _U64(1)).astype(np.uint8)
+    shifts = np.arange(p.l, dtype=p.dtype)
+    return ((canon(v, p)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def from_bits(bits: np.ndarray, p: RingParams):
     """Inverse of bits_of; accepts shape (..., l)."""
-    b = np.asarray(bits, dtype=np.uint64)
-    shifts = np.arange(p.l, dtype=np.uint64)
-    out = ((b << shifts).sum(axis=-1, dtype=np.uint64)) & _U64(p.mask)
+    b = np.asarray(bits, dtype=p.dtype)
+    out = (b << np.arange(p.l, dtype=p.dtype)).sum(axis=-1, dtype=p.dtype)
     return int(out) if out.ndim == 0 else out

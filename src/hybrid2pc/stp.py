@@ -31,7 +31,7 @@ class _Session:
     def __init__(self):
         self.lock = threading.Lock()
         self.ready = threading.Event()
-        self.submissions: dict[int, tuple[ResourceManifest, Channel]] = {}
+        self.submissions: dict[int, ResourceManifest] = {}
         self.outcome: str | None = None  # error code, or None on success
         self.bundles: dict[int, bytes] = {}
 
@@ -111,7 +111,7 @@ class StpServer:
             if role in sess.submissions:
                 chan.send(transport.ERROR, DUPLICATE_ROLE.encode())
                 return
-            sess.submissions[role] = (manifest, chan)
+            sess.submissions[role] = manifest
             both = len(sess.submissions) == 2
         if both:
             self._deal(sid, sess)
@@ -123,12 +123,11 @@ class StpServer:
                     sess.ready.set()
         # every handler thread delivers to its own party
         with sess.lock:
-            my_chan = sess.submissions[role][1]
             try:
                 if sess.outcome is None:
-                    my_chan.send(transport.BUNDLE, sess.bundles[role])
+                    chan.send(transport.BUNDLE, sess.bundles[role])
                 else:
-                    my_chan.send(transport.ERROR, sess.outcome.encode())
+                    chan.send(transport.ERROR, sess.outcome.encode())
             except transport.TransportError:
                 pass  # party gone; the session is spent either way
         with self._lock:
@@ -137,7 +136,7 @@ class StpServer:
 
     def _deal(self, sid: bytes, sess: _Session):
         with sess.lock:
-            m0, m1 = sess.submissions[0][0], sess.submissions[1][0]
+            m0, m1 = sess.submissions[0], sess.submissions[1]
             if m0.encode() != m1.encode():
                 sess.outcome = MANIFEST_MISMATCH
                 return

@@ -78,8 +78,8 @@ def test_mul_mt_trace_example(channels):
     def mk(role, a, b, c):
         return PartyMaterial(
             role, L8,
-            np.array([a], np.uint64), np.array([b], np.uint64),
-            np.array([c], np.uint64), zeros, zeros, zeros,
+            np.array([a], L8.dtype), np.array([b], L8.dtype),
+            np.array([c], L8.dtype), zeros, zeros, zeros,
         )
 
     e0 = AssEngine(0, L8, c0, mk(0, 1, 3, 5))
@@ -145,12 +145,12 @@ def test_mul_da_trace_example(channels):
     # x=3, y=(200,61), a0=10, a1=20, a2=7, a3=193 -> shares (53,218) -> 15
     c0, c1 = channels
     zeros = np.zeros(0, np.uint8)
-    zu = np.zeros(0, np.uint64)
+    zu = np.zeros(0, L8.dtype)
 
     def mk(role, vec, scalar):
         return PartyMaterial(role, L8, zu, zu, zu, zeros, zeros, zeros,
-                             vdp_mask=[np.array([[vec]], np.uint64)],
-                             vdp_scalar=[np.array([scalar], np.uint64)])
+                             vdp_mask=[np.array([[vec]], L8.dtype)],
+                             vdp_scalar=[np.array([scalar], L8.dtype)])
 
     e0 = AssEngine(0, L8, c0, mk(0, 10, 7))
     e1 = AssEngine(1, L8, c1, mk(1, 20, 193))

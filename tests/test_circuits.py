@@ -14,7 +14,8 @@ def to_bits(v, w):
 
 
 def signed(v, w):
-    return ring.to_signed(np.asarray(v, np.uint64), RingParams(w))
+    """Two's-complement values of w-bit words, for any w in [1, 64]."""
+    return (np.asarray(v, np.uint64) << np.uint64(64 - w)).view(np.int64) >> (64 - w)
 
 
 ALL8 = np.arange(256, dtype=np.uint64)

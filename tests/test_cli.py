@@ -6,6 +6,7 @@ import time
 import pytest
 
 from hybrid2pc import bench, circuits as cc, cli
+from hybrid2pc.ring import RingParams
 
 
 def test_bench_rows_match_predictions():
@@ -85,6 +86,18 @@ def test_svm_demo_end_to_end(tmp_path):
         assert flights == [3, 2]
     finally:
         stp.kill()
+        stp.wait()
+
+
+@pytest.mark.parametrize("l", [16, 64])
+def test_config_ring_width_alone_takes_its_fixed_split(l):
+    assert cli._ring_from({"ring": {"l": l}}) == RingParams.fixed(l)
+
+
+def test_config_ring_of_no_word_width_exits():
+    with pytest.raises(SystemExit) as exc:
+        cli._ring_from({"ring": {"l": 12}})
+    assert "(8, 16, 32, 64)" in str(exc.value.code)
 
 
 def test_unreachable_stp_exit_code(tmp_path):

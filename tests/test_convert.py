@@ -174,8 +174,8 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
 
     (u0, s0), (u1, s1) = run_parties(lambda: run(se0, b0), lambda: run(se1, b1))
     assert np.array_equal(ass.reconstruct(u0, u1, p), vals)
-    extended = ring.from_signed(ring.to_signed(vals, RingParams(w)) if w > 1
-                                else -vals.astype(np.int64), p)
+    top = vals >> np.uint64(w - 1)  # two's complement of the w-bit words
+    extended = ring.from_signed(vals.astype(np.int64) - (top.astype(np.int64) << w), p)
     assert np.array_equal(ass.reconstruct(s0, s1, p), extended)
     for ch in chans:
         ch.close()

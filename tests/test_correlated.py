@@ -215,9 +215,10 @@ PINNED = {
 
 
 def _arrays_digest(*arrays) -> str:
+    """Ring elements are hashed as <u8, the dtype the digests were recorded in."""
     h = hashlib.sha256()
     for a in arrays:
-        a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(a, dtype="<u8" if a.dtype == L32.dtype else a.dtype)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()

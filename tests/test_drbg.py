@@ -54,7 +54,7 @@ def test_budget_exhaustion_raises():
 
 def test_typed_draws_consume_canonical_stream():
     raw = Drbg(SEED_A).fill_bytes(16)
-    elems = Drbg(SEED_A).ring_elems(2, (1 << 64) - 1)
+    elems = Drbg(SEED_A).ring_elems(2, np.dtype("<u8"))
     assert elems.tolist() == list(np.frombuffer(raw, dtype="<u8"))
     bits = Drbg(SEED_A).bits(8)
     assert bits.tolist() == [(raw[0] >> i) & 1 for i in range(8)]

@@ -7,7 +7,7 @@ from hybrid2pc import ring
 from hybrid2pc.ring import RingParams
 
 L8 = RingParams(8)
-FX12 = RingParams(12, alpha=3, beta=4)
+FX16 = RingParams(16, alpha=7, beta=4)
 
 
 def test_add_wraps():
@@ -18,41 +18,41 @@ def test_mul_small():
     assert ring.mul(3, 5, L8) == 15
 
 
-def test_mul_l12_reduces():
-    # oracle: direct 64-bit product reduced mod 2^12
-    assert (24 * 4060) % 4096 == 3232
-    assert ring.mul(24, 4060, FX12) == 3232
+def test_mul_l16_reduces():
+    # oracle: direct 64-bit product reduced mod 2^16
+    assert (24 * 65500) % 65536 == 64672
+    assert ring.mul(24, 65500, FX16) == 64672
 
 
 def test_encode_zero():
-    assert ring.encode(0.0, FX12) == 0
+    assert ring.encode(0.0, FX16) == 0
 
 
 def test_encode_examples():
-    assert ring.encode(1.5, FX12) == 24  # 1.5 * 16
-    assert ring.encode(-2.25, FX12) == 4060  # 4096 - 36
+    assert ring.encode(1.5, FX16) == 24  # 1.5 * 16
+    assert ring.encode(-2.25, FX16) == 65500  # 65536 - 36
 
 
 def test_decode_example():
-    # signed(4042) = -54; -54/16 = -3.375
-    assert ring.decode(4042, FX12) == -3.375
+    # signed(65482) = -54; -54/16 = -3.375
+    assert ring.decode(65482, FX16) == -3.375
 
 
 def test_encode_overflow():
     with pytest.raises(OverflowError):
-        ring.encode(8.0, FX12)
+        ring.encode(128.0, FX16)
     with pytest.raises(OverflowError):
-        ring.encode(-9.5, FX12)
+        ring.encode(-129.5, FX16)
 
 
 def test_truncate_examples():
-    assert ring.truncate(0, FX12) == 0
-    # signed(3232) = -864; -864 >> 4 = -54 -> 4042
-    assert ring.truncate(3232, FX12) == 4042
+    assert ring.truncate(0, FX16) == 0
+    # signed(64672) = -864; -864 >> 4 = -54 -> 65482
+    assert ring.truncate(64672, FX16) == 65482
     # 1.5 * 1.5: 24*24 = 576; 576 >> 4 = 36 = enc(2.25)
-    assert ring.mul(24, 24, FX12) == 576
-    assert ring.truncate(576, FX12) == 36
-    assert ring.decode(36, FX12) == 2.25
+    assert ring.mul(24, 24, FX16) == 576
+    assert ring.truncate(576, FX16) == 36
+    assert ring.decode(36, FX16) == 2.25
 
 
 def test_ops_match_bignum_oracle():
@@ -93,7 +93,7 @@ def test_signed_unsigned_agree_bit_for_bit():
 def test_fixed_point_multiply_rounds_down(ra, rb):
     # raw operands are arbitrary gamma-bit values; product must decode to
     # the real product rounded toward -inf at 2^-beta granularity
-    p = FX12
+    p = FX16
     a = ra / 16.0
     b = rb / 16.0
     if abs(a * b) >= 1 << p.alpha:
@@ -129,7 +129,9 @@ def test_bits_roundtrip():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RingParams(12, alpha=3, beta=3)  # 3 + 6 + 1 != 12
+        RingParams(16, alpha=3, beta=3)  # 3 + 6 + 1 != 16
     with pytest.raises(ValueError):
         RingParams(65)
+    with pytest.raises(ValueError):
+        RingParams(12)  # not a machine-word width
     assert RingParams.fixed(32) == RingParams(32, 7, 12)
