@@ -146,7 +146,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
                         predicted_online=2 * ((2 * circ.num_and * n + 7) // 8))
     if op == "y2b":
         # free conversion on retained labels; measured on top of a b2y
-        m = ResourceManifest(sid, p, num_ot=n * w)
+        m = ResourceManifest(sid, p, num_labels=n * w)
         b0, b1 = _share_bits(w, n, rng)
 
         def go(bs):
@@ -165,7 +165,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         assert extra == [0, 0]
         return BenchRow(op, 0, 0, 0, (0, 0), 0.0, predicted_online=0)
     if op == "b2y":
-        m = ResourceManifest(sid, p, num_ot=n * w)
+        m = ResourceManifest(sid, p, num_labels=n * w)
         b0, b1 = _share_bits(w, n, rng)
         row = _measure(
             m,
@@ -173,8 +173,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             lambda se: convert.b2y(se.gc, b1),
             stp_addr,
         )
-        return BenchRow(op, *row,
-                        predicted_online=n * w * 2 * 16 + (n * w + 7) // 8)
+        # one masked bit per dealt label, from role 1 only
+        return BenchRow(op, *row, predicted_online=(n * w + 7) // 8)
     if op == "b2a":
         m = ResourceManifest(sid, p, num_ot=n * w)
         b0, b1 = _share_bits(w, n, rng)
@@ -187,7 +187,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         return BenchRow(op, *row,
                         predicted_online=n * w * 2 * p.nbytes + (n * w + 7) // 8)
     if op == "a2y":
-        m = ResourceManifest(sid, p, num_ot=n * w)
+        m = ResourceManifest(sid, p, num_labels=n * w)
         x0, x1 = _share_vec(p, n, rng)
         adder = cc.stage_circuit("identity", w)
         row = _measure(
@@ -199,8 +199,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         predicted = (
             32 * adder.num_and * n  # garbled tables
             + 16 * w * n  # garbler input labels
-            + 2 * 16 * w * n  # OT pairs
-            + (w * n + 7) // 8  # OT choices
+            + (w * n + 7) // 8  # the evaluator's masked bits on dealt labels
         )
         return BenchRow(op, *row, predicted_online=predicted)
     raise ValueError(f"unknown op {op!r}")

@@ -766,7 +766,7 @@ def simulate(c: Circuit, in0, in1, cycles: int = 1) -> np.ndarray:
     return vals[list(c.outputs)].T
 
 
-def simulate_words(c: Circuit, x0: int | np.ndarray, x1, w: int, cycles: int = 1):
+def simulate_words(c: Circuit, x0: int | np.ndarray, x1, cycles: int = 1):
     """Word-level convenience wrapper around simulate()."""
 
     def to_bits(v, width):

@@ -6,10 +6,12 @@ LSBs), so a2b goes through the garbled domain (a2y then y2b) and y2a
 through the Boolean one (y2b then b2a). a2y runs the garbled "identity"
 stage of circuits.stage_circuit as one GcSession.run: a share adder, with
 the pending fixed-point shift as free rewiring, whose output keeps only
-the l - shift bits the shifted value needs. The two OT-based conversions
-are:
+the l - shift bits the shifted value needs. The two conversions on dealt
+correlations are:
 
-  b2y  one 128-bit OT per bit, messages (Y0 ^ s0*R, Y0 ^ (1-s0)*R)
+  b2y  one dealt label per bit (GcSession.input_labels): role 1 sends
+       e = s1 ^ r, and role 0 takes Y0 = k0 ^ (e ^ s0)*R, so that role
+       1's K = k0 ^ r*R is Y0 ^ (s0 ^ s1)*R
   b2a  one l-bit OT per converted bit j, messages
        ((s0_j ^ b) * c_j - r_j) mod 2^l, with weight c_j = 2^j, except
        that the top bit of a signed w-bit value weighs -2^(w-1) mod 2^l
@@ -52,16 +54,10 @@ def y2b(gc: GcSession, ys: YaoShare) -> BoolShare:
 
 
 def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
-    """Boolean -> garbled via one 128-bit OT per bit; the garbler draws
-    zero labels Y0, the evaluator ends up holding Y0 ^ (s0 ^ s1)*R."""
-    bits = bs.bits
-    if gc.role == 0:
-        y0 = gc.rng.integers(0, 256, size=bits.shape + (16,), dtype=np.uint8)
-        m0 = y0.reshape(-1, 16) ^ bits.reshape(-1, 1) * gc.R
-        gc.ot.send(m0, m0 ^ gc.R, 128)
-        return YaoShare(y0, 0)
-    got = gc.ot.recv(bits.reshape(-1), 128)
-    return YaoShare(got.reshape(bits.shape + (16,)), 1)
+    """Boolean -> garbled on one dealt label per bit: the garbler ends up
+    with zero labels Y0, the evaluator with Y0 ^ (s0 ^ s1)*R."""
+    labels = gc.input_labels(bs.bits)
+    return YaoShare(labels.reshape(bs.bits.shape + (16,)), gc.role)
 
 
 def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,

@@ -1,4 +1,4 @@
-"""Correlated randomness: triples, OT masks, and dot-product shares.
+"""Correlated randomness: triples, OT masks, labels and dot-product shares.
 
 The dealer and the two parties all run the same seed expansion, so every
 layout here is normative: role 0 expands seed0 into its full view, role 1
@@ -8,7 +8,13 @@ expands both seeds to compute the corrections that complete role 1's view:
     A-MT   c1 = (a0+a1)*(b0+b1) - c0   (mod 2^l)
     B-MT   c1 = (a0^a1)&(b0^b1) ^ c0
     OT     qr = q_r, r drawn by the receiver side
+    label  K = k0 ^ r*delta, r drawn by role 1, delta (lsb 1) by role 0
     VDP    a3 = sum_j a0_j*a1_j - a2   (mod 2^l), one (a2, a3) per product
+
+A label is a Delta-correlated OT (Beaver's precomputed OT with the
+correlated OT of Asharov et al., CCS 2013) whose offset delta is the
+session's free-XOR offset: role 0 holds delta and k0, role 1 holds r and
+K, and gc turns each into one garbled input wire of the evaluator.
 
 Each resource type reads from its own personalised DRBG substream, so
 adding items of one kind never shifts the values of another. Within a
@@ -22,6 +28,7 @@ Stream layouts:
     AMT  role 0: a[0..n) b[0..n) c[0..n)     role 1: a[0..n) b[0..n)
     BMT  role 0: a-bits, b-bits, c-bits      role 1: a-bits, b-bits
     OT   sender: q0,q1 interleaved per item  receiver: r bits
+    LAB  role 0: delta, then k0 per label    role 1: r bits
     VDP  role 0: per product: n_d elems, a2  role 1: per product: n_d elems
 
 The manifest lists dot products as blocks (products, length), one per
@@ -33,7 +40,7 @@ Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
 every 64 KB; the typed draws read the bytes it writes. Role 0's
 dealer bundle is seed0 alone; role 1's is laid out as
 
-    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr | a3 (ring dtype)
+    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr | K | a3 (ring dtype)
 
 and is written once into one buffer by compute_corrections, the dealer's
 pass. _layout sets each section's order, dtype and count; open_bundle, the
@@ -67,6 +74,8 @@ TAG_BMT = 0x02
 TAG_OT_SEND = 0x03
 TAG_OT_RECV = 0x04
 TAG_VDP = 0x05
+TAG_LABEL_SEND = 0x06
+TAG_LABEL_RECV = 0x07
 
 
 class Exhausted(RuntimeError):
@@ -100,9 +109,11 @@ def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:
     return Drbg(seed, personalization(tag, index))
 
 
-# ring l, alpha, beta | num_amt, num_bmt, num_ot; then one u32 pair
-# (products, length) per dot-product block, the count implied by the size
-_MANIFEST_HEAD = struct.Struct("<3B3Q")
+# ring l, alpha, beta | num_amt, num_bmt, num_ot, num_labels; then one
+# u32 pair (products, length) per dot-product block, the count implied by
+# the size
+_MANIFEST_HEAD = struct.Struct("<3B4I")
+_U32_MAX = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -113,16 +124,18 @@ class ResourceManifest:
     ring: RingParams
     num_amt: int = 0
     num_bmt: int = 0
-    num_ot: int = 0
+    num_ot: int = 0  # two-message OTs (b2a)
+    num_labels: int = 0  # Delta-correlated labels (the evaluator's garbled inputs)
     vdp_blocks: tuple[tuple[int, int], ...] = ()  # (products, length) per vdp call
 
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
-        if min((self.num_amt, self.num_bmt, self.num_ot), default=0) < 0:
-            raise ValueError("negative resource count")
+        counts = (self.num_amt, self.num_bmt, self.num_ot, self.num_labels)
+        if not all(0 <= n <= _U32_MAX for n in counts):
+            raise ValueError(f"resource counts {counts} are not all 0 to 2^32-1")
         blocks = np.asarray(self.vdp_blocks, dtype=np.int64).reshape(-1, 2)
-        if blocks.size and (blocks.min() < 1 or blocks.max() > 0xFFFFFFFF):
+        if blocks.size and (blocks.min() < 1 or blocks.max() > _U32_MAX):
             raise ValueError("dot-product blocks need 1 to 2^32-1 products and length")
         object.__setattr__(self, "vdp_blocks", tuple(map(tuple, blocks.tolist())))
 
@@ -138,7 +151,7 @@ class ResourceManifest:
         """Manifest payload; the session id travels in the frame header."""
         p = self.ring
         head = _MANIFEST_HEAD.pack(p.l, p.alpha, p.beta, self.num_amt, self.num_bmt,
-                                   self.num_ot)
+                                   self.num_ot, self.num_labels)
         return head + np.asarray(self.vdp_blocks, dtype="<u4").tobytes()
 
     @classmethod
@@ -165,6 +178,10 @@ class PartyMaterial:
     ot_q: np.ndarray | None = None  # sender: (n, 2, 16) mask pairs
     ot_r: np.ndarray | None = None  # receiver: choice-mask bits
     ot_qr: np.ndarray | None = None  # receiver: (n, 16) selected masks
+    delta: np.ndarray | None = None  # role 0: the free-XOR offset, 16 bytes, lsb 1
+    label_k0: np.ndarray | None = None  # role 0: (n, 16) zero keys
+    label_r: np.ndarray | None = None  # role 1: label bits r
+    label_k: np.ndarray | None = None  # role 1: (n, 16) keys k0 ^ r*delta
     # per dealt block: (products, length) masks, and a2 (role 0) / a3 (role 1)
     vdp_mask: list[np.ndarray] = field(default_factory=list)
     vdp_scalar: list[np.ndarray] = field(default_factory=list)
@@ -172,20 +189,20 @@ class PartyMaterial:
 
 def _layout(m: ResourceManifest) -> tuple[tuple[np.dtype, int], ...]:
     """Role 1's correction sections in bundle order, as (dtype, count):
-    c1_amt, c1_bmt packed LSB-first, qr, a3."""
-    dt = m.ring.dtype
-    return ((dt, m.num_amt), (np.dtype(np.uint8), (m.num_bmt + 7) // 8),
-            (np.dtype(np.uint8), m.num_ot * MASK_BYTES),
-            (dt, sum(n for n, _ in m.vdp_blocks)))
+    c1_amt, c1_bmt packed LSB-first, qr, K, a3."""
+    dt, u8 = m.ring.dtype, np.dtype(np.uint8)
+    return ((dt, m.num_amt), (u8, (m.num_bmt + 7) // 8), (u8, m.num_ot * MASK_BYTES),
+            (u8, m.num_labels * MASK_BYTES), (dt, sum(n for n, _ in m.vdp_blocks)))
 
 
 def _sections(buf, m: ResourceManifest) -> list[np.ndarray]:
-    """Views of the four correction sections of role 1's bundle buf."""
+    """Views of the five correction sections of role 1's bundle buf."""
     offset, out = SEED_BYTES, []
     for dtype, count in _layout(m):
         out.append(np.frombuffer(buf, dtype=dtype, count=count, offset=offset))
         offset += out[-1].nbytes
     out[2] = out[2].reshape(m.num_ot, MASK_BYTES)
+    out[3] = out[3].reshape(m.num_labels, MASK_BYTES)
     return out
 
 
@@ -220,21 +237,27 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
     q = _stream(seed0, TAG_OT_SEND).blocks(2 * m.num_ot).reshape(m.num_ot, 2, 16)
+    keys = _stream(seed0, TAG_LABEL_SEND).blocks(1 + m.num_labels)
+    delta = keys[0].copy()
+    delta[0] |= 1  # the point-and-permute bit of every label pair differs
     vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, with_scalar=True)
-    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, vdp_mask=vec, vdp_scalar=a2)
+    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, delta=delta,
+                         label_k0=keys[1:], vdp_mask=vec, vdp_scalar=a2)
 
 
 def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
-    """Role 1's seed-derived half; amt_c, bmt_c, ot_qr and vdp_scalar
-    stay unset until open_bundle reads them from the corrections."""
+    """Role 1's seed-derived half; amt_c, bmt_c, ot_qr, label_k and
+    vdp_scalar stay unset until open_bundle reads them from the
+    corrections. Role 1 never learns delta."""
     p = m.ring
     amt = _stream(seed1, TAG_AMT)
     a, b = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(2))
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
     r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
+    lr = _stream(seed1, TAG_LABEL_RECV).bits(m.num_labels)
     vec, _ = _draw_vdp(_stream(seed1, TAG_VDP), m, with_scalar=False)
-    return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, vdp_mask=vec)
+    return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, label_r=lr, vdp_mask=vec)
 
 
 _SELECT_CHUNK = 1 << 14  # OT items per pass; keeps each pass cache-resident
@@ -257,6 +280,12 @@ def _select_masks(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
+def _correlate(k0: np.ndarray, delta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """K = k0 ^ r*delta per label, as k0 ^ (delta & -r) over 64-bit words."""
+    sel = np.negative(r.astype(np.uint64))
+    return (k0.view("<u8") ^ (sel[:, None] & delta.view("<u8"))).view(np.uint8)
+
+
 def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> bytearray:
     """The dealer's pass: expand both seeds and write role 1's bundle,
     seed1 followed by its correction sections."""
@@ -268,6 +297,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     # at an offset that need not be a multiple of 8, and the u64 select
     # runs markedly slower over unaligned words
     qr = _select_masks(m0.ot_q, m1.ot_r)
+    keys = _correlate(m0.label_k0, m0.delta, m1.label_r)
     a3 = np.concatenate([np.zeros(0, m.ring.dtype)] + [
         np.einsum("ij,ij->i", v0, v1) - a2
         for v0, v1, a2 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar)])
@@ -278,7 +308,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     del m0, m1
     out = bytearray(bundle_size(1, m))
     out[:SEED_BYTES] = seed1
-    values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), qr, a3)
+    values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), qr, keys, a3)
     for section, v in zip(_sections(out, m), values):
         section[...] = v
     return out
@@ -286,19 +316,21 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
 
 def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
     """One role's material from its dealer bundle; role 1's c1, selected
-    OT masks and a3 stay views into payload. A bundle that disagrees with
-    the manifest raises ValueError before any seed is expanded."""
+    OT masks, label keys and a3 stay views into payload. A bundle that
+    disagrees with the manifest raises ValueError before any seed is
+    expanded."""
     if len(payload) != bundle_size(role, m):
         raise ValueError(f"bundle of {len(payload)} bytes where the manifest "
                          f"implies {bundle_size(role, m)}")
     seed = bytes(payload[:SEED_BYTES])
     if role == 0:
         return expand_role0(seed, m)
-    amt, bmt, qr, a3 = _sections(payload, m)
+    amt, bmt, qr, keys, a3 = _sections(payload, m)
     mat = expand_role1(seed, m)
     mat.amt_c = amt
     mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
     mat.ot_qr = qr
+    mat.label_k = keys
     ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
     mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]
     return mat

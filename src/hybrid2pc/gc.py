@@ -27,6 +27,21 @@ input group are one (width, ninst, 16) array, and every cycle's tables
 are written, in order, into one preallocated buffer that GcSession sends
 as one GC_TABLES frame. The conversions into and out of the garbled
 domain live in convert.
+
+The evaluator's input labels are dealt, not transferred (correlated,
+"label"). The dealer draws the session's offset R = delta and, per label,
+a key k0 for role 0 and a bit r with K = k0 ^ r*R for role 1. Before the
+garbler's first frame of a run, the evaluator sends e = c ^ r for its
+bits c, one bit each, and the garbler takes k0 ^ e*R as the wire's zero
+label, so K is the active label of c and nothing travels back. A
+dealer-chosen R is safe under the paper's non-colluding dealer:
+  - the dealer is offline and never sees an online frame, so it never
+    sees a label of either party, nor e;
+  - role 1 holds only K and r, which say nothing about R: K is uniform
+    given r, since k0 is uniform and hidden from it;
+  - each k0 and r masks one wire of one run and is drawn once from a
+    single-use supply, so e reveals nothing about c and no two wires
+    share a key.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ import numpy as np
 from . import transport
 from .aesutil import ecb_encryptor
 from .circuits import CONST0, CONST1, Circuit, run_spans
-from .ot import OtReceiver, OtSender
+from .correlated import PartyMaterial, Supply
 from .transport import Channel
 
 FIXED_KEY = b"hybrid2pc-fixkey"
@@ -112,12 +127,6 @@ def _lsb(x: np.ndarray) -> np.ndarray:
 def _mask16(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
     """bits ? v : 0, broadcasting a byte-wise select over labels."""
     return v * bits[..., None]
-
-
-def new_offset(rng: np.random.Generator) -> np.ndarray:
-    r = rng.integers(0, 256, size=16, dtype=np.uint8)
-    r[0] |= 1
-    return r
 
 
 def _fresh(rng: np.random.Generator, shape) -> np.ndarray:
@@ -297,32 +306,56 @@ def evaluate(c: Circuit, cycles: int, tables, active_in: np.ndarray,
 class GcSession:
     """One party's garbling context over a channel; role 0 garbles.
 
-    A single free-XOR offset R spans the session, so labels produced by
-    convert.b2y or retained from an earlier run() feed later circuits
-    directly. The tweak base likewise spans the session: both roles
-    advance it by tweak_span() after every run, so no (label, tweak) pair
-    repeats.
+    A single free-XOR offset R, the dealt delta, spans the session, so
+    labels produced by convert.b2y or retained from an earlier run() feed
+    later circuits directly. The tweak base likewise spans the session:
+    both roles advance it by tweak_span() after every run, so no (label,
+    tweak) pair repeats.
     """
 
-    def __init__(self, role: int, channel: Channel,
-                 ot: OtSender | OtReceiver | None = None,
+    def __init__(self, role: int, channel: Channel, material: PartyMaterial,
                  rng: np.random.Generator | None = None):
         self.role = role
         self.channel = channel
-        self.ot = ot
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.R = new_offset(self.rng) if role == 0 else None
+        if role == 0:
+            self.R = material.delta
+            self.labels = Supply("labels", material.label_k0)
+        else:
+            self.R = None
+            self.labels = Supply("labels", material.label_r, material.label_k)
         self.tweak = 0
+
+    def input_labels(self, bits: np.ndarray) -> np.ndarray:
+        """(n, 16) labels of n bits the evaluator feeds, from n dealt labels.
+
+        The evaluator passes the bits and sends e = bits ^ r as one
+        OT_CHOICES frame; it gets its keys K, the active labels. The
+        garbler passes its own XOR share of each bit (zeros where the
+        evaluator alone holds it), receives e, and gets the zero labels
+        k0 ^ (e ^ bits)*R.
+        """
+        bits = np.asarray(bits, np.uint8).reshape(-1)
+        n = len(bits)
+        if self.role == 1:
+            r, keys = self.labels.take(n)
+            self.channel.send(transport.OT_CHOICES, np.packbits(r ^ bits, bitorder="little"))
+            return keys
+        (k0,) = self.labels.take(n)
+        raw = self.channel.recv_expect(transport.OT_CHOICES, (n + 7) // 8)
+        e = np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
+        return k0 ^ _mask16(e ^ bits, self.R)
 
     def run(self, c: Circuit, bind0, bind1, cycles: int = 1, ninst: int = 1,
             decode: str = "evaluator"):
         """Garble/evaluate one circuit.
 
         bind0/bind1 describe how each input group gets its labels:
-          ("bits", arr)  owner-known bits, shape (ninst, width); garbler
-                         passes role-0 bits and receives role-1 choices
-                         via OT, so the garbler passes arr=None for bind1
-                         and the evaluator arr=None for bind0
+          ("bits", arr)  owner-known bits, shape (ninst, width); the
+                         garbler's own are sent as labels, the
+                         evaluator's go on dealt labels (input_labels),
+                         so the garbler passes arr=None for bind1 and
+                         the evaluator arr=None for bind0
           ("yao", ys)    labels retained from b2y or an earlier run
           None           empty group; a group with wires raises GcError
         decode: "evaluator", "both", or "none" (keep labels for y2b).
@@ -339,7 +372,7 @@ class GcSession:
 
     def run_shares(self, c: Circuit, bits: np.ndarray, ninst: int, decode: str):
         """run() with each role feeding its own share bits into its own
-        input group: role 0's as the garbler's, role 1's by OT."""
+        input group: role 0's as the garbler's, role 1's on dealt labels."""
         mine, theirs = ("bits", bits), ("bits", None)
         binds = (mine, theirs) if self.role == 0 else (theirs, mine)
         return self.run(c, *binds, ninst=ninst, decode=decode)
@@ -347,6 +380,11 @@ class GcSession:
     def _run_garbler(self, c, kinds, vals, cycles, ninst, decode):
         preset = [np.swapaxes(v.labels, 0, 1) if k == "yao" else None
                   for k, v in zip(kinds, vals)]
+        if kinds[1] == "bits" and c.inputs1:
+            # wire-major, mirrored by the evaluator's bits
+            n1 = len(c.inputs1)
+            zero = self.input_labels(np.zeros(n1 * ninst, np.uint8))
+            preset[1] = zero.reshape(n1, ninst, 16)
         g = garble(c, cycles, self.rng, self.R, ninst, preset, self.tweak)
         self.channel.send(transport.GC_TABLES, g.tables)
         # active labels for garbler-known bits, then register initials
@@ -358,10 +396,6 @@ class GcSession:
         known[k0:] ^= _mask16(init[:, None], self.R)
         if len(known):
             self.channel.send(transport.GC_INLABELS, known)
-        if kinds[1] == "bits" and c.inputs1:
-            # wire-major flattening, mirrored by the evaluator's choices
-            m0 = g.in_zero[len(c.inputs0):].reshape(-1, 16)
-            self.ot.send(m0, m0 ^ self.R, 128)
         if decode == "none":
             return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
         payload = np.packbits(g.decode, bitorder="little").tobytes()
@@ -374,23 +408,22 @@ class GcSession:
         return None
 
     def _run_evaluator(self, c, kinds, vals, cycles, ninst, decode):
-        nbytes = _table_bytes(c, cycles, ninst)
-        tables = self.channel.recv_expect(transport.GC_TABLES, nbytes)
         n0, n1 = len(c.inputs0), len(c.inputs1)
         active = np.empty((n0 + n1, ninst, 16), np.uint8)
         for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
             if kind == "yao":
                 active[rows] = np.swapaxes(val.labels, 0, 1)
+        if kinds[1] == "bits" and n1:
+            bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
+            active[n0:] = self.input_labels(bits.T).reshape(n1, ninst, 16)
+        nbytes = _table_bytes(c, cycles, ninst)
+        tables = self.channel.recv_expect(transport.GC_TABLES, nbytes)
         k0 = n0 if kinds[0] == "bits" else 0
         shape = (k0 + len(c.registers), ninst, 16)
         raw = (self.channel.recv_expect(transport.GC_INLABELS, shape[0] * ninst * 16)
                if shape[0] else b"")
         known = np.frombuffer(raw, np.uint8).reshape(shape)
         active[:k0] = known[:k0]
-        if kinds[1] == "bits" and n1:
-            bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
-            got = self.ot.recv(np.ascontiguousarray(bits.T).reshape(-1), 128)
-            active[n0:] = got.reshape(n1, ninst, 16)
         out_active = evaluate(c, cycles, tables, active, known[k0:], ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.swapaxes(out_active, 0, 1), 1)

@@ -173,7 +173,8 @@ class Step:
     the scale debt shift in its garbled circuit; under lan an Act or
     MaxPool then runs body in GMW on the circuit's outputs, and b2a
     converts b2a_bits per instance (none for ArgMax, which decodes to the
-    client). block, ots and bmts are the dealt material the step consumes.
+    client). block, labels, ots and bmts are the dealt material the step
+    consumes: labels carry the evaluator's garbled input bits, ots b2a's.
     """
 
     layer: object
@@ -185,6 +186,7 @@ class Step:
     body: cc.Circuit | None = None
     b2a_bits: int = 0
     block: tuple[int, int] | None = None
+    labels: int = 0
     ots: int = 0
     bmts: int = 0
 
@@ -253,7 +255,7 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
             nbits = 0 if kind == "argmax" else len((body or garbled).outputs) - isinstance(layer, Act)
             ninst = batch * rows
             steps.append(Step(layer, in_shape, out_shape, gather, debt, garbled, body, nbits,
-                              ots=ninst * (len(garbled.inputs1) + nbits),
+                              labels=ninst * len(garbled.inputs1), ots=ninst * nbits,
                               bmts=ninst * body.num_and if body else 0))
             debt = 0
     return steps
@@ -273,13 +275,14 @@ def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
     steps = compile_nn(net, p, batch, profile)
     return ResourceManifest(session_id, p, num_bmt=sum(s.bmts for s in steps),
                             num_ot=sum(s.ots for s in steps),
+                            num_labels=sum(s.labels for s in steps),
                             vdp_blocks=tuple(s.block for s in steps if s.block))
 
 
 def plan_svm_manifest(d: int, batch: int, p: RingParams,
                       session_id: bytes) -> ResourceManifest:
-    num_ot = batch * len(stage_circuit("sign", p.l, p.beta).inputs1)
-    return ResourceManifest(session_id, p, num_ot=num_ot, vdp_blocks=((batch, d),))
+    labels = batch * len(stage_circuit("sign", p.l, p.beta).inputs1)
+    return ResourceManifest(session_id, p, num_labels=labels, vdp_blocks=((batch, d),))
 
 
 # ----- secure execution -----

@@ -3,7 +3,7 @@
 Created either from a dealer bundle, fetched over the wire and opened by
 correlated.open_bundle (offline()), or directly from expanded material
 (tests). Each engine draws its dealt items from single-use supplies
-(correlated.Supply); leftovers() reads the four of them.
+(correlated.Supply); leftovers() reads the five of them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class PartySession:
             self.ot = OtReceiver(material.ot_r, material.ot_qr, channel)
         self.ass = AssEngine(role, self.ring, channel, material)
         self.gmw = GmwEngine(role, channel, material)
-        self.gc = GcSession(role, channel, ot=self.ot, rng=self.rng)
+        self.gc = GcSession(role, channel, material, rng=self.rng)
 
     @classmethod
     def offline(cls, role: int, manifest: ResourceManifest, stp_addr,
@@ -51,7 +51,8 @@ class PartySession:
     def leftovers(self) -> dict:
         """Undealt-but-unconsumed resources; empty when the manifest was
         planned exactly."""
-        supplies = (self.ass.amt, self.gmw.bmt, self.ot.masks, self.ass.vdp_masks)
+        supplies = (self.ass.amt, self.gmw.bmt, self.ot.masks, self.gc.labels,
+                    self.ass.vdp_masks)
         return {s.name: s.left() for s in supplies if s.left()}
 
     def assert_exhausted(self):

@@ -45,7 +45,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 MAX_PAYLOAD = 1 << 30
 ERROR_CAP = 256  # largest ERROR payload accepted where another frame is due
 # largest first frame of a channel that has yet to learn its session: the
-# dealer's manifest, a role byte, a 27-byte head and 8 bytes per
+# dealer's manifest, a role byte, a 19-byte head and 8 bytes per
 # dot-product block, so room for over 8 000 linear layers
 MANIFEST_CAP = 1 << 16
 HEADER_LEN = 21

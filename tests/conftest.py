@@ -5,9 +5,11 @@ dealer's bundle format (the STP wire path has its own tests)."""
 import hashlib
 import threading
 
+import numpy as np
 import pytest
 
 from hybrid2pc import correlated
+from hybrid2pc.gc import GcSession
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import channel_pair
 
@@ -17,7 +19,7 @@ SEED1 = hashlib.sha256(b"conftest-seed-1").digest()
 # Online flights (role 0, role 1) of the three programs perfbench runs;
 # its online_flights is role 1's count. test_ml pins the program's counts
 # and test_perfbench_smoke the benchmark's, both against this table.
-BENCHMARKED_FLIGHTS = {"mnist-lan-b20": (9, 10), "mnist-wan-b1": (9, 8), "svm-psk-b1": (3, 2)}
+BENCHMARKED_FLIGHTS = {"mnist-lan-b20": (6, 10), "mnist-wan-b1": (6, 8), "svm-psk-b1": (2, 2)}
 
 
 def deal(manifest):
@@ -32,6 +34,21 @@ def ot_masks(n):
     bits and its (n, 16) selected masks."""
     m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_ot=n))
     return m0.ot_q, m1.ot_r, m1.ot_qr
+
+
+def gc_sessions(c0, c1, num_labels, seeds=(1, 2)):
+    """A garbler and an evaluator over c0, c1 with num_labels dealt labels."""
+    m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_labels=num_labels))
+    return (GcSession(0, c0, m0, np.random.default_rng(seeds[0])),
+            GcSession(1, c1, m1, np.random.default_rng(seeds[1])))
+
+
+def new_offset(rng):
+    """A free-XOR offset with lsb 1 drawn from rng, for garbling outside a
+    session, where no dealer hands one out."""
+    r = rng.integers(0, 256, size=16, dtype=np.uint8)
+    r[0] |= 1
+    return r
 
 
 def run_parties(f0, f1):

@@ -10,12 +10,12 @@ import threading
 import time
 
 import numpy as np
-from conftest import deal, ot_masks, run_parties
+from conftest import deal, gc_sessions, new_offset, ot_masks, run_parties
 
 from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
 from hybrid2pc.bench import run_bench
 from hybrid2pc.correlated import ResourceManifest
-from hybrid2pc.gc import GcSession, garble, new_offset
+from hybrid2pc.gc import garble
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 from hybrid2pc.session import PartySession
@@ -78,6 +78,8 @@ def test_criterion_1_offline_communication_per_item():
         cases.append(("B-MT", fetch(m), n))
         m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_ot=n)
         cases.append(("OT", fetch(m), 128 * n))
+        m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_labels=n)
+        cases.append(("label", fetch(m), 128 * n))
     finally:
         server.stop()
     lines = []
@@ -237,11 +239,8 @@ def _gmw_eval(circ, in0_bits, in1_bits, seed=0):
 
 def _gc_eval(circ, in0_bits, in1_bits, seed=0):
     ninst = max(in0_bits.shape[0], in1_bits.shape[0])
-    need = len(circ.inputs1) * ninst
-    q, r, qr = ot_masks(need)
     c0, c1 = channel_pair()
-    g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(seed))
-    e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(seed + 1))
+    g, e = gc_sessions(c0, c1, len(circ.inputs1) * ninst, (seed, seed + 1))
     _, out = run_parties(
         lambda: g.run(circ, ("bits", in0_bits), ("bits", None), 1, ninst),
         lambda: e.run(circ, ("bits", None), ("bits", in1_bits), 1, ninst),
@@ -336,10 +335,8 @@ def test_criterion_4_engine_equivalence():
             c0.close()
             c1.close()
             # GC: fresh labels per run (every garbling draws new labels)
-            q, r, qr = ot_masks(w1 * per * 100)
             c0, c1 = channel_pair()
-            g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(23))
-            e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(29))
+            g, e = gc_sessions(c0, c1, w1 * per * 100, (23, 29))
 
             def run_gc(sess, role):
                 def f():
@@ -373,7 +370,7 @@ def test_criterion_5_conversion_roundtrips():
     n = 10**4
     for w in (8, 32, 64):
         p = RingParams(w)
-        m = ResourceManifest(bytes(16), p, num_ot=5 * w * n)
+        m = ResourceManifest(bytes(16), p, num_labels=3 * w * n, num_ot=2 * w * n)
         s0, s1 = _sessions(m)
         rng = np.random.default_rng(w)
         x = rng.integers(0, p.modulus, n, dtype=np.uint64)
@@ -387,8 +384,7 @@ def test_criterion_5_conversion_roundtrips():
                 marker = se.channel.ledger.payload_bytes(direction="sent")
                 bs2 = convert.y2b(se.gc, convert.b2y(se.gc, bs))
                 free = (se.channel.ledger.payload_bytes(direction="sent") - marker
-                        - 2 * 16 * len(bs.bits.reshape(-1))  # b2y OT pairs
-                        - (bs.bits.size + 7) // 8)  # b2y OT choices
+                        - se.role * ((bs.bits.size + 7) // 8))  # b2y's masked bits
                 a_final = convert.b2a(se.role, p, se.ot, bs2, se.rng)
                 return a_final, bs2, free
             return f
@@ -398,7 +394,7 @@ def test_criterion_5_conversion_roundtrips():
         assert np.array_equal(
             ring.from_bits(gmw.reconstruct_bits(b0, b1), p), x
         ), w
-        assert free0 <= 0 and free1 <= 0  # y2b itself added zero bytes
+        assert free0 == free1 == 0  # y2b itself added zero bytes
     dt = time.time() - t0
     assert dt < 120, f"criterion 5 took {dt:.1f}s"
     _ok(5, f"a2y->y2a, a2b->b2a, b2y->y2b preserve 10^4 values at w=8/32/64; "
@@ -518,10 +514,7 @@ def test_criterion_8_round_counts():
     msgs = []
     for circ in (cc.build_add(8, "size"), cc.build_add(64, "depth")):
         c0, c1 = channel_pair()
-        need = len(circ.inputs1)
-        q, r, qr = ot_masks(need)
-        g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(1))
-        e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(2))
+        g, e = gc_sessions(c0, c1, len(circ.inputs1))
         run_parties(
             lambda: g.run(circ, ("bits", np.zeros((1, len(circ.inputs0)), np.uint8)),
                           ("bits", None), 1, 1),

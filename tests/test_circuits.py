@@ -79,20 +79,20 @@ def test_depth_opt_adder_bound():
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_add_sub_exhaustive_8bit(variant):
-    got = cc.simulate_words(cc.build_add(8, variant), A8, B8, 8)
+    got = cc.simulate_words(cc.build_add(8, variant), A8, B8)
     assert np.array_equal(got, (A8 + B8) & np.uint64(255))
-    got = cc.simulate_words(cc.build_sub(8, variant), A8, B8, 8)
+    got = cc.simulate_words(cc.build_sub(8, variant), A8, B8)
     assert np.array_equal(got, (A8 - B8) & np.uint64(255))
 
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_cmp_exhaustive_8bit(variant):
-    got = cc.simulate_words(cc.build_cmp(8, variant), A8, B8, 8)
+    got = cc.simulate_words(cc.build_cmp(8, variant), A8, B8)
     assert np.array_equal(got.astype(bool), signed(A8, 8) > signed(B8, 8))
 
 
 def test_eq_exhaustive_8bit():
-    got = cc.simulate_words(cc.build_eq(8), A8, B8, 8)
+    got = cc.simulate_words(cc.build_eq(8), A8, B8)
     assert np.array_equal(got.astype(bool), A8 == B8)
 
 
@@ -106,7 +106,7 @@ def test_mux_exhaustive_8bit():
 
 
 def test_relu_exhaustive_8bit():
-    got = cc.simulate_words(cc.build_relu(8), ALL8, NONE8, 8)
+    got = cc.simulate_words(cc.build_relu(8), ALL8, NONE8)
     s = signed(ALL8, 8)
     assert np.array_equal(got, np.where(s > 0, ALL8, 0))
     assert got[ring.from_signed(-1, RingParams(8))] == 0
@@ -121,18 +121,18 @@ def test_shift_free_and_correct():
     for amount in (1, 4, 7):
         c = cc.build_shift(8, amount, arithmetic=True)
         assert c.num_gates == 0
-        got = cc.simulate_words(c, ALL8, NONE8, 8)
+        got = cc.simulate_words(c, ALL8, NONE8)
         expect = ring.truncate(ALL8, RingParams(8), shift=amount)
         assert np.array_equal(got, expect)
     c = cc.build_shift(8, 3, arithmetic=False)
-    got = cc.simulate_words(c, ALL8, NONE8, 8)
+    got = cc.simulate_words(c, ALL8, NONE8)
     assert np.array_equal(got, ALL8 >> np.uint64(3))
 
 
 def test_argmax_tie_break():
     c = cc.build_argmax(4, 8)
     flat = sum(v << (8 * i) for i, v in enumerate([3, 9, 9, 1]))
-    got = cc.simulate_words(c, np.array([flat], np.uint64), NONE8[:1], 8)
+    got = cc.simulate_words(c, np.array([flat], np.uint64), NONE8[:1])
     assert got[0] == 1
 
 
@@ -167,15 +167,15 @@ def test_builders_random_32_64():
         a = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         b = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         for variant in ("size", "depth"):
-            got = cc.simulate_words(cc.build_add(w, variant), a, b, w)
+            got = cc.simulate_words(cc.build_add(w, variant), a, b)
             assert np.array_equal(got, (a + b) & np.uint64(p.mask))
-            got = cc.simulate_words(cc.build_sub(w, variant), a, b, w)
+            got = cc.simulate_words(cc.build_sub(w, variant), a, b)
             assert np.array_equal(got, (a - b) & np.uint64(p.mask))
-            got = cc.simulate_words(cc.build_cmp(w, variant), a, b, w)
+            got = cc.simulate_words(cc.build_cmp(w, variant), a, b)
             assert np.array_equal(got.astype(bool), signed(a, w) > signed(b, w))
-        got = cc.simulate_words(cc.build_eq(w), a, b, w)
+        got = cc.simulate_words(cc.build_eq(w), a, b)
         assert np.array_equal(got.astype(bool), a == b)
-        got = cc.simulate_words(cc.build_relu(w), a, np.zeros((n, 0)), w)
+        got = cc.simulate_words(cc.build_relu(w), a, np.zeros((n, 0)))
         assert np.array_equal(got, np.where(signed(a, w) > 0, a, 0))
         c = cc.build_mux(w)
         for sel in (0, 1):
@@ -198,7 +198,7 @@ def test_identity_wire():
     x = b.inputs(0, 4)
     b.outputs = x
     c = b.build()
-    got = cc.simulate_words(c, np.arange(16, dtype=np.uint64), np.zeros((16, 0)), 4)
+    got = cc.simulate_words(c, np.arange(16, dtype=np.uint64), np.zeros((16, 0)))
     assert np.array_equal(got, np.arange(16, dtype=np.uint64))
 
 
@@ -355,7 +355,7 @@ def test_stages_exhaustive_8bit(shift):
     assert np.array_equal(got, low)
     out, got = _stage_words(ml.stage_circuit("relu", 8, shift), x0, x1, 8)
     assert out.shape[1] == w and not out[:, -1].any()  # the sign bit is 0
-    assert np.array_equal(got, cc.simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0)), w))
+    assert np.array_equal(got, cc.simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0))))
     assert np.array_equal(got, np.where(signed(v, 8) > 0, v, 0))
     _, got = _stage_words(ml.stage_circuit("sign", 8, shift), x0, x1, 8)
     assert np.array_equal(got, (signed(v, 8) > 0).astype(np.uint64))

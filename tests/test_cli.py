@@ -4,6 +4,7 @@ import sys
 import time
 
 import pytest
+from conftest import BENCHMARKED_FLIGHTS
 
 from hybrid2pc import bench, circuits as cc, cli
 from hybrid2pc.ring import RingParams
@@ -21,13 +22,14 @@ def test_bench_rows_match_predictions():
 @pytest.mark.parametrize("n", [1, 1000])
 def test_bench_flights_per_op(n):
     # each role's online flights, the same for 1 and 1000 parallel ops;
-    # GMW ops take one flight per AND level
+    # GMW ops take one flight per AND level; b2y is role 1's masked bits
+    # alone, and a2y's garbler receives them before its one flight
     ops = ("ADD", "MULT", "AND", "CMP", "EQ", "b2y", "b2a", "a2y")
     cmp, eq = (cc.levelize(c).depth for c in (cc.build_cmp(32, cc.DEPTH), cc.build_eq(32)))
     rows = bench.run_bench(ops=ops, n=n, width=32)
     assert {r.op: r.flights for r in rows} == {
         "ADD": (0, 0), "MULT": (1, 1), "AND": (1, 1), "CMP": (cmp, cmp), "EQ": (eq, eq),
-        "b2y": (1, 1), "b2a": (1, 1), "a2y": (2, 1)}
+        "b2y": (0, 1), "b2a": (1, 1), "a2y": (1, 1)}
 
 
 def test_bench_table_formatting():
@@ -83,7 +85,7 @@ def test_svm_demo_end_to_end(tmp_path):
         assert all(v in (-1, 1) for v in labels)
         # the SVM's online flights, as for one query at d = 100
         flights = [json.loads(out[out.index("{"):])["online_flights"] for out in (out0, out1)]
-        assert flights == [3, 2]
+        assert tuple(flights) == BENCHMARKED_FLIGHTS["svm-psk-b1"]
     finally:
         stp.kill()
         stp.wait()

@@ -23,7 +23,7 @@ def test_y2b_exhaustive_one_bit(channels):
     for s0_bit in (0, 1):
         for s1_bit in (0, 1):
             chans = transport.channel_pair()
-            se0, se1 = sessions(chans, num_ot=1)
+            se0, se1 = sessions(chans, num_labels=1)
             b0 = BoolShare(np.array([[s0_bit]], np.uint8), 0)
             b1 = BoolShare(np.array([[s1_bit]], np.uint8), 1)
 
@@ -41,7 +41,7 @@ def test_y2b_exhaustive_one_bit(channels):
 
 def test_y2b_zero_online_bytes(channels):
     c0, c1 = channels
-    se0, se1 = sessions(channels, num_ot=32)
+    se0, se1 = sessions(channels, num_labels=32)
     bits = np.random.default_rng(0).integers(0, 2, (1, 32), np.uint8)
     b0, b1 = gmw.share_bits(bits, np.random.default_rng(1))
     run_parties(
@@ -58,7 +58,7 @@ def test_y2b_zero_online_bytes(channels):
 def test_b2y_roundtrip_32bit(channels):
     p = RingParams(32)
     n = 100
-    se0, se1 = sessions(channels, num_ot=32 * n)
+    se0, se1 = sessions(channels, num_labels=32 * n)
     rng = np.random.default_rng(2)
     vals = rng.integers(0, p.modulus, n, dtype=np.uint64)
     bits = ring.bits_of(vals, p)
@@ -80,7 +80,7 @@ def test_b2y_roundtrip_32bit(channels):
 def test_a2y_matches_oracle(channels):
     p = RingParams(32)
     n = 10**4
-    se0, se1 = sessions(channels, num_ot=32 * n)
+    se0, se1 = sessions(channels, num_labels=32 * n)
     rng = np.random.default_rng(3)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, rng)
@@ -106,7 +106,7 @@ def test_a2y_with_scale_discharge(channels):
     n = 1000
     debt = 12
     w = p.l - debt
-    se0, se1 = sessions(channels, ring_=p, num_ot=(32 + w) * n)
+    se0, se1 = sessions(channels, ring_=p, num_labels=32 * n, num_ot=w * n)
     rng = np.random.default_rng(4)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, rng)
@@ -185,7 +185,7 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
 def test_roundtrips_preserve_reconstruction(w, channels):
     p = RingParams(w)
     n = 10**4
-    se0, se1 = sessions(channels, ring_=p, num_ot=5 * w * n)
+    se0, se1 = sessions(channels, ring_=p, num_labels=3 * w * n, num_ot=2 * w * n)
     rng = np.random.default_rng(6)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, rng)

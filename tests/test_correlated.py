@@ -6,8 +6,10 @@ import pytest
 from conftest import deal, ot_masks, run_parties
 
 from hybrid2pc import circuits as cc
+from hybrid2pc import convert
 from hybrid2pc import correlated as cr
 from hybrid2pc.ass import ArithShare, AssEngine
+from hybrid2pc.gc import GcSession
 from hybrid2pc.gmw import BoolShare, GmwEngine
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
@@ -121,13 +123,14 @@ def test_blocking_leaves_streams_and_corrections_unchanged():
 def test_seed_symmetry_dealer_vs_party():
     # the dealer's locally expanded views and a party's own expansion are
     # byte-identical; hash both sides over 10^5 items of each kind
-    m = manifest(num_amt=10**5, num_bmt=10**5, num_ot=10**5,
+    m = manifest(num_amt=10**5, num_bmt=10**5, num_ot=10**5, num_labels=10**5,
                  vdp_blocks=((10**5, 1),))
 
     def digest(mat):
         h = hashlib.sha256()
         for arr in (mat.amt_a, mat.amt_b, mat.amt_c, mat.bmt_a, mat.bmt_b, mat.bmt_c,
-                    mat.ot_q, mat.ot_r, mat.ot_qr):
+                    mat.ot_q, mat.ot_r, mat.ot_qr, mat.delta, mat.label_k0, mat.label_r,
+                    mat.label_k):
             if arr is not None:  # role 1's corrections before open_bundle
                 h.update(np.ascontiguousarray(arr).tobytes())
         for arr in mat.vdp_mask + mat.vdp_scalar:
@@ -152,36 +155,46 @@ def test_seed_symmetry_dealer_vs_party():
 def test_stream_independence_across_resource_types():
     # adding B-MTs to the manifest must not shift A-MT values
     small = cr.expand_role0(SEED0, manifest(num_amt=100))
-    big = cr.expand_role0(SEED0, manifest(num_amt=100, num_bmt=5000, num_ot=17))
+    big = cr.expand_role0(SEED0, manifest(num_amt=100, num_bmt=5000, num_ot=17,
+                                          num_labels=9))
     assert np.array_equal(small.amt_a, big.amt_a)
     assert np.array_equal(small.amt_c, big.amt_c)
+    # nor labels the OT masks, nor the number of labels the session offset
+    assert np.array_equal(cr.expand_role0(SEED0, manifest(num_ot=17)).ot_q, big.ot_q)
+    assert np.array_equal(small.delta, big.delta)
 
 
 def test_correction_payload_sizes():
-    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT,
-    # l bits per dot product, after role 1's seed; role 0 gets its seed alone
-    m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, vdp_blocks=((1, 3), (1, 9)))
+    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT
+    # and per label, l bits per dot product, after role 1's seed; role 0
+    # gets its seed alone
+    m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, num_labels=1000,
+                 vdp_blocks=((1, 3), (1, 9)))
     bundle = cr.compute_corrections(SEED0, SEED1, m)
-    assert len(bundle) == cr.bundle_size(1, m) == 32 + 1000 * 4 + 125 + 1000 * 16 + 2 * 4
+    assert len(bundle) == cr.bundle_size(1, m) == (32 + 1000 * 4 + 125 + 1000 * 16
+                                                   + 1000 * 16 + 2 * 4)
     assert bytes(bundle[:32]) == SEED1
     assert cr.bundle_size(0, m) == 32
 
 
 def test_manifest_roundtrip():
-    m = manifest(num_amt=5, num_bmt=6, num_ot=7, vdp_blocks=((1, 1), (1, 2), (1, 3)))
+    m = manifest(num_amt=5, num_bmt=6, num_ot=7, num_labels=8,
+                 vdp_blocks=((1, 1), (1, 2), (1, 3)))
     assert cr.ResourceManifest.decode(m.session_id, m.encode()) == m
 
 
 def test_manifest_is_head_plus_one_pair_per_block():
-    m = manifest(num_ot=7, vdp_blocks=[(19600, 25), (2000, 980)])
+    m = manifest(num_ot=7, num_labels=9, vdp_blocks=[(19600, 25), (2000, 980)])
     payload = m.encode()
-    assert len(payload) == 27 + 2 * 8
-    assert np.frombuffer(payload[27:], "<u4").tolist() == [19600, 25, 2000, 980]
+    head = 3 + 4 * 4  # the ring's l, alpha and beta; four u32 counts
+    assert len(payload) == head + 2 * 8
+    assert np.frombuffer(payload[3:head], "<u4").tolist() == [0, 0, 7, 9]
+    assert np.frombuffer(payload[head:], "<u4").tolist() == [19600, 25, 2000, 980]
     back = cr.ResourceManifest.decode(m.session_id, payload)
     assert back == m and back.vdp_blocks == ((19600, 25), (2000, 980))
     assert m.vdp_lengths == (25,) * 19600 + (980,) * 2000
-    for bad in (payload[:-1], payload + bytes(4), payload[:26],
-                payload[:27] + bytes(8), payload[:31] + bytes(4)):
+    for bad in (payload[:-1], payload + bytes(4), payload[:head - 1],
+                payload[:head] + bytes(8), payload[:head + 4] + bytes(4)):
         with pytest.raises(ValueError):
             cr.ResourceManifest.decode(m.session_id, bad)
 
@@ -197,6 +210,16 @@ def test_manifest_validation():
         manifest(ring=RingParams(12), num_amt=1)
 
 
+@pytest.mark.parametrize("count", ["num_amt", "num_bmt", "num_ot", "num_labels"])
+def test_manifest_counts_are_u32(count):
+    # every count travels as a u32: past it, a count raises, never wraps
+    m = manifest(**{count: 2**32 - 1})
+    assert cr.ResourceManifest.decode(m.session_id, m.encode()) == m
+    for bad in (2**32, -1):
+        with pytest.raises(ValueError):
+            manifest(**{count: bad})
+
+
 # Digests of the normative expansion of a mixed manifest (ragged dot
 # products, reads that cross 64 KB DRBG requests). Parties and dealer must
 # derive every byte identically, so a change to a stream layout, the DRBG
@@ -205,8 +228,10 @@ PINNED_MANIFEST = dict(
     num_amt=3001, num_bmt=1001, num_ot=3003,
     vdp_blocks=tuple((1, (7 * i) % 13 + 1) for i in range(2000)),
 )
+# The manifest digest was restated when the head's counts became four u32s
+# (it was cfeeff00...845e with three u64s); no expanded byte moved.
 PINNED = {
-    "manifest": "cfeeff0056a99bca99d9ac4ed73728d9b77d3a38ddabe40fc76e9d83b670845e",
+    "manifest": "4fc9cc0340f5816962b4d0be93ba9aa4a213df0d37971e61dd98e8189f426269",
     "role0": "3ca25ddce8887567cee5e6969e43e9a748b47aa763338a7849d1df6563e8ca57",
     "role1": "3c315de319a367ded18cf79323c4fd70d01c2e78bb841682ac74d50cfa6779a2",
     "corrections": "3ae9b449ee62a5dc49a84dd0fc18f6449a3351a940b018b93e6ada3f453a9415",
@@ -250,6 +275,18 @@ def _pinned_digests() -> dict:
 
 def test_expansion_and_corrections_pinned():
     assert _pinned_digests() == PINNED
+
+
+# Digest of the label streams and role 1's keys: delta and k0 from seed0,
+# r from seed1, K = k0 ^ r*delta from the bundle.
+PINNED_LABELS = "a25e95b937a888b7ba1a16a89ece1b62342b7dd7e38eac2e490db20f927205ec"
+
+
+def test_label_expansion_pinned():
+    m = manifest(num_labels=3003)
+    m0 = cr.expand_role0(SEED0, m)
+    m1 = cr.open_bundle(1, cr.compute_corrections(SEED0, SEED1, m), m)
+    assert _arrays_digest(m0.delta, m0.label_k0, m1.label_r, m1.label_k) == PINNED_LABELS
 
 
 # A bundle that disagrees with its manifest: (role, bundle -> malformed bundle)
@@ -301,12 +338,18 @@ def _draw_ot_receiver(mat, ch):
     OtReceiver(mat.ot_r, mat.ot_qr, ch).recv(np.zeros(5, np.uint8), 128)
 
 
+def _draw_labels(mat, ch):
+    GcSession(mat.role, ch, mat).input_labels(np.zeros(5, np.uint8))
+
+
 OVERDRAWS = {
     "amt": (dict(num_amt=2), 0, _draw_amt),
     "bmt": (dict(num_bmt=7), 1, _draw_bmt),
     "vdp": (dict(vdp_blocks=((1, 2),)), 1, _draw_vdp),
     "ot-sender": (dict(num_ot=4), 0, _draw_ot_sender),
     "ot-receiver": (dict(num_ot=4), 1, _draw_ot_receiver),
+    "labels-garbler": (dict(num_labels=4), 0, _draw_labels),
+    "labels-evaluator": (dict(num_labels=4), 1, _draw_labels),
 }
 
 
@@ -341,7 +384,7 @@ def test_supply_is_single_use():
 
 def test_leftovers_name_every_supply():
     # the manifest deals one item more of each resource than the run draws
-    m = manifest(num_amt=3, num_bmt=9, num_ot=5, vdp_blocks=((1, 2), (1, 1)))
+    m = manifest(num_amt=3, num_bmt=9, num_ot=5, num_labels=5, vdp_blocks=((1, 2), (1, 1)))
     lc = cc.levelize(cc.build_bitand(8))
     chans = channel_pair()
     sessions = [PartySession(r, m, mat, ch)
@@ -356,6 +399,7 @@ def test_leftovers_name_every_supply():
             se.ot.send(np.zeros((4, 16), np.uint8), np.ones((4, 16), np.uint8), 128)
         else:
             se.ot.recv(np.zeros(4, np.uint8), 128)
+        convert.b2y(se.gc, BoolShare(np.zeros((1, 4), np.uint8), se.role))
         se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), 2)
 
     try:
@@ -364,8 +408,8 @@ def test_leftovers_name_every_supply():
         for ch in chans:
             ch.close()
     for se in sessions:
-        assert se.leftovers() == {"amt": 1, "bmt": 1, "ot": 1, "vdp": 1}
-        supplies = (se.ass.amt, se.gmw.bmt, se.ot.masks, se.ass.vdp_masks)
-        assert [s.used for s in supplies] == [2, 8, 4, 1]
+        assert se.leftovers() == {"amt": 1, "bmt": 1, "ot": 1, "labels": 1, "vdp": 1}
+        supplies = (se.ass.amt, se.gmw.bmt, se.ot.masks, se.gc.labels, se.ass.vdp_masks)
+        assert [s.used for s in supplies] == [2, 8, 4, 4, 1]
         with pytest.raises(AssertionError):
             se.assert_exhausted()

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import ot_masks, run_parties
+from conftest import gc_sessions, new_offset, run_parties
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +11,8 @@ from hybrid2pc import circuits as cc
 from hybrid2pc import gc as gc_mod
 from hybrid2pc import gmw, ring, transport
 from hybrid2pc.correlated import PartyMaterial
-from hybrid2pc.gc import GcSession, YaoShare, evaluate, garble, new_offset
+from hybrid2pc.gc import YaoShare, evaluate, garble
 from hybrid2pc.gmw import GmwEngine
-from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 
 
@@ -27,18 +26,9 @@ def from_bits(bits):
     return (bits.astype(np.uint64).T << sh).sum(axis=1, dtype=np.uint64)
 
 
-def sessions(channels, num_ot, seeds=(1, 2)):
-    c0, c1 = channels
-    q, r, qr = ot_masks(num_ot)
-    g = GcSession(0, c0, OtSender(q, c0), np.random.default_rng(seeds[0]))
-    e = GcSession(1, c1, OtReceiver(r, qr, c1), np.random.default_rng(seeds[1]))
-    return g, e
-
-
-def run_circuit(channels, circ, x, y, cycles=1, decode="evaluator", num_ot=None):
+def run_circuit(channels, circ, x, y, cycles=1, decode="evaluator"):
     ninst = max(len(np.atleast_1d(x)), 1)
-    need = len(circ.inputs1) * ninst if num_ot is None else num_ot
-    g, e = sessions(channels, need)
+    g, e = gc_sessions(*channels, len(circ.inputs1) * ninst)
     bits0 = to_bits(x, len(circ.inputs0)) if len(circ.inputs0) else None
     bits1 = to_bits(y, len(circ.inputs1)) if len(circ.inputs1) else None
     r0, r1 = run_parties(
@@ -123,13 +113,14 @@ def test_online_bytes_formula(channels):
     sent = c0.ledger
     tables = sent.payload_bytes(msg_type=transport.GC_TABLES, direction="sent")
     inlabels = sent.payload_bytes(msg_type=transport.GC_INLABELS, direction="sent")
-    pairs = sent.payload_bytes(msg_type=transport.OT_PAIRS, direction="sent")
     decode = sent.payload_bytes(msg_type=transport.GC_DECODE, direction="sent")
     assert tables == 32 * circ.num_and * n
     assert inlabels == 16 * 32 * n  # garbler input labels
-    assert pairs == 2 * 16 * 32 * n  # evaluator inputs via OT pairs
+    assert sent.payload_bytes(msg_type=transport.OT_PAIRS) == 0  # evaluator inputs are dealt
     assert decode == (32 * n + 7) // 8
+    # one masked bit per evaluator input, from the evaluator alone
     assert c1.ledger.payload_bytes(msg_type=transport.OT_CHOICES, direction="sent") == (32 * n + 7) // 8
+    assert c1.ledger.payload_bytes(direction="sent") == (32 * n + 7) // 8
 
 
 def test_decode_policy_both(channels):
@@ -171,7 +162,7 @@ def test_unbound_input_group_with_wires_rejected(channels, group):
         out[group] = None
         return out
 
-    g, e = sessions(channels, 1)
+    g, e = gc_sessions(*channels, 1)
     with pytest.raises(gc_mod.GcError, match="no binding"):
         run_parties(lambda: g.run(circ, *binds(0), ninst=n),
                     lambda: e.run(circ, *binds(1), ninst=n))
@@ -211,7 +202,7 @@ def test_yao_labels_rebind_into_next_circuit(channels):
     y = rng.integers(0, p.modulus, n, dtype=np.uint64)
     adder = cc.build_add(16, "size")
     relu = cc.build_relu(16)
-    g, e = sessions(channels, 16 * n)
+    g, e = gc_sessions(*channels, 16 * n)
 
     def garbler():
         ys = g.run(adder, ("bits", to_bits(x, 16)), ("bits", None),
@@ -418,7 +409,7 @@ def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
         return orig(blk)
 
     monkeypatch.setattr(gc_mod, "_fixed_key_encrypt", spy)
-    g, e = sessions(channels, 2 * n)
+    g, e = gc_sessions(*channels, 2 * n)
 
     def party(s, bind0, bind1):
         phase.run = 1

@@ -42,8 +42,14 @@ def _yao(role):
 
 
 def _gc_garble_both(chan):
-    sess = gc.GcSession(0, chan, rng=np.random.default_rng(0))
+    sess = gc.GcSession(0, chan, _material(0), rng=np.random.default_rng(0))
     sess.run(AND8, ("bits", _zeros((NINST, 8))), _yao(0), ninst=NINST, decode="both")
+
+
+def _gc_garble_on_labels(chan):
+    """The garbler receives the evaluator's masked bits e before garbling."""
+    sess = gc.GcSession(0, chan, _material(0, num_labels=8 * NINST))
+    sess.run(AND8, ("bits", _zeros((NINST, 8))), ("bits", None), ninst=NINST)
 
 
 T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST * 16),
@@ -56,12 +62,14 @@ SITES = {
         _zeros((20, 1)), _zeros((20, 1)), 8), [(transport.OT_CHOICES, 3)], 0),
     "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4)[1:], ch).recv(_zeros(4), 8),
                  [(transport.OT_PAIRS, 2 * 4)], 0),
-    "GC_TABLES": (lambda ch: gc.GcSession(1, ch).run(AND8, _yao(1), _yao(1), ninst=NINST),
-                  [T, DEC], 0),
-    "GC_INLABELS": (lambda ch: gc.GcSession(1, ch).run(AND8, ("bits", None), _yao(1),
-                                                       ninst=NINST), [T, IN, DEC], 1),
-    "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch).run(AND8, _yao(1), _yao(1),
-                                                               ninst=NINST), [T, DEC], 1),
+    "OT_CHOICES-labels": (_gc_garble_on_labels, [(transport.OT_CHOICES, (8 * NINST + 7) // 8)],
+                          0),
+    "GC_TABLES": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
+        AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 0),
+    "GC_INLABELS": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
+        AND8, ("bits", None), _yao(1), ninst=NINST), [T, IN, DEC], 1),
+    "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
+        AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 1),
     "GC_DECODE-garbler": (_gc_garble_both, [DEC], 0),
     "APP_SHARE": (lambda ch: AssEngine(0, L32, ch, _material(0)).share_input(
         None, 4, owner=1, rng=None), [(transport.APP_SHARE, 4 * 4)], 0),

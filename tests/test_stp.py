@@ -187,13 +187,14 @@ def test_online_traffic_refused(server):
 
 
 _BLOCKS = manifest(session_id=bytes(16), num_amt=1, vdp_blocks=((2, 3),)).encode()
+_HEAD = 3 + 4 * 4  # l, alpha, beta and four u32 counts
 MALFORMED = {
-    "short-head": _BLOCKS[:26],
+    "short-head": _BLOCKS[:_HEAD - 1],
     "partial-pair": _BLOCKS[:-1],
     "extra-half-pair": _BLOCKS + bytes(4),
-    "zero-products": _BLOCKS[:27] + struct.pack("<2I", 0, 3),
-    "zero-length": _BLOCKS[:27] + struct.pack("<2I", 2, 0),
-    "no-wire-width": struct.pack("<3B3Q", 12, 0, 0, 1, 0, 0),  # l = 12, one A-MT
+    "zero-products": _BLOCKS[:_HEAD] + struct.pack("<2I", 0, 3),
+    "zero-length": _BLOCKS[:_HEAD] + struct.pack("<2I", 2, 0),
+    "no-wire-width": struct.pack("<3B4I", 12, 0, 0, 1, 0, 0, 0),  # l = 12, one A-MT
 }
 
 
