@@ -3,7 +3,8 @@
 Runs each operation batched (n parallel instances of the given width)
 between two in-process parties over a loopback socket pair, with a real
 dealer serving the offline phase, and reports measured byte counts next
-to their closed-form predictions. Byte counts are payload-exact in
+to their closed-form predictions: role 1's dealer bundle offline, both
+directions' payload online. Byte counts are payload-exact in
 null-cipher mode; flights are each role's online flights as its channel
 counts them (transport.Channel.flights); timings are informational only.
 """
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import ass, circuits as cc, convert, gmw, stp, transport
 from .correlated import ResourceManifest
+from .drbg import SEED_BYTES
 from .ring import RingParams
 from .session import PartySession
 
@@ -35,6 +37,7 @@ class BenchRow:
     flights: tuple[int, int]  # online flights of role 0, role 1
     seconds: float
     predicted_online: int | None = None  # closed form, total both directions
+    predicted_offline: int | None = None  # closed form, role 1's dealer bundle
 
     @property
     def online_total(self) -> int:
@@ -112,7 +115,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             lambda se: ass.linear([(1, x1), (1, y1)], p),
             stp_addr,
         )
-        return BenchRow(op, *row, predicted_online=0)
+        return BenchRow(op, *row, predicted_online=0, predicted_offline=SEED_BYTES)
     if op == "MULT":
         m = ResourceManifest(sid, p, num_amt=n)
         x0, x1 = _share_vec(p, n, rng)
@@ -123,7 +126,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             lambda se: se.ass.mul_mt(x1, y1),
             stp_addr,
         )
-        return BenchRow(op, *row, predicted_online=2 * (2 * p.nbytes) * n)
+        return BenchRow(op, *row, predicted_online=2 * (2 * p.nbytes) * n,
+                        predicted_offline=SEED_BYTES + p.nbytes * n)
     if op in ("XOR", "AND", "CMP", "EQ", "MUX"):
         circ = {
             "XOR": lambda: cc.build_bitxor(w),
@@ -143,7 +147,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             stp_addr,
         )
         return BenchRow(op, *row,
-                        predicted_online=2 * ((2 * circ.num_and * n + 7) // 8))
+                        predicted_online=2 * ((2 * circ.num_and * n + 7) // 8),
+                        predicted_offline=SEED_BYTES + (circ.num_and * n + 7) // 8)
     if op == "y2b":
         # free conversion on retained labels; measured on top of a b2y
         m = ResourceManifest(sid, p, num_labels=n * w)
@@ -163,7 +168,7 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         se0.channel.close()
         se1.channel.close()
         assert extra == [0, 0]
-        return BenchRow(op, 0, 0, 0, (0, 0), 0.0, predicted_online=0)
+        return BenchRow(op, 0, 0, 0, (0, 0), 0.0, predicted_online=0, predicted_offline=0)
     if op == "b2y":
         m = ResourceManifest(sid, p, num_labels=n * w)
         b0, b1 = _share_bits(w, n, rng)
@@ -174,7 +179,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             stp_addr,
         )
         # one masked bit per dealt label, from role 1 only
-        return BenchRow(op, *row, predicted_online=(n * w + 7) // 8)
+        return BenchRow(op, *row, predicted_online=(n * w + 7) // 8,
+                        predicted_offline=SEED_BYTES + 16 * n * w)
     if op == "b2a":
         m = ResourceManifest(sid, p, num_ot=n * w)
         b0, b1 = _share_bits(w, n, rng)
@@ -184,8 +190,10 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             lambda se: convert.b2a(1, p, se.ot, b1),
             stp_addr,
         )
+        # one dealt OT of one ring element per bit
         return BenchRow(op, *row,
-                        predicted_online=n * w * 2 * p.nbytes + (n * w + 7) // 8)
+                        predicted_online=n * w * 2 * p.nbytes + (n * w + 7) // 8,
+                        predicted_offline=SEED_BYTES + p.nbytes * n * w)
     if op == "a2y":
         m = ResourceManifest(sid, p, num_labels=n * w)
         x0, x1 = _share_vec(p, n, rng)
@@ -201,7 +209,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             + 16 * w * n  # garbler input labels
             + (w * n + 7) // 8  # the evaluator's masked bits on dealt labels
         )
-        return BenchRow(op, *row, predicted_online=predicted)
+        return BenchRow(op, *row, predicted_online=predicted,
+                        predicted_offline=SEED_BYTES + 16 * n * w)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -221,14 +230,16 @@ def run_bench(ops=OPS, n: int = 1000, width: int = 32, stp_addr=None):
 
 
 def format_table(rows: list[BenchRow]) -> str:
-    head = (f"{'op':6} {'offline(B)':>11} {'online->1(B)':>13} "
+    """Each prediction sits beside the bytes it predicts."""
+    head = (f"{'op':6} {'offline(B)':>11} {'predicted':>10} {'online->1(B)':>13} "
             f"{'online->0(B)':>13} {'total(B)':>10} {'predicted':>10} "
             f"{'flights':>7} {'time(ms)':>9}")
     lines = [head, "-" * len(head)]
     for r in rows:
-        pred = "-" if r.predicted_online is None else str(r.predicted_online)
+        pred_off, pred = ("-" if v is None else str(v)
+                          for v in (r.predicted_offline, r.predicted_online))
         lines.append(
-            f"{r.op:6} {r.offline_bytes:>11} {r.online_sent0:>13} "
+            f"{r.op:6} {r.offline_bytes:>11} {pred_off:>10} {r.online_sent0:>13} "
             f"{r.online_sent1:>13} {r.online_total:>10} {pred:>10} "
             f"{'/'.join(map(str, r.flights)):>7} {r.seconds * 1000:>9.2f}"
         )

@@ -18,8 +18,9 @@ K, and gc turns each into one garbled input wire of the evaluator.
 
 Each resource type reads from its own personalised DRBG substream, so
 adding items of one kind never shifts the values of another. Within a
-stream, elements are drawn in the documented order below; every ring
-element consumes 8 stream bytes, bits are LSB-first within bytes.
+stream, elements are drawn in the documented order below; a ring element
+consumes l/8 stream bytes and a label key 16, and bits are LSB-first
+within bytes.
 
 Every ring element is held in the ring's dtype (ring.RingParams.dtype), so
 the sums and products below wrap mod 2^l by themselves.
@@ -27,8 +28,8 @@ the sums and products below wrap mod 2^l by themselves.
 Stream layouts:
     AMT  role 0: a[0..n) b[0..n) c[0..n)     role 1: a[0..n) b[0..n)
     BMT  role 0: a-bits, b-bits, c-bits      role 1: a-bits, b-bits
-    OT   sender: q0,q1 interleaved per item  receiver: r bits
-    LAB  role 0: delta, then k0 per label    role 1: r bits
+    OT   sender: q0,q1 ring elems per item   receiver: r bits
+    LAB  role 0: delta, then k0 blocks       role 1: r bits
     VDP  role 0: per product: n_d elems, a2  role 1: per product: n_d elems
 
 The manifest lists dot products as blocks (products, length), one per
@@ -36,11 +37,16 @@ linear layer, i.e. one per vdp call, in call order. A block's material is
 one (products, length) mask matrix per role and one scalar per product;
 blocking changes no stream byte, since the products are drawn in order.
 
+An OT mask is one ring element: it pads one l-bit b2a message once
+(Beaver, CRYPTO 1995), so it is as wide as that message. A label stays
+128 bits, the width of a garbled wire's key.
+
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
 every 64 KB; the typed draws read the bytes it writes. Role 0's
 dealer bundle is seed0 alone; role 1's is laid out as
 
-    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr | K | a3 (ring dtype)
+    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr (ring dtype)
+          | K (16 bytes each) | a3 (ring dtype)
 
 and is written once into one buffer by compute_corrections, the dealer's
 pass. _layout sets each section's order, dtype and count; open_bundle, the
@@ -65,8 +71,6 @@ import numpy as np
 
 from .drbg import SEED_BYTES, Drbg, personalization
 from .ring import RingParams
-
-MASK_BYTES = 16  # k = 128-bit OT masks
 
 # Personalization tags, one substream per resource type.
 TAG_AMT = 0x01
@@ -175,9 +179,10 @@ class PartyMaterial:
     bmt_a: np.ndarray
     bmt_b: np.ndarray
     bmt_c: np.ndarray | None
-    ot_q: np.ndarray | None = None  # sender: (n, 2, 16) mask pairs
+    # OT masks are ring elements, held as their little-endian bytes
+    ot_q: np.ndarray | None = None  # sender: (n, 2, nbytes) mask pairs
     ot_r: np.ndarray | None = None  # receiver: choice-mask bits
-    ot_qr: np.ndarray | None = None  # receiver: (n, 16) selected masks
+    ot_qr: np.ndarray | None = None  # receiver: (n, nbytes) selected masks
     delta: np.ndarray | None = None  # role 0: the free-XOR offset, 16 bytes, lsb 1
     label_k0: np.ndarray | None = None  # role 0: (n, 16) zero keys
     label_r: np.ndarray | None = None  # role 1: label bits r
@@ -191,8 +196,8 @@ def _layout(m: ResourceManifest) -> tuple[tuple[np.dtype, int], ...]:
     """Role 1's correction sections in bundle order, as (dtype, count):
     c1_amt, c1_bmt packed LSB-first, qr, K, a3."""
     dt, u8 = m.ring.dtype, np.dtype(np.uint8)
-    return ((dt, m.num_amt), (u8, (m.num_bmt + 7) // 8), (u8, m.num_ot * MASK_BYTES),
-            (u8, m.num_labels * MASK_BYTES), (dt, sum(n for n, _ in m.vdp_blocks)))
+    return ((dt, m.num_amt), (u8, (m.num_bmt + 7) // 8), (dt, m.num_ot),
+            (u8, m.num_labels * 16), (dt, sum(n for n, _ in m.vdp_blocks)))
 
 
 def _sections(buf, m: ResourceManifest) -> list[np.ndarray]:
@@ -201,8 +206,7 @@ def _sections(buf, m: ResourceManifest) -> list[np.ndarray]:
     for dtype, count in _layout(m):
         out.append(np.frombuffer(buf, dtype=dtype, count=count, offset=offset))
         offset += out[-1].nbytes
-    out[2] = out[2].reshape(m.num_ot, MASK_BYTES)
-    out[3] = out[3].reshape(m.num_labels, MASK_BYTES)
+    out[3] = out[3].reshape(m.num_labels, 16)
     return out
 
 
@@ -236,12 +240,12 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     a, b, c = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(3))
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
-    q = _stream(seed0, TAG_OT_SEND).blocks(2 * m.num_ot).reshape(m.num_ot, 2, 16)
+    q = _stream(seed0, TAG_OT_SEND).ring_elems(2 * m.num_ot, p.dtype).reshape(m.num_ot, 2)
     keys = _stream(seed0, TAG_LABEL_SEND).blocks(1 + m.num_labels)
     delta = keys[0].copy()
     delta[0] |= 1  # the point-and-permute bit of every label pair differs
     vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, with_scalar=True)
-    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, delta=delta,
+    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=_mask_bytes(q), delta=delta,
                          label_k0=keys[1:], vdp_mask=vec, vdp_scalar=a2)
 
 
@@ -260,24 +264,9 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, label_r=lr, vdp_mask=vec)
 
 
-_SELECT_CHUNK = 1 << 14  # OT items per pass; keeps each pass cache-resident
-
-
-def _select_masks(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """qr = q[r] per item, as the branch-free q0 ^ ((q0 ^ q1) & -r) over
-    64-bit words; q is (n, 2, 16) uint8, r is 0/1 per item."""
-    words = q.view("<u8")  # (n, 2, 2): item, q0/q1, word
-    sel = r.astype(np.uint64)
-    np.negative(sel, out=sel)  # all-ones where r = 1
-    out = np.empty((len(q), 2), dtype="<u8")
-    for lo in range(0, len(q), _SELECT_CHUNK):
-        hi = lo + _SELECT_CHUNK
-        for w in (0, 1):
-            q0, t = words[lo:hi, 0, w], out[lo:hi, w]
-            np.bitwise_xor(q0, words[lo:hi, 1, w], out=t)
-            t &= sel[lo:hi]
-            t ^= q0
-    return out.view(np.uint8)
+def _mask_bytes(masks: np.ndarray) -> np.ndarray:
+    """Ring-element OT masks as the rows of bytes the OT engine pads with."""
+    return masks.view(np.uint8).reshape(*masks.shape, masks.itemsize)
 
 
 def _correlate(k0: np.ndarray, delta: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -293,10 +282,8 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     m1 = expand_role1(seed1, m)
     c1_amt = (m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
-    # qr is selected into aligned memory and copied in: its section starts
-    # at an offset that need not be a multiple of 8, and the u64 select
-    # runs markedly slower over unaligned words
-    qr = _select_masks(m0.ot_q, m1.ot_r)
+    q = m0.ot_q.view(m.ring.dtype)[..., 0]  # (n, 2) ring elements
+    qr = q[:, 0] ^ ((q[:, 0] ^ q[:, 1]) & np.negative(m1.ot_r.astype(q.dtype)))
     keys = _correlate(m0.label_k0, m0.delta, m1.label_r)
     a3 = np.concatenate([np.zeros(0, m.ring.dtype)] + [
         np.einsum("ij,ij->i", v0, v1) - a2
@@ -305,7 +292,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     # are dropped before the bundle is allocated: holding the views, or even
     # the per-block a3 pieces, through that allocation lands the bundle on
     # fresh pages and measurably slows the pass.
-    del m0, m1
+    del m0, m1, q
     out = bytearray(bundle_size(1, m))
     out[:SEED_BYTES] = seed1
     values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), qr, keys, a3)
@@ -329,7 +316,7 @@ def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
     mat = expand_role1(seed, m)
     mat.amt_c = amt
     mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
-    mat.ot_qr = qr
+    mat.ot_qr = _mask_bytes(qr)
     mat.label_k = keys
     ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
     mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]

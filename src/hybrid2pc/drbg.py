@@ -108,16 +108,14 @@ class Drbg:
             raw[-1] &= (1 << (nbits % 8)) - 1
         return raw
 
-    # Typed draws used by the correlated-randomness layer. Every ring
-    # element consumes a full 8 stream bytes regardless of l, keeping
-    # layouts width-independent, and is those bytes' low l bits. Each
-    # returns a writable array; only a ring draw narrower than 64 bits
-    # copies the buffer fill_bytes allocated.
+    # Typed draws used by the correlated-randomness layer. A ring element
+    # of l bits consumes l/8 stream bytes, read as one little-endian
+    # integer. Each returns a writable array; ring_elems and blocks are
+    # views of the buffer fill_bytes allocated, with no copy.
 
     def ring_elems(self, n: int, dtype: np.dtype) -> np.ndarray:
         """n elements of the unsigned little-endian dtype."""
-        raw = np.frombuffer(self.fill_bytes(8 * n), dtype="<u8")
-        return raw.astype(dtype, copy=False)
+        return np.frombuffer(self.fill_bytes(n * dtype.itemsize), dtype=dtype)
 
     def bits(self, n: int) -> np.ndarray:
         """n bits LSB-first within bytes, as a uint8 0/1 array."""

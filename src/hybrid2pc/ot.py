@@ -9,9 +9,11 @@ messages regardless of batch size):
         b'=0: (q0^m0, q1^m1)    b'=1: (q0^m1, q1^m0)
     receiver outputs m_b = s_r xor q_r
 
-Masks are 128-bit and messages at most that wide; shorter messages use a
-mask prefix. Every mask is drawn once from a single-use supply
-(correlated.Supply) before the party sends anything.
+A mask is a row of bytes, and a message at most as wide as the masks the
+engine holds; a shorter message uses a mask prefix. Dealt masks are one
+ring element each, as wide as b2a's l-bit messages. Every mask is drawn
+once from a single-use supply (correlated.Supply) before the party sends
+anything.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from . import transport
 from .correlated import Supply
 from .transport import Channel
 
-K_BITS = 128
-
 
 class OtError(RuntimeError):
     pass
 
 
-def _message_bytes(mbits: int) -> int:
-    if mbits > K_BITS:
-        raise OtError(f"messages of {mbits} bits exceed the {K_BITS}-bit masks")
+def _message_bytes(mbits: int, masks: np.ndarray) -> int:
+    """Bytes per message; a message wider than the masks raises OtError."""
+    if mbits > 8 * masks.shape[-1]:
+        raise OtError(f"messages of {mbits} bits exceed the {8 * masks.shape[-1]}-bit masks")
     return (mbits + 7) // 8
 
 
@@ -46,12 +47,12 @@ class OtSender:
     """Holds (q0, q1) mask pairs; role 0 in every protocol here."""
 
     def __init__(self, q: np.ndarray, channel: Channel):
-        self.masks = Supply("ot", q)  # (n, 2, 16) mask pairs
+        self.masks = Supply("ot", q)  # (n, 2, width) mask pairs
         self.channel = channel
 
     def send(self, m0, m1, mbits: int):
         """Serve one batch; m0/m1 are (n, ceil(mbits/8)) uint8 arrays."""
-        nbytes = _message_bytes(mbits)
+        nbytes = _message_bytes(mbits, self.masks.arrays[0])
         n = len(np.asarray(m0))
         if n == 0:
             return
@@ -77,11 +78,11 @@ class OtReceiver:
     """Holds (r, qr); role 1 in every protocol here."""
 
     def __init__(self, r: np.ndarray, qr: np.ndarray, channel: Channel):
-        self.masks = Supply("ot", r, qr)  # choice bits and (n, 16) selected masks
+        self.masks = Supply("ot", r, qr)  # choice bits and (n, width) selected masks
         self.channel = channel
 
     def recv(self, choices, mbits: int) -> np.ndarray:
-        nbytes = _message_bytes(mbits)
+        nbytes = _message_bytes(mbits, self.masks.arrays[1])
         b = np.asarray(choices, dtype=np.uint8)
         n = len(b)
         if n == 0:

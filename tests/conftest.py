@@ -29,10 +29,10 @@ def deal(manifest):
             correlated.open_bundle(1, bundle1, manifest))
 
 
-def ot_masks(n):
-    """n dealt OTs: the sender's (n, 2, 16) mask pairs, the receiver's r
-    bits and its (n, 16) selected masks."""
-    m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_ot=n))
+def ot_masks(n, l):
+    """n OTs dealt in the ring of l bits: the sender's (n, 2, l/8) mask
+    pairs, the receiver's r bits and its (n, l/8) selected masks."""
+    m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(l), num_ot=n))
     return m0.ot_q, m1.ot_r, m1.ot_qr
 
 

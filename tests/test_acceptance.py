@@ -76,8 +76,9 @@ def test_criterion_1_offline_communication_per_item():
             cases.append((f"A-MT l={l}", fetch(m), l * n))
         m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_bmt=n)
         cases.append(("B-MT", fetch(m), n))
-        m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_ot=n)
-        cases.append(("OT", fetch(m), 128 * n))
+        for l in (16, 32, 64):
+            m = ResourceManifest(secrets.token_bytes(16), RingParams(l), num_ot=n)
+            cases.append((f"OT l={l}", fetch(m), l * n))
         m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_labels=n)
         cases.append(("label", fetch(m), 128 * n))
     finally:
@@ -158,12 +159,12 @@ def test_criterion_3_protocol_oracles():
             assert np.array_equal(got[0], m1[0] if b_bit else m0[0])
     rng = np.random.default_rng(0)
     c0c, c1c = channel_pair()
-    q, r, qr = ot_masks(n)
+    q, r, qr = ot_masks(n, 64)  # dealt masks are one ring element wide
     snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
-    m0 = rng.integers(0, 256, (n, 16), np.uint8)
-    m1 = rng.integers(0, 256, (n, 16), np.uint8)
+    m0 = rng.integers(0, 256, (n, 8), np.uint8)
+    m1 = rng.integers(0, 256, (n, 8), np.uint8)
     b = rng.integers(0, 2, n, np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1, 128), lambda: rcv.recv(b, 128))
+    _, got = run_parties(lambda: snd.send(m0, m1, 64), lambda: rcv.recv(b, 64))
     assert np.array_equal(got, np.where(b[:, None].astype(bool), m1, m0))
 
     # (c) multiplication/VDP reconstruction vs arbitrary-precision oracle

@@ -10,9 +10,10 @@ import inspect
 
 import numpy as np
 import pytest
-from conftest import run_parties
+from conftest import deal, run_parties
 
-from hybrid2pc import ass, circuits, correlated, gc, gmw, ml, ot, session, stp, transport
+from hybrid2pc import (ass, circuits, convert, correlated, gc, gmw, ml, ot, session, stp,
+                       transport)
 from hybrid2pc.ring import RingParams
 
 CONTRACT = [
@@ -76,6 +77,36 @@ def test_circuit_exposes_and_count_and_registers():
 
 def test_bool_share_exposes_bits():
     assert gmw.BoolShare(np.zeros((2, 3), np.uint8), 0).bits.size == 6
+
+
+# Probe prices each OtReceiver.recv call as one batch of two messages of
+# mbits per transfer for its OT_PAIRS byte check. A b2a that received its
+# OTs in several calls, at another width or around recv would fail every
+# benchmark query.
+
+
+def test_b2a_receives_through_one_recv_at_ring_width(monkeypatch):
+    calls = []
+    orig = ot.OtReceiver.recv
+
+    def recv(self, choices, mbits):
+        calls.append((len(choices), mbits))
+        return orig(self, choices, mbits)
+
+    monkeypatch.setattr(ot.OtReceiver, "recv", recv)
+    p, n, w = RingParams(32, 7, 12), 5, 19
+    m = correlated.ResourceManifest(bytes(16), p, num_ot=n * w)
+    chans = transport.channel_pair()
+    s0, s1 = (session.PartySession(r, m, mat, ch)
+              for r, (mat, ch) in enumerate(zip(deal(m), chans)))
+    bits = np.zeros((n, w), np.uint8)
+    try:
+        run_parties(lambda: convert.b2a(0, p, s0.ot, gmw.BoolShare(bits, 0), s0.rng),
+                    lambda: convert.b2a(1, p, s1.ot, gmw.BoolShare(bits, 1)))
+    finally:
+        for ch in chans:
+            ch.close()
+    assert calls == [(n * w, p.l)]
 
 
 # Probe counts online_flights from a no-argument wrapper on Channel.recv.

@@ -19,6 +19,17 @@ def test_bench_rows_match_predictions():
         assert by_op[op].online_total == by_op[op].predicted_online, op
 
 
+def test_bench_offline_matches_closed_form():
+    # role 1's dealer bundle per op: its seed, then l bits per A-MT and per
+    # OT, one bit per B-MT and 128 bits per label (y2b is measured on b2y's)
+    rows = bench.run_bench(n=100, width=32)
+    assert [r.op for r in rows] == list(bench.OPS)
+    for r in rows:
+        assert r.offline_bytes == r.predicted_offline, r.op
+    by_op = {r.op: r for r in rows}
+    assert by_op["b2a"].predicted_offline == 32 + 4 * 100 * 32
+
+
 @pytest.mark.parametrize("n", [1, 1000])
 def test_bench_flights_per_op(n):
     # each role's online flights, the same for 1 and 1000 parallel ops;

@@ -72,17 +72,20 @@ def test_bmt_example_truth_table():
     assert (c0 ^ c1) == 0 == ((a0 ^ a1) & (b0 ^ b1))
 
 
-@pytest.mark.parametrize("n", [1000, 2 * cr._SELECT_CHUNK + 3])
+@pytest.mark.parametrize("n", [1000, 2**15 + 3])
 def test_ot_masks_select_qr(n):
-    # the dealer selects in chunks of _SELECT_CHUNK items; cross two bounds
-    q, r, qr = ot_masks(n)
-    expect = np.where(r[:, None].astype(bool), q[:, 1], q[:, 0])
-    assert np.array_equal(qr, expect)
+    # each mask is one ring element, l/8 bytes, selected in the ring dtype
+    for l in (8, 16, 32, 64):
+        q, r, qr = ot_masks(n, l)
+        assert q.shape == (n, 2, l // 8) and qr.shape == (n, l // 8)
+        expect = np.where(r[:, None].astype(bool), q[:, 1], q[:, 0])
+        assert np.array_equal(qr, expect)
 
 
 def test_ot_empty_batch():
-    q, r, qr = ot_masks(0)
-    assert q.shape == (0, 2, 16) and r.size == 0 and qr.shape == (0, 16)
+    for l in (8, 64):
+        q, r, qr = ot_masks(0, l)
+        assert q.shape == (0, 2, l // 8) and r.size == 0 and qr.shape == (0, l // 8)
 
 
 def test_vdps_formula_example():
@@ -165,13 +168,13 @@ def test_stream_independence_across_resource_types():
 
 
 def test_correction_payload_sizes():
-    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, 128 per OT
-    # and per label, l bits per dot product, after role 1's seed; role 0
+    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, l per OT,
+    # 128 per label, l bits per dot product, after role 1's seed; role 0
     # gets its seed alone
     m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, num_labels=1000,
                  vdp_blocks=((1, 3), (1, 9)))
     bundle = cr.compute_corrections(SEED0, SEED1, m)
-    assert len(bundle) == cr.bundle_size(1, m) == (32 + 1000 * 4 + 125 + 1000 * 16
+    assert len(bundle) == cr.bundle_size(1, m) == (32 + 1000 * 4 + 125 + 1000 * 4
                                                    + 1000 * 16 + 2 * 4)
     assert bytes(bundle[:32]) == SEED1
     assert cr.bundle_size(0, m) == 32
@@ -229,21 +232,23 @@ PINNED_MANIFEST = dict(
     vdp_blocks=tuple((1, (7 * i) % 13 + 1) for i in range(2000)),
 )
 # The manifest digest was restated when the head's counts became four u32s
-# (it was cfeeff00...845e with three u64s); no expanded byte moved.
+# (it was cfeeff00...845e with three u64s). The other four, hashed in the
+# arrays' own dtypes, were checked against a re-derivation from the raw
+# DRBG bytes of each stream: l/8 bytes per ring element, one ring element
+# per OT mask.
 PINNED = {
     "manifest": "4fc9cc0340f5816962b4d0be93ba9aa4a213df0d37971e61dd98e8189f426269",
-    "role0": "3ca25ddce8887567cee5e6969e43e9a748b47aa763338a7849d1df6563e8ca57",
-    "role1": "3c315de319a367ded18cf79323c4fd70d01c2e78bb841682ac74d50cfa6779a2",
-    "corrections": "3ae9b449ee62a5dc49a84dd0fc18f6449a3351a940b018b93e6ada3f453a9415",
-    "bundle1": "ed2506c1f1da844b704ecc588f995ffb37476ae88b5327350f101c3a7fafd45b",
+    "role0": "f270b8a53d6c9be6f80694aad3713d84b395099ae1d63d27786648ca66e7ed51",
+    "role1": "e76a9e0e81da13f436b8954b7c4be412a796308011459631b8ab2cd81508927c",
+    "corrections": "a635e0d4781d8096d4b12741a1d3eb8b772a59217a06fc874a739d58d1d3c476",
+    "bundle1": "51b85fa6a88893357f312df4eb1252a0007560de78fc088d32ce06cd96a6eeff",
 }
 
 
 def _arrays_digest(*arrays) -> str:
-    """Ring elements are hashed as <u8, the dtype the digests were recorded in."""
     h = hashlib.sha256()
     for a in arrays:
-        a = np.ascontiguousarray(a, dtype="<u8" if a.dtype == L32.dtype else a.dtype)
+        a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
@@ -330,12 +335,12 @@ def _draw_vdp(mat, ch):
 
 
 def _draw_ot_sender(mat, ch):
-    m = np.zeros((5, 16), np.uint8)
-    OtSender(mat.ot_q, ch).send(m, m, 128)
+    m = np.zeros((5, 4), np.uint8)
+    OtSender(mat.ot_q, ch).send(m, m, 32)
 
 
 def _draw_ot_receiver(mat, ch):
-    OtReceiver(mat.ot_r, mat.ot_qr, ch).recv(np.zeros(5, np.uint8), 128)
+    OtReceiver(mat.ot_r, mat.ot_qr, ch).recv(np.zeros(5, np.uint8), 32)
 
 
 def _draw_labels(mat, ch):
@@ -396,9 +401,9 @@ def test_leftovers_name_every_supply():
         bits = BoolShare(np.zeros((1, 8), np.uint8), se.role)
         se.gmw.evaluate(lc, bits, bits)
         if se.role == 0:
-            se.ot.send(np.zeros((4, 16), np.uint8), np.ones((4, 16), np.uint8), 128)
+            se.ot.send(np.zeros((4, 4), np.uint8), np.ones((4, 4), np.uint8), 32)
         else:
-            se.ot.recv(np.zeros(4, np.uint8), 128)
+            se.ot.recv(np.zeros(4, np.uint8), 32)
         convert.b2y(se.gc, BoolShare(np.zeros((1, 4), np.uint8), se.role))
         se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), 2)
 

@@ -62,6 +62,23 @@ def test_typed_draws_consume_canonical_stream():
     assert blocks.tobytes() == raw
 
 
+@pytest.mark.parametrize("l", [8, 16, 32, 64])
+def test_ring_elems_read_l_over_8_stream_bytes(l):
+    # an element of l bits is the next l/8 canonical stream bytes, and the
+    # draw after it starts at the very next byte
+    dt = np.dtype(f"<u{l // 8}")
+    raw = bytes(Drbg(SEED_A).fill_bytes(7 * dt.itemsize + 1))
+    d = Drbg(SEED_A)
+    elems = d.ring_elems(7, dt)
+    assert elems.dtype == dt and elems.tobytes() == raw[:-1]
+    assert bytes(d.fill_bytes(1)) == raw[-1:]
+    parts = Drbg(SEED_A)
+    assert np.array_equal(np.concatenate([parts.ring_elems(3, dt), parts.ring_elems(4, dt)]),
+                          elems)
+    elems[0] ^= 1  # a view of the caller's own buffer, writable
+    assert elems.flags.writeable and elems.tobytes() != raw[:-1]
+
+
 def test_seed_length_enforced():
     with pytest.raises(ValueError):
         Drbg(b"short")

@@ -7,9 +7,9 @@ from hybrid2pc.ot import OtError, OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 
 
-def make_pair(n, channels):
+def make_pair(n, channels, l=32):
     c0, c1 = channels
-    q, r, qr = ot_masks(n)
+    q, r, qr = ot_masks(n, l)
     return OtSender(q, c0), OtReceiver(r, qr, c1)
 
 
@@ -56,32 +56,35 @@ def test_all_rb_combinations(channels):
 
 
 def test_random_batch_correctness(channels):
+    # messages as wide as the dealt masks, one ring element each
     n = 10**5
     rng = np.random.default_rng(3)
-    snd, rcv = make_pair(n, channels)
-    m0 = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-    m1 = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1, 128), lambda: rcv.recv(b, 128))
-    expect = np.where(b[:, None].astype(bool), m1, m0)
-    assert np.array_equal(got, expect)
+    for l in (8, 16, 32, 64):
+        snd, rcv = make_pair(n, channels, l)
+        m0 = rng.integers(0, 256, size=(n, l // 8), dtype=np.uint8)
+        m1 = rng.integers(0, 256, size=(n, l // 8), dtype=np.uint8)
+        b = rng.integers(0, 2, size=n, dtype=np.uint8)
+        _, got = run_parties(lambda: snd.send(m0, m1, l), lambda: rcv.recv(b, l))
+        expect = np.where(b[:, None].astype(bool), m1, m0)
+        assert np.array_equal(got, expect), l
 
 
 def test_online_bytes_and_single_round(channels):
     n = 1000
     c0, c1 = channels
     snd, rcv = make_pair(n, channels)
-    m0 = np.zeros((n, 16), np.uint8)
-    m1 = np.ones((n, 16), np.uint8)
+    m0 = np.zeros((n, 4), np.uint8)
+    m1 = np.ones((n, 4), np.uint8)
     b = np.ones(n, np.uint8)
-    run_parties(lambda: snd.send(m0, m1, 128), lambda: rcv.recv(b, 128))
+    run_parties(lambda: snd.send(m0, m1, 32), lambda: rcv.recv(b, 32))
     # 1 bit per OT receiver->sender, 2m bits sender->receiver, 2 messages
     assert c1.ledger.payload_bytes(direction="sent") == n // 8
-    assert c0.ledger.payload_bytes(direction="sent") == n * 2 * 16
+    assert c0.ledger.payload_bytes(direction="sent") == n * 2 * 4
     assert c0.ledger.messages() == 2 and c1.ledger.messages() == 2
 
 
 def test_narrow_messages(channels):
+    # 8-bit messages on 32-bit masks use each mask's first byte
     n = 256
     rng = np.random.default_rng(4)
     snd, rcv = make_pair(n, channels)
@@ -93,31 +96,33 @@ def test_narrow_messages(channels):
 
 
 def test_wide_messages_rejected(channels):
-    # messages wider than the 128-bit masks are refused before any draw or send
+    # messages wider than the dealt l-bit masks are refused before any draw or send
     c0, c1 = channels
     n = 50
-    snd, rcv = make_pair(n, channels)
-    m = np.zeros((n, 64), dtype=np.uint8)
-    with pytest.raises(OtError):
-        snd.send(m, m, 512)
-    with pytest.raises(OtError):
-        rcv.recv(np.zeros(n, np.uint8), 129)
-    assert snd.masks.left() == rcv.masks.left() == n
+    for l in (8, 16, 32, 64):
+        snd, rcv = make_pair(n, channels, l)
+        m = np.zeros((n, l // 8 + 1), dtype=np.uint8)
+        with pytest.raises(OtError):
+            snd.send(m, m, l + 1)
+        with pytest.raises(OtError):
+            rcv.recv(np.zeros(n, np.uint8), l + 1)
+        assert snd.masks.left() == rcv.masks.left() == n
     assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0
 
 
 def test_ring_message_helpers(channels):
-    p = RingParams(32)
     n = 100
     rng = np.random.default_rng(6)
-    snd, rcv = make_pair(n, channels)
-    m0 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
-    m1 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    _, got = run_parties(
-        lambda: snd.send_ring(m0, m1, p), lambda: rcv.recv_ring(b, p)
-    )
-    assert np.array_equal(got, np.where(b.astype(bool), m1, m0))
+    for l in (8, 16, 32, 64):
+        p = RingParams(l)
+        snd, rcv = make_pair(n, channels, l)
+        m0 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
+        m1 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
+        b = rng.integers(0, 2, size=n, dtype=np.uint8)
+        _, got = run_parties(
+            lambda: snd.send_ring(m0, m1, p), lambda: rcv.recv_ring(b, p)
+        )
+        assert np.array_equal(got, np.where(b.astype(bool), m1, m0)), l
 
 
 def test_mask_exhaustion(channels):
@@ -128,7 +133,7 @@ def test_mask_exhaustion(channels):
     assert snd.masks.left() == 10  # a failed draw takes nothing
     rcv.masks.take(5)
     with pytest.raises(Exhausted):
-        rcv.recv(np.zeros(6, np.uint8), 128)
+        rcv.recv(np.zeros(6, np.uint8), 32)
     assert rcv.masks.left() == 5
     assert c1.ledger.messages() == 0
 
@@ -136,13 +141,13 @@ def test_mask_exhaustion(channels):
 def test_width_mismatch_rejected(channels):
     snd, _ = make_pair(4, channels)
     with pytest.raises(OtError):
-        snd.send(np.zeros((4, 16), np.uint8), np.zeros((4, 8), np.uint8), 128)
+        snd.send(np.zeros((4, 4), np.uint8), np.zeros((4, 2), np.uint8), 32)
 
 
 def test_zero_width_batch_sends_nothing(channels):
     c0, c1 = channels
     snd, rcv = make_pair(4, channels)
-    snd.send(np.zeros((0, 16), np.uint8), np.zeros((0, 16), np.uint8), 128)
-    out = rcv.recv(np.zeros(0, np.uint8), 128)
-    assert out.shape == (0, 16)
+    snd.send(np.zeros((0, 4), np.uint8), np.zeros((0, 4), np.uint8), 32)
+    out = rcv.recv(np.zeros(0, np.uint8), 32)
+    assert out.shape == (0, 4)
     assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0

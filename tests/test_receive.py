@@ -58,9 +58,9 @@ T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST *
 # site: (the party's call on its channel, every frame the fake peer sends
 # it as (type, due size), and the index of the frame whose size is spoiled)
 SITES = {
-    "OT_CHOICES": (lambda ch: OtSender(ot_masks(20)[0], ch).send(
+    "OT_CHOICES": (lambda ch: OtSender(ot_masks(20, 8)[0], ch).send(
         _zeros((20, 1)), _zeros((20, 1)), 8), [(transport.OT_CHOICES, 3)], 0),
-    "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4)[1:], ch).recv(_zeros(4), 8),
+    "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4, 8)[1:], ch).recv(_zeros(4), 8),
                  [(transport.OT_PAIRS, 2 * 4)], 0),
     "OT_CHOICES-labels": (_gc_garble_on_labels, [(transport.OT_CHOICES, (8 * NINST + 7) // 8)],
                           0),

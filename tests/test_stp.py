@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from hybrid2pc import stp, transport
-from hybrid2pc.correlated import ResourceManifest, open_bundle
+from hybrid2pc import ml, stp, transport
+from hybrid2pc.correlated import ResourceManifest, bundle_size, open_bundle
 from hybrid2pc.drbg import SEED_BYTES
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import ByteLedger, RemoteError
@@ -82,6 +82,34 @@ def test_bundles_satisfy_relations(server):
     for v0, v1, a2, a3 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar, m1.vdp_scalar):
         dot = ((v0 * v1) & mask).sum(axis=1) & mask
         assert np.array_equal((a2 + a3) & mask, dot)
+
+
+# Role 1's bundle for the three benchmarked manifests, planned at the
+# benchmark's shapes (conv 5x5, stride 2, pad (1, 2), 5 maps; FC 980x100;
+# FC 100x10; SVM d = 100; l = 32, alpha = 7, beta = 12): the seed, then l
+# bits per A-MT, OT and dot product, one bit per B-MT and 128 per label.
+BENCHMARKED_BUNDLES = {"mnist-lan-b20": 12_941_732, "mnist-wan-b1": 644_552, "svm-psk-b1": 548}
+
+
+def _benchmarked_manifest(name):
+    p, sid = RingParams(32, 7, 12), secrets.token_bytes(16)
+    if name == "svm-psk-b1":
+        return ml.plan_svm_manifest(100, 1, p, sid)
+    net = ml.mnist_like_net(np.random.default_rng(0), p)
+    batch, profile = {"mnist-lan-b20": (20, ml.LAN), "mnist-wan-b1": (1, ml.WAN)}[name]
+    return ml.plan_nn_manifest(net, p, batch, profile, sid)
+
+
+@pytest.mark.parametrize("name", BENCHMARKED_BUNDLES)
+def test_benchmarked_bundle_sizes(server, name):
+    m = _benchmarked_manifest(name)
+    products = sum(n for n, _ in m.vdp_blocks)
+    closed = (32 + 4 * (m.num_amt + m.num_ot + products) + (m.num_bmt + 7) // 8
+              + 16 * m.num_labels)
+    assert closed == bundle_size(1, m) == BENCHMARKED_BUNDLES[name]
+    (_, b1), errs, ledgers = fetch_both(server, {0: m, 1: m})
+    assert errs == [None, None] and len(b1) == closed
+    assert ledgers[1].payload_bytes(direction="recv", peer="stp") == closed
 
 
 def test_manifest_mismatch_rejected(server):
