@@ -4,8 +4,8 @@ Circuits are netlists of two-input XOR/AND gates plus free NOT, listed in
 topological order over wires. Wire 0 is constant 0 and wire 1 constant 1;
 the builder folds constants so gates never read the constant wires (they
 may still appear as outputs, e.g. the forced-zero sign bit of ReLU).
-Registers turn the netlist sequential: a register's q wire acts as a
-source each cycle, loaded from its d wire at the end of the previous one.
+Every netlist is combinational: one pass computes its outputs, and the
+instance axis carries a batch.
 
 Two build styles exist where it matters: "size" (ripple structures, the
 fewest ANDs, used under garbling where only AND count is paid) and
@@ -56,13 +56,6 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Register:
-    init: int
-    d: int
-    q: int
-
-
 @dataclass
 class Circuit:
     nwires: int
@@ -73,8 +66,10 @@ class Circuit:
     ga: np.ndarray  # int32 first input wire
     gb: np.ndarray  # int32 second input wire (== ga for NOT)
     go: np.ndarray  # int32 output wire
-    registers: tuple[Register, ...] = ()
     name: str = ""
+    # not a field: netlists hold no state, but perfbench's Probe reads
+    # len(c.registers)
+    registers = ()
     _levelized: "LevelizedCircuit | None" = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -104,12 +99,6 @@ class Circuit:
             if defined[w]:
                 raise CircuitError(f"wire {w} driven twice (input)")
             defined[w] = True
-        for r in self.registers:
-            if r.init not in (0, 1):
-                raise CircuitError("register init must be a bit")
-            if defined[r.q]:
-                raise CircuitError(f"wire {r.q} driven twice (register)")
-            defined[r.q] = True
         for i in range(self.num_gates):
             a, b, o = int(self.ga[i]), int(self.gb[i]), int(self.go[i])
             if self.op[i] not in _OPNAMES:
@@ -118,17 +107,13 @@ class Circuit:
             for w in ins:
                 if not defined[w]:
                     raise CircuitError(
-                        f"gate {i} reads undefined wire {w}: cycle without "
-                        f"register or forward reference"
+                        f"gate {i} reads undefined wire {w}: forward reference"
                     )
                 if w in (CONST0, CONST1):
                     raise CircuitError(f"gate {i} reads a constant wire")
             if defined[o]:
                 raise CircuitError(f"wire {o} driven twice (gate {i})")
             defined[o] = True
-        for r in self.registers:
-            if not defined[r.d]:
-                raise CircuitError(f"register d wire {r.d} never driven")
         for w in self.outputs:
             if not defined[w]:
                 raise CircuitError(f"output wire {w} never driven")
@@ -220,7 +205,7 @@ def levelize(c: Circuit) -> LevelizedCircuit:
 
 
 def run_spans(lc: LevelizedCircuit, vals: np.ndarray, and_level) -> None:
-    """One cycle of lc over vals, a per-wire array with one extra row.
+    """One pass of lc over vals, a per-wire array with one extra row.
 
     Row nwires must hold the interpreter's NOT mask: all ones in the
     clear, R under garbling, 0 for the evaluator, role 0's share under
@@ -247,7 +232,6 @@ class Builder:
         self.inputs0: list[int] = []
         self.inputs1: list[int] = []
         self.outputs: list[int] = []
-        self.registers: list[Register] = []
         # AND-depth per wire, kept up to date so and_tree can pair the
         # shallowest nodes first
         self._level = {CONST0: 0, CONST1: 0}
@@ -304,26 +288,9 @@ class Builder:
             return CONST0
         return self._emit(NOT, a, a)
 
-    def register(self, init: int) -> int:
-        """Allocates the q wire now; drive_register supplies d later."""
-        q = self._wire()
-        self.registers.append(Register(init, -1, q))
-        return q
-
-    def drive_register(self, q: int, d: int):
-        for i, r in enumerate(self.registers):
-            if r.q == q:
-                if r.d != -1:
-                    raise CircuitError("register driven twice")
-                self.registers[i] = Register(r.init, d, q)
-                return
-        raise CircuitError(f"no register with q wire {q}")
-
     def build(self) -> Circuit:
         """Finalise: drop dead gates, renumber wires densely, validate."""
         live = set(self.outputs)
-        for r in self.registers:
-            live.add(r.d)
         keep = []
         for i in range(len(self._ops) - 1, -1, -1):
             if self._go[i] in live:
@@ -334,8 +301,6 @@ class Builder:
         remap = {CONST0: 0, CONST1: 1}
         for w in itertools.chain(self.inputs0, self.inputs1):
             remap[w] = len(remap)
-        for r in self.registers:
-            remap[r.q] = len(remap)
         for i in keep:
             remap[self._go[i]] = len(remap)
         c = Circuit(
@@ -347,9 +312,6 @@ class Builder:
             ga=np.array([remap[self._ga[i]] for i in keep], dtype=np.int32),
             gb=np.array([remap[self._gb[i]] for i in keep], dtype=np.int32),
             go=np.array([remap[self._go[i]] for i in keep], dtype=np.int32),
-            registers=tuple(
-                Register(r.init, remap[r.d], remap[r.q]) for r in self.registers
-            ),
             name=self.name,
         )
         return c.validate()
@@ -688,25 +650,6 @@ def _stage_circuit(kind: str, w: int, shift: int, nvals: int) -> Circuit:
     return b.build()
 
 
-def build_counter(w: int) -> Circuit:
-    """w-bit up-counter; sequential demo circuit, one increment per cycle.
-
-    Outputs the post-increment value, so cc cycles read back cc.
-    """
-    b = Builder(f"counter{w}")
-    qs = [b.register(0) for _ in range(w)]
-    carry = CONST1
-    outs = []
-    for i in range(w):
-        d = b.xor(qs[i], carry)
-        b.drive_register(qs[i], d)
-        outs.append(d)
-        if i < w - 1:
-            carry = b.and_(qs[i], carry)
-    b.outputs = outs
-    return b.build()
-
-
 _BUILDERS = {
     "add": build_add,
     "sub": build_sub,
@@ -733,11 +676,11 @@ def _check_width(w: int):
 # ----- plaintext simulation -----
 
 
-def simulate(c: Circuit, in0, in1, cycles: int = 1) -> np.ndarray:
-    """Cycle-accurate evaluation; instance-vectorised.
+def simulate(c: Circuit, in0, in1) -> np.ndarray:
+    """Gate-by-gate evaluation; instance-vectorised.
 
     in0/in1: uint8 bit arrays of shape (instances, len(inputsX)).
-    Returns final-cycle output bits, shape (instances, len(outputs)).
+    Returns output bits, shape (instances, len(outputs)).
     """
     in0 = np.atleast_2d(np.asarray(in0, dtype=np.uint8))
     in1 = np.atleast_2d(np.asarray(in1, dtype=np.uint8))
@@ -748,25 +691,18 @@ def simulate(c: Circuit, in0, in1, cycles: int = 1) -> np.ndarray:
     vals[CONST1] = 1
     vals[list(c.inputs0)] = in0.T
     vals[list(c.inputs1)] = in1.T
-    for r in c.registers:
-        vals[r.q] = r.init
-    for cyc in range(cycles):
-        if cyc:
-            nxt = [vals[r.d].copy() for r in c.registers]
-            for r, v in zip(c.registers, nxt):
-                vals[r.q] = v
-        for i in range(c.num_gates):
-            a, bb, o = int(c.ga[i]), int(c.gb[i]), int(c.go[i])
-            if c.op[i] == XOR:
-                vals[o] = vals[a] ^ vals[bb]
-            elif c.op[i] == AND:
-                vals[o] = vals[a] & vals[bb]
-            else:
-                vals[o] = vals[a] ^ 1
+    for i in range(c.num_gates):
+        a, bb, o = int(c.ga[i]), int(c.gb[i]), int(c.go[i])
+        if c.op[i] == XOR:
+            vals[o] = vals[a] ^ vals[bb]
+        elif c.op[i] == AND:
+            vals[o] = vals[a] & vals[bb]
+        else:
+            vals[o] = vals[a] ^ 1
     return vals[list(c.outputs)].T
 
 
-def simulate_words(c: Circuit, x0: int | np.ndarray, x1, cycles: int = 1):
+def simulate_words(c: Circuit, x0: int | np.ndarray, x1):
     """Word-level convenience wrapper around simulate()."""
 
     def to_bits(v, width):
@@ -776,7 +712,7 @@ def simulate_words(c: Circuit, x0: int | np.ndarray, x1, cycles: int = 1):
         shifts = np.arange(width, dtype=np.uint64)
         return ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
-    out = simulate(c, to_bits(x0, len(c.inputs0)), to_bits(x1, len(c.inputs1)), cycles)
+    out = simulate(c, to_bits(x0, len(c.inputs0)), to_bits(x1, len(c.inputs1)))
     shifts = np.arange(out.shape[1], dtype=np.uint64)
     vals = (out.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
     return vals
@@ -799,8 +735,6 @@ def emit_circuit(c: Circuit) -> str:
             lines.append(f"NOT {c.ga[i]} {c.go[i]}")
         else:
             lines.append(f"{_OPNAMES[int(c.op[i])]} {c.ga[i]} {c.gb[i]} {c.go[i]}")
-    for r in c.registers:
-        lines.append(f"REG {r.init} {r.d} {r.q}")
     return "\n".join(lines) + "\n"
 
 
@@ -822,14 +756,10 @@ def parse_circuit(text: str) -> Circuit:
             sections[current].append(int(tok))
     nwires = sections["W"][0]
     ops, gas, gbs, gos = [], [], [], []
-    regs = []
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
-        if kind == "REG":
-            init, d, q = map(int, parts[1:])
-            regs.append(Register(init, d, q))
-        elif kind == "NOT":
+        if kind == "NOT":
             a, o = map(int, parts[1:])
             ops.append(NOT), gas.append(a), gbs.append(a), gos.append(o)
         elif kind in ("XOR", "AND"):
@@ -846,6 +776,5 @@ def parse_circuit(text: str) -> Circuit:
         ga=np.array(gas, dtype=np.int32),
         gb=np.array(gbs, dtype=np.int32),
         go=np.array(gos, dtype=np.int32),
-        registers=tuple(regs),
     )
     return c.validate()

@@ -223,14 +223,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    circ = cc.build_by_name(args.name, args.width, args.variant)
+    try:
+        circ = cc.build_by_name(args.name, args.width, args.variant)
+    except cc.CircuitError as e:
+        args.parser.error(str(e))
     text = cc.emit_circuit(circ)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)
-        lc = cc.levelize(circ)
         print(f"{circ.name}: {circ.num_gates} gates, {circ.num_and} AND, "
-              f"depth {lc.depth} -> {args.output}")
+              f"depth {circ.levelized.depth} -> {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -265,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("circuit", help="emit a library circuit as text")
-    s.add_argument("--name", required=True)
+    s.add_argument("--name", required=True, choices=sorted(cc._BUILDERS))
     s.add_argument("--width", type=int, default=32)
     s.add_argument("--variant", choices=(cc.SIZE, cc.DEPTH), default=cc.SIZE)
     s.add_argument("-o", "--output")
-    s.set_defaults(fn=cmd_circuit)
+    s.set_defaults(fn=cmd_circuit, parser=s)
     return ap
 
 

@@ -5,14 +5,12 @@ global offset R whose low bit is 1, so label LSBs double as the
 point-and-permute bits. The garbling hash is the standard fixed-key
 construction H(X, t) = E(2X ^ t) ^ 2X ^ t with E a fixed-key AES-128
 permutation, 2X a one-bit rotation, and a tweak t unique per
-(gate, cycle, instance, half-gate slot) within a session: GcSession
+(gate, instance, half-gate slot) within a session: GcSession
 passes a tweak base that grows by tweak_span() after every run, so a
 label carried into a later run is never hashed under a tweak used before.
 
 Per AND gate two ciphertexts travel (generator and evaluator halves);
-XOR and NOT are free. Sequential circuits garble each cycle afresh; a
-2-ciphertext translation table per register carries the evaluator's
-active label from one cycle's d wire to the next cycle's q wire.
+XOR and NOT are free.
 
 Everything is SIMD over an instance axis. Label state is one array of
 shape (nwires + 1, ninst, 2) holding each label as a little-endian u64
@@ -23,9 +21,9 @@ over fancy-indexed rows, NOT reading a row that holds R (garbler) or 0
 call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R.
 
 A run has one data shape from garbler to evaluator: the labels of each
-input group are one (width, ninst, 16) array, and every cycle's tables
-are written, in order, into one preallocated buffer that GcSession sends
-as one GC_TABLES frame. The conversions into and out of the garbled
+input group are one (width, ninst, 16) array, and its tables are written,
+level by level, into one preallocated buffer that GcSession sends as one
+GC_TABLES frame. The conversions into and out of the garbled
 domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
@@ -61,7 +59,6 @@ FIXED_KEY = b"hybrid2pc-fixkey"
 
 _SLOT_GEN = 0
 _SLOT_EVAL = 1
-_SLOT_REG = 2
 
 _U64 = np.dtype("<u8")
 _ONE = np.uint64(1)
@@ -133,9 +130,9 @@ def _fresh(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(0, 256, size=shape + (16,), dtype=np.uint8)
 
 
-def tweak_span(c: Circuit, cycles: int, ninst: int) -> int:
+def tweak_span(c: Circuit, ninst: int) -> int:
     """Tweak counters one garbling of c uses, from its base upwards."""
-    return cycles * max(c.num_gates, len(c.registers)) * ninst
+    return c.num_gates * ninst
 
 
 @dataclass
@@ -152,20 +149,18 @@ class YaoShare:
 
 @dataclass
 class Garbling:
-    tables: bytearray  # every cycle's tables, in cycle order
+    tables: bytearray  # every AND level's tables, in level order
     in_zero: np.ndarray  # (len(inputs0) + len(inputs1), ninst, 16), inputs0 first
-    reg_zero: np.ndarray  # (nregs, ninst, 16) cycle-0 q zero labels
-    out_zero: np.ndarray  # (nout, ninst, 16) final-cycle zero labels
+    out_zero: np.ndarray  # (nout, ninst, 16) output zero labels
     decode: np.ndarray  # (nout, ninst) decode bits
 
 
-def _table_bytes(c: Circuit, cycles: int, ninst: int) -> int:
-    """Bytes of a run's tables: two ciphertexts per AND gate per cycle and,
-    after cycle 0, two per register per cycle, for every instance."""
-    return 32 * (c.num_and * cycles + len(c.registers) * (cycles - 1)) * ninst
+def _table_bytes(c: Circuit, ninst: int) -> int:
+    """Bytes of a run's tables: two ciphertexts per AND gate per instance."""
+    return 32 * c.num_and * ninst
 
 
-def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
+def garble(c: Circuit, rng: np.random.Generator, R: np.ndarray,
            ninst: int = 1, preset=None, tweak: int = 0) -> Garbling:
     """Garble ninst instances of the circuit; deterministic given rng.
 
@@ -173,7 +168,6 @@ def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
     labels to use, or None to draw fresh ones. tweak is the first tweak
     counter; the run uses tweak_span() of them.
     """
-    lc = c.levelized
     R64 = R.view(_U64)
     rR = _rotl1(R64)
     zero = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)
@@ -188,118 +182,74 @@ def garble(c: Circuit, cycles: int, rng: np.random.Generator, R: np.ndarray,
         if pre is not None:
             zero8[ws] = pre
     in_zero = zero8[groups[0] + groups[1]]
-    reg_q = [r.q for r in c.registers]
-    reg_d = [r.d for r in c.registers]
-    nregs = len(reg_q)
-    if nregs:
-        # q labels are re-randomised every cycle; keep the cycle-0 pair
-        zero8[reg_q] = _fresh(rng, (nregs, ninst))
-    reg_zero = zero8[reg_q]
-    tables = bytearray(_table_bytes(c, cycles, ninst))
+    tables = bytearray(_table_bytes(c, ninst))
     table = np.frombuffer(tables, dtype=_U64)
     pos = 0
-    for cyc in range(cycles):
-        if cyc and nregs:
-            # register translation: fresh q labels keyed by old d labels
-            old = zero[reg_d]  # (nregs, ninst, 2)
-            fresh_q = _fresh(rng, (nregs, ninst)).view(_U64)
-            blk = np.empty((2,) + old.shape, dtype=_U64)
-            _rotl1(old, blk[0])
-            np.bitwise_xor(blk[0], rR, out=blk[1])
-            h0, h1 = _hash(blk, _ids(np.arange(nregs), ninst,
-                                     tweak + (cyc - 1) * nregs * ninst),
-                           (_SLOT_REG, _SLOT_REG))
-            row_a = h0 ^ fresh_q  # goes to slot lsb(O0)
-            row_b = h1 ^ fresh_q ^ R64  # goes to slot lsb(O1) = 1 - lsb(O0)
-            swap = (row_a ^ row_b) & _sel(old)
-            rows = table[pos : pos + 4 * nregs * ninst].reshape(nregs, ninst, 2, 2)
-            pos += 4 * nregs * ninst
-            np.bitwise_xor(row_a, swap, out=rows[:, :, 0])
-            np.bitwise_xor(row_b, swap, out=rows[:, :, 1])
-            zero[reg_q] = fresh_q
-        base = tweak + cyc * c.num_gates * ninst
 
-        def garble_and(span, A0, B0):
-            nonlocal pos
-            g = len(span.ands)
-            blk = np.empty((4, g, ninst, 2), dtype=_U64)
-            _rotl1(A0, blk[0])
-            np.bitwise_xor(blk[0], rR, out=blk[1])
-            _rotl1(B0, blk[2])
-            np.bitwise_xor(blk[2], rR, out=blk[3])
-            ha0, ha1, hb0, hb1 = _hash(blk, _ids(span.ands, ninst, base),
-                                       (_SLOT_GEN, _SLOT_GEN, _SLOT_EVAL, _SLOT_EVAL))
-            pa, pb = _sel(A0), _sel(B0)
-            pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
-            pos += 4 * g * ninst
-            tg, te = pair[:, :, 0], pair[:, :, 1]
-            np.bitwise_xor(ha0, ha1, out=tg)
-            tg ^= R64 & pb
-            hb1 ^= hb0  # te ^ A0
-            np.bitwise_xor(hb1, A0, out=te)
-            hb1 &= pb
-            ha0 ^= hb0
-            ha0 ^= hb1
-            ha0 ^= tg & pa
-            return ha0
+    def garble_and(span, A0, B0):
+        nonlocal pos
+        g = len(span.ands)
+        blk = np.empty((4, g, ninst, 2), dtype=_U64)
+        _rotl1(A0, blk[0])
+        np.bitwise_xor(blk[0], rR, out=blk[1])
+        _rotl1(B0, blk[2])
+        np.bitwise_xor(blk[2], rR, out=blk[3])
+        ha0, ha1, hb0, hb1 = _hash(blk, _ids(span.ands, ninst, tweak),
+                                   (_SLOT_GEN, _SLOT_GEN, _SLOT_EVAL, _SLOT_EVAL))
+        pa, pb = _sel(A0), _sel(B0)
+        pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
+        pos += 4 * g * ninst
+        tg, te = pair[:, :, 0], pair[:, :, 1]
+        np.bitwise_xor(ha0, ha1, out=tg)
+        tg ^= R64 & pb
+        hb1 ^= hb0  # te ^ A0
+        np.bitwise_xor(hb1, A0, out=te)
+        hb1 &= pb
+        ha0 ^= hb0
+        ha0 ^= hb1
+        ha0 ^= tg & pa
+        return ha0
 
-        run_spans(lc, zero, garble_and)
+    run_spans(c.levelized, zero, garble_and)
     out_zero = zero8[list(c.outputs)]
     decode = _lsb(out_zero)
     for k, w in enumerate(c.outputs):
         if w in (CONST0, CONST1):
             decode[k] = w  # carries the public value itself
-    return Garbling(tables, in_zero, reg_zero, out_zero, decode)
+    return Garbling(tables, in_zero, out_zero, decode)
 
 
-def evaluate(c: Circuit, cycles: int, tables, active_in: np.ndarray,
-             reg_active: np.ndarray, ninst: int = 1, tweak: int = 0) -> np.ndarray:
+def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
+             tweak: int = 0) -> np.ndarray:
     """Walk the garbling with active labels; returns (nout, ninst, 16).
 
-    active_in and reg_active are shaped as Garbling.in_zero and reg_zero;
-    tweak must equal the garbler's.
+    active_in is shaped as Garbling.in_zero; tweak must equal the garbler's.
     """
-    if len(tables) != _table_bytes(c, cycles, ninst):
+    if len(tables) != _table_bytes(c, ninst):
         raise GcError("table buffer length mismatch")
-    lc = c.levelized
     act = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)  # NOT row stays 0
     act8 = act.view(np.uint8)
     act8[[*c.inputs0, *c.inputs1]] = active_in
-    reg_q = [r.q for r in c.registers]
-    reg_d = [r.d for r in c.registers]
-    nregs = len(reg_q)
-    act8[reg_q] = reg_active
     table = np.frombuffer(tables, dtype=_U64)
     pos = 0
-    for cyc in range(cycles):
-        if cyc and nregs:
-            old = act[reg_d]
-            rows = table[pos : pos + 4 * nregs * ninst].reshape(nregs, ninst, 2, 2)
-            pos += 4 * nregs * ninst
-            blk = _rotl1(old)[None]
-            (h,) = _hash(blk, _ids(np.arange(nregs), ninst,
-                                   tweak + (cyc - 1) * nregs * ninst), (_SLOT_REG,))
-            sel = _sel(old)
-            act[reg_q] = h ^ rows[:, :, 0] ^ ((rows[:, :, 0] ^ rows[:, :, 1]) & sel)
-        base = tweak + cyc * c.num_gates * ninst
 
-        def evaluate_and(span, Aa, Ba):
-            nonlocal pos
-            g = len(span.ands)
-            blk = np.empty((2, g, ninst, 2), dtype=_U64)
-            _rotl1(Aa, blk[0])
-            _rotl1(Ba, blk[1])
-            ha, hb = _hash(blk, _ids(span.ands, ninst, base), (_SLOT_GEN, _SLOT_EVAL))
-            pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
-            pos += 4 * g * ninst
-            te = pair[:, :, 1] ^ Aa
-            te &= _sel(Ba)
-            ha ^= hb
-            ha ^= te
-            ha ^= pair[:, :, 0] & _sel(Aa)
-            return ha
+    def evaluate_and(span, Aa, Ba):
+        nonlocal pos
+        g = len(span.ands)
+        blk = np.empty((2, g, ninst, 2), dtype=_U64)
+        _rotl1(Aa, blk[0])
+        _rotl1(Ba, blk[1])
+        ha, hb = _hash(blk, _ids(span.ands, ninst, tweak), (_SLOT_GEN, _SLOT_EVAL))
+        pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
+        pos += 4 * g * ninst
+        te = pair[:, :, 1] ^ Aa
+        te &= _sel(Ba)
+        ha ^= hb
+        ha ^= te
+        ha ^= pair[:, :, 0] & _sel(Aa)
+        return ha
 
-        run_spans(lc, act, evaluate_and)
+    run_spans(c.levelized, act, evaluate_and)
     return act8[list(c.outputs)]
 
 
@@ -359,15 +309,18 @@ class GcSession:
           ("yao", ys)    labels retained from b2y or an earlier run
           None           empty group; a group with wires raises GcError
         decode: "evaluator", "both", or "none" (keep labels for y2b).
+        cycles must be 1: every circuit is combinational.
         Returns decoded bits (nout, ninst) or a YaoShare when "none".
         """
+        if cycles != 1:
+            raise GcError(f"a circuit runs for one cycle, not {cycles}")
         for k, (bind, group) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
             if bind is None and group:
                 raise GcError(f"input group {k} has {len(group)} wires but no binding")
         kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
         run = self._run_garbler if self.role == 0 else self._run_evaluator
-        out = run(c, kinds, vals, cycles, ninst, decode)
-        self.tweak += tweak_span(c, cycles, ninst)
+        out = run(c, kinds, vals, ninst, decode)
+        self.tweak += tweak_span(c, ninst)
         return out
 
     def run_shares(self, c: Circuit, bits: np.ndarray, ninst: int, decode: str):
@@ -377,7 +330,7 @@ class GcSession:
         binds = (mine, theirs) if self.role == 0 else (theirs, mine)
         return self.run(c, *binds, ninst=ninst, decode=decode)
 
-    def _run_garbler(self, c, kinds, vals, cycles, ninst, decode):
+    def _run_garbler(self, c, kinds, vals, ninst, decode):
         preset = [np.swapaxes(v.labels, 0, 1) if k == "yao" else None
                   for k, v in zip(kinds, vals)]
         if kinds[1] == "bits" and c.inputs1:
@@ -385,16 +338,14 @@ class GcSession:
             n1 = len(c.inputs1)
             zero = self.input_labels(np.zeros(n1 * ninst, np.uint8))
             preset[1] = zero.reshape(n1, ninst, 16)
-        g = garble(c, cycles, self.rng, self.R, ninst, preset, self.tweak)
+        g = garble(c, self.rng, self.R, ninst, preset, self.tweak)
         self.channel.send(transport.GC_TABLES, g.tables)
-        # active labels for garbler-known bits, then register initials
+        # active labels for garbler-known bits
         k0 = len(c.inputs0) if kinds[0] == "bits" else 0
-        known = np.concatenate((g.in_zero[:k0], g.reg_zero))
         if k0:
-            known[:k0] ^= _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
-        init = np.array([r.init for r in c.registers], np.uint8)
-        known[k0:] ^= _mask16(init[:, None], self.R)
-        if len(known):
+            known = g.in_zero[:k0]
+            # in place: the frame's memoryview cast needs C order
+            known ^= _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
             self.channel.send(transport.GC_INLABELS, known)
         if decode == "none":
             return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
@@ -407,7 +358,7 @@ class GcSession:
             return bits.reshape(g.decode.shape)
         return None
 
-    def _run_evaluator(self, c, kinds, vals, cycles, ninst, decode):
+    def _run_evaluator(self, c, kinds, vals, ninst, decode):
         n0, n1 = len(c.inputs0), len(c.inputs1)
         active = np.empty((n0 + n1, ninst, 16), np.uint8)
         for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
@@ -416,15 +367,12 @@ class GcSession:
         if kinds[1] == "bits" and n1:
             bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
             active[n0:] = self.input_labels(bits.T).reshape(n1, ninst, 16)
-        nbytes = _table_bytes(c, cycles, ninst)
-        tables = self.channel.recv_expect(transport.GC_TABLES, nbytes)
+        tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
         k0 = n0 if kinds[0] == "bits" else 0
-        shape = (k0 + len(c.registers), ninst, 16)
-        raw = (self.channel.recv_expect(transport.GC_INLABELS, shape[0] * ninst * 16)
-               if shape[0] else b"")
-        known = np.frombuffer(raw, np.uint8).reshape(shape)
-        active[:k0] = known[:k0]
-        out_active = evaluate(c, cycles, tables, active, known[k0:], ninst, self.tweak)
+        if k0:
+            raw = self.channel.recv_expect(transport.GC_INLABELS, k0 * ninst * 16)
+            active[:k0] = np.frombuffer(raw, np.uint8).reshape(k0, ninst, 16)
+        out_active = evaluate(c, tables, active, ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.swapaxes(out_active, 0, 1), 1)
         nout = len(c.outputs)

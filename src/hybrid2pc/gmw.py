@@ -11,7 +11,7 @@ the packed (d, e) bits, and combine
     z_i = (b_i & d) ^ (a_i & e) ^ c_i  [^ (d & e) at role 0]
 
 Triples are drawn from a single-use supply (correlated.Supply) in
-(level, gate, instance, cycle) order so both parties stay aligned without
+(level, gate, instance) order so both parties stay aligned without
 negotiation; every level frame carries a round index and mismatches abort
 with a desync error.
 """
@@ -68,7 +68,12 @@ class GmwEngine:
 
     def evaluate(self, lc: LevelizedCircuit, in0: BoolShare, in1: BoolShare,
                  cycles: int = 1) -> BoolShare:
-        """Evaluate shares of the circuit in AND levels x cycles exchanges."""
+        """Evaluate shares of the circuit in one exchange per AND level.
+
+        cycles must be 1: every circuit is combinational.
+        """
+        if cycles != 1:
+            raise GmwError(f"a circuit runs for one cycle, not {cycles}")
         c = lc.circuit
         ninst = max(in0.bits.shape[0], in1.bits.shape[0])
         if in0.width != len(c.inputs0) or in1.width != len(c.inputs1):
@@ -81,14 +86,7 @@ class GmwEngine:
             vals[list(c.inputs0)] = in0.bits.T
         if c.inputs1:
             vals[list(c.inputs1)] = in1.bits.T
-        reg_q = [r.q for r in c.registers]
-        reg_d = [r.d for r in c.registers]
-        if reg_q and self.role == 0:
-            vals[reg_q] = np.array([r.init for r in c.registers], np.uint8)[:, None]
-        for cyc in range(cycles):
-            if cyc and reg_q:
-                vals[reg_q] = vals[reg_d]
-            run_spans(lc, vals, self._and_level)
+        run_spans(lc, vals, self._and_level)
         return BoolShare(vals[list(c.outputs)].T, self.role)
 
     def _and_level(self, span: Span, x: np.ndarray, y: np.ndarray) -> np.ndarray:

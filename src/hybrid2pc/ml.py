@@ -215,6 +215,8 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
     garbles a whole stage; lan garbles only the identity stage of an Act
     or MaxPool and runs relu or max in GMW on its l - shift output bits.
     """
+    if profile not in (LAN, WAN):
+        raise MlError(f"unknown profile {profile!r}: use {LAN!r} or {WAN!r}")
     last = len(net.layers) - 1
     if last < 0:
         raise MlError("a net must end in exactly one ArgMax; this one has no layers")

@@ -119,7 +119,7 @@ def test_criterion_2_online_communication_1000_ops():
     for name in ("add", "sub", "cmp", "eq", "mux", "relu", "bitand", "bitxor"):
         circ = cc.build_by_name(name, 32)
         rng = np.random.default_rng(3)
-        tabs = garble(circ, 1, rng, new_offset(rng), ninst=n).tables
+        tabs = garble(circ, rng, new_offset(rng), ninst=n).tables
         assert len(tabs) == 2 * 16 * circ.num_and * n, name
         table_checks.append(name)
     dt = time.time() - t0

@@ -52,9 +52,9 @@ def test_probe_entry_points_keep_their_signatures(owner, name, params):
 # Data that perfbench reads, beyond calls: spans._dealt reads a manifest's
 # vdp_lengths, num_ot and num_bmt; Probe.gmw_eval iterates a levelized
 # circuit's schedule as (locals, ands) pairs; Probe.gc_run reads a
-# circuit's num_and and len(registers) for its GC_TABLES byte check; the
-# b2a counter reads BoolShare.bits. A rename would zero those metrics
-# silently.
+# circuit's num_and and len(registers), which is 0 since every circuit is
+# combinational, for its GC_TABLES byte check; the b2a counter reads
+# BoolShare.bits. A rename would zero those metrics silently.
 
 
 def test_manifest_exposes_dealt_counts():
@@ -71,8 +71,8 @@ def test_levelized_schedule_yields_locals_and_ands():
 
 
 def test_circuit_exposes_and_count_and_registers():
-    c = circuits.build_counter(4)
-    assert (c.num_and, len(c.registers)) == (2, 4)
+    c = circuits.build_add(4, circuits.SIZE)
+    assert (c.num_and, len(c.registers)) == (3, 0)
 
 
 def test_bool_share_exposes_bits():

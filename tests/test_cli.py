@@ -60,6 +60,19 @@ def test_circuit_command(tmp_path, capsys):
     assert text.startswith("W ")
     c = cc.parse_circuit(text)
     assert cc.levelize(c).depth == 3
+    assert "depth 3 ->" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--name", "nope"], "invalid choice: 'nope'"),
+    (["--name", "add", "--width", "99"], "width 99 out of range"),
+], ids=["name", "width"])
+def test_circuit_command_rejects_bad_arguments(args, message, capsys):
+    # a usage error, exit 2, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["circuit", *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def _spawn(args):

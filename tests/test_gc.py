@@ -26,14 +26,14 @@ def from_bits(bits):
     return (bits.astype(np.uint64).T << sh).sum(axis=1, dtype=np.uint64)
 
 
-def run_circuit(channels, circ, x, y, cycles=1, decode="evaluator"):
+def run_circuit(channels, circ, x, y, decode="evaluator"):
     ninst = max(len(np.atleast_1d(x)), 1)
     g, e = gc_sessions(*channels, len(circ.inputs1) * ninst)
     bits0 = to_bits(x, len(circ.inputs0)) if len(circ.inputs0) else None
     bits1 = to_bits(y, len(circ.inputs1)) if len(circ.inputs1) else None
     r0, r1 = run_parties(
-        lambda: g.run(circ, ("bits", bits0), ("bits", None), cycles, ninst, decode),
-        lambda: e.run(circ, ("bits", None), ("bits", bits1), cycles, ninst, decode),
+        lambda: g.run(circ, ("bits", bits0), ("bits", None), ninst=ninst, decode=decode),
+        lambda: e.run(circ, ("bits", None), ("bits", bits1), ninst=ninst, decode=decode),
     )
     return r0, r1
 
@@ -46,7 +46,7 @@ def test_and_truth_table(channels):
 
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
-    g = garble(cc.build_bitxor(16), 1, rng, new_offset(rng), ninst=4)
+    g = garble(cc.build_bitxor(16), rng, new_offset(rng), ninst=4)
     assert len(g.tables) == 0
 
 
@@ -54,7 +54,7 @@ def test_table_bytes_exact():
     rng = np.random.default_rng(0)
     for circ in (cc.build_add(32, "size"), cc.build_cmp(16, "depth")):
         for ninst in (1, 7):
-            g = garble(circ, 1, rng, new_offset(rng), ninst=ninst)
+            g = garble(circ, rng, new_offset(rng), ninst=ninst)
             assert len(g.tables) == 32 * circ.num_and * ninst
 
 
@@ -63,7 +63,7 @@ def test_garble_determinism():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        g = garble(c, 1, rng, new_offset(rng), ninst=3)
+        g = garble(c, rng, new_offset(rng), ninst=3)
         runs.append((bytes(g.tables), g.decode.tobytes()))
     assert runs[0] == runs[1]
 
@@ -129,26 +129,24 @@ def test_decode_policy_both(channels):
     assert from_bits(r0)[0] == from_bits(r1)[0] == (100 + 200) % 256
 
 
-def test_sequential_counter_over_channel(channels):
-    circ = cc.build_counter(8)
-    cycles, ninst = 6, 2
-    _, out = run_circuit(channels, circ, np.zeros((ninst, 0), np.uint8),
-                         np.zeros((ninst, 0), np.uint8), cycles=cycles)
-    assert np.array_equal(from_bits(out), [6, 6])
-    # every cycle's tables and register translations cross as one frame
-    led = channels[0].ledger
-    assert led.messages(msg_type=transport.GC_TABLES, direction="sent") == 1
-    nregs = len(circ.registers)
-    assert led.payload_bytes(msg_type=transport.GC_TABLES, direction="sent") == (
-        32 * (circ.num_and * cycles + nregs * (cycles - 1)) * ninst)
-
-
 def test_short_table_buffer_rejected():
-    circ = cc.build_counter(4)
+    circ = cc.build_add(8, "size")
     rng = np.random.default_rng(9)
-    g = garble(circ, 3, rng, new_offset(rng), ninst=2)
+    g = garble(circ, rng, new_offset(rng), ninst=2)
     with pytest.raises(gc_mod.GcError):
-        evaluate(circ, 3, g.tables[:-8], g.in_zero, g.reg_zero, 2)
+        evaluate(circ, g.tables[:-8], g.in_zero, 2)
+
+
+def test_more_than_one_cycle_rejected(channels):
+    # every circuit is combinational: a second cycle is refused before
+    # either role sends a frame
+    circ = cc.build_add(8, "size")
+    bits = np.zeros((1, 8), np.uint8)
+    g, e = gc_sessions(*channels, 8)
+    with pytest.raises(gc_mod.GcError, match="one cycle"):
+        run_parties(lambda: g.run(circ, ("bits", bits), ("bits", None), cycles=2),
+                    lambda: e.run(circ, ("bits", None), ("bits", bits), cycles=2))
+    assert [c.ledger.messages() for c in channels] == [0, 0]
 
 
 @pytest.mark.parametrize("group", [0, 1])
@@ -186,7 +184,7 @@ def test_label_hygiene_permute_bits_balanced():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         R = new_offset(rng)
-        g = garble(c, 1, rng, R, ninst=1)
+        g = garble(c, rng, R, ninst=1)
         lsbs.append(int(g.in_zero[0, 0, 0] & 1))
     ones = sum(lsbs)
     assert 60 <= ones <= 140  # ~Binomial(200, 1/2), far beyond 6 sigma
@@ -236,13 +234,13 @@ def test_gc_rounds_constant_in_size(channels):
 def _garble_digest(jobs) -> str:
     """Garble and evaluate (all-zero inputs) every job; digest everything."""
     h = hashlib.sha256()
-    for circ, cycles, ninst, seed in jobs:
+    for circ, ninst, seed in jobs:
         rng = np.random.default_rng(seed)
-        g = garble(circ, cycles, rng, new_offset(rng), ninst=ninst)
+        g = garble(circ, rng, new_offset(rng), ninst=ninst)
         h.update(g.tables)
-        for labels in (g.in_zero, g.reg_zero, g.out_zero, g.decode):
+        for labels in (g.in_zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
-        out = evaluate(circ, cycles, g.tables, g.in_zero, g.reg_zero, ninst)
+        out = evaluate(circ, g.tables, g.in_zero, ninst)
         h.update(out.tobytes())
     return h.hexdigest()
 
@@ -250,8 +248,8 @@ def _garble_digest(jobs) -> str:
 def test_concurrent_garbling_matches_serial():
     # the fixed-key hash keeps one AES context per thread; two threads
     # garbling at once must produce exactly the serial tables and labels
-    jobs = [(cc.build_add(32, "size"), 1, 5, 1), (cc.build_cmp(16, "depth"), 1, 9, 2),
-            (cc.build_counter(6), 4, 3, 3), (cc.build_relu(32), 1, 16, 4)]
+    jobs = [(cc.build_add(32, "size"), 5, 1), (cc.build_cmp(16, "depth"), 9, 2),
+            (cc.build_relu(32), 16, 4)]
     serial = _garble_digest(jobs)
     start = threading.Barrier(2)
     got = []
@@ -270,7 +268,7 @@ def _active(circ, g, R, in0, in1):
     return g.in_zero ^ (bits[..., None] * R)
 
 
-def _interpreter_digest(circ, cycles, ninst, seed, preset):
+def _interpreter_digest(circ, ninst, seed, preset):
     """Garble and evaluate on random inputs; check the decoded outputs
     against simulate and digest tables, labels, decode bits and outputs."""
     rng = np.random.default_rng(seed)
@@ -278,23 +276,21 @@ def _interpreter_digest(circ, cycles, ninst, seed, preset):
     aux = np.random.default_rng(seed + 1000)
     pre = (None, np.stack([aux.integers(0, 256, (ninst, 16), dtype=np.uint8)
                            for _ in circ.inputs1])) if preset else None
-    g = garble(circ, cycles, rng, R, ninst=ninst, preset=pre)
+    g = garble(circ, rng, R, ninst=ninst, preset=pre)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    init = np.array([r.init for r in circ.registers], np.uint8)
-    reg_active = g.reg_zero ^ (init[:, None, None] * R)
-    out = evaluate(circ, cycles, g.tables, _active(circ, g, R, in0, in1), reg_active, ninst)
+    out = evaluate(circ, g.tables, _active(circ, g, R, in0, in1), ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
-    assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1, cycles))
+    assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1))
     h = hashlib.sha256()
     h.update(g.tables)
-    for arr in (g.in_zero, g.reg_zero, g.out_zero, g.decode, out):
+    for arr in (g.in_zero, g.out_zero, g.decode, out):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
 # Recorded with the per-gate interpreter that preceded the layered one. The
-# circuits are "depth" builds and the counter, whose netlists are fixed.
+# circuits are "depth" builds, whose netlists are fixed.
 _GOLDEN = {
     ("add16", 1, False): "84b8fa0452125eb321f6bea9c82676a4d5c6462e7ace269a249bcdfe4adaf158",
     ("add16", 7, False): "cab0388e0adb73c311e85208a437e268ca7e807b4fa6fbdf4db9557463b92955",
@@ -303,23 +299,18 @@ _GOLDEN = {
     ("cmp32", 7, False): "e7abc850ddb9788ba48b6b19efc3e505701fa21d5d357ec98bdc0eb56ba6543c",
     ("max4x8", 1, False): "829ebaafa529cd0e7a6f913bb043545558ca2849f98f4f199b93dbef30b20b63",
     ("max4x8", 7, False): "dbadefe97a7d08a1d2ddce4309bea76736936ea1c698d5d13aebf13ea75da6f7",
-    ("counter4", 1, False): "d1a752335099a06c16b3e02399e78fc113395823ace9b3b13ef39d71604c12a0",
-    ("counter4", 7, False): "2aced24b2b6d08dcc66476b699a1fe15cde592e9e7a1f8eacd9ee33ac4f47417",
 }
 
 
-@pytest.mark.parametrize("name,cycles,ninst,preset", [
-    ("add16", 1, 1, False), ("add16", 1, 7, False), ("add16", 1, 7, True),
-    ("cmp32", 1, 1, False), ("cmp32", 1, 7, False),
-    ("max4x8", 1, 1, False), ("max4x8", 1, 7, False),
-    ("counter4", 3, 1, False), ("counter4", 3, 7, False),
-])
-def test_interpreter_golden_digests(name, cycles, ninst, preset):
+# Each id keeps a 1 after the name, where ids carried a cycle count when
+# circuits could be sequential, so the ids stay those the suite has run.
+@pytest.mark.parametrize("name,ninst,preset", list(_GOLDEN),
+                         ids=[f"{n}-1-{i}-{p}" for n, i, p in _GOLDEN])
+def test_interpreter_golden_digests(name, ninst, preset):
     circ = {"add16": lambda: cc.build_add(16, "depth"),
             "cmp32": lambda: cc.build_cmp(32, "depth"),
-            "max4x8": lambda: cc.build_max_tree(4, 8, "depth"),
-            "counter4": lambda: cc.build_counter(4)}[name]()
-    got = _interpreter_digest(circ, cycles, ninst, seed=ninst + 17, preset=preset)
+            "max4x8": lambda: cc.build_max_tree(4, 8, "depth")}[name]()
+    got = _interpreter_digest(circ, ninst, seed=ninst + 17, preset=preset)
     assert got == _GOLDEN[(name, ninst, preset)]
 
 
@@ -382,8 +373,8 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     in1 = rng.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
     expect = cc.simulate(circ, in0, in1)
     R = new_offset(rng)
-    g = garble(circ, 1, rng, R, ninst=ninst)
-    out = evaluate(circ, 1, g.tables, _active(circ, g, R, in0, in1), g.reg_zero, ninst)
+    g = garble(circ, rng, R, ninst=ninst)
+    out = evaluate(circ, g.tables, _active(circ, g, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     assert np.array_equal(_gmw_outputs(circ, in0, in1, rng), expect)
 

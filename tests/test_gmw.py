@@ -30,18 +30,18 @@ def from_bits(bits):
     return (bits.astype(np.uint64) << sh).sum(axis=1, dtype=np.uint64)
 
 
-def eval_both(channels, circ, x, y, num_bmt=None, cycles=1, seed=0):
+def eval_both(channels, circ, x, y, num_bmt=None, seed=0):
     """Share x/y randomly, evaluate on both sides, reconstruct outputs."""
     lc = cc.levelize(circ)
-    need = circ.num_and * max(len(np.atleast_1d(x)), 1) * cycles if num_bmt is None else num_bmt
+    need = circ.num_and * max(len(np.atleast_1d(x)), 1) if num_bmt is None else num_bmt
     e0, e1 = engines(channels, need)
     rng = np.random.default_rng(seed)
     w0, w1 = len(circ.inputs0), len(circ.inputs1)
     x0, x1 = gmw.share_bits(to_bits(x, w0) if w0 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), rng)
     y0, y1 = gmw.share_bits(to_bits(y, w1) if w1 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), rng)
     s0, s1 = run_parties(
-        lambda: e0.evaluate(lc, x0, y0, cycles),
-        lambda: e1.evaluate(lc, x1, y1, cycles),
+        lambda: e0.evaluate(lc, x0, y0),
+        lambda: e1.evaluate(lc, x1, y1),
     )
     return gmw.reconstruct_bits(s0, s1), (e0, e1)
 
@@ -155,8 +155,15 @@ def test_desync_detected(channels):
         )
 
 
-def test_multi_cycle_counter(channels):
-    circ = cc.build_counter(8)
-    out, _ = eval_both(channels, circ, np.zeros((1, 0)), np.zeros((1, 0)),
-                       num_bmt=circ.num_and * 5, cycles=5)
-    assert from_bits(out)[0] == 5
+def test_more_than_one_cycle_rejected(channels):
+    # every circuit is combinational: a second cycle is refused before
+    # either role sends a frame
+    e0, e1 = engines(channels, 16)
+    lc = cc.levelize(cc.build_bitand(8))
+    z = np.zeros((1, 8), np.uint8)
+    with pytest.raises(gmw.GmwError, match="one cycle"):
+        run_parties(
+            lambda: e0.evaluate(lc, BoolShare(z, 0), BoolShare(z, 0), 2),
+            lambda: e1.evaluate(lc, BoolShare(z, 1), BoolShare(z, 1), 2),
+        )
+    assert [c.ledger.messages() for c in channels] == [0, 0]

@@ -155,6 +155,18 @@ def test_net_must_end_in_exactly_one_argmax():
             ml.nn_infer(SimpleNamespace(ring=P32, role=1), net, np.zeros((1, 1, 2, 2)), 1)
 
 
+@pytest.mark.parametrize("profile", ["WAN", "Lan", "gmw", ""])
+def test_unknown_profile_rejected(profile):
+    # any profile but "wan" used to run the lan protocol, so "WAN" silently
+    # planned and ran GMW stages
+    net = tiny_net(np.random.default_rng(19))
+    with pytest.raises(ml.MlError, match="unknown profile"):
+        ml.plan_nn_manifest(net, P32, 1, profile, bytes(16))
+    with pytest.raises(ml.MlError, match="unknown profile"):
+        ml.nn_infer(SimpleNamespace(ring=P32, role=1), net.public(),
+                    np.zeros((1, 1, 6, 6)), 1, profile)
+
+
 def test_act_is_field_less():
     # Act.kind was never read: Act("sigmoid") silently ran ReLU
     with pytest.raises(TypeError):

@@ -24,7 +24,7 @@ from hybrid2pc.transport import (BUNDLE, Channel, PskCipher, ProtocolError,
 L32 = RingParams(32)
 AND8 = circuits.build_bitand(8)  # 8 + 8 inputs, 8 outputs, one AND level
 NINST = 3
-TABLES = gc._table_bytes(AND8, 1, NINST)
+TABLES = gc._table_bytes(AND8, NINST)
 DECODE = (len(AND8.outputs) * NINST + 7) // 8
 
 
