@@ -93,6 +93,13 @@ class Circuit:
         return int((self.op == AND).sum())
 
     def validate(self):
+        if self.nwires < 2:
+            raise CircuitError(f"{self.nwires} wires leave no room for the two constants")
+        wires = np.concatenate([np.array(self.inputs0 + self.inputs1 + self.outputs, np.int64),
+                                self.ga, self.gb, self.go])
+        outside = wires[(wires < 0) | (wires >= self.nwires)]
+        if outside.size:
+            raise CircuitError(f"wire {outside[0]} outside [0, {self.nwires})")
         defined = np.zeros(self.nwires, dtype=bool)
         defined[[CONST0, CONST1]] = True
         for w in itertools.chain(self.inputs0, self.inputs1):
@@ -738,32 +745,45 @@ def emit_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _wires(tokens: list[str], line: str, count: int | None = None) -> list[int]:
+    """The wire indices of one line; CircuitError on a non-integer or on
+    other than count of them."""
+    try:
+        wires = [int(t) for t in tokens]
+    except ValueError:
+        raise CircuitError(f"non-integer wire in {line!r}") from None
+    if count is not None and len(wires) != count:
+        raise CircuitError(f"{line!r} needs {count} wires, not {len(wires)}")
+    return wires
+
+
 def parse_circuit(text: str) -> Circuit:
+    """A netlist from its text format; malformed text raises CircuitError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CircuitError("empty circuit text")
     header = lines[0].split()
     if header[0] != "W":
         raise CircuitError("header must start with W")
-    sections: dict[str, list[int]] = {}
-    current = None
-    nwires = None
+    sections: dict[str, list[str]] = {}
     for tok in header:
         if tok in ("W", "IN0", "IN1", "OUT", "CONST0", "CONST1"):
             current = tok
             sections[current] = []
         else:
-            sections[current].append(int(tok))
+            sections[current].append(tok)
+    sections = {k: _wires(v, lines[0]) for k, v in sections.items()}
+    if len(sections["W"]) != 1:
+        raise CircuitError(f"{lines[0]!r} needs one wire count after W")
     nwires = sections["W"][0]
     ops, gas, gbs, gos = [], [], [], []
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
+        kind, *args = ln.split()
         if kind == "NOT":
-            a, o = map(int, parts[1:])
+            a, o = _wires(args, ln, 2)
             ops.append(NOT), gas.append(a), gbs.append(a), gos.append(o)
         elif kind in ("XOR", "AND"):
-            a, b, o = map(int, parts[1:])
+            a, b, o = _wires(args, ln, 3)
             ops.append(_OPCODES[kind]), gas.append(a), gbs.append(b), gos.append(o)
         else:
             raise CircuitError(f"unknown gate {kind!r}")

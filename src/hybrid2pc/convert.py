@@ -62,7 +62,8 @@ def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
 
 def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
         rng: np.random.Generator | None = None, signed: bool = False) -> ArithShare:
-    """Boolean -> additive via one l-bit OT per bit column.
+    """Boolean -> additive via one l-bit OT per bit column, all columns in
+    one OtSender.send / OtReceiver.recv batch of ring elements.
 
     Column j weighs 2^j. When signed, the w columns are a w-bit two's-
     complement value and the top one weighs -2^(w-1) mod 2^l, which
@@ -78,9 +79,9 @@ def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
         r = rng.integers(0, p.modulus, size=(ninst, w), dtype=p.dtype)
         m0 = bits * weights - r  # share0_j * c_j - r_j  (b = 0 case)
         m1 = (bits ^ 1) * weights - r
-        ot.send_ring(m0.reshape(-1), m1.reshape(-1), p)
+        ot.send(m0.reshape(-1), m1.reshape(-1))
         return ArithShare(r.sum(axis=1, dtype=p.dtype), 0)
-    got = ot.recv_ring(bits.reshape(-1), p).reshape(ninst, w)
+    got = ot.recv(bits.reshape(-1), p.l).reshape(ninst, w)
     return ArithShare(got.sum(axis=1, dtype=p.dtype), 1)
 
 

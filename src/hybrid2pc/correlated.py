@@ -38,8 +38,10 @@ one (products, length) mask matrix per role and one scalar per product;
 blocking changes no stream byte, since the products are drawn in order.
 
 An OT mask is one ring element: it pads one l-bit b2a message once
-(Beaver, CRYPTO 1995), so it is as wide as that message. A label stays
-128 bits, the width of a garbled wire's key.
+(Beaver, CRYPTO 1995), so it is as wide as that message, and it stays a
+ring element in the ring's dtype from the draw to the OT engine's XOR:
+role 0 holds (n, 2) mask pairs, role 1 an (n,) view of the bundle's qr
+section. A label stays 128 bits, the width of a garbled wire's key.
 
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
 every 64 KB; the typed draws read the bytes it writes. Role 0's
@@ -179,10 +181,10 @@ class PartyMaterial:
     bmt_a: np.ndarray
     bmt_b: np.ndarray
     bmt_c: np.ndarray | None
-    # OT masks are ring elements, held as their little-endian bytes
-    ot_q: np.ndarray | None = None  # sender: (n, 2, nbytes) mask pairs
+    # OT masks are ring elements in the ring's dtype
+    ot_q: np.ndarray | None = None  # sender: (n, 2) mask pairs
     ot_r: np.ndarray | None = None  # receiver: choice-mask bits
-    ot_qr: np.ndarray | None = None  # receiver: (n, nbytes) selected masks
+    ot_qr: np.ndarray | None = None  # receiver: (n,) selected masks
     delta: np.ndarray | None = None  # role 0: the free-XOR offset, 16 bytes, lsb 1
     label_k0: np.ndarray | None = None  # role 0: (n, 16) zero keys
     label_r: np.ndarray | None = None  # role 1: label bits r
@@ -245,7 +247,7 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     delta = keys[0].copy()
     delta[0] |= 1  # the point-and-permute bit of every label pair differs
     vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, with_scalar=True)
-    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=_mask_bytes(q), delta=delta,
+    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, delta=delta,
                          label_k0=keys[1:], vdp_mask=vec, vdp_scalar=a2)
 
 
@@ -264,11 +266,6 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, label_r=lr, vdp_mask=vec)
 
 
-def _mask_bytes(masks: np.ndarray) -> np.ndarray:
-    """Ring-element OT masks as the rows of bytes the OT engine pads with."""
-    return masks.view(np.uint8).reshape(*masks.shape, masks.itemsize)
-
-
 def _correlate(k0: np.ndarray, delta: np.ndarray, r: np.ndarray) -> np.ndarray:
     """K = k0 ^ r*delta per label, as k0 ^ (delta & -r) over 64-bit words."""
     sel = np.negative(r.astype(np.uint64))
@@ -282,7 +279,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     m1 = expand_role1(seed1, m)
     c1_amt = (m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
-    q = m0.ot_q.view(m.ring.dtype)[..., 0]  # (n, 2) ring elements
+    q = m0.ot_q
     qr = q[:, 0] ^ ((q[:, 0] ^ q[:, 1]) & np.negative(m1.ot_r.astype(q.dtype)))
     keys = _correlate(m0.label_k0, m0.delta, m1.label_r)
     a3 = np.concatenate([np.zeros(0, m.ring.dtype)] + [
@@ -316,7 +313,7 @@ def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
     mat = expand_role1(seed, m)
     mat.amt_c = amt
     mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
-    mat.ot_qr = _mask_bytes(qr)
+    mat.ot_qr = qr
     mat.label_k = keys
     ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
     mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]

@@ -308,12 +308,16 @@ class GcSession:
                          the evaluator arr=None for bind0
           ("yao", ys)    labels retained from b2y or an earlier run
           None           empty group; a group with wires raises GcError
-        decode: "evaluator", "both", or "none" (keep labels for y2b).
+        decode: "evaluator" (the evaluator alone learns the output bits)
+        or "none" (both keep labels, for y2b).
         cycles must be 1: every circuit is combinational.
-        Returns decoded bits (nout, ninst) or a YaoShare when "none".
+        Returns decoded bits (nout, ninst) on the evaluator, None on the
+        garbler, or a YaoShare when "none".
         """
         if cycles != 1:
             raise GcError(f"a circuit runs for one cycle, not {cycles}")
+        if decode not in ("evaluator", "none"):
+            raise GcError(f"decode policy {decode!r} is not 'evaluator' or 'none'")
         for k, (bind, group) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
             if bind is None and group:
                 raise GcError(f"input group {k} has {len(group)} wires but no binding")
@@ -349,13 +353,7 @@ class GcSession:
             self.channel.send(transport.GC_INLABELS, known)
         if decode == "none":
             return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
-        payload = np.packbits(g.decode, bitorder="little").tobytes()
-        self.channel.send(transport.GC_DECODE, payload)
-        if decode == "both":
-            raw = self.channel.recv_expect(transport.GC_DECODE, len(payload))
-            bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=g.decode.size,
-                                 bitorder="little")
-            return bits.reshape(g.decode.shape)
+        self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
         return None
 
     def _run_evaluator(self, c, kinds, vals, ninst, decode):
@@ -383,8 +381,4 @@ class GcSession:
         for k, w in enumerate(c.outputs):
             if w in (CONST0, CONST1):
                 bits[k] = dec[k]
-        if decode == "both":
-            self.channel.send(
-                transport.GC_DECODE, np.packbits(bits, bitorder="little").tobytes()
-            )
         return bits

@@ -30,8 +30,9 @@ def deal(manifest):
 
 
 def ot_masks(n, l):
-    """n OTs dealt in the ring of l bits: the sender's (n, 2, l/8) mask
-    pairs, the receiver's r bits and its (n, l/8) selected masks."""
+    """n OTs dealt in the ring of l bits: the sender's (n, 2) mask pairs,
+    the receiver's r bits and its (n,) selected masks, in the ring's
+    dtype."""
     m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(l), num_ot=n))
     return m0.ot_q, m1.ot_r, m1.ot_qr
 

@@ -145,27 +145,26 @@ def test_criterion_3_protocol_oracles():
     assert np.array_equal((d0.bmt_a ^ d1.bmt_a) & (d0.bmt_b ^ d1.bmt_b),
                           d0.bmt_c ^ d1.bmt_c)
 
-    # (b) OT: all (r, b) plus randomized
+    # (b) OT on ring elements, l = 64: all (r, b) plus randomized
+    u64 = RingParams(64).dtype
     for r_bit in (0, 1):
         for b_bit in (0, 1):
             c0c, c1c = channel_pair()
-            q = np.frombuffer(secrets.token_bytes(32), np.uint8).reshape(1, 2, 16).copy()
+            q = np.frombuffer(secrets.token_bytes(16), u64).reshape(1, 2).copy()
             snd = OtSender(q, c0c)
             rcv = OtReceiver(np.array([r_bit], np.uint8), q[0, r_bit][None].copy(), c1c)
-            m0 = np.frombuffer(secrets.token_bytes(16), np.uint8)[None]
-            m1 = np.frombuffer(secrets.token_bytes(16), np.uint8)[None]
-            _, got = run_parties(lambda: snd.send(m0, m1, 128),
-                                 lambda: rcv.recv([b_bit], 128))
-            assert np.array_equal(got[0], m1[0] if b_bit else m0[0])
+            m0, m1 = (np.frombuffer(secrets.token_bytes(8), u64) for _ in range(2))
+            _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv([b_bit], 64))
+            assert np.array_equal(got, m1 if b_bit else m0)
     rng = np.random.default_rng(0)
     c0c, c1c = channel_pair()
     q, r, qr = ot_masks(n, 64)  # dealt masks are one ring element wide
     snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
-    m0 = rng.integers(0, 256, (n, 8), np.uint8)
-    m1 = rng.integers(0, 256, (n, 8), np.uint8)
+    m0 = rng.integers(0, 1 << 64, n, u64)
+    m1 = rng.integers(0, 1 << 64, n, u64)
     b = rng.integers(0, 2, n, np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1, 64), lambda: rcv.recv(b, 64))
-    assert np.array_equal(got, np.where(b[:, None].astype(bool), m1, m0))
+    _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv(b, 64))
+    assert np.array_equal(got, np.where(b.astype(bool), m1, m0))
 
     # (c) multiplication/VDP reconstruction vs arbitrary-precision oracle
     def check_mults(p, x, y, seed):

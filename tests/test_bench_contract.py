@@ -18,6 +18,8 @@ from hybrid2pc.ring import RingParams
 
 CONTRACT = [
     (ass.AssEngine, "vdp", "self, x_clear, y, length"),
+    # the traced Recorder's ot.s rests on both sides' one entry point
+    (ot.OtSender, "send", "self, m0, m1"),
     (ot.OtReceiver, "recv", "self, choices, mbits"),
     (gmw.GmwEngine, "evaluate", "self, lc, in0, in1, cycles=1"),
     (gc.GcSession, "run", "self, c, bind0, bind1, cycles=1, ninst=1, decode='evaluator'"),

@@ -48,6 +48,39 @@ def test_double_driven_wire_rejected():
         cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\nXOR 2 3 4\n")
 
 
+# Wires outside [0, nwires): simulate's value array has nwires rows and
+# the GC/GMW interpreters' nwires + 1 (the NOT-mask row), so a negative
+# index would name different wires in the reference and in the protocols.
+OUT_OF_RANGE = {
+    "negative-gate-input": "W 6 IN0 2 IN1 3 OUT 5 CONST0 0 CONST1 1\nXOR 2 3 4\nAND 2 -3 5\n",
+    "negative-output": "W 5 IN0 2 IN1 3 OUT -1 CONST0 0 CONST1 1\nAND 2 3 4\n",
+    "negative-input": "W 5 IN0 -2 IN1 3 OUT 4 CONST0 0 CONST1 1\nXOR 3 3 4\n",
+    "gate-output-past-nwires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\nNOT 4 5\n",
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_wire_outside_range_rejected(case):
+    with pytest.raises(cc.CircuitError, match="outside"):
+        cc.parse_circuit(OUT_OF_RANGE[case])
+
+
+# Malformed text raises CircuitError, not the IndexError or ValueError of
+# the tokenizer or of numpy.
+MALFORMED = {
+    "no-wire-count": "W IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n",
+    "too-few-gate-wires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3\n",
+    "non-integer-wire": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 x 4\n",
+    "gate-wire-past-nwires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 9\n",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_text_raises_circuit_error(case):
+    with pytest.raises(cc.CircuitError):
+        cc.parse_circuit(MALFORMED[case])
+
+
 def test_register_breaks_cycle():
     # circuits are combinational: a REG line, which would close the cycle
     # NOT 2 -> 3 -> 2 through a register, is not part of the format

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import deal, run_parties
@@ -222,3 +224,44 @@ def test_b2a_ot_message_count(channels):
     # l OTs of l-bit messages per value: choices n*l bits, pairs n*l*2*l bits
     assert c1.ledger.payload_bytes(msg_type=transport.OT_CHOICES) == n * 16 // 8
     assert c0.ledger.payload_bytes(msg_type=transport.OT_PAIRS) == n * 16 * 2 * 2
+
+
+# SHA-256 of every OT_CHOICES and OT_PAIRS payload of one seeded b2a per
+# ring width (7 values of 5 bits, masks dealt from conftest's seeds, role
+# 0's masks r from its session rng): the OT engine's wire bytes, so that
+# no change to how it holds masks or messages moves one.
+PINNED_OT_WIRE = {
+    8: ("f718bf0231816b458b9365bc7d6cc0be22642583fabf83ddf91dc5d5a4ab6c00",
+        "eb7f4b860c281aa33d995291768d8f3710f658a03a79fdc1e2ddd7cb16f4fda0"),
+    16: ("cf3d5b7d16e708b1d236d32d179dac56ae0c6e138ea00ada67f653dad32f4142",
+         "c3966c3115ff1543f8e6a62302d4685a2cbf0e696b2876af4e90d3b7cd6cd39b"),
+    32: ("7b8ce3128ea6ec8c43534a2285613344ea2be9990236abcad7d8097fde4c4a37",
+         "becbbd704f6b7cc25fc898ca968349fa97bb6bcfb297511a7d2ad717e3a73efe"),
+    64: ("a47bd8cf80d775df0c66e30b6ca2895845667be22299d6149e6c772162a8b8fd",
+         "9adb3af6bf603ea9b35759759913da4602a062b4f3a6abc2075e4dd987785e08"),
+}
+
+
+@pytest.mark.parametrize("l", sorted(PINNED_OT_WIRE))
+def test_b2a_ot_wire_bytes_pinned(l, channels, monkeypatch):
+    digests = {transport.OT_CHOICES: hashlib.sha256(), transport.OT_PAIRS: hashlib.sha256()}
+    orig = transport.Channel.send
+
+    def send(self, msg_type, payload):
+        if msg_type in digests:
+            digests[msg_type].update(memoryview(payload).cast("B"))
+        return orig(self, msg_type, payload)
+
+    monkeypatch.setattr(transport.Channel, "send", send)
+    p, n, w = RingParams(l), 7, 5
+    se0, se1 = sessions(channels, ring_=p, num_ot=n * w)
+    rng = np.random.default_rng(l)
+    vals = rng.integers(0, 1 << w, n, dtype=np.uint64)
+    b0, b1 = gmw.share_bits(ring.bits_of(vals, p)[:, :w], rng)
+    r0, r1 = run_parties(
+        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.rng),
+        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1)),
+    )
+    assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
+    got = tuple(digests[t].hexdigest() for t in (transport.OT_CHOICES, transport.OT_PAIRS))
+    assert got == PINNED_OT_WIRE[l]

@@ -74,18 +74,18 @@ def test_bmt_example_truth_table():
 
 @pytest.mark.parametrize("n", [1000, 2**15 + 3])
 def test_ot_masks_select_qr(n):
-    # each mask is one ring element, l/8 bytes, selected in the ring dtype
+    # each mask is one ring element, selected in the ring dtype
     for l in (8, 16, 32, 64):
         q, r, qr = ot_masks(n, l)
-        assert q.shape == (n, 2, l // 8) and qr.shape == (n, l // 8)
-        expect = np.where(r[:, None].astype(bool), q[:, 1], q[:, 0])
-        assert np.array_equal(qr, expect)
+        assert q.shape == (n, 2) and qr.shape == (n,)
+        assert q.dtype == qr.dtype == RingParams(l).dtype
+        assert np.array_equal(qr, np.where(r.astype(bool), q[:, 1], q[:, 0]))
 
 
 def test_ot_empty_batch():
     for l in (8, 64):
         q, r, qr = ot_masks(0, l)
-        assert q.shape == (0, 2, l // 8) and r.size == 0 and qr.shape == (0, l // 8)
+        assert q.shape == (0, 2) and r.size == 0 and qr.shape == (0,)
 
 
 def test_vdps_formula_example():
@@ -259,6 +259,12 @@ def _flat(blocks) -> np.ndarray:
     return np.concatenate([b.ravel() for b in blocks])
 
 
+def _mask_rows(masks: np.ndarray) -> np.ndarray:
+    """Ring-element OT masks as the rows of l/8 bytes the digests were
+    taken over, so the pins show that no stream byte moved."""
+    return masks.view(np.uint8).reshape(*masks.shape, masks.itemsize)
+
+
 def _pinned_digests() -> dict:
     m = manifest(**PINNED_MANIFEST)
     m0 = cr.expand_role0(SEED0, m)
@@ -268,11 +274,11 @@ def _pinned_digests() -> dict:
     return {
         "manifest": hashlib.sha256(m.encode()).hexdigest(),
         "role0": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m0.bmt_a, m0.bmt_b,
-                                m0.bmt_c, m0.ot_q, _flat(m0.vdp_mask),
+                                m0.bmt_c, _mask_rows(m0.ot_q), _flat(m0.vdp_mask),
                                 _flat(m0.vdp_scalar)),
         "role1": _arrays_digest(m1.amt_a, m1.amt_b, m1.bmt_a, m1.bmt_b, m1.ot_r,
                                 _flat(m1.vdp_mask)),
-        "corrections": _arrays_digest(c1.amt_c, c1.bmt_c, c1.ot_qr,
+        "corrections": _arrays_digest(c1.amt_c, c1.bmt_c, _mask_rows(c1.ot_qr),
                                       _flat(c1.vdp_scalar)),
         "bundle1": hashlib.sha256(bytes(bundle1)).hexdigest(),
     }
@@ -335,8 +341,8 @@ def _draw_vdp(mat, ch):
 
 
 def _draw_ot_sender(mat, ch):
-    m = np.zeros((5, 4), np.uint8)
-    OtSender(mat.ot_q, ch).send(m, m, 32)
+    m = np.zeros(5, L32.dtype)
+    OtSender(mat.ot_q, ch).send(m, m)
 
 
 def _draw_ot_receiver(mat, ch):
@@ -401,7 +407,7 @@ def test_leftovers_name_every_supply():
         bits = BoolShare(np.zeros((1, 8), np.uint8), se.role)
         se.gmw.evaluate(lc, bits, bits)
         if se.role == 0:
-            se.ot.send(np.zeros((4, 4), np.uint8), np.ones((4, 4), np.uint8), 32)
+            se.ot.send(np.zeros(4, L32.dtype), np.ones(4, L32.dtype))
         else:
             se.ot.recv(np.zeros(4, np.uint8), 32)
         convert.b2y(se.gc, BoolShare(np.zeros((1, 4), np.uint8), se.role))

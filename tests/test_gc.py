@@ -26,14 +26,14 @@ def from_bits(bits):
     return (bits.astype(np.uint64).T << sh).sum(axis=1, dtype=np.uint64)
 
 
-def run_circuit(channels, circ, x, y, decode="evaluator"):
+def run_circuit(channels, circ, x, y):
     ninst = max(len(np.atleast_1d(x)), 1)
     g, e = gc_sessions(*channels, len(circ.inputs1) * ninst)
     bits0 = to_bits(x, len(circ.inputs0)) if len(circ.inputs0) else None
     bits1 = to_bits(y, len(circ.inputs1)) if len(circ.inputs1) else None
     r0, r1 = run_parties(
-        lambda: g.run(circ, ("bits", bits0), ("bits", None), ninst=ninst, decode=decode),
-        lambda: e.run(circ, ("bits", None), ("bits", bits1), ninst=ninst, decode=decode),
+        lambda: g.run(circ, ("bits", bits0), ("bits", None), ninst=ninst),
+        lambda: e.run(circ, ("bits", None), ("bits", bits1), ninst=ninst),
     )
     return r0, r1
 
@@ -123,12 +123,6 @@ def test_online_bytes_formula(channels):
     assert c1.ledger.payload_bytes(direction="sent") == (32 * n + 7) // 8
 
 
-def test_decode_policy_both(channels):
-    circ = cc.build_add(8, "size")
-    r0, r1 = run_circuit(channels, circ, np.array([100]), np.array([200]), decode="both")
-    assert from_bits(r0)[0] == from_bits(r1)[0] == (100 + 200) % 256
-
-
 def test_short_table_buffer_rejected():
     circ = cc.build_add(8, "size")
     rng = np.random.default_rng(9)
@@ -146,6 +140,18 @@ def test_more_than_one_cycle_rejected(channels):
     with pytest.raises(gc_mod.GcError, match="one cycle"):
         run_parties(lambda: g.run(circ, ("bits", bits), ("bits", None), cycles=2),
                     lambda: e.run(circ, ("bits", None), ("bits", bits), cycles=2))
+    assert [c.ledger.messages() for c in channels] == [0, 0]
+
+
+def test_unknown_decode_policy_rejected(channels):
+    # only the evaluator decodes, or neither: any other policy is refused
+    # before either role sends a frame
+    circ = cc.build_add(8, "size")
+    bits = np.zeros((1, 8), np.uint8)
+    g, e = gc_sessions(*channels, 8)
+    with pytest.raises(gc_mod.GcError, match="decode policy"):
+        run_parties(lambda: g.run(circ, ("bits", bits), ("bits", None), decode="both"),
+                    lambda: e.run(circ, ("bits", None), ("bits", bits), decode="both"))
     assert [c.ledger.messages() for c in channels] == [0, 0]
 
 

@@ -34,21 +34,22 @@ def test_protocol_trace_example():
 
 
 def test_all_rb_combinations(channels):
+    # one 64-bit ring element per mask and message
     for r_bit in (0, 1):
         for b_bit in (0, 1):
             c0, c1 = channels
-            q = np.frombuffer(bytes(range(32)), np.uint8).reshape(1, 2, 16).copy()
+            q = np.frombuffer(bytes(range(16)), "<u8").reshape(1, 2).copy()
             r = np.array([r_bit], np.uint8)
             qr = q[0, r_bit][None].copy()
             snd, rcv = OtSender(q, c0), OtReceiver(r, qr, c1)
-            m0 = np.arange(16, dtype=np.uint8)[None]
-            m1 = m0 + 100
+            m0 = np.array([0x0123456789ABCDEF], "<u8")
+            m1 = m0 + np.uint64(100)
 
             def sender():
-                snd.send(m0, m1, 128)
+                snd.send(m0, m1)
 
             def receiver():
-                return rcv.recv([b_bit], 128)
+                return rcv.recv([b_bit], 64)
 
             _, got = run_parties(sender, receiver)
             expect = m1 if b_bit else m0
@@ -56,73 +57,50 @@ def test_all_rb_combinations(channels):
 
 
 def test_random_batch_correctness(channels):
-    # messages as wide as the dealt masks, one ring element each
+    # messages and outputs are ring elements, as wide as the dealt masks
     n = 10**5
     rng = np.random.default_rng(3)
     for l in (8, 16, 32, 64):
+        p = RingParams(l)
         snd, rcv = make_pair(n, channels, l)
-        m0 = rng.integers(0, 256, size=(n, l // 8), dtype=np.uint8)
-        m1 = rng.integers(0, 256, size=(n, l // 8), dtype=np.uint8)
+        m0 = rng.integers(0, p.modulus, size=n, dtype=p.dtype)
+        m1 = rng.integers(0, p.modulus, size=n, dtype=p.dtype)
         b = rng.integers(0, 2, size=n, dtype=np.uint8)
-        _, got = run_parties(lambda: snd.send(m0, m1, l), lambda: rcv.recv(b, l))
-        expect = np.where(b[:, None].astype(bool), m1, m0)
-        assert np.array_equal(got, expect), l
+        _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv(b, l))
+        assert got.dtype == p.dtype and got.shape == (n,)
+        assert np.array_equal(got, np.where(b.astype(bool), m1, m0)), l
 
 
 def test_online_bytes_and_single_round(channels):
     n = 1000
     c0, c1 = channels
     snd, rcv = make_pair(n, channels)
-    m0 = np.zeros((n, 4), np.uint8)
-    m1 = np.ones((n, 4), np.uint8)
+    m0 = np.zeros(n, "<u4")
+    m1 = np.ones(n, "<u4")
     b = np.ones(n, np.uint8)
-    run_parties(lambda: snd.send(m0, m1, 32), lambda: rcv.recv(b, 32))
-    # 1 bit per OT receiver->sender, 2m bits sender->receiver, 2 messages
+    run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv(b, 32))
+    # 1 bit per OT receiver->sender, 2l bits sender->receiver, 2 messages
     assert c1.ledger.payload_bytes(direction="sent") == n // 8
     assert c0.ledger.payload_bytes(direction="sent") == n * 2 * 4
     assert c0.ledger.messages() == 2 and c1.ledger.messages() == 2
 
 
-def test_narrow_messages(channels):
-    # 8-bit messages on 32-bit masks use each mask's first byte
-    n = 256
-    rng = np.random.default_rng(4)
-    snd, rcv = make_pair(n, channels)
-    m0 = rng.integers(0, 256, size=(n, 1), dtype=np.uint8)
-    m1 = rng.integers(0, 256, size=(n, 1), dtype=np.uint8)
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1, 8), lambda: rcv.recv(b, 8))
-    assert np.array_equal(got, np.where(b[:, None].astype(bool), m1, m0))
-
-
 def test_wide_messages_rejected(channels):
-    # messages wider than the dealt l-bit masks are refused before any draw or send
+    # messages of another width than the dealt l-bit masks are refused
+    # before any draw or send: the sender's by dtype, the receiver's by mbits
     c0, c1 = channels
     n = 50
     for l in (8, 16, 32, 64):
         snd, rcv = make_pair(n, channels, l)
-        m = np.zeros((n, l // 8 + 1), dtype=np.uint8)
-        with pytest.raises(OtError):
-            snd.send(m, m, l + 1)
-        with pytest.raises(OtError):
-            rcv.recv(np.zeros(n, np.uint8), l + 1)
+        for other in {8, 16, 32, 64} - {l}:
+            m = np.zeros(n, f"<u{other // 8}")
+            with pytest.raises(OtError):
+                snd.send(m, m)
+        for mbits in (l + 1, l - 1, 2 * l):
+            with pytest.raises(OtError):
+                rcv.recv(np.zeros(n, np.uint8), mbits)
         assert snd.masks.left() == rcv.masks.left() == n
     assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0
-
-
-def test_ring_message_helpers(channels):
-    n = 100
-    rng = np.random.default_rng(6)
-    for l in (8, 16, 32, 64):
-        p = RingParams(l)
-        snd, rcv = make_pair(n, channels, l)
-        m0 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
-        m1 = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
-        b = rng.integers(0, 2, size=n, dtype=np.uint8)
-        _, got = run_parties(
-            lambda: snd.send_ring(m0, m1, p), lambda: rcv.recv_ring(b, p)
-        )
-        assert np.array_equal(got, np.where(b.astype(bool), m1, m0)), l
 
 
 def test_mask_exhaustion(channels):
@@ -139,15 +117,22 @@ def test_mask_exhaustion(channels):
 
 
 def test_width_mismatch_rejected(channels):
+    # unequal lengths, a non-vector or signed ints: nothing drawn or sent
+    c0, _ = channels
     snd, _ = make_pair(4, channels)
-    with pytest.raises(OtError):
-        snd.send(np.zeros((4, 4), np.uint8), np.zeros((4, 2), np.uint8), 32)
+    u4 = np.zeros(4, "<u4")
+    bad = [(u4, u4[:2]), (u4.reshape(2, 2), u4.reshape(2, 2)), (u4.astype(np.int32), u4),
+           ([0, 0, 0, 0], u4)]
+    for m0, m1 in bad:
+        with pytest.raises(OtError):
+            snd.send(m0, m1)
+    assert snd.masks.left() == 4 and c0.ledger.messages() == 0
 
 
 def test_zero_width_batch_sends_nothing(channels):
     c0, c1 = channels
     snd, rcv = make_pair(4, channels)
-    snd.send(np.zeros((0, 4), np.uint8), np.zeros((0, 4), np.uint8), 32)
+    snd.send(np.zeros(0, "<u4"), np.zeros(0, "<u4"))
     out = rcv.recv(np.zeros(0, np.uint8), 32)
-    assert out.shape == (0, 4)
+    assert out.shape == (0,) and out.dtype == np.dtype("<u4")
     assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0

@@ -41,11 +41,6 @@ def _yao(role):
     return "yao", gc.YaoShare(_zeros((NINST, 8, 16)), role)
 
 
-def _gc_garble_both(chan):
-    sess = gc.GcSession(0, chan, _material(0), rng=np.random.default_rng(0))
-    sess.run(AND8, ("bits", _zeros((NINST, 8))), _yao(0), ninst=NINST, decode="both")
-
-
 def _gc_garble_on_labels(chan):
     """The garbler receives the evaluator's masked bits e before garbling."""
     sess = gc.GcSession(0, chan, _material(0, num_labels=8 * NINST))
@@ -58,8 +53,8 @@ T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST *
 # site: (the party's call on its channel, every frame the fake peer sends
 # it as (type, due size), and the index of the frame whose size is spoiled)
 SITES = {
-    "OT_CHOICES": (lambda ch: OtSender(ot_masks(20, 8)[0], ch).send(
-        _zeros((20, 1)), _zeros((20, 1)), 8), [(transport.OT_CHOICES, 3)], 0),
+    "OT_CHOICES": (lambda ch: OtSender(ot_masks(20, 8)[0], ch).send(_zeros(20), _zeros(20)),
+                   [(transport.OT_CHOICES, 3)], 0),
     "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4, 8)[1:], ch).recv(_zeros(4), 8),
                  [(transport.OT_PAIRS, 2 * 4)], 0),
     "OT_CHOICES-labels": (_gc_garble_on_labels, [(transport.OT_CHOICES, (8 * NINST + 7) // 8)],
@@ -70,7 +65,6 @@ SITES = {
         AND8, ("bits", None), _yao(1), ninst=NINST), [T, IN, DEC], 1),
     "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 1),
-    "GC_DECODE-garbler": (_gc_garble_both, [DEC], 0),
     "APP_SHARE": (lambda ch: AssEngine(0, L32, ch, _material(0)).share_input(
         None, 4, owner=1, rng=None), [(transport.APP_SHARE, 4 * 4)], 0),
     "ASS_EF": (lambda ch: AssEngine(0, L32, ch, _material(0, num_amt=2)).mul_mt(

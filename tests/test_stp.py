@@ -76,7 +76,7 @@ def test_bundles_satisfy_relations(server):
     assert np.array_equal(
         (m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b), m0.bmt_c ^ m1.bmt_c
     )
-    chosen = np.where(m1.ot_r[:, None].astype(bool), m0.ot_q[:, 1], m0.ot_q[:, 0])
+    chosen = np.where(m1.ot_r.astype(bool), m0.ot_q[:, 1], m0.ot_q[:, 0])
     assert np.array_equal(chosen, m1.ot_qr)
     assert [v.shape for v in m1.vdp_mask] == [(2, 4), (1, 9)]
     for v0, v1, a2, a3 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar, m1.vdp_scalar):
