@@ -71,6 +71,30 @@ def test_random_batch_correctness(channels):
         assert np.array_equal(got, np.where(b.astype(bool), m1, m0)), l
 
 
+def test_ring_message_helpers(channels):
+    # b2a's use: messages made by ring arithmetic that wraps mod 2^l, laid
+    # out as an (ninst, w) matrix, sent flat and read back into its shape
+    ninst, w = 25, 4
+    rng = np.random.default_rng(6)
+    for l in (8, 16, 32, 64):
+        p = RingParams(l)
+        snd, rcv = make_pair(ninst * w, channels, l)
+        r = rng.integers(0, p.modulus, size=(ninst, w), dtype=p.dtype)
+        m0 = (np.zeros((ninst, w), p.dtype) - r).reshape(-1)
+        m1 = (np.ones((ninst, w), p.dtype) << np.arange(w, dtype=p.dtype)) - r
+        m1 = m1.reshape(-1)
+        b = rng.integers(0, 2, size=(ninst, w), dtype=np.uint8)
+        _, got = run_parties(
+            lambda: snd.send(m0, m1), lambda: rcv.recv(b.reshape(-1), p.l)
+        )
+        got = got.reshape(ninst, w)
+        assert got.dtype == p.dtype
+        assert np.array_equal(got, np.where(b.reshape(-1).astype(bool), m1, m0).reshape(ninst, w)), l
+        # the shares recombine to the chosen bits weighted by 2^j, mod 2^l
+        want = (b.astype(p.dtype) << np.arange(w, dtype=p.dtype)).sum(axis=1, dtype=p.dtype)
+        assert np.array_equal((got + r).sum(axis=1, dtype=p.dtype), want), l
+
+
 def test_online_bytes_and_single_round(channels):
     n = 1000
     c0, c1 = channels
