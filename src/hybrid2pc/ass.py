@@ -24,6 +24,7 @@ import numpy as np
 
 from . import transport
 from .correlated import PartyMaterial, Supply
+from .drbg import Drbg
 from .ring import RingParams, canon
 from .transport import Channel
 
@@ -46,10 +47,10 @@ class ArithShare:
         return len(self.value)
 
 
-def share(x, p: RingParams, rng: np.random.Generator) -> tuple[ArithShare, ArithShare]:
-    """Split x into (role 0, role 1) shares; each alone is uniform."""
+def share(x, p: RingParams, drbg: Drbg) -> tuple[ArithShare, ArithShare]:
+    """Split x into (role 0, role 1) shares, masks from drbg; each alone is uniform."""
     x = canon(np.atleast_1d(x), p)
-    r = rng.integers(0, p.modulus, size=x.shape, dtype=p.dtype)
+    r = drbg.ring_elems(x.size, p.dtype).reshape(x.shape)
     return ArithShare(r, 0), ArithShare(x - r, 1)
 
 
@@ -135,14 +136,14 @@ class AssEngine:
             term = y_val * u
         return ArithShare(term.reshape(n, k).sum(axis=1, dtype=p.dtype) + scalar, self.role)
 
-    def share_input(self, x, count: int, owner: int,
-                    rng: np.random.Generator) -> ArithShare:
-        """Owner splits its count elements x and ships the peer's share;
-        one message, which the peer receives as count elements."""
+    def share_input(self, x, count: int, owner: int, drbg: Drbg) -> ArithShare:
+        """Owner splits its count elements x with masks from drbg and
+        ships the peer's share; one message, which the peer receives as
+        count elements."""
         if self.role == owner:
             if len(x) != count:
                 raise AssError(f"{len(x)} input elements where {count} were planned")
-            mine, theirs = share(x, self.p, rng)
+            mine, theirs = share(x, self.p, drbg)
             if owner == 1:
                 mine, theirs = theirs, mine
             self.channel.send(transport.APP_SHARE, self.p.to_wire(theirs.value))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ass, circuits as cc, convert, gmw, stp, transport
 from .correlated import ResourceManifest
-from .drbg import SEED_BYTES
+from .drbg import SEED_BYTES, Drbg
 from .ring import RingParams
 from .session import PartySession
 
@@ -92,12 +92,12 @@ def _measure(manifest, f0, f1, stp_addr):
 
 def _share_vec(p, n, rng):
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    return ass.share(x, p, rng)
+    return ass.share(x, p, Drbg(rng.bytes(SEED_BYTES)))
 
 
 def _share_bits(w, n, rng):
     bits = rng.integers(0, 2, (n, w), np.uint8)
-    return gmw.share_bits(bits, rng)
+    return gmw.share_bits(bits, Drbg(rng.bytes(SEED_BYTES)))
 
 
 def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
@@ -186,8 +186,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         b0, b1 = _share_bits(w, n, rng)
         row = _measure(
             m,
-            lambda se: convert.b2a(0, p, se.ot, b0, se.rng),
-            lambda se: convert.b2a(1, p, se.ot, b1),
+            lambda se: convert.b2a(0, p, se.ot, b0, se.drbg),
+            lambda se: convert.b2a(1, p, se.ot, b1, se.drbg),
             stp_addr,
         )
         # one dealt OT of one ring element per bit

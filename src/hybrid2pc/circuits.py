@@ -787,11 +787,18 @@ def parse_circuit(text: str) -> Circuit:
             ops.append(_OPCODES[kind]), gas.append(a), gbs.append(b), gos.append(o)
         else:
             raise CircuitError(f"unknown gate {kind!r}")
+    ins0, ins1, outs = (sections.get(k, []) for k in ("IN0", "IN1", "OUT"))
+    # bounds first: validate allocates nwires flags, and the arrays are int32
+    if nwires > 2 + len(ins0) + len(ins1) + len(gos):
+        raise CircuitError(f"W {nwires} exceeds the wires its constants, inputs and gates drive")
+    bad = [w for w in ins0 + ins1 + outs + gas + gbs + gos if not 0 <= w < nwires]
+    if bad:
+        raise CircuitError(f"wire {bad[0]} outside [0, {nwires})")
     c = Circuit(
         nwires=nwires,
-        inputs0=tuple(sections.get("IN0", [])),
-        inputs1=tuple(sections.get("IN1", [])),
-        outputs=tuple(sections.get("OUT", [])),
+        inputs0=tuple(ins0),
+        inputs1=tuple(ins1),
+        outputs=tuple(outs),
         op=np.array(ops, dtype=np.uint8),
         ga=np.array(gas, dtype=np.int32),
         gb=np.array(gbs, dtype=np.int32),

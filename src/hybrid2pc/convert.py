@@ -30,6 +30,7 @@ import numpy as np
 
 from . import circuits, ring
 from .ass import ArithShare
+from .drbg import Drbg
 from .gc import GcSession, YaoShare
 from .gmw import BoolShare
 from .ot import OtReceiver, OtSender
@@ -61,9 +62,11 @@ def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
 
 
 def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
-        rng: np.random.Generator | None = None, signed: bool = False) -> ArithShare:
+        drbg: Drbg, signed: bool = False) -> ArithShare:
     """Boolean -> additive via one l-bit OT per bit column, all columns in
-    one OtSender.send / OtReceiver.recv batch of ring elements.
+    one OtSender.send / OtReceiver.recv batch of ring elements. Role 0
+    draws its masks r, one ring element per bit, from drbg, the session's
+    generator (PartySession.drbg).
 
     Column j weighs 2^j. When signed, the w columns are a w-bit two's-
     complement value and the top one weighs -2^(w-1) mod 2^l, which
@@ -75,8 +78,7 @@ def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
     if signed and w:
         np.negative(weights[-1:], out=weights[-1:])
     if role == 0:
-        rng = rng if rng is not None else np.random.default_rng()
-        r = rng.integers(0, p.modulus, size=(ninst, w), dtype=p.dtype)
+        r = drbg.ring_elems(ninst * w, p.dtype).reshape(ninst, w)
         m0 = bits * weights - r  # share0_j * c_j - r_j  (b = 0 case)
         m1 = (bits ^ 1) * weights - r
         ot.send(m0.reshape(-1), m1.reshape(-1))
@@ -89,8 +91,7 @@ def a2b(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> BoolShar
     return y2b(gc, a2y(gc, x, p, shift))
 
 
-def y2a(gc: GcSession, p: RingParams, ot, ys: YaoShare,
-        rng: np.random.Generator | None = None) -> ArithShare:
+def y2a(gc: GcSession, p: RingParams, ot, ys: YaoShare, drbg: Drbg) -> ArithShare:
     """Reads ys as a two's-complement value of its width, so that a2y's
     narrow output comes back as the whole shifted value."""
-    return b2a(gc.role, p, ot, y2b(gc, ys), rng, signed=True)
+    return b2a(gc.role, p, ot, y2b(gc, ys), drbg, signed=True)

@@ -15,6 +15,9 @@ AES-CTR keystream started at V+1 (see aesutil), so each request keys one
 CTR context, writes its 64 KB of output straight into the caller's
 buffer, and reads the new key and V from the two blocks after it.
 
+Each party also keys one of its own for every secret it draws itself
+(PartySession.drbg).
+
 Domain separation between resource types (triples, OT masks, dot-product
 shares) is done through the personalization string: one tag byte plus a
 little-endian u32 stream index, zero-padded to the 32-byte seed length.
@@ -108,10 +111,10 @@ class Drbg:
             raw[-1] &= (1 << (nbits % 8)) - 1
         return raw
 
-    # Typed draws used by the correlated-randomness layer. A ring element
-    # of l bits consumes l/8 stream bytes, read as one little-endian
-    # integer. Each returns a writable array; ring_elems and blocks are
-    # views of the buffer fill_bytes allocated, with no copy.
+    # Typed draws of the correlated-randomness layer and of the parties.
+    # A ring element of l bits consumes l/8 stream bytes, read as one
+    # little-endian integer. Each returns a writable array; ring_elems and
+    # blocks are views of the buffer fill_bytes allocated, with no copy.
 
     def ring_elems(self, n: int, dtype: np.dtype) -> np.ndarray:
         """n elements of the unsigned little-endian dtype."""

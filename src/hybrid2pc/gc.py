@@ -23,8 +23,9 @@ call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R.
 A run has one data shape from garbler to evaluator: the labels of each
 input group are one (width, ninst, 16) array, and its tables are written,
 level by level, into one preallocated buffer that GcSession sends as one
-GC_TABLES frame. The conversions into and out of the garbled
-domain live in convert.
+GC_TABLES frame. garble draws nothing; GcSession draws the garbler's
+fresh zero labels from the party's CTR-DRBG (drbg.Drbg). The
+conversions into and out of the garbled domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
 "label"). The dealer draws the session's offset R = delta and, per label,
@@ -53,6 +54,7 @@ from . import transport
 from .aesutil import ecb_encryptor
 from .circuits import CONST0, CONST1, Circuit, run_spans
 from .correlated import PartyMaterial, Supply
+from .drbg import Drbg
 from .transport import Channel
 
 FIXED_KEY = b"hybrid2pc-fixkey"
@@ -126,10 +128,6 @@ def _mask16(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v * bits[..., None]
 
 
-def _fresh(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.integers(0, 256, size=shape + (16,), dtype=np.uint8)
-
-
 def tweak_span(c: Circuit, ninst: int) -> int:
     """Tweak counters one garbling of c uses, from its base upwards."""
     return c.num_gates * ninst
@@ -150,7 +148,6 @@ class YaoShare:
 @dataclass
 class Garbling:
     tables: bytearray  # every AND level's tables, in level order
-    in_zero: np.ndarray  # (len(inputs0) + len(inputs1), ninst, 16), inputs0 first
     out_zero: np.ndarray  # (nout, ninst, 16) output zero labels
     decode: np.ndarray  # (nout, ninst) decode bits
 
@@ -160,28 +157,19 @@ def _table_bytes(c: Circuit, ninst: int) -> int:
     return 32 * c.num_and * ninst
 
 
-def garble(c: Circuit, rng: np.random.Generator, R: np.ndarray,
-           ninst: int = 1, preset=None, tweak: int = 0) -> Garbling:
-    """Garble ninst instances of the circuit; deterministic given rng.
-
-    preset holds, per input group, a (width, ninst, 16) array of zero
-    labels to use, or None to draw fresh ones. tweak is the first tweak
-    counter; the run uses tweak_span() of them.
+def garble(c: Circuit, R: np.ndarray, in_zero: np.ndarray, ninst: int = 1,
+           tweak: int = 0) -> Garbling:
+    """Garble ninst instances of the circuit from its input zero labels
+    in_zero, (len(inputs0) + len(inputs1), ninst, 16) with inputs0 first;
+    a pure function of its arguments. tweak is the first tweak counter;
+    the run uses tweak_span() of them.
     """
     R64 = R.view(_U64)
     rR = _rotl1(R64)
     zero = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)
     zero8 = zero.view(np.uint8)
     zero[c.nwires] = R64  # NOT a == a ^ R
-    groups = (list(c.inputs0), list(c.inputs1))
-    preset = preset or (None, None)
-    drawn = [w for ws, pre in zip(groups, preset) if pre is None for w in ws]
-    if drawn:
-        zero8[drawn] = _fresh(rng, (len(drawn), ninst))
-    for ws, pre in zip(groups, preset):
-        if pre is not None:
-            zero8[ws] = pre
-    in_zero = zero8[groups[0] + groups[1]]
+    zero8[[*c.inputs0, *c.inputs1]] = in_zero
     tables = bytearray(_table_bytes(c, ninst))
     table = np.frombuffer(tables, dtype=_U64)
     pos = 0
@@ -216,14 +204,14 @@ def garble(c: Circuit, rng: np.random.Generator, R: np.ndarray,
     for k, w in enumerate(c.outputs):
         if w in (CONST0, CONST1):
             decode[k] = w  # carries the public value itself
-    return Garbling(tables, in_zero, out_zero, decode)
+    return Garbling(tables, out_zero, decode)
 
 
 def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
              tweak: int = 0) -> np.ndarray:
     """Walk the garbling with active labels; returns (nout, ninst, 16).
 
-    active_in is shaped as Garbling.in_zero; tweak must equal the garbler's.
+    active_in is shaped as garble's in_zero; tweak must equal the garbler's.
     """
     if len(tables) != _table_bytes(c, ninst):
         raise GcError("table buffer length mismatch")
@@ -263,11 +251,10 @@ class GcSession:
     tweak) pair repeats.
     """
 
-    def __init__(self, role: int, channel: Channel, material: PartyMaterial,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, role: int, channel: Channel, material: PartyMaterial, drbg: Drbg):
         self.role = role
         self.channel = channel
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.drbg = drbg
         if role == 0:
             self.R = material.delta
             self.labels = Supply("labels", material.label_k0)
@@ -322,8 +309,14 @@ class GcSession:
             if bind is None and group:
                 raise GcError(f"input group {k} has {len(group)} wires but no binding")
         kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
+        # the run's input labels, inputs0 first; each half fills the "bits" groups
+        n0 = len(c.inputs0)
+        labels = np.empty((n0 + len(c.inputs1), ninst, 16), np.uint8)
+        for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
+            if kind == "yao":
+                labels[rows] = np.swapaxes(val.labels, 0, 1)
         run = self._run_garbler if self.role == 0 else self._run_evaluator
-        out = run(c, kinds, vals, ninst, decode)
+        out = run(c, kinds, vals, labels, ninst, decode)
         self.tweak += tweak_span(c, ninst)
         return out
 
@@ -334,20 +327,18 @@ class GcSession:
         binds = (mine, theirs) if self.role == 0 else (theirs, mine)
         return self.run(c, *binds, ninst=ninst, decode=decode)
 
-    def _run_garbler(self, c, kinds, vals, ninst, decode):
-        preset = [np.swapaxes(v.labels, 0, 1) if k == "yao" else None
-                  for k, v in zip(kinds, vals)]
-        if kinds[1] == "bits" and c.inputs1:
+    def _run_garbler(self, c, kinds, vals, zero, ninst, decode):
+        n0, n1 = len(c.inputs0), len(c.inputs1)
+        if kinds[0] == "bits" and n0:
+            zero[:n0] = self.drbg.blocks(n0 * ninst).reshape(n0, ninst, 16)
+        if kinds[1] == "bits" and n1:
             # wire-major, mirrored by the evaluator's bits
-            n1 = len(c.inputs1)
-            zero = self.input_labels(np.zeros(n1 * ninst, np.uint8))
-            preset[1] = zero.reshape(n1, ninst, 16)
-        g = garble(c, self.rng, self.R, ninst, preset, self.tweak)
+            zero[n0:] = self.input_labels(np.zeros(n1 * ninst, np.uint8)).reshape(n1, ninst, 16)
+        g = garble(c, self.R, zero, ninst, self.tweak)
         self.channel.send(transport.GC_TABLES, g.tables)
         # active labels for garbler-known bits
-        k0 = len(c.inputs0) if kinds[0] == "bits" else 0
-        if k0:
-            known = g.in_zero[:k0]
+        if kinds[0] == "bits" and n0:
+            known = zero[:n0]
             # in place: the frame's memoryview cast needs C order
             known ^= _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
             self.channel.send(transport.GC_INLABELS, known)
@@ -356,20 +347,15 @@ class GcSession:
         self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
         return None
 
-    def _run_evaluator(self, c, kinds, vals, ninst, decode):
+    def _run_evaluator(self, c, kinds, vals, active, ninst, decode):
         n0, n1 = len(c.inputs0), len(c.inputs1)
-        active = np.empty((n0 + n1, ninst, 16), np.uint8)
-        for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
-            if kind == "yao":
-                active[rows] = np.swapaxes(val.labels, 0, 1)
         if kinds[1] == "bits" and n1:
             bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
             active[n0:] = self.input_labels(bits.T).reshape(n1, ninst, 16)
         tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
-        k0 = n0 if kinds[0] == "bits" else 0
-        if k0:
-            raw = self.channel.recv_expect(transport.GC_INLABELS, k0 * ninst * 16)
-            active[:k0] = np.frombuffer(raw, np.uint8).reshape(k0, ninst, 16)
+        if kinds[0] == "bits" and n0:
+            raw = self.channel.recv_expect(transport.GC_INLABELS, n0 * ninst * 16)
+            active[:n0] = np.frombuffer(raw, np.uint8).reshape(n0, ninst, 16)
         out_active = evaluate(c, tables, active, ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.swapaxes(out_active, 0, 1), 1)

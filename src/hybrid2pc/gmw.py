@@ -25,6 +25,7 @@ import numpy as np
 from . import transport
 from .circuits import CONST1, LevelizedCircuit, Span, run_spans
 from .correlated import PartyMaterial, Supply
+from .drbg import Drbg
 from .transport import Channel, ProtocolError
 
 
@@ -47,9 +48,9 @@ class BoolShare:
         return self.bits.shape[1]
 
 
-def share_bits(bits, rng: np.random.Generator) -> tuple[BoolShare, BoolShare]:
+def share_bits(bits, drbg: Drbg) -> tuple[BoolShare, BoolShare]:
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    r = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    r = drbg.bits(bits.size).reshape(bits.shape)
     return BoolShare(r, 0), BoolShare(bits ^ r, 1)
 
 

@@ -304,7 +304,7 @@ def _boolean_stage(se: PartySession, vals: np.ndarray, step: Step) -> ArithShare
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
         out_bits = se.gmw.evaluate(step.body.levelized, out_bits, empty)
     return convert.b2a(se.role, p, se.ot, BoolShare(out_bits.bits[:, :step.b2a_bits], se.role),
-                       se.rng, signed=isinstance(step.layer, MaxPool))
+                       se.drbg, signed=isinstance(step.layer, MaxPool))
 
 
 def _reveal_stage(se: PartySession, vals: np.ndarray, circuit: cc.Circuit) -> np.ndarray:
@@ -331,7 +331,7 @@ def nn_infer(se: PartySession, net: NetSpec, images: np.ndarray | None,
             raise MlError(f"images have shape {np.shape(images)}, the plan needs {want}")
         enc = ring.encode(images.reshape(batch, -1), p).reshape(-1)
     count = batch * int(np.prod(net.input_shape))
-    x = se.ass.share_input(enc, count, owner=1, rng=se.rng).value.reshape(batch, -1)
+    x = se.ass.share_input(enc, count, owner=1, drbg=se.drbg).value.reshape(batch, -1)
     for step in body:
         layer, v = step.layer, _gather(x, step)  # (batch, rows, window)
         if isinstance(layer, (Conv, FC)):
@@ -372,7 +372,7 @@ def svm_classify(se: PartySession, model: SvmModel | None,
     elif np.shape(model.w) not in ((d,), (batch, d)):
         raise MlError(f"model weights have shape {np.shape(model.w)}, the plan "
                       f"needs {(d,)} or {(batch, d)}")
-    x = se.ass.share_input(enc, batch * d, owner=1, rng=se.rng)
+    x = se.ass.share_input(enc, batch * d, owner=1, drbg=se.drbg)
     if se.role == 0:
         w = np.broadcast_to(np.asarray(model.w, dtype=np.float64), (batch, d))
         z = se.ass.vdp(ring.encode(w, p).reshape(-1), ArithShare(x.value, 0), d)

@@ -3,16 +3,19 @@
 Created either from a dealer bundle, fetched over the wire and opened by
 correlated.open_bundle (offline()), or directly from expanded material
 (tests). Each engine draws its dealt items from single-use supplies
-(correlated.Supply); leftovers() reads the five of them.
+(correlated.Supply); leftovers() reads the five of them. Every secret
+the party draws itself comes from one CTR-DRBG, drbg, keyed from secrets,
+or from rng.bytes(32) when a caller passes an rng (a seeded run).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import secrets
 
 from . import stp, transport
 from .ass import AssEngine
 from .correlated import PartyMaterial, ResourceManifest, open_bundle
+from .drbg import SEED_BYTES, Drbg
 from .gc import GcSession
 from .gmw import GmwEngine
 from .ot import OtReceiver, OtSender
@@ -21,20 +24,20 @@ from .transport import Channel
 
 class PartySession:
     def __init__(self, role: int, manifest: ResourceManifest,
-                 material: PartyMaterial, channel: Channel,
-                 rng: np.random.Generator | None = None):
+                 material: PartyMaterial, channel: Channel, rng=None):
         self.role = role
         self.manifest = manifest
         self.ring = manifest.ring
         self.channel = channel
-        self.rng = rng if rng is not None else np.random.default_rng()
+        seed = secrets.token_bytes(SEED_BYTES) if rng is None else rng.bytes(SEED_BYTES)
+        self.drbg = Drbg(seed)
         if role == 0:
             self.ot = OtSender(material.ot_q, channel)
         else:
             self.ot = OtReceiver(material.ot_r, material.ot_qr, channel)
         self.ass = AssEngine(role, self.ring, channel, material)
         self.gmw = GmwEngine(role, channel, material)
-        self.gc = GcSession(role, channel, material, rng=self.rng)
+        self.gc = GcSession(role, channel, material, self.drbg)
 
     @classmethod
     def offline(cls, role: int, manifest: ResourceManifest, stp_addr,

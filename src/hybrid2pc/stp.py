@@ -49,12 +49,9 @@ class StpServer:
         self._spent: set[bytes] = set()
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     def start(self) -> "StpServer":
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, daemon=True).start()
         return self
 
     def stop(self):
@@ -67,10 +64,7 @@ class StpServer:
                 sock = transport.tcp_accept(self._srv)
             except OSError:
                 return
-            t = threading.Thread(target=self._handle, args=(sock,), daemon=True)
-            t.start()
-            self._threads = [x for x in self._threads if x.is_alive()]
-            self._threads.append(t)
+            threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
 
     def _handle(self, sock):
         cipher = transport.PskCipher(self._cipher_key, 1) if self._cipher_key else None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hybrid2pc import correlated
+from hybrid2pc.drbg import SEED_BYTES, Drbg
 from hybrid2pc.gc import GcSession
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import channel_pair
@@ -37,11 +38,17 @@ def ot_masks(n, l):
     return m0.ot_q, m1.ot_r, m1.ot_qr
 
 
+def drbg_from(seed):
+    """A party generator keyed from a numpy seed or Generator, as
+    PartySession keys its own from the rng a caller passes."""
+    return Drbg(np.random.default_rng(seed).bytes(SEED_BYTES))
+
+
 def gc_sessions(c0, c1, num_labels, seeds=(1, 2)):
     """A garbler and an evaluator over c0, c1 with num_labels dealt labels."""
     m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_labels=num_labels))
-    return (GcSession(0, c0, m0, np.random.default_rng(seeds[0])),
-            GcSession(1, c1, m1, np.random.default_rng(seeds[1])))
+    return (GcSession(0, c0, m0, drbg_from(seeds[0])),
+            GcSession(1, c1, m1, drbg_from(seeds[1])))
 
 
 def new_offset(rng):
@@ -50,6 +57,13 @@ def new_offset(rng):
     r = rng.integers(0, 256, size=16, dtype=np.uint8)
     r[0] |= 1
     return r
+
+
+def zero_labels(rng, c, ninst):
+    """Fresh input zero labels of c for garble, drawn from rng: one
+    (len(inputs0) + len(inputs1), ninst, 16) array, inputs0 first."""
+    return rng.integers(0, 256, size=(len(c.inputs0) + len(c.inputs1), ninst, 16),
+                        dtype=np.uint8)
 
 
 def run_parties(f0, f1):

@@ -10,7 +10,8 @@ import threading
 import time
 
 import numpy as np
-from conftest import deal, gc_sessions, new_offset, ot_masks, run_parties
+from conftest import (deal, drbg_from, gc_sessions, new_offset, ot_masks, run_parties,
+                      zero_labels)
 
 from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
 from hybrid2pc.bench import run_bench
@@ -119,7 +120,7 @@ def test_criterion_2_online_communication_1000_ops():
     for name in ("add", "sub", "cmp", "eq", "mux", "relu", "bitand", "bitxor"):
         circ = cc.build_by_name(name, 32)
         rng = np.random.default_rng(3)
-        tabs = garble(circ, rng, new_offset(rng), ninst=n).tables
+        tabs = garble(circ, new_offset(rng), zero_labels(rng, circ, n), ninst=n).tables
         assert len(tabs) == 2 * 16 * circ.num_and * n, name
         table_checks.append(name)
     dt = time.time() - t0
@@ -171,8 +172,8 @@ def test_criterion_3_protocol_oracles():
         nn = len(x)
         expect = (x.astype(object) * y.astype(object)) % p.modulus
         srng = np.random.default_rng(seed)
-        x0, x1 = ass.share(x, p, srng)
-        y0, y1 = ass.share(y, p, srng)
+        x0, x1 = ass.share(x, p, drbg_from(srng))
+        y0, y1 = ass.share(y, p, drbg_from(srng))
         m = ResourceManifest(bytes(16), p, num_amt=nn, vdp_blocks=((nn, 1),))
         s0, s1 = _sessions(m)
         z0, z1 = run_parties(lambda: s0.ass.mul_mt(x0, y0),
@@ -193,7 +194,7 @@ def test_criterion_3_protocol_oracles():
         length, count = 50, 200
         xv = rng.integers(0, p.modulus, length * count, dtype=np.uint64)
         yv = rng.integers(0, p.modulus, length * count, dtype=np.uint64)
-        y0, y1 = ass.share(yv, p, rng)
+        y0, y1 = ass.share(yv, p, drbg_from(rng))
         m = ResourceManifest(bytes(16), p, vdp_blocks=((count, length),))
         s0, s1 = _sessions(m)
         z0, z1 = run_parties(
@@ -227,8 +228,8 @@ def _gmw_eval(circ, in0_bits, in1_bits, seed=0):
     e0 = gmw.GmwEngine(0, c0, m0)
     e1 = gmw.GmwEngine(1, c1, m1)
     rng = np.random.default_rng(seed)
-    x0, x1 = gmw.share_bits(in0_bits, rng)
-    y0, y1 = gmw.share_bits(in1_bits, rng)
+    x0, x1 = gmw.share_bits(in0_bits, drbg_from(rng))
+    y0, y1 = gmw.share_bits(in1_bits, drbg_from(rng))
     s0, s1 = run_parties(lambda: e0.evaluate(lc, x0, y0),
                          lambda: e1.evaluate(lc, x1, y1))
     out = gmw.reconstruct_bits(s0, s1)
@@ -323,8 +324,8 @@ def test_criterion_4_engine_equivalence():
 
             shares0, shares1 = [], []
             for k in range(100):
-                x0, x1 = gmw.share_bits(in0[k], srng)
-                y0, y1 = gmw.share_bits(in1[k], srng)
+                x0, x1 = gmw.share_bits(in0[k], drbg_from(srng))
+                y0, y1 = gmw.share_bits(in1[k], drbg_from(srng))
                 shares0.append((x0, y0))
                 shares1.append((x1, y1))
             s0bits, s1bits = run_parties(
@@ -374,18 +375,18 @@ def test_criterion_5_conversion_roundtrips():
         s0, s1 = _sessions(m)
         rng = np.random.default_rng(w)
         x = rng.integers(0, p.modulus, n, dtype=np.uint64)
-        x0, x1 = ass.share(x, p, rng)
+        x0, x1 = ass.share(x, p, drbg_from(rng))
 
         def trip(se, xs):
             def f():
                 ys = convert.a2y(se.gc, xs, p)
-                a_back = convert.y2a(se.gc, p, se.ot, ys, se.rng)
+                a_back = convert.y2a(se.gc, p, se.ot, ys, se.drbg)
                 bs = convert.a2b(se.gc, a_back, p)
                 marker = se.channel.ledger.payload_bytes(direction="sent")
                 bs2 = convert.y2b(se.gc, convert.b2y(se.gc, bs))
                 free = (se.channel.ledger.payload_bytes(direction="sent") - marker
                         - se.role * ((bs.bits.size + 7) // 8))  # b2y's masked bits
-                a_final = convert.b2a(se.role, p, se.ot, bs2, se.rng)
+                a_final = convert.b2a(se.role, p, se.ot, bs2, se.drbg)
                 return a_final, bs2, free
             return f
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import deal, run_parties
+from conftest import deal, drbg_from, run_parties
 
 from hybrid2pc import ass, transport
 from hybrid2pc.ass import ArithShare, AssEngine, AssError
@@ -25,7 +25,7 @@ def manifest(ring=L32, **kw):
 
 def test_share_reconstruct_zero():
     rng = np.random.default_rng(0)
-    s0, s1 = ass.share(0, L8, rng)
+    s0, s1 = ass.share(0, L8, drbg_from(rng))
     assert ass.reconstruct(s0, s1, L8) == 0
 
 
@@ -37,7 +37,7 @@ def test_share_example():
 def test_share_uniform_chi_squared():
     rng = np.random.default_rng(1)
     n = 10**5
-    s0, _ = ass.share(np.full(n, 42, dtype=np.uint64), L8, rng)
+    s0, _ = ass.share(np.full(n, 42, dtype=np.uint64), L8, drbg_from(rng))
     counts = np.bincount(s0.value.astype(np.int64), minlength=256)
     _, pvalue = scipy.stats.chisquare(counts)
     assert pvalue > 0.001
@@ -96,8 +96,8 @@ def test_mul_mt_zero_operand(channels):
     m = manifest(ring=L8, num_amt=16)
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(2)
-    x0, x1 = ass.share(np.zeros(16, np.uint64), L8, rng)
-    y0, y1 = ass.share(rng.integers(0, 256, 16, dtype=np.uint64), L8, rng)
+    x0, x1 = ass.share(np.zeros(16, np.uint64), L8, drbg_from(rng))
+    y0, y1 = ass.share(rng.integers(0, 256, 16, dtype=np.uint64), L8, drbg_from(rng))
     z0, z1 = run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
     assert not ass.reconstruct(z0, z1, L8).any()
 
@@ -110,8 +110,8 @@ def test_mul_mt_exhaustive_l8(channels):
     x = np.repeat(xs, 256)
     y = np.tile(xs, 256)
     rng = np.random.default_rng(3)
-    x0, x1 = ass.share(x, L8, rng)
-    y0, y1 = ass.share(y, L8, rng)
+    x0, x1 = ass.share(x, L8, drbg_from(rng))
+    y0, y1 = ass.share(y, L8, drbg_from(rng))
     z0, z1 = run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
     assert np.array_equal(ass.reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
     assert channels[0].ledger.messages(msg_type=transport.ASS_EF, direction="sent") == 1
@@ -122,8 +122,8 @@ def test_mul_mt_comm_bytes_and_round(channels):
     m = manifest(num_amt=1000)
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(4)
-    x0, x1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, rng)
-    y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, rng)
+    x0, x1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, drbg_from(rng))
+    y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, drbg_from(rng))
     run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
     # 2*l bits per direction per multiplication, one round
     for ch in (c0, c1):
@@ -136,7 +136,7 @@ def test_triple_exhaustion(channels):
     m = manifest(ring=L8, num_amt=2)
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(5)
-    x0, x1 = ass.share(np.zeros(3, np.uint64), L8, rng)
+    x0, x1 = ass.share(np.zeros(3, np.uint64), L8, drbg_from(rng))
     with pytest.raises(Exhausted):
         e0.mul_mt(x0, x0)
 
@@ -171,7 +171,7 @@ def test_mul_da_exhaustive_l8(channels):
     x = np.repeat(xs, 256)
     y = np.tile(xs, 256)
     rng = np.random.default_rng(6)
-    y0, y1 = ass.share(y, L8, rng)
+    y0, y1 = ass.share(y, L8, drbg_from(rng))
     z0, z1 = run_parties(
         lambda: e0.mul_da(x, y0), lambda: e1.mul_da(None, y1)
     )
@@ -183,7 +183,7 @@ def test_mul_da_comm_half_of_mt(channels):
     m = manifest(vdp_blocks=((1000, 1),))
     e0, e1 = engines(channels, m)
     rng = np.random.default_rng(7)
-    y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, rng)
+    y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, drbg_from(rng))
     run_parties(
         lambda: e0.mul_da(rng.integers(0, L32.modulus, 1000, np.uint64), y0),
         lambda: e1.mul_da(None, y1),
@@ -201,7 +201,7 @@ def test_vdp_matches_plaintext_oracle(channels):
     rng = np.random.default_rng(8)
     x = rng.integers(0, L32.modulus, trials * n, dtype=np.uint64)
     y = rng.integers(0, L32.modulus, trials * n, dtype=np.uint64)
-    y0, y1 = ass.share(y, L32, rng)
+    y0, y1 = ass.share(y, L32, drbg_from(rng))
     z0, z1 = run_parties(
         lambda: e0.vdp(x, y0, n), lambda: e1.vdp(None, y1, n)
     )
@@ -280,10 +280,10 @@ def test_peer_reply_of_wrong_length_rejected(channels, case):
 def test_share_input_roundtrip(channels):
     m = manifest(ring=L32)
     e0, e1 = engines(channels, m)
-    rng0, rng1 = np.random.default_rng(10), np.random.default_rng(11)
+    gen0, gen1 = drbg_from(10), drbg_from(11)
     x = np.arange(5, dtype=np.uint64)
     s0, s1 = run_parties(
-        lambda: e0.share_input(x, 5, owner=0, rng=rng0),
-        lambda: e1.share_input(None, 5, owner=0, rng=rng1),
+        lambda: e0.share_input(x, 5, owner=0, drbg=gen0),
+        lambda: e1.share_input(None, 5, owner=0, drbg=gen1),
     )
     assert np.array_equal(ass.reconstruct(s0, s1, L32), x)

@@ -103,8 +103,8 @@ def test_b2a_receives_through_one_recv_at_ring_width(monkeypatch):
               for r, (mat, ch) in enumerate(zip(deal(m), chans)))
     bits = np.zeros((n, w), np.uint8)
     try:
-        run_parties(lambda: convert.b2a(0, p, s0.ot, gmw.BoolShare(bits, 0), s0.rng),
-                    lambda: convert.b2a(1, p, s1.ot, gmw.BoolShare(bits, 1)))
+        run_parties(lambda: convert.b2a(0, p, s0.ot, gmw.BoolShare(bits, 0), s0.drbg),
+                    lambda: convert.b2a(1, p, s1.ot, gmw.BoolShare(bits, 1), s1.drbg))
     finally:
         for ch in chans:
             ch.close()

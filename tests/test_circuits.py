@@ -81,6 +81,22 @@ def test_malformed_text_raises_circuit_error(case):
         cc.parse_circuit(MALFORMED[case])
 
 
+# Integers too large for the netlist's arrays are refused before any
+# array is built: a gate wire past int32, and a wire count beyond what the
+# constants, inputs and gates could drive, which validate would otherwise
+# try to allocate.
+OVERSIZED = {
+    "gate-wire-past-int32": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 99999999999\n",
+    "huge-wire-count": "W 99999999999999999999\n",
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_integers_raise_circuit_error(case):
+    with pytest.raises(cc.CircuitError):
+        cc.parse_circuit(OVERSIZED[case])
+
+
 def test_register_breaks_cycle():
     # circuits are combinational: a REG line, which would close the cycle
     # NOT 2 -> 3 -> 2 through a register, is not part of the format

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import deal, run_parties
+from conftest import deal, drbg_from, run_parties
 
 from hybrid2pc import ass, convert, gmw, ring, transport
 from hybrid2pc.correlated import ResourceManifest
@@ -45,7 +45,7 @@ def test_y2b_zero_online_bytes(channels):
     c0, c1 = channels
     se0, se1 = sessions(channels, num_labels=32)
     bits = np.random.default_rng(0).integers(0, 2, (1, 32), np.uint8)
-    b0, b1 = gmw.share_bits(bits, np.random.default_rng(1))
+    b0, b1 = gmw.share_bits(bits, drbg_from(1))
     run_parties(
         lambda: convert.b2y(se0.gc, b0), lambda: convert.b2y(se1.gc, b1)
     )
@@ -64,7 +64,7 @@ def test_b2y_roundtrip_32bit(channels):
     rng = np.random.default_rng(2)
     vals = rng.integers(0, p.modulus, n, dtype=np.uint64)
     bits = ring.bits_of(vals, p)
-    b0, b1 = gmw.share_bits(bits, rng)
+    b0, b1 = gmw.share_bits(bits, drbg_from(rng))
 
     def p0():
         ys = convert.b2y(se0.gc, b0)
@@ -85,7 +85,7 @@ def test_a2y_matches_oracle(channels):
     se0, se1 = sessions(channels, num_labels=32 * n)
     rng = np.random.default_rng(3)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    x0, x1 = ass.share(x, p, rng)
+    x0, x1 = ass.share(x, p, drbg_from(rng))
 
     def p0():
         ys = convert.a2y(se0.gc, x0, p)
@@ -111,11 +111,11 @@ def test_a2y_with_scale_discharge(channels):
     se0, se1 = sessions(channels, ring_=p, num_labels=32 * n, num_ot=w * n)
     rng = np.random.default_rng(4)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    x0, x1 = ass.share(x, p, rng)
+    x0, x1 = ass.share(x, p, drbg_from(rng))
 
     def run(se, xs):
         ys = convert.a2y(se.gc, xs, p, shift=debt)
-        return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.ot, ys, se.rng)
+        return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.ot, ys, se.drbg)
 
     (b0, a0), (b1, a1) = run_parties(lambda: run(se0, x0), lambda: run(se1, x1))
     got = gmw.reconstruct_bits(b0, b1)
@@ -135,8 +135,8 @@ def test_b2a_exhaustive_one_bit(channels):
             b0 = BoolShare(np.array([[s0_bit]], np.uint8), 0)
             b1 = BoolShare(np.array([[s1_bit]], np.uint8), 1)
             r0, r1 = run_parties(
-                lambda: convert.b2a(0, p, se0.ot, b0, se0.rng),
-                lambda: convert.b2a(1, p, se1.ot, b1),
+                lambda: convert.b2a(0, p, se0.ot, b0, se0.drbg),
+                lambda: convert.b2a(1, p, se1.ot, b1, se1.drbg),
             )
             assert int(ass.reconstruct(r0, r1, p)[0]) == (s0_bit ^ s1_bit)
 
@@ -151,10 +151,10 @@ def test_b2a_extremes_and_random(channels):
         rng.integers(0, p.modulus, n, dtype=np.uint64),
     ])
     bits = ring.bits_of(vals, p)
-    b0, b1 = gmw.share_bits(bits, rng)
+    b0, b1 = gmw.share_bits(bits, drbg_from(rng))
     r0, r1 = run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.rng),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1)),
+        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.drbg),
+        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1), se1.drbg),
     )
     assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
 
@@ -168,10 +168,10 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
     vals = np.arange(1 << w, dtype=np.uint64)
     se0, se1 = sessions(chans, ring_=p, num_ot=2 * w * len(vals))
     bits = ring.bits_of(vals, p)[:, :w]
-    b0, b1 = gmw.share_bits(bits, np.random.default_rng(w))
+    b0, b1 = gmw.share_bits(bits, drbg_from(w))
 
     def run(se, bs):
-        return [convert.b2a(se.role, p, se.ot, BoolShare(bs.bits, se.role), se.rng,
+        return [convert.b2a(se.role, p, se.ot, BoolShare(bs.bits, se.role), se.drbg,
                             signed=signed) for signed in (False, True)]
 
     (u0, s0), (u1, s1) = run_parties(lambda: run(se0, b0), lambda: run(se1, b1))
@@ -190,15 +190,15 @@ def test_roundtrips_preserve_reconstruction(w, channels):
     se0, se1 = sessions(channels, ring_=p, num_labels=3 * w * n, num_ot=2 * w * n)
     rng = np.random.default_rng(6)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    x0, x1 = ass.share(x, p, rng)
+    x0, x1 = ass.share(x, p, drbg_from(rng))
 
     def roundtrip(se, xs):
         # a2y -> y2a
         ys = convert.a2y(se.gc, xs, p)
-        back_a = convert.y2a(se.gc, p, se.ot, ys, se.rng)
+        back_a = convert.y2a(se.gc, p, se.ot, ys, se.drbg)
         # a2b -> b2a on the result
         bs = convert.a2b(se.gc, back_a, p)
-        back2 = convert.b2a(se.role, p, se.ot, bs, se.rng)
+        back2 = convert.b2a(se.role, p, se.ot, bs, se.drbg)
         # b2y -> y2b
         ys2 = convert.b2y(se.gc, bs)
         bs2 = convert.y2b(se.gc, ys2)
@@ -218,8 +218,8 @@ def test_b2a_ot_message_count(channels):
     se0, se1 = sessions(channels, ring_=p, num_ot=16 * n)
     bits = np.zeros((n, 16), np.uint8)
     run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(bits, 0), se0.rng),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(bits, 1)),
+        lambda: convert.b2a(0, p, se0.ot, BoolShare(bits, 0), se0.drbg),
+        lambda: convert.b2a(1, p, se1.ot, BoolShare(bits, 1), se1.drbg),
     )
     # l OTs of l-bit messages per value: choices n*l bits, pairs n*l*2*l bits
     assert c1.ledger.payload_bytes(msg_type=transport.OT_CHOICES) == n * 16 // 8
@@ -228,17 +228,20 @@ def test_b2a_ot_message_count(channels):
 
 # SHA-256 of every OT_CHOICES and OT_PAIRS payload of one seeded b2a per
 # ring width (7 values of 5 bits, masks dealt from conftest's seeds, role
-# 0's masks r from its session rng): the OT engine's wire bytes, so that
-# no change to how it holds masks or messages moves one.
+# 0's masks r from its session generator, keyed from a seeded rng): the OT
+# engine's wire bytes, so that no change to how it holds masks or
+# messages moves one. OT_CHOICES depends only on the dealt masks and the
+# test's input split; OT_PAIRS also on role 0's r, so it moves with the
+# session generator's stream.
 PINNED_OT_WIRE = {
     8: ("f718bf0231816b458b9365bc7d6cc0be22642583fabf83ddf91dc5d5a4ab6c00",
-        "eb7f4b860c281aa33d995291768d8f3710f658a03a79fdc1e2ddd7cb16f4fda0"),
+        "f75b283015c60ea039e4f763f8d6744644450ad9e7221ec7326b3386f22e1697"),
     16: ("cf3d5b7d16e708b1d236d32d179dac56ae0c6e138ea00ada67f653dad32f4142",
-         "c3966c3115ff1543f8e6a62302d4685a2cbf0e696b2876af4e90d3b7cd6cd39b"),
+         "65085191773f0609980805085a054726294f1b2d3691ed0fdae5c6ade543be42"),
     32: ("7b8ce3128ea6ec8c43534a2285613344ea2be9990236abcad7d8097fde4c4a37",
-         "becbbd704f6b7cc25fc898ca968349fa97bb6bcfb297511a7d2ad717e3a73efe"),
+         "6bb904ab7522007c23a12a711cc2c82beb627f5b3f3a8a3cd41d0d4a3362c70e"),
     64: ("a47bd8cf80d775df0c66e30b6ca2895845667be22299d6149e6c772162a8b8fd",
-         "9adb3af6bf603ea9b35759759913da4602a062b4f3a6abc2075e4dd987785e08"),
+         "87e6d7821c8910a4879a4385ff7cfa6014b61e7382fa4b55bad245043cb8d0c3"),
 }
 
 
@@ -257,10 +260,13 @@ def test_b2a_ot_wire_bytes_pinned(l, channels, monkeypatch):
     se0, se1 = sessions(channels, ring_=p, num_ot=n * w)
     rng = np.random.default_rng(l)
     vals = rng.integers(0, 1 << w, n, dtype=np.uint64)
-    b0, b1 = gmw.share_bits(ring.bits_of(vals, p)[:, :w], rng)
+    # test data: the input bits are split with the test's own stream
+    bits = ring.bits_of(vals, p)[:, :w]
+    mask = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    b0, b1 = BoolShare(mask, 0), BoolShare(bits ^ mask, 1)
     r0, r1 = run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.rng),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1)),
+        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.drbg),
+        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1), se1.drbg),
     )
     assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
     got = tuple(digests[t].hexdigest() for t in (transport.OT_CHOICES, transport.OT_PAIRS))

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import deal, ot_masks, run_parties
+from conftest import deal, drbg_from, ot_masks, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import convert
@@ -350,7 +350,7 @@ def _draw_ot_receiver(mat, ch):
 
 
 def _draw_labels(mat, ch):
-    GcSession(mat.role, ch, mat).input_labels(np.zeros(5, np.uint8))
+    GcSession(mat.role, ch, mat, drbg_from(0)).input_labels(np.zeros(5, np.uint8))
 
 
 OVERDRAWS = {

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import gc_sessions, new_offset, run_parties
+from conftest import drbg_from, gc_sessions, new_offset, run_parties, zero_labels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +46,8 @@ def test_and_truth_table(channels):
 
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
-    g = garble(cc.build_bitxor(16), rng, new_offset(rng), ninst=4)
+    c = cc.build_bitxor(16)
+    g = garble(c, new_offset(rng), zero_labels(rng, c, 4), ninst=4)
     assert len(g.tables) == 0
 
 
@@ -54,7 +55,7 @@ def test_table_bytes_exact():
     rng = np.random.default_rng(0)
     for circ in (cc.build_add(32, "size"), cc.build_cmp(16, "depth")):
         for ninst in (1, 7):
-            g = garble(circ, rng, new_offset(rng), ninst=ninst)
+            g = garble(circ, new_offset(rng), zero_labels(rng, circ, ninst), ninst=ninst)
             assert len(g.tables) == 32 * circ.num_and * ninst
 
 
@@ -63,7 +64,7 @@ def test_garble_determinism():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        g = garble(c, rng, new_offset(rng), ninst=3)
+        g = garble(c, new_offset(rng), zero_labels(rng, c, 3), ninst=3)
         runs.append((bytes(g.tables), g.decode.tobytes()))
     assert runs[0] == runs[1]
 
@@ -126,9 +127,10 @@ def test_online_bytes_formula(channels):
 def test_short_table_buffer_rejected():
     circ = cc.build_add(8, "size")
     rng = np.random.default_rng(9)
-    g = garble(circ, rng, new_offset(rng), ninst=2)
+    R, zero = new_offset(rng), zero_labels(rng, circ, 2)
+    g = garble(circ, R, zero, ninst=2)
     with pytest.raises(gc_mod.GcError):
-        evaluate(circ, g.tables[:-8], g.in_zero, 2)
+        evaluate(circ, g.tables[:-8], zero, 2)
 
 
 def test_more_than_one_cycle_rejected(channels):
@@ -182,17 +184,27 @@ def test_identity_passthrough(channels):
     assert np.array_equal(from_bits(out), np.arange(256))
 
 
-def test_label_hygiene_permute_bits_balanced():
+def test_label_hygiene_permute_bits_balanced(channels, monkeypatch):
     # the evaluator-visible permute bit of a wire should split evenly
-    # across garblings
-    c = cc.build_bitand(1)
-    lsbs = []
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        R = new_offset(rng)
-        g = garble(c, rng, R, ninst=1)
-        lsbs.append(int(g.in_zero[0, 0, 0] & 1))
-    ones = sum(lsbs)
+    # across garblings: the garbler's fresh zero labels, which come from
+    # its session generator, reach the evaluator as GC_INLABELS for
+    # all-zero bits
+    c, n = cc.build_bitand(1), 200
+    sent = []
+    orig = transport.Channel.send
+
+    def send(self, msg_type, payload):
+        if msg_type == transport.GC_INLABELS:
+            sent.append(np.frombuffer(bytes(memoryview(payload).cast("B")), np.uint8))
+        return orig(self, msg_type, payload)
+
+    monkeypatch.setattr(transport.Channel, "send", send)
+    zeros = np.zeros((n, 1), np.uint8)
+    g, e = gc_sessions(*channels, n)
+    run_parties(lambda: g.run(c, ("bits", zeros), ("bits", None), ninst=n),
+                lambda: e.run(c, ("bits", None), ("bits", zeros), ninst=n))
+    (labels,) = sent
+    ones = int((labels.reshape(n, 16)[:, 0] & 1).sum())
     assert 60 <= ones <= 140  # ~Binomial(200, 1/2), far beyond 6 sigma
 
 
@@ -242,11 +254,12 @@ def _garble_digest(jobs) -> str:
     h = hashlib.sha256()
     for circ, ninst, seed in jobs:
         rng = np.random.default_rng(seed)
-        g = garble(circ, rng, new_offset(rng), ninst=ninst)
+        R, zero = new_offset(rng), zero_labels(rng, circ, ninst)
+        g = garble(circ, R, zero, ninst=ninst)
         h.update(g.tables)
-        for labels in (g.in_zero, g.out_zero, g.decode):
+        for labels in (zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
-        out = evaluate(circ, g.tables, g.in_zero, ninst)
+        out = evaluate(circ, g.tables, zero, ninst)
         h.update(out.tobytes())
     return h.hexdigest()
 
@@ -268,10 +281,10 @@ def test_concurrent_garbling_matches_serial():
     assert got == [serial] * 6
 
 
-def _active(circ, g, R, in0, in1):
+def _active(zero, R, in0, in1):
     """Evaluator's active input labels for input bits in0, in1."""
     bits = np.concatenate((in0, in1), axis=1).T  # (inputs, ninst)
-    return g.in_zero ^ (bits[..., None] * R)
+    return zero ^ (bits[..., None] * R)
 
 
 def _interpreter_digest(circ, ninst, seed, preset):
@@ -280,17 +293,24 @@ def _interpreter_digest(circ, ninst, seed, preset):
     rng = np.random.default_rng(seed)
     R = new_offset(rng)
     aux = np.random.default_rng(seed + 1000)
-    pre = (None, np.stack([aux.integers(0, 256, (ninst, 16), dtype=np.uint8)
-                           for _ in circ.inputs1])) if preset else None
-    g = garble(circ, rng, R, ninst=ninst, preset=pre)
+    if preset:
+        # the digests' draw order: inputs0's labels from rng after R,
+        # inputs1's from aux
+        pre = np.stack([aux.integers(0, 256, (ninst, 16), dtype=np.uint8)
+                        for _ in circ.inputs1])
+        n0 = len(circ.inputs0)
+        zero = np.concatenate([rng.integers(0, 256, (n0, ninst, 16), dtype=np.uint8), pre])
+    else:
+        zero = zero_labels(rng, circ, ninst)
+    g = garble(circ, R, zero, ninst=ninst)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    out = evaluate(circ, g.tables, _active(circ, g, R, in0, in1), ninst)
+    out = evaluate(circ, g.tables, _active(zero, R, in0, in1), ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
     assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1))
     h = hashlib.sha256()
     h.update(g.tables)
-    for arr in (g.in_zero, g.out_zero, g.decode, out):
+    for arr in (zero, g.out_zero, g.decode, out):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -356,8 +376,8 @@ def _gmw_outputs(circ, in0, in1, rng):
     empty = np.zeros(0, np.uint64)
     mats = [PartyMaterial(0, RingParams(32), empty, empty, empty, a0, b0, c0),
             PartyMaterial(1, RingParams(32), empty, empty, empty, a1, b1, c1)]
-    x0, x1 = gmw.share_bits(in0, rng)
-    y0, y1 = gmw.share_bits(in1, rng)
+    x0, x1 = gmw.share_bits(in0, drbg_from(rng))
+    y0, y1 = gmw.share_bits(in1, drbg_from(rng))
     c0_, c1_ = transport.channel_pair()
     try:
         e0, e1 = GmwEngine(0, c0_, mats[0]), GmwEngine(1, c1_, mats[1])
@@ -379,8 +399,9 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     in1 = rng.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
     expect = cc.simulate(circ, in0, in1)
     R = new_offset(rng)
-    g = garble(circ, rng, R, ninst=ninst)
-    out = evaluate(circ, g.tables, _active(circ, g, R, in0, in1), ninst)
+    zero = zero_labels(rng, circ, ninst)
+    g = garble(circ, R, zero, ninst=ninst)
+    out = evaluate(circ, g.tables, _active(zero, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     assert np.array_equal(_gmw_outputs(circ, in0, in1, rng), expect)
 

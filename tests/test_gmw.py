@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import deal, run_parties
+from conftest import deal, drbg_from, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import gmw, transport
@@ -35,10 +35,10 @@ def eval_both(channels, circ, x, y, num_bmt=None, seed=0):
     lc = cc.levelize(circ)
     need = circ.num_and * max(len(np.atleast_1d(x)), 1) if num_bmt is None else num_bmt
     e0, e1 = engines(channels, need)
-    rng = np.random.default_rng(seed)
+    gen = drbg_from(seed)
     w0, w1 = len(circ.inputs0), len(circ.inputs1)
-    x0, x1 = gmw.share_bits(to_bits(x, w0) if w0 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), rng)
-    y0, y1 = gmw.share_bits(to_bits(y, w1) if w1 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), rng)
+    x0, x1 = gmw.share_bits(to_bits(x, w0) if w0 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), gen)
+    y0, y1 = gmw.share_bits(to_bits(y, w1) if w1 else np.zeros((len(np.atleast_1d(x)), 0), np.uint8), gen)
     s0, s1 = run_parties(
         lambda: e0.evaluate(lc, x0, y0),
         lambda: e1.evaluate(lc, x1, y1),

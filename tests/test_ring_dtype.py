@@ -4,7 +4,7 @@ the dealt material and in what is read back from the wire."""
 import numpy as np
 import pytest
 
-from conftest import SEED0, SEED1, run_parties
+from conftest import SEED0, SEED1, drbg_from, run_parties
 
 from hybrid2pc import ass, convert, correlated, gmw, ring
 from hybrid2pc.correlated import ResourceManifest
@@ -32,14 +32,15 @@ def test_protocol_outputs_are_ring_dtype(l, channels):
     x, y = (rng.integers(0, p.modulus, n, dtype=np.uint64) for _ in range(2))
     clear = rng.integers(0, p.modulus, n * k, dtype=np.uint64)
     vec = rng.integers(0, p.modulus, n * k, dtype=np.uint64)
-    xs, ys, vs = ass.share(x, p, rng), ass.share(y, p, rng), ass.share(vec, p, rng)
-    bits = gmw.share_bits(ring.bits_of(x, p), rng)
+    gen = drbg_from(rng)
+    xs, ys, vs = ass.share(x, p, gen), ass.share(y, p, gen), ass.share(vec, p, gen)
+    bits = gmw.share_bits(ring.bits_of(x, p), gen)
 
     def run(s):
         r = s.role
         return (s.ass.mul_mt(xs[r], ys[r]),
                 s.ass.vdp(clear if r == 0 else None, vs[r], k),
-                convert.b2a(r, p, s.ot, BoolShare(bits[r].bits, r), s.rng))
+                convert.b2a(r, p, s.ot, BoolShare(bits[r].bits, r), s.drbg))
 
     outs = run_parties(lambda: run(se[0]), lambda: run(se[1]))
     for share in (*xs, *ys, *vs, *outs[0], *outs[1]):
