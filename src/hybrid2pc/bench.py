@@ -182,17 +182,16 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
         return BenchRow(op, *row, predicted_online=(n * w + 7) // 8,
                         predicted_offline=SEED_BYTES + 16 * n * w)
     if op == "b2a":
-        m = ResourceManifest(sid, p, num_ot=n * w)
+        m = ResourceManifest(sid, p, num_dabits=n * w)
         b0, b1 = _share_bits(w, n, rng)
         row = _measure(
             m,
-            lambda se: convert.b2a(0, p, se.ot, b0, se.drbg),
-            lambda se: convert.b2a(1, p, se.ot, b1, se.drbg),
+            lambda se: convert.b2a(se.channel, p, se.dabits, b0),
+            lambda se: convert.b2a(se.channel, p, se.dabits, b1),
             stp_addr,
         )
-        # one dealt OT of one ring element per bit
-        return BenchRow(op, *row,
-                        predicted_online=n * w * 2 * p.nbytes + (n * w + 7) // 8,
+        # one dealt daBit (role 1's a1, one ring element) per bit, opened each way
+        return BenchRow(op, *row, predicted_online=2 * ((n * w + 7) // 8),
                         predicted_offline=SEED_BYTES + p.nbytes * n * w)
     if op == "a2y":
         m = ResourceManifest(sid, p, num_labels=n * w)

@@ -12,14 +12,19 @@ correlations are:
   b2y  one dealt label per bit (GcSession.input_labels): role 1 sends
        e = s1 ^ r, and role 0 takes Y0 = k0 ^ (e ^ s0)*R, so that role
        1's K = k0 ^ r*R is Y0 ^ (s0 ^ s1)*R
-  b2a  one l-bit OT per converted bit j, messages
-       ((s0_j ^ b) * c_j - r_j) mod 2^l, with weight c_j = 2^j, except
-       that the top bit of a signed w-bit value weighs -2^(w-1) mod 2^l
+  b2a  one dealt daBit per converted bit (correlated: a random bit b
+       held as XOR shares b_i and as additive shares a_i): each role
+       sends e_i = c_i ^ b_i, and with e = c ^ b public, role i takes
+       [c]_i = i*e + a_i - 2e*a_i, so that [c]_0 + [c]_1 = e + b - 2eb = c
 
-b2a's weights sign-extend a narrow value for free, so a value that fits w
-bits costs w OTs, not l; a ReLU output, whose sign bit is 0, converts
-only the w - 1 bits below it (ABY, NDSS 2015, prices b2a at one OT per
-converted bit).
+b2a's weights sign-extend a narrow value for free, so a value that fits
+w bits costs w daBits and w bits each way, not l; a ReLU output, whose
+sign bit is 0, converts only the w - 1 bits below it.
+
+b2a is secure under the paper's non-colluding dealer: b = b0 ^ b1 is
+uniform and each party knows only its own b_i, so e = c ^ b reveals
+nothing about c; a1 = b - a0 is uniform in role 1's view, because a0
+comes from seed0; and each daBit is spent once, through its Supply.
 
 Validation of all routes is purely by reconstruction oracles.
 """
@@ -28,13 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import circuits, ring
+from . import circuits, ring, transport
 from .ass import ArithShare
-from .drbg import Drbg
+from .correlated import Supply
 from .gc import GcSession, YaoShare
 from .gmw import BoolShare
-from .ot import OtReceiver, OtSender
 from .ring import RingParams
+from .transport import Channel
 
 
 def a2y(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> YaoShare:
@@ -61,12 +66,11 @@ def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
     return YaoShare(labels.reshape(bs.bits.shape + (16,)), gc.role)
 
 
-def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
-        drbg: Drbg, signed: bool = False) -> ArithShare:
-    """Boolean -> additive via one l-bit OT per bit column, all columns in
-    one OtSender.send / OtReceiver.recv batch of ring elements. Role 0
-    draws its masks r, one ring element per bit, from drbg, the session's
-    generator (PartySession.drbg).
+def b2a(channel: Channel, p: RingParams, dabits: Supply, bs: BoolShare,
+        signed: bool = False) -> ArithShare:
+    """Boolean -> additive on one daBit from dabits per bit: one exchange
+    of the masked bits e_i, packed LSB-first, on OT_CHOICES (none for a
+    zero-width batch); the party's role is bs.role.
 
     Column j weighs 2^j. When signed, the w columns are a w-bit two's-
     complement value and the top one weighs -2^(w-1) mod 2^l, which
@@ -74,24 +78,25 @@ def b2a(role: int, p: RingParams, ot: OtSender | OtReceiver, bs: BoolShare,
     """
     bits = bs.bits
     ninst, w = bits.shape
+    if not bits.size:
+        return ArithShare(np.zeros(ninst, p.dtype), bs.role)
+    b, a = dabits.take(bits.size)
+    mine = bits.reshape(-1) ^ b
+    theirs = channel.exchange(transport.OT_CHOICES, np.packbits(mine, bitorder="little"))
+    e = mine ^ np.unpackbits(np.frombuffer(theirs, np.uint8), count=bits.size,
+                             bitorder="little")
+    c = bs.role * e + np.where(e.astype(bool), np.negative(a), a)  # i*e + a_i - 2e*a_i
     weights = np.ones(w, p.dtype) << np.arange(w, dtype=p.dtype)
-    if signed and w:
+    if signed:
         np.negative(weights[-1:], out=weights[-1:])
-    if role == 0:
-        r = drbg.ring_elems(ninst * w, p.dtype).reshape(ninst, w)
-        m0 = bits * weights - r  # share0_j * c_j - r_j  (b = 0 case)
-        m1 = (bits ^ 1) * weights - r
-        ot.send(m0.reshape(-1), m1.reshape(-1))
-        return ArithShare(r.sum(axis=1, dtype=p.dtype), 0)
-    got = ot.recv(bits.reshape(-1), p.l).reshape(ninst, w)
-    return ArithShare(got.sum(axis=1, dtype=p.dtype), 1)
+    return ArithShare((c.reshape(ninst, w) * weights).sum(axis=1, dtype=p.dtype), bs.role)
 
 
 def a2b(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> BoolShare:
     return y2b(gc, a2y(gc, x, p, shift))
 
 
-def y2a(gc: GcSession, p: RingParams, ot, ys: YaoShare, drbg: Drbg) -> ArithShare:
+def y2a(gc: GcSession, p: RingParams, dabits: Supply, ys: YaoShare) -> ArithShare:
     """Reads ys as a two's-complement value of its width, so that a2y's
     narrow output comes back as the whole shifted value."""
-    return b2a(gc.role, p, ot, y2b(gc, ys), drbg, signed=True)
+    return b2a(gc.channel, p, dabits, y2b(gc, ys), signed=True)

@@ -1,4 +1,4 @@
-"""Correlated randomness: triples, OT masks, labels and dot-product shares.
+"""Correlated randomness: triples, daBits, labels and dot-product shares.
 
 The dealer and the two parties all run the same seed expansion, so every
 layout here is normative: role 0 expands seed0 into its full view, role 1
@@ -7,7 +7,7 @@ expands both seeds to compute the corrections that complete role 1's view:
 
     A-MT   c1 = (a0+a1)*(b0+b1) - c0   (mod 2^l)
     B-MT   c1 = (a0^a1)&(b0^b1) ^ c0
-    OT     qr = q_r, r drawn by the receiver side
+    daBit  a1 = (b0^b1) - a0   (mod 2^l), b_i drawn by role i, a0 by role 0
     label  K = k0 ^ r*delta, r drawn by role 1, delta (lsb 1) by role 0
     VDP    a3 = sum_j a0_j*a1_j - a2   (mod 2^l), one (a2, a3) per product
 
@@ -28,7 +28,7 @@ the sums and products below wrap mod 2^l by themselves.
 Stream layouts:
     AMT  role 0: a[0..n) b[0..n) c[0..n)     role 1: a[0..n) b[0..n)
     BMT  role 0: a-bits, b-bits, c-bits      role 1: a-bits, b-bits
-    OT   sender: q0,q1 ring elems per item   receiver: r bits
+    DAB  role 0: b-bits, a0[0..n)            role 1: b-bits
     LAB  role 0: delta, then k0 blocks       role 1: r bits
     VDP  role 0: per product: n_d elems, a2  role 1: per product: n_d elems
 
@@ -37,17 +37,16 @@ linear layer, i.e. one per vdp call, in call order. A block's material is
 one (products, length) mask matrix per role and one scalar per product;
 blocking changes no stream byte, since the products are drawn in order.
 
-An OT mask is one ring element: it pads one l-bit b2a message once
-(Beaver, CRYPTO 1995), so it is as wide as that message, and it stays a
-ring element in the ring's dtype from the draw to the OT engine's XOR:
-role 0 holds (n, 2) mask pairs, role 1 an (n,) view of the bundle's qr
-section. A label stays 128 bits, the width of a garbled wire's key.
+A daBit (Rotaru-Wood, INDOCRYPT 2019) is a random bit b = b0 ^ b1 that
+the parties also hold as additive shares a0 + a1 = b (mod 2^l), in the
+ring's dtype; role 1's a1 is an (n,) view of the bundle's a1 section. A
+label stays 128 bits, the width of a garbled wire's key.
 
 Every stream is the CTR-DRBG of drbg.py, i.e. AES-CTR keystream rekeyed
 every 64 KB; the typed draws read the bytes it writes. Role 0's
 dealer bundle is seed0 alone; role 1's is laid out as
 
-    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | qr (ring dtype)
+    seed1 | c1_amt (ring dtype) | c1_bmt (packed, LSB-first) | a1 (ring dtype)
           | K (16 bytes each) | a3 (ring dtype)
 
 and is written once into one buffer by compute_corrections, the dealer's
@@ -57,11 +56,11 @@ PartyMaterial as views, and bundle_size gives the length that the party
 also names when it receives it.
 
 Online, every dealt item is single-use: reusing a Beaver triple or a
-precomputed-OT mask leaks the inputs it masked. Each engine therefore
-reads its material only through a Supply, a cursor over one resource's
-parallel arrays. take(n) hands out the next n rows and never the same row
-twice; a draw past the end raises Exhausted before the party sends
-anything, so an over-drawing party puts no frame on the wire.
+daBit leaks the inputs it masked. Each engine therefore reads its
+material only through a Supply, a cursor over one resource's parallel
+arrays. take(n) hands out the next n rows and never the same row twice;
+a draw past the end raises Exhausted before the party sends anything, so
+an over-drawing party puts no frame on the wire.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ from .ring import RingParams
 # Personalization tags, one substream per resource type.
 TAG_AMT = 0x01
 TAG_BMT = 0x02
-TAG_OT_SEND = 0x03
-TAG_OT_RECV = 0x04
+TAG_DABIT = 0x03
 TAG_VDP = 0x05
 TAG_LABEL_SEND = 0x06
 TAG_LABEL_RECV = 0x07
@@ -115,7 +113,7 @@ def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:
     return Drbg(seed, personalization(tag, index))
 
 
-# ring l, alpha, beta | num_amt, num_bmt, num_ot, num_labels; then one
+# ring l, alpha, beta | num_amt, num_bmt, num_dabits, num_labels; then one
 # u32 pair (products, length) per dot-product block, the count implied by
 # the size
 _MANIFEST_HEAD = struct.Struct("<3B4I")
@@ -130,14 +128,14 @@ class ResourceManifest:
     ring: RingParams
     num_amt: int = 0
     num_bmt: int = 0
-    num_ot: int = 0  # two-message OTs (b2a)
+    num_dabits: int = 0  # daBits (b2a, one per converted bit)
     num_labels: int = 0  # Delta-correlated labels (the evaluator's garbled inputs)
     vdp_blocks: tuple[tuple[int, int], ...] = ()  # (products, length) per vdp call
 
     def __post_init__(self):
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
-        counts = (self.num_amt, self.num_bmt, self.num_ot, self.num_labels)
+        counts = (self.num_amt, self.num_bmt, self.num_dabits, self.num_labels)
         if not all(0 <= n <= _U32_MAX for n in counts):
             raise ValueError(f"resource counts {counts} are not all 0 to 2^32-1")
         blocks = np.asarray(self.vdp_blocks, dtype=np.int64).reshape(-1, 2)
@@ -157,7 +155,7 @@ class ResourceManifest:
         """Manifest payload; the session id travels in the frame header."""
         p = self.ring
         head = _MANIFEST_HEAD.pack(p.l, p.alpha, p.beta, self.num_amt, self.num_bmt,
-                                   self.num_ot, self.num_labels)
+                                   self.num_dabits, self.num_labels)
         return head + np.asarray(self.vdp_blocks, dtype="<u4").tobytes()
 
     @classmethod
@@ -181,10 +179,8 @@ class PartyMaterial:
     bmt_a: np.ndarray
     bmt_b: np.ndarray
     bmt_c: np.ndarray | None
-    # OT masks are ring elements in the ring's dtype
-    ot_q: np.ndarray | None = None  # sender: (n, 2) mask pairs
-    ot_r: np.ndarray | None = None  # receiver: choice-mask bits
-    ot_qr: np.ndarray | None = None  # receiver: (n,) selected masks
+    dabit_b: np.ndarray | None = None  # daBits: this role's XOR share bits b_i
+    dabit_a: np.ndarray | None = None  # and its additive shares a_i, ring dtype
     delta: np.ndarray | None = None  # role 0: the free-XOR offset, 16 bytes, lsb 1
     label_k0: np.ndarray | None = None  # role 0: (n, 16) zero keys
     label_r: np.ndarray | None = None  # role 1: label bits r
@@ -196,9 +192,9 @@ class PartyMaterial:
 
 def _layout(m: ResourceManifest) -> tuple[tuple[np.dtype, int], ...]:
     """Role 1's correction sections in bundle order, as (dtype, count):
-    c1_amt, c1_bmt packed LSB-first, qr, K, a3."""
+    c1_amt, c1_bmt packed LSB-first, daBit a1, K, a3."""
     dt, u8 = m.ring.dtype, np.dtype(np.uint8)
-    return ((dt, m.num_amt), (u8, (m.num_bmt + 7) // 8), (dt, m.num_ot),
+    return ((dt, m.num_amt), (u8, (m.num_bmt + 7) // 8), (dt, m.num_dabits),
             (u8, m.num_labels * 16), (dt, sum(n for n, _ in m.vdp_blocks)))
 
 
@@ -242,17 +238,18 @@ def expand_role0(seed0: bytes, m: ResourceManifest) -> PartyMaterial:
     a, b, c = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(3))
     bmt = _stream(seed0, TAG_BMT)
     ba, bb, bc = (bmt.bits(m.num_bmt) for _ in range(3))
-    q = _stream(seed0, TAG_OT_SEND).ring_elems(2 * m.num_ot, p.dtype).reshape(m.num_ot, 2)
+    dab = _stream(seed0, TAG_DABIT)
+    db, da = dab.bits(m.num_dabits), dab.ring_elems(m.num_dabits, p.dtype)
     keys = _stream(seed0, TAG_LABEL_SEND).blocks(1 + m.num_labels)
     delta = keys[0].copy()
     delta[0] |= 1  # the point-and-permute bit of every label pair differs
     vec, a2 = _draw_vdp(_stream(seed0, TAG_VDP), m, with_scalar=True)
-    return PartyMaterial(0, p, a, b, c, ba, bb, bc, ot_q=q, delta=delta,
+    return PartyMaterial(0, p, a, b, c, ba, bb, bc, dabit_b=db, dabit_a=da, delta=delta,
                          label_k0=keys[1:], vdp_mask=vec, vdp_scalar=a2)
 
 
 def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
-    """Role 1's seed-derived half; amt_c, bmt_c, ot_qr, label_k and
+    """Role 1's seed-derived half; amt_c, bmt_c, dabit_a, label_k and
     vdp_scalar stay unset until open_bundle reads them from the
     corrections. Role 1 never learns delta."""
     p = m.ring
@@ -260,10 +257,10 @@ def expand_role1(seed1: bytes, m: ResourceManifest) -> PartyMaterial:
     a, b = (amt.ring_elems(m.num_amt, p.dtype) for _ in range(2))
     bmt = _stream(seed1, TAG_BMT)
     ba, bb = bmt.bits(m.num_bmt), bmt.bits(m.num_bmt)
-    r = _stream(seed1, TAG_OT_RECV).bits(m.num_ot)
+    db = _stream(seed1, TAG_DABIT).bits(m.num_dabits)
     lr = _stream(seed1, TAG_LABEL_RECV).bits(m.num_labels)
     vec, _ = _draw_vdp(_stream(seed1, TAG_VDP), m, with_scalar=False)
-    return PartyMaterial(1, p, a, b, None, ba, bb, None, ot_r=r, label_r=lr, vdp_mask=vec)
+    return PartyMaterial(1, p, a, b, None, ba, bb, None, dabit_b=db, label_r=lr, vdp_mask=vec)
 
 
 def _correlate(k0: np.ndarray, delta: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -279,8 +276,7 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     m1 = expand_role1(seed1, m)
     c1_amt = (m0.amt_a + m1.amt_a) * (m0.amt_b + m1.amt_b) - m0.amt_c
     c1_bmt = ((m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b)) ^ m0.bmt_c
-    q = m0.ot_q
-    qr = q[:, 0] ^ ((q[:, 0] ^ q[:, 1]) & np.negative(m1.ot_r.astype(q.dtype)))
+    a1 = (m0.dabit_b ^ m1.dabit_b).astype(m.ring.dtype) - m0.dabit_a
     keys = _correlate(m0.label_k0, m0.delta, m1.label_r)
     a3 = np.concatenate([np.zeros(0, m.ring.dtype)] + [
         np.einsum("ij,ij->i", v0, v1) - a2
@@ -289,18 +285,18 @@ def compute_corrections(seed0: bytes, seed1: bytes, m: ResourceManifest) -> byte
     # are dropped before the bundle is allocated: holding the views, or even
     # the per-block a3 pieces, through that allocation lands the bundle on
     # fresh pages and measurably slows the pass.
-    del m0, m1, q
+    del m0, m1
     out = bytearray(bundle_size(1, m))
     out[:SEED_BYTES] = seed1
-    values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), qr, keys, a3)
+    values = (c1_amt, np.packbits(c1_bmt, bitorder="little"), a1, keys, a3)
     for section, v in zip(_sections(out, m), values):
         section[...] = v
     return out
 
 
 def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
-    """One role's material from its dealer bundle; role 1's c1, selected
-    OT masks, label keys and a3 stay views into payload. A bundle that
+    """One role's material from its dealer bundle; role 1's c1, daBit
+    shares a1, label keys and a3 stay views into payload. A bundle that
     disagrees with the manifest raises ValueError before any seed is
     expanded."""
     if len(payload) != bundle_size(role, m):
@@ -309,11 +305,11 @@ def open_bundle(role: int, payload, m: ResourceManifest) -> PartyMaterial:
     seed = bytes(payload[:SEED_BYTES])
     if role == 0:
         return expand_role0(seed, m)
-    amt, bmt, qr, keys, a3 = _sections(payload, m)
+    amt, bmt, a1, keys, a3 = _sections(payload, m)
     mat = expand_role1(seed, m)
     mat.amt_c = amt
     mat.bmt_c = np.unpackbits(bmt, count=m.num_bmt, bitorder="little")
-    mat.ot_qr = qr
+    mat.dabit_a = a1
     mat.label_k = keys
     ends = np.cumsum([n for n, _ in m.vdp_blocks], dtype=np.int64)
     mat.vdp_scalar = [a3[e - n : e] for (n, _), e in zip(m.vdp_blocks, ends)]

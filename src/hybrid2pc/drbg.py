@@ -18,8 +18,8 @@ buffer, and reads the new key and V from the two blocks after it.
 Each party also keys one of its own for every secret it draws itself
 (PartySession.drbg).
 
-Domain separation between resource types (triples, OT masks, dot-product
-shares) is done through the personalization string: one tag byte plus a
+Domain separation between resource types (triples, daBits, labels,
+dot-product shares) is done through the personalization string: one tag byte plus a
 little-endian u32 stream index, zero-padded to the 32-byte seed length.
 """
 

@@ -173,8 +173,8 @@ class Step:
     the scale debt shift in its garbled circuit; under lan an Act or
     MaxPool then runs body in GMW on the circuit's outputs, and b2a
     converts b2a_bits per instance (none for ArgMax, which decodes to the
-    client). block, labels, ots and bmts are the dealt material the step
-    consumes: labels carry the evaluator's garbled input bits, ots b2a's.
+    client). block, labels, dabits and bmts are the dealt material the
+    step consumes: labels carry the evaluator's garbled input bits, dabits b2a's.
     """
 
     layer: object
@@ -187,7 +187,7 @@ class Step:
     b2a_bits: int = 0
     block: tuple[int, int] | None = None
     labels: int = 0
-    ots: int = 0
+    dabits: int = 0
     bmts: int = 0
 
 
@@ -257,7 +257,7 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
             nbits = 0 if kind == "argmax" else len((body or garbled).outputs) - isinstance(layer, Act)
             ninst = batch * rows
             steps.append(Step(layer, in_shape, out_shape, gather, debt, garbled, body, nbits,
-                              labels=ninst * len(garbled.inputs1), ots=ninst * nbits,
+                              labels=ninst * len(garbled.inputs1), dabits=ninst * nbits,
                               bmts=ninst * body.num_and if body else 0))
             debt = 0
     return steps
@@ -276,7 +276,7 @@ def plan_nn_manifest(net: NetSpec, p: RingParams, batch: int, profile: str,
     """Exact resource counts for one nn_infer call; consumed to zero."""
     steps = compile_nn(net, p, batch, profile)
     return ResourceManifest(session_id, p, num_bmt=sum(s.bmts for s in steps),
-                            num_ot=sum(s.ots for s in steps),
+                            num_dabits=sum(s.dabits for s in steps),
                             num_labels=sum(s.labels for s in steps),
                             vdp_blocks=tuple(s.block for s in steps if s.block))
 
@@ -303,8 +303,8 @@ def _boolean_stage(se: PartySession, vals: np.ndarray, step: Step) -> ArithShare
     if step.body is not None:
         empty = BoolShare(np.zeros((ninst, 0), np.uint8), se.role)
         out_bits = se.gmw.evaluate(step.body.levelized, out_bits, empty)
-    return convert.b2a(se.role, p, se.ot, BoolShare(out_bits.bits[:, :step.b2a_bits], se.role),
-                       se.drbg, signed=isinstance(step.layer, MaxPool))
+    bs = BoolShare(out_bits.bits[:, :step.b2a_bits], se.role)
+    return convert.b2a(se.channel, p, se.dabits, bs, signed=isinstance(step.layer, MaxPool))
 
 
 def _reveal_stage(se: PartySession, vals: np.ndarray, circuit: cc.Circuit) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Online phase of precomputed oblivious transfer (Beaver, CRYPTO 1995).
 
-The dealer already gave the sender mask pairs (q0, q1) and the receiver a
-random bit r with the selected mask qr. Online, per batch (one round, two
-messages regardless of batch size):
+The sender holds mask pairs (q0, q1) and the receiver a random bit r with
+the selected mask qr. Online, per batch (one round, two messages
+regardless of batch size):
 
     receiver -> sender: b' = r xor b        (1 bit per transfer)
     sender -> receiver: (s0, s1) where      (2l bits per transfer)
         b'=0: (q0^m0, q1^m1)    b'=1: (q0^m1, q1^m0)
     receiver outputs m_b = s_r xor q_r
 
-A mask and a message are one l-bit ring element each, held in the ring's
-dtype from the dealer's draw to the wire, where the pairs travel as the
-(n, 2) array of their little-endian elements; b2a is the only caller.
-Every mask is drawn once from a single-use supply (correlated.Supply)
-before the party sends anything.
+A mask and a message are one l-bit ring element each, in the ring's dtype;
+the pairs travel as the (n, 2) array of their little-endian elements, and
+each mask is drawn once from a single-use correlated.Supply before the
+party sends anything. No program calls this module, since b2a spends dealt
+daBits: it stays, with its tests, while perfbench wraps OtSender.send and
+OtReceiver.recv, and goes with ROADMAP item 14.
 """
 
 from __future__ import annotations

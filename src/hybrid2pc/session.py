@@ -2,10 +2,10 @@
 
 Created either from a dealer bundle, fetched over the wire and opened by
 correlated.open_bundle (offline()), or directly from expanded material
-(tests). Each engine draws its dealt items from single-use supplies
-(correlated.Supply); leftovers() reads the five of them. Every secret
-the party draws itself comes from one CTR-DRBG, drbg, keyed from secrets,
-or from rng.bytes(32) when a caller passes an rng (a seeded run).
+(tests). Each engine, and b2a from dabits, draws its dealt items from
+single-use supplies (correlated.Supply); leftovers() reads the five.
+Every secret the party draws itself comes from one CTR-DRBG, drbg, keyed
+from secrets, or from rng.bytes(32) for a seeded run.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import secrets
 
 from . import stp, transport
 from .ass import AssEngine
-from .correlated import PartyMaterial, ResourceManifest, open_bundle
+from .correlated import PartyMaterial, ResourceManifest, Supply, open_bundle
 from .drbg import SEED_BYTES, Drbg
 from .gc import GcSession
 from .gmw import GmwEngine
-from .ot import OtReceiver, OtSender
 from .transport import Channel
 
 
@@ -31,10 +30,7 @@ class PartySession:
         self.channel = channel
         seed = secrets.token_bytes(SEED_BYTES) if rng is None else rng.bytes(SEED_BYTES)
         self.drbg = Drbg(seed)
-        if role == 0:
-            self.ot = OtSender(material.ot_q, channel)
-        else:
-            self.ot = OtReceiver(material.ot_r, material.ot_qr, channel)
+        self.dabits = Supply("dabits", material.dabit_b, material.dabit_a)
         self.ass = AssEngine(role, self.ring, channel, material)
         self.gmw = GmwEngine(role, channel, material)
         self.gc = GcSession(role, channel, material, self.drbg)
@@ -54,7 +50,7 @@ class PartySession:
     def leftovers(self) -> dict:
         """Undealt-but-unconsumed resources; empty when the manifest was
         planned exactly."""
-        supplies = (self.ass.amt, self.gmw.bmt, self.ot.masks, self.gc.labels,
+        supplies = (self.ass.amt, self.gmw.bmt, self.dabits, self.gc.labels,
                     self.ass.vdp_masks)
         return {s.name: s.left() for s in supplies if s.left()}
 

@@ -20,7 +20,7 @@ SEED1 = hashlib.sha256(b"conftest-seed-1").digest()
 # Online flights (role 0, role 1) of the three programs perfbench runs;
 # its online_flights is role 1's count. test_ml pins the program's counts
 # and test_perfbench_smoke the benchmark's, both against this table.
-BENCHMARKED_FLIGHTS = {"mnist-lan-b20": (6, 10), "mnist-wan-b1": (6, 8), "svm-psk-b1": (2, 2)}
+BENCHMARKED_FLIGHTS = {"mnist-lan-b20": (8, 10), "mnist-wan-b1": (6, 8), "svm-psk-b1": (2, 2)}
 
 
 def deal(manifest):
@@ -31,11 +31,14 @@ def deal(manifest):
 
 
 def ot_masks(n, l):
-    """n OTs dealt in the ring of l bits: the sender's (n, 2) mask pairs,
-    the receiver's r bits and its (n,) selected masks, in the ring's
+    """Masks for n OTs in the ring of l bits, which no dealer deals, drawn
+    here for testing the OT engine: the sender's (n, 2) mask pairs, the
+    receiver's r bits and its (n,) selected masks qr = q[r], in the ring's
     dtype."""
-    m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(l), num_ot=n))
-    return m0.ot_q, m1.ot_r, m1.ot_qr
+    gen = Drbg(SEED0)
+    q = gen.ring_elems(2 * n, RingParams(l).dtype).reshape(n, 2)
+    r = gen.bits(n)
+    return q, r, q[np.arange(n), r]
 
 
 def drbg_from(seed):

@@ -78,8 +78,8 @@ def test_criterion_1_offline_communication_per_item():
         m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_bmt=n)
         cases.append(("B-MT", fetch(m), n))
         for l in (16, 32, 64):
-            m = ResourceManifest(secrets.token_bytes(16), RingParams(l), num_ot=n)
-            cases.append((f"OT l={l}", fetch(m), l * n))
+            m = ResourceManifest(secrets.token_bytes(16), RingParams(l), num_dabits=n)
+            cases.append((f"daBit l={l}", fetch(m), l * n))
         m = ResourceManifest(secrets.token_bytes(16), RingParams(32), num_labels=n)
         cases.append(("label", fetch(m), 128 * n))
     finally:
@@ -146,7 +146,7 @@ def test_criterion_3_protocol_oracles():
     assert np.array_equal((d0.bmt_a ^ d1.bmt_a) & (d0.bmt_b ^ d1.bmt_b),
                           d0.bmt_c ^ d1.bmt_c)
 
-    # (b) OT on ring elements, l = 64: all (r, b) plus randomized
+    # (b) the OT engine on ring elements, l = 64: all (r, b) plus randomized
     u64 = RingParams(64).dtype
     for r_bit in (0, 1):
         for b_bit in (0, 1):
@@ -159,7 +159,7 @@ def test_criterion_3_protocol_oracles():
             assert np.array_equal(got, m1 if b_bit else m0)
     rng = np.random.default_rng(0)
     c0c, c1c = channel_pair()
-    q, r, qr = ot_masks(n, 64)  # dealt masks are one ring element wide
+    q, r, qr = ot_masks(n, 64)  # masks are one ring element wide
     snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
     m0 = rng.integers(0, 1 << 64, n, u64)
     m1 = rng.integers(0, 1 << 64, n, u64)
@@ -371,7 +371,7 @@ def test_criterion_5_conversion_roundtrips():
     n = 10**4
     for w in (8, 32, 64):
         p = RingParams(w)
-        m = ResourceManifest(bytes(16), p, num_labels=3 * w * n, num_ot=2 * w * n)
+        m = ResourceManifest(bytes(16), p, num_labels=3 * w * n, num_dabits=2 * w * n)
         s0, s1 = _sessions(m)
         rng = np.random.default_rng(w)
         x = rng.integers(0, p.modulus, n, dtype=np.uint64)
@@ -380,13 +380,13 @@ def test_criterion_5_conversion_roundtrips():
         def trip(se, xs):
             def f():
                 ys = convert.a2y(se.gc, xs, p)
-                a_back = convert.y2a(se.gc, p, se.ot, ys, se.drbg)
+                a_back = convert.y2a(se.gc, p, se.dabits, ys)
                 bs = convert.a2b(se.gc, a_back, p)
                 marker = se.channel.ledger.payload_bytes(direction="sent")
                 bs2 = convert.y2b(se.gc, convert.b2y(se.gc, bs))
                 free = (se.channel.ledger.payload_bytes(direction="sent") - marker
                         - se.role * ((bs.bits.size + 7) // 8))  # b2y's masked bits
-                a_final = convert.b2a(se.role, p, se.ot, bs2, se.drbg)
+                a_final = convert.b2a(se.channel, p, se.dabits, bs2)
                 return a_final, bs2, free
             return f
 

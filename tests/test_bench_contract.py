@@ -52,17 +52,19 @@ def test_probe_entry_points_keep_their_signatures(owner, name, params):
 
 
 # Data that perfbench reads, beyond calls: spans._dealt reads a manifest's
-# vdp_lengths, num_ot and num_bmt; Probe.gmw_eval iterates a levelized
-# circuit's schedule as (locals, ands) pairs; Probe.gc_run reads a
-# circuit's num_and and len(registers), which is 0 since every circuit is
-# combinational, for its GC_TABLES byte check; the b2a counter reads
-# BoolShare.bits. A rename would zero those metrics silently.
+# vdp_lengths and num_bmt, and num_ot with a default of 0: no manifest has
+# it, since no OT is dealt, so the traced correlated.ot_dealt reads 0
+# (counting num_dabits there goes with the next benchmark change);
+# Probe.gmw_eval iterates a levelized circuit's schedule as (locals, ands)
+# pairs; Probe.gc_run reads a circuit's num_and and len(registers), which
+# is 0 since every circuit is combinational, for its GC_TABLES byte check;
+# the b2a counter reads BoolShare.bits. A rename would zero those metrics silently.
 
 
 def test_manifest_exposes_dealt_counts():
-    m = correlated.ResourceManifest(bytes(16), RingParams(32), num_bmt=2, num_ot=3,
+    m = correlated.ResourceManifest(bytes(16), RingParams(32), num_bmt=2, num_dabits=3,
                                     vdp_blocks=((2, 3), (1, 4)))
-    assert (m.vdp_lengths, m.num_ot, m.num_bmt) == ((3, 3, 4), 3, 2)
+    assert (m.vdp_lengths, m.num_bmt) == ((3, 3, 4), 2)
 
 
 def test_levelized_schedule_yields_locals_and_ands():
@@ -82,8 +84,9 @@ def test_bool_share_exposes_bits():
 
 
 # Probe prices each OtReceiver.recv call as one batch of two messages of
-# mbits per transfer for its OT_PAIRS byte check. A b2a that received its
-# OTs in several calls, at another width or around recv would fail every
+# mbits per transfer for its OT_PAIRS byte check. b2a spends daBits and
+# makes no recv call, so the Probe expects 0 B of OT_PAIRS, and the
+# ledgers must book 0 B; OT pairs that crossed anyway would fail every
 # benchmark query.
 
 
@@ -97,18 +100,19 @@ def test_b2a_receives_through_one_recv_at_ring_width(monkeypatch):
 
     monkeypatch.setattr(ot.OtReceiver, "recv", recv)
     p, n, w = RingParams(32, 7, 12), 5, 19
-    m = correlated.ResourceManifest(bytes(16), p, num_ot=n * w)
+    m = correlated.ResourceManifest(bytes(16), p, num_dabits=n * w)
     chans = transport.channel_pair()
     s0, s1 = (session.PartySession(r, m, mat, ch)
               for r, (mat, ch) in enumerate(zip(deal(m), chans)))
     bits = np.zeros((n, w), np.uint8)
     try:
-        run_parties(lambda: convert.b2a(0, p, s0.ot, gmw.BoolShare(bits, 0), s0.drbg),
-                    lambda: convert.b2a(1, p, s1.ot, gmw.BoolShare(bits, 1), s1.drbg))
+        run_parties(lambda: convert.b2a(s0.channel, p, s0.dabits, gmw.BoolShare(bits, 0)),
+                    lambda: convert.b2a(s1.channel, p, s1.dabits, gmw.BoolShare(bits, 1)))
     finally:
         for ch in chans:
             ch.close()
-    assert calls == [(n * w, p.l)]
+    assert calls == []
+    assert [ch.ledger.payload_bytes(msg_type=transport.OT_PAIRS) for ch in chans] == [0, 0]
 
 
 # Probe counts online_flights from a no-argument wrapper on Channel.recv.

@@ -21,7 +21,7 @@ def test_bench_rows_match_predictions():
 
 def test_bench_offline_matches_closed_form():
     # role 1's dealer bundle per op: its seed, then l bits per A-MT and per
-    # OT, one bit per B-MT and 128 bits per label (y2b is measured on b2y's)
+    # daBit, one bit per B-MT and 128 bits per label (y2b is measured on b2y's)
     rows = bench.run_bench(n=100, width=32)
     assert [r.op for r in rows] == list(bench.OPS)
     for r in rows:

@@ -108,14 +108,14 @@ def test_a2y_with_scale_discharge(channels):
     n = 1000
     debt = 12
     w = p.l - debt
-    se0, se1 = sessions(channels, ring_=p, num_labels=32 * n, num_ot=w * n)
+    se0, se1 = sessions(channels, ring_=p, num_labels=32 * n, num_dabits=w * n)
     rng = np.random.default_rng(4)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, drbg_from(rng))
 
     def run(se, xs):
         ys = convert.a2y(se.gc, xs, p, shift=debt)
-        return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.ot, ys, se.drbg)
+        return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.dabits, ys)
 
     (b0, a0), (b1, a1) = run_parties(lambda: run(se0, x0), lambda: run(se1, x1))
     got = gmw.reconstruct_bits(b0, b1)
@@ -131,12 +131,12 @@ def test_b2a_exhaustive_one_bit(channels):
     for s0_bit in (0, 1):
         for s1_bit in (0, 1):
             chans = transport.channel_pair()
-            se0, se1 = sessions(chans, ring_=p, num_ot=1)
+            se0, se1 = sessions(chans, ring_=p, num_dabits=1)
             b0 = BoolShare(np.array([[s0_bit]], np.uint8), 0)
             b1 = BoolShare(np.array([[s1_bit]], np.uint8), 1)
             r0, r1 = run_parties(
-                lambda: convert.b2a(0, p, se0.ot, b0, se0.drbg),
-                lambda: convert.b2a(1, p, se1.ot, b1, se1.drbg),
+                lambda: convert.b2a(se0.channel, p, se0.dabits, b0),
+                lambda: convert.b2a(se1.channel, p, se1.dabits, b1),
             )
             assert int(ass.reconstruct(r0, r1, p)[0]) == (s0_bit ^ s1_bit)
 
@@ -144,7 +144,7 @@ def test_b2a_exhaustive_one_bit(channels):
 def test_b2a_extremes_and_random(channels):
     p = RingParams(32)
     n = 1000
-    se0, se1 = sessions(channels, num_ot=32 * (n + 2))
+    se0, se1 = sessions(channels, num_dabits=32 * (n + 2))
     rng = np.random.default_rng(5)
     vals = np.concatenate([
         np.array([0, p.mask], dtype=np.uint64),
@@ -153,8 +153,8 @@ def test_b2a_extremes_and_random(channels):
     bits = ring.bits_of(vals, p)
     b0, b1 = gmw.share_bits(bits, drbg_from(rng))
     r0, r1 = run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.drbg),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1), se1.drbg),
+        lambda: convert.b2a(se0.channel, p, se0.dabits, BoolShare(b0.bits, 0)),
+        lambda: convert.b2a(se1.channel, p, se1.dabits, BoolShare(b1.bits, 1)),
     )
     assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
 
@@ -166,12 +166,12 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
     p = RingParams(8)
     chans = transport.channel_pair()
     vals = np.arange(1 << w, dtype=np.uint64)
-    se0, se1 = sessions(chans, ring_=p, num_ot=2 * w * len(vals))
+    se0, se1 = sessions(chans, ring_=p, num_dabits=2 * w * len(vals))
     bits = ring.bits_of(vals, p)[:, :w]
     b0, b1 = gmw.share_bits(bits, drbg_from(w))
 
     def run(se, bs):
-        return [convert.b2a(se.role, p, se.ot, BoolShare(bs.bits, se.role), se.drbg,
+        return [convert.b2a(se.channel, p, se.dabits, BoolShare(bs.bits, se.role),
                             signed=signed) for signed in (False, True)]
 
     (u0, s0), (u1, s1) = run_parties(lambda: run(se0, b0), lambda: run(se1, b1))
@@ -187,7 +187,7 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
 def test_roundtrips_preserve_reconstruction(w, channels):
     p = RingParams(w)
     n = 10**4
-    se0, se1 = sessions(channels, ring_=p, num_labels=3 * w * n, num_ot=2 * w * n)
+    se0, se1 = sessions(channels, ring_=p, num_labels=3 * w * n, num_dabits=2 * w * n)
     rng = np.random.default_rng(6)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     x0, x1 = ass.share(x, p, drbg_from(rng))
@@ -195,10 +195,10 @@ def test_roundtrips_preserve_reconstruction(w, channels):
     def roundtrip(se, xs):
         # a2y -> y2a
         ys = convert.a2y(se.gc, xs, p)
-        back_a = convert.y2a(se.gc, p, se.ot, ys, se.drbg)
+        back_a = convert.y2a(se.gc, p, se.dabits, ys)
         # a2b -> b2a on the result
         bs = convert.a2b(se.gc, back_a, p)
-        back2 = convert.b2a(se.role, p, se.ot, bs, se.drbg)
+        back2 = convert.b2a(se.channel, p, se.dabits, bs)
         # b2y -> y2b
         ys2 = convert.b2y(se.gc, bs)
         bs2 = convert.y2b(se.gc, ys2)
@@ -212,62 +212,92 @@ def test_roundtrips_preserve_reconstruction(w, channels):
 
 
 def test_b2a_ot_message_count(channels):
+    # one daBit per bit, opened with one masked bit each way: ceil(n/8)
+    # bytes of OT_CHOICES per role in one flight, and no OT_PAIRS
     c0, c1 = channels
     p = RingParams(16)
     n = 10
-    se0, se1 = sessions(channels, ring_=p, num_ot=16 * n)
+    se0, se1 = sessions(channels, ring_=p, num_dabits=16 * n)
     bits = np.zeros((n, 16), np.uint8)
     run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(bits, 0), se0.drbg),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(bits, 1), se1.drbg),
+        lambda: convert.b2a(c0, p, se0.dabits, BoolShare(bits, 0)),
+        lambda: convert.b2a(c1, p, se1.dabits, BoolShare(bits, 1)),
     )
-    # l OTs of l-bit messages per value: choices n*l bits, pairs n*l*2*l bits
-    assert c1.ledger.payload_bytes(msg_type=transport.OT_CHOICES) == n * 16 // 8
-    assert c0.ledger.payload_bytes(msg_type=transport.OT_PAIRS) == n * 16 * 2 * 2
+    for c in (c0, c1):
+        assert c.ledger.payload_bytes(direction="sent", msg_type=transport.OT_CHOICES) == n * 16 // 8
+        assert c.ledger.payload_bytes(direction="sent") == n * 16 // 8
+        assert c.ledger.messages(direction="sent") == 1 and c.flights == 1
+        assert c.ledger.payload_bytes(msg_type=transport.OT_PAIRS) == 0
+    # a zero-width batch sends nothing and draws nothing
+    empty = [convert.b2a(c, p, se.dabits, BoolShare(np.zeros((3, 0), np.uint8), se.role))
+             for c, se in ((c0, se0), (c1, se1))]
+    assert [len(a) for a in empty] == [3, 3]
+    assert c0.ledger.messages() == c1.ledger.messages() == 2
+    assert se0.dabits.left() == se1.dabits.left() == 0
 
 
-# SHA-256 of every OT_CHOICES and OT_PAIRS payload of one seeded b2a per
-# ring width (7 values of 5 bits, masks dealt from conftest's seeds, role
-# 0's masks r from its session generator, keyed from a seeded rng): the OT
-# engine's wire bytes, so that no change to how it holds masks or
-# messages moves one. OT_CHOICES depends only on the dealt masks and the
-# test's input split; OT_PAIRS also on role 0's r, so it moves with the
-# session generator's stream.
+def test_b2a_openings_are_masked(channels, monkeypatch):
+    # 256 all-zero share bits: a b2a that sent its bits c_i unmasked
+    # would put all-zero openings on the wire
+    sent = {}
+    orig = transport.Channel.send
+
+    def send(self, msg_type, payload):
+        sent[self] = bytes(memoryview(payload).cast("B"))
+        return orig(self, msg_type, payload)
+
+    monkeypatch.setattr(transport.Channel, "send", send)
+    c0, c1 = channels
+    p = RingParams(32)
+    se0, se1 = sessions(channels, ring_=p, num_dabits=256)
+    bits = np.zeros((8, 32), np.uint8)
+    r0, r1 = run_parties(
+        lambda: convert.b2a(c0, p, se0.dabits, BoolShare(bits, 0)),
+        lambda: convert.b2a(c1, p, se1.dabits, BoolShare(bits, 1)),
+    )
+    assert not ass.reconstruct(r0, r1, p).any()
+    assert len(sent[c0]) == len(sent[c1]) == 32
+    assert any(sent[c0]) and any(sent[c1])
+
+
+# SHA-256 of each role's OT_CHOICES payloads, its daBit openings, in one
+# seeded b2a per ring width (7 values of 5 bits, daBits dealt from
+# conftest's seeds, input bits split with the test's own stream): b2a's
+# wire bytes, which depend on nothing else.
 PINNED_OT_WIRE = {
-    8: ("f718bf0231816b458b9365bc7d6cc0be22642583fabf83ddf91dc5d5a4ab6c00",
-        "f75b283015c60ea039e4f763f8d6744644450ad9e7221ec7326b3386f22e1697"),
-    16: ("cf3d5b7d16e708b1d236d32d179dac56ae0c6e138ea00ada67f653dad32f4142",
-         "65085191773f0609980805085a054726294f1b2d3691ed0fdae5c6ade543be42"),
-    32: ("7b8ce3128ea6ec8c43534a2285613344ea2be9990236abcad7d8097fde4c4a37",
-         "6bb904ab7522007c23a12a711cc2c82beb627f5b3f3a8a3cd41d0d4a3362c70e"),
-    64: ("a47bd8cf80d775df0c66e30b6ca2895845667be22299d6149e6c772162a8b8fd",
-         "87e6d7821c8910a4879a4385ff7cfa6014b61e7382fa4b55bad245043cb8d0c3"),
+    8: ("400a80dd4dd280c6def49dd2a6381c088062ca1bf089ae4c4b6ad1b0d81ef45d",
+        "df81bb1c7abe586fb772ee1be12c8bfd785120749dd3103884da2a79960bdef4"),
+    16: ("43b3525e45f645b5cb9e81d1d9e98fd4a9541c3b33de28f7afb9ec8503362cd8",
+         "0bf8327c47ab3b77d06929bbec7466ae2c26cb385a5314a17d3511ea0b5c27fc"),
+    32: ("269cb3e6e86b70cb5f54d3ae267f21ff7d7fb484bb8fa4b03a3862b642ef1ff5",
+         "9c9f1905b70906690d9c723c37a17d0a53ae2beaa1024d80b41c82541a6dd42b"),
+    64: ("bf84e2d0164a5403ab2c1f499d9b7fa922486f35ed5eb9be9c040d58780ddbf8",
+         "0ebba693b6bd4b2a263a4121bf2319248fd78645bb813d2b101d6ae221757976"),
 }
 
 
 @pytest.mark.parametrize("l", sorted(PINNED_OT_WIRE))
 def test_b2a_ot_wire_bytes_pinned(l, channels, monkeypatch):
-    digests = {transport.OT_CHOICES: hashlib.sha256(), transport.OT_PAIRS: hashlib.sha256()}
+    c0, c1 = channels
+    digests = {c0: hashlib.sha256(), c1: hashlib.sha256()}
     orig = transport.Channel.send
 
     def send(self, msg_type, payload):
-        if msg_type in digests:
-            digests[msg_type].update(memoryview(payload).cast("B"))
+        assert msg_type == transport.OT_CHOICES
+        digests[self].update(memoryview(payload).cast("B"))
         return orig(self, msg_type, payload)
 
     monkeypatch.setattr(transport.Channel, "send", send)
     p, n, w = RingParams(l), 7, 5
-    se0, se1 = sessions(channels, ring_=p, num_ot=n * w)
+    se0, se1 = sessions(channels, ring_=p, num_dabits=n * w)
     rng = np.random.default_rng(l)
     vals = rng.integers(0, 1 << w, n, dtype=np.uint64)
     # test data: the input bits are split with the test's own stream
     bits = ring.bits_of(vals, p)[:, :w]
     mask = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-    b0, b1 = BoolShare(mask, 0), BoolShare(bits ^ mask, 1)
     r0, r1 = run_parties(
-        lambda: convert.b2a(0, p, se0.ot, BoolShare(b0.bits, 0), se0.drbg),
-        lambda: convert.b2a(1, p, se1.ot, BoolShare(b1.bits, 1), se1.drbg),
+        lambda: convert.b2a(c0, p, se0.dabits, BoolShare(mask, 0)),
+        lambda: convert.b2a(c1, p, se1.dabits, BoolShare(bits ^ mask, 1)),
     )
     assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
-    got = tuple(digests[t].hexdigest() for t in (transport.OT_CHOICES, transport.OT_PAIRS))
-    assert got == PINNED_OT_WIRE[l]
+    assert (digests[c0].hexdigest(), digests[c1].hexdigest()) == PINNED_OT_WIRE[l]

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import deal, drbg_from, ot_masks, run_parties
+from conftest import deal, drbg_from, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import convert
@@ -11,7 +11,6 @@ from hybrid2pc import correlated as cr
 from hybrid2pc.ass import ArithShare, AssEngine
 from hybrid2pc.gc import GcSession
 from hybrid2pc.gmw import BoolShare, GmwEngine
-from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 from hybrid2pc.session import PartySession
 from hybrid2pc.transport import Disconnected, channel_pair
@@ -73,19 +72,25 @@ def test_bmt_example_truth_table():
 
 
 @pytest.mark.parametrize("n", [1000, 2**15 + 3])
-def test_ot_masks_select_qr(n):
-    # each mask is one ring element, selected in the ring dtype
+def test_dabits_are_xor_and_additive_shares_of_one_bit(n):
+    # b0 ^ b1 = a0 + a1 mod 2^l, a value in {0, 1}, at every ring width
     for l in (8, 16, 32, 64):
-        q, r, qr = ot_masks(n, l)
-        assert q.shape == (n, 2) and qr.shape == (n,)
-        assert q.dtype == qr.dtype == RingParams(l).dtype
-        assert np.array_equal(qr, np.where(r.astype(bool), q[:, 1], q[:, 0]))
+        p = RingParams(l)
+        t0, t1 = deal(manifest(ring=p, num_dabits=n))
+        assert t0.dabit_b.shape == t1.dabit_b.shape == (n,)
+        assert t0.dabit_a.shape == t1.dabit_a.shape == (n,)
+        assert t0.dabit_a.dtype == t1.dabit_a.dtype == p.dtype
+        b = t0.dabit_b ^ t1.dabit_b
+        assert np.array_equal(t0.dabit_a + t1.dabit_a, b.astype(p.dtype)), l
+        assert 0 < b.sum() < n  # b is not constant
+        assert (t1.dabit_a > 1).any()  # role 0's a0 masks b in role 1's a1
 
 
-def test_ot_empty_batch():
+def test_dabits_empty_batch():
     for l in (8, 64):
-        q, r, qr = ot_masks(0, l)
-        assert q.shape == (0, 2) and r.size == 0 and qr.shape == (0,)
+        t0, t1 = deal(manifest(ring=RingParams(l), num_dabits=0))
+        assert t0.dabit_b.size == t1.dabit_b.size == 0
+        assert t0.dabit_a.shape == t1.dabit_a.shape == (0,)
 
 
 def test_vdps_formula_example():
@@ -126,13 +131,13 @@ def test_blocking_leaves_streams_and_corrections_unchanged():
 def test_seed_symmetry_dealer_vs_party():
     # the dealer's locally expanded views and a party's own expansion are
     # byte-identical; hash both sides over 10^5 items of each kind
-    m = manifest(num_amt=10**5, num_bmt=10**5, num_ot=10**5, num_labels=10**5,
+    m = manifest(num_amt=10**5, num_bmt=10**5, num_dabits=10**5, num_labels=10**5,
                  vdp_blocks=((10**5, 1),))
 
     def digest(mat):
         h = hashlib.sha256()
         for arr in (mat.amt_a, mat.amt_b, mat.amt_c, mat.bmt_a, mat.bmt_b, mat.bmt_c,
-                    mat.ot_q, mat.ot_r, mat.ot_qr, mat.delta, mat.label_k0, mat.label_r,
+                    mat.dabit_b, mat.dabit_a, mat.delta, mat.label_k0, mat.label_r,
                     mat.label_k):
             if arr is not None:  # role 1's corrections before open_bundle
                 h.update(np.ascontiguousarray(arr).tobytes())
@@ -158,20 +163,22 @@ def test_seed_symmetry_dealer_vs_party():
 def test_stream_independence_across_resource_types():
     # adding B-MTs to the manifest must not shift A-MT values
     small = cr.expand_role0(SEED0, manifest(num_amt=100))
-    big = cr.expand_role0(SEED0, manifest(num_amt=100, num_bmt=5000, num_ot=17,
+    big = cr.expand_role0(SEED0, manifest(num_amt=100, num_bmt=5000, num_dabits=17,
                                           num_labels=9))
     assert np.array_equal(small.amt_a, big.amt_a)
     assert np.array_equal(small.amt_c, big.amt_c)
-    # nor labels the OT masks, nor the number of labels the session offset
-    assert np.array_equal(cr.expand_role0(SEED0, manifest(num_ot=17)).ot_q, big.ot_q)
+    # nor labels the daBits, nor the number of labels the session offset
+    alone = cr.expand_role0(SEED0, manifest(num_dabits=17))
+    assert np.array_equal(alone.dabit_b, big.dabit_b)
+    assert np.array_equal(alone.dabit_a, big.dabit_a)
     assert np.array_equal(small.delta, big.delta)
 
 
 def test_correction_payload_sizes():
-    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, l per OT,
-    # 128 per label, l bits per dot product, after role 1's seed; role 0
-    # gets its seed alone
-    m = manifest(num_amt=1000, num_bmt=1000, num_ot=1000, num_labels=1000,
+    # amortized offline payload: l bits per A-MT, 1 bit per B-MT, l per
+    # daBit, 128 per label, l bits per dot product, after role 1's seed;
+    # role 0 gets its seed alone
+    m = manifest(num_amt=1000, num_bmt=1000, num_dabits=1000, num_labels=1000,
                  vdp_blocks=((1, 3), (1, 9)))
     bundle = cr.compute_corrections(SEED0, SEED1, m)
     assert len(bundle) == cr.bundle_size(1, m) == (32 + 1000 * 4 + 125 + 1000 * 4
@@ -181,13 +188,13 @@ def test_correction_payload_sizes():
 
 
 def test_manifest_roundtrip():
-    m = manifest(num_amt=5, num_bmt=6, num_ot=7, num_labels=8,
+    m = manifest(num_amt=5, num_bmt=6, num_dabits=7, num_labels=8,
                  vdp_blocks=((1, 1), (1, 2), (1, 3)))
     assert cr.ResourceManifest.decode(m.session_id, m.encode()) == m
 
 
 def test_manifest_is_head_plus_one_pair_per_block():
-    m = manifest(num_ot=7, num_labels=9, vdp_blocks=[(19600, 25), (2000, 980)])
+    m = manifest(num_dabits=7, num_labels=9, vdp_blocks=[(19600, 25), (2000, 980)])
     payload = m.encode()
     head = 3 + 4 * 4  # the ring's l, alpha and beta; four u32 counts
     assert len(payload) == head + 2 * 8
@@ -213,7 +220,7 @@ def test_manifest_validation():
         manifest(ring=RingParams(12), num_amt=1)
 
 
-@pytest.mark.parametrize("count", ["num_amt", "num_bmt", "num_ot", "num_labels"])
+@pytest.mark.parametrize("count", ["num_amt", "num_bmt", "num_dabits", "num_labels"])
 def test_manifest_counts_are_u32(count):
     # every count travels as a u32: past it, a count raises, never wraps
     m = manifest(**{count: 2**32 - 1})
@@ -224,24 +231,25 @@ def test_manifest_counts_are_u32(count):
 
 
 # Digests of the normative expansion of a mixed manifest (ragged dot
-# products, reads that cross 64 KB DRBG requests). Parties and dealer must
-# derive every byte identically, so a change to a stream layout, the DRBG
-# or the correction encoding must fail here.
+# products, reads that cross 64 KB DRBG requests), one per resource: its
+# role 0 stream, its role 1 stream and role 1's correction section as
+# open_bundle reads it. Parties and dealer must derive every byte
+# identically, so a change to a stream layout, the DRBG or the correction
+# encoding must fail here, in the resource it touched.
 PINNED_MANIFEST = dict(
-    num_amt=3001, num_bmt=1001, num_ot=3003,
+    num_amt=3001, num_bmt=1001, num_dabits=3003, num_labels=3003,
     vdp_blocks=tuple((1, (7 * i) % 13 + 1) for i in range(2000)),
 )
-# The manifest digest was restated when the head's counts became four u32s
-# (it was cfeeff00...845e with three u64s). The other four, hashed in the
-# arrays' own dtypes, were checked against a re-derivation from the raw
-# DRBG bytes of each stream: l/8 bytes per ring element, one ring element
-# per OT mask.
+# The manifest, amt, bmt, label and vdp digests were recorded while b2a
+# still ran on dealt OT masks, and daBits moved none of them; "label"
+# equals PINNED_LABELS below.
 PINNED = {
-    "manifest": "4fc9cc0340f5816962b4d0be93ba9aa4a213df0d37971e61dd98e8189f426269",
-    "role0": "f270b8a53d6c9be6f80694aad3713d84b395099ae1d63d27786648ca66e7ed51",
-    "role1": "e76a9e0e81da13f436b8954b7c4be412a796308011459631b8ab2cd81508927c",
-    "corrections": "a635e0d4781d8096d4b12741a1d3eb8b772a59217a06fc874a739d58d1d3c476",
-    "bundle1": "51b85fa6a88893357f312df4eb1252a0007560de78fc088d32ce06cd96a6eeff",
+    "manifest": "fa35e9dfee1f0c3b27523139246e9fc4d02c0f6d5caad4515e8ffe039f3616a2",
+    "amt": "f36b55586066f5cf977df26909eb9c8cb0b1205c6b984e52e94d940e239cf89d",
+    "bmt": "5511e0c473daa41988903a4c56590934aad1fb57960eea522b1f8d226736d941",
+    "label": "a25e95b937a888b7ba1a16a89ece1b62342b7dd7e38eac2e490db20f927205ec",
+    "vdp": "e3c7dfc75dc4e3781708cb16549fa59d29fb48885bb2bd2398175a3b80d04b28",
+    "dabit": "ac44d19274f99a820a26f90feadd4a23094d66629ab536d6db7bb5b85e009f5d",
 }
 
 
@@ -259,28 +267,19 @@ def _flat(blocks) -> np.ndarray:
     return np.concatenate([b.ravel() for b in blocks])
 
 
-def _mask_rows(masks: np.ndarray) -> np.ndarray:
-    """Ring-element OT masks as the rows of l/8 bytes the digests were
-    taken over, so the pins show that no stream byte moved."""
-    return masks.view(np.uint8).reshape(*masks.shape, masks.itemsize)
-
-
 def _pinned_digests() -> dict:
     m = manifest(**PINNED_MANIFEST)
     m0 = cr.expand_role0(SEED0, m)
     m1 = cr.expand_role1(SEED1, m)
-    bundle1 = cr.compute_corrections(SEED0, SEED1, m)
-    c1 = cr.open_bundle(1, bundle1, m)
+    c1 = cr.open_bundle(1, cr.compute_corrections(SEED0, SEED1, m), m)
     return {
         "manifest": hashlib.sha256(m.encode()).hexdigest(),
-        "role0": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m0.bmt_a, m0.bmt_b,
-                                m0.bmt_c, _mask_rows(m0.ot_q), _flat(m0.vdp_mask),
-                                _flat(m0.vdp_scalar)),
-        "role1": _arrays_digest(m1.amt_a, m1.amt_b, m1.bmt_a, m1.bmt_b, m1.ot_r,
-                                _flat(m1.vdp_mask)),
-        "corrections": _arrays_digest(c1.amt_c, c1.bmt_c, _mask_rows(c1.ot_qr),
-                                      _flat(c1.vdp_scalar)),
-        "bundle1": hashlib.sha256(bytes(bundle1)).hexdigest(),
+        "amt": _arrays_digest(m0.amt_a, m0.amt_b, m0.amt_c, m1.amt_a, m1.amt_b, c1.amt_c),
+        "bmt": _arrays_digest(m0.bmt_a, m0.bmt_b, m0.bmt_c, m1.bmt_a, m1.bmt_b, c1.bmt_c),
+        "label": _arrays_digest(m0.delta, m0.label_k0, m1.label_r, c1.label_k),
+        "vdp": _arrays_digest(_flat(m0.vdp_mask), _flat(m0.vdp_scalar), _flat(m1.vdp_mask),
+                              _flat(c1.vdp_scalar)),
+        "dabit": _arrays_digest(m0.dabit_b, m0.dabit_a, m1.dabit_b, c1.dabit_a),
     }
 
 
@@ -313,7 +312,7 @@ MALFORMED_BUNDLES = {
 @pytest.mark.parametrize("case", MALFORMED_BUNDLES)
 def test_open_bundle_rejects_malformed(case):
     role, spoil = MALFORMED_BUNDLES[case]
-    m = manifest(num_amt=3, num_bmt=9, num_ot=2, vdp_blocks=((2, 3),))
+    m = manifest(num_amt=3, num_bmt=9, num_dabits=2, vdp_blocks=((2, 3),))
     bundle = (SEED0, bytes(cr.compute_corrections(SEED0, SEED1, m)))[role]
     assert cr.open_bundle(role, bundle, m).role == role
     with pytest.raises(ValueError):
@@ -340,13 +339,9 @@ def _draw_vdp(mat, ch):
     e.vdp(None, ArithShare(np.zeros(2, np.uint64), 1), 2)
 
 
-def _draw_ot_sender(mat, ch):
-    m = np.zeros(5, L32.dtype)
-    OtSender(mat.ot_q, ch).send(m, m)
-
-
-def _draw_ot_receiver(mat, ch):
-    OtReceiver(mat.ot_r, mat.ot_qr, ch).recv(np.zeros(5, np.uint8), 32)
+def _draw_dabits(mat, ch):
+    bits = BoolShare(np.zeros((1, 5), np.uint8), mat.role)
+    convert.b2a(ch, L32, cr.Supply("dabits", mat.dabit_b, mat.dabit_a), bits)
 
 
 def _draw_labels(mat, ch):
@@ -357,8 +352,8 @@ OVERDRAWS = {
     "amt": (dict(num_amt=2), 0, _draw_amt),
     "bmt": (dict(num_bmt=7), 1, _draw_bmt),
     "vdp": (dict(vdp_blocks=((1, 2),)), 1, _draw_vdp),
-    "ot-sender": (dict(num_ot=4), 0, _draw_ot_sender),
-    "ot-receiver": (dict(num_ot=4), 1, _draw_ot_receiver),
+    "dabits-role0": (dict(num_dabits=4), 0, _draw_dabits),
+    "dabits-role1": (dict(num_dabits=4), 1, _draw_dabits),
     "labels-garbler": (dict(num_labels=4), 0, _draw_labels),
     "labels-evaluator": (dict(num_labels=4), 1, _draw_labels),
 }
@@ -395,7 +390,7 @@ def test_supply_is_single_use():
 
 def test_leftovers_name_every_supply():
     # the manifest deals one item more of each resource than the run draws
-    m = manifest(num_amt=3, num_bmt=9, num_ot=5, num_labels=5, vdp_blocks=((1, 2), (1, 1)))
+    m = manifest(num_amt=3, num_bmt=9, num_dabits=5, num_labels=5, vdp_blocks=((1, 2), (1, 1)))
     lc = cc.levelize(cc.build_bitand(8))
     chans = channel_pair()
     sessions = [PartySession(r, m, mat, ch)
@@ -406,10 +401,7 @@ def test_leftovers_name_every_supply():
         se.ass.mul_mt(ArithShare(zero, se.role), ArithShare(zero, se.role))
         bits = BoolShare(np.zeros((1, 8), np.uint8), se.role)
         se.gmw.evaluate(lc, bits, bits)
-        if se.role == 0:
-            se.ot.send(np.zeros(4, L32.dtype), np.ones(4, L32.dtype))
-        else:
-            se.ot.recv(np.zeros(4, np.uint8), 32)
+        convert.b2a(se.channel, L32, se.dabits, BoolShare(np.zeros((1, 4), np.uint8), se.role))
         convert.b2y(se.gc, BoolShare(np.zeros((1, 4), np.uint8), se.role))
         se.ass.vdp(zero if se.role == 0 else None, ArithShare(zero, se.role), 2)
 
@@ -419,8 +411,8 @@ def test_leftovers_name_every_supply():
         for ch in chans:
             ch.close()
     for se in sessions:
-        assert se.leftovers() == {"amt": 1, "bmt": 1, "ot": 1, "labels": 1, "vdp": 1}
-        supplies = (se.ass.amt, se.gmw.bmt, se.ot.masks, se.gc.labels, se.ass.vdp_masks)
+        assert se.leftovers() == {"amt": 1, "bmt": 1, "dabits": 1, "labels": 1, "vdp": 1}
+        supplies = (se.ass.amt, se.gmw.bmt, se.dabits, se.gc.labels, se.ass.vdp_masks)
         assert [s.used for s in supplies] == [2, 8, 4, 4, 1]
         with pytest.raises(AssertionError):
             se.assert_exhausted()

@@ -90,7 +90,12 @@ def test_mnist_wan_ot_pairs_are_b2a_alone():
     assert np.array_equal(got, ml.nn_oracle(net, image, P32))
     s0.assert_exhausted()
     s1.assert_exhausted()
-    # b2a's OTs alone: 19 bits per ReLU value, two 4-byte messages each
-    b2a = 2 * 4 * 19 * (980 + 100)
-    assert s0.channel.ledger.payload_bytes(msg_type=transport.OT_PAIRS) == b2a
-    assert s1.channel.ledger.payload_bytes(msg_type=transport.OT_PAIRS) == b2a
+    # b2a opens 19 bits per ReLU value on daBits, one masked bit each way
+    # per layer; role 1 also masks its 32 share bits per garbled value
+    opened = (19 * 980 + 7) // 8 + (19 * 100 + 7) // 8
+    for s in (s0, s1):
+        assert s.channel.ledger.wire_bytes(msg_type=transport.OT_PAIRS) == 0
+    assert s0.channel.ledger.payload_bytes(direction="sent",
+                                           msg_type=transport.OT_CHOICES) == opened
+    assert s1.channel.ledger.payload_bytes(direction="sent", msg_type=transport.OT_CHOICES) == (
+        opened + 4 * (980 + 100) + 40)

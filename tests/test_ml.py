@@ -132,10 +132,10 @@ def test_mnist_plan_is_one_block_per_linear_layer():
     m = ml.plan_nn_manifest(net, P32, 20, ml.LAN, bytes(16))
     assert m.vdp_blocks == ((19600, 25), (2000, 980), (200, 100))
     assert len(m.encode()) == 19 + 8 * 3
-    assert (m.num_ot, m.num_labels, m.num_bmt) == (410400, 697600, 410400)
+    assert (m.num_dabits, m.num_labels, m.num_bmt) == (410400, 697600, 410400)
     m = ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16))
     assert m.vdp_blocks == ((980, 25), (100, 980), (10, 100))
-    assert (m.num_ot, m.num_labels, m.num_bmt) == (20520, 34880, 0)
+    assert (m.num_dabits, m.num_labels, m.num_bmt) == (20520, 34880, 0)
 
 
 def test_net_must_end_in_exactly_one_argmax():
@@ -195,7 +195,7 @@ def test_svm_manifest_example():
     m = ml.plan_svm_manifest(10, 1, P32, bytes(16))
     assert m.vdp_lengths == (10,)
     assert m.num_labels == P32.l  # evaluator share bits into the garbled adder
-    assert m.num_ot == 0
+    assert m.num_dabits == 0
     assert m.num_bmt == 0
 
 
@@ -450,22 +450,23 @@ def test_ring_header_out_of_range_rejected(tmp_path):
 
 
 def _mnist_frame_bytes(batch: int, profile: str) -> dict:
-    """Closed-form online payload bytes per frame type for MNIST-like at
-    l = 32: both ReLU layers and the argmax discharge a shift of 12, so
-    their bodies run on w = 20 bits, and b2a converts a ReLU value's 19
-    bits below its sign, one OT of 32-bit messages each. The evaluator's
-    share bits go on dealt labels: one masked bit each, and no pairs."""
+    """Closed-form online payload bytes (role 0, role 1) sent per frame
+    type for MNIST-like at l = 32: both ReLU layers and the argmax
+    discharge a shift of 12, so their bodies run on w = 20 bits, and b2a
+    converts a ReLU value's 19 bits below its sign on one daBit each,
+    opened with one masked bit each way. The evaluator's share bits go on
+    dealt labels: one masked bit each. No OT pairs cross."""
     relus = (980 * batch, 100 * batch)  # ReLU values per layer
     relu_ands = 31 if profile == ml.LAN else 50  # identity stage / relu stage
-    labels = [32 * n for n in relus] + [320 * batch]  # evaluator share bits
-    b2a_ots = [19 * n for n in relus]
+    labels = sum((32 * n + 7) // 8 for n in relus) + (320 * batch + 7) // 8
+    opened = sum((19 * n + 7) // 8 for n in relus)  # one b2a per ReLU layer
+    # one AND level of 19 ANDs per value: 2 bits per AND lane, each way
+    gmw = sum((2 * 19 * n + 7) // 8 for n in relus) if profile == ml.LAN else 0
     return {
-        transport.GC_TABLES: 32 * (relu_ands * sum(relus) + 671 * batch),
-        transport.OT_PAIRS: 2 * 4 * sum(b2a_ots),
-        transport.OT_CHOICES: sum((n + 7) // 8 for n in labels + b2a_ots),
-        # one AND level of 19 ANDs per value: 2 bits per AND lane, each way
-        transport.GMW_DE: (sum((2 * 19 * n + 7) // 8 for n in relus)
-                           if profile == ml.LAN else 0),
+        transport.GC_TABLES: (32 * (relu_ands * sum(relus) + 671 * batch), 0),
+        transport.OT_PAIRS: (0, 0),
+        transport.OT_CHOICES: (opened, labels + opened),
+        transport.GMW_DE: (gmw, gmw),
     }
 
 
@@ -478,12 +479,10 @@ def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
     assert np.array_equal(got, ml.nn_oracle(net, images, P32))
     # the sessions were dealt in process: their channels carry online frames only
     for msg_type, nbytes in _mnist_frame_bytes(batch, profile).items():
-        senders = {transport.OT_CHOICES: (s1,), transport.GMW_DE: (s0, s1)}.get(msg_type, (s0,))
-        for s in senders:
-            assert s.channel.ledger.payload_bytes(direction="sent",
-                                                  msg_type=msg_type) == nbytes, msg_type
+        assert tuple(s.channel.ledger.payload_bytes(direction="sent", msg_type=msg_type)
+                     for s in (s0, s1)) == nbytes, msg_type
     sent = [s.channel.ledger.payload_bytes(direction="sent") for s in (s0, s1)]
-    assert sent == ([46284050, 10183820] if profile == ml.LAN else [2965713, 504062])
+    assert sent == ([43052150, 10183820] if profile == ml.LAN else [2804119, 504062])
 
 
 # sha256 over the encoded manifests and nn_oracle outputs below, recorded
@@ -538,12 +537,12 @@ def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, prof
     images = rng.uniform(-1, 1, size=(batch, *net.input_shape))
     steps = ml.compile_nn(net, P32, batch, profile)
     s0, s1 = sessions(ml.plan_nn_manifest(net, P32, batch, profile, bytes(16)))
-    deltas = {0: [], 1: []}  # per role, (vdp, label, ot, bmt) drawn by each step's call
+    deltas = {0: [], 1: []}  # per role, (vdp, label, daBit, bmt) drawn by each step's call
 
     def drawn(fn, session_of):
         def wrapped(*args):
             se = session_of(args)
-            supplies = (se.ass.vdp_masks, se.gc.labels, se.ot.masks, se.gmw.bmt)
+            supplies = (se.ass.vdp_masks, se.gc.labels, se.dabits, se.gmw.bmt)
             before = [s.used for s in supplies]
             out = fn(*args)
             deltas[se.role].append(tuple(s.used - b for s, b in zip(supplies, before)))
@@ -558,9 +557,9 @@ def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, prof
                          lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
     assert np.array_equal(got, ml.nn_oracle(net, images, P32))
     # every step but a local mean pool makes exactly one drawing call
-    want = [(int(s.block is not None), s.labels, s.ots, s.bmts) for s in steps
+    want = [(int(s.block is not None), s.labels, s.dabits, s.bmts) for s in steps
             if not isinstance(s.layer, ml.MeanPool)]
-    assert all((s.block, s.labels, s.ots, s.bmts) == (None, 0, 0, 0) for s in steps
+    assert all((s.block, s.labels, s.dabits, s.bmts) == (None, 0, 0, 0) for s in steps
                if isinstance(s.layer, ml.MeanPool))
     assert deltas[0] == deltas[1] == want
     s0.assert_exhausted()

@@ -1,7 +1,13 @@
+import ast
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from conftest import ot_masks, run_parties
 
+import hybrid2pc
 from hybrid2pc.correlated import Exhausted
 from hybrid2pc.ot import OtError, OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
@@ -160,3 +166,31 @@ def test_zero_width_batch_sends_nothing(channels):
     out = rcv.recv(np.zeros(0, np.uint8), 32)
     assert out.shape == (0,) and out.dtype == np.dtype("<u4")
     assert c0.ledger.messages() == 0 and c1.ledger.messages() == 0
+
+
+# No program calls the OT engine: b2a spends dealt daBits. The module stays
+# only while perfbench wraps it, so no other module may come to depend on it.
+_ENGINE = {"OtSender", "OtReceiver"}
+
+
+def _ot_references(module) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if (node.module or "").split(".")[-1] == "ot" or "ot" in names or names & _ENGINE:
+                found.append(f"line {node.lineno}: from {node.module or '.'} import ...")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[-1] == "ot"]
+        elif isinstance(node, ast.Name) and node.id in _ENGINE:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in _ENGINE:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(hybrid2pc.__path__)
+                                  if m.name != "ot"])
+def test_no_module_but_ot_uses_the_ot_engine(name):
+    assert _ot_references(importlib.import_module(f"hybrid2pc.{name}")) == []

@@ -1,5 +1,5 @@
-"""Every secret a party draws itself -- input-sharing masks, the garbler's
-fresh zero labels and b2a's masks r -- comes from its session's CTR-DRBG
+"""Every secret a party draws itself -- input-sharing masks and the
+garbler's fresh zero labels -- comes from its session's CTR-DRBG
 (PartySession.drbg), never from numpy's generators: numpy's PCG64 is not
 cryptographic, and its state can be recovered from its outputs. A caller's
 seeded rng only keys the DRBG, so seeded sessions stay reproducible."""
@@ -25,7 +25,7 @@ def _sessions(rngs=(None, None)):
     run and one b2a of its output bits; rngs seed their generators."""
     c = circuits.stage_circuit("identity", P.l, 0)
     m = correlated.ResourceManifest(bytes(16), P, num_labels=len(c.inputs1) * N,
-                                    num_ot=len(c.outputs) * N)
+                                    num_dabits=len(c.outputs) * N)
     chans = transport.channel_pair()
     return [session.PartySession(r, m, mat, ch, rng=rng)
             for r, (mat, ch, rng) in enumerate(zip(deal(m), chans, rngs))]
@@ -36,7 +36,7 @@ def _program(se):
     and b2a take it to Boolean and back to additive shares."""
     x = se.ass.share_input(X if se.role == 1 else None, N, owner=1, drbg=se.drbg)
     bs = convert.y2b(se.gc, convert.a2y(se.gc, x, P))
-    return bs, convert.b2a(se.role, P, se.ot, bs, se.drbg)
+    return bs, convert.b2a(se.channel, P, se.dabits, bs)
 
 
 def _run(sessions):

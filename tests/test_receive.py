@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from conftest import deal, drbg_from, ot_masks
 
-from hybrid2pc import circuits, gc, ml, stp, transport
+from hybrid2pc import circuits, convert, gc, ml, stp, transport
 from hybrid2pc.ass import ArithShare, AssEngine
-from hybrid2pc.correlated import ResourceManifest, bundle_size
+from hybrid2pc.correlated import ResourceManifest, Supply, bundle_size
 from hybrid2pc.gmw import BoolShare, GmwEngine
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
@@ -47,6 +47,15 @@ def _gc_garble_on_labels(chan):
     sess.run(AND8, ("bits", _zeros((NINST, 8))), ("bits", None), ninst=NINST)
 
 
+def _b2a(role):
+    """A b2a of 20 bits opens them in one exchange of 3-byte frames."""
+    def call(chan):
+        mat = _material(role, num_dabits=20)
+        convert.b2a(chan, L32, Supply("dabits", mat.dabit_b, mat.dabit_a),
+                    BoolShare(_zeros((4, 5)), role))
+    return call
+
+
 T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST * 16),
               (transport.GC_DECODE, DECODE))
 
@@ -57,6 +66,8 @@ SITES = {
                    [(transport.OT_CHOICES, 3)], 0),
     "OT_PAIRS": (lambda ch: OtReceiver(*ot_masks(4, 8)[1:], ch).recv(_zeros(4), 8),
                  [(transport.OT_PAIRS, 2 * 4)], 0),
+    "OT_CHOICES-b2a-role0": (_b2a(0), [(transport.OT_CHOICES, 3)], 0),
+    "OT_CHOICES-b2a-role1": (_b2a(1), [(transport.OT_CHOICES, 3)], 0),
     "OT_CHOICES-labels": (_gc_garble_on_labels, [(transport.OT_CHOICES, (8 * NINST + 7) // 8)],
                           0),
     "GC_TABLES": (lambda ch: gc.GcSession(1, ch, _material(1), drbg_from(1)).run(
@@ -137,7 +148,7 @@ def _fake_dealer(key, reply_size):
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
 @pytest.mark.parametrize("role", [0, 1])
 def test_bundle_of_wrong_size_rejected(role, delta, key):
-    m = ResourceManifest(bytes(range(16)), L32, num_amt=3, num_bmt=9, num_ot=2,
+    m = ResourceManifest(bytes(range(16)), L32, num_amt=3, num_bmt=9, num_dabits=2,
                          vdp_blocks=((2, 3),))
     addr, t = _fake_dealer(key, bundle_size(role, m) + delta)
     with pytest.raises(ProtocolError):

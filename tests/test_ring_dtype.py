@@ -23,7 +23,7 @@ def _exact(v) -> np.ndarray:
 def test_protocol_outputs_are_ring_dtype(l, channels):
     p = RingParams(l)
     n, k = 40, 3
-    m = ResourceManifest(bytes(16), p, num_amt=n, num_ot=n * l, vdp_blocks=((n, k),))
+    m = ResourceManifest(bytes(16), p, num_amt=n, num_dabits=n * l, vdp_blocks=((n, k),))
     bundle = correlated.compute_corrections(SEED0, SEED1, m)
     se = [PartySession(role, m, correlated.open_bundle(role, seed_or_bundle, m), ch,
                        rng=np.random.default_rng(role))
@@ -40,7 +40,7 @@ def test_protocol_outputs_are_ring_dtype(l, channels):
         r = s.role
         return (s.ass.mul_mt(xs[r], ys[r]),
                 s.ass.vdp(clear if r == 0 else None, vs[r], k),
-                convert.b2a(r, p, s.ot, BoolShare(bits[r].bits, r), s.drbg))
+                convert.b2a(s.channel, p, s.dabits, BoolShare(bits[r].bits, r)))
 
     outs = run_parties(lambda: run(se[0]), lambda: run(se[1]))
     for share in (*xs, *ys, *vs, *outs[0], *outs[1]):
@@ -56,7 +56,7 @@ def test_protocol_outputs_are_ring_dtype(l, channels):
 @pytest.mark.parametrize("l", WIDTHS)
 def test_role1_bundle_sections_are_views(l):
     p = RingParams(l)
-    m = ResourceManifest(bytes(16), p, num_amt=5, num_bmt=3, num_ot=1,
+    m = ResourceManifest(bytes(16), p, num_amt=5, num_bmt=3, num_dabits=1,
                          vdp_blocks=((2, 4), (3, 1)))
     bundle = correlated.compute_corrections(SEED0, SEED1, m)
     mat = correlated.open_bundle(1, bundle, m)

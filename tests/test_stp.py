@@ -64,7 +64,7 @@ def manifest(**kw):
 
 def test_bundles_satisfy_relations(server):
     sid = secrets.token_bytes(16)
-    m = manifest(session_id=sid, num_amt=500, num_bmt=300, num_ot=200,
+    m = manifest(session_id=sid, num_amt=500, num_bmt=300, num_dabits=200,
                  vdp_blocks=((2, 4), (1, 9)))
     (b0, b1), errs, _ = fetch_both(server, {0: m, 1: m})
     assert errs == [None, None]
@@ -76,8 +76,8 @@ def test_bundles_satisfy_relations(server):
     assert np.array_equal(
         (m0.bmt_a ^ m1.bmt_a) & (m0.bmt_b ^ m1.bmt_b), m0.bmt_c ^ m1.bmt_c
     )
-    chosen = np.where(m1.ot_r.astype(bool), m0.ot_q[:, 1], m0.ot_q[:, 0])
-    assert np.array_equal(chosen, m1.ot_qr)
+    dabits = (m0.dabit_b ^ m1.dabit_b).astype(L32.dtype)
+    assert np.array_equal(m0.dabit_a + m1.dabit_a, dabits)
     assert [v.shape for v in m1.vdp_mask] == [(2, 4), (1, 9)]
     for v0, v1, a2, a3 in zip(m0.vdp_mask, m1.vdp_mask, m0.vdp_scalar, m1.vdp_scalar):
         dot = ((v0 * v1) & mask).sum(axis=1) & mask
@@ -87,7 +87,7 @@ def test_bundles_satisfy_relations(server):
 # Role 1's bundle for the three benchmarked manifests, planned at the
 # benchmark's shapes (conv 5x5, stride 2, pad (1, 2), 5 maps; FC 980x100;
 # FC 100x10; SVM d = 100; l = 32, alpha = 7, beta = 12): the seed, then l
-# bits per A-MT, OT and dot product, one bit per B-MT and 128 per label.
+# bits per A-MT, daBit and dot product, one bit per B-MT and 128 per label.
 BENCHMARKED_BUNDLES = {"mnist-lan-b20": 12_941_732, "mnist-wan-b1": 644_552, "svm-psk-b1": 548}
 
 
@@ -104,7 +104,7 @@ def _benchmarked_manifest(name):
 def test_benchmarked_bundle_sizes(server, name):
     m = _benchmarked_manifest(name)
     products = sum(n for n, _ in m.vdp_blocks)
-    closed = (32 + 4 * (m.num_amt + m.num_ot + products) + (m.num_bmt + 7) // 8
+    closed = (32 + 4 * (m.num_amt + m.num_dabits + products) + (m.num_bmt + 7) // 8
               + 16 * m.num_labels)
     assert closed == bundle_size(1, m) == BENCHMARKED_BUNDLES[name]
     (_, b1), errs, ledgers = fetch_both(server, {0: m, 1: m})
