@@ -14,6 +14,10 @@ mul_da is vdp over a block of length 1 and shares its randomness.
 All primitives are batched: any number of independent instances ride one
 round. Triples and dot-product blocks are drawn from single-use supplies
 (correlated.Supply) before anything is sent.
+
+A party's input enters as its own share (share_input): the owner holds
+x and the peer 0, with no frame and no draw. share, which splits a value
+under masks from a caller's generator, serves tests and bench.
 """
 
 from __future__ import annotations
@@ -136,17 +140,16 @@ class AssEngine:
             term = y_val * u
         return ArithShare(term.reshape(n, k).sum(axis=1, dtype=p.dtype) + scalar, self.role)
 
-    def share_input(self, x, count: int, owner: int, drbg: Drbg) -> ArithShare:
-        """Owner splits its count elements x with masks from drbg and
-        ships the peer's share; one message, which the peer receives as
-        count elements."""
-        if self.role == owner:
-            if len(x) != count:
-                raise AssError(f"{len(x)} input elements where {count} were planned")
-            mine, theirs = share(x, self.p, drbg)
-            if owner == 1:
-                mine, theirs = theirs, mine
-            self.channel.send(transport.APP_SHARE, self.p.to_wire(theirs.value))
-            return ArithShare(mine.value, self.role)
-        raw = self.channel.recv_expect(transport.APP_SHARE, count * self.p.nbytes)
-        return ArithShare(self.p.from_wire(raw), self.role)
+    def share_input(self, x, count: int, owner: int) -> ArithShare:
+        """The owner's count elements x as (x, 0) shares: the owner keeps
+        x as its share and the peer holds zeros. No frame crosses and
+        nothing is drawn, as in the dealer-aided dot product, where each
+        party brings its private vector as it is: every protocol that
+        reads a share masks it with dealt randomness first (vdp's masks,
+        the garbled adder's labels, daBits, Boolean triples), and no
+        program sends a raw share."""
+        if self.role != owner:
+            return ArithShare(np.zeros(count, self.p.dtype), self.role)
+        if len(x) != count:
+            raise AssError(f"{len(x)} input elements where {count} were planned")
+        return ArithShare(canon(x, self.p), self.role)

@@ -64,14 +64,10 @@ def _run_both(f0, f1):
     return res
 
 
-def _sessions(manifest: ResourceManifest, stp_addr, seed=7):
+def _sessions(manifest: ResourceManifest, stp_addr):
     c0, c1 = transport.channel_pair(session=manifest.session_id)
-    made = _run_both(
-        lambda: PartySession.offline(0, manifest, stp_addr, c0,
-                                     np.random.default_rng(seed)),
-        lambda: PartySession.offline(1, manifest, stp_addr, c1,
-                                     np.random.default_rng(seed + 1)),
-    )
+    made = _run_both(lambda: PartySession.offline(0, manifest, stp_addr, c0),
+                     lambda: PartySession.offline(1, manifest, stp_addr, c1))
     return tuple(made)
 
 
@@ -203,11 +199,9 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             lambda se: convert.a2y(se.gc, x1, p),
             stp_addr,
         )
-        predicted = (
-            32 * adder.num_and * n  # garbled tables
-            + 16 * w * n  # garbler input labels
-            + (w * n + 7) // 8  # the evaluator's masked bits on dealt labels
-        )
+        # garbled tables, and the evaluator's masked bits on dealt labels;
+        # the garbler's inputs take zero labels x*R, so none cross
+        predicted = 32 * adder.num_and * n + (w * n + 7) // 8
         return BenchRow(op, *row, predicted_online=predicted,
                         predicted_offline=SEED_BYTES + 16 * n * w)
     raise ValueError(f"unknown op {op!r}")

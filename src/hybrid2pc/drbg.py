@@ -15,8 +15,8 @@ AES-CTR keystream started at V+1 (see aesutil), so each request keys one
 CTR context, writes its 64 KB of output straight into the caller's
 buffer, and reads the new key and V from the two blocks after it.
 
-Each party also keys one of its own for every secret it draws itself
-(PartySession.drbg).
+A party keys none online: once its material is dealt, it draws nothing
+of its own (see session).
 
 Domain separation between resource types (triples, daBits, labels,
 dot-product shares) is done through the personalization string: one tag byte plus a
@@ -111,7 +111,7 @@ class Drbg:
             raw[-1] &= (1 << (nbits % 8)) - 1
         return raw
 
-    # Typed draws of the correlated-randomness layer and of the parties.
+    # Typed draws of the correlated-randomness layer.
     # A ring element of l bits consumes l/8 stream bytes, read as one
     # little-endian integer. Each returns a writable array; ring_elems and
     # blocks are views of the buffer fill_bytes allocated, with no copy.

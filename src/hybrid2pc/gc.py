@@ -23,8 +23,7 @@ call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R.
 A run has one data shape from garbler to evaluator: the labels of each
 input group are one (width, ninst, 16) array, and its tables are written,
 level by level, into one preallocated buffer that GcSession sends as one
-GC_TABLES frame. garble draws nothing; GcSession draws the garbler's
-fresh zero labels from the party's CTR-DRBG (drbg.Drbg). The
+GC_TABLES frame. garble draws nothing, and neither does GcSession. The
 conversions into and out of the garbled domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
@@ -41,6 +40,20 @@ dealer-chosen R is safe under the paper's non-colluding dealer:
   - each k0 and r masks one wire of one run and is drawn once from a
     single-use supply, so e reveals nothing about c and no two wires
     share a key.
+
+The garbler's input labels are neither dealt nor transferred: it takes
+x*R as the zero label of each input wire it holds bit x of, so the
+evaluator's active label there is 0 for either bit and fills those rows
+with zeros. Half-gates privacy rests on R being secret and on each
+(label, tweak) pair being hashed once (Zahur-Rosulek-Evans; Guo-Katz-
+Wang-Yu), not on random active labels:
+  - the evaluator's view of a garbler input wire does not depend on x:
+    its label is 0 and its select bit lsb(0) = 0;
+  - every table entry it reads is masked by H(X ^ R, t), with a tweak t
+    used once per session, and only role 0 holds R;
+  - on a span of garbler inputs and XORs every active label is 0, so no
+    two active labels XOR to R, as when free XOR garbles a public
+    constant.
 """
 
 from __future__ import annotations
@@ -54,7 +67,6 @@ from . import transport
 from .aesutil import ecb_encryptor
 from .circuits import CONST0, CONST1, Circuit, run_spans
 from .correlated import PartyMaterial, Supply
-from .drbg import Drbg
 from .transport import Channel
 
 FIXED_KEY = b"hybrid2pc-fixkey"
@@ -251,10 +263,9 @@ class GcSession:
     tweak) pair repeats.
     """
 
-    def __init__(self, role: int, channel: Channel, material: PartyMaterial, drbg: Drbg):
+    def __init__(self, role: int, channel: Channel, material: PartyMaterial):
         self.role = role
         self.channel = channel
-        self.drbg = drbg
         if role == 0:
             self.R = material.delta
             self.labels = Supply("labels", material.label_k0)
@@ -289,7 +300,7 @@ class GcSession:
 
         bind0/bind1 describe how each input group gets its labels:
           ("bits", arr)  owner-known bits, shape (ninst, width); the
-                         garbler's own are sent as labels, the
+                         garbler's own take zero labels x*R, the
                          evaluator's go on dealt labels (input_labels),
                          so the garbler passes arr=None for bind1 and
                          the evaluator arr=None for bind0
@@ -309,9 +320,10 @@ class GcSession:
             if bind is None and group:
                 raise GcError(f"input group {k} has {len(group)} wires but no binding")
         kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
-        # the run's input labels, inputs0 first; each half fills the "bits" groups
+        # the run's input labels, inputs0 first; each half fills the "bits"
+        # groups but the evaluator's view of the garbler's, which stays 0
         n0 = len(c.inputs0)
-        labels = np.empty((n0 + len(c.inputs1), ninst, 16), np.uint8)
+        labels = np.zeros((n0 + len(c.inputs1), ninst, 16), np.uint8)
         for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
             if kind == "yao":
                 labels[rows] = np.swapaxes(val.labels, 0, 1)
@@ -330,18 +342,12 @@ class GcSession:
     def _run_garbler(self, c, kinds, vals, zero, ninst, decode):
         n0, n1 = len(c.inputs0), len(c.inputs1)
         if kinds[0] == "bits" and n0:
-            zero[:n0] = self.drbg.blocks(n0 * ninst).reshape(n0, ninst, 16)
+            zero[:n0] = _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
         if kinds[1] == "bits" and n1:
             # wire-major, mirrored by the evaluator's bits
             zero[n0:] = self.input_labels(np.zeros(n1 * ninst, np.uint8)).reshape(n1, ninst, 16)
         g = garble(c, self.R, zero, ninst, self.tweak)
         self.channel.send(transport.GC_TABLES, g.tables)
-        # active labels for garbler-known bits
-        if kinds[0] == "bits" and n0:
-            known = zero[:n0]
-            # in place: the frame's memoryview cast needs C order
-            known ^= _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
-            self.channel.send(transport.GC_INLABELS, known)
         if decode == "none":
             return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
         self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
@@ -353,9 +359,6 @@ class GcSession:
             bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
             active[n0:] = self.input_labels(bits.T).reshape(n1, ninst, 16)
         tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
-        if kinds[0] == "bits" and n0:
-            raw = self.channel.recv_expect(transport.GC_INLABELS, n0 * ninst * 16)
-            active[:n0] = np.frombuffer(raw, np.uint8).reshape(n0, ninst, 16)
         out_active = evaluate(c, tables, active, ninst, self.tweak)
         if decode == "none":
             return YaoShare(np.swapaxes(out_active, 0, 1), 1)

@@ -4,18 +4,16 @@ Created either from a dealer bundle, fetched over the wire and opened by
 correlated.open_bundle (offline()), or directly from expanded material
 (tests). Each engine, and b2a from dabits, draws its dealt items from
 single-use supplies (correlated.Supply); leftovers() reads the five.
-Every secret the party draws itself comes from one CTR-DRBG, drbg, keyed
-from secrets, or from rng.bytes(32) for a seeded run.
+The party draws nothing of its own: once the material is dealt, the
+online phase is a function of it and of the inputs alone. rng is
+accepted and unused, for callers that still pass one.
 """
 
 from __future__ import annotations
 
-import secrets
-
 from . import stp, transport
 from .ass import AssEngine
 from .correlated import PartyMaterial, ResourceManifest, Supply, open_bundle
-from .drbg import SEED_BYTES, Drbg
 from .gc import GcSession
 from .gmw import GmwEngine
 from .transport import Channel
@@ -28,12 +26,10 @@ class PartySession:
         self.manifest = manifest
         self.ring = manifest.ring
         self.channel = channel
-        seed = secrets.token_bytes(SEED_BYTES) if rng is None else rng.bytes(SEED_BYTES)
-        self.drbg = Drbg(seed)
         self.dabits = Supply("dabits", material.dabit_b, material.dabit_a)
         self.ass = AssEngine(role, self.ring, channel, material)
         self.gmw = GmwEngine(role, channel, material)
-        self.gc = GcSession(role, channel, material, self.drbg)
+        self.gc = GcSession(role, channel, material)
 
     @classmethod
     def offline(cls, role: int, manifest: ResourceManifest, stp_addr,

@@ -56,13 +56,13 @@ BUNDLE = 2
 ERROR = 3
 GMW_DE = 4
 GC_TABLES = 6
-GC_INLABELS = 7
+GC_INLABELS = 7  # no program sends it; kept for perfbench's report
 GC_DECODE = 8
 OT_CHOICES = 9  # masked bits: on dealt labels (role 1), b2a's openings (both)
 OT_PAIRS = 10  # ot.py's alone
 ASS_EF = 11
 DA_MASKED = 12
-APP_SHARE = 13
+APP_SHARE = 13  # no program sends it; kept for perfbench's report
 
 OFFLINE = "offline"
 ONLINE = "online"

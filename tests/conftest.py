@@ -42,16 +42,15 @@ def ot_masks(n, l):
 
 
 def drbg_from(seed):
-    """A party generator keyed from a numpy seed or Generator, as
-    PartySession keys its own from the rng a caller passes."""
+    """A CTR-DRBG keyed from a numpy seed or Generator, for splitting test
+    values into shares with ass.share and gmw.share_bits."""
     return Drbg(np.random.default_rng(seed).bytes(SEED_BYTES))
 
 
-def gc_sessions(c0, c1, num_labels, seeds=(1, 2)):
+def gc_sessions(c0, c1, num_labels):
     """A garbler and an evaluator over c0, c1 with num_labels dealt labels."""
     m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_labels=num_labels))
-    return (GcSession(0, c0, m0, drbg_from(seeds[0])),
-            GcSession(1, c1, m1, drbg_from(seeds[1])))
+    return GcSession(0, c0, m0), GcSession(1, c1, m1)
 
 
 def new_offset(rng):

@@ -278,12 +278,16 @@ def test_peer_reply_of_wrong_length_rejected(channels, case):
 
 
 def test_share_input_roundtrip(channels):
+    # the owner's elements are its share and the peer holds zeros: no
+    # frame crosses, and a count other than the planned one is refused
     m = manifest(ring=L32)
     e0, e1 = engines(channels, m)
-    gen0, gen1 = drbg_from(10), drbg_from(11)
     x = np.arange(5, dtype=np.uint64)
-    s0, s1 = run_parties(
-        lambda: e0.share_input(x, 5, owner=0, drbg=gen0),
-        lambda: e1.share_input(None, 5, owner=0, drbg=gen1),
-    )
-    assert np.array_equal(ass.reconstruct(s0, s1, L32), x)
+    for owner in (0, 1):
+        s0, s1 = (e.share_input(x if e.role == owner else None, 5, owner=owner)
+                  for e in (e0, e1))
+        assert np.array_equal(ass.reconstruct(s0, s1, L32), x)
+        assert (s0, s1)[1 - owner].value.tolist() == [0] * 5
+    assert [c.ledger.messages() for c in channels] == [0, 0]
+    with pytest.raises(ass.AssError, match="planned"):
+        e1.share_input(x[:4], 5, owner=1)

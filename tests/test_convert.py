@@ -15,8 +15,8 @@ def sessions(channels, ring_=RingParams(32), **kw):
     m = ResourceManifest(bytes(16), ring_, **kw)
     m0, m1 = deal(m)
     c0, c1 = channels
-    s0 = PartySession(0, m, m0, c0, rng=np.random.default_rng(100))
-    s1 = PartySession(1, m, m1, c1, rng=np.random.default_rng(200))
+    s0 = PartySession(0, m, m0, c0)
+    s1 = PartySession(1, m, m1, c1)
     return s0, s1
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import deal, drbg_from, run_parties
+from conftest import deal, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import convert
@@ -345,7 +345,7 @@ def _draw_dabits(mat, ch):
 
 
 def _draw_labels(mat, ch):
-    GcSession(mat.role, ch, mat, drbg_from(0)).input_labels(np.zeros(5, np.uint8))
+    GcSession(mat.role, ch, mat).input_labels(np.zeros(5, np.uint8))
 
 
 OVERDRAWS = {

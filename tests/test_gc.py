@@ -116,7 +116,8 @@ def test_online_bytes_formula(channels):
     inlabels = sent.payload_bytes(msg_type=transport.GC_INLABELS, direction="sent")
     decode = sent.payload_bytes(msg_type=transport.GC_DECODE, direction="sent")
     assert tables == 32 * circ.num_and * n
-    assert inlabels == 16 * 32 * n  # garbler input labels
+    assert inlabels == 0  # the garbler's inputs take zero labels x*R: none cross
+    assert sent.payload_bytes(direction="sent") == tables + decode
     assert sent.payload_bytes(msg_type=transport.OT_PAIRS) == 0  # evaluator inputs are dealt
     assert decode == (32 * n + 7) // 8
     # one masked bit per evaluator input, from the evaluator alone
@@ -184,28 +185,32 @@ def test_identity_passthrough(channels):
     assert np.array_equal(from_bits(out), np.arange(256))
 
 
-def test_label_hygiene_permute_bits_balanced(channels, monkeypatch):
-    # the evaluator-visible permute bit of a wire should split evenly
-    # across garblings: the garbler's fresh zero labels, which come from
-    # its session generator, reach the evaluator as GC_INLABELS for
-    # all-zero bits
+def test_label_hygiene_permute_bits_balanced(monkeypatch):
+    # the evaluator's view of a garbler input wire does not depend on the
+    # garbler's bit: its active label there is 0, so its select bit is 0,
+    # for all-zero and all-one bits alike; the select bit of the AND
+    # output still splits evenly across instances
     c, n = cc.build_bitand(1), 200
-    sent = []
-    orig = transport.Channel.send
+    seen = []
+    orig = gc_mod.evaluate
 
-    def send(self, msg_type, payload):
-        if msg_type == transport.GC_INLABELS:
-            sent.append(np.frombuffer(bytes(memoryview(payload).cast("B")), np.uint8))
-        return orig(self, msg_type, payload)
+    def spy(circ, tables, active_in, *args):
+        seen.append(active_in[: len(circ.inputs0)].copy())
+        return orig(circ, tables, active_in, *args)
 
-    monkeypatch.setattr(transport.Channel, "send", send)
-    zeros = np.zeros((n, 1), np.uint8)
-    g, e = gc_sessions(*channels, n)
-    run_parties(lambda: g.run(c, ("bits", zeros), ("bits", None), ninst=n),
-                lambda: e.run(c, ("bits", None), ("bits", zeros), ninst=n))
-    (labels,) = sent
-    ones = int((labels.reshape(n, 16)[:, 0] & 1).sum())
-    assert 60 <= ones <= 140  # ~Binomial(200, 1/2), far beyond 6 sigma
+    monkeypatch.setattr(gc_mod, "evaluate", spy)
+    ones = np.ones((n, 1), np.uint8)
+    for mine in (0 * ones, ones):
+        chans = transport.channel_pair()
+        g, e = gc_sessions(*chans, n)
+        _, ys = run_parties(
+            lambda: g.run(c, ("bits", mine), ("bits", None), ninst=n, decode="none"),
+            lambda: e.run(c, ("bits", None), ("bits", ones), ninst=n, decode="none"))
+        for ch in chans:
+            ch.close()
+        assert not seen.pop().any()  # label 0, select bit lsb(0) = 0
+        out_ones = int(ys.lsb_bits().sum())
+        assert 60 <= out_ones <= 140  # ~Binomial(200, 1/2), far beyond 6 sigma
 
 
 def test_yao_labels_rebind_into_next_circuit(channels):
@@ -409,7 +414,9 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
 def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
     # a label rebound from one run into the next must not be hashed again
     # under the same tweak: every fixed-key AES input block of the second
-    # run differs from those of the first, on both roles
+    # run differs from those of the first, on both roles; within a run the
+    # blocks are pairwise distinct, though every garbler input label the
+    # evaluator holds is 0
     b = cc.Builder("pass_and")
     x, y = b.inputs(0, 1), b.inputs(1, 1)
     b.outputs = [x[0], y[0], b.and_(x[0], y[0])]
@@ -422,7 +429,7 @@ def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
 
     def spy(blk):
         rows = np.ascontiguousarray(blk).view(np.uint8).reshape(-1, 16)
-        seen.setdefault((threading.get_ident(), phase.run), set()).update(
+        seen.setdefault((threading.get_ident(), phase.run), []).extend(
             r.tobytes() for r in rows)
         return orig(blk)
 
@@ -447,7 +454,8 @@ def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
     assert np.array_equal(out.T, expect)
     threads = {t for t, _ in seen}
     assert len(threads) == 2
+    assert all(len(set(blocks)) == len(blocks) for blocks in seen.values())
     for t in threads:
         assert seen[(t, 1)] and seen[(t, 2)]
-        assert not seen[(t, 1)] & seen[(t, 2)]
+        assert not set(seen[(t, 1)]) & set(seen[(t, 2)])
     assert g.tweak == e.tweak > 0

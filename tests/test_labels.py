@@ -53,8 +53,7 @@ def test_delta_comes_from_seed0():
 def _sessions(manifest):
     m0, m1 = deal(manifest)
     c0, c1 = transport.channel_pair()
-    return (PartySession(0, manifest, m0, c0, np.random.default_rng(1)),
-            PartySession(1, manifest, m1, c1, np.random.default_rng(2)))
+    return PartySession(0, manifest, m0, c0), PartySession(1, manifest, m1, c1)
 
 
 def test_garbler_offset_is_the_dealt_delta():

@@ -13,13 +13,10 @@ from hybrid2pc.session import PartySession
 P32 = RingParams(32, 7, 12)
 
 
-def sessions(manifest, seeds=(1, 2)):
+def sessions(manifest):
     m0, m1 = deal(manifest)
     c0, c1 = transport.channel_pair()
-    return (
-        PartySession(0, manifest, m0, c0, np.random.default_rng(seeds[0])),
-        PartySession(1, manifest, m1, c1, np.random.default_rng(seeds[1])),
-    )
+    return PartySession(0, manifest, m0, c0), PartySession(1, manifest, m1, c1)
 
 
 def infer_both(net, images, profile, p=P32, check_exhausted=True):
@@ -455,7 +452,12 @@ def _mnist_frame_bytes(batch: int, profile: str) -> dict:
     discharge a shift of 12, so their bodies run on w = 20 bits, and b2a
     converts a ReLU value's 19 bits below its sign on one daBit each,
     opened with one masked bit each way. The evaluator's share bits go on
-    dealt labels: one masked bit each. No OT pairs cross."""
+    dealt labels: one masked bit each. No OT pairs cross, and neither do
+    the garbler's input labels (zero labels x*R) nor a share of the
+    images, which are the client's own share. The linear layers mask
+    one element per product term each way (conv1: 980 outputs of 25,
+    fc1: 100 of 980, fc2: 10 of 100), and the argmax's 4 output bits
+    decode to the client."""
     relus = (980 * batch, 100 * batch)  # ReLU values per layer
     relu_ands = 31 if profile == ml.LAN else 50  # identity stage / relu stage
     labels = sum((32 * n + 7) // 8 for n in relus) + (320 * batch + 7) // 8
@@ -467,6 +469,10 @@ def _mnist_frame_bytes(batch: int, profile: str) -> dict:
         transport.OT_PAIRS: (0, 0),
         transport.OT_CHOICES: (opened, labels + opened),
         transport.GMW_DE: (gmw, gmw),
+        transport.GC_INLABELS: (0, 0),
+        transport.APP_SHARE: (0, 0),
+        transport.DA_MASKED: (4 * (980 * 25 + 100 * 980 + 10 * 100) * batch,) * 2,
+        transport.GC_DECODE: ((4 * batch + 7) // 8, 0),
     }
 
 
@@ -478,11 +484,13 @@ def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
     got, (s0, s1) = infer_both(net, images, profile)
     assert np.array_equal(got, ml.nn_oracle(net, images, P32))
     # the sessions were dealt in process: their channels carry online frames only
-    for msg_type, nbytes in _mnist_frame_bytes(batch, profile).items():
+    frames = _mnist_frame_bytes(batch, profile)
+    for msg_type, nbytes in frames.items():
         assert tuple(s.channel.ledger.payload_bytes(direction="sent", msg_type=msg_type)
                      for s in (s0, s1)) == nbytes, msg_type
     sent = [s.channel.ledger.payload_bytes(direction="sent") for s in (s0, s1)]
-    assert sent == ([43052150, 10183820] if profile == ml.LAN else [2804119, 504062])
+    assert sent == [sum(col) for col in zip(*frames.values())]
+    assert sent == ([31890550, 10121100] if profile == ml.LAN else [2246039, 500926])
 
 
 # sha256 over the encoded manifests and nn_oracle outputs below, recorded

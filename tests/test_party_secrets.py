@@ -1,19 +1,22 @@
-"""Every secret a party draws itself -- input-sharing masks and the
-garbler's fresh zero labels -- comes from its session's CTR-DRBG
-(PartySession.drbg), never from numpy's generators: numpy's PCG64 is not
-cryptographic, and its state can be recovered from its outputs. A caller's
-seeded rng only keys the DRBG, so seeded sessions stay reproducible."""
+"""A party draws nothing online: once its material is dealt, the online
+phase is a function of that material and of the inputs alone. The
+garbler's inputs take zero labels x*R and the client's query is its own
+share, so no party keys a generator of its own, and none draws from
+numpy's generators, whose PCG64 is not cryptographic. A caller's rng
+changes nothing on the wire."""
 
 import ast
 import collections
+import hashlib
 import inspect
+import secrets
 
 import numpy as np
 import pytest
 from conftest import deal, run_parties
 
-from hybrid2pc import (ass, circuits, convert, correlated, drbg, gc, gmw, ot, ring, session,
-                       stp, transport)
+from hybrid2pc import (ass, circuits, convert, correlated, drbg, gc, gmw, ml, ot, ring,
+                       session, stp, transport)
 from hybrid2pc.ring import RingParams
 
 P, N = RingParams(16), 6
@@ -22,7 +25,8 @@ X = (np.arange(N, dtype=np.uint64) * 10_007 + 3) & np.uint64(P.mask)
 
 def _sessions(rngs=(None, None)):
     """Two parties dealt for one share_input, one identity-stage garbled
-    run and one b2a of its output bits; rngs seed their generators."""
+    run and one b2a of its output bits, from the same bundles every time;
+    rngs are passed to them."""
     c = circuits.stage_circuit("identity", P.l, 0)
     m = correlated.ResourceManifest(bytes(16), P, num_labels=len(c.inputs1) * N,
                                     num_dabits=len(c.outputs) * N)
@@ -34,7 +38,7 @@ def _sessions(rngs=(None, None)):
 def _program(se):
     """Role 1 shares X; then a2y (a garbled run with decode "none"), y2b
     and b2a take it to Boolean and back to additive shares."""
-    x = se.ass.share_input(X if se.role == 1 else None, N, owner=1, drbg=se.drbg)
+    x = se.ass.share_input(X if se.role == 1 else None, N, owner=1)
     bs = convert.y2b(se.gc, convert.a2y(se.gc, x, P))
     return bs, convert.b2a(se.channel, P, se.dabits, bs)
 
@@ -77,22 +81,78 @@ def _online_frames(rngs, monkeypatch):
 
 
 def test_equal_seeds_send_equal_frames(monkeypatch):
-    def seeded():
-        return np.random.default_rng(7), np.random.default_rng(8)
-
-    first = _online_frames(seeded(), monkeypatch)
-    assert first == _online_frames(seeded(), monkeypatch)
+    # sessions opened from the same bundles send byte-identical frames,
+    # whatever rng they are given
+    first = _online_frames((np.random.default_rng(7), np.random.default_rng(8)), monkeypatch)
+    assert first == _online_frames((np.random.default_rng(1), None), monkeypatch)
     assert all(first)
 
 
-def test_unseeded_sessions_draw_fresh_labels(monkeypatch):
-    def inlabels(role0_frames):
-        (labels,) = [b for t, b in role0_frames if t == transport.GC_INLABELS]
-        return labels
+P32 = RingParams(32, 7, 12)
+PSK = bytes(range(32))
 
-    a, b = (inlabels(_online_frames((None, None), monkeypatch)[0]) for _ in range(2))
-    assert len(a) == len(b) == 16 * P.l * N
-    assert a != b
+
+def _dealt_sessions(manifest, key=None):
+    """Both parties' sessions, their bundles fetched from a real dealer."""
+    srv = stp.StpServer(timeout=10.0, cipher_key=key).start()
+    chans = transport.channel_pair(session=manifest.session_id, cipher_key=key)
+    try:
+        return run_parties(*(lambda r=r: session.PartySession.offline(
+            r, manifest, srv.address, chans[r], stp_cipher_key=key) for r in (0, 1)))
+    finally:
+        srv.stop()
+
+
+def _run_closing(s0, s1, f0, f1):
+    """run_parties, with a party that raises closing its channel, so that
+    its peer's receive ends instead of waiting."""
+    def closing(se, f):
+        def run():
+            try:
+                return f()
+            except BaseException:
+                se.channel.close()
+                raise
+        return run
+
+    return run_parties(closing(s0, f0), closing(s1, f1))
+
+
+def _no_draws(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a party drew randomness online")
+
+    for name in ("__init__", "fill_bytes"):
+        monkeypatch.setattr(drbg.Drbg, name, forbidden)
+    monkeypatch.setattr(secrets, "token_bytes", forbidden)
+
+
+@pytest.mark.parametrize("program", ["mnist-lan-b2", "mnist-wan-b1", "svm-psk-b1"])
+def test_party_draws_nothing_online(monkeypatch, program):
+    rng = np.random.default_rng(11)
+    sid = hashlib.sha256(program.encode()).digest()[:16]
+    if program == "svm-psk-b1":
+        d = 100
+        model = ml.SvmModel(rng.uniform(-1, 1, d), 0.3)
+        query = rng.uniform(-1, 1, (1, d))
+        s0, s1 = _dealt_sessions(ml.plan_svm_manifest(d, 1, P32, sid), PSK)
+        _no_draws(monkeypatch)
+        _, got = _run_closing(s0, s1, lambda: ml.svm_classify(s0, model, None, d, 1),
+                              lambda: ml.svm_classify(s1, None, query, d, 1))
+        expect = ml.svm_oracle(model, query, P32)
+    else:
+        profile, batch = (ml.LAN, 2) if program == "mnist-lan-b2" else (ml.WAN, 1)
+        net = ml.mnist_like_net(rng, P32)
+        images = rng.uniform(0, 1, (batch, 1, 28, 28))
+        s0, s1 = _dealt_sessions(ml.plan_nn_manifest(net, P32, batch, profile, sid))
+        _no_draws(monkeypatch)
+        _, got = _run_closing(s0, s1, lambda: ml.nn_infer(s0, net, None, batch, profile),
+                              lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
+        expect = ml.nn_oracle(net, images, P32)
+    for se in (s0, s1):
+        se.assert_exhausted()
+        se.channel.close()
+    assert np.array_equal(got, expect)
 
 
 # The protocol modules draw nothing from numpy's or Python's

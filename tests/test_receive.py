@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import deal, drbg_from, ot_masks
+from conftest import deal, ot_masks
 
 from hybrid2pc import circuits, convert, gc, ml, stp, transport
 from hybrid2pc.ass import ArithShare, AssEngine
@@ -43,7 +43,7 @@ def _yao(role):
 
 def _gc_garble_on_labels(chan):
     """The garbler receives the evaluator's masked bits e before garbling."""
-    sess = gc.GcSession(0, chan, _material(0, num_labels=8 * NINST), drbg_from(0))
+    sess = gc.GcSession(0, chan, _material(0, num_labels=8 * NINST))
     sess.run(AND8, ("bits", _zeros((NINST, 8))), ("bits", None), ninst=NINST)
 
 
@@ -56,8 +56,7 @@ def _b2a(role):
     return call
 
 
-T, IN, DEC = ((transport.GC_TABLES, TABLES), (transport.GC_INLABELS, 8 * NINST * 16),
-              (transport.GC_DECODE, DECODE))
+T, DEC = (transport.GC_TABLES, TABLES), (transport.GC_DECODE, DECODE)
 
 # site: (the party's call on its channel, every frame the fake peer sends
 # it as (type, due size), and the index of the frame whose size is spoiled)
@@ -70,14 +69,14 @@ SITES = {
     "OT_CHOICES-b2a-role1": (_b2a(1), [(transport.OT_CHOICES, 3)], 0),
     "OT_CHOICES-labels": (_gc_garble_on_labels, [(transport.OT_CHOICES, (8 * NINST + 7) // 8)],
                           0),
-    "GC_TABLES": (lambda ch: gc.GcSession(1, ch, _material(1), drbg_from(1)).run(
+    "GC_TABLES": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 0),
-    "GC_INLABELS": (lambda ch: gc.GcSession(1, ch, _material(1), drbg_from(1)).run(
-        AND8, ("bits", None), _yao(1), ninst=NINST), [T, IN, DEC], 1),
-    "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1), drbg_from(1)).run(
+    # the garbler's bits take zero labels x*R: the decode bits follow the
+    # tables, with no label frame between them
+    "GC_DECODE-garbler-bits": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
+        AND8, ("bits", None), _yao(1), ninst=NINST), [T, DEC], 1),
+    "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 1),
-    "APP_SHARE": (lambda ch: AssEngine(0, L32, ch, _material(0)).share_input(
-        None, 4, owner=1, drbg=None), [(transport.APP_SHARE, 4 * 4)], 0),
     "ASS_EF": (lambda ch: AssEngine(0, L32, ch, _material(0, num_amt=2)).mul_mt(
         ArithShare(np.zeros(2), 0), ArithShare(np.zeros(2), 0)),
         [(transport.ASS_EF, 2 * 2 * 4)], 0),

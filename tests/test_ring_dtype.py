@@ -25,8 +25,7 @@ def test_protocol_outputs_are_ring_dtype(l, channels):
     n, k = 40, 3
     m = ResourceManifest(bytes(16), p, num_amt=n, num_dabits=n * l, vdp_blocks=((n, k),))
     bundle = correlated.compute_corrections(SEED0, SEED1, m)
-    se = [PartySession(role, m, correlated.open_bundle(role, seed_or_bundle, m), ch,
-                       rng=np.random.default_rng(role))
+    se = [PartySession(role, m, correlated.open_bundle(role, seed_or_bundle, m), ch)
           for role, seed_or_bundle, ch in zip((0, 1), (SEED0, bundle), channels)]
     rng = np.random.default_rng(l)
     x, y = (rng.integers(0, p.modulus, n, dtype=np.uint64) for _ in range(2))

@@ -1,9 +1,14 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import threading
 
 import numpy as np
 import pytest
 from conftest import run_parties
 
+import hybrid2pc
 from hybrid2pc import transport
 from hybrid2pc.transport import (
     Channel,
@@ -180,3 +185,20 @@ def test_back_to_back_exchanges_are_one_flight_each():
     assert (c0.flights, c1.flights) == (200, 200)
     c0.close()
     c1.close()
+
+
+# No program sends GC_INLABELS or APP_SHARE: the garbler's inputs take zero
+# labels x*R and a party's input is its own share. transport keeps both
+# constants for perfbench's report alone, so no other module may name them.
+_RETIRED = {"GC_INLABELS", "APP_SHARE"}
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(hybrid2pc.__path__)
+                                  if m.name != "transport"])
+def test_no_module_names_a_retired_frame_type(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"hybrid2pc.{name}")))
+    found = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in _RETIRED
+             or isinstance(node, ast.Name) and node.id in _RETIRED
+             or isinstance(node, ast.alias) and node.name in _RETIRED]
+    assert found == []
