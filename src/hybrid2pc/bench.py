@@ -26,6 +26,7 @@ from .session import PartySession
 
 OPS = ("ADD", "MULT", "XOR", "AND", "CMP", "EQ", "MUX",
        "y2b", "b2y", "b2a", "a2y")
+GRACE_S = 5.0  # how long a failed two-party run waits for the other party
 
 
 @dataclass
@@ -44,40 +45,50 @@ class BenchRow:
         return self.online_sent0 + self.online_sent1
 
 
-def _run_both(f0, f1):
-    res = [None, None]
-    errs = []
+def run_both(f0, f1, channels=(), timeout=None):
+    """Run two party closures on daemon threads; return their results.
+
+    A party that raises closes channels, so that a peer blocked in recv
+    ends in Disconnected; its error is re-raised once the peer is done or
+    GRACE_S has passed. A wait longer than timeout raises TimeoutError.
+    """
+    res, errs, done = [None, None], [], threading.Semaphore(0)
 
     def wrap(i, f):
         try:
             res[i] = f()
-        except BaseException as e:  # noqa: BLE001
+        except BaseException as e:  # noqa: BLE001 - re-raised below
             errs.append(e)
+            for c in channels:
+                c.close()
+        done.release()
 
-    ts = [threading.Thread(target=wrap, args=(i, f)) for i, f in ((0, f0), (1, f1))]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
+    for i, f in enumerate((f0, f1)):
+        threading.Thread(target=wrap, args=(i, f), daemon=True).start()
+    running = 2
+    while running and done.acquire(timeout=GRACE_S if errs else timeout):
+        running -= 1
     if errs:
         raise errs[0]
+    if running:
+        raise TimeoutError("a party thread did not finish")
     return res
 
 
 def _sessions(manifest: ResourceManifest, stp_addr):
     c0, c1 = transport.channel_pair(session=manifest.session_id)
-    made = _run_both(lambda: PartySession.offline(0, manifest, stp_addr, c0),
-                     lambda: PartySession.offline(1, manifest, stp_addr, c1))
+    made = run_both(lambda: PartySession.offline(0, manifest, stp_addr, c0),
+                    lambda: PartySession.offline(1, manifest, stp_addr, c1), (c0, c1))
     return tuple(made)
 
 
 def _measure(manifest, f0, f1, stp_addr):
     se0, se1 = _sessions(manifest, stp_addr)
     offline = se1.channel.ledger.payload_bytes(phase=transport.OFFLINE, direction="recv")
-    t0 = time.perf_counter()
-    _run_both(lambda: f0(se0), lambda: f1(se1))
-    dt = time.perf_counter() - t0
     chans = (se0.channel, se1.channel)
+    t0 = time.perf_counter()
+    run_both(lambda: f0(se0), lambda: f1(se1), chans)
+    dt = time.perf_counter() - t0
     sent0, sent1 = (c.ledger.payload_bytes(phase=transport.ONLINE, direction="sent", peer="peer")
                     for c in chans)
     flights = tuple(c.flights for c in chans)
@@ -160,7 +171,8 @@ def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
             return run
 
         se0, se1 = _sessions(m, stp_addr)
-        extra = _run_both(lambda: go(b0)(se0), lambda: go(b1)(se1))
+        extra = run_both(lambda: go(b0)(se0), lambda: go(b1)(se1),
+                         (se0.channel, se1.channel))
         se0.channel.close()
         se1.channel.close()
         assert extra == [0, 0]

@@ -27,10 +27,11 @@ however its arguments are spelled.
 
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
-Circuit.levelized computes it once per circuit object. run_spans() walks
-that schedule with one vectorised XOR per layer and a callback per AND
-level; GMW, garbling and evaluation all run on it, while simulate() keeps
-a plain per-gate loop as the reference.
+Circuit.levelized computes it once per circuit object. run_spans(), the
+one interpreter, owns the wire array and the public 1 in CONST1 that NOT
+reads, and walks the schedule with one vectorised XOR per layer and a
+callback per AND level. GMW, garbling and evaluation all run on it, while
+simulate() keeps a plain per-gate loop as the reference.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ class Span(NamedTuple):
     """One step of a levelized schedule, as wire-index arrays.
 
     layers: (a, b, out) per layer of mutually independent XOR and NOT
-    gates, run in order. A NOT gate reads b = nwires, the extra row in
-    which each interpreter keeps its NOT mask. ands: gate indices of the
-    AND level that follows; and_a, and_b, and_out: their wires.
+    gates, run in order. A NOT gate reads b = CONST1, the public 1.
+    ands: gate indices of the AND level that follows; and_a, and_b,
+    and_out: their wires.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -191,7 +192,7 @@ def levelize(c: Circuit) -> LevelizedCircuit:
     gate_level = np.array(gate_level, dtype=np.int32)
     gate_layer = np.array(gate_layer, dtype=np.int32)
     gin_a = c.ga.astype(np.intp)
-    gin_b = np.where(c.op == NOT, c.nwires, c.gb).astype(np.intp)
+    gin_b = np.where(c.op == NOT, CONST1, c.gb).astype(np.intp)
     gout = c.go.astype(np.intp)
     max_lvl = int(gate_level.max(initial=0))
     schedule, spans = [], []
@@ -211,19 +212,23 @@ def levelize(c: Circuit) -> LevelizedCircuit:
     return LevelizedCircuit(c, schedule, spans)
 
 
-def run_spans(lc: LevelizedCircuit, vals: np.ndarray, and_level) -> None:
-    """One pass of lc over vals, a per-wire array with one extra row.
-
-    Row nwires must hold the interpreter's NOT mask: all ones in the
-    clear, R under garbling, 0 for the evaluator, role 0's share under
-    GMW. Every local layer is one XOR over the wire axis. Each AND level
-    calls and_level(span, a_vals, b_vals), which returns the output values.
+def run_spans(lc: LevelizedCircuit, one, inputs: np.ndarray, and_level) -> np.ndarray:
+    """One pass of lc over the input rows, inputs0's first; returns the
+    output rows. CONST1 holds one, the interpreter's public 1: R for the
+    garbler, 0 for the evaluator, 1 at GMW role 0 and 0 at role 1. Every
+    local layer is one XOR over the wire axis, NOT one with CONST1. Each
+    AND level calls and_level(span, a_vals, b_vals) for the output values.
     """
+    c = lc.circuit
+    vals = np.zeros((c.nwires, *inputs.shape[1:]), inputs.dtype)
+    vals[CONST1] = one
+    vals[[*c.inputs0, *c.inputs1]] = inputs
     for span in lc.spans:
         for a, b, o in span.layers:
             vals[o] = vals[a] ^ vals[b]
         if len(span.ands):
             vals[span.and_out] = and_level(span, vals[span.and_a], vals[span.and_b])
+    return vals[list(c.outputs)]
 
 
 class Builder:

@@ -12,13 +12,13 @@ label carried into a later run is never hashed under a tweak used before.
 Per AND gate two ciphertexts travel (generator and evaluator halves);
 XOR and NOT are free.
 
-Everything is SIMD over an instance axis. Label state is one array of
-shape (nwires + 1, ninst, 2) holding each label as a little-endian u64
-pair. garble and evaluate walk the circuit's cached layered schedule
-(circuits.run_spans): a layer of independent XOR and NOT gates is one XOR
-over fancy-indexed rows, NOT reading a row that holds R (garbler) or 0
-(evaluator). Each AND level hashes all its half-gate inputs in one AES
-call; rotation is linear, so the garbler gets 2(X ^ R) as 2X ^ 2R.
+Everything is SIMD over an instance axis, each label a little-endian u64
+pair. garble and evaluate are AND-level callbacks of circuits.run_spans,
+which owns the wire array. Under free XOR a public 1 is R for the garbler
+and 0 for the evaluator, so NOT is an XOR with it and a constant output
+decodes as any wire does. Each AND level hashes all its half-gate inputs
+in one AES call; rotation is linear, so the garbler gets 2(X ^ R) as
+2X ^ 2R.
 
 A run has one data shape from garbler to evaluator: the labels of each
 input group are one (width, ninst, 16) array, and its tables are written,
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import transport
 from .aesutil import ecb_encryptor
-from .circuits import CONST0, CONST1, Circuit, run_spans
+from .circuits import Circuit, run_spans
 from .correlated import PartyMaterial, Supply
 from .transport import Channel
 
@@ -178,10 +178,6 @@ def garble(c: Circuit, R: np.ndarray, in_zero: np.ndarray, ninst: int = 1,
     """
     R64 = R.view(_U64)
     rR = _rotl1(R64)
-    zero = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)
-    zero8 = zero.view(np.uint8)
-    zero[c.nwires] = R64  # NOT a == a ^ R
-    zero8[[*c.inputs0, *c.inputs1]] = in_zero
     tables = bytearray(_table_bytes(c, ninst))
     table = np.frombuffer(tables, dtype=_U64)
     pos = 0
@@ -210,13 +206,8 @@ def garble(c: Circuit, R: np.ndarray, in_zero: np.ndarray, ninst: int = 1,
         ha0 ^= tg & pa
         return ha0
 
-    run_spans(c.levelized, zero, garble_and)
-    out_zero = zero8[list(c.outputs)]
-    decode = _lsb(out_zero)
-    for k, w in enumerate(c.outputs):
-        if w in (CONST0, CONST1):
-            decode[k] = w  # carries the public value itself
-    return Garbling(tables, out_zero, decode)
+    out_zero = run_spans(c.levelized, R64, in_zero.view(_U64), garble_and).view(np.uint8)
+    return Garbling(tables, out_zero, _lsb(out_zero))
 
 
 def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
@@ -227,9 +218,6 @@ def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
     """
     if len(tables) != _table_bytes(c, ninst):
         raise GcError("table buffer length mismatch")
-    act = np.zeros((c.nwires + 1, ninst, 2), dtype=_U64)  # NOT row stays 0
-    act8 = act.view(np.uint8)
-    act8[[*c.inputs0, *c.inputs1]] = active_in
     table = np.frombuffer(tables, dtype=_U64)
     pos = 0
 
@@ -249,8 +237,7 @@ def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
         ha ^= pair[:, :, 0] & _sel(Aa)
         return ha
 
-    run_spans(c.levelized, act, evaluate_and)
-    return act8[list(c.outputs)]
+    return run_spans(c.levelized, 0, active_in.view(_U64), evaluate_and).view(np.uint8)
 
 
 class GcSession:
@@ -366,8 +353,4 @@ class GcSession:
         raw = self.channel.recv_expect(transport.GC_DECODE, (nout * ninst + 7) // 8)
         dec = np.unpackbits(np.frombuffer(raw, np.uint8), count=nout * ninst,
                             bitorder="little").reshape(nout, ninst)
-        bits = (_lsb(out_active) ^ dec).astype(np.uint8)
-        for k, w in enumerate(c.outputs):
-            if w in (CONST0, CONST1):
-                bits[k] = dec[k]
-        return bits
+        return (_lsb(out_active) ^ dec).astype(np.uint8)

@@ -1,9 +1,10 @@
 """Two-party GMW evaluation on XOR-shared bits.
 
-XOR and NOT gates are local (NOT flips role 0's share only). They run
-as the circuit's layers of independent gates (circuits.run_spans), one
-XOR over the wire axis per layer; NOT reads a row holding 1 at role 0 and
-0 at role 1. Each AND level costs one exchange, one flight per party
+XOR and NOT gates are local. circuits.run_spans runs them as the
+circuit's layers of independent gates, one XOR over the wire axis per
+layer; a public 1 is shared as 1 at role 0 and 0 at role 1, so NOT, an XOR
+with it, flips role 0's share only. The engine supplies the AND levels:
+each costs one exchange, one flight per party
 (transport.Channel.flights): for every AND lane (gate x SIMD instance)
 the parties mask their operand shares with a Boolean triple, exchange
 the packed (d, e) bits, and combine
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .circuits import CONST1, LevelizedCircuit, Span, run_spans
+from .circuits import LevelizedCircuit, Span, run_spans
 from .correlated import PartyMaterial, Supply
 from .drbg import Drbg
 from .transport import Channel, ProtocolError
@@ -76,19 +77,11 @@ class GmwEngine:
         if cycles != 1:
             raise GmwError(f"a circuit runs for one cycle, not {cycles}")
         c = lc.circuit
-        ninst = max(in0.bits.shape[0], in1.bits.shape[0])
         if in0.width != len(c.inputs0) or in1.width != len(c.inputs1):
             raise GmwError("input width mismatch")
-        vals = np.zeros((c.nwires + 1, ninst), dtype=np.uint8)
-        if self.role == 0:
-            vals[CONST1] = 1
-            vals[c.nwires] = 1  # NOT mask
-        if c.inputs0:
-            vals[list(c.inputs0)] = in0.bits.T
-        if c.inputs1:
-            vals[list(c.inputs1)] = in1.bits.T
-        run_spans(lc, vals, self._and_level)
-        return BoolShare(vals[list(c.outputs)].T, self.role)
+        bits = np.concatenate([in0.bits, in1.bits], axis=1)
+        out = run_spans(lc, np.uint8(self.role == 0), bits.T, self._and_level)
+        return BoolShare(out.T, self.role)
 
     def _and_level(self, span: Span, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """One AND level over operand shares x, y of shape (gates, ninst)."""

@@ -69,11 +69,13 @@ class StpServer:
     def _handle(self, sock):
         cipher = transport.PskCipher(self._cipher_key, 1) if self._cipher_key else None
         chan = Channel(sock, None, cipher=cipher)
+        sock.settimeout(self.timeout)  # a client that sends nothing is dropped
         try:
             frame = chan.recv()
         except transport.TransportError:
             sock.close()
             return
+        sock.settimeout(None)
         try:
             self._process(frame, chan)
         finally:

@@ -3,12 +3,12 @@ socketpair, with correlated material dealt from fixed seeds through the
 dealer's bundle format (the STP wire path has its own tests)."""
 
 import hashlib
-import threading
 
 import numpy as np
 import pytest
 
 from hybrid2pc import correlated
+from hybrid2pc.bench import run_both
 from hybrid2pc.drbg import SEED_BYTES, Drbg
 from hybrid2pc.gc import GcSession
 from hybrid2pc.ring import RingParams
@@ -68,28 +68,13 @@ def zero_labels(rng, c, ninst):
                         dtype=np.uint8)
 
 
-def run_parties(f0, f1):
-    """Run two party closures concurrently; re-raise the first failure."""
-    results = [None, None]
-    errors = []
+def run_parties(f0, f1, channels=()):
+    """Run two party closures concurrently; re-raise the first failure.
 
-    def wrap(i, f):
-        try:
-            results[i] = f()
-        except BaseException as e:  # noqa: BLE001 - surfaced below
-            errors.append(e)
-
-    t0 = threading.Thread(target=wrap, args=(0, f0))
-    t1 = threading.Thread(target=wrap, args=(1, f1))
-    t0.start()
-    t1.start()
-    t0.join(120)
-    t1.join(120)
-    if errors:
-        raise errors[0]
-    if t0.is_alive() or t1.is_alive():
-        raise TimeoutError("party thread did not finish")
-    return results
+    A party that raises leaves its peer at most bench.GRACE_S, after
+    closing channels, so a peer blocked in recv cannot hang the suite.
+    """
+    return run_both(f0, f1, channels, timeout=120)
 
 
 @pytest.fixture

@@ -48,9 +48,8 @@ def test_double_driven_wire_rejected():
         cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\nXOR 2 3 4\n")
 
 
-# Wires outside [0, nwires): simulate's value array has nwires rows and
-# the GC/GMW interpreters' nwires + 1 (the NOT-mask row), so a negative
-# index would name different wires in the reference and in the protocols.
+# Wires outside [0, nwires): simulate and run_spans each hold nwires rows,
+# so a negative index would wrap silently onto some other wire.
 OUT_OF_RANGE = {
     "negative-gate-input": "W 6 IN0 2 IN1 3 OUT 5 CONST0 0 CONST1 1\nXOR 2 3 4\nAND 2 -3 5\n",
     "negative-output": "W 5 IN0 2 IN1 3 OUT -1 CONST0 0 CONST1 1\nAND 2 3 4\n",
@@ -288,7 +287,7 @@ def test_size_builders_use_one_and_per_full_adder():
 ], ids=lambda c: c.name)
 def test_spans_layer_the_schedule(circ):
     lc = cc.levelize(circ)
-    one = circ.nwires  # the NOT-mask row
+    one = cc.CONST1  # a NOT gate is an XOR with the public 1
     assert len(lc.spans) == len(lc.schedule)
     for span, (locals_, ands) in zip(lc.spans, lc.schedule):
         # the layers hold exactly the span's local gates, NOT reading `one`

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
-from conftest import BENCHMARKED_FLIGHTS
+from conftest import BENCHMARKED_FLIGHTS, run_parties
 
-from hybrid2pc import bench, circuits as cc, cli
+from hybrid2pc import bench, circuits as cc, cli, convert, stp, transport
 from hybrid2pc.ring import RingParams
 
 
@@ -41,6 +42,61 @@ def test_bench_flights_per_op(n):
     assert {r.op: r.flights for r in rows} == {
         "ADD": (0, 0), "MULT": (1, 1), "AND": (1, 1), "CMP": (cmp, cmp), "EQ": (eq, eq),
         "b2y": (0, 1), "b2a": (1, 1), "a2y": (1, 1)}
+
+
+def test_bench_op_fails_fast_when_a_party_raises(monkeypatch):
+    # role 0's b2a raises while role 1 waits for its masked bits: the run
+    # must close both channels and re-raise, not wait on role 1 forever
+    real_b2a, real_pair, made = convert.b2a, transport.channel_pair, []
+
+    def b2a(channel, p, dabits, bs, signed=False):
+        if bs.role == 0:
+            raise RuntimeError("role 0 fails")
+        return real_b2a(channel, p, dabits, bs, signed)
+
+    def channel_pair(*args, **kwargs):
+        made.extend(real_pair(*args, **kwargs))
+        return made[-2:]
+
+    monkeypatch.setattr(convert, "b2a", b2a)
+    monkeypatch.setattr(transport, "channel_pair", channel_pair)
+    srv = stp.StpServer().start()
+    errs = []
+
+    def run():
+        try:
+            bench.bench_op("b2a", 8, RingParams(32), srv.address)
+        except BaseException as e:  # noqa: BLE001 - checked below
+            errs.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(30)
+    try:
+        assert not t.is_alive(), "bench_op still running 30 s after a party raised"
+        assert [str(e) for e in errs] == ["role 0 fails"]
+    finally:
+        for c in made:  # ends a stuck party, so a failure cannot hang the suite
+            c.close()
+        srv.stop()
+
+
+def test_run_parties_returns_soon_after_a_party_raises():
+    # f1 blocks on an open channel that nothing will close: the runner
+    # re-raises f0's error after a short grace instead of waiting on f1
+    c0, c1 = transport.channel_pair()
+
+    def f0():
+        raise RuntimeError("role 0 fails at once")
+
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="at once"):
+            run_parties(f0, c1.recv)
+        assert time.monotonic() - start < 30
+    finally:
+        c0.close()
+        c1.close()
 
 
 def test_bench_table_formatting():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import deal, drbg_from, run_parties
 
-from hybrid2pc import ass, convert, gmw, ring, transport
+from hybrid2pc import ass, circuits, convert, gmw, ring, transport
 from hybrid2pc.correlated import ResourceManifest
 from hybrid2pc.gmw import BoolShare
 from hybrid2pc.ring import RingParams
@@ -39,6 +39,21 @@ def test_y2b_exhaustive_one_bit(channels):
 
             r0, r1 = run_parties(p0, p1)
             assert gmw.reconstruct_bits(r0, r1)[0, 0] == s0_bit ^ s1_bit
+
+
+def test_y2b_reads_constant_outputs(channels):
+    # x & y, CONST1 and CONST0 at x = y = 1: under decode "none" a constant
+    # output's label LSBs must XOR to the constant, as any other wire's do
+    b = circuits.Builder("and_one_zero")
+    (x,), (y,) = b.inputs(0, 1), b.inputs(1, 1)
+    b.outputs = [b.and_(x, y), circuits.CONST1, circuits.CONST0]
+    circ = b.build()
+    se0, se1 = sessions(channels, num_labels=1)
+    one = np.ones((1, 1), np.uint8)
+    r0, r1 = run_parties(
+        *(lambda se=se: convert.y2b(se.gc, se.gc.run_shares(circ, one, 1, "none"))
+          for se in (se0, se1)))
+    assert gmw.reconstruct_bits(r0, r1).tolist() == [[1, 1, 0]]
 
 
 def test_y2b_zero_online_bytes(channels):

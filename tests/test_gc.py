@@ -408,6 +408,8 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     g = garble(circ, R, zero, ninst=ninst)
     out = evaluate(circ, g.tables, _active(zero, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
+    # the y2b reading: the two roles' label LSBs XOR to the outputs
+    assert np.array_equal(((out[..., 0] ^ g.out_zero[..., 0]) & 1).T, expect)
     assert np.array_equal(_gmw_outputs(circ, in0, in1, rng), expect)
 
 

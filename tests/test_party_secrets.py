@@ -103,21 +103,6 @@ def _dealt_sessions(manifest, key=None):
         srv.stop()
 
 
-def _run_closing(s0, s1, f0, f1):
-    """run_parties, with a party that raises closing its channel, so that
-    its peer's receive ends instead of waiting."""
-    def closing(se, f):
-        def run():
-            try:
-                return f()
-            except BaseException:
-                se.channel.close()
-                raise
-        return run
-
-    return run_parties(closing(s0, f0), closing(s1, f1))
-
-
 def _no_draws(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a party drew randomness online")
@@ -137,8 +122,9 @@ def test_party_draws_nothing_online(monkeypatch, program):
         query = rng.uniform(-1, 1, (1, d))
         s0, s1 = _dealt_sessions(ml.plan_svm_manifest(d, 1, P32, sid), PSK)
         _no_draws(monkeypatch)
-        _, got = _run_closing(s0, s1, lambda: ml.svm_classify(s0, model, None, d, 1),
-                              lambda: ml.svm_classify(s1, None, query, d, 1))
+        _, got = run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
+                             lambda: ml.svm_classify(s1, None, query, d, 1),
+                             (s0.channel, s1.channel))
         expect = ml.svm_oracle(model, query, P32)
     else:
         profile, batch = (ml.LAN, 2) if program == "mnist-lan-b2" else (ml.WAN, 1)
@@ -146,8 +132,9 @@ def test_party_draws_nothing_online(monkeypatch, program):
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
         s0, s1 = _dealt_sessions(ml.plan_nn_manifest(net, P32, batch, profile, sid))
         _no_draws(monkeypatch)
-        _, got = _run_closing(s0, s1, lambda: ml.nn_infer(s0, net, None, batch, profile),
-                              lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
+        _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
+                             lambda: ml.nn_infer(s1, net.public(), images, batch, profile),
+                             (s0.channel, s1.channel))
         expect = ml.nn_oracle(net, images, P32)
     for se in (s0, s1):
         se.assert_exhausted()

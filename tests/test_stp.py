@@ -242,6 +242,19 @@ def test_malformed_block_manifest_rejected(server, payload):
         chan.close()
 
 
+def test_silent_client_dropped_after_timeout():
+    # a client that connects and sends nothing must not hold a handler
+    # and its socket open: the dealer closes it once its timeout passes
+    srv = stp.StpServer(timeout=0.5).start()
+    sock = transport.tcp_connect(*srv.address)
+    try:
+        sock.settimeout(5)
+        assert sock.recv(1) == b""
+    finally:
+        sock.close()
+        srv.stop()
+
+
 def test_handler_threads_pruned():
     # every session spawns two handler threads; finished ones must not pile
     # up: the process's live threads stay near where they started
