@@ -1,4 +1,4 @@
-"""Boolean circuits: representation, builder library, levelization, I/O.
+"""Boolean circuits: representation, builder library, levelization, text export.
 
 Circuits are netlists of two-input XOR/AND gates plus free NOT, listed in
 topological order over wires. Wire 0 is constant 0 and wire 1 constant 1;
@@ -46,7 +46,6 @@ import numpy as np
 
 XOR, AND, NOT = 0, 1, 2
 _OPNAMES = {XOR: "XOR", AND: "AND", NOT: "NOT"}
-_OPCODES = {v: k for k, v in _OPNAMES.items()}
 
 CONST0, CONST1 = 0, 1
 
@@ -730,7 +729,7 @@ def simulate_words(c: Circuit, x0: int | np.ndarray, x1):
     return vals
 
 
-# ----- text format -----
+# ----- text export -----
 
 
 def emit_circuit(c: Circuit) -> str:
@@ -748,65 +747,3 @@ def emit_circuit(c: Circuit) -> str:
         else:
             lines.append(f"{_OPNAMES[int(c.op[i])]} {c.ga[i]} {c.gb[i]} {c.go[i]}")
     return "\n".join(lines) + "\n"
-
-
-def _wires(tokens: list[str], line: str, count: int | None = None) -> list[int]:
-    """The wire indices of one line; CircuitError on a non-integer or on
-    other than count of them."""
-    try:
-        wires = [int(t) for t in tokens]
-    except ValueError:
-        raise CircuitError(f"non-integer wire in {line!r}") from None
-    if count is not None and len(wires) != count:
-        raise CircuitError(f"{line!r} needs {count} wires, not {len(wires)}")
-    return wires
-
-
-def parse_circuit(text: str) -> Circuit:
-    """A netlist from its text format; malformed text raises CircuitError."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CircuitError("empty circuit text")
-    header = lines[0].split()
-    if header[0] != "W":
-        raise CircuitError("header must start with W")
-    sections: dict[str, list[str]] = {}
-    for tok in header:
-        if tok in ("W", "IN0", "IN1", "OUT", "CONST0", "CONST1"):
-            current = tok
-            sections[current] = []
-        else:
-            sections[current].append(tok)
-    sections = {k: _wires(v, lines[0]) for k, v in sections.items()}
-    if len(sections["W"]) != 1:
-        raise CircuitError(f"{lines[0]!r} needs one wire count after W")
-    nwires = sections["W"][0]
-    ops, gas, gbs, gos = [], [], [], []
-    for ln in lines[1:]:
-        kind, *args = ln.split()
-        if kind == "NOT":
-            a, o = _wires(args, ln, 2)
-            ops.append(NOT), gas.append(a), gbs.append(a), gos.append(o)
-        elif kind in ("XOR", "AND"):
-            a, b, o = _wires(args, ln, 3)
-            ops.append(_OPCODES[kind]), gas.append(a), gbs.append(b), gos.append(o)
-        else:
-            raise CircuitError(f"unknown gate {kind!r}")
-    ins0, ins1, outs = (sections.get(k, []) for k in ("IN0", "IN1", "OUT"))
-    # bounds first: validate allocates nwires flags, and the arrays are int32
-    if nwires > 2 + len(ins0) + len(ins1) + len(gos):
-        raise CircuitError(f"W {nwires} exceeds the wires its constants, inputs and gates drive")
-    bad = [w for w in ins0 + ins1 + outs + gas + gbs + gos if not 0 <= w < nwires]
-    if bad:
-        raise CircuitError(f"wire {bad[0]} outside [0, {nwires})")
-    c = Circuit(
-        nwires=nwires,
-        inputs0=tuple(ins0),
-        inputs1=tuple(ins1),
-        outputs=tuple(outs),
-        op=np.array(ops, dtype=np.uint8),
-        ga=np.array(gas, dtype=np.int32),
-        gb=np.array(gbs, dtype=np.int32),
-        go=np.array(gos, dtype=np.int32),
-    )
-    return c.validate()

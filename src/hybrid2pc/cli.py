@@ -171,7 +171,7 @@ def _run_nn(args, cfg: dict, channel) -> dict:
     if weights:
         net, p = ml.load_net(weights)
     else:
-        net = ml.mnist_like_net(rng, p)
+        net = ml.mnist_like_net(rng)
     images = rng.uniform(0, 1, size=(batch, *net.input_shape))
     manifest = ml.plan_nn_manifest(net, p, batch, args.profile, channel.session)
     net, images = (net, None) if args.role == 0 else (net.public(), images)

@@ -290,7 +290,8 @@ class GcSession:
                          garbler's own take zero labels x*R, the
                          evaluator's go on dealt labels (input_labels),
                          so the garbler passes arr=None for bind1 and
-                         the evaluator arr=None for bind0
+                         the evaluator arr=None for bind0; an array
+                         there raises GcError
           ("yao", ys)    labels retained from b2y or an earlier run
           None           empty group; a group with wires raises GcError
         decode: "evaluator" (the evaluator alone learns the output bits)
@@ -306,6 +307,8 @@ class GcSession:
         for k, (bind, group) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
             if bind is None and group:
                 raise GcError(f"input group {k} has {len(group)} wires but no binding")
+            if k != self.role and bind and bind[0] == "bits" and bind[1] is not None:
+                raise GcError(f"input group {k} holds role {k}'s bits: bind ('bits', None)")
         kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
         # the run's input labels, inputs0 first; each half fills the "bits"
         # groups but the evaluator's view of the garbler's, which stays 0

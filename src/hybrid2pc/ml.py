@@ -178,7 +178,6 @@ class Step:
     """
 
     layer: object
-    in_shape: tuple
     out_shape: tuple
     gather: np.ndarray
     shift: int = 0
@@ -238,12 +237,12 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
         rows, nvals = gather.shape
         if isinstance(layer, (Conv, FC)):
             products = batch * int(np.prod(out_shape))
-            steps.append(Step(layer, in_shape, out_shape, gather, block=(products, nvals)))
+            steps.append(Step(layer, out_shape, gather, block=(products, nvals)))
             debt += p.beta
         elif isinstance(layer, MeanPool):
             if nvals & (nvals - 1):
                 raise MlError("mean-pool area must be a power of two")
-            steps.append(Step(layer, in_shape, out_shape, gather))
+            steps.append(Step(layer, out_shape, gather))
             debt += nvals.bit_length() - 1
         else:
             kind = {Act: "relu", MaxPool: "max", ArgMax: "argmax"}[type(layer)]
@@ -256,7 +255,7 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
             # b2a converts the stage's outputs, but below a ReLU's constant-0 sign
             nbits = 0 if kind == "argmax" else len((body or garbled).outputs) - isinstance(layer, Act)
             ninst = batch * rows
-            steps.append(Step(layer, in_shape, out_shape, gather, debt, garbled, body, nbits,
+            steps.append(Step(layer, out_shape, gather, debt, garbled, body, nbits,
                               labels=ninst * len(garbled.inputs1), dabits=ninst * nbits,
                               bmts=ninst * body.num_and if body else 0))
             debt = 0
@@ -429,7 +428,7 @@ def svm_oracle(model: SvmModel, queries: np.ndarray, p: RingParams) -> np.ndarra
 # ----- reference architectures -----
 
 
-def mnist_like_net(rng: np.random.Generator, p: RingParams) -> NetSpec:
+def mnist_like_net(rng: np.random.Generator) -> NetSpec:
     """Conv 5x5/stride 2/5 maps (28x28 -> 14x14) -> ReLU -> FC 980x100 ->
     ReLU -> FC 100x10 -> argmax, with random scaled weights."""
 
@@ -479,7 +478,6 @@ def cifar10_like_net(rng: np.random.Generator | None = None) -> NetSpec:
 # ----- weight files -----
 
 _NET_MAGIC = b"H2PCNET1"
-_SVM_MAGIC = b"H2PCSVM1"
 _LAYER_CODES = {Conv: 1, FC: 2, Act: 3, MeanPool: 4, MaxPool: 5, ArgMax: 6}
 
 
@@ -547,7 +545,7 @@ def load_net(path: str) -> tuple[NetSpec, RingParams]:
 
 
 def _file_ring(buf: bytes) -> RingParams:
-    """The ring a weight or model file names in bytes 8-10."""
+    """The ring a weight file names in bytes 8-10."""
     l, alpha, beta = struct.unpack_from("<3B", buf, 8)
     try:
         return RingParams(l, alpha, beta)
@@ -589,31 +587,3 @@ def _parse_net(buf: bytes) -> tuple[NetSpec, RingParams]:
     if pos != len(buf):
         raise MlError("trailing bytes in weight file")
     return NetSpec(tuple(shape), layers), p
-
-
-def save_svm(path: str, model: SvmModel, p: RingParams):
-    out = bytearray(_SVM_MAGIC)
-    out += struct.pack("<3B", p.l, p.alpha, p.beta)
-    w = np.atleast_1d(np.asarray(model.w, dtype="<f8"))
-    _write_array(out, w)
-    out += struct.pack("<d", float(np.asarray(model.b).reshape(-1)[0]))
-    with open(path, "wb") as f:
-        f.write(bytes(out))
-
-
-def load_svm(path: str) -> tuple[SvmModel, RingParams]:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:8] != _SVM_MAGIC:
-        raise MlError("not an SVM model file")
-    try:
-        p = _file_ring(buf)
-        w, pos = _read_array(buf, 11)
-        (b,) = struct.unpack_from("<d", buf, pos)
-    except struct.error:
-        raise MlError("truncated SVM model file") from None
-    if pos + 8 != len(buf):
-        raise MlError("trailing bytes in SVM model file")
-    ring.encode(w, p)
-    ring.encode(np.asarray(b), p)
-    return SvmModel(w, b), p

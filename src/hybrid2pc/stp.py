@@ -25,6 +25,7 @@ MANIFEST_MISMATCH = "MANIFEST_MISMATCH"
 SESSION_REPLAY = "SESSION_REPLAY"
 SESSION_TIMEOUT = "SESSION_TIMEOUT"
 DUPLICATE_ROLE = "DUPLICATE_ROLE"
+MANIFEST_TOO_LARGE = "MANIFEST_TOO_LARGE"
 
 
 class _Session:
@@ -97,6 +98,9 @@ class StpServer:
             manifest = ResourceManifest.decode(sid, frame.payload[1:])
         except ValueError:
             chan.send(transport.ERROR, b"MALFORMED_MANIFEST")
+            return
+        if bundle_size(1, manifest) > transport.MAX_PAYLOAD:  # no frame could carry it
+            chan.send(transport.ERROR, MANIFEST_TOO_LARGE.encode())
             return
         with self._lock:
             if sid in self._spent:

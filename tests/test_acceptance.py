@@ -459,7 +459,7 @@ def test_criterion_7_cnn_end_to_end():
     t0 = time.time()
     p = RingParams(32, 7, 12)
     rng = np.random.default_rng(77)
-    net = ml.mnist_like_net(rng, p)
+    net = ml.mnist_like_net(rng)
     images = rng.uniform(0, 1, size=(100, 1, 28, 28))
     expect = ml.nn_oracle(net, images, p)
     timings = {}

@@ -157,7 +157,7 @@ def test_every_received_frame_passes_through_recv(monkeypatch):
     ledgers = _session(bytes(range(32)), ml.plan_svm_manifest(d, 1, p, bytes([1] * 16)),
                        lambda s: ml.svm_classify(s, svm, None, d, 1),
                        lambda s: ml.svm_classify(s, None, query, d, 1))
-    net = ml.mnist_like_net(rng, p)
+    net = ml.mnist_like_net(rng)
     image = rng.uniform(0, 1, (1, 1, 28, 28))
     ledgers += _session(None, ml.plan_nn_manifest(net, p, 1, ml.WAN, bytes([2] * 16)),
                         lambda s: ml.nn_infer(s, net, None, 1, ml.WAN),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybrid2pc import circuits as cc
-from hybrid2pc import ml, ring
+from hybrid2pc import cli, ml, ring
 from hybrid2pc.ring import RingParams
 
 
@@ -24,84 +24,46 @@ B8 = np.tile(ALL8, 256)
 NONE8 = np.zeros((256, 0), np.uint8)
 
 
+def netlist(nwires, ins0, ins1, outs, *gates):
+    """A Circuit from (op, a, b, o) gates, unvalidated."""
+    op, ga, gb, go = zip(*gates)
+    return cc.Circuit(nwires, ins0, ins1, outs, np.array(op, np.uint8), np.array(ga, np.int32),
+                      np.array(gb, np.int32), np.array(go, np.int32))
+
+
 def test_parse_single_and_gate():
-    c = cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n")
+    # the one-AND netlist other tests use, and its text export
+    c = cc.build_bitand(1)
+    assert cc.emit_circuit(c) == "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n"
     assert len(c.inputs0) == 1 and len(c.inputs1) == 1 and len(c.outputs) == 1
     assert c.num_and == 1
 
 
-def test_emit_parse_roundtrip():
-    for circ in (cc.build_add(8, "size"), cc.build_cmp(16, "depth")):
-        text = cc.emit_circuit(circ)
-        again = cc.parse_circuit(text)
-        assert cc.emit_circuit(again) == text
-
-
 def test_forward_reference_rejected():
     # gate reads a wire that is only driven later
-    with pytest.raises(cc.CircuitError):
-        cc.parse_circuit("W 6 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 5 4\nXOR 2 3 5\n")
+    with pytest.raises(cc.CircuitError, match="forward reference"):
+        netlist(6, (2,), (3,), (4,), (cc.AND, 2, 5, 4), (cc.XOR, 2, 3, 5)).validate()
 
 
 def test_double_driven_wire_rejected():
-    with pytest.raises(cc.CircuitError):
-        cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\nXOR 2 3 4\n")
+    with pytest.raises(cc.CircuitError, match="driven twice"):
+        netlist(5, (2,), (3,), (4,), (cc.AND, 2, 3, 4), (cc.XOR, 2, 3, 4)).validate()
 
 
 # Wires outside [0, nwires): simulate and run_spans each hold nwires rows,
 # so a negative index would wrap silently onto some other wire.
 OUT_OF_RANGE = {
-    "negative-gate-input": "W 6 IN0 2 IN1 3 OUT 5 CONST0 0 CONST1 1\nXOR 2 3 4\nAND 2 -3 5\n",
-    "negative-output": "W 5 IN0 2 IN1 3 OUT -1 CONST0 0 CONST1 1\nAND 2 3 4\n",
-    "negative-input": "W 5 IN0 -2 IN1 3 OUT 4 CONST0 0 CONST1 1\nXOR 3 3 4\n",
-    "gate-output-past-nwires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\nNOT 4 5\n",
+    "negative-gate-input": (6, (2,), (3,), (5,), (cc.XOR, 2, 3, 4), (cc.AND, 2, -3, 5)),
+    "negative-output": (5, (2,), (3,), (-1,), (cc.AND, 2, 3, 4)),
+    "negative-input": (5, (-2,), (3,), (4,), (cc.XOR, 3, 3, 4)),
+    "gate-output-past-nwires": (5, (2,), (3,), (4,), (cc.AND, 2, 3, 4), (cc.NOT, 4, 4, 5)),
 }
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_wire_outside_range_rejected(case):
     with pytest.raises(cc.CircuitError, match="outside"):
-        cc.parse_circuit(OUT_OF_RANGE[case])
-
-
-# Malformed text raises CircuitError, not the IndexError or ValueError of
-# the tokenizer or of numpy.
-MALFORMED = {
-    "no-wire-count": "W IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n",
-    "too-few-gate-wires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3\n",
-    "non-integer-wire": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 x 4\n",
-    "gate-wire-past-nwires": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 9\n",
-}
-
-
-@pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_text_raises_circuit_error(case):
-    with pytest.raises(cc.CircuitError):
-        cc.parse_circuit(MALFORMED[case])
-
-
-# Integers too large for the netlist's arrays are refused before any
-# array is built: a gate wire past int32, and a wire count beyond what the
-# constants, inputs and gates could drive, which validate would otherwise
-# try to allocate.
-OVERSIZED = {
-    "gate-wire-past-int32": "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 99999999999\n",
-    "huge-wire-count": "W 99999999999999999999\n",
-}
-
-
-@pytest.mark.parametrize("case", OVERSIZED)
-def test_oversized_integers_raise_circuit_error(case):
-    with pytest.raises(cc.CircuitError):
-        cc.parse_circuit(OVERSIZED[case])
-
-
-def test_register_breaks_cycle():
-    # circuits are combinational: a REG line, which would close the cycle
-    # NOT 2 -> 3 -> 2 through a register, is not part of the format
-    text = "W 4 IN0 IN1 OUT 3 CONST0 0 CONST1 1\nNOT 2 3\nREG 0 3 2\n"
-    with pytest.raises(cc.CircuitError, match="REG"):
-        cc.parse_circuit(text)
+        netlist(*OUT_OF_RANGE[case]).validate()
 
 
 def test_levelize_no_and():
@@ -342,6 +304,22 @@ PINNED_NETLISTS_SHA256 = "df082d1dc5ca193b49a6b43aabb0a661f62fa12894d0579efe1ff3
 # recorded before the stages became narrow: narrowing touches no shift-0
 # stage and no library circuit
 SHIFT0_NETLISTS_SHA256 = "c1a2fcd51edf44abfe1af387696e9075186f734dd980e6c15e6376a98e8777d3"
+
+
+# recorded before the netlist text reader was removed: every library
+# builder, at widths 8 and 32 and in both variants, exports as it did
+LIBRARY_EXPORT_SHA256 = "520a694c84837bb567e46b56433a2d6e1239f4c40718817d6c6f04bdce454f2d"
+
+
+def test_library_export_pinned(capsys):
+    h = hashlib.sha256()
+    for name in sorted(cc._BUILDERS):
+        for w in (8, 32):
+            for variant in (cc.SIZE, cc.DEPTH):
+                h.update(cc.emit_circuit(cc.build_by_name(name, w, variant)).encode())
+    assert h.hexdigest() == LIBRARY_EXPORT_SHA256
+    assert cli.main(["circuit", "--name", "cmp", "--width", "8", "--variant", "depth"]) == 0
+    assert capsys.readouterr().out == cc.emit_circuit(cc.build_cmp(8, cc.DEPTH))
 
 
 def test_stage_and_library_netlists_pinned():

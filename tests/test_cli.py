@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from conftest import BENCHMARKED_FLIGHTS, run_parties
@@ -112,10 +114,7 @@ def test_circuit_command(tmp_path, capsys):
     rc = cli.main(["circuit", "--name", "add", "--width", "8",
                    "--variant", "depth", "-o", str(out)])
     assert rc == 0
-    text = out.read_text()
-    assert text.startswith("W ")
-    c = cc.parse_circuit(text)
-    assert cc.levelize(c).depth == 3
+    assert out.read_text() == cc.emit_circuit(cc.build_add(8, "depth"))
     assert "depth 3 ->" in capsys.readouterr().out
 
 
@@ -211,3 +210,12 @@ def test_removed_options_rejected(argv, capsys):
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_module_table_names_every_module():
+    package = Path(cli.__file__).parent
+    modules = {f.stem for f in package.glob("*.py")} - {"__init__", "__main__"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (`.+?`) \|", readme, re.M)
+    listed = {name for row in rows for name in re.findall(r"`(\w+)`", row)}
+    assert modules <= listed, sorted(modules - listed)

@@ -39,7 +39,7 @@ def run_circuit(channels, circ, x, y):
 
 
 def test_and_truth_table(channels):
-    circ = cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n")
+    circ = cc.build_bitand(1)
     _, out = run_circuit(channels, circ, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
     assert out.ravel().tolist() == [0, 0, 0, 1]
 
@@ -174,6 +174,20 @@ def test_unbound_input_group_with_wires_rejected(channels, group):
         run_parties(lambda: g.run(circ, *binds(0), ninst=n),
                     lambda: e.run(circ, *binds(1), ninst=n))
     assert [c.ledger.messages() for c in channels] == [0, 0]
+
+
+@pytest.mark.parametrize("role", [0, 1])
+def test_bits_bound_to_the_peers_group_rejected(channels, role):
+    # each role's bits go into its own group only: an array bound to the
+    # peer's group would be dropped, and the run would compute on zeros
+    circ = cc.build_bitxor(4)
+    x, y = np.array([[1, 1, 0, 0]], np.uint8), np.array([[0, 1, 1, 0]], np.uint8)
+    binds = [[("bits", x), ("bits", None)], [("bits", None), ("bits", y)]]
+    binds[role][1 - role] = ("bits", (y, x)[role])
+    g, e = gc_sessions(*channels, 4)
+    with pytest.raises(gc_mod.GcError, match="holds role"):
+        run_parties(lambda: g.run(circ, *binds[0]), lambda: e.run(circ, *binds[1]), channels)
+    assert channels[role].ledger.messages(direction="sent") == 0
 
 
 def test_identity_passthrough(channels):

@@ -58,7 +58,7 @@ def test_single_and_trace_example(channels):
 
     e0 = GmwEngine(0, c0, mk(0, 1, 0, 1))
     e1 = GmwEngine(1, c1, mk(1, 0, 0, 1))
-    circ = cc.parse_circuit("W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n")
+    circ = cc.build_bitand(1)
     lc = cc.levelize(circ)
     s0, s1 = run_parties(
         lambda: e0.evaluate(lc, BoolShare([[0]], 0), BoolShare([[1]], 0)),

@@ -81,7 +81,7 @@ def test_svm_session_puts_no_ot_pairs_on_the_wire():
 
 def test_mnist_wan_ot_pairs_are_b2a_alone():
     rng = np.random.default_rng(2)
-    net = ml.mnist_like_net(rng, P32)
+    net = ml.mnist_like_net(rng)
     image = rng.uniform(0, 1, (1, 1, 28, 28))
     s0, s1 = _sessions(ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16)))
     _, got = run_parties(lambda: ml.nn_infer(s0, net, None, 1, ml.WAN),

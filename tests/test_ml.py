@@ -113,7 +113,7 @@ def test_pooled_net_secure_equals_oracle_both_profiles():
 
 def test_mnist_architecture_dimensions():
     rng = np.random.default_rng(4)
-    net = ml.mnist_like_net(rng, P32)
+    net = ml.mnist_like_net(rng)
     shapes = [(l, i, o) for l, i, o in ml._walk(net)]
     assert shapes[0][2] == (5, 14, 14)  # 980 conv outputs feed FC 980x100
     assert int(np.prod(shapes[0][2])) == 980
@@ -125,7 +125,7 @@ def test_mnist_architecture_dimensions():
 
 
 def test_mnist_plan_is_one_block_per_linear_layer():
-    net = ml.mnist_like_net(np.random.default_rng(4), P32)
+    net = ml.mnist_like_net(np.random.default_rng(4))
     m = ml.plan_nn_manifest(net, P32, 20, ml.LAN, bytes(16))
     assert m.vdp_blocks == ((19600, 25), (2000, 980), (200, 100))
     assert len(m.encode()) == 19 + 8 * 3
@@ -281,7 +281,7 @@ def test_benchmarked_programs_flights(workload):
     else:
         profile, batch = (ml.LAN, 20) if workload == "mnist-lan-b20" else (ml.WAN, 1)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
-        _, (s0, s1) = infer_both(ml.mnist_like_net(rng, P32), images, profile)
+        _, (s0, s1) = infer_both(ml.mnist_like_net(rng), images, profile)
     assert (s0.channel.flights, s1.channel.flights) == BENCHMARKED_FLIGHTS[workload]
 
 
@@ -391,26 +391,6 @@ def test_weight_file_shape_disagrees_with_layer(tmp_path):
         ml.load_net(str(path))
 
 
-def test_svm_model_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    model = ml.SvmModel(rng.uniform(-1, 1, 20), 0.25)
-    path = tmp_path / "svm.bin"
-    ml.save_svm(str(path), model, P32)
-    loaded, p = ml.load_svm(str(path))
-    assert np.array_equal(loaded.w, model.w) and loaded.b == model.b
-
-
-def test_svm_model_file_truncated_or_extended(tmp_path):
-    path = tmp_path / "svm.bin"
-    ml.save_svm(str(path), ml.SvmModel(np.array([0.5, -0.25, 0.125, 1.0]), 0.5), P32)
-    data = path.read_bytes()
-    for bad, match in ((data[:-3], "truncated"), (data[:12], "truncated"),
-                       (data + bytes(2), "trailing")):
-        path.write_bytes(bad)
-        with pytest.raises(ml.MlError, match=match):
-            ml.load_svm(str(path))
-
-
 def test_spatial_layer_after_flat_activation_rejected(tmp_path):
     fc = ml.FC(4, 4, np.zeros((4, 4)))
     for layer in (ml.MaxPool(2), ml.MeanPool(2), ml.Conv(maps=1, kernel=1,
@@ -433,17 +413,14 @@ def test_dimension_mismatch_rejected():
 def test_ring_header_out_of_range_rejected(tmp_path):
     # byte 8 is the ring width; MlError subclasses ValueError, so the type
     # is compared exactly
-    path = tmp_path / "model.bin"
-    fc = ml.FC(1, 1, np.zeros((1, 1)))
-    for save, load, model in ((ml.save_net, ml.load_net, ml.NetSpec((1, 1, 1), [fc])),
-                              (ml.save_svm, ml.load_svm, ml.SvmModel(np.zeros(2), 0.0))):
-        save(str(path), model, P32)
-        data = bytearray(path.read_bytes())
-        data[8] = 99
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError) as ei:
-            load(str(path))
-        assert type(ei.value) is ml.MlError
+    path = tmp_path / "net.bin"
+    ml.save_net(str(path), ml.NetSpec((1, 1, 1), [ml.FC(1, 1, np.zeros((1, 1)))]), P32)
+    data = bytearray(path.read_bytes())
+    data[8] = 99
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as ei:
+        ml.load_net(str(path))
+    assert type(ei.value) is ml.MlError
 
 
 def _mnist_frame_bytes(batch: int, profile: str) -> dict:
@@ -479,7 +456,7 @@ def _mnist_frame_bytes(batch: int, profile: str) -> dict:
 @pytest.mark.parametrize("batch, profile", [(20, ml.LAN), (1, ml.WAN)])
 def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
     rng = np.random.default_rng(15)
-    net = ml.mnist_like_net(rng, P32)
+    net = ml.mnist_like_net(rng)
     images = rng.uniform(-1, 1, size=(batch, 1, 28, 28))
     got, (s0, s1) = infer_both(net, images, profile)
     assert np.array_equal(got, ml.nn_oracle(net, images, P32))
@@ -504,7 +481,7 @@ PLANS_AND_ORACLE_SHA256 = "43ab1039830bc78d108a89451ec79a350dfc4bac650b4bb4bd1fa
 def test_plans_and_oracle_outputs_unchanged():
     h = hashlib.sha256()
     rng = np.random.default_rng(16)
-    mnist = ml.mnist_like_net(rng, P32)
+    mnist = ml.mnist_like_net(rng)
     pooled = tiny_net(rng, with_pools=True)
     tiny = tiny_net(rng)
     for profile in (ml.LAN, ml.WAN):
@@ -525,7 +502,7 @@ def test_oracle_peak_memory_stays_small():
     # each Conv and FC window meets its kernel in one integer matmul; a
     # (batch, maps, rows, window) product would peak near 53 MB here
     rng = np.random.default_rng(18)
-    net = ml.mnist_like_net(rng, P32)
+    net = ml.mnist_like_net(rng)
     images = rng.uniform(-1, 1, size=(64, *net.input_shape))
     tracemalloc.start()
     try:
@@ -540,7 +517,7 @@ def test_oracle_peak_memory_stays_small():
                                                ("pooled", ml.LAN), ("pooled", ml.WAN)])
 def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, profile):
     rng = np.random.default_rng(17)
-    net = ml.mnist_like_net(rng, P32) if net_name == "mnist" else tiny_net(rng, with_pools=True)
+    net = ml.mnist_like_net(rng) if net_name == "mnist" else tiny_net(rng, with_pools=True)
     batch = 2
     images = rng.uniform(-1, 1, size=(batch, *net.input_shape))
     steps = ml.compile_nn(net, P32, batch, profile)

@@ -128,7 +128,7 @@ def test_party_draws_nothing_online(monkeypatch, program):
         expect = ml.svm_oracle(model, query, P32)
     else:
         profile, batch = (ml.LAN, 2) if program == "mnist-lan-b2" else (ml.WAN, 1)
-        net = ml.mnist_like_net(rng, P32)
+        net = ml.mnist_like_net(rng)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
         s0, s1 = _dealt_sessions(ml.plan_nn_manifest(net, P32, batch, profile, sid))
         _no_draws(monkeypatch)

@@ -200,7 +200,7 @@ def test_huge_manifest_header_rejected_before_allocating():
 
 @pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
 def test_bundled_net_manifests_fit_the_manifest_cap(key):
-    mnist = ml.mnist_like_net(np.random.default_rng(0), RingParams(32, 7, 12))
+    mnist = ml.mnist_like_net(np.random.default_rng(0))
     manifests = [ml.plan_nn_manifest(mnist, RingParams(32, 7, 12), batch, profile, bytes(16))
                  for batch, profile in ((20, ml.LAN), (1, ml.WAN))]
     manifests.append(ml.plan_nn_manifest(ml.cifar10_like_net(), RingParams(64, 13, 25), 1,

@@ -1,6 +1,7 @@
 import secrets
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def _benchmarked_manifest(name):
     p, sid = RingParams(32, 7, 12), secrets.token_bytes(16)
     if name == "svm-psk-b1":
         return ml.plan_svm_manifest(100, 1, p, sid)
-    net = ml.mnist_like_net(np.random.default_rng(0), p)
+    net = ml.mnist_like_net(np.random.default_rng(0))
     batch, profile = {"mnist-lan-b20": (20, ml.LAN), "mnist-wan-b1": (1, ml.WAN)}[name]
     return ml.plan_nn_manifest(net, p, batch, profile, sid)
 
@@ -121,6 +122,19 @@ def test_manifest_mismatch_rejected(server):
     for e in errs:
         assert isinstance(e, RemoteError)
         assert e.code == stp.MANIFEST_MISMATCH
+
+
+def test_undeliverable_manifest_refused_at_once(server):
+    # one (2^32 - 1)-product block of (2^32 - 1)-long dot products implies
+    # a 17 GB bundle for role 1: past MAX_PAYLOAD, so both parties are
+    # refused before anything is expanded
+    m = manifest(vdp_blocks=((2**32 - 1, 2**32 - 1),))
+    assert bundle_size(1, m) > transport.MAX_PAYLOAD
+    t0 = time.monotonic()
+    bundles, errs, _ = fetch_both(server, {0: m, 1: m})
+    assert time.monotonic() - t0 < 1.0
+    assert bundles == [None, None]
+    assert [getattr(e, "code", e) for e in errs] == [stp.MANIFEST_TOO_LARGE] * 2
 
 
 def test_session_replay_rejected(server):
