@@ -211,17 +211,19 @@ def levelize(c: Circuit) -> LevelizedCircuit:
     return LevelizedCircuit(c, schedule, spans)
 
 
-def run_spans(lc: LevelizedCircuit, one, inputs: np.ndarray, and_level) -> np.ndarray:
-    """One pass of lc over the input rows, inputs0's first; returns the
-    output rows. CONST1 holds one, the interpreter's public 1: R for the
-    garbler, 0 for the evaluator, 1 at GMW role 0 and 0 at role 1. Every
-    local layer is one XOR over the wire axis, NOT one with CONST1. Each
-    AND level calls and_level(span, a_vals, b_vals) for the output values.
+def run_spans(lc: LevelizedCircuit, one, in0, in1, and_level) -> np.ndarray:
+    """One pass of lc over in0 and in1, one row per wire of inputs0 and of
+    inputs1; returns the output rows. CONST1 holds one, the interpreter's
+    public 1: R for the garbler, 0 for the evaluator, 1 at GMW role 0 and 0
+    at role 1. Every local layer is one XOR over the wire axis, NOT one with
+    CONST1. Each AND level calls and_level(span, a_vals, b_vals) for the
+    output values.
     """
     c = lc.circuit
-    vals = np.zeros((c.nwires, *inputs.shape[1:]), inputs.dtype)
+    vals = np.zeros((c.nwires, *in0.shape[1:]), in0.dtype)
     vals[CONST1] = one
-    vals[[*c.inputs0, *c.inputs1]] = inputs
+    vals[list(c.inputs0)] = in0
+    vals[list(c.inputs1)] = in1
     for span in lc.spans:
         for a, b, o in span.layers:
             vals[o] = vals[a] ^ vals[b]

@@ -133,6 +133,13 @@ def _connect_peer(args) -> transport.Channel:
     return transport.Channel(sock, session)
 
 
+def _size(section: dict, name: str, default: int) -> int:
+    n = int(section.get(name, default))
+    if n < 1:
+        raise SystemExit(f"bad config: {name} is {n}, not at least 1")
+    return n
+
+
 def _run_program(args, channel, manifest, key: str, call) -> dict:
     """Offline, then the timed online call(session); the result, revealed
     at role 1, is printed and reported under key."""
@@ -147,40 +154,43 @@ def _run_program(args, channel, manifest, key: str, call) -> dict:
     return out
 
 
-def _run_svm(args, cfg: dict, channel) -> dict:
+def _svm(args, cfg: dict):
+    """The config's SVM demo: its manifest of a session id, report key and call."""
     p = _ring_from(cfg)
     svm_cfg = cfg.get("svm", {})
-    d = int(svm_cfg.get("d", 10))
-    batch = int(svm_cfg.get("batch", 1))
-    seed = int(cfg.get("seed", 42))
-    rng = np.random.default_rng(seed)
+    d, batch = _size(svm_cfg, "d", 10), _size(svm_cfg, "batch", 1)
+    rng = np.random.default_rng(int(cfg.get("seed", 42)))
     model = ml.SvmModel(rng.uniform(-1, 1, size=d), float(rng.uniform(-1, 1)))
     queries = rng.uniform(-1, 1, size=(batch, d))
     model, queries = (model, None) if args.role == 0 else (None, queries)
-    return _run_program(args, channel, ml.plan_svm_manifest(d, batch, p, channel.session),
-                        "labels", lambda se: ml.svm_classify(se, model, queries, d, batch))
+    return (lambda sid: ml.plan_svm_manifest(d, batch, p, sid), "labels",
+            lambda se: ml.svm_classify(se, model, queries, d, batch))
 
 
-def _run_nn(args, cfg: dict, channel) -> dict:
+def _nn(args, cfg: dict):
+    """The config's CNN demo, in _svm's form."""
     p = _ring_from(cfg)
     nn_cfg = cfg.get("nn", {})
-    batch = int(nn_cfg.get("batch", 1))
-    seed = int(cfg.get("seed", 42))
-    rng = np.random.default_rng(seed)
+    batch = _size(nn_cfg, "batch", 1)
+    rng = np.random.default_rng(int(cfg.get("seed", 42)))
     weights = nn_cfg.get("weights")
     if weights:
-        net, p = ml.load_net(weights)
+        try:
+            net, p = ml.load_net(weights)
+        except (OSError, ml.MlError, OverflowError) as e:
+            raise SystemExit(f"bad weight file {weights}: {e}") from None
     else:
         net = ml.mnist_like_net(rng)
     images = rng.uniform(0, 1, size=(batch, *net.input_shape))
-    manifest = ml.plan_nn_manifest(net, p, batch, args.profile, channel.session)
     net, images = (net, None) if args.role == 0 else (net.public(), images)
-    return _run_program(args, channel, manifest, "classes",
-                        lambda se: ml.nn_infer(se, net, images, batch, args.profile))
+    return (lambda sid: ml.plan_nn_manifest(net, p, batch, args.profile, sid), "classes",
+            lambda se: ml.nn_infer(se, net, images, batch, args.profile))
 
 
 def cmd_party(args) -> int:
     cfg = _load_config(args.config)
+    # the config and weight file are checked before the peer is waited for
+    plan, key, call = (_svm if args.program == "svm" else _nn)(args, cfg)
     try:
         channel = _connect_peer(args)
     except (OSError, transport.TransportError) as e:
@@ -188,8 +198,7 @@ def cmd_party(args) -> int:
         return EXIT_CONNECT_FAIL
     t0 = time.perf_counter()
     try:
-        run = _run_svm if args.program == "svm" else _run_nn
-        result = run(args, cfg, channel)
+        result = _run_program(args, channel, plan(channel.session), key, call)
     except transport.RemoteError as e:
         print(f"offline phase failed: {e}", file=sys.stderr)
         return EXIT_MISMATCH if "MISMATCH" in e.code else EXIT_OFFLINE_FAIL

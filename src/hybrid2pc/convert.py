@@ -62,8 +62,7 @@ def y2b(gc: GcSession, ys: YaoShare) -> BoolShare:
 def b2y(gc: GcSession, bs: BoolShare) -> YaoShare:
     """Boolean -> garbled on one dealt label per bit: the garbler ends up
     with zero labels Y0, the evaluator with Y0 ^ (s0 ^ s1)*R."""
-    labels = gc.input_labels(bs.bits)
-    return YaoShare(labels.reshape(bs.bits.shape + (16,)), gc.role)
+    return YaoShare(gc.input_labels(bs.bits.T), gc.role)  # (width, ninst, 16), a run's shape
 
 
 def b2a(channel: Channel, p: RingParams, dabits: Supply, bs: BoolShare,

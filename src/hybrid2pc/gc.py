@@ -20,11 +20,12 @@ decodes as any wire does. Each AND level hashes all its half-gate inputs
 in one AES call; rotation is linear, so the garbler gets 2(X ^ R) as
 2X ^ 2R.
 
-A run has one data shape from garbler to evaluator: the labels of each
-input group are one (width, ninst, 16) array, and its tables are written,
-level by level, into one preallocated buffer that GcSession sends as one
-GC_TABLES frame. garble draws nothing, and neither does GcSession. The
-conversions into and out of the garbled domain live in convert.
+A run has one data shape: each input group's labels are its own
+(width, ninst, 16) array, a YaoShare in and out of GcSession.run, which
+takes labels only, and its tables are one buffer, written level by level
+and sent as one GC_TABLES frame. run_shares turns share bits into labels;
+garble draws nothing, and neither does GcSession. The conversions into and
+out of the garbled domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
 "label"). The dealer draws the session's offset R = delta and, per label,
@@ -148,13 +149,14 @@ def tweak_span(c: Circuit, ninst: int) -> int:
 @dataclass
 class YaoShare:
     """Garbled sharing: zero labels (garbler) or active labels
-    (evaluator), shape (instances, width, 16)."""
+    (evaluator), shape (width, instances, 16), as runs take and return them."""
 
     labels: np.ndarray
     role: int
 
     def lsb_bits(self) -> np.ndarray:
-        return _lsb(self.labels)
+        """The label LSBs as (instances, width) XOR-shared bits."""
+        return _lsb(self.labels).T
 
 
 @dataclass
@@ -169,10 +171,10 @@ def _table_bytes(c: Circuit, ninst: int) -> int:
     return 32 * c.num_and * ninst
 
 
-def garble(c: Circuit, R: np.ndarray, in_zero: np.ndarray, ninst: int = 1,
-           tweak: int = 0) -> Garbling:
-    """Garble ninst instances of the circuit from its input zero labels
-    in_zero, (len(inputs0) + len(inputs1), ninst, 16) with inputs0 first;
+def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
+           ninst: int = 1, tweak: int = 0) -> Garbling:
+    """Garble ninst instances of the circuit from the zero labels of each
+    input group, (len(inputs0), ninst, 16) and (len(inputs1), ninst, 16);
     a pure function of its arguments. tweak is the first tweak counter;
     the run uses tweak_span() of them.
     """
@@ -206,15 +208,16 @@ def garble(c: Circuit, R: np.ndarray, in_zero: np.ndarray, ninst: int = 1,
         ha0 ^= tg & pa
         return ha0
 
-    out_zero = run_spans(c.levelized, R64, in_zero.view(_U64), garble_and).view(np.uint8)
+    out_zero = run_spans(c.levelized, R64, zero0.view(_U64), zero1.view(_U64),
+                         garble_and).view(np.uint8)
     return Garbling(tables, out_zero, _lsb(out_zero))
 
 
-def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
-             tweak: int = 0) -> np.ndarray:
+def evaluate(c: Circuit, tables, active0: np.ndarray, active1: np.ndarray,
+             ninst: int = 1, tweak: int = 0) -> np.ndarray:
     """Walk the garbling with active labels; returns (nout, ninst, 16).
 
-    active_in is shaped as garble's in_zero; tweak must equal the garbler's.
+    active0/active1 are shaped as zero0/zero1; tweak must equal the garbler's.
     """
     if len(tables) != _table_bytes(c, ninst):
         raise GcError("table buffer length mismatch")
@@ -237,7 +240,8 @@ def evaluate(c: Circuit, tables, active_in: np.ndarray, ninst: int = 1,
         ha ^= pair[:, :, 0] & _sel(Aa)
         return ha
 
-    return run_spans(c.levelized, 0, active_in.view(_U64), evaluate_and).view(np.uint8)
+    return run_spans(c.levelized, 0, active0.view(_U64), active1.view(_U64),
+                     evaluate_and).view(np.uint8)
 
 
 class GcSession:
@@ -262,98 +266,86 @@ class GcSession:
         self.tweak = 0
 
     def input_labels(self, bits: np.ndarray) -> np.ndarray:
-        """(n, 16) labels of n bits the evaluator feeds, from n dealt labels.
+        """bits.shape + (16,) labels of bits the evaluator feeds, one dealt each.
 
         The evaluator passes the bits and sends e = bits ^ r as one
-        OT_CHOICES frame; it gets its keys K, the active labels. The
-        garbler passes its own XOR share of each bit (zeros where the
-        evaluator alone holds it), receives e, and gets the zero labels
-        k0 ^ (e ^ bits)*R.
+        OT_CHOICES frame (none for no bits); it gets its keys K, the active
+        labels. The garbler passes its own XOR share of each bit (zeros where
+        the evaluator alone holds it), receives e, and gets k0 ^ (e ^ bits)*R.
         """
-        bits = np.asarray(bits, np.uint8).reshape(-1)
-        n = len(bits)
+        bits = np.asarray(bits, np.uint8)
+        n, shape = bits.size, bits.shape + (16,)
+        if not n:
+            return np.zeros(shape, np.uint8)
         if self.role == 1:
             r, keys = self.labels.take(n)
-            self.channel.send(transport.OT_CHOICES, np.packbits(r ^ bits, bitorder="little"))
-            return keys
+            self.channel.send(transport.OT_CHOICES,
+                              np.packbits(r ^ bits.ravel(), bitorder="little"))
+            return keys.reshape(shape)
         (k0,) = self.labels.take(n)
         raw = self.channel.recv_expect(transport.OT_CHOICES, (n + 7) // 8)
         e = np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
-        return k0 ^ _mask16(e ^ bits, self.R)
+        return k0.reshape(shape) ^ _mask16(e.reshape(bits.shape) ^ bits, self.R)
 
     def run(self, c: Circuit, bind0, bind1, cycles: int = 1, ninst: int = 1,
             decode: str = "evaluator"):
-        """Garble/evaluate one circuit.
+        """Garble/evaluate one circuit on its input groups' labels.
 
-        bind0/bind1 describe how each input group gets its labels:
-          ("bits", arr)  owner-known bits, shape (ninst, width); the
-                         garbler's own take zero labels x*R, the
-                         evaluator's go on dealt labels (input_labels),
-                         so the garbler passes arr=None for bind1 and
-                         the evaluator arr=None for bind0; an array
-                         there raises GcError
-          ("yao", ys)    labels retained from b2y or an earlier run
-          None           empty group; a group with wires raises GcError
-        decode: "evaluator" (the evaluator alone learns the output bits)
-        or "none" (both keep labels, for y2b).
-        cycles must be 1: every circuit is combinational.
-        Returns decoded bits (nout, ninst) on the evaluator, None on the
-        garbler, or a YaoShare when "none".
+        bind0/bind1: YaoShares of (len(inputs0), ninst, 16) and
+        (len(inputs1), ninst, 16) labels, zero labels at the garbler and
+        active ones at the evaluator (b2y, run_shares, an earlier run), or
+        None for a group with no wires; any other binding raises GcError
+        before a frame. decode: "evaluator" (it alone learns the output
+        bits) or "none" (both keep labels, for y2b). cycles must be 1.
+        Returns bits (nout, ninst) on the evaluator, None on the garbler,
+        or a YaoShare of (nout, ninst, 16) labels when "none".
         """
         if cycles != 1:
             raise GcError(f"a circuit runs for one cycle, not {cycles}")
         if decode not in ("evaluator", "none"):
             raise GcError(f"decode policy {decode!r} is not 'evaluator' or 'none'")
-        for k, (bind, group) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
-            if bind is None and group:
-                raise GcError(f"input group {k} has {len(group)} wires but no binding")
-            if k != self.role and bind and bind[0] == "bits" and bind[1] is not None:
-                raise GcError(f"input group {k} holds role {k}'s bits: bind ('bits', None)")
-        kinds, vals = zip(*(bind or (None, None) for bind in (bind0, bind1)))
-        # the run's input labels, inputs0 first; each half fills the "bits"
-        # groups but the evaluator's view of the garbler's, which stays 0
-        n0 = len(c.inputs0)
-        labels = np.zeros((n0 + len(c.inputs1), ninst, 16), np.uint8)
-        for kind, val, rows in zip(kinds, vals, (slice(0, n0), slice(n0, None))):
-            if kind == "yao":
-                labels[rows] = np.swapaxes(val.labels, 0, 1)
-        run = self._run_garbler if self.role == 0 else self._run_evaluator
-        out = run(c, kinds, vals, labels, ninst, decode)
+        groups = []
+        for k, (bind, wires) in enumerate(zip((bind0, bind1), (c.inputs0, c.inputs1))):
+            labels = (np.zeros((0, ninst, 16), np.uint8) if bind is None
+                      else getattr(bind, "labels", None))
+            if np.shape(labels) != (len(wires), ninst, 16):
+                raise GcError(f"input group {k} takes labels of shape {(len(wires), ninst, 16)}, "
+                              f"not {None if bind is None else np.shape(labels)}")
+            groups.append(labels)
+        if self.role == 0:
+            g = garble(c, self.R, *groups, ninst, self.tweak)
+            self.channel.send(transport.GC_TABLES, g.tables)
+            if decode == "none":
+                out = YaoShare(g.out_zero, 0)
+            else:
+                self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
+                out = None
+        else:
+            tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
+            active = evaluate(c, tables, *groups, ninst, self.tweak)
+            if decode == "none":
+                out = YaoShare(active, 1)
+            else:
+                nout = len(c.outputs)
+                raw = self.channel.recv_expect(transport.GC_DECODE, (nout * ninst + 7) // 8)
+                dec = np.unpackbits(np.frombuffer(raw, np.uint8), count=nout * ninst,
+                                    bitorder="little").reshape(nout, ninst)
+                out = (_lsb(active) ^ dec).astype(np.uint8)
         self.tweak += tweak_span(c, ninst)
         return out
 
     def run_shares(self, c: Circuit, bits: np.ndarray, ninst: int, decode: str):
-        """run() with each role feeding its own share bits into its own
-        input group: role 0's as the garbler's, role 1's on dealt labels."""
-        mine, theirs = ("bits", bits), ("bits", None)
-        binds = (mine, theirs) if self.role == 0 else (theirs, mine)
-        return self.run(c, *binds, ninst=ninst, decode=decode)
-
-    def _run_garbler(self, c, kinds, vals, zero, ninst, decode):
+        """run() on each role's own (ninst, width) share bits as its input
+        group: the garbler's take zero labels x*R, the evaluator's dealt
+        labels. Bits of another shape raise GcError before any is drawn."""
         n0, n1 = len(c.inputs0), len(c.inputs1)
-        if kinds[0] == "bits" and n0:
-            zero[:n0] = _mask16(np.atleast_2d(np.asarray(vals[0], np.uint8)).T, self.R)
-        if kinds[1] == "bits" and n1:
-            # wire-major, mirrored by the evaluator's bits
-            zero[n0:] = self.input_labels(np.zeros(n1 * ninst, np.uint8)).reshape(n1, ninst, 16)
-        g = garble(c, self.R, zero, ninst, self.tweak)
-        self.channel.send(transport.GC_TABLES, g.tables)
-        if decode == "none":
-            return YaoShare(np.swapaxes(g.out_zero, 0, 1), 0)
-        self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
-        return None
-
-    def _run_evaluator(self, c, kinds, vals, active, ninst, decode):
-        n0, n1 = len(c.inputs0), len(c.inputs1)
-        if kinds[1] == "bits" and n1:
-            bits = np.atleast_2d(np.asarray(vals[1], np.uint8))
-            active[n0:] = self.input_labels(bits.T).reshape(n1, ninst, 16)
-        tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
-        out_active = evaluate(c, tables, active, ninst, self.tweak)
-        if decode == "none":
-            return YaoShare(np.swapaxes(out_active, 0, 1), 1)
-        nout = len(c.outputs)
-        raw = self.channel.recv_expect(transport.GC_DECODE, (nout * ninst + 7) // 8)
-        dec = np.unpackbits(np.frombuffer(raw, np.uint8), count=nout * ninst,
-                            bitorder="little").reshape(nout, ninst)
-        return (_lsb(out_active) ^ dec).astype(np.uint8)
+        want = (ninst, (n0, n1)[self.role])
+        if np.shape(bits) != want:
+            raise GcError(f"role {self.role} feeds bits of shape {want}, not {np.shape(bits)}")
+        bits = np.asarray(bits, np.uint8).T
+        if self.role == 0:
+            in0, in1 = _mask16(bits, self.R), self.input_labels(np.zeros((n1, ninst), np.uint8))
+        else:
+            in0, in1 = np.zeros((n0, ninst, 16), np.uint8), self.input_labels(bits)
+        return self.run(c, YaoShare(in0, self.role), YaoShare(in1, self.role), ninst=ninst,
+                        decode=decode)

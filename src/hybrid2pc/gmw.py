@@ -79,22 +79,14 @@ class GmwEngine:
         c = lc.circuit
         if in0.width != len(c.inputs0) or in1.width != len(c.inputs1):
             raise GmwError("input width mismatch")
-        bits = np.concatenate([in0.bits, in1.bits], axis=1)
-        out = run_spans(lc, np.uint8(self.role == 0), bits.T, self._and_level)
+        out = run_spans(lc, np.uint8(self.role == 0), in0.bits.T, in1.bits.T, self._and_level)
         return BoolShare(out.T, self.role)
 
     def _and_level(self, span: Span, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """One AND level over operand shares x, y of shape (gates, ninst)."""
-        lanes = x.size
-        a, b, cc = self.bmt.take(lanes)
-        a = a.reshape(x.shape)
-        b = b.reshape(x.shape)
-        cc = cc.reshape(x.shape)
-        d_share = x ^ a
-        e_share = y ^ b
-        packed = np.packbits(
-            np.concatenate([d_share.ravel(), e_share.ravel()]), bitorder="little"
-        ).tobytes()
+        a, b, cc = (t.reshape(x.shape) for t in self.bmt.take(x.size))
+        de = np.stack((x ^ a, y ^ b))  # this party's shares of d and e
+        packed = np.packbits(de, bitorder="little").tobytes()
         meta = self._round_index.to_bytes(4, "little")
         reply = self.channel.exchange(transport.GMW_DE, meta + packed)
         if reply[:4] != meta:
@@ -103,10 +95,9 @@ class GmwEngine:
                 f"local round {self._round_index}"
             )
         self._round_index += 1
-        other = np.unpackbits(np.frombuffer(reply, np.uint8, offset=4), count=2 * lanes,
+        other = np.unpackbits(np.frombuffer(reply, np.uint8, offset=4), count=de.size,
                               bitorder="little")
-        d = d_share ^ other[:lanes].reshape(x.shape)
-        e = e_share ^ other[lanes:].reshape(x.shape)
+        d, e = de ^ other.reshape(de.shape)
         z = (b & d) ^ (a & e) ^ cc
         if self.role == 0:
             z ^= d & e

@@ -121,13 +121,12 @@ def from_signed(s, p: RingParams):
 def encode(r, p: RingParams):
     """Real -> fixed-point residue, rounding half away from zero.
 
-    Raises OverflowError when |r| >= 2^alpha (the integer part would not
-    fit the declared layout).
+    Raises OverflowError unless every |r| < 2^alpha (the integer part
+    would not fit the declared layout), so NaN and infinities raise too.
     """
     a = np.asarray(r, dtype=np.float64)
-    if np.any(np.abs(a) >= float(1 << p.alpha)):
-        bad = np.abs(a).max()
-        raise OverflowError(f"|{bad}| >= 2^{p.alpha} does not fit alpha={p.alpha}")
+    if not np.all(np.abs(a) < float(1 << p.alpha)):
+        raise OverflowError(f"|r| = {np.abs(a).max()} is not below 2^alpha = 2^{p.alpha}")
     scaled = np.sign(a) * np.floor(np.abs(a) * float(1 << p.beta) + 0.5)
     out = canon(scaled.astype(np.int64), p)
     return int(out) if out.ndim == 0 else out

@@ -1,17 +1,21 @@
 """Shared two-party test harness: run both roles in threads over a
 socketpair, with correlated material dealt from fixed seeds through the
-dealer's bundle format (the STP wire path has its own tests)."""
+dealer's bundle format (the STP wire path has its own tests). The session
+helpers close the channels they run on, so a socket left open is a test
+failure (pyproject's filterwarnings)."""
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
-from hybrid2pc import correlated
+from hybrid2pc import correlated, stp
 from hybrid2pc.bench import run_both
 from hybrid2pc.drbg import SEED_BYTES, Drbg
 from hybrid2pc.gc import GcSession
 from hybrid2pc.ring import RingParams
+from hybrid2pc.session import PartySession
 from hybrid2pc.transport import channel_pair
 
 SEED0 = hashlib.sha256(b"conftest-seed-0").digest()
@@ -62,10 +66,12 @@ def new_offset(rng):
 
 
 def zero_labels(rng, c, ninst):
-    """Fresh input zero labels of c for garble, drawn from rng: one
-    (len(inputs0) + len(inputs1), ninst, 16) array, inputs0 first."""
-    return rng.integers(0, 256, size=(len(c.inputs0) + len(c.inputs1), ninst, 16),
-                        dtype=np.uint8)
+    """Fresh input zero labels of c for garble, drawn from rng in one
+    (len(inputs0) + len(inputs1), ninst, 16) block and split into the
+    two input groups, inputs0's first."""
+    n0 = len(c.inputs0)
+    zero = rng.integers(0, 256, size=(n0 + len(c.inputs1), ninst, 16), dtype=np.uint8)
+    return zero[:n0], zero[n0:]
 
 
 def run_parties(f0, f1, channels=()):
@@ -77,9 +83,40 @@ def run_parties(f0, f1, channels=()):
     return run_both(f0, f1, channels, timeout=120)
 
 
+@contextlib.contextmanager
+def closing(*ends):
+    """The channels or sockets given, each closed when the block ends."""
+    try:
+        yield ends
+    finally:
+        for end in ends:
+            end.close()
+
+
+@contextlib.contextmanager
+def dealt_sessions(manifest, channels=None):
+    """Both parties' sessions over channels (a fresh pair when None), on
+    material dealt in process; the channels close when the block ends."""
+    with closing(*(channels or channel_pair())) as chans:
+        yield [PartySession(r, manifest, mat, ch) for r, (mat, ch)
+               in enumerate(zip(deal(manifest), chans))]
+
+
+@contextlib.contextmanager
+def stp_sessions(manifest, key=None):
+    """Both parties' sessions, their bundles fetched from a local dealer,
+    with key (or None) on the dealer and peer links; the dealer stops and
+    the channels close when the block ends."""
+    srv = stp.StpServer(timeout=10.0, cipher_key=key).start()
+    try:
+        with closing(*channel_pair(manifest.session_id, cipher_key=key)) as chans:
+            yield run_parties(*(lambda r=r: PartySession.offline(
+                r, manifest, srv.address, chans[r], stp_cipher_key=key) for r in (0, 1)))
+    finally:
+        srv.stop()
+
+
 @pytest.fixture
 def channels():
-    c0, c1 = channel_pair()
-    yield c0, c1
-    c0.close()
-    c1.close()
+    with closing(*channel_pair()) as chans:
+        yield chans

@@ -10,8 +10,8 @@ import threading
 import time
 
 import numpy as np
-from conftest import (deal, drbg_from, gc_sessions, new_offset, ot_masks, run_parties,
-                      zero_labels)
+from conftest import (closing, deal, dealt_sessions, drbg_from, gc_sessions, new_offset,
+                      ot_masks, run_parties, zero_labels)
 
 from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
 from hybrid2pc.bench import run_bench
@@ -19,18 +19,11 @@ from hybrid2pc.correlated import ResourceManifest
 from hybrid2pc.gc import garble
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
-from hybrid2pc.session import PartySession
 from hybrid2pc.transport import channel_pair
 
 
 def _ok(n, msg):
     print(f"\n[criterion {n}] PASS: {msg}")
-
-
-def _sessions(manifest):
-    m0, m1 = deal(manifest)
-    c0, c1 = channel_pair()
-    return PartySession(0, manifest, m0, c0), PartySession(1, manifest, m1, c1)
 
 
 def to_bits(v, w):
@@ -117,7 +110,7 @@ def test_criterion_2_online_communication_1000_ops():
     for name in ("add", "sub", "cmp", "eq", "mux", "relu", "bitand", "bitxor"):
         circ = cc.build_by_name(name, 32)
         rng = np.random.default_rng(3)
-        tabs = garble(circ, new_offset(rng), zero_labels(rng, circ, n), ninst=n).tables
+        tabs = garble(circ, new_offset(rng), *zero_labels(rng, circ, n), ninst=n).tables
         assert len(tabs) == 2 * 16 * circ.num_and * n, name
         table_checks.append(name)
     dt = time.time() - t0
@@ -147,21 +140,21 @@ def test_criterion_3_protocol_oracles():
     u64 = RingParams(64).dtype
     for r_bit in (0, 1):
         for b_bit in (0, 1):
-            c0c, c1c = channel_pair()
             q = np.frombuffer(secrets.token_bytes(16), u64).reshape(1, 2).copy()
-            snd = OtSender(q, c0c)
-            rcv = OtReceiver(np.array([r_bit], np.uint8), q[0, r_bit][None].copy(), c1c)
             m0, m1 = (np.frombuffer(secrets.token_bytes(8), u64) for _ in range(2))
-            _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv([b_bit], 64))
+            with closing(*channel_pair()) as (c0c, c1c):
+                snd = OtSender(q, c0c)
+                rcv = OtReceiver(np.array([r_bit], np.uint8), q[0, r_bit][None].copy(), c1c)
+                _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv([b_bit], 64))
             assert np.array_equal(got, m1 if b_bit else m0)
     rng = np.random.default_rng(0)
-    c0c, c1c = channel_pair()
     q, r, qr = ot_masks(n, 64)  # masks are one ring element wide
-    snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
     m0 = rng.integers(0, 1 << 64, n, u64)
     m1 = rng.integers(0, 1 << 64, n, u64)
     b = rng.integers(0, 2, n, np.uint8)
-    _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv(b, 64))
+    with closing(*channel_pair()) as (c0c, c1c):
+        snd, rcv = OtSender(q, c0c), OtReceiver(r, qr, c1c)
+        _, got = run_parties(lambda: snd.send(m0, m1), lambda: rcv.recv(b, 64))
     assert np.array_equal(got, np.where(b.astype(bool), m1, m0))
 
     # (c) multiplication/VDP reconstruction vs arbitrary-precision oracle
@@ -172,12 +165,12 @@ def test_criterion_3_protocol_oracles():
         x0, x1 = ass.share(x, p, drbg_from(srng))
         y0, y1 = ass.share(y, p, drbg_from(srng))
         m = ResourceManifest(bytes(16), p, num_amt=nn, vdp_blocks=((nn, 1),))
-        s0, s1 = _sessions(m)
-        z0, z1 = run_parties(lambda: s0.ass.mul_mt(x0, y0),
-                             lambda: s1.ass.mul_mt(x1, y1))
-        assert np.array_equal(ass.reconstruct(z0, z1, p).astype(object), expect)
-        z0, z1 = run_parties(lambda: s0.ass.mul_da(x, y0),
-                             lambda: s1.ass.mul_da(None, y1))
+        with dealt_sessions(m) as (s0, s1):
+            z0, z1 = run_parties(lambda: s0.ass.mul_mt(x0, y0),
+                                 lambda: s1.ass.mul_mt(x1, y1))
+            assert np.array_equal(ass.reconstruct(z0, z1, p).astype(object), expect)
+            z0, z1 = run_parties(lambda: s0.ass.mul_da(x, y0),
+                                 lambda: s1.ass.mul_da(None, y1))
         assert np.array_equal(ass.reconstruct(z0, z1, p).astype(object), expect)
 
     all8 = np.arange(256, dtype=np.uint64)
@@ -193,11 +186,11 @@ def test_criterion_3_protocol_oracles():
         yv = rng.integers(0, p.modulus, length * count, dtype=np.uint64)
         y0, y1 = ass.share(yv, p, drbg_from(rng))
         m = ResourceManifest(bytes(16), p, vdp_blocks=((count, length),))
-        s0, s1 = _sessions(m)
-        z0, z1 = run_parties(
-            lambda: s0.ass.vdp(xv, y0, length),
-            lambda: s1.ass.vdp(None, y1, length),
-        )
+        with dealt_sessions(m) as (s0, s1):
+            z0, z1 = run_parties(
+                lambda: s0.ass.vdp(xv, y0, length),
+                lambda: s1.ass.vdp(None, y1, length),
+            )
         got = ass.reconstruct(z0, z1, p).astype(object)
         prods = (xv.astype(object) * yv.astype(object)) % p.modulus
         expect = np.array(
@@ -240,8 +233,8 @@ def _gc_eval(circ, in0_bits, in1_bits):
     c0, c1 = channel_pair()
     g, e = gc_sessions(c0, c1, len(circ.inputs1) * ninst)
     _, out = run_parties(
-        lambda: g.run(circ, ("bits", in0_bits), ("bits", None), 1, ninst),
-        lambda: e.run(circ, ("bits", None), ("bits", in1_bits), 1, ninst),
+        lambda: g.run_shares(circ, in0_bits, ninst, "evaluator"),
+        lambda: e.run_shares(circ, in1_bits, ninst, "evaluator"),
     )
     c0.close()
     c1.close()
@@ -340,9 +333,7 @@ def test_criterion_4_engine_equivalence():
                 def f():
                     outs = []
                     for k in range(100):
-                        bind0 = ("bits", in0[k] if role == 0 else None)
-                        bind1 = ("bits", in1[k] if role == 1 else None)
-                        res = sess.run(circ, bind0, bind1, 1, per)
+                        res = sess.run_shares(circ, (in0, in1)[role][k], per, "evaluator")
                         if role == 1:
                             outs.append(res.T)
                     return np.concatenate(outs) if outs else None
@@ -369,7 +360,6 @@ def test_criterion_5_conversion_roundtrips():
     for w in (8, 32, 64):
         p = RingParams(w)
         m = ResourceManifest(bytes(16), p, num_labels=3 * w * n, num_dabits=2 * w * n)
-        s0, s1 = _sessions(m)
         rng = np.random.default_rng(w)
         x = rng.integers(0, p.modulus, n, dtype=np.uint64)
         x0, x1 = ass.share(x, p, drbg_from(rng))
@@ -387,7 +377,8 @@ def test_criterion_5_conversion_roundtrips():
                 return a_final, bs2, free
             return f
 
-        (a0, b0, free0), (a1, b1, free1) = run_parties(trip(s0, x0), trip(s1, x1))
+        with dealt_sessions(m) as (s0, s1):
+            (a0, b0, free0), (a1, b1, free1) = run_parties(trip(s0, x0), trip(s1, x1))
         assert np.array_equal(ass.reconstruct(a0, a1, p), x), w
         assert np.array_equal(
             ring.from_bits(gmw.reconstruct_bits(b0, b1), p), x
@@ -420,11 +411,11 @@ def test_criterion_6_svm_end_to_end():
             queries = rng.uniform(-1, 1, (b, d))
             expect = ml.svm_oracle(model, queries, p)
             m = ml.plan_svm_manifest(d, b, p, bytes(16))
-            s0, s1 = _sessions(m)
-            _, got = run_parties(
-                lambda: ml.svm_classify(s0, model, None, d, b),
-                lambda: ml.svm_classify(s1, None, queries, d, b),
-            )
+            with dealt_sessions(m) as (s0, s1):
+                _, got = run_parties(
+                    lambda: ml.svm_classify(s0, model, None, d, b),
+                    lambda: ml.svm_classify(s1, None, queries, d, b),
+                )
             assert np.array_equal(got, expect), f"d={d}"
             s0.assert_exhausted()
             s1.assert_exhausted()
@@ -439,8 +430,6 @@ def test_criterion_6_svm_end_to_end():
             )
             assert non_gc == 2  # the dot-product round; the query is its own share
             done += b
-            s0.channel.close()
-            s1.channel.close()
         msg_counts[d] = (sent_msgs, recv_msgs, flights)
     assert len(set(msg_counts.values())) == 1, msg_counts  # independent of d
     dt = time.time() - t0
@@ -469,18 +458,16 @@ def test_criterion_7_cnn_end_to_end():
         for lo in range(0, 100, 20):
             batch = images[lo : lo + 20]
             m = ml.plan_nn_manifest(net, p, 20, profile, bytes(16))
-            s0, s1 = _sessions(m)
-            t1 = time.time()
-            _, got = run_parties(
-                lambda: ml.nn_infer(s0, net, None, 20, profile),
-                lambda: ml.nn_infer(s1, net.public(), batch, 20, profile),
-            )
-            online += time.time() - t1
+            with dealt_sessions(m) as (s0, s1):
+                t1 = time.time()
+                _, got = run_parties(
+                    lambda: ml.nn_infer(s0, net, None, 20, profile),
+                    lambda: ml.nn_infer(s1, net.public(), batch, 20, profile),
+                )
+                online += time.time() - t1
             s0.assert_exhausted()
             s1.assert_exhausted()
             got_all.append(got)
-            s0.channel.close()
-            s1.channel.close()
         got_all = np.concatenate(got_all)
         assert np.array_equal(got_all, expect), profile
         per_image = online / 100
@@ -514,10 +501,10 @@ def test_criterion_8_round_counts():
         c0, c1 = channel_pair()
         g, e = gc_sessions(c0, c1, len(circ.inputs1))
         run_parties(
-            lambda: g.run(circ, ("bits", np.zeros((1, len(circ.inputs0)), np.uint8)),
-                          ("bits", None), 1, 1),
-            lambda: e.run(circ, ("bits", None),
-                          ("bits", np.zeros((1, len(circ.inputs1)), np.uint8)), 1, 1),
+            lambda: g.run_shares(circ, np.zeros((1, len(circ.inputs0)), np.uint8), 1,
+                                 "evaluator"),
+            lambda: e.run_shares(circ, np.zeros((1, len(circ.inputs1)), np.uint8), 1,
+                                 "evaluator"),
         )
         msgs.append((c0.ledger.messages(direction="sent"),
                      c1.ledger.messages(direction="sent"), c0.flights, c1.flights))

@@ -6,10 +6,11 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import BENCHMARKED_FLIGHTS, run_parties
 
-from hybrid2pc import bench, circuits as cc, cli, convert, stp, transport
+from hybrid2pc import bench, circuits as cc, cli, convert, ml, stp, transport
 from hybrid2pc.ring import RingParams
 
 
@@ -167,7 +168,7 @@ def test_svm_demo_end_to_end(tmp_path):
         assert tuple(flights) == BENCHMARKED_FLIGHTS["svm-psk-b1"]
     finally:
         stp.kill()
-        stp.wait()
+        stp.communicate()
 
 
 @pytest.mark.parametrize("l", [16, 64])
@@ -219,3 +220,29 @@ def test_readme_module_table_names_every_module():
     rows = re.findall(r"^\| (`.+?`) \|", readme, re.M)
     listed = {name for row in rows for name in re.findall(r"`(\w+)`", row)}
     assert modules <= listed, sorted(modules - listed)
+
+
+def _nan_weights(path):
+    net = ml.NetSpec((1, 1, 1), [ml.FC(1, 1, np.array([[np.nan]])), ml.ArgMax()])
+    ml.save_net(str(path), net, RingParams(32, 7, 12))
+
+
+@pytest.mark.parametrize("program, section", [
+    ("svm", {"d": 0}), ("svm", {"batch": 0}), ("nn", {"batch": -1}),
+    ("nn", {"weights": "missing.bin"}), ("nn", {"weights": "nan.bin"}),
+], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan"])
+def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, section):
+    # role 0 alone, with no peer to come: a size below 1 or a weight file
+    # that does not load ends it at once, with one line on stderr
+    if "weights" in section:
+        section = {"weights": str(tmp_path / section["weights"])}
+        _nan_weights(tmp_path / "nan.bin")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({program: section}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybrid2pc.cli", "party", "--role", "0", "--program", program,
+         "--stp", "127.0.0.1:1", "--listen", "127.0.0.1:0", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

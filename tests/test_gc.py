@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import drbg_from, gc_sessions, new_offset, run_parties, zero_labels
+from conftest import closing, drbg_from, gc_sessions, new_offset, run_parties, zero_labels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,14 +26,21 @@ def from_bits(bits):
     return (bits.astype(np.uint64).T << sh).sum(axis=1, dtype=np.uint64)
 
 
+def zero_binds(circ, role, ninst=1):
+    """Both input groups of circ bound to all-zero labels, as a YaoShare
+    each: a well-formed binding that draws no dealt label."""
+    return [YaoShare(np.zeros((len(w), ninst, 16), np.uint8), role)
+            for w in (circ.inputs0, circ.inputs1)]
+
+
 def run_circuit(channels, circ, x, y):
     ninst = max(len(np.atleast_1d(x)), 1)
     g, e = gc_sessions(*channels, len(circ.inputs1) * ninst)
-    bits0 = to_bits(x, len(circ.inputs0)) if len(circ.inputs0) else None
-    bits1 = to_bits(y, len(circ.inputs1)) if len(circ.inputs1) else None
+    bits0, bits1 = (to_bits(v, len(w)) if w else np.zeros((ninst, 0), np.uint8)
+                    for v, w in ((x, circ.inputs0), (y, circ.inputs1)))
     r0, r1 = run_parties(
-        lambda: g.run(circ, ("bits", bits0), ("bits", None), ninst=ninst),
-        lambda: e.run(circ, ("bits", None), ("bits", bits1), ninst=ninst),
+        lambda: g.run_shares(circ, bits0, ninst, "evaluator"),
+        lambda: e.run_shares(circ, bits1, ninst, "evaluator"),
     )
     return r0, r1
 
@@ -47,7 +54,7 @@ def test_and_truth_table(channels):
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
     c = cc.build_bitxor(16)
-    g = garble(c, new_offset(rng), zero_labels(rng, c, 4), ninst=4)
+    g = garble(c, new_offset(rng), *zero_labels(rng, c, 4), ninst=4)
     assert len(g.tables) == 0
 
 
@@ -55,7 +62,7 @@ def test_table_bytes_exact():
     rng = np.random.default_rng(0)
     for circ in (cc.build_add(32, "size"), cc.build_cmp(16, "depth")):
         for ninst in (1, 7):
-            g = garble(circ, new_offset(rng), zero_labels(rng, circ, ninst), ninst=ninst)
+            g = garble(circ, new_offset(rng), *zero_labels(rng, circ, ninst), ninst=ninst)
             assert len(g.tables) == 32 * circ.num_and * ninst
 
 
@@ -64,7 +71,7 @@ def test_garble_determinism():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        g = garble(c, new_offset(rng), zero_labels(rng, c, 3), ninst=3)
+        g = garble(c, new_offset(rng), *zero_labels(rng, c, 3), ninst=3)
         runs.append((bytes(g.tables), g.decode.tobytes()))
     assert runs[0] == runs[1]
 
@@ -78,8 +85,8 @@ def test_library_exhaustive_8bit_over_channel():
         (cc.build_cmp(8, "size"), (ring.to_signed(a, p8) > ring.to_signed(b, p8)).astype(np.uint64)),
     ]
     for circ, expect in cases:
-        chans = transport.channel_pair()
-        _, out = run_circuit(chans, circ, a, b)
+        with closing(*transport.channel_pair()) as chans:
+            _, out = run_circuit(chans, circ, a, b)
         assert np.array_equal(from_bits(out), expect), circ.name
 
 
@@ -129,20 +136,19 @@ def test_short_table_buffer_rejected():
     circ = cc.build_add(8, "size")
     rng = np.random.default_rng(9)
     R, zero = new_offset(rng), zero_labels(rng, circ, 2)
-    g = garble(circ, R, zero, ninst=2)
+    g = garble(circ, R, *zero, ninst=2)
     with pytest.raises(gc_mod.GcError):
-        evaluate(circ, g.tables[:-8], zero, 2)
+        evaluate(circ, g.tables[:-8], *zero, 2)
 
 
 def test_more_than_one_cycle_rejected(channels):
     # every circuit is combinational: a second cycle is refused before
     # either role sends a frame
     circ = cc.build_add(8, "size")
-    bits = np.zeros((1, 8), np.uint8)
     g, e = gc_sessions(*channels, 8)
     with pytest.raises(gc_mod.GcError, match="one cycle"):
-        run_parties(lambda: g.run(circ, ("bits", bits), ("bits", None), cycles=2),
-                    lambda: e.run(circ, ("bits", None), ("bits", bits), cycles=2))
+        run_parties(lambda: g.run(circ, *zero_binds(circ, 0), cycles=2),
+                    lambda: e.run(circ, *zero_binds(circ, 1), cycles=2))
     assert [c.ledger.messages() for c in channels] == [0, 0]
 
 
@@ -150,11 +156,10 @@ def test_unknown_decode_policy_rejected(channels):
     # only the evaluator decodes, or neither: any other policy is refused
     # before either role sends a frame
     circ = cc.build_add(8, "size")
-    bits = np.zeros((1, 8), np.uint8)
     g, e = gc_sessions(*channels, 8)
     with pytest.raises(gc_mod.GcError, match="decode policy"):
-        run_parties(lambda: g.run(circ, ("bits", bits), ("bits", None), decode="both"),
-                    lambda: e.run(circ, ("bits", None), ("bits", bits), decode="both"))
+        run_parties(lambda: g.run(circ, *zero_binds(circ, 0), decode="both"),
+                    lambda: e.run(circ, *zero_binds(circ, 1), decode="both"))
     assert [c.ledger.messages() for c in channels] == [0, 0]
 
 
@@ -165,29 +170,54 @@ def test_unbound_input_group_with_wires_rejected(channels, group):
     circ, n = cc.build_bitand(8), 3
 
     def binds(role):
-        out = [("yao", YaoShare(np.zeros((n, 8, 16), np.uint8), role)) for _ in range(2)]
+        out = zero_binds(circ, role, n)
         out[group] = None
         return out
 
     g, e = gc_sessions(*channels, 1)
-    with pytest.raises(gc_mod.GcError, match="no binding"):
+    with pytest.raises(gc_mod.GcError, match=f"input group {group} .*not None"):
         run_parties(lambda: g.run(circ, *binds(0), ninst=n),
                     lambda: e.run(circ, *binds(1), ninst=n))
     assert [c.ledger.messages() for c in channels] == [0, 0]
 
 
+def _asym():
+    """x[0] & y[0] over 3 garbler and 5 evaluator input wires."""
+    b = cc.Builder("asym")
+    x, y = b.inputs(0, 3), b.inputs(1, 5)
+    b.outputs = [b.and_(x[0], y[0])]
+    return b.build()
+
+
+ASYM, N = _asym(), 4
+_OWN_WIDTH = (3, 5)
+# each role's misuse of run_shares (its own share bits) and run (labels)
+BAD_INPUTS = {
+    "bits-none": lambda s: s.run_shares(ASYM, None, N, "none"),
+    "bits-wrong-ninst": lambda s: s.run_shares(
+        ASYM, np.zeros((N + 1, _OWN_WIDTH[s.role]), np.uint8), N, "none"),
+    "bits-of-the-peers-width": lambda s: s.run_shares(
+        ASYM, np.zeros((N, _OWN_WIDTH[1 - s.role]), np.uint8), N, "none"),
+    "group0-unbound": lambda s: s.run(ASYM, None, zero_binds(ASYM, s.role, N)[1], ninst=N),
+    "group1-unbound": lambda s: s.run(ASYM, zero_binds(ASYM, s.role, N)[0], None, ninst=N),
+    "labels-instance-major": lambda s: s.run(
+        ASYM, YaoShare(np.zeros((N, 3, 16), np.uint8), s.role),
+        zero_binds(ASYM, s.role, N)[1], ninst=N),
+    "labels-wrong-ninst": lambda s: s.run(ASYM, *zero_binds(ASYM, s.role, N + 1), ninst=N),
+}
+
+
 @pytest.mark.parametrize("role", [0, 1])
-def test_bits_bound_to_the_peers_group_rejected(channels, role):
-    # each role's bits go into its own group only: an array bound to the
-    # peer's group would be dropped, and the run would compute on zeros
-    circ = cc.build_bitxor(4)
-    x, y = np.array([[1, 1, 0, 0]], np.uint8), np.array([[0, 1, 1, 0]], np.uint8)
-    binds = [[("bits", x), ("bits", None)], [("bits", None), ("bits", y)]]
-    binds[role][1 - role] = ("bits", (y, x)[role])
-    g, e = gc_sessions(*channels, 4)
-    with pytest.raises(gc_mod.GcError, match="holds role"):
-        run_parties(lambda: g.run(circ, *binds[0]), lambda: e.run(circ, *binds[1]), channels)
-    assert channels[role].ledger.messages(direction="sent") == 0
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_rejected_before_any_label_or_frame(channels, case, role):
+    # a role alone: it must raise GcError before it draws a dealt label or
+    # sends or waits for a frame, whatever its peer would do
+    s = gc_sessions(*channels, 5 * N)[role]
+    with pytest.raises(gc_mod.GcError, match="input group|feeds bits"):
+        BAD_INPUTS[case](s)
+    assert s.labels.used == 0
+    assert [c.ledger.messages() for c in channels] == [0, 0]
+    assert s.tweak == 0
 
 
 def test_identity_passthrough(channels):
@@ -208,9 +238,9 @@ def test_label_hygiene_permute_bits_balanced(monkeypatch):
     seen = []
     orig = gc_mod.evaluate
 
-    def spy(circ, tables, active_in, *args):
-        seen.append(active_in[: len(circ.inputs0)].copy())
-        return orig(circ, tables, active_in, *args)
+    def spy(circ, tables, active0, *args):
+        seen.append(active0.copy())
+        return orig(circ, tables, active0, *args)
 
     monkeypatch.setattr(gc_mod, "evaluate", spy)
     ones = np.ones((n, 1), np.uint8)
@@ -218,8 +248,7 @@ def test_label_hygiene_permute_bits_balanced(monkeypatch):
         chans = transport.channel_pair()
         g, e = gc_sessions(*chans, n)
         _, ys = run_parties(
-            lambda: g.run(c, ("bits", mine), ("bits", None), ninst=n, decode="none"),
-            lambda: e.run(c, ("bits", None), ("bits", ones), ninst=n, decode="none"))
+            lambda: g.run_shares(c, mine, n, "none"), lambda: e.run_shares(c, ones, n, "none"))
         for ch in chans:
             ch.close()
         assert not seen.pop().any()  # label 0, select bit lsb(0) = 0
@@ -239,17 +268,10 @@ def test_yao_labels_rebind_into_next_circuit(channels):
     relu = cc.build_relu(16)
     g, e = gc_sessions(*channels, 16 * n)
 
-    def garbler():
-        ys = g.run(adder, ("bits", to_bits(x, 16)), ("bits", None),
-                   ninst=n, decode="none")
-        return g.run(relu, ("yao", ys), None, ninst=n)
+    def party(s, bits):
+        return s.run(relu, s.run_shares(adder, bits, n, "none"), None, ninst=n)
 
-    def evaluator():
-        ys = e.run(adder, ("bits", None), ("bits", to_bits(y, 16)),
-                   ninst=n, decode="none")
-        return e.run(relu, ("yao", ys), None, ninst=n)
-
-    _, out = run_parties(garbler, evaluator)
+    _, out = run_parties(lambda: party(g, to_bits(x, 16)), lambda: party(e, to_bits(y, 16)))
     s = ring.to_signed((x + y) & np.uint64(p.mask), p)
     expect = np.where(s > 0, (x + y) & np.uint64(p.mask), 0)
     assert np.array_equal(from_bits(out), expect)
@@ -259,9 +281,9 @@ def test_gc_rounds_constant_in_size(channels):
     # message and flight counts are independent of instance count
     counts, flights = [], []
     for n in (1, 64):
-        chans = transport.channel_pair()
         x = np.arange(n, dtype=np.uint64)
-        run_circuit(chans, cc.build_add(16, "size"), x, x)
+        with closing(*transport.channel_pair()) as chans:
+            run_circuit(chans, cc.build_add(16, "size"), x, x)
         counts.append(chans[0].ledger.messages() + chans[1].ledger.messages())
         flights.append((chans[0].flights, chans[1].flights))
     assert counts[0] == counts[1]
@@ -274,11 +296,11 @@ def _garble_digest(jobs) -> str:
     for circ, ninst, seed in jobs:
         rng = np.random.default_rng(seed)
         R, zero = new_offset(rng), zero_labels(rng, circ, ninst)
-        g = garble(circ, R, zero, ninst=ninst)
+        g = garble(circ, R, *zero, ninst=ninst)
         h.update(g.tables)
-        for labels in (zero, g.out_zero, g.decode):
+        for labels in (*zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
-        out = evaluate(circ, g.tables, zero, ninst)
+        out = evaluate(circ, g.tables, *zero, ninst)
         h.update(out.tobytes())
     return h.hexdigest()
 
@@ -301,9 +323,8 @@ def test_concurrent_garbling_matches_serial():
 
 
 def _active(zero, R, in0, in1):
-    """Evaluator's active input labels for input bits in0, in1."""
-    bits = np.concatenate((in0, in1), axis=1).T  # (inputs, ninst)
-    return zero ^ (bits[..., None] * R)
+    """Evaluator's active labels of each input group for input bits in0, in1."""
+    return [z ^ (bits.T[..., None] * R) for z, bits in zip(zero, (in0, in1))]
 
 
 def _interpreter_digest(circ, ninst, seed, preset):
@@ -317,19 +338,18 @@ def _interpreter_digest(circ, ninst, seed, preset):
         # inputs1's from aux
         pre = np.stack([aux.integers(0, 256, (ninst, 16), dtype=np.uint8)
                         for _ in circ.inputs1])
-        n0 = len(circ.inputs0)
-        zero = np.concatenate([rng.integers(0, 256, (n0, ninst, 16), dtype=np.uint8), pre])
+        zero = (rng.integers(0, 256, (len(circ.inputs0), ninst, 16), dtype=np.uint8), pre)
     else:
         zero = zero_labels(rng, circ, ninst)
-    g = garble(circ, R, zero, ninst=ninst)
+    g = garble(circ, R, *zero, ninst=ninst)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    out = evaluate(circ, g.tables, _active(zero, R, in0, in1), ninst)
+    out = evaluate(circ, g.tables, *_active(zero, R, in0, in1), ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
     assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1))
     h = hashlib.sha256()
     h.update(g.tables)
-    for arr in (zero, g.out_zero, g.decode, out):
+    for arr in (*zero, g.out_zero, g.decode, out):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -419,8 +439,8 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     expect = cc.simulate(circ, in0, in1)
     R = new_offset(rng)
     zero = zero_labels(rng, circ, ninst)
-    g = garble(circ, R, zero, ninst=ninst)
-    out = evaluate(circ, g.tables, _active(zero, R, in0, in1), ninst)
+    g = garble(circ, R, *zero, ninst=ninst)
+    out = evaluate(circ, g.tables, *_active(zero, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     # the y2b reading: the two roles' label LSBs XOR to the outputs
     assert np.array_equal(((out[..., 0] ^ g.out_zero[..., 0]) & 1).T, expect)
@@ -452,19 +472,16 @@ def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
     monkeypatch.setattr(gc_mod, "_fixed_key_encrypt", spy)
     g, e = gc_sessions(*channels, 2 * n)
 
-    def party(s, bind0, bind1):
+    def party(s, bits):
         phase.run = 1
-        ys_ = s.run(circ, bind0, bind1, ninst=n, decode="none")
+        ys_ = s.run_shares(circ, bits, n, "none")
         phase.run = 2
         lab = ys_.labels
-        out = s.run(circ, ("yao", YaoShare(lab[:, 0:1], s.role)),
-                    ("yao", YaoShare(lab[:, 1:2], s.role)), ninst=n)
+        out = s.run(circ, YaoShare(lab[0:1], s.role), YaoShare(lab[1:2], s.role), ninst=n)
         return ys_.lsb_bits(), out
 
-    (l0, _), (l1, out) = run_parties(
-        lambda: party(g, ("bits", to_bits(xs, 1)), ("bits", None)),
-        lambda: party(e, ("bits", None), ("bits", to_bits(ys, 1))),
-    )
+    (l0, _), (l1, out) = run_parties(lambda: party(g, to_bits(xs, 1)),
+                                     lambda: party(e, to_bits(ys, 1)))
     expect = np.stack([xs, ys, xs & ys], axis=1)
     assert np.array_equal(l0 ^ l1, expect)
     assert np.array_equal(out.T, expect)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import deal, drbg_from, run_parties
+from conftest import closing, deal, drbg_from, run_parties
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import gmw, transport
@@ -111,8 +111,8 @@ def test_library_exhaustive_8bit(channels):
         (cc.build_eq(8), a, b, (a == b).astype(np.uint64)),
     ]
     for i, (circ, x, y, expect) in enumerate(cases):
-        c0, c1 = transport.channel_pair()
-        out, _ = eval_both((c0, c1), circ, x, y, seed=i)
+        with closing(*transport.channel_pair()) as chans:
+            out, _ = eval_both(chans, circ, x, y, seed=i)
         assert np.array_equal(from_bits(out), expect), circ.name
 
 

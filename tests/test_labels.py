@@ -5,12 +5,11 @@ no OT pairs on the wire."""
 import hashlib
 
 import numpy as np
-from conftest import SEED0, SEED1, deal, run_parties
+from conftest import SEED0, SEED1, deal, dealt_sessions, run_parties
 
 from hybrid2pc import correlated as cr
 from hybrid2pc import ml, transport
 from hybrid2pc.ring import RingParams
-from hybrid2pc.session import PartySession
 
 P32 = RingParams(32, 7, 12)
 N = 1000
@@ -50,16 +49,10 @@ def test_delta_comes_from_seed0():
     assert np.array_equal(_labels(n=3)[0].delta, d0)
 
 
-def _sessions(manifest):
-    m0, m1 = deal(manifest)
-    c0, c1 = transport.channel_pair()
-    return PartySession(0, manifest, m0, c0), PartySession(1, manifest, m1, c1)
-
-
 def test_garbler_offset_is_the_dealt_delta():
-    s0, s1 = _sessions(cr.ResourceManifest(bytes(16), P32, num_labels=4))
-    assert np.array_equal(s0.gc.R, deal(s0.manifest)[0].delta)
-    assert s1.gc.R is None
+    with dealt_sessions(cr.ResourceManifest(bytes(16), P32, num_labels=4)) as (s0, s1):
+        assert np.array_equal(s0.gc.R, deal(s0.manifest)[0].delta)
+        assert s1.gc.R is None
 
 
 def test_svm_session_puts_no_ot_pairs_on_the_wire():
@@ -67,9 +60,9 @@ def test_svm_session_puts_no_ot_pairs_on_the_wire():
     d = 100
     model = ml.SvmModel(rng.uniform(-1, 1, d), 0.3)
     query = rng.uniform(-1, 1, (1, d))
-    s0, s1 = _sessions(ml.plan_svm_manifest(d, 1, P32, bytes(16)))
-    _, got = run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
-                         lambda: ml.svm_classify(s1, None, query, d, 1))
+    with dealt_sessions(ml.plan_svm_manifest(d, 1, P32, bytes(16))) as (s0, s1):
+        _, got = run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
+                             lambda: ml.svm_classify(s1, None, query, d, 1))
     assert np.array_equal(got, ml.svm_oracle(model, query, P32))
     for s in (s0, s1):
         s.assert_exhausted()
@@ -83,9 +76,9 @@ def test_mnist_wan_ot_pairs_are_b2a_alone():
     rng = np.random.default_rng(2)
     net = ml.mnist_like_net(rng)
     image = rng.uniform(0, 1, (1, 1, 28, 28))
-    s0, s1 = _sessions(ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16)))
-    _, got = run_parties(lambda: ml.nn_infer(s0, net, None, 1, ml.WAN),
-                         lambda: ml.nn_infer(s1, net.public(), image, 1, ml.WAN))
+    with dealt_sessions(ml.plan_nn_manifest(net, P32, 1, ml.WAN, bytes(16))) as (s0, s1):
+        _, got = run_parties(lambda: ml.nn_infer(s0, net, None, 1, ml.WAN),
+                             lambda: ml.nn_infer(s1, net.public(), image, 1, ml.WAN))
     assert np.array_equal(got, ml.nn_oracle(net, image, P32))
     s0.assert_exhausted()
     s1.assert_exhausted()

@@ -4,29 +4,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import BENCHMARKED_FLIGHTS, deal, run_parties
+from conftest import BENCHMARKED_FLIGHTS, dealt_sessions, run_parties
 
 from hybrid2pc import ml, ring, transport
 from hybrid2pc.ring import RingParams
-from hybrid2pc.session import PartySession
 
 P32 = RingParams(32, 7, 12)
-
-
-def sessions(manifest):
-    m0, m1 = deal(manifest)
-    c0, c1 = transport.channel_pair()
-    return PartySession(0, manifest, m0, c0), PartySession(1, manifest, m1, c1)
 
 
 def infer_both(net, images, profile, p=P32, check_exhausted=True):
     batch = images.shape[0]
     manifest = ml.plan_nn_manifest(net, p, batch, profile, bytes(16))
-    s0, s1 = sessions(manifest)
-    _, got = run_parties(
-        lambda: ml.nn_infer(s0, net, None, batch, profile),
-        lambda: ml.nn_infer(s1, net.public(), images, batch, profile),
-    )
+    with dealt_sessions(manifest) as (s0, s1):
+        _, got = run_parties(
+            lambda: ml.nn_infer(s0, net, None, batch, profile),
+            lambda: ml.nn_infer(s1, net.public(), images, batch, profile),
+        )
     if check_exhausted:
         s0.assert_exhausted()
         s1.assert_exhausted()
@@ -203,11 +196,11 @@ def test_svm_secure_equals_oracle():
     queries = rng.uniform(-1, 1, (batch, d))
     expect = ml.svm_oracle(model, queries, P32)
     manifest = ml.plan_svm_manifest(d, batch, P32, bytes(16))
-    s0, s1 = sessions(manifest)
-    _, got = run_parties(
-        lambda: ml.svm_classify(s0, model, None, d, batch),
-        lambda: ml.svm_classify(s1, None, queries, d, batch),
-    )
+    with dealt_sessions(manifest) as (s0, s1):
+        _, got = run_parties(
+            lambda: ml.svm_classify(s0, model, None, d, batch),
+            lambda: ml.svm_classify(s1, None, queries, d, batch),
+        )
     assert np.array_equal(got, expect)
     s0.assert_exhausted()
     s1.assert_exhausted()
@@ -275,9 +268,9 @@ def test_benchmarked_programs_flights(workload):
     if workload == "svm-psk-b1":
         d = 100
         model = ml.SvmModel(rng.uniform(-1, 1, d), 0.3)
-        s0, s1 = sessions(ml.plan_svm_manifest(d, 1, P32, bytes(16)))
-        run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
-                    lambda: ml.svm_classify(s1, None, rng.uniform(-1, 1, (1, d)), d, 1))
+        with dealt_sessions(ml.plan_svm_manifest(d, 1, P32, bytes(16))) as (s0, s1):
+            run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
+                        lambda: ml.svm_classify(s1, None, rng.uniform(-1, 1, (1, d)), d, 1))
     else:
         profile, batch = (ml.LAN, 20) if workload == "mnist-lan-b20" else (ml.WAN, 1)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
@@ -358,6 +351,34 @@ def test_weight_file_overflow_detected(tmp_path):
     ml.save_net(str(path), net, P32)  # alpha=7: |300| >= 128
     with pytest.raises(OverflowError):
         ml.load_net(str(path))
+
+
+def test_weight_file_nan_detected(tmp_path):
+    net = ml.NetSpec((1, 1, 1), [ml.FC(1, 1, np.array([[np.nan]])), ml.ArgMax()])
+    path = tmp_path / "nan.bin"
+    ml.save_net(str(path), net, P32)
+    with pytest.raises(OverflowError):
+        ml.load_net(str(path))
+
+
+def test_nan_query_rejected_before_any_frame():
+    # a NaN pixel or SVM feature at role 1 raises before either role sends
+    # a frame, instead of entering the protocol as 0
+    rng = np.random.default_rng(4)
+    net, d = tiny_net(rng), 5
+    image = rng.uniform(0, 1, (1, *net.input_shape))
+    image[0, 0, 0, 0] = np.nan
+    query = rng.uniform(-1, 1, (1, d))
+    query[0, 3] = np.nan
+    runs = [(ml.plan_nn_manifest(net, P32, 1, ml.LAN, bytes(16)),
+             lambda s: ml.nn_infer(s, net.public(), image, 1, ml.LAN)),
+            (ml.plan_svm_manifest(d, 1, P32, bytes(16)),
+             lambda s: ml.svm_classify(s, None, query, d, 1))]
+    for manifest, client in runs:
+        with dealt_sessions(manifest) as (s0, s1):
+            with pytest.raises(OverflowError):
+                client(s1)
+        assert [s.channel.ledger.messages() for s in (s0, s1)] == [0, 0]
 
 
 def test_weight_file_malformed(tmp_path):
@@ -521,7 +542,6 @@ def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, prof
     batch = 2
     images = rng.uniform(-1, 1, size=(batch, *net.input_shape))
     steps = ml.compile_nn(net, P32, batch, profile)
-    s0, s1 = sessions(ml.plan_nn_manifest(net, P32, batch, profile, bytes(16)))
     deltas = {0: [], 1: []}  # per role, (vdp, label, daBit, bmt) drawn by each step's call
 
     def drawn(fn, session_of):
@@ -534,12 +554,13 @@ def test_each_step_consumes_exactly_its_dealt_counts(monkeypatch, net_name, prof
             return out
         return wrapped
 
-    for name in ("_boolean_stage", "_reveal_stage"):
-        monkeypatch.setattr(ml, name, drawn(getattr(ml, name), lambda args: args[0]))
-    for se in (s0, s1):
-        monkeypatch.setattr(se.ass, "vdp", drawn(se.ass.vdp, lambda args, se=se: se))
-    _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
-                         lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
+    with dealt_sessions(ml.plan_nn_manifest(net, P32, batch, profile, bytes(16))) as (s0, s1):
+        for name in ("_boolean_stage", "_reveal_stage"):
+            monkeypatch.setattr(ml, name, drawn(getattr(ml, name), lambda args: args[0]))
+        for se in (s0, s1):
+            monkeypatch.setattr(se.ass, "vdp", drawn(se.ass.vdp, lambda args, se=se: se))
+        _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
+                             lambda: ml.nn_infer(s1, net.public(), images, batch, profile))
     assert np.array_equal(got, ml.nn_oracle(net, images, P32))
     # every step but a local mean pool makes exactly one drawing call
     want = [(int(s.block is not None), s.labels, s.dabits, s.bmts) for s in steps

@@ -13,7 +13,7 @@ import secrets
 
 import numpy as np
 import pytest
-from conftest import deal, run_parties
+from conftest import deal, run_parties, stp_sessions
 
 from hybrid2pc import (ass, circuits, convert, correlated, drbg, gc, gmw, ml, ot, ring,
                        session, stp, transport)
@@ -92,17 +92,6 @@ P32 = RingParams(32, 7, 12)
 PSK = bytes(range(32))
 
 
-def _dealt_sessions(manifest, key=None):
-    """Both parties' sessions, their bundles fetched from a real dealer."""
-    srv = stp.StpServer(timeout=10.0, cipher_key=key).start()
-    chans = transport.channel_pair(session=manifest.session_id, cipher_key=key)
-    try:
-        return run_parties(*(lambda r=r: session.PartySession.offline(
-            r, manifest, srv.address, chans[r], stp_cipher_key=key) for r in (0, 1)))
-    finally:
-        srv.stop()
-
-
 def _no_draws(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a party drew randomness online")
@@ -120,25 +109,24 @@ def test_party_draws_nothing_online(monkeypatch, program):
         d = 100
         model = ml.SvmModel(rng.uniform(-1, 1, d), 0.3)
         query = rng.uniform(-1, 1, (1, d))
-        s0, s1 = _dealt_sessions(ml.plan_svm_manifest(d, 1, P32, sid), PSK)
-        _no_draws(monkeypatch)
-        _, got = run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
-                             lambda: ml.svm_classify(s1, None, query, d, 1),
-                             (s0.channel, s1.channel))
+        with stp_sessions(ml.plan_svm_manifest(d, 1, P32, sid), PSK) as (s0, s1):
+            _no_draws(monkeypatch)
+            _, got = run_parties(lambda: ml.svm_classify(s0, model, None, d, 1),
+                                 lambda: ml.svm_classify(s1, None, query, d, 1),
+                                 (s0.channel, s1.channel))
         expect = ml.svm_oracle(model, query, P32)
     else:
         profile, batch = (ml.LAN, 2) if program == "mnist-lan-b2" else (ml.WAN, 1)
         net = ml.mnist_like_net(rng)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
-        s0, s1 = _dealt_sessions(ml.plan_nn_manifest(net, P32, batch, profile, sid))
-        _no_draws(monkeypatch)
-        _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
-                             lambda: ml.nn_infer(s1, net.public(), images, batch, profile),
-                             (s0.channel, s1.channel))
+        with stp_sessions(ml.plan_nn_manifest(net, P32, batch, profile, sid)) as (s0, s1):
+            _no_draws(monkeypatch)
+            _, got = run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
+                                 lambda: ml.nn_infer(s1, net.public(), images, batch, profile),
+                                 (s0.channel, s1.channel))
         expect = ml.nn_oracle(net, images, P32)
     for se in (s0, s1):
         se.assert_exhausted()
-        se.channel.close()
     assert np.array_equal(got, expect)
 
 

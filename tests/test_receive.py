@@ -38,13 +38,13 @@ def _zeros(shape):
 
 def _yao(role):
     """An input group bound to labels held from an earlier run: no OT."""
-    return "yao", gc.YaoShare(_zeros((NINST, 8, 16)), role)
+    return gc.YaoShare(_zeros((8, NINST, 16)), role)
 
 
 def _gc_garble_on_labels(chan):
     """The garbler receives the evaluator's masked bits e before garbling."""
     sess = gc.GcSession(0, chan, _material(0, num_labels=8 * NINST))
-    sess.run(AND8, ("bits", _zeros((NINST, 8))), ("bits", None), ninst=NINST)
+    sess.run_shares(AND8, _zeros((NINST, 8)), NINST, "evaluator")
 
 
 def _b2a(role):
@@ -71,10 +71,12 @@ SITES = {
                           0),
     "GC_TABLES": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 0),
-    # the garbler's bits take zero labels x*R: the decode bits follow the
-    # tables, with no label frame between them
-    "GC_DECODE-garbler-bits": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
-        AND8, ("bits", None), _yao(1), ninst=NINST), [T, DEC], 1),
+    # the garbler's bits take zero labels x*R: at the evaluator, whose own
+    # bits go on dealt labels, the decode bits follow the tables, with no
+    # label frame between them
+    "GC_DECODE-garbler-bits": (lambda ch: gc.GcSession(1, ch, _material(
+        1, num_labels=8 * NINST)).run_shares(AND8, _zeros((NINST, 8)), NINST, "evaluator"),
+        [T, DEC], 1),
     "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 1),
     "ASS_EF": (lambda ch: AssEngine(0, L32, ch, _material(0, num_amt=2)).mul_mt(

@@ -45,6 +45,16 @@ def test_encode_overflow():
         ring.encode(-129.5, FX16)
 
 
+def test_encode_rejects_non_finite():
+    # NaN compares False with everything: it must not slip past the range
+    # check and encode as 0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OverflowError):
+            ring.encode([bad, 1.0], FX16)
+        with pytest.raises(OverflowError):
+            ring.encode(bad, FX16)
+
+
 def test_truncate_examples():
     assert ring.truncate(0, FX16) == 0
     # signed(64672) = -864; -864 >> 4 = -54 -> 65482

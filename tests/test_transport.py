@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import run_parties
+from conftest import closing, run_parties
 
 import hybrid2pc
 from hybrid2pc import transport
@@ -19,8 +19,8 @@ from hybrid2pc.transport import (
 )
 
 
-def test_empty_payload_roundtrip_and_framing_bytes():
-    c0, c1 = channel_pair()
+def test_empty_payload_roundtrip_and_framing_bytes(channels):
+    c0, c1 = channels
     c0.send(transport.APP_SHARE, b"")
     frame = c1.recv()
     assert frame.payload == b""
@@ -29,8 +29,8 @@ def test_empty_payload_roundtrip_and_framing_bytes():
     assert c1.ledger.wire_bytes(direction="recv") == HEADER_LEN
 
 
-def test_many_frames_in_order():
-    c0, c1 = channel_pair()
+def test_many_frames_in_order(channels):
+    c0, c1 = channels
     n = 10**5
     err = []
 
@@ -50,8 +50,8 @@ def test_many_frames_in_order():
     assert c1.ledger.messages(direction="recv") == n
 
 
-def test_phase_attribution():
-    c0, c1 = channel_pair()
+def test_phase_attribution(channels):
+    c0, c1 = channels
     c0.send(transport.BUNDLE, b"x" * 10)
     c1.recv()
     c0.phase_mark(transport.ONLINE)
@@ -65,8 +65,8 @@ def test_phase_attribution():
     assert c0.ledger.payload_bytes(peer="nobody") == 0
 
 
-def test_sync_metadata_counted_as_framing():
-    c0, c1 = channel_pair()
+def test_sync_metadata_counted_as_framing(channels):
+    c0, c1 = channels
     c0.send(transport.GMW_DE, b"\x01\x00\x00\x00" + b"\xaa" * 25)
     f = c1.recv()
     assert f.payload[4:] == b"\xaa" * 25
@@ -74,14 +74,14 @@ def test_sync_metadata_counted_as_framing():
     assert c1.ledger.payload_bytes(msg_type=transport.GMW_DE) == 25
 
 
-def test_frame_too_large():
-    c0, _ = channel_pair()
+def test_frame_too_large(channels):
+    c0, _ = channels
     with pytest.raises(FrameTooLarge):
         c0.send(transport.APP_SHARE, bytearray(transport.MAX_PAYLOAD + 1))
 
 
-def test_type_mismatch():
-    c0, c1 = channel_pair()
+def test_type_mismatch(channels):
+    c0, c1 = channels
     c0.send(transport.APP_SHARE, b"hello")
     with pytest.raises(ProtocolError):
         c1.recv_expect(transport.GMW_DE, 5)
@@ -89,11 +89,11 @@ def test_type_mismatch():
 
 def test_aead_mode_roundtrip():
     key = bytes(32)
-    c0, c1 = channel_pair(cipher_key=key)
-    c0.send(transport.APP_SHARE, b"sealed payload")
-    assert c1.recv().payload == b"sealed payload"
-    c1.send(transport.APP_SHARE, b"reply")
-    assert c0.recv().payload == b"reply"
+    with closing(*channel_pair(cipher_key=key)) as (c0, c1):
+        c0.send(transport.APP_SHARE, b"sealed payload")
+        assert c1.recv().payload == b"sealed payload"
+        c1.send(transport.APP_SHARE, b"reply")
+        assert c0.recv().payload == b"reply"
     # ledger still books plaintext payload sizes
     assert c0.ledger.payload_bytes(direction="sent") == 14
     assert c0.ledger.wire_bytes(direction="sent") == HEADER_LEN + 14 + 16
@@ -102,16 +102,16 @@ def test_aead_mode_roundtrip():
 def test_session_isolation():
     import socket
 
-    s0, s1 = socket.socketpair()
-    a = Channel(s0, b"A" * 16)
-    b = Channel(s1, b"B" * 16)
-    a.send(transport.APP_SHARE, b"x")
-    with pytest.raises(ProtocolError):
-        b.recv()
+    with closing(*socket.socketpair()) as (s0, s1):
+        a = Channel(s0, b"A" * 16)
+        b = Channel(s1, b"B" * 16)
+        a.send(transport.APP_SHARE, b"x")
+        with pytest.raises(ProtocolError):
+            b.recv()
 
 
-def test_ledger_monotone_snapshot():
-    c0, c1 = channel_pair()
+def test_ledger_monotone_snapshot(channels):
+    c0, c1 = channels
     for _ in range(3):
         c0.send(transport.APP_SHARE, b"abc")
         c1.recv()
@@ -146,10 +146,10 @@ def test_buffer_payloads_roundtrip_with_same_ledger(cipher_key):
     assert books[0] == books[1] == books[3] == books[4]
 
 
-def test_flights_are_runs_of_sends():
+def test_flights_are_runs_of_sends(channels):
     # a flight is a run of sends with no receive in between; an exchange is
     # one flight, or continues the flight its party's last send opened
-    c0, c1 = channel_pair()
+    c0, c1 = channels
     assert (c0.flights, c1.flights) == (0, 0)
     c0.send(transport.APP_SHARE, b"a")
     c0.send(transport.APP_SHARE, b"b")
@@ -166,16 +166,14 @@ def test_flights_are_runs_of_sends():
 
     assert run_parties(lambda: first(c0), lambda: second(c1)) == [b"dd", b"ee"]
     assert (c0.flights, c1.flights) == (2, 1)
-    c0.close()
-    c1.close()
 
 
-def test_back_to_back_exchanges_are_one_flight_each():
+def test_back_to_back_exchanges_are_one_flight_each(channels):
     # the helper thread's send must not book: a peer's reply can land
     # before it, so a count taken in send/recv order would drift
     rng = np.random.default_rng(5)
     sizes = [0, 1, 1 << 20, *rng.integers(0, (1 << 20) + 1, 197).tolist()]
-    c0, c1 = channel_pair()
+    c0, c1 = channels
 
     def party(ch, tag):
         for n in sizes:
@@ -183,8 +181,6 @@ def test_back_to_back_exchanges_are_one_flight_each():
 
     run_parties(lambda: party(c0, 0), lambda: party(c1, 1))
     assert (c0.flights, c1.flights) == (200, 200)
-    c0.close()
-    c1.close()
 
 
 # No program sends GC_INLABELS or APP_SHARE: the garbler's inputs take zero
