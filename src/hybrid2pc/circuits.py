@@ -18,12 +18,15 @@ w-1 ANDs and the signed compare w, at AND depth w-1 and w.
 stage_circuit() compiles the protocol's garbled stages: per-value share
 adders, a free fixed-point shift, then a stage body (relu, max, argmax,
 sign), each body a Builder word method that the library builders share.
+The max and argmax bodies are the two results of one compare-and-select
+tree, max_word; its levels, and carry_out's in the depth variant, are
+_tree's, the one pairwise reduction.
 After a shift by s the body runs on the l - s low bits of the shifted
 value only, since its top s bits would be copies of its sign.
-It, build_relu and build_max_tree (the GMW stages) are cached per
-process with functools.cache, keyed on normalised arguments, so each
-stage netlist is built, and levelized through Circuit.levelized, once
-however its arguments are spelled.
+It, build_relu, build_max_tree (the GMW stages) and build_argmax are
+cached per process with functools.cache, keyed on normalised arguments,
+so each stage netlist is built, and levelized through Circuit.levelized,
+once however its arguments are spelled.
 
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
@@ -414,7 +417,7 @@ class Builder:
         """Carry out of a + b + cin over the full width.
 
         SIZE: w chained full_carry steps, w ANDs at AND depth w. DEPTH: a
-        binary tree of (generate, propagate) merges.
+        _tree of (generate, propagate) block merges.
         """
         w = len(a)
         if variant == SIZE:
@@ -424,24 +427,12 @@ class Builder:
             return c
         p = [self.xor(a[i], b[i]) for i in range(w)]
         g = [self.and_(a[i], b[i]) for i in range(w)]
-        # depth: binary-tree merge of (G, P) block pairs
-        nodes = [(g[i], p[i]) for i in range(w)]
-        if cin != CONST0:
-            nodes = [(cin, CONST0)] + nodes
-        while len(nodes) > 1:
-            merged = []
-            for k in range(0, len(nodes) - 1, 2):
-                (g_lo, p_lo), (g_hi, p_hi) = nodes[k], nodes[k + 1]
-                merged.append(
-                    (
-                        self.xor(g_hi, self.and_(p_hi, g_lo)),
-                        self.and_(p_hi, p_lo),
-                    )
-                )
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        return nodes[0][0]
+        nodes = ([(cin, CONST0)] if cin != CONST0 else []) + list(zip(g, p))
+
+        def merge(lo, hi):  # (generate, propagate) of the block hi:lo
+            return self.xor(hi[0], self.and_(hi[1], lo[0])), self.and_(hi[1], lo[1])
+
+        return _tree(nodes, merge)[0]
 
     def unsigned_gt(self, a, b, variant: str = SIZE) -> int:
         # a > b  <=>  not carry_out(b + ~a + 1)
@@ -472,29 +463,30 @@ class Builder:
         return [self.and_(a[i], keep) for i in range(len(a) - 1)] + [CONST0]
 
     def max_word(self, vals, variant: str = SIZE):
-        """Signed maximum of the words in vals, by a tree of compare-and-mux."""
-        while len(vals) > 1:
-            nxt = []
-            for k in range(0, len(vals) - 1, 2):
-                gt = self.signed_gt(vals[k], vals[k + 1], variant)
-                nxt.append(self.mux_word(gt, vals[k], vals[k + 1]))
-            if len(vals) % 2:
-                nxt.append(vals[-1])
-            vals = nxt
-        return vals[0]
-
-    def argmax_index(self, vals, variant: str = SIZE):
-        """Little-endian index bits of the signed maximum of the words in
-        vals, ceil(log2 n) of them; the first maximum wins ties."""
+        """(maximum, index bits) of the signed words in vals, by one _tree of
+        compare-and-select carrying both; the index is little-endian,
+        ceil(log2 n) bits and at least 1. A node takes its right operand
+        only if that is strictly greater, so the first maximum wins ties."""
         idx_w = max(1, (len(vals) - 1).bit_length())
-        best = vals[0]
-        best_idx = [CONST0] * idx_w
-        for j in range(1, len(vals)):
-            gt = self.signed_gt(vals[j], best, variant)
-            best = self.mux_word(gt, vals[j], best)
-            j_bits = [CONST1 if (j >> k) & 1 else CONST0 for k in range(idx_w)]
-            best_idx = self.mux_word(gt, j_bits, best_idx)
-        return best_idx
+        leaves = [(v, [CONST1 if (j >> k) & 1 else CONST0 for k in range(idx_w)])
+                  for j, v in enumerate(vals)]
+
+        def merge(left, right):
+            (lv, li), (rv, ri) = left, right
+            gt = self.signed_gt(rv, lv, variant)
+            return self.mux_word(gt, rv, lv), self.mux_word(gt, ri, li)
+
+        return _tree(leaves, merge)
+
+
+def _tree(nodes, merge):
+    """The one pairwise reduction: each level merges neighbours,
+    merge(nodes[k], nodes[k + 1]) for even k, and an odd last node moves up
+    unmerged, so n nodes take ceil(log2 n) levels."""
+    while len(nodes) > 1:
+        odd = nodes[-1:] if len(nodes) % 2 else []
+        nodes = [merge(nodes[k], nodes[k + 1]) for k in range(0, len(nodes) - 1, 2)] + odd
+    return nodes[0]
 
 
 # ----- library builders -----
@@ -590,31 +582,26 @@ def build_shift(w: int, amount: int, arithmetic: bool = True) -> Circuit:
 
 
 def build_argmax(n: int, w: int, variant: str = SIZE) -> Circuit:
-    """Index of the signed maximum of n w-bit values; first max wins ties.
-
-    Input: n*w wires in party 0's group (value 0 first). Output:
-    ceil(log2 n) index bits, little-endian.
-    """
-    _check_width(w)
-    if n < 1:
-        raise CircuitError("argmax needs at least one value")
-    b = Builder(f"argmax{n}x{w}_{variant}")
-    flat = b.inputs(0, n * w)
-    b.outputs = b.argmax_index([flat[i * w : (i + 1) * w] for i in range(n)], variant)
-    return b.build()
+    """Index of the signed maximum of n w-bit values, ceil(log2 n) bits (at
+    least 1), little-endian; the first maximum wins ties. Input: n*w wires
+    in party 0's group, value 0 first."""
+    return _max_tree(int(n), int(w), variant, "argmax")
 
 
 def build_max_tree(n: int, w: int, variant: str = SIZE) -> Circuit:
-    """Signed maximum of n w-bit values (pooling helper)."""
-    return _max_tree(int(n), int(w), variant)
+    """Signed maximum of n w-bit values (pooling helper), input as build_argmax's."""
+    return _max_tree(int(n), int(w), variant, "max")
 
 
 @functools.cache
-def _max_tree(n: int, w: int, variant: str) -> Circuit:
+def _max_tree(n: int, w: int, variant: str, kind: str) -> Circuit:
     _check_width(w)
-    b = Builder(f"max{n}x{w}_{variant}")
+    if n < 1:
+        raise CircuitError(f"{kind} needs at least one value")
+    b = Builder(f"{kind}{n}x{w}_{variant}")
     flat = b.inputs(0, n * w)
-    b.outputs = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
+    maximum, index = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
+    b.outputs = maximum if kind == "max" else index
     return b.build()
 
 
@@ -651,10 +638,9 @@ def _stage_circuit(kind: str, w: int, shift: int, nvals: int) -> Circuit:
         b.outputs = [x for v in vals for x in v]
     elif kind == "relu":
         b.outputs = [x for v in vals for x in b.relu_word(v)]
-    elif kind == "max":
-        b.outputs = b.max_word(vals)
-    elif kind == "argmax":
-        b.outputs = b.argmax_index(vals)
+    elif kind in ("max", "argmax"):
+        maximum, index = b.max_word(vals)
+        b.outputs = maximum if kind == "max" else index
     elif kind == "sign":
         (v,) = vals
         b.outputs = [b.and_(b.not_(v[-1]), b.not_(b.eq_zero(v)))]

@@ -43,27 +43,33 @@ class OfflineFailure(Exception):
     pass
 
 
-def _offline(role, manifest, stp_arg, channel) -> PartySession:
-    if not stp_arg:
-        raise SystemExit("party programs need --stp")
-    try:
-        return PartySession.offline(role, manifest, _addr(stp_arg), channel)
-    except transport.RemoteError:
-        raise
-    except (OSError, transport.TransportError) as e:
-        raise OfflineFailure(str(e)) from e
-
-
 def _addr(text: str):
+    """(host, port) of HOST:PORT, host 127.0.0.1 if empty; ValueError (to
+    argparse, a usage error) unless the port is an integer in 0..65535."""
     host, _, port = text.rpartition(":")
+    if not (port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"bad port in {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except (OSError, ValueError) as e:
+        raise SystemExit(f"bad config {path}: {e}") from None
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"bad config {path}: not a JSON object")
+    return cfg
+
+
+def _int(section: dict, name: str, default: int) -> int:
+    n = section.get(name, default)
+    if type(n) is not int:
+        raise SystemExit(f"bad config: {name} is {n!r}, not an integer")
+    return n
 
 
 def _ring_from(cfg: dict) -> RingParams:
@@ -99,8 +105,7 @@ def _ledger_snapshot(channel) -> dict:
 
 
 def cmd_stp(args) -> int:
-    host, port = _addr(args.listen)
-    srv = StpServer(host, port, timeout=args.timeout)
+    srv = StpServer(*args.listen, timeout=args.timeout)
     print(f"dealer listening on {srv.address[0]}:{srv.address[1]}")
     try:
         srv.start()
@@ -115,7 +120,7 @@ def _connect_peer(args) -> transport.Channel:
     if args.role == 0:
         if not args.listen:
             raise SystemExit("role 0 needs --listen")
-        srv = transport.tcp_listen(*_addr(args.listen))
+        srv = transport.tcp_listen(*args.listen)
         sock = transport.tcp_accept(srv)
         srv.close()
         session = secrets.token_bytes(16)
@@ -123,7 +128,7 @@ def _connect_peer(args) -> transport.Channel:
     else:
         if not args.peer:
             raise SystemExit("role 1 needs --peer")
-        sock = transport.tcp_connect(*_addr(args.peer))
+        sock = transport.tcp_connect(*args.peer)
         session = b""
         while len(session) < 16:
             chunk = sock.recv(16 - len(session))
@@ -134,7 +139,7 @@ def _connect_peer(args) -> transport.Channel:
 
 
 def _size(section: dict, name: str, default: int) -> int:
-    n = int(section.get(name, default))
+    n = _int(section, name, default)
     if n < 1:
         raise SystemExit(f"bad config: {name} is {n}, not at least 1")
     return n
@@ -143,7 +148,12 @@ def _size(section: dict, name: str, default: int) -> int:
 def _run_program(args, channel, manifest, key: str, call) -> dict:
     """Offline, then the timed online call(session); the result, revealed
     at role 1, is printed and reported under key."""
-    se = _offline(args.role, manifest, args.stp, channel)
+    try:
+        se = PartySession.offline(args.role, manifest, args.stp, channel)
+    except transport.RemoteError:
+        raise
+    except (OSError, transport.TransportError) as e:
+        raise OfflineFailure(str(e)) from e
     t0 = time.perf_counter()
     result = call(se)
     out = {"online_seconds": round(time.perf_counter() - t0, 4)}
@@ -159,7 +169,7 @@ def _svm(args, cfg: dict):
     p = _ring_from(cfg)
     svm_cfg = cfg.get("svm", {})
     d, batch = _size(svm_cfg, "d", 10), _size(svm_cfg, "batch", 1)
-    rng = np.random.default_rng(int(cfg.get("seed", 42)))
+    rng = np.random.default_rng(_int(cfg, "seed", 42))
     model = ml.SvmModel(rng.uniform(-1, 1, size=d), float(rng.uniform(-1, 1)))
     queries = rng.uniform(-1, 1, size=(batch, d))
     model, queries = (model, None) if args.role == 0 else (None, queries)
@@ -172,7 +182,7 @@ def _nn(args, cfg: dict):
     p = _ring_from(cfg)
     nn_cfg = cfg.get("nn", {})
     batch = _size(nn_cfg, "batch", 1)
-    rng = np.random.default_rng(int(cfg.get("seed", 42)))
+    rng = np.random.default_rng(_int(cfg, "seed", 42))
     weights = nn_cfg.get("weights")
     if weights:
         try:
@@ -253,16 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("stp", help="run the offline dealer")
-    s.add_argument("--listen", default="127.0.0.1:7700")
+    s.add_argument("--listen", type=_addr, default="127.0.0.1:7700")
     s.add_argument("--timeout", type=float, default=60.0)
     s.set_defaults(fn=cmd_stp)
 
     s = sub.add_parser("party", help="run one party of a program")
     s.add_argument("--role", type=int, required=True, choices=(0, 1))
     s.add_argument("--program", required=True, choices=("svm", "nn"))
-    s.add_argument("--stp", help="dealer address host:port")
-    s.add_argument("--listen", help="role 0: listen here for the peer")
-    s.add_argument("--peer", help="role 1: connect to role 0 here")
+    s.add_argument("--stp", type=_addr, required=True, help="dealer address host:port")
+    s.add_argument("--listen", type=_addr, help="role 0: listen here for the peer")
+    s.add_argument("--peer", type=_addr, help="role 1: connect to role 0 here")
     s.add_argument("--config", help="JSON config file")
     s.add_argument("--profile", choices=(ml.LAN, ml.WAN), default=ml.LAN)
     s.add_argument("--report", choices=("json",))

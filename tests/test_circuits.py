@@ -146,10 +146,15 @@ def test_argmax_tie_break():
     assert got[0] == 1
 
 
-def test_argmax_random_vs_numpy():
+# at w = 2 most rows tie for the maximum, and an odd n carries a node up
+# unmerged at some level of the tree
+@pytest.mark.parametrize("w", [2, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10])
+def test_argmax_random_vs_numpy(n, w):
     rng = np.random.default_rng(11)
-    n, w, trials = 7, 16, 2000
+    trials = 2000
     c = cc.build_argmax(n, w, "depth")
+    assert len(c.outputs) == max(1, (n - 1).bit_length())
     vals = rng.integers(0, 1 << w, size=(trials, n), dtype=np.uint64)
     bits = to_bits(vals.reshape(-1), w).reshape(trials, n * w)
     out = cc.simulate(c, bits, np.zeros((trials, 0), np.uint8))
@@ -234,7 +239,10 @@ def test_size_builders_use_one_and_per_full_adder():
     assert [ml.stage_circuit(kind, 32, 12).num_and
             for kind in ("identity", "relu", "sign")] == [31, 50, 51]
     assert ml.stage_circuit("max", 32, 12, 4).num_and == 244
-    assert ml.stage_circuit("argmax", 32, 12, 10).num_and == 671
+    # one compare-and-select tree: a chain of nine compares would be 201
+    # AND levels deep
+    argmax = ml.stage_circuit("argmax", 32, 12, 10)
+    assert (argmax.num_and, argmax.levelized.depth) == (657, 96)
     # the GMW bodies at that width
     assert cc.build_relu(20).num_and == 19
     tree = cc.build_max_tree(4, 20, "depth")
@@ -299,11 +307,13 @@ def _digest(netlists) -> str:
 
 
 # re-recorded when the stages after a shift became narrow; a refactor of
-# the builders must leave every netlist, and so this digest, as it is
-PINNED_NETLISTS_SHA256 = "df082d1dc5ca193b49a6b43aabb0a661f62fa12894d0579efe1ff36e64e59cd6"
+# the builders must leave every netlist, and so this digest, as it is;
+# re-recorded again when argmax became max's compare-and-select tree, every
+# netlist but the max and argmax ones unchanged
+PINNED_NETLISTS_SHA256 = "c2b8e05c50452affcfe269c77a9082e7b420fa5927f1fb8ee4ecfc2e83b6e67f"
 # recorded before the stages became narrow: narrowing touches no shift-0
-# stage and no library circuit
-SHIFT0_NETLISTS_SHA256 = "c1a2fcd51edf44abfe1af387696e9075186f734dd980e6c15e6376a98e8777d3"
+# stage and no library circuit; re-recorded with the tree as above
+SHIFT0_NETLISTS_SHA256 = "430e4209483e89a6722f240efe206f1284eb416bf86ad197e0001d8b4a29b062"
 
 
 # recorded before the netlist text reader was removed: every library
@@ -380,6 +390,15 @@ def test_max_and_argmax_stages_random_32bit():
         else:
             expect = np.argmax(signed(v, 32), axis=1).astype(np.uint64)
             assert np.array_equal(got, expect), kind
+    # a shift of 6 leaves 2-bit bodies at ring width 8: most rows tie
+    p, shift = RingParams(8), 6
+    for nvals in (7, 10):
+        x0 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
+        x1 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
+        v = signed(ring.truncate((x0 + x1) & np.uint64(p.mask), p, shift=shift), 8)
+        assert ((v == v.max(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
+        _, got = _stage_words(ml.stage_circuit("argmax", 8, shift, nvals), x0, x1, 8)
+        assert np.array_equal(got, np.argmax(v, axis=1).astype(np.uint64)), nvals
 
 
 def test_protocol_circuits_built_once():

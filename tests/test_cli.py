@@ -213,6 +213,47 @@ def test_removed_options_rejected(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# "party" without --stp, or an address whose port is not an integer in
+# 0..65535, is a usage error before anything runs
+@pytest.mark.parametrize("argv", [
+    ["party", "--role", "0", "--program", "svm", "--listen", "127.0.0.1:0"],
+    ["party", "--role", "0", "--program", "svm", "--stp", "127.0.0.1:abc",
+     "--listen", "127.0.0.1:0"],
+    ["party", "--role", "0", "--program", "svm", "--stp", "127.0.0.1:1",
+     "--listen", "127.0.0.1:abc"],
+    ["party", "--role", "1", "--program", "nn", "--stp", "127.0.0.1:1",
+     "--peer", "127.0.0.1:65536"],
+    ["party", "--role", "1", "--program", "nn", "--stp", "127.0.0.1:-1",
+     "--peer", "127.0.0.1:1"],
+    ["party", "--role", "0", "--program", "svm", "--stp", "127.0.0.1",
+     "--listen", "127.0.0.1:0"],
+    ["stp", "--listen", "127.0.0.1:abc"],
+    ["stp", "--listen", "127.0.0.1:70000"],
+], ids=["party-no-stp", "party-stp-port", "party-listen-port", "party-peer-port-high",
+        "party-stp-port-negative", "party-stp-no-port", "stp-listen-port",
+        "stp-listen-port-high"])
+def test_bad_party_and_stp_arguments_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_addresses_parse_to_host_and_port():
+    args = cli.build_parser().parse_args(
+        ["party", "--role", "1", "--program", "svm", "--stp", ":65535", "--peer", "::1:0"])
+    assert (args.stp, args.peer) == (("127.0.0.1", 65535), ("::1", 0))
+    assert cli.build_parser().parse_args(["stp"]).listen == ("127.0.0.1", 7700)
+
+
+def test_party_without_stp_exits_before_waiting_for_the_peer():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybrid2pc.cli", "party", "--role", "0", "--program", "svm",
+         "--listen", "127.0.0.1:0"], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "--stp" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_readme_module_table_names_every_module():
     package = Path(cli.__file__).parent
     modules = {f.stem for f in package.glob("*.py")} - {"__init__", "__main__"}
@@ -227,18 +268,27 @@ def _nan_weights(path):
     ml.save_net(str(path), net, RingParams(32, 7, 12))
 
 
-@pytest.mark.parametrize("program, section", [
-    ("svm", {"d": 0}), ("svm", {"batch": 0}), ("nn", {"batch": -1}),
-    ("nn", {"weights": "missing.bin"}), ("nn", {"weights": "nan.bin"}),
-], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan"])
-def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, section):
-    # role 0 alone, with no peer to come: a size below 1 or a weight file
+# config: a dict written as JSON, raw file text, or None for no file
+@pytest.mark.parametrize("program, config", [
+    ("svm", {"svm": {"d": 0}}), ("svm", {"svm": {"batch": 0}}), ("nn", {"nn": {"batch": -1}}),
+    ("nn", {"nn": {"weights": "missing.bin"}}), ("nn", {"nn": {"weights": "nan.bin"}}),
+    ("svm", "{not json"), ("nn", "[1, 2]"), ("svm", None),
+    ("svm", {"svm": {"d": "ten"}}), ("nn", {"seed": "x"}), ("nn", {"nn": {"batch": 2.5}}),
+], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan",
+        "not-json", "not-an-object", "no-such-file", "svm-d-string", "seed-string",
+        "nn-batch-float"])
+def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config):
+    # role 0 alone, with no peer to come: a config that does not load, a
+    # size or seed that is not an integer, a size below 1 or a weight file
     # that does not load ends it at once, with one line on stderr
-    if "weights" in section:
-        section = {"weights": str(tmp_path / section["weights"])}
-        _nan_weights(tmp_path / "nan.bin")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({program: section}))
+    if isinstance(config, str):
+        cfg.write_text(config)
+    elif config is not None:
+        if "weights" in config.get("nn", {}):
+            config = {"nn": {"weights": str(tmp_path / config["nn"]["weights"])}}
+            _nan_weights(tmp_path / "nan.bin")
+        cfg.write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "hybrid2pc.cli", "party", "--role", "0", "--program", program,
          "--stp", "127.0.0.1:1", "--listen", "127.0.0.1:0", "--config", str(cfg)],

@@ -463,7 +463,7 @@ def _mnist_frame_bytes(batch: int, profile: str) -> dict:
     # one AND level of 19 ANDs per value: 2 bits per AND lane, each way
     gmw = sum((2 * 19 * n + 7) // 8 for n in relus) if profile == ml.LAN else 0
     return {
-        transport.GC_TABLES: (32 * (relu_ands * sum(relus) + 671 * batch), 0),
+        transport.GC_TABLES: (32 * (relu_ands * sum(relus) + 657 * batch), 0),
         transport.OT_PAIRS: (0, 0),
         transport.OT_CHOICES: (opened, labels + opened),
         transport.GMW_DE: (gmw, gmw),
@@ -488,7 +488,7 @@ def test_mnist_narrow_stage_bytes_zero_slack(batch, profile):
                      for s in (s0, s1)) == nbytes, msg_type
     sent = [s.channel.ledger.payload_bytes(direction="sent") for s in (s0, s1)]
     assert sent == [sum(col) for col in zip(*frames.values())]
-    assert sent == ([31890550, 10121100] if profile == ml.LAN else [2246039, 500926])
+    assert sent == ([31881590, 10121100] if profile == ml.LAN else [2245591, 500926])
 
 
 # sha256 over the encoded manifests and nn_oracle outputs below, recorded
