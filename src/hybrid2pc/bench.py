@@ -4,29 +4,40 @@ Runs each operation batched (n parallel instances of the given width)
 between two in-process parties over a loopback socket pair, with a real
 dealer serving the offline phase, and reports measured byte counts next
 to their closed-form predictions: role 1's dealer bundle offline, both
-directions' payload online. Byte counts are payload-exact in
-null-cipher mode; flights are each role's online flights as its channel
-counts them (transport.Channel.flights); timings are informational only.
+directions' payload online. Each op is data (_op): its manifest, the call
+each role makes on its session, and its two predictions; bench_op
+measures every op the same way. y2b runs on labels the bench draws
+itself, in a session dealt nothing but the seed. Byte counts are
+payload-exact in null-cipher mode; flights are each role's online
+flights as its channel counts them (transport.Channel.flights); timings
+are informational only.
 """
 
 from __future__ import annotations
 
+import functools
 import secrets
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import ass, circuits as cc, convert, gmw, stp, transport
 from .correlated import ResourceManifest
 from .drbg import SEED_BYTES, Drbg
+from .gc import YaoShare
 from .ring import RingParams
 from .session import PartySession
 
 OPS = ("ADD", "MULT", "XOR", "AND", "CMP", "EQ", "MUX",
        "y2b", "b2y", "b2a", "a2y")
 GRACE_S = 5.0  # how long a failed two-party run waits for the other party
+
+# the circuit each GMW op evaluates, at the ring width
+_GMW = {"XOR": cc.build_bitxor, "AND": cc.build_bitand,
+        "CMP": lambda w: cc.build_cmp(w, cc.DEPTH), "EQ": cc.build_eq, "MUX": cc.build_mux}
 
 
 @dataclass
@@ -37,12 +48,20 @@ class BenchRow:
     online_sent1: int
     flights: tuple[int, int]  # online flights of role 0, role 1
     seconds: float
-    predicted_online: int | None = None  # closed form, total both directions
-    predicted_offline: int | None = None  # closed form, role 1's dealer bundle
+    predicted_online: int  # closed form, total both directions
+    predicted_offline: int  # closed form, role 1's dealer bundle
 
     @property
     def online_total(self) -> int:
         return self.online_sent0 + self.online_sent1
+
+
+class _Op(NamedTuple):
+    manifest: ResourceManifest
+    call: Callable  # call(session, *that role's share of each input)
+    inputs: tuple  # (role 0's share, role 1's share) per input
+    online: int  # predicted payload bytes, both directions
+    dealt: int  # predicted bytes of role 1's bundle after its seed
 
 
 def run_both(f0, f1, channels=(), timeout=None):
@@ -75,148 +94,81 @@ def run_both(f0, f1, channels=(), timeout=None):
     return res
 
 
-def _sessions(manifest: ResourceManifest, stp_addr):
-    c0, c1 = transport.channel_pair(session=manifest.session_id)
-    made = run_both(lambda: PartySession.offline(0, manifest, stp_addr, c0),
-                    lambda: PartySession.offline(1, manifest, stp_addr, c1), (c0, c1))
-    return tuple(made)
-
-
-def _measure(manifest, f0, f1, stp_addr):
-    se0, se1 = _sessions(manifest, stp_addr)
-    offline = se1.channel.ledger.payload_bytes(phase=transport.OFFLINE, direction="recv")
-    chans = (se0.channel, se1.channel)
-    t0 = time.perf_counter()
-    run_both(lambda: f0(se0), lambda: f1(se1), chans)
-    dt = time.perf_counter() - t0
+def _measure(op: _Op, stp_addr):
+    """Deal op.manifest, run op.call at both roles; (role 1's bundle
+    bytes, online bytes sent by role 0 and by role 1, flights, seconds)."""
+    chans = transport.channel_pair(session=op.manifest.session_id)
+    try:
+        sessions = run_both(*(functools.partial(PartySession.offline, i, op.manifest, stp_addr, c)
+                              for i, c in enumerate(chans)), chans)
+        offline = chans[1].ledger.payload_bytes(phase=transport.OFFLINE, direction="recv")
+        t0 = time.perf_counter()
+        run_both(*(functools.partial(op.call, se, *(x[se.role] for x in op.inputs))
+                   for se in sessions), chans)
+        dt = time.perf_counter() - t0
+    finally:
+        for c in chans:
+            c.close()
     sent0, sent1 = (c.ledger.payload_bytes(phase=transport.ONLINE, direction="sent", peer="peer")
                     for c in chans)
-    flights = tuple(c.flights for c in chans)
-    for c in chans:
-        c.close()
-    return offline, sent0, sent1, flights, dt
+    return offline, sent0, sent1, tuple(c.flights for c in chans), dt
 
 
-def _share_vec(p, n, rng):
+def _vec(p, n, rng):
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     return ass.share(x, p, Drbg(rng.bytes(SEED_BYTES)))
 
 
-def _share_bits(w, n, rng):
+def _bits(w, n, rng):
     bits = rng.integers(0, 2, (n, w), np.uint8)
     return gmw.share_bits(bits, Drbg(rng.bytes(SEED_BYTES)))
 
 
-def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
-    rng = np.random.default_rng(1234)
-    sid = sid if sid is not None else secrets.token_bytes(16)
-    w = p.l
-
+def _op(op: str, n: int, p: RingParams, sid: bytes, rng) -> _Op:
+    """op at n instances of the ring width, with inputs drawn from rng."""
+    w, e = p.l, p.nbytes
+    m = functools.partial(ResourceManifest, sid, p)
+    packed = (n * w + 7) // 8  # one bit per instance and bit of the width
     if op == "ADD":
-        m = ResourceManifest(sid, p)
-        x0, x1 = _share_vec(p, n, rng)
-        y0, y1 = _share_vec(p, n, rng)
-        row = _measure(
-            m,
-            lambda se: ass.linear([(1, x0), (1, y0)], p),
-            lambda se: ass.linear([(1, x1), (1, y1)], p),
-            stp_addr,
-        )
-        return BenchRow(op, *row, predicted_online=0, predicted_offline=SEED_BYTES)
+        return _Op(m(), lambda se, x, y: ass.linear([(1, x), (1, y)], p),
+                   (_vec(p, n, rng), _vec(p, n, rng)), 0, 0)
     if op == "MULT":
-        m = ResourceManifest(sid, p, num_amt=n)
-        x0, x1 = _share_vec(p, n, rng)
-        y0, y1 = _share_vec(p, n, rng)
-        row = _measure(
-            m,
-            lambda se: se.ass.mul_mt(x0, y0),
-            lambda se: se.ass.mul_mt(x1, y1),
-            stp_addr,
-        )
-        return BenchRow(op, *row, predicted_online=2 * (2 * p.nbytes) * n,
-                        predicted_offline=SEED_BYTES + p.nbytes * n)
-    if op in ("XOR", "AND", "CMP", "EQ", "MUX"):
-        circ = {
-            "XOR": lambda: cc.build_bitxor(w),
-            "AND": lambda: cc.build_bitand(w),
-            "CMP": lambda: cc.build_cmp(w, cc.DEPTH),
-            "EQ": lambda: cc.build_eq(w),
-            "MUX": lambda: cc.build_mux(w),
-        }[op]()
-        lc = circ.levelized
-        m = ResourceManifest(sid, p, num_bmt=circ.num_and * n)
-        x0, x1 = _share_bits(len(circ.inputs0), n, rng)
-        y0, y1 = _share_bits(len(circ.inputs1), n, rng)
-        row = _measure(
-            m,
-            lambda se: se.gmw.evaluate(lc, x0, y0),
-            lambda se: se.gmw.evaluate(lc, x1, y1),
-            stp_addr,
-        )
-        return BenchRow(op, *row,
-                        predicted_online=2 * ((2 * circ.num_and * n + 7) // 8),
-                        predicted_offline=SEED_BYTES + (circ.num_and * n + 7) // 8)
+        # both masked operands each way; role 1's c share of each triple
+        return _Op(m(num_amt=n), lambda se, x, y: se.ass.mul_mt(x, y),
+                   (_vec(p, n, rng), _vec(p, n, rng)), 2 * 2 * e * n, e * n)
+    if op in _GMW:
+        # one packed (d, e) frame each way per AND level; one bit per triple
+        lc = _GMW[op](w).levelized
+        return _Op(m(num_bmt=lc.num_and * n), lambda se, x, y: se.gmw.evaluate(lc, x, y),
+                   (_bits(len(lc.circuit.inputs0), n, rng), _bits(len(lc.circuit.inputs1), n, rng)),
+                   sum(2 * ((2 * len(s.ands) * n + 7) // 8) for s in lc.spans),
+                   (lc.num_and * n + 7) // 8)
     if op == "y2b":
-        # free conversion on retained labels; measured on top of a b2y
-        m = ResourceManifest(sid, p, num_labels=n * w)
-        b0, b1 = _share_bits(w, n, rng)
-
-        def go(bs):
-            def run(se):
-                ys = convert.b2y(se.gc, bs)
-                before = se.channel.ledger.payload_bytes(phase=transport.ONLINE)
-                convert.y2b(se.gc, ys)
-                return se.channel.ledger.payload_bytes(phase=transport.ONLINE) - before
-
-            return run
-
-        se0, se1 = _sessions(m, stp_addr)
-        extra = run_both(lambda: go(b0)(se0), lambda: go(b1)(se1),
-                         (se0.channel, se1.channel))
-        se0.channel.close()
-        se1.channel.close()
-        assert extra == [0, 0]
-        return BenchRow(op, 0, 0, 0, (0, 0), 0.0, predicted_online=0, predicted_offline=0)
+        # free: each role keeps its own label LSBs
+        labels = tuple(YaoShare(rng.integers(0, 256, (w, n, 16), np.uint8), i) for i in (0, 1))
+        return _Op(m(), lambda se, ys: convert.y2b(se.gc, ys), (labels,), 0, 0)
     if op == "b2y":
-        m = ResourceManifest(sid, p, num_labels=n * w)
-        b0, b1 = _share_bits(w, n, rng)
-        row = _measure(
-            m,
-            lambda se: convert.b2y(se.gc, b0),
-            lambda se: convert.b2y(se.gc, b1),
-            stp_addr,
-        )
         # one masked bit per dealt label, from role 1 only
-        return BenchRow(op, *row, predicted_online=(n * w + 7) // 8,
-                        predicted_offline=SEED_BYTES + 16 * n * w)
+        return _Op(m(num_labels=n * w), lambda se, b: convert.b2y(se.gc, b),
+                   (_bits(w, n, rng),), packed, 16 * n * w)
     if op == "b2a":
-        m = ResourceManifest(sid, p, num_dabits=n * w)
-        b0, b1 = _share_bits(w, n, rng)
-        row = _measure(
-            m,
-            lambda se: convert.b2a(se.channel, p, se.dabits, b0),
-            lambda se: convert.b2a(se.channel, p, se.dabits, b1),
-            stp_addr,
-        )
         # one dealt daBit (role 1's a1, one ring element) per bit, opened each way
-        return BenchRow(op, *row, predicted_online=2 * ((n * w + 7) // 8),
-                        predicted_offline=SEED_BYTES + p.nbytes * n * w)
+        return _Op(m(num_dabits=n * w), lambda se, b: convert.b2a(se.channel, p, se.dabits, b),
+                   (_bits(w, n, rng),), 2 * packed, e * n * w)
     if op == "a2y":
-        m = ResourceManifest(sid, p, num_labels=n * w)
-        x0, x1 = _share_vec(p, n, rng)
-        adder = cc.stage_circuit("identity", w)
-        row = _measure(
-            m,
-            lambda se: convert.a2y(se.gc, x0, p),
-            lambda se: convert.a2y(se.gc, x1, p),
-            stp_addr,
-        )
         # garbled tables, and the evaluator's masked bits on dealt labels;
         # the garbler's inputs take zero labels x*R, so none cross
-        predicted = 32 * adder.num_and * n + (w * n + 7) // 8
-        return BenchRow(op, *row, predicted_online=predicted,
-                        predicted_offline=SEED_BYTES + 16 * n * w)
+        tables = 32 * cc.stage_circuit("identity", w).num_and * n
+        return _Op(m(num_labels=n * w), lambda se, x: convert.a2y(se.gc, x, p),
+                   (_vec(p, n, rng),), tables + packed, 16 * n * w)
     raise ValueError(f"unknown op {op!r}")
+
+
+def bench_op(op: str, n: int, p: RingParams, stp_addr, sid=None) -> BenchRow:
+    spec = _op(op, n, p, sid if sid is not None else secrets.token_bytes(16),
+               np.random.default_rng(1234))
+    return BenchRow(op, *_measure(spec, stp_addr), predicted_online=spec.online,
+                    predicted_offline=SEED_BYTES + spec.dealt)
 
 
 def run_bench(ops=OPS, n: int = 1000, width: int = 32, stp_addr=None):
@@ -241,11 +193,9 @@ def format_table(rows: list[BenchRow]) -> str:
             f"{'flights':>7} {'time(ms)':>9}")
     lines = [head, "-" * len(head)]
     for r in rows:
-        pred_off, pred = ("-" if v is None else str(v)
-                          for v in (r.predicted_offline, r.predicted_online))
         lines.append(
-            f"{r.op:6} {r.offline_bytes:>11} {pred_off:>10} {r.online_sent0:>13} "
-            f"{r.online_sent1:>13} {r.online_total:>10} {pred:>10} "
+            f"{r.op:6} {r.offline_bytes:>11} {r.predicted_offline:>10} {r.online_sent0:>13} "
+            f"{r.online_sent1:>13} {r.online_total:>10} {r.predicted_online:>10} "
             f"{'/'.join(map(str, r.flights)):>7} {r.seconds * 1000:>9.2f}"
         )
     return "\n".join(lines)

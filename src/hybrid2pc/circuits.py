@@ -366,9 +366,8 @@ class Builder:
 
         SIZE: a ripple of 1-AND full adders (Kolesnikov-Sadeghi-Schneider,
         CANS 2009), sum = a ^ b ^ c and carry by full_carry. That is w-1
-        ANDs at AND depth w-1. DEPTH: carry lookahead over generate and
-        propagate bits, ceil(log2 w) AND levels for w <= 8 and a Sklansky
-        prefix above that.
+        ANDs at AND depth w-1. DEPTH: a Sklansky parallel prefix over
+        generate and propagate bits, ceil(log2 w) AND levels.
         """
         w = len(a)
         if variant == SIZE:
@@ -380,27 +379,10 @@ class Builder:
             return out
         p = [self.xor(a[i], b[i]) for i in range(w)]
         g = [self.and_(a[i], b[i]) for i in range(w)]
-        if w <= 8:
-            # flat carry-lookahead: c_{i+1} = XOR_j g_j * p_{j+1..i}, one
-            # AND-tree per term, reaching the ceil(log2 w) depth floor
-            carries = [cin]
-            for i in range(w - 1):
-                terms = []
-                if cin != CONST0:
-                    terms.append(self.and_tree([cin] + p[: i + 1]))
-                for j in range(i + 1):
-                    terms.append(self.and_tree([g[j]] + p[j + 1 : i + 1]))
-                acc = CONST0
-                for t in terms:
-                    acc = self.xor(acc, t)
-                carries.append(acc)
-            return [self.xor(p[i], carries[i]) for i in range(w)]
-        # Sklansky parallel prefix over (g, p), carry-in folded via an
-        # extra (cin, 0) leaf
+        # the carry-in is an extra (cin, 0) leaf of the prefix
         gg = [cin] + g[: w - 1]
         pp = [CONST0] + p[: w - 1]
         n = len(gg)
-        gg, pp = list(gg), list(pp)
         dist = 1
         while dist < n:
             for i in range(n):

@@ -65,19 +65,29 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _int(section: dict, name: str, default: int) -> int:
+def _section(cfg: dict, name: str) -> dict:
+    s = cfg.get(name, {})
+    if not isinstance(s, dict):
+        raise SystemExit(f"bad config: {name} is {s!r}, not an object")
+    return s
+
+
+def _int(section: dict, name: str, default: int, least: int = 0) -> int:
+    """section[name], a JSON integer of at least least."""
     n = section.get(name, default)
     if type(n) is not int:
         raise SystemExit(f"bad config: {name} is {n!r}, not an integer")
+    if n < least:
+        raise SystemExit(f"bad config: {name} is {n}, not at least {least}")
     return n
 
 
 def _ring_from(cfg: dict) -> RingParams:
     """The config's ring; alpha and beta default to the width's own split."""
-    r = cfg.get("ring", {})
+    r = _section(cfg, "ring")
     try:
-        f = RingParams.fixed(r.get("l", 32))
-        return RingParams(f.l, r.get("alpha", f.alpha), r.get("beta", f.beta))
+        f = RingParams.fixed(_int(r, "l", 32))
+        return RingParams(f.l, _int(r, "alpha", f.alpha), _int(r, "beta", f.beta))
     except ValueError as e:
         raise SystemExit(f"bad ring in config: {e}") from None
 
@@ -138,13 +148,6 @@ def _connect_peer(args) -> transport.Channel:
     return transport.Channel(sock, session)
 
 
-def _size(section: dict, name: str, default: int) -> int:
-    n = _int(section, name, default)
-    if n < 1:
-        raise SystemExit(f"bad config: {name} is {n}, not at least 1")
-    return n
-
-
 def _run_program(args, channel, manifest, key: str, call) -> dict:
     """Offline, then the timed online call(session); the result, revealed
     at role 1, is printed and reported under key."""
@@ -167,8 +170,8 @@ def _run_program(args, channel, manifest, key: str, call) -> dict:
 def _svm(args, cfg: dict):
     """The config's SVM demo: its manifest of a session id, report key and call."""
     p = _ring_from(cfg)
-    svm_cfg = cfg.get("svm", {})
-    d, batch = _size(svm_cfg, "d", 10), _size(svm_cfg, "batch", 1)
+    svm_cfg = _section(cfg, "svm")
+    d, batch = _int(svm_cfg, "d", 10, 1), _int(svm_cfg, "batch", 1, 1)
     rng = np.random.default_rng(_int(cfg, "seed", 42))
     model = ml.SvmModel(rng.uniform(-1, 1, size=d), float(rng.uniform(-1, 1)))
     queries = rng.uniform(-1, 1, size=(batch, d))
@@ -180,10 +183,12 @@ def _svm(args, cfg: dict):
 def _nn(args, cfg: dict):
     """The config's CNN demo, in _svm's form."""
     p = _ring_from(cfg)
-    nn_cfg = cfg.get("nn", {})
-    batch = _size(nn_cfg, "batch", 1)
+    nn_cfg = _section(cfg, "nn")
+    batch = _int(nn_cfg, "batch", 1, 1)
     rng = np.random.default_rng(_int(cfg, "seed", 42))
     weights = nn_cfg.get("weights")
+    if not isinstance(weights, (str, type(None))):
+        raise SystemExit(f"bad config: weights is {weights!r}, not a file name")
     if weights:
         try:
             net, p = ml.load_net(weights)

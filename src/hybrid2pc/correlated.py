@@ -109,8 +109,8 @@ class Supply:
         return tuple(a[rows] for a in self.arrays)
 
 
-def _stream(seed: bytes, tag: int, index: int = 0) -> Drbg:
-    return Drbg(seed, personalization(tag, index))
+def _stream(seed: bytes, tag: int) -> Drbg:
+    return Drbg(seed, personalization(tag))
 
 
 # ring l, alpha, beta | num_amt, num_bmt, num_dabits, num_labels; then one

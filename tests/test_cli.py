@@ -14,18 +14,23 @@ from hybrid2pc import bench, circuits as cc, cli, convert, ml, stp, transport
 from hybrid2pc.ring import RingParams
 
 
-def test_bench_rows_match_predictions():
-    ops = ("ADD", "MULT", "AND", "MUX", "b2y", "b2a", "a2y")
-    rows = bench.run_bench(ops=ops, n=100, width=32)
-    by_op = {r.op: r for r in rows}
-    assert by_op["ADD"].online_total == 0
-    for op in ops[1:]:
-        assert by_op[op].online_total == by_op[op].predicted_online, op
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_bench_rows_match_predictions(n):
+    # zero slack for every op, also where an AND level's packed (d, e)
+    # bits do not fill a whole byte (CMP and EQ at n = 1, CMP at n = 3)
+    rows = bench.run_bench(n=n, width=32)
+    assert [r.op for r in rows] == list(bench.OPS)
+    for r in rows:
+        assert r.online_total == r.predicted_online, r.op
+        assert r.offline_bytes == r.predicted_offline, r.op
+    y2b = rows[bench.OPS.index("y2b")]  # measured, on labels the bench drew
+    assert (y2b.offline_bytes, y2b.online_total, y2b.flights) == (32, 0, (0, 0))
 
 
 def test_bench_offline_matches_closed_form():
     # role 1's dealer bundle per op: its seed, then l bits per A-MT and per
-    # daBit, one bit per B-MT and 128 bits per label (y2b is measured on b2y's)
+    # daBit, one bit per B-MT and 128 bits per label; y2b's session is
+    # dealt the seed alone
     rows = bench.run_bench(n=100, width=32)
     assert [r.op for r in rows] == list(bench.OPS)
     for r in rows:
@@ -274,18 +279,22 @@ def _nan_weights(path):
     ("nn", {"nn": {"weights": "missing.bin"}}), ("nn", {"nn": {"weights": "nan.bin"}}),
     ("svm", "{not json"), ("nn", "[1, 2]"), ("svm", None),
     ("svm", {"svm": {"d": "ten"}}), ("nn", {"seed": "x"}), ("nn", {"nn": {"batch": 2.5}}),
+    ("svm", {"svm": 3}), ("svm", {"ring": []}), ("nn", {"seed": -1}),
+    ("svm", {"ring": {"l": 32, "alpha": "7", "beta": 12}}), ("nn", {"nn": {"weights": 3}}),
 ], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan",
         "not-json", "not-an-object", "no-such-file", "svm-d-string", "seed-string",
-        "nn-batch-float"])
+        "nn-batch-float", "svm-not-an-object", "ring-not-an-object", "seed-negative",
+        "ring-alpha-string", "nn-weights-int"])
 def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config):
-    # role 0 alone, with no peer to come: a config that does not load, a
-    # size or seed that is not an integer, a size below 1 or a weight file
-    # that does not load ends it at once, with one line on stderr
+    # role 0 alone, with no peer to come: a config or section that is not
+    # an object, a size, seed or ring field that is not an integer, a
+    # negative seed, a size below 1, or a weight file that is not a name
+    # or does not load ends it at once, with one line on stderr
     cfg = tmp_path / "cfg.json"
     if isinstance(config, str):
         cfg.write_text(config)
     elif config is not None:
-        if "weights" in config.get("nn", {}):
+        if isinstance(config.get("nn", {}).get("weights"), str):
             config = {"nn": {"weights": str(tmp_path / config["nn"]["weights"])}}
             _nan_weights(tmp_path / "nan.bin")
         cfg.write_text(json.dumps(config))
