@@ -22,10 +22,15 @@ in one AES call; rotation is linear, so the garbler gets 2(X ^ R) as
 
 A run has one data shape: each input group's labels are its own
 (width, ninst, 16) array, a YaoShare in and out of GcSession.run, which
-takes labels only, and its tables are one buffer, written level by level
-and sent as one GC_TABLES frame. run_shares turns share bits into labels;
-garble draws nothing, and neither does GcSession. The conversions into and
-out of the garbled domain live in convert.
+takes labels only, and its tables are one buffer, written level by level.
+They cross as GC_TABLES frames of whole AND levels, on a schedule both
+roles compute from the levelized circuit and ninst (frame_schedule): the
+garbler sends each frame as soon as its levels are garbled, and the
+evaluator receives one when it reaches the frame's first level, so the
+two roles work at once (pipelined garbling, Huang-Evans-Katz-Malka). The
+frames joined in order are the buffer. run_shares turns share bits into
+labels; garble draws nothing, and neither does GcSession. The conversions
+into and out of the garbled domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
 "label"). The dealer draws the session's offset R = delta and, per label,
@@ -59,6 +64,7 @@ Wang-Yu), not on random active labels:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -171,18 +177,52 @@ def _table_bytes(c: Circuit, ninst: int) -> int:
     return 32 * c.num_and * ninst
 
 
+# A run's tables cross in frames of whole AND levels: a frame closes at the
+# first level boundary where it holds at least this many bytes.
+FRAME_BYTES = 1 << 20
+
+
+def frame_schedule(c: Circuit, ninst: int) -> list[int]:
+    """Byte sizes of a run's GC_TABLES frames in order, from public data.
+
+    Each frame is whole AND levels and closes at the first level boundary
+    where it holds at least FRAME_BYTES; the last holds the rest. A run
+    whose tables fit in one frame sends one, a 0-AND run one empty frame.
+    """
+    sizes, held = [], 0
+    for span in c.levelized.spans:
+        held += 32 * len(span.ands) * ninst
+        if held >= FRAME_BYTES:
+            sizes.append(held)
+            held = 0
+    if held or not sizes:
+        sizes.append(held)
+    return sizes
+
+
 def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
-           ninst: int = 1, tweak: int = 0) -> Garbling:
+           ninst: int = 1, tweak: int = 0, on_frame=None) -> Garbling:
     """Garble ninst instances of the circuit from the zero labels of each
     input group, (len(inputs0), ninst, 16) and (len(inputs1), ninst, 16);
     a pure function of its arguments. tweak is the first tweak counter;
-    the run uses tweak_span() of them.
+    the run uses tweak_span() of them. on_frame, when given, receives each
+    frame of frame_schedule() as soon as its levels are garbled, a view
+    into the tables.
     """
     R64 = R.view(_U64)
     rR = _rotl1(R64)
     tables = bytearray(_table_bytes(c, ninst))
     table = np.frombuffer(tables, dtype=_U64)
-    pos = 0
+    ends = list(itertools.accumulate(frame_schedule(c, ninst)))
+    pos = done = 0  # u64 words garbled; bytes handed on
+
+    def hand_on():
+        nonlocal done
+        while ends and ends[0] <= 8 * pos:
+            end = ends.pop(0)
+            if on_frame is not None:
+                on_frame(memoryview(tables)[done:end])
+            done = end
 
     def garble_and(span, A0, B0):
         nonlocal pos
@@ -206,33 +246,48 @@ def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
         ha0 ^= hb0
         ha0 ^= hb1
         ha0 ^= tg & pa
+        hand_on()
         return ha0
 
     out_zero = run_spans(c.levelized, R64, zero0.view(_U64), zero1.view(_U64),
                          garble_and).view(np.uint8)
+    hand_on()  # a 0-AND run's one empty frame
     return Garbling(tables, out_zero, _lsb(out_zero))
 
 
-def evaluate(c: Circuit, tables, active0: np.ndarray, active1: np.ndarray,
+def evaluate(c: Circuit, frames, active0: np.ndarray, active1: np.ndarray,
              ninst: int = 1, tweak: int = 0) -> np.ndarray:
     """Walk the garbling with active labels; returns (nout, ninst, 16).
 
-    active0/active1 are shaped as zero0/zero1; tweak must equal the garbler's.
+    frames: an iterable of buffers, the run's tables in level order, each
+    whole AND levels (frame_schedule()'s frames, or one buffer of all); the
+    next is pulled when a level starts at the end of the current one. A
+    level that crosses a buffer's end, or tables that fall short of or run
+    over the circuit's, raise GcError. active0/active1 are shaped as
+    zero0/zero1; tweak must equal the garbler's.
     """
-    if len(tables) != _table_bytes(c, ninst):
-        raise GcError("table buffer length mismatch")
-    table = np.frombuffer(tables, dtype=_U64)
-    pos = 0
+    frames = iter(frames)
+    rest = memoryview(b"")  # the current buffer's unread bytes
+
+    def level_table(nbytes):
+        nonlocal rest
+        if not len(rest):
+            frame = next(frames, None)
+            if frame is None:
+                raise GcError("tables fall short of the circuit's AND levels")
+            rest = memoryview(frame).cast("B")
+        if nbytes > len(rest):
+            raise GcError("an AND level crosses the end of a table frame")
+        table, rest = rest[:nbytes], rest[nbytes:]
+        return np.frombuffer(table, dtype=_U64)
 
     def evaluate_and(span, Aa, Ba):
-        nonlocal pos
         g = len(span.ands)
         blk = np.empty((2, g, ninst, 2), dtype=_U64)
         _rotl1(Aa, blk[0])
         _rotl1(Ba, blk[1])
         ha, hb = _hash(blk, _ids(span.ands, ninst, tweak), (_SLOT_GEN, _SLOT_EVAL))
-        pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
-        pos += 4 * g * ninst
+        pair = level_table(32 * g * ninst).reshape(g, ninst, 2, 2)
         te = pair[:, :, 1] ^ Aa
         te &= _sel(Ba)
         ha ^= hb
@@ -240,8 +295,11 @@ def evaluate(c: Circuit, tables, active0: np.ndarray, active1: np.ndarray,
         ha ^= pair[:, :, 0] & _sel(Aa)
         return ha
 
-    return run_spans(c.levelized, 0, active0.view(_U64), active1.view(_U64),
-                     evaluate_and).view(np.uint8)
+    out = run_spans(c.levelized, 0, active0.view(_U64), active1.view(_U64),
+                    evaluate_and).view(np.uint8)
+    if len(rest) or any(memoryview(f).nbytes for f in frames):
+        raise GcError("tables run over the circuit's AND levels")
+    return out
 
 
 class GcSession:
@@ -297,6 +355,8 @@ class GcSession:
         None for a group with no wires; any other binding raises GcError
         before a frame. decode: "evaluator" (it alone learns the output
         bits) or "none" (both keep labels, for y2b). cycles must be 1.
+        The tables cross in frame_schedule()'s frames, each sent as soon
+        as its levels are garbled.
         Returns bits (nout, ninst) on the evaluator, None on the garbler,
         or a YaoShare of (nout, ninst, 16) labels when "none".
         """
@@ -313,16 +373,17 @@ class GcSession:
                               f"not {None if bind is None else np.shape(labels)}")
             groups.append(labels)
         if self.role == 0:
-            g = garble(c, self.R, *groups, ninst, self.tweak)
-            self.channel.send(transport.GC_TABLES, g.tables)
+            g = garble(c, self.R, *groups, ninst, self.tweak,
+                       lambda frame: self.channel.send(transport.GC_TABLES, frame))
             if decode == "none":
                 out = YaoShare(g.out_zero, 0)
             else:
                 self.channel.send(transport.GC_DECODE, np.packbits(g.decode, bitorder="little"))
                 out = None
         else:
-            tables = self.channel.recv_expect(transport.GC_TABLES, _table_bytes(c, ninst))
-            active = evaluate(c, tables, *groups, ninst, self.tweak)
+            frames = (self.channel.recv_expect(transport.GC_TABLES, n)
+                      for n in frame_schedule(c, ninst))
+            active = evaluate(c, frames, *groups, ninst, self.tweak)
             if decode == "none":
                 out = YaoShare(active, 1)
             else:

@@ -5,7 +5,9 @@ Wire format, little-endian: u32 payload length | u8 message type |
 fixed sync header (the GMW level index); the ledger books those bytes as
 framing, not protocol payload, so that ledger values stay directly
 comparable to the protocol's closed-form bit counts. A garbled run's
-tables cross as one GC_TABLES frame with no header of their own.
+tables cross as GC_TABLES frames of whole AND levels with no header of
+their own, each closing at the first level boundary past gc.FRAME_BYTES;
+the garbler's frames are consecutive sends, so they make one flight.
 
 Frames are not copied on their way through: send hands the header and
 the payload to one scatter-gather sendmsg, and a received payload is the

@@ -16,7 +16,7 @@ from conftest import (closing, deal, dealt_sessions, drbg_from, gc_sessions, new
 from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
 from hybrid2pc.bench import run_bench
 from hybrid2pc.correlated import ResourceManifest
-from hybrid2pc.gc import garble
+from hybrid2pc.gc import frame_schedule, garble
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import channel_pair
@@ -399,11 +399,13 @@ def test_criterion_6_svm_end_to_end():
     t0 = time.time()
     p = RingParams(32, 7, 12)
     total = 10**4
+    sign = cc.stage_circuit("sign", p.l, p.beta)
     msg_counts = {}
+    frames = {}
     for d in (10, 100, 1000):
         rng = np.random.default_rng(d)
         chunk = total if d <= 100 else 2000
-        sent_msgs = recv_msgs = None
+        sent_msgs = None
         done = 0
         while done < total:
             b = min(chunk, total - done)
@@ -421,7 +423,12 @@ def test_criterion_6_svm_end_to_end():
             s1.assert_exhausted()
             led = s1.channel.ledger
             sent_msgs = led.messages(direction="sent", peer="peer")
+            # received: the dot product's DA_MASKED, the sign stage's tables
+            # in their level-aligned frames, whose count follows the batch,
+            # and GC_DECODE
+            frames[b] = len(frame_schedule(sign, b))
             recv_msgs = led.messages(direction="recv", peer="peer")
+            assert recv_msgs == 1 + frames[b] + 1, (d, b, recv_msgs)
             flights = (s0.channel.flights, s1.channel.flights)
             non_gc = sum(
                 led.messages(direction=dd, msg_type=t)
@@ -430,13 +437,14 @@ def test_criterion_6_svm_end_to_end():
             )
             assert non_gc == 2  # the dot-product round; the query is its own share
             done += b
-        msg_counts[d] = (sent_msgs, recv_msgs, flights)
+        msg_counts[d] = (sent_msgs, flights)
     assert len(set(msg_counts.values())) == 1, msg_counts  # independent of d
+    assert frames == {10**4: 13, 2000: 3}, frames
     dt = time.time() - t0
     assert dt < 300, f"criterion 6 took {dt:.1f}s"
-    _ok(6, f"10^4 labels match the oracle at d=10/100/1000; role 1's messages "
-           f"sent/received and both roles' flights {msg_counts[10]} independent of d "
-           f"({dt:.1f}s)")
+    _ok(6, f"10^4 labels match the oracle at d=10/100/1000; role 1's messages sent "
+           f"and both roles' flights {msg_counts[10]} independent of d; received "
+           f"2 + the sign stage's table frames {frames} per batch ({dt:.1f}s)")
 
 
 # --------------------------------------------------------------------------

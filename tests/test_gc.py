@@ -1,15 +1,17 @@
 import hashlib
+import itertools
 import threading
 
 import numpy as np
 import pytest
-from conftest import closing, drbg_from, gc_sessions, new_offset, run_parties, zero_labels
+from conftest import (closing, dealt_sessions, drbg_from, gc_sessions, new_offset, run_parties,
+                      zero_labels)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import gc as gc_mod
-from hybrid2pc import gmw, ring, transport
+from hybrid2pc import gmw, ml, ring, transport
 from hybrid2pc.correlated import PartyMaterial
 from hybrid2pc.gc import YaoShare, evaluate, garble
 from hybrid2pc.gmw import GmwEngine
@@ -138,7 +140,7 @@ def test_short_table_buffer_rejected():
     R, zero = new_offset(rng), zero_labels(rng, circ, 2)
     g = garble(circ, R, *zero, ninst=2)
     with pytest.raises(gc_mod.GcError):
-        evaluate(circ, g.tables[:-8], *zero, 2)
+        evaluate(circ, [g.tables[:-8]], *zero, 2)
 
 
 def test_more_than_one_cycle_rejected(channels):
@@ -300,7 +302,7 @@ def _garble_digest(jobs) -> str:
         h.update(g.tables)
         for labels in (*zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
-        out = evaluate(circ, g.tables, *zero, ninst)
+        out = evaluate(circ, [g.tables], *zero, ninst)
         h.update(out.tobytes())
     return h.hexdigest()
 
@@ -344,7 +346,7 @@ def _interpreter_digest(circ, ninst, seed, preset):
     g = garble(circ, R, *zero, ninst=ninst)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    out = evaluate(circ, g.tables, *_active(zero, R, in0, in1), ninst)
+    out = evaluate(circ, [g.tables], *_active(zero, R, in0, in1), ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
     assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1))
     h = hashlib.sha256()
@@ -442,7 +444,7 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     R = new_offset(rng)
     zero = zero_labels(rng, circ, ninst)
     g = garble(circ, R, *zero, ninst=ninst)
-    out = evaluate(circ, g.tables, *_active(zero, R, in0, in1), ninst)
+    out = evaluate(circ, [g.tables], *_active(zero, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     # the y2b reading: the two roles' label LSBs XOR to the outputs
     assert np.array_equal(((out[..., 0] ^ g.out_zero[..., 0]) & 1).T, expect)
@@ -494,3 +496,139 @@ def test_tweaks_do_not_repeat_across_runs(channels, monkeypatch):
         assert seen[(t, 1)] and seen[(t, 2)]
         assert not set(seen[(t, 1)]) & set(seen[(t, 2)])
     assert g.tweak == e.tweak > 0
+
+
+def _level_ends(circ, ninst):
+    """Byte offsets in the tables at which circ's AND levels end."""
+    return set(itertools.accumulate(32 * len(s.ands) * ninst for s in circ.levelized.spans))
+
+
+def test_tables_stream_in_level_aligned_frames(channels, monkeypatch):
+    # add8 is 7 AND levels of one gate: at 12 000 instances each holds
+    # 384 000 B, so frames close after 3, 6 and 7 levels
+    circ, n = cc.build_add(8, "size"), 12000
+    schedule = gc_mod.frame_schedule(circ, n)
+    assert schedule == [3 * 384000, 3 * 384000, 384000]
+    sent = []
+    orig = transport.Channel.send
+
+    def spy(self, msg_type, payload):
+        if msg_type == transport.GC_TABLES:
+            sent.append(bytes(payload))
+        return orig(self, msg_type, payload)
+
+    monkeypatch.setattr(transport.Channel, "send", spy)
+    g, e = gc_sessions(*channels, 1)
+    _, out = run_parties(lambda: g.run(circ, *zero_binds(circ, 0, n), ninst=n),
+                         lambda: e.run(circ, *zero_binds(circ, 1, n), ninst=n))
+    assert [len(f) for f in sent] == schedule
+    ends = list(itertools.accumulate(schedule))
+    assert set(ends) <= _level_ends(circ, n)  # whole levels
+    assert all(size >= gc_mod.FRAME_BYTES for size in schedule[:-1])
+    assert channels[1].ledger.messages(msg_type=transport.GC_TABLES) == len(schedule)
+    # the frames joined are the whole run's garbling, byte for byte
+    zero = [b.labels for b in zero_binds(circ, 0, n)]
+    whole = garble(circ, g.R, *zero, ninst=n).tables
+    assert hashlib.sha256(b"".join(sent)).digest() == hashlib.sha256(whole).digest()
+    assert not out.any()  # zero labels at both roles: all-zero inputs, sum 0
+
+
+def test_frame_closes_at_the_first_level_end_holding_frame_bytes():
+    b = cc.Builder("chain3")
+    x, y = b.inputs(0, 1), b.inputs(1, 3)
+    w = x[0]
+    for yi in y:
+        w = b.and_(w, yi)
+    b.outputs = [w]
+    chain, n = b.build(), gc_mod.FRAME_BYTES // 32  # one AND level of n: FRAME_BYTES
+    assert gc_mod.frame_schedule(chain, n) == [gc_mod.FRAME_BYTES] * 3
+    level = 32 * (n - 1)
+    assert gc_mod.frame_schedule(chain, n - 1) == [2 * level, level]
+
+
+def test_zero_and_run_sends_one_empty_frame(channels):
+    circ = cc.build_bitxor(8)
+    assert gc_mod.frame_schedule(circ, 50) == [0]
+    x = np.arange(50, dtype=np.uint64)
+    _, out = run_circuit(channels, circ, x, 3 * x)
+    assert np.array_equal(from_bits(out), x ^ (3 * x))
+    led = channels[1].ledger
+    assert led.messages(msg_type=transport.GC_TABLES) == 1
+    assert led.payload_bytes(msg_type=transport.GC_TABLES) == 0
+
+
+def test_benchmarked_programs_table_frames(monkeypatch):
+    # frames per garbled run of the programs perfbench runs: every wan and
+    # svm stage fits in one, as a whole run did; lan's two ReLU identity
+    # stages stream in 16 and 2
+    runs = []
+    orig = gc_mod.GcSession.run
+
+    def spy(self, c, bind0, bind1, cycles=1, ninst=1, decode="evaluator"):
+        if self.role == 1:
+            runs.append(len(gc_mod.frame_schedule(c, ninst)))
+        return orig(self, c, bind0, bind1, cycles, ninst, decode)
+
+    monkeypatch.setattr(gc_mod.GcSession, "run", spy)
+    p, rng = RingParams(32, 7, 12), np.random.default_rng(3)
+    got = {}
+    for name, profile, batch in (("mnist-lan-b20", ml.LAN, 20), ("mnist-wan-b1", ml.WAN, 1)):
+        net = ml.mnist_like_net(rng)
+        with dealt_sessions(ml.plan_nn_manifest(net, p, batch, profile, bytes(16))) as (s0, s1):
+            run_parties(lambda: ml.nn_infer(s0, net, None, batch, profile),
+                        lambda: ml.nn_infer(s1, net.public(),
+                                            rng.uniform(0, 1, (batch, 1, 28, 28)), batch, profile))
+        got[name] = (runs[:], s1.channel.ledger.messages(msg_type=transport.GC_TABLES))
+        runs.clear()
+    model = ml.SvmModel(rng.uniform(-1, 1, 100), 0.3)
+    with dealt_sessions(ml.plan_svm_manifest(100, 1, p, bytes(16))) as (s0, s1):
+        run_parties(lambda: ml.svm_classify(s0, model, None, 100, 1),
+                    lambda: ml.svm_classify(s1, None, rng.uniform(-1, 1, (1, 100)), 100, 1))
+    got["svm-psk-b1"] = (runs[:], s1.channel.ledger.messages(msg_type=transport.GC_TABLES))
+    assert got == {"mnist-lan-b20": ([16, 2, 1], 19), "mnist-wan-b1": ([1, 1, 1], 3),
+                   "svm-psk-b1": ([1], 1)}
+
+
+def test_evaluator_pulls_a_frame_after_the_last_level_of_the_one_before(monkeypatch):
+    # at each pull, the levels evaluated so far are exactly those of the
+    # frames before: the evaluator works on frame k while frame k+1 is due
+    circ, n = cc.build_add(8, "size"), 12000
+    rng = np.random.default_rng(12)
+    R, zero = new_offset(rng), zero_labels(rng, circ, n)
+    g = garble(circ, R, *zero, ninst=n)
+    levels, pulls = [], []
+    orig = gc_mod.run_spans
+
+    def counting(lc, one, in0, in1, and_level):
+        def level(span, a, b):
+            out = and_level(span, a, b)
+            levels.append(span)
+            return out
+        return orig(lc, one, in0, in1, level)
+
+    def frames():
+        ends = itertools.accumulate(gc_mod.frame_schedule(circ, n), initial=0)
+        for start, end in itertools.pairwise(ends):
+            pulls.append(len(levels))
+            yield g.tables[start:end]
+
+    monkeypatch.setattr(gc_mod, "run_spans", counting)
+    out = evaluate(circ, frames(), *zero, n)
+    assert pulls == [0, 3, 6] and len(levels) == 7
+    assert np.array_equal(out, evaluate(circ, [g.tables], *zero, n))
+
+
+@pytest.mark.parametrize("case,error", [("level-split", "crosses"), ("over", "run over"),
+                                        ("extra-frame", "run over"), ("short", "fall short")])
+def test_misaligned_or_wrong_length_frames_rejected(case, error):
+    circ, n = cc.build_add(8, "size"), 4
+    rng = np.random.default_rng(14)
+    R, zero = new_offset(rng), zero_labels(rng, circ, n)
+    t = bytes(garble(circ, R, *zero, ninst=n).tables)
+    level = 32 * n
+    frames = {"level-split": [t[: level + 32], t[level + 32:]],
+              "over": [t + bytes(32)],
+              "extra-frame": [t, bytes(32)],
+              "short": [t[:level], t[level:-level]]}[case]
+    with pytest.raises(gc_mod.GcError, match=error):
+        evaluate(circ, frames, *zero, n)

@@ -1,8 +1,10 @@
 """Every receive names its frame's exact size: a fake peer answers each
 receive site with a frame one byte too long or too short, under the null
 cipher and under PSK, and the receiving party raises ProtocolError before
-it reads the body. The fake peer sends its frames before the party runs,
-so the party's own frames wait in the socket buffer unread."""
+it allocates the body: the spoiled frame's header is the last it reads.
+The fake peer sends its frames from a thread while the party runs, so a
+run's frames need not fit in the socket buffer, and the party's own
+frames wait there unread."""
 
 import struct
 import threading
@@ -58,6 +60,27 @@ def _b2a(role):
 
 T, DEC = (transport.GC_TABLES, TABLES), (transport.GC_DECODE, DECODE)
 
+
+def _chain():
+    """(x0 & y0) & y1: two AND levels of one gate each."""
+    b = circuits.Builder("chain")
+    x, y = b.inputs(0, 1), b.inputs(1, 2)
+    b.outputs = [b.and_(b.and_(x[0], y[0]), y[1])]
+    return b.build()
+
+
+# a run streamed in two GC_TABLES frames, one AND level each
+CHAIN, NSTREAM = _chain(), gc.FRAME_BYTES // 32
+STREAM = [(transport.GC_TABLES, n) for n in gc.frame_schedule(CHAIN, NSTREAM)]
+assert len(STREAM) == 2
+
+
+def _evaluate_chain(ch):
+    return gc.GcSession(1, ch, _material(1)).run(
+        CHAIN, gc.YaoShare(_zeros((1, NSTREAM, 16)), 1), gc.YaoShare(_zeros((2, NSTREAM, 16)), 1),
+        ninst=NSTREAM)
+
+
 # site: (the party's call on its channel, every frame the fake peer sends
 # it as (type, due size), and the index of the frame whose size is spoiled)
 SITES = {
@@ -77,6 +100,8 @@ SITES = {
     "GC_DECODE-garbler-bits": (lambda ch: gc.GcSession(1, ch, _material(
         1, num_labels=8 * NINST)).run_shares(AND8, _zeros((NINST, 8)), NINST, "evaluator"),
         [T, DEC], 1),
+    # the second of a run's streamed frames
+    "GC_TABLES-streamed": (_evaluate_chain, STREAM + [(transport.GC_DECODE, NSTREAM // 8)], 1),
     "GC_DECODE-evaluator": (lambda ch: gc.GcSession(1, ch, _material(1)).run(
         AND8, _yao(1), _yao(1), ninst=NINST), [T, DEC], 1),
     "ASS_EF": (lambda ch: AssEngine(0, L32, ch, _material(0, num_amt=2)).mul_mt(
@@ -96,33 +121,66 @@ SITES = {
 CIPHERS = {"null": None, "psk": bytes(range(32))}
 
 
-def _run_site(site, delta, key):
-    """The fake peer's frames up to the spoiled one, which is delta bytes
-    off its due size (all of them when delta is 0); then the party's call."""
-    call, frames, at = SITES[site]
+def _run_frames(call, frames, key, reads):
+    """The fake peer sends frames, each (type, size), while the party's
+    call runs; reads gets the size of every buffer the party reads into."""
     mine, fake = channel_pair(cipher_key=key)
     mine.sock.settimeout(10)  # a party that waits for more frames fails, not hangs
+    recv_exact = mine._recv_exact
+    mine._recv_exact = lambda n: reads.append(n) or recv_exact(n)
+
+    def peer():
+        try:
+            for t, n in frames:
+                fake.send(t, bytes(n))
+        except transport.Disconnected:
+            pass  # the party refused a frame and closed its end
+
+    sender = threading.Thread(target=peer)
+    sender.start()
     try:
-        for i, (t, n) in enumerate(frames if delta == 0 else frames[: at + 1]):
-            fake.send(t, bytes(n + (delta if i == at else 0)))
         call(mine)
     finally:
         mine.close()
+        sender.join()
         fake.close()
+
+
+def _run_site(site, delta, key, reads):
+    """The site's frames up to the spoiled one, which is delta bytes off
+    its due size (all of them, exact, when delta is 0)."""
+    call, frames, at = SITES[site]
+    if delta:
+        frames = frames[:at] + [(frames[at][0], frames[at][1] + delta)]
+    _run_frames(call, frames, key, reads)
 
 
 @pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
 @pytest.mark.parametrize("site", SITES)
 def test_frame_of_wrong_size_rejected(site, delta, key):
+    reads = []
     with pytest.raises(ProtocolError):
-        _run_site(site, delta, key)
+        _run_site(site, delta, key, reads)
+    # a header and a body per frame before the spoiled one, then its header
+    assert len(reads) == 2 * SITES[site][2] + 1 and reads[-1] == transport.HEADER_LEN
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_frame_of_due_size_accepted(site):
     # the sizes above are the due ones: the same frames, exact, pass
-    _run_site(site, 0, None)
+    _run_site(site, 0, None, [])
+
+
+@pytest.mark.parametrize("key", CIPHERS.values(), ids=CIPHERS)
+def test_streamed_run_in_one_frame_refused(key):
+    # a peer that sends a streamed run's tables whole is refused at the
+    # first frame's header
+    whole = sum(n for _, n in STREAM)
+    reads = []
+    with pytest.raises(ProtocolError, match=f"{STREAM[0][1]} bytes, got type 6 of {whole}"):
+        _run_frames(_evaluate_chain, [(transport.GC_TABLES, whole)], key, reads)
+    assert reads == [transport.HEADER_LEN]
 
 
 def _fake_dealer(key, reply_size):
