@@ -46,7 +46,7 @@ def ecb_encryptor(key: bytes):
     def encrypt(blocks: np.ndarray) -> np.ndarray:
         src = np.ascontiguousarray(blocks)
         out = np.empty(src.nbytes + 16, dtype=np.uint8)  # update_into's slack
-        enc.update_into(memoryview(src).cast("B"), out)
+        enc.update_into(memoryview(src.reshape(-1)).cast("B"), out)
         return out[: src.nbytes].view(src.dtype).reshape(src.shape)
 
     return encrypt

@@ -1,16 +1,16 @@
 """Additive secret sharing over Z_2^l and its multiplication protocols.
 
-Linear algebra on shares is local. Three interactive primitives exist:
+Linear algebra on shares is local. Two interactive primitives exist:
 
   mul_mt   shared x shared, one triple per product, both parties exchange
            masked operands (2l bits each way per product, one round)
-  mul_da   cleartext-at-role-0 x shared, the offline-shifted three-party
-           multiplication (l bits each way per product, one round)
   vdp      one linear layer: a block of equal-length dot products of a
            cleartext vector against a shared one, consuming one dealt
            block (products, length) and one correction scalar per product
 
-mul_da is vdp over a block of length 1 and shares its randomness.
+vdp over blocks of length 1 is the offline-shifted three-party
+(Du-Atallah) multiplication of a cleartext-at-role-0 x by a shared y, at
+l bits each way per product.
 All primitives are batched: any number of independent instances ride one
 round. Triples and dot-product blocks are drawn from single-use supplies
 (correlated.Supply) before anything is sent.
@@ -58,12 +58,6 @@ def share(x, p: RingParams, drbg: Drbg) -> tuple[ArithShare, ArithShare]:
     return ArithShare(r, 0), ArithShare(x - r, 1)
 
 
-def reconstruct(s0: ArithShare, s1: ArithShare, p: RingParams) -> np.ndarray:
-    if s0.role == s1.role:
-        raise AssError("reconstruct needs one share from each role")
-    return canon(s0.value, p) + canon(s1.value, p)
-
-
 def linear(terms, p: RingParams, const=0) -> ArithShare:
     """sum_j eta_j * x_j (+ const, role 0 only); zero communication.
 
@@ -108,10 +102,6 @@ class AssEngine:
         if self.role == 1:
             z += e * f
         return ArithShare(z, self.role)
-
-    def mul_da(self, x_clear, y: ArithShare) -> ArithShare:
-        """Du-Atallah multiplication: role 0 holds x in the clear."""
-        return self.vdp(x_clear, y, 1)
 
     def vdp(self, x_clear, y: ArithShare, length: int) -> ArithShare:
         """Dot products of cleartext x (role 0) against shared y.

@@ -23,8 +23,8 @@ tree, max_word; its levels, and carry_out's in the depth variant, are
 _tree's, the one pairwise reduction.
 After a shift by s the body runs on the l - s low bits of the shifted
 value only, since its top s bits would be copies of its sign.
-It, build_relu, build_max_tree (the GMW stages) and build_argmax are
-cached per process with functools.cache, keyed on normalised arguments,
+It, build_relu and build_max_tree (the GMW stages) are cached per
+process with functools.cache, keyed on normalised arguments,
 so each stage netlist is built, and levelized through Circuit.levelized,
 once however its arguments are spelled.
 
@@ -433,12 +433,6 @@ class Builder:
     def eq_zero(self, a) -> int:
         return self.and_tree([self.not_(x) for x in a])
 
-    def shr_word(self, a, amount: int, fill: int):
-        """a shifted right by a constant, vacated bits set to fill: pure
-        rewiring, zero gates."""
-        w = len(a)
-        return [a[i + amount] if i + amount < w else fill for i in range(w)]
-
     def relu_word(self, a):
         """a if a > 0 (signed) else 0; one AND level deep."""
         keep = self.not_(a[-1])
@@ -554,36 +548,20 @@ def _relu(w: int) -> Circuit:
     return b.build()
 
 
-def build_shift(w: int, amount: int, arithmetic: bool = True) -> Circuit:
-    """Right shift by a constant: pure rewiring, zero gates."""
-    _check_width(w)
-    b = Builder(f"shr{w}_{amount}{'a' if arithmetic else 'l'}")
-    x = b.inputs(0, w)
-    b.outputs = b.shr_word(x, amount, x[-1] if arithmetic else CONST0)
-    return b.build()
-
-
-def build_argmax(n: int, w: int, variant: str = SIZE) -> Circuit:
-    """Index of the signed maximum of n w-bit values, ceil(log2 n) bits (at
-    least 1), little-endian; the first maximum wins ties. Input: n*w wires
-    in party 0's group, value 0 first."""
-    return _max_tree(int(n), int(w), variant, "argmax")
-
-
 def build_max_tree(n: int, w: int, variant: str = SIZE) -> Circuit:
-    """Signed maximum of n w-bit values (pooling helper), input as build_argmax's."""
-    return _max_tree(int(n), int(w), variant, "max")
+    """Signed maximum of n w-bit values (pooling helper). Input: n*w wires
+    in party 0's group, value 0 first."""
+    return _max_tree(int(n), int(w), variant)
 
 
 @functools.cache
-def _max_tree(n: int, w: int, variant: str, kind: str) -> Circuit:
+def _max_tree(n: int, w: int, variant: str) -> Circuit:
     _check_width(w)
     if n < 1:
-        raise CircuitError(f"{kind} needs at least one value")
-    b = Builder(f"{kind}{n}x{w}_{variant}")
+        raise CircuitError("max needs at least one value")
+    b = Builder(f"max{n}x{w}_{variant}")
     flat = b.inputs(0, n * w)
-    maximum, index = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
-    b.outputs = maximum if kind == "max" else index
+    b.outputs, _ = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
     return b.build()
 
 
@@ -681,22 +659,6 @@ def simulate(c: Circuit, in0, in1) -> np.ndarray:
         else:
             vals[o] = vals[a] ^ 1
     return vals[list(c.outputs)].T
-
-
-def simulate_words(c: Circuit, x0: int | np.ndarray, x1):
-    """Word-level convenience wrapper around simulate()."""
-
-    def to_bits(v, width):
-        if width == 0:
-            return np.zeros((np.atleast_1d(np.asarray(v)).shape[0], 0), np.uint8)
-        arr = np.atleast_1d(np.asarray(v, dtype=np.uint64))
-        shifts = np.arange(width, dtype=np.uint64)
-        return ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-
-    out = simulate(c, to_bits(x0, len(c.inputs0)), to_bits(x1, len(c.inputs1)))
-    shifts = np.arange(out.shape[1], dtype=np.uint64)
-    vals = (out.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-    return vals
 
 
 # ----- text export -----

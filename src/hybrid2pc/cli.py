@@ -52,6 +52,13 @@ def _addr(text: str):
     return (host or "127.0.0.1", int(port))
 
 
+def _count(text: str) -> int:
+    """A non-negative integer; ValueError (to argparse, a usage error) otherwise."""
+    if int(text) < 0:
+        raise ValueError(f"negative count {text!r}")
+    return int(text)
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_party)
 
     s = sub.add_parser("bench", help="loopback benchmark of atomic ops")
-    s.add_argument("--n", type=int, default=1000)
+    s.add_argument("--n", type=_count, default=1000)
     s.add_argument("--width", type=int, default=32, choices=(8, 16, 32, 64),
                    help="ring width; 8 is a test-only width")
     s.add_argument("--report", choices=("json",))

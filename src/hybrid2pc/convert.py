@@ -2,12 +2,14 @@
 
 Every conversion lives here; gc only garbles and evaluates. Routes follow
 the cheapest-composition rule: the garbled<->Boolean hop is free (label
-LSBs), so a2b goes through the garbled domain (a2y then y2b) and y2a
-through the Boolean one (y2b then b2a). a2y runs the garbled "identity"
-stage of circuits.stage_circuit as one GcSession.run: a share adder, with
-the pending fixed-point shift as free rewiring, whose output keeps only
-the l - shift bits the shifted value needs. The two conversions on dealt
-correlations are:
+LSBs), so additive to Boolean is a2y then y2b, through the garbled
+domain, and garbled to additive is y2b then a signed b2a, through the
+Boolean one, which brings a2y's narrow output back as the whole shifted
+value; callers compose them, and no function wraps either route. a2y
+runs the garbled "identity" stage of circuits.stage_circuit as one
+GcSession.run: a share adder, with the pending fixed-point shift as free
+rewiring, whose output keeps only the l - shift bits the shifted value
+needs. The two conversions on dealt correlations are:
 
   b2y  one dealt label per bit (GcSession.input_labels): role 1 sends
        e = s1 ^ r, and role 0 takes Y0 = k0 ^ (e ^ s0)*R, so that role
@@ -89,13 +91,3 @@ def b2a(channel: Channel, p: RingParams, dabits: Supply, bs: BoolShare,
     if signed:
         np.negative(weights[-1:], out=weights[-1:])
     return ArithShare((c.reshape(ninst, w) * weights).sum(axis=1, dtype=p.dtype), bs.role)
-
-
-def a2b(gc: GcSession, x: ArithShare, p: RingParams, shift: int = 0) -> BoolShare:
-    return y2b(gc, a2y(gc, x, p, shift))
-
-
-def y2a(gc: GcSession, p: RingParams, dabits: Supply, ys: YaoShare) -> ArithShare:
-    """Reads ys as a two's-complement value of its width, so that a2y's
-    narrow output comes back as the whole shifted value."""
-    return b2a(gc.channel, p, dabits, y2b(gc, ys), signed=True)

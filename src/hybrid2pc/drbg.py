@@ -5,7 +5,7 @@ must be a pure function of (seed, personalization) independent of how
 consumers chunk their reads. Internally the generator follows the
 standard's no-derivation-function construction -- 256-bit seed material
 XORed into the initial key/V state, a key/V update after every generate
-request -- and the public fill() buffers over fixed-size internal
+request -- and the public fill_bytes() buffers over fixed-size internal
 requests so read boundaries never shift the stream.
 
 A generate request outputs AES_K(V+1), AES_K(V+2), ..., and the key/V
@@ -103,13 +103,6 @@ class Drbg:
             view[pos:] = req[: n - pos]
             self._rest = req[n - pos :]
         return out
-
-    def fill(self, nbits: int) -> bytearray:
-        """Next nbits as ceil(nbits/8) bytes, unused top bits zeroed."""
-        raw = self.fill_bytes((nbits + 7) // 8)
-        if nbits % 8:
-            raw[-1] &= (1 << (nbits % 8)) - 1
-        return raw
 
     # Typed draws of the correlated-randomness layer.
     # A ring element of l bits consumes l/8 stream bytes, read as one

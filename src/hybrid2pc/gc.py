@@ -261,17 +261,18 @@ def evaluate(c: Circuit, frames, active0: np.ndarray, active1: np.ndarray,
 
     frames: an iterable of buffers, the run's tables in level order, each
     whole AND levels (frame_schedule()'s frames, or one buffer of all); the
-    next is pulled when a level starts at the end of the current one. A
-    level that crosses a buffer's end, or tables that fall short of or run
-    over the circuit's, raise GcError. active0/active1 are shaped as
-    zero0/zero1; tweak must equal the garbler's.
+    next is pulled when a level starts at the end of the current one, and
+    not for a level of 0 bytes (ninst = 0). A level that crosses a
+    buffer's end, or tables that fall short of or run over the circuit's,
+    raise GcError. active0/active1 are shaped as zero0/zero1; tweak must
+    equal the garbler's.
     """
     frames = iter(frames)
     rest = memoryview(b"")  # the current buffer's unread bytes
 
     def level_table(nbytes):
         nonlocal rest
-        if not len(rest):
+        if nbytes and not len(rest):
             frame = next(frames, None)
             if frame is None:
                 raise GcError("tables fall short of the circuit's AND levels")

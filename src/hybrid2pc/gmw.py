@@ -55,12 +55,6 @@ def share_bits(bits, drbg: Drbg) -> tuple[BoolShare, BoolShare]:
     return BoolShare(r, 0), BoolShare(bits ^ r, 1)
 
 
-def reconstruct_bits(s0: BoolShare, s1: BoolShare) -> np.ndarray:
-    if s0.role == s1.role:
-        raise GmwError("reconstruct needs one share from each role")
-    return s0.bits ^ s1.bits
-
-
 class GmwEngine:
     def __init__(self, role: int, channel: Channel, material: PartyMaterial):
         self.role = role

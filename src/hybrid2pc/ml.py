@@ -42,6 +42,7 @@ from .correlated import ResourceManifest
 from .gmw import BoolShare
 from .ring import RingParams
 from .session import PartySession
+from .transport import MAX_PAYLOAD
 
 LAN, WAN = "lan", "wan"
 
@@ -122,14 +123,19 @@ _SIZES = {Conv: ("maps", "kernel", "stride"), FC: ("din", "dout"),
           MaxPool: ("window",), MeanPool: ("window",)}
 
 
-def _walk(net: NetSpec):
+def _walk(net: NetSpec, p: RingParams, batch: int = 1):
     """Yields (layer, in_shape, out_shape) with dimension checking; every
-    size must be at least 1."""
+    size must be at least 1. From the shapes alone, before a layer is
+    yielded, a plan for batch images must fit MAX_PAYLOAD: the layer's
+    masked operands (one DA_MASKED frame) and role 1's bundle so far (the
+    dot-product scalars and labels), which keeps every dealt count below
+    the manifest's 2^32. Sizes are Python ints, so no product wraps."""
     shape = net.input_shape
     if min(shape, default=0) < 1:
         raise MlError(f"input shape {shape} has an empty axis")
+    bundle = 0
     for i, layer in enumerate(net.layers):
-        name = f"layer {i} ({type(layer).__name__})"
+        name, n = f"layer {i} ({type(layer).__name__})", math.prod(shape)
         for size in _SIZES.get(type(layer), ()):
             if getattr(layer, size) < 1:
                 raise MlError(f"{name}: {size} is {getattr(layer, size)}, not at least 1")
@@ -143,7 +149,6 @@ def _walk(net: NetSpec):
                 raise MlError("convolution output would be empty")
             out = (layer.maps, oh, ow)
         elif isinstance(layer, FC):
-            n = int(np.prod(shape))
             if n != layer.din:
                 raise MlError(f"FC expects {layer.din} inputs, got {n}")
             out = (layer.dout,)
@@ -159,6 +164,18 @@ def _walk(net: NetSpec):
             out = shape
         else:
             raise MlError(f"unknown layer {layer!r}")
+        if isinstance(layer, (Conv, FC)):
+            # products of the window (Conv) or the whole input (FC)
+            length = shape[0] * layer.kernel ** 2 if isinstance(layer, Conv) else n
+            products = batch * math.prod(out)
+            if products * length * p.nbytes > MAX_PAYLOAD:
+                raise MlError(f"{name}: {products} dot products of length {length} "
+                              f"do not fit one frame")
+            bundle += products * p.nbytes
+        elif not isinstance(layer, MeanPool):  # every input value's bits on labels
+            bundle += batch * n * p.l * 16
+        if bundle > MAX_PAYLOAD:
+            raise MlError(f"{name}: the dealer's bundle would exceed one frame")
         yield layer, shape, out
         shape = out
 
@@ -224,7 +241,7 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
             raise MlError(f"layer {i} ({type(layer).__name__}): a net must end in "
                           f"exactly one ArgMax")
     steps, debt = [], 0
-    for layer, in_shape, out_shape in _walk(net):
+    for layer, in_shape, out_shape in _walk(net, p, batch):
         n = int(np.prod(in_shape))
         if isinstance(layer, Conv):
             gather = _window_gather(in_shape, layer.kernel, layer.stride, layer.pad, False)
@@ -531,7 +548,7 @@ def load_net(path: str) -> tuple[NetSpec, RingParams]:
         net, p = _parse_net(buf)
     except struct.error:
         raise MlError("truncated weight file") from None
-    for layer, in_shape, _ in _walk(net):
+    for layer, in_shape, _ in _walk(net, p):
         if isinstance(layer, Conv):
             want = (layer.maps, in_shape[0], layer.kernel, layer.kernel)
         elif isinstance(layer, FC):

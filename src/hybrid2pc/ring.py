@@ -90,23 +90,6 @@ def _signed(a: np.ndarray, p: RingParams) -> np.ndarray:
     return a.view(f"<i{p.nbytes}")
 
 
-def _binop(a, b, p, op):
-    r = op(canon(a, p), canon(b, p))
-    return int(r) if r.ndim == 0 else r
-
-
-def add(a, b, p: RingParams):
-    return _binop(a, b, p, np.add)
-
-
-def sub(a, b, p: RingParams):
-    return _binop(a, b, p, np.subtract)
-
-
-def mul(a, b, p: RingParams):
-    return _binop(a, b, p, np.multiply)
-
-
 def to_signed(v, p: RingParams):
     """Two's-complement interpretation: v - 2^l when the top bit is set."""
     s = _signed(canon(v, p), p)
@@ -132,13 +115,6 @@ def encode(r, p: RingParams):
     return int(out) if out.ndim == 0 else out
 
 
-def decode(v, p: RingParams) -> float | np.ndarray:
-    """Fixed-point residue -> real, exact for representable values."""
-    s = np.asarray(to_signed(v, p))
-    out = s.astype(np.float64) / float(1 << p.beta)
-    return float(out) if out.ndim == 0 else out
-
-
 def truncate(v, p: RingParams, shift: int | None = None):
     """Arithmetic right shift by beta (or an explicit amount) in l bits.
 
@@ -155,10 +131,3 @@ def bits_of(v, p: RingParams) -> np.ndarray:
     """Little-endian bit decomposition, shape (..., l), dtype uint8."""
     shifts = np.arange(p.l, dtype=p.dtype)
     return ((canon(v, p)[..., None] >> shifts) & 1).astype(np.uint8)
-
-
-def from_bits(bits: np.ndarray, p: RingParams):
-    """Inverse of bits_of; accepts shape (..., l)."""
-    b = np.asarray(bits, dtype=p.dtype)
-    out = (b << np.arange(p.l, dtype=p.dtype)).sum(axis=-1, dtype=p.dtype)
-    return int(out) if out.ndim == 0 else out

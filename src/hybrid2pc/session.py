@@ -5,8 +5,9 @@ correlated.open_bundle (offline()), or directly from expanded material
 (tests). Each engine, and b2a from dabits, draws its dealt items from
 single-use supplies (correlated.Supply); leftovers() reads the five.
 The party draws nothing of its own: once the material is dealt, the
-online phase is a function of it and of the inputs alone. rng is
-accepted and unused, for callers that still pass one.
+online phase is a function of it and of the inputs alone. offline()
+still accepts an rng and ignores it: the benchmark harness passes one,
+and its signature is pinned.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .transport import Channel
 
 class PartySession:
     def __init__(self, role: int, manifest: ResourceManifest,
-                 material: PartyMaterial, channel: Channel, rng=None):
+                 material: PartyMaterial, channel: Channel):
         self.role = role
         self.manifest = manifest
         self.ring = manifest.ring
@@ -41,7 +42,7 @@ class PartySession:
                                     cipher_key=stp_cipher_key)
         material = open_bundle(role, bundle, manifest)
         channel.phase_mark(transport.ONLINE)
-        return cls(role, manifest, material, channel, rng)
+        return cls(role, manifest, material, channel)
 
     def leftovers(self) -> dict:
         """Undealt-but-unconsumed resources; empty when the manifest was

@@ -144,9 +144,6 @@ class ByteLedger:
     def messages(self, phase=None, peer=None, direction=None, msg_type=None):
         return self._sum(2, phase, peer, direction, msg_type)
 
-    def snapshot(self) -> dict:
-        return {k: tuple(v) for k, v in self._rows.items()}
-
 
 class NullCipher:
     overhead = 0

@@ -6,15 +6,17 @@ failure (pyproject's filterwarnings)."""
 
 import contextlib
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
-from hybrid2pc import correlated, stp
+from hybrid2pc import circuits as cc
+from hybrid2pc import correlated, ml, stp
 from hybrid2pc.bench import run_both
 from hybrid2pc.drbg import SEED_BYTES, Drbg
 from hybrid2pc.gc import GcSession
-from hybrid2pc.ring import RingParams
+from hybrid2pc.ring import RingParams, canon
 from hybrid2pc.session import PartySession
 from hybrid2pc.transport import channel_pair
 
@@ -49,6 +51,62 @@ def drbg_from(seed):
     """A CTR-DRBG keyed from a numpy seed or Generator, for splitting test
     values into shares with ass.share and gmw.share_bits."""
     return Drbg(np.random.default_rng(seed).bytes(SEED_BYTES))
+
+
+def reconstruct(s0, s1, p):
+    """The ring elements that additive shares s0 and s1, one from each
+    role, stand for."""
+    assert s0.role != s1.role, "reconstruct needs one share from each role"
+    return canon(s0.value, p) + canon(s1.value, p)
+
+
+def from_bits(bits, p):
+    """Inverse of ring.bits_of: ring elements of shape (..., l) bits."""
+    b = np.asarray(bits, dtype=p.dtype)
+    out = (b << np.arange(p.l, dtype=p.dtype)).sum(axis=-1, dtype=p.dtype)
+    return int(out) if out.ndim == 0 else out
+
+
+def simulate_words(c, x0, x1):
+    """circuits.simulate on words: one integer per instance for each input
+    group, bit j on the group's wire j; output bit j weighs 2^j."""
+
+    def to_bits(v, width):
+        if width == 0:
+            return np.zeros((np.atleast_1d(np.asarray(v)).shape[0], 0), np.uint8)
+        arr = np.atleast_1d(np.asarray(v, dtype=np.uint64))
+        shifts = np.arange(width, dtype=np.uint64)
+        return ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+    out = cc.simulate(c, to_bits(x0, len(c.inputs0)), to_bits(x1, len(c.inputs1)))
+    shifts = np.arange(out.shape[1], dtype=np.uint64)
+    return (out.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+
+
+def build_argmax(n, w, variant=cc.SIZE):
+    """Index of the signed maximum of n w-bit values, ceil(log2 n) bits (at
+    least 1), little-endian; the first maximum wins ties. Input: n*w wires
+    in party 0's group, value 0 first. The index output of
+    Builder.max_word, the ArgMax stage's body."""
+    b = cc.Builder(f"argmax{n}x{w}_{variant}")
+    flat = b.inputs(0, n * w)
+    _, b.outputs = b.max_word([flat[i * w : (i + 1) * w] for i in range(n)], variant)
+    return b.build()
+
+
+# byte offsets of two u32s in the header of oversize_weights' file: the
+# input width, and the Conv's padding before
+INPUT_WIDTH_AT, CONV_PAD_AT = 19, 40
+
+
+def oversize_weights(path, offset):
+    """Writes the weight file of a Conv-then-ArgMax net on (1, 8, 8)
+    inputs, with the header's u32 at offset set to 2^31."""
+    conv = ml.Conv(maps=2, kernel=3, weights=np.zeros((2, 1, 3, 3)))
+    ml.save_net(str(path), ml.NetSpec((1, 8, 8), [conv, ml.ArgMax()]), RingParams(32, 7, 12))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, offset, 1 << 31)
+    path.write_bytes(bytes(data))
 
 
 def gc_sessions(c0, c1, num_labels):

@@ -10,10 +10,10 @@ import threading
 import time
 
 import numpy as np
-from conftest import (closing, deal, dealt_sessions, drbg_from, gc_sessions, new_offset,
-                      ot_masks, run_parties, zero_labels)
+from conftest import (build_argmax, closing, deal, dealt_sessions, drbg_from, from_bits,
+                      gc_sessions, new_offset, ot_masks, reconstruct, run_parties, zero_labels)
 
-from hybrid2pc import ass, circuits as cc, convert, gmw, ml, ring, stp, transport
+from hybrid2pc import ass, circuits as cc, convert, gmw, ml, stp, transport
 from hybrid2pc.bench import run_bench
 from hybrid2pc.correlated import ResourceManifest
 from hybrid2pc.gc import frame_schedule, garble
@@ -168,10 +168,10 @@ def test_criterion_3_protocol_oracles():
         with dealt_sessions(m) as (s0, s1):
             z0, z1 = run_parties(lambda: s0.ass.mul_mt(x0, y0),
                                  lambda: s1.ass.mul_mt(x1, y1))
-            assert np.array_equal(ass.reconstruct(z0, z1, p).astype(object), expect)
-            z0, z1 = run_parties(lambda: s0.ass.mul_da(x, y0),
-                                 lambda: s1.ass.mul_da(None, y1))
-        assert np.array_equal(ass.reconstruct(z0, z1, p).astype(object), expect)
+            assert np.array_equal(reconstruct(z0, z1, p).astype(object), expect)
+            z0, z1 = run_parties(lambda: s0.ass.vdp(x, y0, 1),
+                                 lambda: s1.ass.vdp(None, y1, 1))
+        assert np.array_equal(reconstruct(z0, z1, p).astype(object), expect)
 
     all8 = np.arange(256, dtype=np.uint64)
     check_mults(RingParams(8), np.repeat(all8, 256), np.tile(all8, 256), 1)
@@ -191,7 +191,7 @@ def test_criterion_3_protocol_oracles():
                 lambda: s0.ass.vdp(xv, y0, length),
                 lambda: s1.ass.vdp(None, y1, length),
             )
-        got = ass.reconstruct(z0, z1, p).astype(object)
+        got = reconstruct(z0, z1, p).astype(object)
         prods = (xv.astype(object) * yv.astype(object)) % p.modulus
         expect = np.array(
             [sum(prods[i * length : (i + 1) * length]) % p.modulus
@@ -222,7 +222,7 @@ def _gmw_eval(circ, in0_bits, in1_bits, seed=0):
     y0, y1 = gmw.share_bits(in1_bits, drbg_from(rng))
     s0, s1 = run_parties(lambda: e0.evaluate(lc, x0, y0),
                          lambda: e1.evaluate(lc, x1, y1))
-    out = gmw.reconstruct_bits(s0, s1)
+    out = s0.bits ^ s1.bits
     c0.close()
     c1.close()
     return out, (c0.flights, c1.flights), lc
@@ -272,7 +272,7 @@ def test_criterion_4_engine_equivalence():
     assert np.array_equal(got, ref)
     assert np.array_equal(_gc_eval(circ, to_bits(all8, 8), none[:256]), ref)
     exhaustive.append("relu")
-    circ = cc.build_argmax(2, 8)
+    circ = build_argmax(2, 8)
     pairs = to_bits(a8 | (b8 << np.uint64(8)), 16)
     ref = cc.simulate(circ, pairs, none)
     got, _, _ = _gmw_eval(circ, pairs, none)
@@ -286,7 +286,7 @@ def test_criterion_4_engine_equivalence():
         builders = [
             cc.build_add(w, "depth"), cc.build_sub(w, "depth"),
             cc.build_cmp(w, "depth"), cc.build_eq(w), cc.build_mux(w),
-            cc.build_relu(w), cc.build_argmax(4, w),
+            cc.build_relu(w), build_argmax(4, w),
         ]
         for circ in builders:
             per = 100  # 100 decompositions x 100 instances = 10^4 values
@@ -367,8 +367,9 @@ def test_criterion_5_conversion_roundtrips():
         def trip(se, xs):
             def f():
                 ys = convert.a2y(se.gc, xs, p)
-                a_back = convert.y2a(se.gc, p, se.dabits, ys)
-                bs = convert.a2b(se.gc, a_back, p)
+                a_back = convert.b2a(se.channel, p, se.dabits, convert.y2b(se.gc, ys),
+                                     signed=True)
+                bs = convert.y2b(se.gc, convert.a2y(se.gc, a_back, p))
                 marker = se.channel.ledger.payload_bytes(direction="sent")
                 bs2 = convert.y2b(se.gc, convert.b2y(se.gc, bs))
                 free = (se.channel.ledger.payload_bytes(direction="sent") - marker
@@ -379,10 +380,8 @@ def test_criterion_5_conversion_roundtrips():
 
         with dealt_sessions(m) as (s0, s1):
             (a0, b0, free0), (a1, b1, free1) = run_parties(trip(s0, x0), trip(s1, x1))
-        assert np.array_equal(ass.reconstruct(a0, a1, p), x), w
-        assert np.array_equal(
-            ring.from_bits(gmw.reconstruct_bits(b0, b1), p), x
-        ), w
+        assert np.array_equal(reconstruct(a0, a1, p), x), w
+        assert np.array_equal(from_bits(b0.bits ^ b1.bits, p), x), w
         assert free0 == free1 == 0  # y2b itself added zero bytes
     dt = time.time() - t0
     assert dt < 120, f"criterion 5 took {dt:.1f}s"

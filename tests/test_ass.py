@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import deal, drbg_from, run_parties
+from conftest import deal, drbg_from, reconstruct, run_parties
 
 from hybrid2pc import ass, transport
 from hybrid2pc.ass import ArithShare, AssEngine, AssError
@@ -26,12 +26,12 @@ def manifest(ring=L32, **kw):
 def test_share_reconstruct_zero():
     rng = np.random.default_rng(0)
     s0, s1 = ass.share(0, L8, drbg_from(rng))
-    assert ass.reconstruct(s0, s1, L8) == 0
+    assert reconstruct(s0, s1, L8) == 0
 
 
 def test_share_example():
     # shares (250, 9) reconstruct to 3 at l=8
-    assert ass.reconstruct(ArithShare(250, 0), ArithShare(9, 1), L8) == 3
+    assert reconstruct(ArithShare(250, 0), ArithShare(9, 1), L8) == 3
 
 
 def test_share_uniform_chi_squared():
@@ -48,7 +48,7 @@ def test_linear_example():
     z0 = ass.linear([(3, ArithShare(7, 0))], L8)
     z1 = ass.linear([(3, ArithShare(254, 1))], L8)
     assert int(z0.value[0]) == 21 and int(z1.value[0]) == 250
-    assert ass.reconstruct(z0, z1, L8) == 15
+    assert reconstruct(z0, z1, L8) == 15
 
 
 def test_linear_identity_and_offset():
@@ -57,17 +57,12 @@ def test_linear_identity_and_offset():
     assert int(z0.value[0]) == 100
     z0 = ass.linear([(1, x0)], L8, const=1)
     z1 = ass.linear([(1, x1)], L8, const=1)  # role 1 must not add it
-    assert ass.reconstruct(z0, z1, L8) == (150 + 1) % 256
+    assert reconstruct(z0, z1, L8) == (150 + 1) % 256
 
 
 def test_linear_role_mixing_rejected():
     with pytest.raises(AssError):
         ass.linear([(1, ArithShare(1, 0)), (1, ArithShare(2, 1))], L8)
-
-
-def test_reconstruct_role_mismatch_rejected():
-    with pytest.raises(AssError):
-        ass.reconstruct(ArithShare(1, 0), ArithShare(2, 0), L8)
 
 
 def test_mul_mt_trace_example(channels):
@@ -89,7 +84,7 @@ def test_mul_mt_trace_example(channels):
         lambda: e1.mul_mt(ArithShare(9, 1), ArithShare(254, 1)),
     )
     assert int(z0.value[0]) == 9 and int(z1.value[0]) == 6
-    assert ass.reconstruct(z0, z1, L8) == 15
+    assert reconstruct(z0, z1, L8) == 15
 
 
 def test_mul_mt_zero_operand(channels):
@@ -99,7 +94,7 @@ def test_mul_mt_zero_operand(channels):
     x0, x1 = ass.share(np.zeros(16, np.uint64), L8, drbg_from(rng))
     y0, y1 = ass.share(rng.integers(0, 256, 16, dtype=np.uint64), L8, drbg_from(rng))
     z0, z1 = run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
-    assert not ass.reconstruct(z0, z1, L8).any()
+    assert not reconstruct(z0, z1, L8).any()
 
 
 def test_mul_mt_exhaustive_l8(channels):
@@ -113,7 +108,7 @@ def test_mul_mt_exhaustive_l8(channels):
     x0, x1 = ass.share(x, L8, drbg_from(rng))
     y0, y1 = ass.share(y, L8, drbg_from(rng))
     z0, z1 = run_parties(lambda: e0.mul_mt(x0, y0), lambda: e1.mul_mt(x1, y1))
-    assert np.array_equal(ass.reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
+    assert np.array_equal(reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
     assert channels[0].ledger.messages(msg_type=transport.ASS_EF, direction="sent") == 1
 
 
@@ -141,6 +136,8 @@ def test_triple_exhaustion(channels):
         e0.mul_mt(x0, x0)
 
 
+# Du-Atallah multiplication of a cleartext x at role 0 by a shared y is vdp
+# over a block of length 1
 def test_mul_da_trace_example(channels):
     # x=3, y=(200,61), a0=10, a1=20, a2=7, a3=193 -> shares (53,218) -> 15
     c0, c1 = channels
@@ -155,11 +152,11 @@ def test_mul_da_trace_example(channels):
     e0 = AssEngine(0, L8, c0, mk(0, 10, 7))
     e1 = AssEngine(1, L8, c1, mk(1, 20, 193))
     z0, z1 = run_parties(
-        lambda: e0.mul_da([3], ArithShare(200, 0)),
-        lambda: e1.mul_da(None, ArithShare(61, 1)),
+        lambda: e0.vdp([3], ArithShare(200, 0), 1),
+        lambda: e1.vdp(None, ArithShare(61, 1), 1),
     )
     assert int(z0.value[0]) == 53 and int(z1.value[0]) == 218
-    assert ass.reconstruct(z0, z1, L8) == 15
+    assert reconstruct(z0, z1, L8) == 15
     # a3 consistency: a0*a1 - a2 = 200 - 7 = 193
     assert (10 * 20 - 7) % 256 == 193
 
@@ -173,9 +170,9 @@ def test_mul_da_exhaustive_l8(channels):
     rng = np.random.default_rng(6)
     y0, y1 = ass.share(y, L8, drbg_from(rng))
     z0, z1 = run_parties(
-        lambda: e0.mul_da(x, y0), lambda: e1.mul_da(None, y1)
+        lambda: e0.vdp(x, y0, 1), lambda: e1.vdp(None, y1, 1)
     )
-    assert np.array_equal(ass.reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
+    assert np.array_equal(reconstruct(z0, z1, L8), (x * y) & np.uint64(255))
 
 
 def test_mul_da_comm_half_of_mt(channels):
@@ -185,8 +182,8 @@ def test_mul_da_comm_half_of_mt(channels):
     rng = np.random.default_rng(7)
     y0, y1 = ass.share(rng.integers(0, L32.modulus, 1000, np.uint64), L32, drbg_from(rng))
     run_parties(
-        lambda: e0.mul_da(rng.integers(0, L32.modulus, 1000, np.uint64), y0),
-        lambda: e1.mul_da(None, y1),
+        lambda: e0.vdp(rng.integers(0, L32.modulus, 1000, np.uint64), y0, 1),
+        lambda: e1.vdp(None, y1, 1),
     )
     # l bits per direction per multiplication (vs 2*l on the triple path)
     for ch in (c0, c1):
@@ -205,7 +202,7 @@ def test_vdp_matches_plaintext_oracle(channels):
     z0, z1 = run_parties(
         lambda: e0.vdp(x, y0, n), lambda: e1.vdp(None, y1, n)
     )
-    got = ass.reconstruct(z0, z1, L32)
+    got = reconstruct(z0, z1, L32)
     mask = np.uint64(L32.mask)
     expect = np.add.reduceat((x * y) & mask, np.arange(0, trials * n, n)) & mask
     assert np.array_equal(got, expect)
@@ -286,7 +283,7 @@ def test_share_input_roundtrip(channels):
     for owner in (0, 1):
         s0, s1 = (e.share_input(x if e.role == owner else None, 5, owner=owner)
                   for e in (e0, e1))
-        assert np.array_equal(ass.reconstruct(s0, s1, L32), x)
+        assert np.array_equal(reconstruct(s0, s1, L32), x)
         assert (s0, s1)[1 - owner].value.tolist() == [0] * 5
     assert [c.ledger.messages() for c in channels] == [0, 0]
     with pytest.raises(ass.AssError, match="planned"):

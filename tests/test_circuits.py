@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import build_argmax, simulate_words
 
 from hybrid2pc import circuits as cc
 from hybrid2pc import cli, ml, ring
@@ -22,6 +23,16 @@ ALL8 = np.arange(256, dtype=np.uint64)
 A8 = np.repeat(ALL8, 256)
 B8 = np.tile(ALL8, 256)
 NONE8 = np.zeros((256, 0), np.uint8)
+
+
+def build_shift(w, amount, arithmetic=True):
+    """Right shift by a constant, the sign bit (arithmetic) or 0 filling
+    the vacated bits: pure rewiring, zero gates."""
+    b = cc.Builder(f"shr{w}_{amount}{'a' if arithmetic else 'l'}")
+    x = b.inputs(0, w)
+    fill = x[-1] if arithmetic else cc.CONST0
+    b.outputs = [x[i + amount] if i + amount < w else fill for i in range(w)]
+    return b.build()
 
 
 def netlist(nwires, ins0, ins1, outs, *gates):
@@ -100,25 +111,25 @@ def test_depth_adder_cost_at_narrow_widths(w):
     for build, want in ((cc.build_add, (a + b) & mask), (cc.build_sub, (a - b) & mask)):
         c = build(w, cc.DEPTH)
         assert (c.num_and, c.levelized.depth) == DEPTH_ADDER_COST[w], build.__name__
-        assert np.array_equal(cc.simulate_words(c, a, b), want), build.__name__
+        assert np.array_equal(simulate_words(c, a, b), want), build.__name__
 
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_add_sub_exhaustive_8bit(variant):
-    got = cc.simulate_words(cc.build_add(8, variant), A8, B8)
+    got = simulate_words(cc.build_add(8, variant), A8, B8)
     assert np.array_equal(got, (A8 + B8) & np.uint64(255))
-    got = cc.simulate_words(cc.build_sub(8, variant), A8, B8)
+    got = simulate_words(cc.build_sub(8, variant), A8, B8)
     assert np.array_equal(got, (A8 - B8) & np.uint64(255))
 
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_cmp_exhaustive_8bit(variant):
-    got = cc.simulate_words(cc.build_cmp(8, variant), A8, B8)
+    got = simulate_words(cc.build_cmp(8, variant), A8, B8)
     assert np.array_equal(got.astype(bool), signed(A8, 8) > signed(B8, 8))
 
 
 def test_eq_exhaustive_8bit():
-    got = cc.simulate_words(cc.build_eq(8), A8, B8)
+    got = simulate_words(cc.build_eq(8), A8, B8)
     assert np.array_equal(got.astype(bool), A8 == B8)
 
 
@@ -132,7 +143,7 @@ def test_mux_exhaustive_8bit():
 
 
 def test_relu_exhaustive_8bit():
-    got = cc.simulate_words(cc.build_relu(8), ALL8, NONE8)
+    got = simulate_words(cc.build_relu(8), ALL8, NONE8)
     s = signed(ALL8, 8)
     assert np.array_equal(got, np.where(s > 0, ALL8, 0))
     assert got[ring.from_signed(-1, RingParams(8))] == 0
@@ -145,20 +156,20 @@ def test_relu_is_one_and_level():
 
 def test_shift_free_and_correct():
     for amount in (1, 4, 7):
-        c = cc.build_shift(8, amount, arithmetic=True)
+        c = build_shift(8, amount, arithmetic=True)
         assert c.num_gates == 0
-        got = cc.simulate_words(c, ALL8, NONE8)
+        got = simulate_words(c, ALL8, NONE8)
         expect = ring.truncate(ALL8, RingParams(8), shift=amount)
         assert np.array_equal(got, expect)
-    c = cc.build_shift(8, 3, arithmetic=False)
-    got = cc.simulate_words(c, ALL8, NONE8)
+    c = build_shift(8, 3, arithmetic=False)
+    got = simulate_words(c, ALL8, NONE8)
     assert np.array_equal(got, ALL8 >> np.uint64(3))
 
 
 def test_argmax_tie_break():
-    c = cc.build_argmax(4, 8)
+    c = build_argmax(4, 8)
     flat = sum(v << (8 * i) for i, v in enumerate([3, 9, 9, 1]))
-    got = cc.simulate_words(c, np.array([flat], np.uint64), NONE8[:1])
+    got = simulate_words(c, np.array([flat], np.uint64), NONE8[:1])
     assert got[0] == 1
 
 
@@ -169,7 +180,7 @@ def test_argmax_tie_break():
 def test_argmax_random_vs_numpy(n, w):
     rng = np.random.default_rng(11)
     trials = 2000
-    c = cc.build_argmax(n, w, "depth")
+    c = build_argmax(n, w, "depth")
     assert len(c.outputs) == max(1, (n - 1).bit_length())
     vals = rng.integers(0, 1 << w, size=(trials, n), dtype=np.uint64)
     bits = to_bits(vals.reshape(-1), w).reshape(trials, n * w)
@@ -198,15 +209,15 @@ def test_builders_random_32_64():
         a = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         b = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         for variant in ("size", "depth"):
-            got = cc.simulate_words(cc.build_add(w, variant), a, b)
+            got = simulate_words(cc.build_add(w, variant), a, b)
             assert np.array_equal(got, (a + b) & np.uint64(p.mask))
-            got = cc.simulate_words(cc.build_sub(w, variant), a, b)
+            got = simulate_words(cc.build_sub(w, variant), a, b)
             assert np.array_equal(got, (a - b) & np.uint64(p.mask))
-            got = cc.simulate_words(cc.build_cmp(w, variant), a, b)
+            got = simulate_words(cc.build_cmp(w, variant), a, b)
             assert np.array_equal(got.astype(bool), signed(a, w) > signed(b, w))
-        got = cc.simulate_words(cc.build_eq(w), a, b)
+        got = simulate_words(cc.build_eq(w), a, b)
         assert np.array_equal(got.astype(bool), a == b)
-        got = cc.simulate_words(cc.build_relu(w), a, np.zeros((n, 0)))
+        got = simulate_words(cc.build_relu(w), a, np.zeros((n, 0)))
         assert np.array_equal(got, np.where(signed(a, w) > 0, a, 0))
         c = cc.build_mux(w)
         for sel in (0, 1):
@@ -223,7 +234,7 @@ def test_identity_wire():
     x = b.inputs(0, 4)
     b.outputs = x
     c = b.build()
-    got = cc.simulate_words(c, np.arange(16, dtype=np.uint64), np.zeros((16, 0)))
+    got = simulate_words(c, np.arange(16, dtype=np.uint64), np.zeros((16, 0)))
     assert np.array_equal(got, np.arange(16, dtype=np.uint64))
 
 
@@ -269,7 +280,7 @@ def test_size_builders_use_one_and_per_full_adder():
 
 @pytest.mark.parametrize("circ", [
     cc.build_add(16, "size"), cc.build_sub(16, "depth"), cc.build_cmp(32, "size"),
-    cc.build_argmax(5, 8, "depth"), cc.build_mux(8),
+    build_argmax(5, 8, "depth"), cc.build_mux(8),
 ], ids=lambda c: c.name)
 def test_spans_layer_the_schedule(circ):
     lc = cc.levelize(circ)
@@ -309,10 +320,10 @@ def _pinned_netlists(narrow: bool = True):
                 yield ml.stage_circuit(kind, w, shift, nvals)
         yield cc.build_relu(w)
         yield cc.build_max_tree(4, w, "depth")
-        yield cc.build_argmax(10, w)
-        yield cc.build_argmax(5, w, "depth")
-        yield cc.build_shift(w, 3, arithmetic=True)
-        yield cc.build_shift(w, 3, arithmetic=False)
+        yield build_argmax(10, w)
+        yield build_argmax(5, w, "depth")
+        yield build_shift(w, 3, arithmetic=True)
+        yield build_shift(w, 3, arithmetic=False)
 
 
 def _digest(netlists) -> str:
@@ -380,7 +391,7 @@ def test_stages_exhaustive_8bit(shift):
     assert np.array_equal(got, low)
     out, got = _stage_words(ml.stage_circuit("relu", 8, shift), x0, x1, 8)
     assert out.shape[1] == w and not out[:, -1].any()  # the sign bit is 0
-    assert np.array_equal(got, cc.simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0))))
+    assert np.array_equal(got, simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0))))
     assert np.array_equal(got, np.where(signed(v, 8) > 0, v, 0))
     _, got = _stage_words(ml.stage_circuit("sign", 8, shift), x0, x1, 8)
     assert np.array_equal(got, (signed(v, 8) > 0).astype(np.uint64))
@@ -393,7 +404,7 @@ def test_max_and_argmax_stages_random_32bit():
     p, shift, trials = RingParams(32), 12, 500
     w = p.l - shift
     for kind, nvals, lib in (("max", 4, cc.build_max_tree(4, w)),
-                             ("argmax", 10, cc.build_argmax(10, w))):
+                             ("argmax", 10, build_argmax(10, w))):
         x0 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
         x1 = rng.integers(0, p.modulus, size=(trials, nvals), dtype=np.uint64)
         v = ring.truncate((x0 + x1) & np.uint64(p.mask), p, shift=shift)

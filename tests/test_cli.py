@@ -8,16 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BENCHMARKED_FLIGHTS, run_parties
+from conftest import BENCHMARKED_FLIGHTS, INPUT_WIDTH_AT, oversize_weights, run_parties
 
 from hybrid2pc import bench, circuits as cc, cli, convert, ml, stp, transport
 from hybrid2pc.ring import RingParams
 
 
-@pytest.mark.parametrize("n", [1, 3, 100])
+@pytest.mark.parametrize("n", [0, 1, 3, 100])
 def test_bench_rows_match_predictions(n):
     # zero slack for every op, also where an AND level's packed (d, e)
-    # bits do not fill a whole byte (CMP and EQ at n = 1, CMP at n = 3)
+    # bits do not fill a whole byte (CMP and EQ at n = 1, CMP at n = 3),
+    # and at n = 0, where every garbled level and frame is empty
     rows = bench.run_bench(n=n, width=32)
     assert [r.op for r in rows] == list(bench.OPS)
     for r in rows:
@@ -218,8 +219,8 @@ def test_removed_options_rejected(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# "party" without --stp, or an address whose port is not an integer in
-# 0..65535, is a usage error before anything runs
+# "party" without --stp, an address whose port is not an integer in
+# 0..65535, or a negative bench count is a usage error before anything runs
 @pytest.mark.parametrize("argv", [
     ["party", "--role", "0", "--program", "svm", "--listen", "127.0.0.1:0"],
     ["party", "--role", "0", "--program", "svm", "--stp", "127.0.0.1:abc",
@@ -234,9 +235,10 @@ def test_removed_options_rejected(argv, capsys):
      "--listen", "127.0.0.1:0"],
     ["stp", "--listen", "127.0.0.1:abc"],
     ["stp", "--listen", "127.0.0.1:70000"],
+    ["bench", "--n", "-1"],
 ], ids=["party-no-stp", "party-stp-port", "party-listen-port", "party-peer-port-high",
         "party-stp-port-negative", "party-stp-no-port", "stp-listen-port",
-        "stp-listen-port-high"])
+        "stp-listen-port-high", "bench-n-negative"])
 def test_bad_party_and_stp_arguments_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
@@ -281,15 +283,17 @@ def _nan_weights(path):
     ("svm", {"svm": {"d": "ten"}}), ("nn", {"seed": "x"}), ("nn", {"nn": {"batch": 2.5}}),
     ("svm", {"svm": 3}), ("svm", {"ring": []}), ("nn", {"seed": -1}),
     ("svm", {"ring": {"l": 32, "alpha": "7", "beta": 12}}), ("nn", {"nn": {"weights": 3}}),
+    ("nn", {"nn": {"weights": "wide.bin"}}),
 ], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan",
         "not-json", "not-an-object", "no-such-file", "svm-d-string", "seed-string",
         "nn-batch-float", "svm-not-an-object", "ring-not-an-object", "seed-negative",
-        "ring-alpha-string", "nn-weights-int"])
+        "ring-alpha-string", "nn-weights-int", "nn-weights-wide"])
 def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config):
     # role 0 alone, with no peer to come: a config or section that is not
     # an object, a size, seed or ring field that is not an integer, a
-    # negative seed, a size below 1, or a weight file that is not a name
-    # or does not load ends it at once, with one line on stderr
+    # negative seed, a size below 1, or a weight file that is not a name,
+    # does not load or plans more than a frame carries ends it at once,
+    # with one line on stderr
     cfg = tmp_path / "cfg.json"
     if isinstance(config, str):
         cfg.write_text(config)
@@ -297,6 +301,7 @@ def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config)
         if isinstance(config.get("nn", {}).get("weights"), str):
             config = {"nn": {"weights": str(tmp_path / config["nn"]["weights"])}}
             _nan_weights(tmp_path / "nan.bin")
+            oversize_weights(tmp_path / "wide.bin", INPUT_WIDTH_AT)
         cfg.write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "hybrid2pc.cli", "party", "--role", "0", "--program", program,

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import dealt_sessions, drbg_from, run_parties
+from conftest import dealt_sessions, drbg_from, from_bits, reconstruct, run_parties
 
 from hybrid2pc import ass, circuits, convert, gmw, ring, transport
 from hybrid2pc.correlated import ResourceManifest
@@ -31,7 +31,7 @@ def test_y2b_exhaustive_one_bit(channels):
                     return convert.y2b(se1.gc, ys)
 
                 r0, r1 = run_parties(p0, p1)
-                assert gmw.reconstruct_bits(r0, r1)[0, 0] == s0_bit ^ s1_bit
+                assert (r0.bits ^ r1.bits)[0, 0] == s0_bit ^ s1_bit
 
 
 def test_y2b_reads_constant_outputs(channels):
@@ -46,7 +46,7 @@ def test_y2b_reads_constant_outputs(channels):
         r0, r1 = run_parties(
             *(lambda se=se: convert.y2b(se.gc, se.gc.run_shares(circ, one, 1, "none"))
               for se in (se0, se1)))
-        assert gmw.reconstruct_bits(r0, r1).tolist() == [[1, 1, 0]]
+        assert (r0.bits ^ r1.bits).tolist() == [[1, 1, 0]]
 
 
 def test_y2b_zero_online_bytes(channels):
@@ -83,7 +83,7 @@ def test_b2y_roundtrip_32bit(channels):
             return convert.y2b(se1.gc, ys)
 
         r0, r1 = run_parties(p0, p1)
-        back = ring.from_bits(gmw.reconstruct_bits(r0, r1), p)
+        back = from_bits(r0.bits ^ r1.bits, p)
         assert np.array_equal(back, vals)
 
 
@@ -104,14 +104,14 @@ def test_a2y_matches_oracle(channels):
             return convert.y2b(se1.gc, ys)
 
         r0, r1 = run_parties(p0, p1)
-        got = ring.from_bits(gmw.reconstruct_bits(r0, r1), p)
+        got = from_bits(r0.bits ^ r1.bits, p)
         assert np.array_equal(got, x)
 
 
 def test_a2y_with_scale_discharge(channels):
     # shift debt rewired for free: the 32 - debt output bits are the low
     # bits of the truncation oracle, whose higher bits repeat the top one;
-    # y2a sign-extends them back to the whole truncated value
+    # a signed b2a of them sign-extends them back to the whole truncated value
     p = RingParams(32, 7, 12)
     n = 1000
     debt = 12
@@ -123,15 +123,16 @@ def test_a2y_with_scale_discharge(channels):
 
         def run(se, xs):
             ys = convert.a2y(se.gc, xs, p, shift=debt)
-            return convert.y2b(se.gc, ys), convert.y2a(se.gc, p, se.dabits, ys)
+            bs = convert.y2b(se.gc, ys)
+            return bs, convert.b2a(se.channel, p, se.dabits, bs, signed=True)
 
         (b0, a0), (b1, a1) = run_parties(lambda: run(se0, x0), lambda: run(se1, x1))
-        got = gmw.reconstruct_bits(b0, b1)
+        got = b0.bits ^ b1.bits
         expect = ring.bits_of(ring.truncate(x, p, shift=debt), p)
         assert got.shape == (n, w)
         assert np.array_equal(got, expect[:, :w])
         assert np.array_equal(expect[:, w:], np.repeat(got[:, -1:], debt, axis=1))
-        assert np.array_equal(ass.reconstruct(a0, a1, p), ring.truncate(x, p, shift=debt))
+        assert np.array_equal(reconstruct(a0, a1, p), ring.truncate(x, p, shift=debt))
 
 
 def test_b2a_exhaustive_one_bit(channels):
@@ -145,7 +146,7 @@ def test_b2a_exhaustive_one_bit(channels):
                     lambda: convert.b2a(se0.channel, p, se0.dabits, b0),
                     lambda: convert.b2a(se1.channel, p, se1.dabits, b1),
                 )
-                assert int(ass.reconstruct(r0, r1, p)[0]) == (s0_bit ^ s1_bit)
+                assert int(reconstruct(r0, r1, p)[0]) == (s0_bit ^ s1_bit)
 
 
 def test_b2a_extremes_and_random(channels):
@@ -163,7 +164,7 @@ def test_b2a_extremes_and_random(channels):
             lambda: convert.b2a(se0.channel, p, se0.dabits, BoolShare(b0.bits, 0)),
             lambda: convert.b2a(se1.channel, p, se1.dabits, BoolShare(b1.bits, 1)),
         )
-        assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
+        assert np.array_equal(reconstruct(r0, r1, p), vals)
 
 
 @pytest.mark.parametrize("w", range(1, 8))
@@ -181,10 +182,10 @@ def test_b2a_narrow_weights_exhaustive_8bit(w):
                                 signed=signed) for signed in (False, True)]
 
         (u0, s0), (u1, s1) = run_parties(lambda: run(se0, b0), lambda: run(se1, b1))
-        assert np.array_equal(ass.reconstruct(u0, u1, p), vals)
+        assert np.array_equal(reconstruct(u0, u1, p), vals)
         top = vals >> np.uint64(w - 1)  # two's complement of the w-bit words
         extended = ring.from_signed(vals.astype(np.int64) - (top.astype(np.int64) << w), p)
-        assert np.array_equal(ass.reconstruct(s0, s1, p), extended)
+        assert np.array_equal(reconstruct(s0, s1, p), extended)
 
 
 @pytest.mark.parametrize("w", [8, 32, 64])
@@ -200,9 +201,9 @@ def test_roundtrips_preserve_reconstruction(w, channels):
         def roundtrip(se, xs):
             # a2y -> y2a
             ys = convert.a2y(se.gc, xs, p)
-            back_a = convert.y2a(se.gc, p, se.dabits, ys)
+            back_a = convert.b2a(se.channel, p, se.dabits, convert.y2b(se.gc, ys), signed=True)
             # a2b -> b2a on the result
-            bs = convert.a2b(se.gc, back_a, p)
+            bs = convert.y2b(se.gc, convert.a2y(se.gc, back_a, p))
             back2 = convert.b2a(se.channel, p, se.dabits, bs)
             # b2y -> y2b
             ys2 = convert.b2y(se.gc, bs)
@@ -212,8 +213,8 @@ def test_roundtrips_preserve_reconstruction(w, channels):
         (a0, bb0), (a1, bb1) = run_parties(
             lambda: roundtrip(se0, x0), lambda: roundtrip(se1, x1)
         )
-        assert np.array_equal(ass.reconstruct(a0, a1, p), x)
-        assert np.array_equal(ring.from_bits(gmw.reconstruct_bits(bb0, bb1), p), x)
+        assert np.array_equal(reconstruct(a0, a1, p), x)
+        assert np.array_equal(from_bits(bb0.bits ^ bb1.bits, p), x)
 
 
 def test_b2a_ot_message_count(channels):
@@ -261,7 +262,7 @@ def test_b2a_openings_are_masked(channels, monkeypatch):
             lambda: convert.b2a(c0, p, se0.dabits, BoolShare(bits, 0)),
             lambda: convert.b2a(c1, p, se1.dabits, BoolShare(bits, 1)),
         )
-        assert not ass.reconstruct(r0, r1, p).any()
+        assert not reconstruct(r0, r1, p).any()
         assert len(sent[c0]) == len(sent[c1]) == 32
         assert any(sent[c0]) and any(sent[c1])
 
@@ -305,5 +306,5 @@ def test_b2a_ot_wire_bytes_pinned(l, channels, monkeypatch):
             lambda: convert.b2a(c0, p, se0.dabits, BoolShare(mask, 0)),
             lambda: convert.b2a(c1, p, se1.dabits, BoolShare(bits ^ mask, 1)),
         )
-        assert np.array_equal(ass.reconstruct(r0, r1, p), vals)
+        assert np.array_equal(reconstruct(r0, r1, p), vals)
         assert (digests[c0].hexdigest(), digests[c1].hexdigest()) == PINNED_OT_WIRE[l]

@@ -21,16 +21,6 @@ def test_distinct_seeds_decorrelated():
     assert differing >= 0.49 * 8 * (1 << 20)
 
 
-def test_fill_zero_bits_empty():
-    assert Drbg(SEED_A).fill(0) == b""
-
-
-def test_fill_partial_byte_masks_top_bits():
-    out = Drbg(SEED_A).fill(13)
-    assert len(out) == 2
-    assert out[1] >> 5 == 0
-
-
 def test_read_boundaries_do_not_shift_stream():
     whole = Drbg(SEED_A).fill_bytes(100_000)
     d = Drbg(SEED_A)

@@ -431,7 +431,7 @@ def _gmw_outputs(circ, in0, in1, rng):
         c0_.close()
         c1_.close()
     assert e0.bmt.left() == 0
-    return gmw.reconstruct_bits(s0, s1)
+    return s0.bits ^ s1.bits
 
 
 @settings(max_examples=40, deadline=None)
@@ -555,6 +555,21 @@ def test_zero_and_run_sends_one_empty_frame(channels):
     led = channels[1].ledger
     assert led.messages(msg_type=transport.GC_TABLES) == 1
     assert led.payload_bytes(msg_type=transport.GC_TABLES) == 0
+
+
+def test_zero_instance_run_completes(channels):
+    # add8's 7 AND levels hold 0 B each at ninst = 0: one empty frame
+    # crosses, and the evaluator pulls no frame per level
+    circ = cc.build_add(8, "size")
+    assert circ.levelized.depth == 7
+    assert gc_mod.frame_schedule(circ, 0) == [0]
+    g, e = gc_sessions(*channels, 0)
+    _, out = run_parties(lambda: g.run(circ, *zero_binds(circ, 0, 0), ninst=0),
+                         lambda: e.run(circ, *zero_binds(circ, 1, 0), ninst=0))
+    assert out.shape == (len(circ.outputs), 0)  # (outputs, instances)
+    led = channels[1].ledger
+    assert led.messages(msg_type=transport.GC_TABLES) == 1
+    assert led.payload_bytes() == 0
 
 
 def test_benchmarked_programs_table_frames(monkeypatch):

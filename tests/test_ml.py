@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import BENCHMARKED_FLIGHTS, dealt_sessions, run_parties
+from conftest import (BENCHMARKED_FLIGHTS, CONV_PAD_AT, INPUT_WIDTH_AT, dealt_sessions,
+                      oversize_weights, run_parties)
 
 from hybrid2pc import ml, ring, transport
 from hybrid2pc.ring import RingParams
@@ -107,7 +108,7 @@ def test_pooled_net_secure_equals_oracle_both_profiles():
 def test_mnist_architecture_dimensions():
     rng = np.random.default_rng(4)
     net = ml.mnist_like_net(rng)
-    shapes = [(l, i, o) for l, i, o in ml._walk(net)]
+    shapes = [(l, i, o) for l, i, o in ml._walk(net, P32)]
     assert shapes[0][2] == (5, 14, 14)  # 980 conv outputs feed FC 980x100
     assert int(np.prod(shapes[0][2])) == 980
     m = ml.plan_nn_manifest(net, P32, 1, ml.LAN, bytes(16))
@@ -285,7 +286,7 @@ def test_cifar_style_net_expressible():
     conv_lengths = {27, 576, 64}
     assert conv_lengths.issubset(set(m.vdp_lengths))
     assert m.vdp_lengths.count(1024) == 10
-    shapes = [o for _, _, o in ml._walk(net)]
+    shapes = [o for _, _, o in ml._walk(net, P32)]
     assert shapes[-2] == (10,)
 
 
@@ -343,6 +344,27 @@ def test_zero_sized_layers_raise_mlerror(case, tmp_path):
         ml.load_net(path)
     with pytest.raises(ml.MlError, match=match):
         ml.compile_nn(net, P32, 1, ml.LAN)
+
+
+@pytest.mark.parametrize("offset", [CONV_PAD_AT, INPUT_WIDTH_AT], ids=["conv-pad", "input-width"])
+def test_oversize_header_rejected_before_planning(tmp_path, offset):
+    # a padding or an input width of 2^31 gives the Conv 2^31 or more
+    # outputs per map: no frame could carry its masked operands, and
+    # load_net says so from the shapes, before anything is allocated
+    path = tmp_path / "net.bin"
+    oversize_weights(path, offset)
+    with pytest.raises(ml.MlError, match=r"layer 0 \(Conv\)"):
+        ml.load_net(str(path))
+
+
+def test_plan_past_one_bundle_frame_rejected():
+    # 2^22 ReLU inputs of 32 bits take 2^27 dealt labels: 2 GiB of role
+    # 1's bundle, past one frame
+    net = ml.NetSpec((1, 1, 1 << 22), [ml.Act(), ml.ArgMax()])
+    with pytest.raises(ml.MlError, match=r"layer 0 \(Act\): the dealer's bundle"):
+        ml.compile_nn(net, P32, 1, ml.LAN)
+    with pytest.raises(ml.MlError, match=r"layer 0 \(Act\)"):
+        list(ml._walk(net, P32))
 
 
 def test_weight_file_overflow_detected(tmp_path):
@@ -418,7 +440,7 @@ def test_spatial_layer_after_flat_activation_rejected(tmp_path):
                                                           weights=np.zeros((1, 1, 1, 1)))):
         net = ml.NetSpec((1, 2, 2), [fc, layer])
         with pytest.raises(ml.MlError, match=f"layer 1 \\({type(layer).__name__}\\)"):
-            list(ml._walk(net))
+            list(ml._walk(net, P32))
     path = tmp_path / "net.bin"
     ml.save_net(str(path), ml.NetSpec((1, 2, 2), [fc, ml.MaxPool(2)]), P32)
     with pytest.raises(ml.MlError, match="MaxPool"):
@@ -428,7 +450,7 @@ def test_spatial_layer_after_flat_activation_rejected(tmp_path):
 def test_dimension_mismatch_rejected():
     net = ml.NetSpec((1, 4, 4), [ml.FC(10, 3, np.zeros((3, 10)))])
     with pytest.raises(ml.MlError):
-        list(ml._walk(net))
+        list(ml._walk(net, P32))
 
 
 def test_ring_header_out_of_range_rejected(tmp_path):

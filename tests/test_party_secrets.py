@@ -2,8 +2,8 @@
 phase is a function of that material and of the inputs alone. The
 garbler's inputs take zero labels x*R and the client's query is its own
 share, so no party keys a generator of its own, and none draws from
-numpy's generators, whose PCG64 is not cryptographic. A caller's rng
-changes nothing on the wire."""
+numpy's generators, whose PCG64 is not cryptographic. Sessions opened
+from the same bundles send the same frames."""
 
 import ast
 import collections
@@ -13,7 +13,7 @@ import secrets
 
 import numpy as np
 import pytest
-from conftest import deal, run_parties, stp_sessions
+from conftest import deal, reconstruct, run_parties, stp_sessions
 
 from hybrid2pc import (ass, circuits, convert, correlated, drbg, gc, gmw, ml, ot, ring,
                        session, stp, transport)
@@ -23,16 +23,15 @@ P, N = RingParams(16), 6
 X = (np.arange(N, dtype=np.uint64) * 10_007 + 3) & np.uint64(P.mask)
 
 
-def _sessions(rngs=(None, None)):
+def _sessions():
     """Two parties dealt for one share_input, one identity-stage garbled
-    run and one b2a of its output bits, from the same bundles every time;
-    rngs are passed to them."""
+    run and one b2a of its output bits, from the same bundles every time."""
     c = circuits.stage_circuit("identity", P.l, 0)
     m = correlated.ResourceManifest(bytes(16), P, num_labels=len(c.inputs1) * N,
                                     num_dabits=len(c.outputs) * N)
     chans = transport.channel_pair()
-    return [session.PartySession(r, m, mat, ch, rng=rng)
-            for r, (mat, ch, rng) in enumerate(zip(deal(m), chans, rngs))]
+    return [session.PartySession(r, m, mat, ch)
+            for r, (mat, ch) in enumerate(zip(deal(m), chans))]
 
 
 def _program(se):
@@ -60,11 +59,11 @@ def test_no_party_secret_from_numpy(monkeypatch):
         if not name.startswith("_") and callable(getattr(np.random, name)):
             monkeypatch.setattr(np.random, name, forbidden)
     (b0, a0), (b1, a1) = _run(_sessions())
-    assert np.array_equal(gmw.reconstruct_bits(b0, b1), ring.bits_of(X, P))
-    assert np.array_equal(ass.reconstruct(a0, a1, P), X)
+    assert np.array_equal(b0.bits ^ b1.bits, ring.bits_of(X, P))
+    assert np.array_equal(reconstruct(a0, a1, P), X)
 
 
-def _online_frames(rngs, monkeypatch):
+def _online_frames(monkeypatch):
     """Every frame each role sends in one run of the program, in order."""
     frames = collections.defaultdict(list)
     orig = transport.Channel.send
@@ -73,7 +72,7 @@ def _online_frames(rngs, monkeypatch):
         frames[self].append((msg_type, bytes(memoryview(payload).cast("B"))))
         return orig(self, msg_type, payload)
 
-    sessions = _sessions(rngs)
+    sessions = _sessions()
     with monkeypatch.context() as mp:
         mp.setattr(transport.Channel, "send", send)
         _run(sessions)
@@ -81,10 +80,9 @@ def _online_frames(rngs, monkeypatch):
 
 
 def test_equal_seeds_send_equal_frames(monkeypatch):
-    # sessions opened from the same bundles send byte-identical frames,
-    # whatever rng they are given
-    first = _online_frames((np.random.default_rng(7), np.random.default_rng(8)), monkeypatch)
-    assert first == _online_frames((np.random.default_rng(1), None), monkeypatch)
+    # sessions opened from the same bundles send byte-identical frames
+    first = _online_frames(monkeypatch)
+    assert first == _online_frames(monkeypatch)
     assert all(first)
 
 

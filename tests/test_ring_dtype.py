@@ -4,7 +4,7 @@ the dealt material and in what is read back from the wire."""
 import numpy as np
 import pytest
 
-from conftest import SEED0, SEED1, drbg_from, run_parties
+from conftest import SEED0, SEED1, drbg_from, reconstruct, run_parties
 
 from hybrid2pc import ass, convert, correlated, gmw, ring
 from hybrid2pc.correlated import ResourceManifest
@@ -46,10 +46,10 @@ def test_protocol_outputs_are_ring_dtype(l, channels):
         assert share.value.dtype == p.dtype
     (prod0, dot0, conv0), (prod1, dot1, conv1) = outs
     mod = p.modulus
-    assert np.array_equal(_exact(ass.reconstruct(prod0, prod1, p)), _exact(x) * _exact(y) % mod)
+    assert np.array_equal(_exact(reconstruct(prod0, prod1, p)), _exact(x) * _exact(y) % mod)
     dots = (_exact(clear) * _exact(vec)).reshape(n, k).sum(axis=1) % mod
-    assert np.array_equal(_exact(ass.reconstruct(dot0, dot1, p)), dots)
-    assert np.array_equal(_exact(ass.reconstruct(conv0, conv1, p)), _exact(x))
+    assert np.array_equal(_exact(reconstruct(dot0, dot1, p)), dots)
+    assert np.array_equal(_exact(reconstruct(conv0, conv1, p)), _exact(x))
 
 
 @pytest.mark.parametrize("l", WIDTHS)

@@ -115,9 +115,12 @@ def test_ledger_monotone_snapshot(channels):
     for _ in range(3):
         c0.send(transport.APP_SHARE, b"abc")
         c1.recv()
-    snap = c0.ledger.snapshot()
-    (key,) = snap.keys()
-    assert snap[key] == (9, 3 * (HEADER_LEN + 3), 3)
+    book = c0.ledger
+    counts = (book.payload_bytes(), book.wire_bytes(), book.messages())
+    assert counts == (9, 3 * (HEADER_LEN + 3), 3)
+    # the three frames are one row: sent, APP_SHARE
+    row = dict(direction="sent", msg_type=transport.APP_SHARE)
+    assert (book.payload_bytes(**row), book.wire_bytes(**row), book.messages(**row)) == counts
 
 
 @pytest.mark.parametrize("cipher_key", [None, bytes(32)])
