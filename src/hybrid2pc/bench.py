@@ -35,9 +35,8 @@ OPS = ("ADD", "MULT", "XOR", "AND", "CMP", "EQ", "MUX",
        "y2b", "b2y", "b2a", "a2y")
 GRACE_S = 5.0  # how long a failed two-party run waits for the other party
 
-# the circuit each GMW op evaluates, at the ring width
-_GMW = {"XOR": cc.build_bitxor, "AND": cc.build_bitand,
-        "CMP": lambda w: cc.build_cmp(w, cc.DEPTH), "EQ": cc.build_eq, "MUX": cc.build_mux}
+# the library circuit each GMW op evaluates, at the ring width and DEPTH
+_GMW = {"XOR": "bitxor", "AND": "bitand", "CMP": "cmp", "EQ": "eq", "MUX": "mux"}
 
 
 @dataclass
@@ -138,7 +137,7 @@ def _op(op: str, n: int, p: RingParams, sid: bytes, rng) -> _Op:
                    (_vec(p, n, rng), _vec(p, n, rng)), 2 * 2 * e * n, e * n)
     if op in _GMW:
         # one packed (d, e) frame each way per AND level; one bit per triple
-        lc = _GMW[op](w).levelized
+        lc = cc.build_by_name(_GMW[op], w, cc.DEPTH).levelized
         return _Op(m(num_bmt=lc.num_and * n), lambda se, x, y: se.gmw.evaluate(lc, x, y),
                    (_bits(len(lc.circuit.inputs0), n, rng), _bits(len(lc.circuit.inputs1), n, rng)),
                    sum(2 * ((2 * len(s.ands) * n + 7) // 8) for s in lc.spans),

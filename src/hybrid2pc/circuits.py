@@ -17,16 +17,18 @@ w-1 ANDs and the signed compare w, at AND depth w-1 and w.
 
 stage_circuit() compiles the protocol's garbled stages: per-value share
 adders, a free fixed-point shift, then a stage body (relu, max, argmax,
-sign), each body a Builder word method that the library builders share.
+sign), each body a Builder word method that the library shares.
 The max and argmax bodies are the two results of one compare-and-select
 tree, max_word; its levels, and carry_out's in the depth variant, are
 _tree's, the one pairwise reduction.
 After a shift by s the body runs on the l - s low bits of the shifted
 value only, since its top s bits would be copies of its sign.
-It, build_relu and build_max_tree (the GMW stages) are cached per
-process with functools.cache, keyed on normalised arguments,
-so each stage netlist is built, and levelized through Circuit.levelized,
-once however its arguments are spelled.
+The library is one table, _LIBRARY, built through build_by_name; its
+relu and build_max_tree are lan's GMW stages. build_by_name,
+build_max_tree and stage_circuit are cached per process with
+functools.cache, keyed on normalised arguments, so each netlist is
+built, and levelized through Circuit.levelized, once however its
+arguments are spelled.
 
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
@@ -465,86 +467,45 @@ def _tree(nodes, merge):
     return nodes[0]
 
 
-# ----- library builders -----
+# ----- library -----
+
+# name -> (body, bits y has over x, whether the body takes a variant).
+# body(builder, x[, y][, variant]) returns the output wires over party 0's
+# w-bit word x and party 1's word y: mux's one extra bit is its select, and
+# relu (None) has no y. A body without a variant is one netlist for both.
+_LIBRARY = {
+    "add": (lambda b, x, y, v: b.adder_word(x, y, CONST0, v), 0, True),
+    "sub": (lambda b, x, y, v: b.adder_word(x, b.not_word(y), CONST1, v), 0, True),
+    "cmp": (lambda b, x, y, v: [b.signed_gt(x, y, v)], 0, True),  # signed x > y
+    "eq": (lambda b, x, y: [b.eq_zero(b.xor_word(x, y))], 0, False),
+    "mux": (lambda b, x, y: b.mux_word(y[-1], x, y[:-1]), 1, False),  # sel ? x : y
+    "relu": (lambda b, x: b.relu_word(x), None, False),
+    "bitand": (lambda b, x, y: [b.and_(p, q) for p, q in zip(x, y)], 0, False),
+    "bitxor": (lambda b, x, y: b.xor_word(x, y), 0, False),
+}
 
 
-def build_add(w: int, variant: str = SIZE) -> Circuit:
+def build_by_name(name: str, w: int, variant: str = SIZE) -> Circuit:
+    """The library netlist name at width w, built once per process; a name
+    whose body takes no variant has one cache entry for both."""
+    if name not in _LIBRARY:
+        raise CircuitError(f"no builder named {name!r}")
+    if variant not in (SIZE, DEPTH):
+        raise CircuitError(f"unknown variant {variant!r}")
     _check_width(w)
-    b = Builder(f"add{w}_{variant}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = b.adder_word(x, y, CONST0, variant)
-    return b.build()
-
-
-def build_sub(w: int, variant: str = SIZE) -> Circuit:
-    _check_width(w)
-    b = Builder(f"sub{w}_{variant}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = b.adder_word(x, b.not_word(y), CONST1, variant)
-    return b.build()
-
-
-def build_cmp(w: int, variant: str = SIZE) -> Circuit:
-    """Signed greater-than, 1-bit output."""
-    _check_width(w)
-    b = Builder(f"cmp{w}_{variant}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = [b.signed_gt(x, y, variant)]
-    return b.build()
-
-
-def build_eq(w: int, variant: str = SIZE) -> Circuit:
-    _check_width(w)
-    b = Builder(f"eq{w}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = [b.eq_zero(b.xor_word(x, y))]  # eq_zero already a tree
-    return b.build()
-
-
-def build_mux(w: int, variant: str = SIZE) -> Circuit:
-    """Output = sel ? a : b; sel is the last wire of party 1's input."""
-    _check_width(w)
-    b = Builder(f"mux{w}")
-    a = b.inputs(0, w)
-    y = b.inputs(1, w + 1)
-    c, sel = y[:w], y[w]
-    b.outputs = b.mux_word(sel, a, c)
-    return b.build()
-
-
-def build_bitand(w: int, variant: str = SIZE) -> Circuit:
-    _check_width(w)
-    b = Builder(f"bitand{w}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = [b.and_(x[i], y[i]) for i in range(w)]
-    return b.build()
-
-
-def build_bitxor(w: int, variant: str = SIZE) -> Circuit:
-    _check_width(w)
-    b = Builder(f"bitxor{w}")
-    x = b.inputs(0, w)
-    y = b.inputs(1, w)
-    b.outputs = b.xor_word(x, y)
-    return b.build()
-
-
-def build_relu(w: int, variant: str = SIZE) -> Circuit:
-    """x if x > 0 else 0; one AND level deep. Both variants are the same
-    netlist, so they share one cache entry."""
-    return _relu(int(w))
+    return _build(name, int(w), variant if _LIBRARY[name][2] else None)
 
 
 @functools.cache
-def _relu(w: int) -> Circuit:
-    _check_width(w)
-    b = Builder(f"relu{w}")
-    b.outputs = b.relu_word(b.inputs(0, w))
+def _build(name: str, w: int, variant: str | None) -> Circuit:
+    body, extra, _ = _LIBRARY[name]
+    b = Builder(f"{name}{w}_{variant}" if variant else f"{name}{w}")
+    args = [b.inputs(0, w)]
+    if extra is not None:
+        args.append(b.inputs(1, w + extra))
+    if variant:
+        args.append(variant)
+    b.outputs = body(b, *args)
     return b.build()
 
 
@@ -607,24 +568,6 @@ def _stage_circuit(kind: str, w: int, shift: int, nvals: int) -> Circuit:
     else:
         raise CircuitError(f"unknown stage kind {kind!r}")
     return b.build()
-
-
-_BUILDERS = {
-    "add": build_add,
-    "sub": build_sub,
-    "cmp": build_cmp,
-    "eq": build_eq,
-    "mux": build_mux,
-    "relu": build_relu,
-    "bitand": build_bitand,
-    "bitxor": build_bitxor,
-}
-
-
-def build_by_name(name: str, w: int, variant: str = SIZE) -> Circuit:
-    if name not in _BUILDERS:
-        raise CircuitError(f"no builder named {name!r}")
-    return _BUILDERS[name](w, variant)
 
 
 def _check_width(w: int):

@@ -203,8 +203,9 @@ def _nn(args, cfg: dict):
             raise SystemExit(f"bad weight file {weights}: {e}") from None
     else:
         net = ml.mnist_like_net(rng)
-    images = rng.uniform(0, 1, size=(batch, *net.input_shape))
-    net, images = (net, None) if args.role == 0 else (net.public(), images)
+    # only role 1 holds images; role 0 holds the weights
+    net, images = ((net, None) if args.role == 0 else
+                   (net.public(), rng.uniform(0, 1, size=(batch, *net.input_shape))))
     return (lambda sid: ml.plan_nn_manifest(net, p, batch, args.profile, sid), "classes",
             lambda se: ml.nn_infer(se, net, images, batch, args.profile))
 
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("circuit", help="emit a library circuit as text")
-    s.add_argument("--name", required=True, choices=sorted(cc._BUILDERS))
+    s.add_argument("--name", required=True, choices=sorted(cc._LIBRARY))
     s.add_argument("--width", type=int, default=32)
     s.add_argument("--variant", choices=(cc.SIZE, cc.DEPTH), default=cc.SIZE)
     s.add_argument("-o", "--output")

@@ -124,18 +124,24 @@ _SIZES = {Conv: ("maps", "kernel", "stride"), FC: ("din", "dout"),
 
 
 def _walk(net: NetSpec, p: RingParams, batch: int = 1):
-    """Yields (layer, in_shape, out_shape) with dimension checking; every
-    size must be at least 1. From the shapes alone, before a layer is
-    yielded, a plan for batch images must fit MAX_PAYLOAD: the layer's
-    masked operands (one DA_MASKED frame) and role 1's bundle so far (the
-    dot-product scalars and labels), which keeps every dealt count below
-    the manifest's 2^32. Sizes are Python ints, so no product wraps."""
+    """Yields (layer, in_shape, out_shape) with dimension checking; a net
+    has a layer, so its input is checked as layer 0's, and every size must
+    be at least 1. From the shapes alone, before a layer is yielded, a
+    plan for batch images must fit MAX_PAYLOAD: the layer's input as ring
+    elements, its masked operands (one DA_MASKED frame) and role 1's
+    bundle so far (the dot-product scalars and labels), which keeps every
+    dealt count below the manifest's 2^32. Sizes are Python ints, so no
+    product wraps."""
     shape = net.input_shape
     if min(shape, default=0) < 1:
         raise MlError(f"input shape {shape} has an empty axis")
+    if not net.layers:
+        raise MlError("a net must end in exactly one ArgMax; this one has no layers")
     bundle = 0
     for i, layer in enumerate(net.layers):
         name, n = f"layer {i} ({type(layer).__name__})", math.prod(shape)
+        if batch * n * p.nbytes > MAX_PAYLOAD:
+            raise MlError(f"{name}: its input {shape} at batch {batch} does not fit one frame")
         for size in _SIZES.get(type(layer), ()):
             if getattr(layer, size) < 1:
                 raise MlError(f"{name}: {size} is {getattr(layer, size)}, not at least 1")
@@ -234,8 +240,6 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
     if profile not in (LAN, WAN):
         raise MlError(f"unknown profile {profile!r}: use {LAN!r} or {WAN!r}")
     last = len(net.layers) - 1
-    if last < 0:
-        raise MlError("a net must end in exactly one ArgMax; this one has no layers")
     for i, layer in enumerate(net.layers):
         if isinstance(layer, ArgMax) != (i == last):
             raise MlError(f"layer {i} ({type(layer).__name__}): a net must end in "
@@ -266,7 +270,8 @@ def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[St
             body = None
             if profile != WAN and kind != "argmax":
                 w = p.l - debt
-                body = cc.build_relu(w) if kind == "relu" else cc.build_max_tree(nvals, w, cc.DEPTH)
+                body = (cc.build_by_name("relu", w) if kind == "relu"
+                        else cc.build_max_tree(nvals, w, cc.DEPTH))
                 kind = "identity"
             garbled = stage_circuit(kind, p.l, debt, nvals)
             # b2a converts the stage's outputs, but below a ReLU's constant-0 sign

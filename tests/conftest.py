@@ -109,6 +109,15 @@ def oversize_weights(path, offset):
     path.write_bytes(bytes(data))
 
 
+def wide_input_weights(path):
+    """Writes the 74-byte weight file of a net on (1, 65536, 65536) inputs
+    whose one-map Conv has kernel 1 and stride 65536: every layer is one
+    value wide, but one input is 2^32 ring elements."""
+    conv = ml.Conv(maps=1, kernel=1, stride=1 << 16, weights=np.zeros((1, 1, 1, 1)))
+    ml.save_net(str(path), ml.NetSpec((1, 1 << 16, 1 << 16), [conv, ml.ArgMax()]),
+                RingParams(32, 7, 12))
+
+
 def gc_sessions(c0, c1, num_labels):
     """A garbler and an evaluator over c0, c1 with num_labels dealt labels."""
     m0, m1 = deal(correlated.ResourceManifest(bytes(16), RingParams(8), num_labels=num_labels))

@@ -257,7 +257,7 @@ def test_criterion_4_engine_equivalence():
         assert np.array_equal(got, ref), f"gc {name}"
         exhaustive.append(name)
     # mux: exhaustive operands for each selector value
-    circ = cc.build_mux(8)
+    circ = cc.build_by_name("mux", 8)
     for sel in (0, 1):
         in1 = np.concatenate([to_bits(b8, 8), np.full((65536, 1), sel, np.uint8)], axis=1)
         ref = cc.simulate(circ, to_bits(a8, 8), in1)
@@ -266,7 +266,7 @@ def test_criterion_4_engine_equivalence():
         assert np.array_equal(_gc_eval(circ, to_bits(a8, 8), in1), ref)
     exhaustive.append("mux")
     # relu: unary exhaustive; argmax: exhaustive over two 8-bit values
-    circ = cc.build_relu(8)
+    circ = cc.build_by_name("relu", 8)
     ref = cc.simulate(circ, to_bits(all8, 8), none[:256])
     got, _, _ = _gmw_eval(circ, to_bits(all8, 8), none[:256])
     assert np.array_equal(got, ref)
@@ -284,9 +284,9 @@ def test_criterion_4_engine_equivalence():
     rng = np.random.default_rng(9)
     for w in (32, 64):
         builders = [
-            cc.build_add(w, "depth"), cc.build_sub(w, "depth"),
-            cc.build_cmp(w, "depth"), cc.build_eq(w), cc.build_mux(w),
-            cc.build_relu(w), build_argmax(4, w),
+            cc.build_by_name("add", w, "depth"), cc.build_by_name("sub", w, "depth"),
+            cc.build_by_name("cmp", w, "depth"), cc.build_by_name("eq", w), cc.build_by_name("mux", w),
+            cc.build_by_name("relu", w), build_argmax(4, w),
         ]
         for circ in builders:
             per = 100  # 100 decompositions x 100 instances = 10^4 values
@@ -495,16 +495,16 @@ def test_criterion_8_round_counts():
     # rounds are flights, as each party's channel counts them
     t0 = time.time()
     # GMW flights == AND-level count on both sides, for a spread of circuits
-    for circ in (cc.build_add(16, "size"), cc.build_add(16, "depth"),
-                 cc.build_cmp(32, "depth"), cc.build_relu(32),
-                 cc.build_bitand(8)):
+    for circ in (cc.build_by_name("add", 16, "size"), cc.build_by_name("add", 16, "depth"),
+                 cc.build_by_name("cmp", 32, "depth"), cc.build_by_name("relu", 32),
+                 cc.build_by_name("bitand", 8)):
         in0 = np.zeros((5, len(circ.inputs0)), np.uint8)
         in1 = np.zeros((5, len(circ.inputs1)), np.uint8)
         _, flights, lc = _gmw_eval(circ, in0, in1)
         assert flights == (lc.depth, lc.depth), circ.name
     # GC online message and flight pattern is constant regardless of circuit size
     msgs = []
-    for circ in (cc.build_add(8, "size"), cc.build_add(64, "depth")):
+    for circ in (cc.build_by_name("add", 8, "size"), cc.build_by_name("add", 64, "depth")):
         c0, c1 = channel_pair()
         g, e = gc_sessions(c0, c1, len(circ.inputs1))
         run_parties(

@@ -68,14 +68,14 @@ def test_manifest_exposes_dealt_counts():
 
 
 def test_levelized_schedule_yields_locals_and_ands():
-    lc = circuits.build_relu(8).levelized
+    lc = circuits.build_by_name("relu", 8).levelized
     pairs = [(len(locals_), len(ands)) for locals_, ands in lc.schedule]
     assert sum(ands for _, ands in pairs) == lc.num_and
     assert sum(1 for _, ands in pairs if ands) == lc.depth
 
 
 def test_circuit_exposes_and_count_and_registers():
-    c = circuits.build_add(4, circuits.SIZE)
+    c = circuits.build_by_name("add", 4, circuits.SIZE)
     assert (c.num_and, len(c.registers)) == (3, 0)
 
 

@@ -44,7 +44,7 @@ def netlist(nwires, ins0, ins1, outs, *gates):
 
 def test_parse_single_and_gate():
     # the one-AND netlist other tests use, and its text export
-    c = cc.build_bitand(1)
+    c = cc.build_by_name("bitand", 1)
     assert cc.emit_circuit(c) == "W 5 IN0 2 IN1 3 OUT 4 CONST0 0 CONST1 1\nAND 2 3 4\n"
     assert len(c.inputs0) == 1 and len(c.inputs1) == 1 and len(c.outputs) == 1
     assert c.num_and == 1
@@ -78,23 +78,23 @@ def test_wire_outside_range_rejected(case):
 
 
 def test_levelize_no_and():
-    c = cc.build_bitxor(8)
+    c = cc.build_by_name("bitxor", 8)
     assert cc.levelize(c).depth == 0
 
 
 def test_levelize_ripple_vs_depth_opt():
-    assert cc.levelize(cc.build_add(8, "size")).depth == 7
-    assert cc.levelize(cc.build_add(8, "depth")).depth == 3
+    assert cc.levelize(cc.build_by_name("add", 8, "size")).depth == 7
+    assert cc.levelize(cc.build_by_name("add", 8, "depth")).depth == 3
 
 
 def test_levelize_independent_ands():
-    c = cc.build_bitand(2)
+    c = cc.build_by_name("bitand", 2)
     assert cc.levelize(c).depth == 1
 
 
 def test_depth_opt_adder_bound():
     for w in (8, 16, 32, 64):
-        d = cc.levelize(cc.build_add(w, "depth")).depth
+        d = cc.levelize(cc.build_by_name("add", w, "depth")).depth
         assert d <= int(np.ceil(np.log2(w))) + 2, (w, d)
 
 
@@ -108,33 +108,33 @@ DEPTH_ADDER_COST = {2: (1, 1), 3: (3, 2), 4: (7, 2), 5: (9, 3), 6: (13, 3), 7: (
 def test_depth_adder_cost_at_narrow_widths(w):
     a, b = (x.ravel().astype(np.uint64) for x in np.meshgrid(np.arange(1 << w), np.arange(1 << w)))
     mask = np.uint64((1 << w) - 1)
-    for build, want in ((cc.build_add, (a + b) & mask), (cc.build_sub, (a - b) & mask)):
-        c = build(w, cc.DEPTH)
-        assert (c.num_and, c.levelized.depth) == DEPTH_ADDER_COST[w], build.__name__
-        assert np.array_equal(simulate_words(c, a, b), want), build.__name__
+    for name, want in (("add", (a + b) & mask), ("sub", (a - b) & mask)):
+        c = cc.build_by_name(name, w, cc.DEPTH)
+        assert (c.num_and, c.levelized.depth) == DEPTH_ADDER_COST[w], name
+        assert np.array_equal(simulate_words(c, a, b), want), name
 
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_add_sub_exhaustive_8bit(variant):
-    got = simulate_words(cc.build_add(8, variant), A8, B8)
+    got = simulate_words(cc.build_by_name("add", 8, variant), A8, B8)
     assert np.array_equal(got, (A8 + B8) & np.uint64(255))
-    got = simulate_words(cc.build_sub(8, variant), A8, B8)
+    got = simulate_words(cc.build_by_name("sub", 8, variant), A8, B8)
     assert np.array_equal(got, (A8 - B8) & np.uint64(255))
 
 
 @pytest.mark.parametrize("variant", ["size", "depth"])
 def test_cmp_exhaustive_8bit(variant):
-    got = simulate_words(cc.build_cmp(8, variant), A8, B8)
+    got = simulate_words(cc.build_by_name("cmp", 8, variant), A8, B8)
     assert np.array_equal(got.astype(bool), signed(A8, 8) > signed(B8, 8))
 
 
 def test_eq_exhaustive_8bit():
-    got = simulate_words(cc.build_eq(8), A8, B8)
+    got = simulate_words(cc.build_by_name("eq", 8), A8, B8)
     assert np.array_equal(got.astype(bool), A8 == B8)
 
 
 def test_mux_exhaustive_8bit():
-    c = cc.build_mux(8)
+    c = cc.build_by_name("mux", 8)
     for sel in (0, 1):
         in1 = np.concatenate([to_bits(B8, 8), np.full((65536, 1), sel, np.uint8)], axis=1)
         out = cc.simulate(c, to_bits(A8, 8), in1)
@@ -143,7 +143,7 @@ def test_mux_exhaustive_8bit():
 
 
 def test_relu_exhaustive_8bit():
-    got = simulate_words(cc.build_relu(8), ALL8, NONE8)
+    got = simulate_words(cc.build_by_name("relu", 8), ALL8, NONE8)
     s = signed(ALL8, 8)
     assert np.array_equal(got, np.where(s > 0, ALL8, 0))
     assert got[ring.from_signed(-1, RingParams(8))] == 0
@@ -151,7 +151,7 @@ def test_relu_exhaustive_8bit():
 
 
 def test_relu_is_one_and_level():
-    assert cc.levelize(cc.build_relu(64)).depth == 1
+    assert cc.levelize(cc.build_by_name("relu", 64)).depth == 1
 
 
 def test_shift_free_and_correct():
@@ -209,17 +209,17 @@ def test_builders_random_32_64():
         a = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         b = rng.integers(0, p.modulus, size=n, dtype=np.uint64)
         for variant in ("size", "depth"):
-            got = simulate_words(cc.build_add(w, variant), a, b)
+            got = simulate_words(cc.build_by_name("add", w, variant), a, b)
             assert np.array_equal(got, (a + b) & np.uint64(p.mask))
-            got = simulate_words(cc.build_sub(w, variant), a, b)
+            got = simulate_words(cc.build_by_name("sub", w, variant), a, b)
             assert np.array_equal(got, (a - b) & np.uint64(p.mask))
-            got = simulate_words(cc.build_cmp(w, variant), a, b)
+            got = simulate_words(cc.build_by_name("cmp", w, variant), a, b)
             assert np.array_equal(got.astype(bool), signed(a, w) > signed(b, w))
-        got = simulate_words(cc.build_eq(w), a, b)
+        got = simulate_words(cc.build_by_name("eq", w), a, b)
         assert np.array_equal(got.astype(bool), a == b)
-        got = simulate_words(cc.build_relu(w), a, np.zeros((n, 0)))
+        got = simulate_words(cc.build_by_name("relu", w), a, np.zeros((n, 0)))
         assert np.array_equal(got, np.where(signed(a, w) > 0, a, 0))
-        c = cc.build_mux(w)
+        c = cc.build_by_name("mux", w)
         for sel in (0, 1):
             in1 = np.concatenate(
                 [to_bits(b, w), np.full((n, 1), sel, np.uint8)], axis=1
@@ -247,21 +247,32 @@ def test_and_const_one():
 
 
 def test_build_by_name():
-    assert cc.build_by_name("add", 8).num_and == cc.build_add(8).num_and
+    assert cc.build_by_name("add", 8).num_and == 7  # SIZE by default
     with pytest.raises(cc.CircuitError):
         cc.build_by_name("nope", 8)
+    with pytest.raises(cc.CircuitError, match="unknown variant"):
+        cc.build_by_name("add", 8, "fast")
+    # only add, sub and cmp have a netlist per variant, named after it; the
+    # other names are one cached netlist for both
+    for name in sorted(cc._LIBRARY):
+        for w in (8, 32):
+            size, depth = (cc.build_by_name(name, w, v) for v in (cc.SIZE, cc.DEPTH))
+            if name in ("add", "sub", "cmp"):
+                assert (size.name, depth.name) == (f"{name}{w}_size", f"{name}{w}_depth")
+            else:
+                assert size is depth and size.name == f"{name}{w}", name
 
 
 def test_width_zero_rejected():
     with pytest.raises(cc.CircuitError):
-        cc.build_add(0)
+        cc.build_by_name("add", 0)
 
 
 def test_size_builders_use_one_and_per_full_adder():
     # Kolesnikov-Sadeghi-Schneider: w-1 ANDs per adder, w per comparator
-    assert cc.build_add(32, "size").num_and == 31
-    assert cc.build_sub(32, "size").num_and == 31
-    assert cc.build_cmp(32, "size").num_and == 32
+    assert cc.build_by_name("add", 32, "size").num_and == 31
+    assert cc.build_by_name("sub", 32, "size").num_and == 31
+    assert cc.build_by_name("cmp", 32, "size").num_and == 32
     # after a shift by 12 the 31-AND share adder feeds bodies 20 bits wide
     assert [ml.stage_circuit(kind, 32, 12).num_and
             for kind in ("identity", "relu", "sign")] == [31, 50, 51]
@@ -271,16 +282,16 @@ def test_size_builders_use_one_and_per_full_adder():
     argmax = ml.stage_circuit("argmax", 32, 12, 10)
     assert (argmax.num_and, argmax.levelized.depth) == (657, 96)
     # the GMW bodies at that width
-    assert cc.build_relu(20).num_and == 19
+    assert cc.build_by_name("relu", 20).num_and == 19
     tree = cc.build_max_tree(4, 20, "depth")
     assert (tree.num_and, tree.levelized.depth) == (222, 12)
     for w in (8, 16, 32):
-        assert cc.levelize(cc.build_add(w, "size")).depth == w - 1
+        assert cc.levelize(cc.build_by_name("add", w, "size")).depth == w - 1
 
 
 @pytest.mark.parametrize("circ", [
-    cc.build_add(16, "size"), cc.build_sub(16, "depth"), cc.build_cmp(32, "size"),
-    build_argmax(5, 8, "depth"), cc.build_mux(8),
+    cc.build_by_name("add", 16, "size"), cc.build_by_name("sub", 16, "depth"), cc.build_by_name("cmp", 32, "size"),
+    build_argmax(5, 8, "depth"), cc.build_by_name("mux", 8),
 ], ids=lambda c: c.name)
 def test_spans_layer_the_schedule(circ):
     lc = cc.levelize(circ)
@@ -305,7 +316,7 @@ def test_spans_layer_the_schedule(circ):
 
 
 def test_levelized_is_computed_once():
-    c = cc.build_cmp(16, "size")
+    c = cc.build_by_name("cmp", 16, "size")
     assert c.levelized is c.levelized
     assert c.levelized.depth == cc.levelize(c).depth == 16
 
@@ -318,7 +329,7 @@ def _pinned_netlists(narrow: bool = True):
             for kind, nvals in (("identity", 1), ("identity", 4), ("relu", 1),
                                 ("sign", 1), ("max", 4), ("argmax", 10)):
                 yield ml.stage_circuit(kind, w, shift, nvals)
-        yield cc.build_relu(w)
+        yield cc.build_by_name("relu", w)
         yield cc.build_max_tree(4, w, "depth")
         yield build_argmax(10, w)
         yield build_argmax(5, w, "depth")
@@ -352,13 +363,13 @@ LIBRARY_EXPORT_SHA256 = "04eba5412a3e2d983b14a07d92f5f0470b1124dc4712fbb24ce276e
 
 def test_library_export_pinned(capsys):
     h = hashlib.sha256()
-    for name in sorted(cc._BUILDERS):
+    for name in sorted(cc._LIBRARY):
         for w in (8, 32):
             for variant in (cc.SIZE, cc.DEPTH):
                 h.update(cc.emit_circuit(cc.build_by_name(name, w, variant)).encode())
     assert h.hexdigest() == LIBRARY_EXPORT_SHA256
     assert cli.main(["circuit", "--name", "cmp", "--width", "8", "--variant", "depth"]) == 0
-    assert capsys.readouterr().out == cc.emit_circuit(cc.build_cmp(8, cc.DEPTH))
+    assert capsys.readouterr().out == cc.emit_circuit(cc.build_by_name("cmp", 8, cc.DEPTH))
 
 
 def test_stage_and_library_netlists_pinned():
@@ -391,7 +402,7 @@ def test_stages_exhaustive_8bit(shift):
     assert np.array_equal(got, low)
     out, got = _stage_words(ml.stage_circuit("relu", 8, shift), x0, x1, 8)
     assert out.shape[1] == w and not out[:, -1].any()  # the sign bit is 0
-    assert np.array_equal(got, simulate_words(cc.build_relu(w), low, np.zeros((len(v), 0))))
+    assert np.array_equal(got, simulate_words(cc.build_by_name("relu", w), low, np.zeros((len(v), 0))))
     assert np.array_equal(got, np.where(signed(v, 8) > 0, v, 0))
     _, got = _stage_words(ml.stage_circuit("sign", 8, shift), x0, x1, 8)
     assert np.array_equal(got, (signed(v, 8) > 0).astype(np.uint64))
@@ -438,12 +449,12 @@ def test_protocol_circuits_built_once():
     assert sign is cc.stage_circuit("sign", 13, 2, 1)
     assert sign is cc.stage_circuit(kind="sign", w=np.int64(13), shift=2, nvals=1)
     assert cc._stage_circuit.cache_info().currsize == before + 1
-    assert cc.build_relu(32) is cc.build_relu(32)
+    assert cc.build_by_name("relu", 32) is cc.build_by_name("relu", 32)
     assert cc.build_max_tree(4, 32, cc.DEPTH) is cc.build_max_tree(4, 32, cc.DEPTH)
     # relu has one netlist for both variants; defaults and numpy ints
     # spell the same key
-    relu = cc.build_relu(32)
-    assert relu is cc.build_relu(32, cc.SIZE) is cc.build_by_name("relu", 32, cc.DEPTH)
-    assert relu is cc.build_relu(np.int64(32))
+    relu = cc.build_by_name("relu", 32)
+    assert relu is cc.build_by_name("relu", 32, cc.SIZE) is cc.build_by_name("relu", 32, cc.DEPTH)
+    assert relu is cc.build_by_name("relu", np.int64(32))
     tree = cc.build_max_tree(4, 32)
     assert tree is cc.build_max_tree(4, 32, cc.SIZE) is cc.build_max_tree(np.int64(4), 32)

@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BENCHMARKED_FLIGHTS, INPUT_WIDTH_AT, oversize_weights, run_parties
+from conftest import (BENCHMARKED_FLIGHTS, INPUT_WIDTH_AT, oversize_weights, run_parties,
+                      wide_input_weights)
 
 from hybrid2pc import bench, circuits as cc, cli, convert, ml, stp, transport
 from hybrid2pc.ring import RingParams
@@ -46,7 +48,7 @@ def test_bench_flights_per_op(n):
     # GMW ops take one flight per AND level; b2y is role 1's masked bits
     # alone, and a2y's garbler receives them before its one flight
     ops = ("ADD", "MULT", "AND", "CMP", "EQ", "b2y", "b2a", "a2y")
-    cmp, eq = (cc.levelize(c).depth for c in (cc.build_cmp(32, cc.DEPTH), cc.build_eq(32)))
+    cmp, eq = (cc.levelize(c).depth for c in (cc.build_by_name("cmp", 32, cc.DEPTH), cc.build_by_name("eq", 32)))
     rows = bench.run_bench(ops=ops, n=n, width=32)
     assert {r.op: r.flights for r in rows} == {
         "ADD": (0, 0), "MULT": (1, 1), "AND": (1, 1), "CMP": (cmp, cmp), "EQ": (eq, eq),
@@ -121,8 +123,22 @@ def test_circuit_command(tmp_path, capsys):
     rc = cli.main(["circuit", "--name", "add", "--width", "8",
                    "--variant", "depth", "-o", str(out)])
     assert rc == 0
-    assert out.read_text() == cc.emit_circuit(cc.build_add(8, "depth"))
+    assert out.read_text() == cc.emit_circuit(cc.build_by_name("add", 8, "depth"))
     assert "depth 3 ->" in capsys.readouterr().out
+    # --name offers exactly the library, and every name, width and variant
+    # writes its netlist
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "cmd")
+    name = next(a for a in sub.choices["circuit"]._actions if a.dest == "name")
+    assert sorted(name.choices) == sorted(cc._LIBRARY)
+    out = tmp_path / "c.txt"
+    for n in sorted(cc._LIBRARY):
+        for w in (8, 32):
+            for v in (cc.SIZE, cc.DEPTH):
+                args = ["--name", n, "--width", str(w), "--variant", v, "-o", str(out)]
+                assert cli.main(["circuit", *args]) == 0
+                circ = cc.build_by_name(n, w, v)
+                assert out.read_text() == cc.emit_circuit(circ), (n, w, v)
+                assert capsys.readouterr().out.startswith(f"{circ.name}: "), (n, w, v)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -283,11 +299,11 @@ def _nan_weights(path):
     ("svm", {"svm": {"d": "ten"}}), ("nn", {"seed": "x"}), ("nn", {"nn": {"batch": 2.5}}),
     ("svm", {"svm": 3}), ("svm", {"ring": []}), ("nn", {"seed": -1}),
     ("svm", {"ring": {"l": 32, "alpha": "7", "beta": 12}}), ("nn", {"nn": {"weights": 3}}),
-    ("nn", {"nn": {"weights": "wide.bin"}}),
+    ("nn", {"nn": {"weights": "wide.bin"}}), ("nn", {"nn": {"weights": "huge.bin"}}),
 ], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan",
         "not-json", "not-an-object", "no-such-file", "svm-d-string", "seed-string",
         "nn-batch-float", "svm-not-an-object", "ring-not-an-object", "seed-negative",
-        "ring-alpha-string", "nn-weights-int", "nn-weights-wide"])
+        "ring-alpha-string", "nn-weights-int", "nn-weights-wide", "nn-input-wide"])
 def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config):
     # role 0 alone, with no peer to come: a config or section that is not
     # an object, a size, seed or ring field that is not an integer, a
@@ -302,11 +318,15 @@ def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config)
             config = {"nn": {"weights": str(tmp_path / config["nn"]["weights"])}}
             _nan_weights(tmp_path / "nan.bin")
             oversize_weights(tmp_path / "wide.bin", INPUT_WIDTH_AT)
+            wide_input_weights(tmp_path / "huge.bin")
         cfg.write_text(json.dumps(config))
+    # under an 8 GiB address space, a party that drew huge.bin's 32 GiB of
+    # images would fail at once instead of exhausting the host
     proc = subprocess.run(
         [sys.executable, "-m", "hybrid2pc.cli", "party", "--role", "0", "--program", program,
          "--stp", "127.0.0.1:1", "--listen", "127.0.0.1:0", "--config", str(cfg)],
-        capture_output=True, text=True, timeout=10)
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)))
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deal, run_parties
 
@@ -230,6 +232,26 @@ def test_manifest_counts_are_u32(count):
             manifest(**{count: bad})
 
 
+# a manifest-shaped payload (a head, then u32 pairs) or any bytes at all
+_PAYLOADS = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.binary(min_size=19, max_size=19), st.lists(st.binary(min_size=8, max_size=8),
+                                                            max_size=3)).map(
+        lambda t: t[0] + b"".join(t[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_manifest_decode_parses_or_raises_valueerror(payload):
+    # the dealer's one reader of outside bytes: a payload it accepts
+    # encodes back to itself, and any other raises ValueError
+    try:
+        m = cr.ResourceManifest.decode(bytes(16), payload)
+    except ValueError:
+        return
+    assert m.encode() == payload
+
+
 # Digests of the normative expansion of a mixed manifest (ragged dot
 # products, reads that cross 64 KB DRBG requests), one per resource: its
 # role 0 stream, its role 1 stream and role 1's correction section as
@@ -319,6 +341,18 @@ def test_open_bundle_rejects_malformed(case):
         cr.open_bundle(role, spoil(bundle), m)
 
 
+@settings(max_examples=50, deadline=None)
+@given(role=st.sampled_from([0, 1]), counts=st.lists(st.integers(0, 9), min_size=4, max_size=4),
+       blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=2),
+       skew=st.integers(-64, 64).filter(bool))
+def test_open_bundle_of_wrong_length_raises_valueerror(role, counts, blocks, skew):
+    m = manifest(**dict(zip(("num_amt", "num_bmt", "num_dabits", "num_labels"), counts)),
+                 vdp_blocks=blocks)
+    size = cr.bundle_size(role, m)
+    with pytest.raises(ValueError, match="bundle of"):
+        cr.open_bundle(role, bytes(max(0, size + skew)), m)
+
+
 # Over-draws through each engine: (manifest, drawing role, draw(material,
 # channel)), each asking for one item more than was dealt.
 
@@ -330,7 +364,7 @@ def _draw_amt(mat, ch):
 
 def _draw_bmt(mat, ch):
     x = BoolShare(np.zeros((1, 8), np.uint8), 1)
-    GmwEngine(1, ch, mat).evaluate(cc.levelize(cc.build_bitand(8)), x, x)
+    GmwEngine(1, ch, mat).evaluate(cc.levelize(cc.build_by_name("bitand", 8)), x, x)
 
 
 def _draw_vdp(mat, ch):
@@ -391,7 +425,7 @@ def test_supply_is_single_use():
 def test_leftovers_name_every_supply():
     # the manifest deals one item more of each resource than the run draws
     m = manifest(num_amt=3, num_bmt=9, num_dabits=5, num_labels=5, vdp_blocks=((1, 2), (1, 1)))
-    lc = cc.levelize(cc.build_bitand(8))
+    lc = cc.levelize(cc.build_by_name("bitand", 8))
     chans = channel_pair()
     sessions = [PartySession(r, m, mat, ch)
                 for r, (mat, ch) in enumerate(zip(deal(m), chans))]

@@ -48,28 +48,28 @@ def run_circuit(channels, circ, x, y):
 
 
 def test_and_truth_table(channels):
-    circ = cc.build_bitand(1)
+    circ = cc.build_by_name("bitand", 1)
     _, out = run_circuit(channels, circ, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
     assert out.ravel().tolist() == [0, 0, 0, 1]
 
 
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
-    c = cc.build_bitxor(16)
+    c = cc.build_by_name("bitxor", 16)
     g = garble(c, new_offset(rng), *zero_labels(rng, c, 4), ninst=4)
     assert len(g.tables) == 0
 
 
 def test_table_bytes_exact():
     rng = np.random.default_rng(0)
-    for circ in (cc.build_add(32, "size"), cc.build_cmp(16, "depth")):
+    for circ in (cc.build_by_name("add", 32, "size"), cc.build_by_name("cmp", 16, "depth")):
         for ninst in (1, 7):
             g = garble(circ, new_offset(rng), *zero_labels(rng, circ, ninst), ninst=ninst)
             assert len(g.tables) == 32 * circ.num_and * ninst
 
 
 def test_garble_determinism():
-    c = cc.build_add(8, "size")
+    c = cc.build_by_name("add", 8, "size")
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
@@ -83,8 +83,8 @@ def test_library_exhaustive_8bit_over_channel():
     a, b = np.repeat(all8, 256), np.tile(all8, 256)
     p8 = RingParams(8)
     cases = [
-        (cc.build_add(8, "size"), (a + b) & np.uint64(255)),
-        (cc.build_cmp(8, "size"), (ring.to_signed(a, p8) > ring.to_signed(b, p8)).astype(np.uint64)),
+        (cc.build_by_name("add", 8, "size"), (a + b) & np.uint64(255)),
+        (cc.build_by_name("cmp", 8, "size"), (ring.to_signed(a, p8) > ring.to_signed(b, p8)).astype(np.uint64)),
     ]
     for circ, expect in cases:
         with closing(*transport.channel_pair()) as chans:
@@ -98,13 +98,13 @@ def test_cmp_32bit_random_pairs(channels):
     p = RingParams(32)
     a = rng.integers(0, p.modulus, n, dtype=np.uint64)
     b = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    _, out = run_circuit(channels, cc.build_cmp(32, "size"), a, b)
+    _, out = run_circuit(channels, cc.build_by_name("cmp", 32, "size"), a, b)
     assert np.array_equal(out[0].astype(bool), ring.to_signed(a, p) > ring.to_signed(b, p))
 
 
 def test_no_evaluator_input_no_ot_frames(channels):
     c0, c1 = channels
-    _, out = run_circuit(channels, cc.build_relu(8), np.arange(256, dtype=np.uint64),
+    _, out = run_circuit(channels, cc.build_by_name("relu", 8), np.arange(256, dtype=np.uint64),
                          np.zeros((256, 0), np.uint8))
     s = ring.to_signed(np.arange(256, dtype=np.uint64), RingParams(8))
     assert np.array_equal(from_bits(out), np.where(s > 0, np.arange(256), 0))
@@ -114,7 +114,7 @@ def test_no_evaluator_input_no_ot_frames(channels):
 
 def test_online_bytes_formula(channels):
     c0, c1 = channels
-    circ = cc.build_add(32, "size")
+    circ = cc.build_by_name("add", 32, "size")
     n = 50
     rng = np.random.default_rng(6)
     x = rng.integers(0, 1 << 32, n, dtype=np.uint64)
@@ -135,7 +135,7 @@ def test_online_bytes_formula(channels):
 
 
 def test_short_table_buffer_rejected():
-    circ = cc.build_add(8, "size")
+    circ = cc.build_by_name("add", 8, "size")
     rng = np.random.default_rng(9)
     R, zero = new_offset(rng), zero_labels(rng, circ, 2)
     g = garble(circ, R, *zero, ninst=2)
@@ -146,7 +146,7 @@ def test_short_table_buffer_rejected():
 def test_more_than_one_cycle_rejected(channels):
     # every circuit is combinational: a second cycle is refused before
     # either role sends a frame
-    circ = cc.build_add(8, "size")
+    circ = cc.build_by_name("add", 8, "size")
     g, e = gc_sessions(*channels, 8)
     with pytest.raises(gc_mod.GcError, match="one cycle"):
         run_parties(lambda: g.run(circ, *zero_binds(circ, 0), cycles=2),
@@ -157,7 +157,7 @@ def test_more_than_one_cycle_rejected(channels):
 def test_unknown_decode_policy_rejected(channels):
     # only the evaluator decodes, or neither: any other policy is refused
     # before either role sends a frame
-    circ = cc.build_add(8, "size")
+    circ = cc.build_by_name("add", 8, "size")
     g, e = gc_sessions(*channels, 8)
     with pytest.raises(gc_mod.GcError, match="decode policy"):
         run_parties(lambda: g.run(circ, *zero_binds(circ, 0), decode="both"),
@@ -169,7 +169,7 @@ def test_unknown_decode_policy_rejected(channels):
 def test_unbound_input_group_with_wires_rejected(channels, group):
     # a None binding is only for an empty group: for one with wires the
     # evaluator would compute on labels nobody set
-    circ, n = cc.build_bitand(8), 3
+    circ, n = cc.build_by_name("bitand", 8), 3
 
     def binds(role):
         out = zero_binds(circ, role, n)
@@ -236,7 +236,7 @@ def test_label_hygiene_permute_bits_balanced(monkeypatch):
     # garbler's bit: its active label there is 0, so its select bit is 0,
     # for all-zero and all-one bits alike; the select bit of the AND
     # output still splits evenly across instances
-    c, n = cc.build_bitand(1), 200
+    c, n = cc.build_by_name("bitand", 1), 200
     seen = []
     orig = gc_mod.evaluate
 
@@ -266,8 +266,8 @@ def test_yao_labels_rebind_into_next_circuit(channels):
     p = RingParams(16)
     x = rng.integers(0, p.modulus, n, dtype=np.uint64)
     y = rng.integers(0, p.modulus, n, dtype=np.uint64)
-    adder = cc.build_add(16, "size")
-    relu = cc.build_relu(16)
+    adder = cc.build_by_name("add", 16, "size")
+    relu = cc.build_by_name("relu", 16)
     g, e = gc_sessions(*channels, 16 * n)
 
     def party(s, bits):
@@ -285,7 +285,7 @@ def test_gc_rounds_constant_in_size(channels):
     for n in (1, 64):
         x = np.arange(n, dtype=np.uint64)
         with closing(*transport.channel_pair()) as chans:
-            run_circuit(chans, cc.build_add(16, "size"), x, x)
+            run_circuit(chans, cc.build_by_name("add", 16, "size"), x, x)
         counts.append(chans[0].ledger.messages() + chans[1].ledger.messages())
         flights.append((chans[0].flights, chans[1].flights))
     assert counts[0] == counts[1]
@@ -310,8 +310,8 @@ def _garble_digest(jobs) -> str:
 def test_concurrent_garbling_matches_serial():
     # the fixed-key hash keeps one AES context per thread; two threads
     # garbling at once must produce exactly the serial tables and labels
-    jobs = [(cc.build_add(32, "size"), 5, 1), (cc.build_cmp(16, "depth"), 9, 2),
-            (cc.build_relu(32), 16, 4)]
+    jobs = [(cc.build_by_name("add", 32, "size"), 5, 1), (cc.build_by_name("cmp", 16, "depth"), 9, 2),
+            (cc.build_by_name("relu", 32), 16, 4)]
     serial = _garble_digest(jobs)
     start = threading.Barrier(2)
     got = []
@@ -376,8 +376,8 @@ _GOLDEN = {
 @pytest.mark.parametrize("name,ninst,preset", list(_GOLDEN),
                          ids=[f"{n}-1-{i}-{p}" for n, i, p in _GOLDEN])
 def test_interpreter_golden_digests(name, ninst, preset):
-    circ = {"add16": lambda: cc.build_add(16, "depth"),
-            "cmp32": lambda: cc.build_cmp(32, "depth"),
+    circ = {"add16": lambda: cc.build_by_name("add", 16, "depth"),
+            "cmp32": lambda: cc.build_by_name("cmp", 32, "depth"),
             "max4x8": lambda: cc.build_max_tree(4, 8, "depth")}[name]()
     got = _interpreter_digest(circ, ninst, seed=ninst + 17, preset=preset)
     assert got == _GOLDEN[(name, ninst, preset)]
@@ -506,7 +506,7 @@ def _level_ends(circ, ninst):
 def test_tables_stream_in_level_aligned_frames(channels, monkeypatch):
     # add8 is 7 AND levels of one gate: at 12 000 instances each holds
     # 384 000 B, so frames close after 3, 6 and 7 levels
-    circ, n = cc.build_add(8, "size"), 12000
+    circ, n = cc.build_by_name("add", 8, "size"), 12000
     schedule = gc_mod.frame_schedule(circ, n)
     assert schedule == [3 * 384000, 3 * 384000, 384000]
     sent = []
@@ -547,7 +547,7 @@ def test_frame_closes_at_the_first_level_end_holding_frame_bytes():
 
 
 def test_zero_and_run_sends_one_empty_frame(channels):
-    circ = cc.build_bitxor(8)
+    circ = cc.build_by_name("bitxor", 8)
     assert gc_mod.frame_schedule(circ, 50) == [0]
     x = np.arange(50, dtype=np.uint64)
     _, out = run_circuit(channels, circ, x, 3 * x)
@@ -560,7 +560,7 @@ def test_zero_and_run_sends_one_empty_frame(channels):
 def test_zero_instance_run_completes(channels):
     # add8's 7 AND levels hold 0 B each at ninst = 0: one empty frame
     # crosses, and the evaluator pulls no frame per level
-    circ = cc.build_add(8, "size")
+    circ = cc.build_by_name("add", 8, "size")
     assert circ.levelized.depth == 7
     assert gc_mod.frame_schedule(circ, 0) == [0]
     g, e = gc_sessions(*channels, 0)
@@ -607,7 +607,7 @@ def test_benchmarked_programs_table_frames(monkeypatch):
 def test_evaluator_pulls_a_frame_after_the_last_level_of_the_one_before(monkeypatch):
     # at each pull, the levels evaluated so far are exactly those of the
     # frames before: the evaluator works on frame k while frame k+1 is due
-    circ, n = cc.build_add(8, "size"), 12000
+    circ, n = cc.build_by_name("add", 8, "size"), 12000
     rng = np.random.default_rng(12)
     R, zero = new_offset(rng), zero_labels(rng, circ, n)
     g = garble(circ, R, *zero, ninst=n)
@@ -636,7 +636,7 @@ def test_evaluator_pulls_a_frame_after_the_last_level_of_the_one_before(monkeypa
 @pytest.mark.parametrize("case,error", [("level-split", "crosses"), ("over", "run over"),
                                         ("extra-frame", "run over"), ("short", "fall short")])
 def test_misaligned_or_wrong_length_frames_rejected(case, error):
-    circ, n = cc.build_add(8, "size"), 4
+    circ, n = cc.build_by_name("add", 8, "size"), 4
     rng = np.random.default_rng(14)
     R, zero = new_offset(rng), zero_labels(rng, circ, n)
     t = bytes(garble(circ, R, *zero, ninst=n).tables)

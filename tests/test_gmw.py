@@ -58,7 +58,7 @@ def test_single_and_trace_example(channels):
 
     e0 = GmwEngine(0, c0, mk(0, 1, 0, 1))
     e1 = GmwEngine(1, c1, mk(1, 0, 0, 1))
-    circ = cc.build_bitand(1)
+    circ = cc.build_by_name("bitand", 1)
     lc = cc.levelize(circ)
     s0, s1 = run_parties(
         lambda: e0.evaluate(lc, BoolShare([[0]], 0), BoolShare([[1]], 0)),
@@ -70,7 +70,7 @@ def test_single_and_trace_example(channels):
 
 def test_xor_only_circuit_zero_online_bytes(channels):
     c0, c1 = channels
-    out, _ = eval_both(channels, cc.build_bitxor(32), np.arange(100, dtype=np.uint64),
+    out, _ = eval_both(channels, cc.build_by_name("bitxor", 32), np.arange(100, dtype=np.uint64),
                        np.arange(100, dtype=np.uint64) * 3)
     assert np.array_equal(from_bits(out), np.arange(100, dtype=np.uint64) ^ (np.arange(100, dtype=np.uint64) * 3))
     assert c0.ledger.payload_bytes() == 0 and c1.ledger.payload_bytes() == 0
@@ -81,7 +81,7 @@ def test_1000_parallel_32bit_ands_bytes(channels):
     rng = np.random.default_rng(1)
     x = rng.integers(0, 1 << 32, 1000, dtype=np.uint64)
     y = rng.integers(0, 1 << 32, 1000, dtype=np.uint64)
-    out, _ = eval_both(channels, cc.build_bitand(32), x, y)
+    out, _ = eval_both(channels, cc.build_by_name("bitand", 32), x, y)
     assert np.array_equal(from_bits(out), x & y)
     # 2 bits per gate per direction, 32000 gates, single round
     for ch in (c0, c1):
@@ -96,7 +96,7 @@ def test_1000_single_bit_ands_ledger(channels):
     rng = np.random.default_rng(8)
     x = rng.integers(0, 2, 1000, dtype=np.uint64)
     y = rng.integers(0, 2, 1000, dtype=np.uint64)
-    out, _ = eval_both(channels, cc.build_bitand(1), x, y)
+    out, _ = eval_both(channels, cc.build_by_name("bitand", 1), x, y)
     assert np.array_equal(from_bits(out), x & y)
     for ch in (c0, c1):
         assert ch.ledger.payload_bytes(msg_type=transport.GMW_DE, direction="sent") == 250
@@ -106,9 +106,9 @@ def test_library_exhaustive_8bit(channels):
     all8 = np.arange(256, dtype=np.uint64)
     a, b = np.repeat(all8, 256), np.tile(all8, 256)
     cases = [
-        (cc.build_add(8, "depth"), a, b, (a + b) & np.uint64(255)),
-        (cc.build_sub(8, "depth"), a, b, (a - b) & np.uint64(255)),
-        (cc.build_eq(8), a, b, (a == b).astype(np.uint64)),
+        (cc.build_by_name("add", 8, "depth"), a, b, (a + b) & np.uint64(255)),
+        (cc.build_by_name("sub", 8, "depth"), a, b, (a - b) & np.uint64(255)),
+        (cc.build_by_name("eq", 8), a, b, (a == b).astype(np.uint64)),
     ]
     for i, (circ, x, y, expect) in enumerate(cases):
         with closing(*transport.channel_pair()) as chans:
@@ -118,7 +118,7 @@ def test_library_exhaustive_8bit(channels):
 
 def test_rounds_equal_and_levels(channels):
     c0, c1 = channels
-    circ = cc.build_add(32, "depth")
+    circ = cc.build_by_name("add", 32, "depth")
     depth = cc.levelize(circ).depth
     rng = np.random.default_rng(2)
     x = rng.integers(0, 1 << 32, 50, dtype=np.uint64)
@@ -131,7 +131,7 @@ def test_rounds_equal_and_levels(channels):
 
 def test_triple_exhaustion(channels):
     e0, e1 = engines(channels, 5)
-    circ = cc.build_bitand(8)
+    circ = cc.build_by_name("bitand", 8)
     lc = cc.levelize(circ)
     with pytest.raises(Exhausted):
         run_parties(
@@ -145,7 +145,7 @@ def test_triple_exhaustion(channels):
 def test_desync_detected(channels):
     e0, e1 = engines(channels, 64)
     e1._round_index = 7  # simulate a missed level on one side
-    circ = cc.build_bitand(8)
+    circ = cc.build_by_name("bitand", 8)
     lc = cc.levelize(circ)
     z = np.zeros((1, 8), np.uint8)
     with pytest.raises(ProtocolError):
@@ -159,7 +159,7 @@ def test_more_than_one_cycle_rejected(channels):
     # every circuit is combinational: a second cycle is refused before
     # either role sends a frame
     e0, e1 = engines(channels, 16)
-    lc = cc.levelize(cc.build_bitand(8))
+    lc = cc.levelize(cc.build_by_name("bitand", 8))
     z = np.zeros((1, 8), np.uint8)
     with pytest.raises(gmw.GmwError, match="one cycle"):
         run_parties(

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import (BENCHMARKED_FLIGHTS, CONV_PAD_AT, INPUT_WIDTH_AT, dealt_sessions,
-                      oversize_weights, run_parties)
+                      oversize_weights, run_parties, wide_input_weights)
 
 from hybrid2pc import ml, ring, transport
 from hybrid2pc.ring import RingParams
@@ -346,6 +348,28 @@ def test_zero_sized_layers_raise_mlerror(case, tmp_path):
         ml.compile_nn(net, P32, 1, ml.LAN)
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.one_of(st.integers(0, 63), st.integers(64, 1 << 16)),
+                                st.integers(0, 255)), max_size=4),
+       cut=st.integers(0, 1 << 16))
+def test_mutated_weight_file_raises_only_mlerror_or_overflow(tmp_path, edits, cut):
+    # load_net reads outside bytes: a file of every layer kind, with bytes
+    # overwritten (half of them in its first 64) and its tail cut off,
+    # loads or raises MlError, or OverflowError for a weight the ring
+    # cannot hold
+    path = tmp_path / "net.bin"
+    ml.save_net(str(path), _sized_net(np.random.default_rng(3)), P32)
+    data = bytearray(path.read_bytes())
+    for at, value in edits:
+        data[at % len(data)] = value
+    path.write_bytes(bytes(data[:cut % (len(data) + 1)]))
+    try:
+        ml.load_net(str(path))
+    except (ml.MlError, OverflowError):
+        pass
+
+
 @pytest.mark.parametrize("offset", [CONV_PAD_AT, INPUT_WIDTH_AT], ids=["conv-pad", "input-width"])
 def test_oversize_header_rejected_before_planning(tmp_path, offset):
     # a padding or an input width of 2^31 gives the Conv 2^31 or more
@@ -354,6 +378,21 @@ def test_oversize_header_rejected_before_planning(tmp_path, offset):
     path = tmp_path / "net.bin"
     oversize_weights(path, offset)
     with pytest.raises(ml.MlError, match=r"layer 0 \(Conv\)"):
+        ml.load_net(str(path))
+
+
+def test_oversize_input_rejected_before_planning(tmp_path):
+    # a stride-65536 Conv reads one pixel of a (1, 65536, 65536) input:
+    # every layer's operands fit a frame, but one image is 2^32 ring
+    # elements, and load_net says so before any image is drawn
+    path = tmp_path / "net.bin"
+    wide_input_weights(path)
+    assert path.stat().st_size == 74
+    with pytest.raises(ml.MlError, match=r"layer 0 \(Conv\): its input \(1, 65536, 65536\)"):
+        ml.load_net(str(path))
+    # with no layer to check it as its input, the net is refused as empty
+    ml.save_net(str(path), ml.NetSpec((1, 1 << 16, 1 << 16), []), P32)
+    with pytest.raises(ml.MlError, match="no layers"):
         ml.load_net(str(path))
 
 
