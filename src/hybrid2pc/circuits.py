@@ -32,11 +32,14 @@ arguments are spelled.
 
 levelize() turns a netlist into a schedule of local spans and AND levels,
 each span further split into layers of independent XOR and NOT gates;
-Circuit.levelized computes it once per circuit object. run_spans(), the
-one interpreter, owns the wire array and the public 1 in CONST1 that NOT
-reads, and walks the schedule with one vectorised XOR per layer and a
-callback per AND level. GMW, garbling and evaluation all run on it, while
-simulate() keeps a plain per-gate loop as the reference.
+Circuit.levelized computes it once per circuit object. It also gives each
+wire a row slot by liveness, so the spans index slots, not wires: a slot
+serves one wire from its write to its last read, then a later wire.
+run_spans(), the one interpreter, owns the slot array and the public 1 in
+CONST1 that NOT reads, and walks the schedule with one vectorised XOR per
+layer and a callback per AND level. GMW, garbling and evaluation all run
+on it, so each holds rows for the live wires only, while simulate() keeps
+a plain per-gate loop over every wire as the reference.
 """
 
 from __future__ import annotations
@@ -133,12 +136,12 @@ class Circuit:
 
 
 class Span(NamedTuple):
-    """One step of a levelized schedule, as wire-index arrays.
+    """One step of a levelized schedule, as slot-index arrays.
 
-    layers: (a, b, out) per layer of mutually independent XOR and NOT
-    gates, run in order. A NOT gate reads b = CONST1, the public 1.
+    layers: (a, b, out) slots per layer of mutually independent XOR and
+    NOT gates, run in order. A NOT gate reads b = CONST1, the public 1.
     ands: gate indices of the AND level that follows; and_a, and_b,
-    and_out: their wires.
+    and_out: their slots.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -155,12 +158,18 @@ class LevelizedCircuit:
     schedule is a list of (local_gate_idx, and_gate_idx) pairs; running
     them in order satisfies all dependencies. depth == number of AND
     levels == count of non-empty and batches. spans holds the same steps
-    split into layers of independent gates for run_spans.
+    split into layers of independent gates for run_spans, over nslots
+    row slots: in0_slots, in1_slots and out_slots are the slots of the
+    circuit's inputs0, inputs1 and outputs.
     """
 
     circuit: Circuit
     schedule: list[tuple[np.ndarray, np.ndarray]]
     spans: list[Span]
+    nslots: int
+    in0_slots: np.ndarray
+    in1_slots: np.ndarray
+    out_slots: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -199,7 +208,7 @@ def levelize(c: Circuit) -> LevelizedCircuit:
     gin_b = np.where(c.op == NOT, CONST1, c.gb).astype(np.intp)
     gout = c.go.astype(np.intp)
     max_lvl = int(gate_level.max(initial=0))
-    schedule, spans = [], []
+    schedule, layered = [], []  # per level: its layers' gate indices
     is_and = c.op == AND
     idx = np.arange(c.num_gates)
     for lvl in range(max_lvl + 1):
@@ -208,33 +217,62 @@ def levelize(c: Circuit) -> LevelizedCircuit:
         ands = idx[(gate_level == lvl + 1) & is_and] if lvl < max_lvl else idx[:0]
         schedule.append((locals_, ands))
         layer_of = gate_layer[locals_]
-        layers = []
-        for k in range(1, int(layer_of.max(initial=0)) + 1):
-            g = locals_[layer_of == k]
-            layers.append((gin_a[g], gin_b[g], gout[g]))
-        spans.append(Span(tuple(layers), ands, gin_a[ands], gin_b[ands], gout[ands]))
-    return LevelizedCircuit(c, schedule, spans)
+        layered.append([locals_[layer_of == k] for k in range(1, int(layer_of.max(initial=0)) + 1)])
+    steps = [g for layers, (_, ands) in zip(layered, schedule) for g in (*layers, ands)]
+    nslots, slot = _slots(c, steps, gin_a, gin_b, gout)
+    sa, sb, so = slot[gin_a], slot[gin_b], slot[gout]  # each gate's slots
+    spans = [Span(tuple((sa[g], sb[g], so[g]) for g in layers), ands, sa[ands], sb[ands], so[ands])
+             for layers, (_, ands) in zip(layered, schedule)]
+    return LevelizedCircuit(c, schedule, spans, nslots, slot[list(c.inputs0)],
+                            slot[list(c.inputs1)], slot[list(c.outputs)])
+
+
+def _slots(c: Circuit, steps, gin_a, gin_b, gout) -> tuple[int, np.ndarray]:
+    """(slot count, row slot of each wire) for steps, gate-index arrays in
+    run_spans order, by linear scan over live ranges (Poletto-Sarkar,
+    TOPLAS 1999). A wire's slot is free once the step of its last read has
+    read it, and an unread wire's once it is written; constants and
+    outputs keep theirs. A step gathers all its reads before it scatters
+    its writes, so its outputs may take the slots its reads free.
+    """
+    ga, gb, go = gin_a.tolist(), gin_b.tolist(), gout.tolist()
+    steps = [g.tolist() for g in steps]
+    # step 0 writes the inputs; step t + 1 runs steps[t]
+    reads = [[]] + [[w for i in gates for w in (ga[i], gb[i])] for gates in steps]
+    writes = [c.inputs0 + c.inputs1] + [[go[i] for i in gates] for gates in steps]
+    last = {w: t for t, ws in enumerate(reads) for w in ws}  # wire -> step of its last read
+    keep = {CONST0, CONST1, *c.outputs}
+    slot, free, nslots = [0, 1] + [0] * (c.nwires - 2), [], 2
+    for t, (rs, ws) in enumerate(zip(reads, writes)):
+        free.extend(slot[w] for w in dict.fromkeys(rs) if last[w] == t and w not in keep)
+        for w in ws:
+            if free:
+                slot[w] = free.pop()
+            else:
+                slot[w], nslots = nslots, nslots + 1
+        free.extend(slot[w] for w in ws if w not in last and w not in keep)
+    return nslots, np.array(slot, np.intp)
 
 
 def run_spans(lc: LevelizedCircuit, one, in0, in1, and_level) -> np.ndarray:
     """One pass of lc over in0 and in1, one row per wire of inputs0 and of
-    inputs1; returns the output rows. CONST1 holds one, the interpreter's
-    public 1: R for the garbler, 0 for the evaluator, 1 at GMW role 0 and 0
-    at role 1. Every local layer is one XOR over the wire axis, NOT one with
-    CONST1. Each AND level calls and_level(span, a_vals, b_vals) for the
-    output values.
+    inputs1; returns the output rows. The pass holds lc.nslots rows, one
+    per wire still to be read (levelize's slots), not one per wire.
+    CONST1 holds one, the interpreter's public 1: R for the garbler, 0 for
+    the evaluator, 1 at GMW role 0 and 0 at role 1. Every local layer is
+    one XOR over the slot axis, NOT one with CONST1. Each AND level calls
+    and_level(span, a_vals, b_vals) for the output values.
     """
-    c = lc.circuit
-    vals = np.zeros((c.nwires, *in0.shape[1:]), in0.dtype)
+    vals = np.zeros((lc.nslots, *in0.shape[1:]), in0.dtype)
     vals[CONST1] = one
-    vals[list(c.inputs0)] = in0
-    vals[list(c.inputs1)] = in1
+    vals[lc.in0_slots] = in0
+    vals[lc.in1_slots] = in1
     for span in lc.spans:
         for a, b, o in span.layers:
             vals[o] = vals[a] ^ vals[b]
         if len(span.ands):
             vals[span.and_out] = and_level(span, vals[span.and_a], vals[span.and_b])
-    return vals[list(c.outputs)]
+    return vals[lc.out_slots]
 
 
 class Builder:

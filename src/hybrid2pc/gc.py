@@ -22,15 +22,16 @@ in one AES call; rotation is linear, so the garbler gets 2(X ^ R) as
 
 A run has one data shape: each input group's labels are its own
 (width, ninst, 16) array, a YaoShare in and out of GcSession.run, which
-takes labels only, and its tables are one buffer, written level by level.
-They cross as GC_TABLES frames of whole AND levels, on a schedule both
-roles compute from the levelized circuit and ninst (frame_schedule): the
-garbler sends each frame as soon as its levels are garbled, and the
-evaluator receives one when it reaches the frame's first level, so the
-two roles work at once (pipelined garbling, Huang-Evans-Katz-Malka). The
-frames joined in order are the buffer. run_shares turns share bits into
-labels; garble draws nothing, and neither does GcSession. The conversions
-into and out of the garbled domain live in convert.
+takes labels only. Its tables cross as GC_TABLES frames of whole AND
+levels, on a schedule both roles compute from the levelized circuit and
+ninst (frame_schedule): the garbler writes each frame into its own buffer
+and sends it as soon as its levels are garbled, and the evaluator
+receives one when it reaches the frame's first level, so the two roles
+work at once (pipelined garbling, Huang-Evans-Katz-Malka) and each holds
+one frame at a time, next to the label rows of the live wires
+(circuits.run_spans). run_shares turns share bits into labels; garble
+draws nothing, and neither does GcSession. The conversions into and out
+of the garbled domain live in convert.
 
 The evaluator's input labels are dealt, not transferred (correlated,
 "label"). The dealer draws the session's offset R = delta and, per label,
@@ -64,7 +65,6 @@ Wang-Yu), not on random active labels:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 
@@ -167,14 +167,8 @@ class YaoShare:
 
 @dataclass
 class Garbling:
-    tables: bytearray  # every AND level's tables, in level order
     out_zero: np.ndarray  # (nout, ninst, 16) output zero labels
     decode: np.ndarray  # (nout, ninst) decode bits
-
-
-def _table_bytes(c: Circuit, ninst: int) -> int:
-    """Bytes of a run's tables: two ciphertexts per AND gate per instance."""
-    return 32 * c.num_and * ninst
 
 
 # A run's tables cross in frames of whole AND levels: a frame closes at the
@@ -201,28 +195,26 @@ def frame_schedule(c: Circuit, ninst: int) -> list[int]:
 
 
 def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
-           ninst: int = 1, tweak: int = 0, on_frame=None) -> Garbling:
+           ninst: int = 1, tweak: int = 0, *, on_frame) -> Garbling:
     """Garble ninst instances of the circuit from the zero labels of each
     input group, (len(inputs0), ninst, 16) and (len(inputs1), ninst, 16);
     a pure function of its arguments. tweak is the first tweak counter;
-    the run uses tweak_span() of them. on_frame, when given, receives each
-    frame of frame_schedule() as soon as its levels are garbled, a view
-    into the tables.
+    the run uses tweak_span() of them. on_frame receives each frame of
+    frame_schedule() as soon as its levels are garbled, in its own buffer,
+    which garble then drops: a run holds one frame of tables at a time.
     """
     R64 = R.view(_U64)
     rR = _rotl1(R64)
-    tables = bytearray(_table_bytes(c, ninst))
-    table = np.frombuffer(tables, dtype=_U64)
-    ends = list(itertools.accumulate(frame_schedule(c, ninst)))
-    pos = done = 0  # u64 words garbled; bytes handed on
+    sizes = frame_schedule(c, ninst)
+    frame = np.empty(sizes[0] // 8, _U64)  # the frame being garbled
+    pos = 0  # u64 words of it garbled
 
     def hand_on():
-        nonlocal done
-        while ends and ends[0] <= 8 * pos:
-            end = ends.pop(0)
-            if on_frame is not None:
-                on_frame(memoryview(tables)[done:end])
-            done = end
+        nonlocal frame, pos
+        if sizes and 8 * pos == sizes[0]:
+            on_frame(frame)
+            sizes.pop(0)
+            frame, pos = np.empty(sizes[0] // 8 if sizes else 0, _U64), 0
 
     def garble_and(span, A0, B0):
         nonlocal pos
@@ -235,7 +227,7 @@ def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
         ha0, ha1, hb0, hb1 = _hash(blk, _ids(span.ands, ninst, tweak),
                                    (_SLOT_GEN, _SLOT_GEN, _SLOT_EVAL, _SLOT_EVAL))
         pa, pb = _sel(A0), _sel(B0)
-        pair = table[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
+        pair = frame[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
         pos += 4 * g * ninst
         tg, te = pair[:, :, 0], pair[:, :, 1]
         np.bitwise_xor(ha0, ha1, out=tg)
@@ -252,7 +244,7 @@ def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
     out_zero = run_spans(c.levelized, R64, zero0.view(_U64), zero1.view(_U64),
                          garble_and).view(np.uint8)
     hand_on()  # a 0-AND run's one empty frame
-    return Garbling(tables, out_zero, _lsb(out_zero))
+    return Garbling(out_zero, _lsb(out_zero))
 
 
 def evaluate(c: Circuit, frames, active0: np.ndarray, active1: np.ndarray,
@@ -375,7 +367,7 @@ class GcSession:
             groups.append(labels)
         if self.role == 0:
             g = garble(c, self.R, *groups, ninst, self.tweak,
-                       lambda frame: self.channel.send(transport.GC_TABLES, frame))
+                       on_frame=lambda frame: self.channel.send(transport.GC_TABLES, frame))
             if decode == "none":
                 out = YaoShare(g.out_zero, 0)
             else:

@@ -125,19 +125,20 @@ _SIZES = {Conv: ("maps", "kernel", "stride"), FC: ("din", "dout"),
 
 def _walk(net: NetSpec, p: RingParams, batch: int = 1):
     """Yields (layer, in_shape, out_shape) with dimension checking; a net
-    has a layer, so its input is checked as layer 0's, and every size must
-    be at least 1. From the shapes alone, before a layer is yielded, a
-    plan for batch images must fit MAX_PAYLOAD: the layer's input as ring
-    elements, its masked operands (one DA_MASKED frame) and role 1's
-    bundle so far (the dot-product scalars and labels), which keeps every
-    dealt count below the manifest's 2^32. Sizes are Python ints, so no
-    product wraps."""
+    ends in exactly one ArgMax, the one check of that rule for load_net and
+    compile_nn, so it has a layer to check its input as layer 0's, and
+    every size must be at least 1. From the shapes alone, before a layer
+    is yielded, a plan for batch images must fit MAX_PAYLOAD: the layer's
+    input as ring elements, its masked operands (one DA_MASKED frame) and
+    role 1's bundle so far (the dot-product scalars and labels), which
+    keeps every dealt count below the manifest's 2^32. Sizes are Python
+    ints, so no product wraps."""
     shape = net.input_shape
     if min(shape, default=0) < 1:
         raise MlError(f"input shape {shape} has an empty axis")
     if not net.layers:
         raise MlError("a net must end in exactly one ArgMax; this one has no layers")
-    bundle = 0
+    bundle, last = 0, len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         name, n = f"layer {i} ({type(layer).__name__})", math.prod(shape)
         if batch * n * p.nbytes > MAX_PAYLOAD:
@@ -182,6 +183,8 @@ def _walk(net: NetSpec, p: RingParams, batch: int = 1):
             bundle += batch * n * p.l * 16
         if bundle > MAX_PAYLOAD:
             raise MlError(f"{name}: the dealer's bundle would exceed one frame")
+        if isinstance(layer, ArgMax) != (i == last):
+            raise MlError(f"{name}: a net must end in exactly one ArgMax")
         yield layer, shape, out
         shape = out
 
@@ -231,19 +234,15 @@ def _window_gather(in_shape, k, stride, pad, per_channel: bool) -> np.ndarray:
 def compile_nn(net: NetSpec, p: RingParams, batch: int, profile: str) -> list[Step]:
     """The one walk over a net: a Step per layer, for batch images.
 
-    The net must end in exactly one ArgMax. A linear layer over
-    beta-scaled operands adds beta to the scale debt, mean pooling adds
-    log2 of its area, and the next Boolean stage discharges the debt. wan
-    garbles a whole stage; lan garbles only the identity stage of an Act
-    or MaxPool and runs relu or max in GMW on its l - shift output bits.
+    The net must end in exactly one ArgMax (_walk's rule). A linear layer
+    over beta-scaled operands adds beta to the scale debt, mean pooling
+    adds log2 of its area, and the next Boolean stage discharges the debt.
+    wan garbles a whole stage; lan garbles only the identity stage of an
+    Act or MaxPool and runs relu or max in GMW on its l - shift output
+    bits.
     """
     if profile not in (LAN, WAN):
         raise MlError(f"unknown profile {profile!r}: use {LAN!r} or {WAN!r}")
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, ArgMax) != (i == last):
-            raise MlError(f"layer {i} ({type(layer).__name__}): a net must end in "
-                          f"exactly one ArgMax")
     steps, debt = [], 0
     for layer, in_shape, out_shape in _walk(net, p, batch):
         n = int(np.prod(in_shape))

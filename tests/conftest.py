@@ -15,7 +15,7 @@ from hybrid2pc import circuits as cc
 from hybrid2pc import correlated, ml, stp
 from hybrid2pc.bench import run_both
 from hybrid2pc.drbg import SEED_BYTES, Drbg
-from hybrid2pc.gc import GcSession
+from hybrid2pc.gc import GcSession, garble
 from hybrid2pc.ring import RingParams, canon
 from hybrid2pc.session import PartySession
 from hybrid2pc.transport import channel_pair
@@ -130,6 +130,14 @@ def new_offset(rng):
     r = rng.integers(0, 256, size=16, dtype=np.uint8)
     r[0] |= 1
     return r
+
+
+def garble_frames(c, R, zero0, zero1, ninst=1, tweak=0):
+    """gc.garble with its table frames kept: (the Garbling, the frames in
+    order). The frames joined are the run's tables; evaluate takes the
+    list as it is."""
+    frames = []
+    return garble(c, R, zero0, zero1, ninst, tweak, on_frame=frames.append), frames
 
 
 def zero_labels(rng, c, ninst):

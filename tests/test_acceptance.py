@@ -11,12 +11,13 @@ import time
 
 import numpy as np
 from conftest import (build_argmax, closing, deal, dealt_sessions, drbg_from, from_bits,
-                      gc_sessions, new_offset, ot_masks, reconstruct, run_parties, zero_labels)
+                      garble_frames, gc_sessions, new_offset, ot_masks, reconstruct, run_parties,
+                      zero_labels)
 
 from hybrid2pc import ass, circuits as cc, convert, gmw, ml, stp, transport
 from hybrid2pc.bench import run_bench
 from hybrid2pc.correlated import ResourceManifest
-from hybrid2pc.gc import frame_schedule, garble
+from hybrid2pc.gc import frame_schedule
 from hybrid2pc.ot import OtReceiver, OtSender
 from hybrid2pc.ring import RingParams
 from hybrid2pc.transport import channel_pair
@@ -110,8 +111,8 @@ def test_criterion_2_online_communication_1000_ops():
     for name in ("add", "sub", "cmp", "eq", "mux", "relu", "bitand", "bitxor"):
         circ = cc.build_by_name(name, 32)
         rng = np.random.default_rng(3)
-        tabs = garble(circ, new_offset(rng), *zero_labels(rng, circ, n), ninst=n).tables
-        assert len(tabs) == 2 * 16 * circ.num_and * n, name
+        _, frames = garble_frames(circ, new_offset(rng), *zero_labels(rng, circ, n), n)
+        assert sum(f.nbytes for f in frames) == 2 * 16 * circ.num_and * n, name
         table_checks.append(name)
     dt = time.time() - t0
     assert dt < 60, f"criterion 2 took {dt:.1f}s"

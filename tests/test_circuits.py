@@ -61,8 +61,8 @@ def test_double_driven_wire_rejected():
         netlist(5, (2,), (3,), (4,), (cc.AND, 2, 3, 4), (cc.XOR, 2, 3, 4)).validate()
 
 
-# Wires outside [0, nwires): simulate and run_spans each hold nwires rows,
-# so a negative index would wrap silently onto some other wire.
+# Wires outside [0, nwires): simulate holds nwires rows and levelize one
+# slot per wire, so a negative index would wrap silently onto another wire.
 OUT_OF_RANGE = {
     "negative-gate-input": (6, (2,), (3,), (5,), (cc.XOR, 2, 3, 4), (cc.AND, 2, -3, 5)),
     "negative-output": (5, (2,), (3,), (-1,), (cc.AND, 2, 3, 4)),
@@ -289,30 +289,71 @@ def test_size_builders_use_one_and_per_full_adder():
         assert cc.levelize(cc.build_by_name("add", w, "size")).depth == w - 1
 
 
+def _walk_slots(circ):
+    """Walks circ's levelized steps on which wire each slot holds, as
+    run_spans runs them: every read must find its own wire in its slot, a
+    NOT reading CONST1, and every slot must be one of nslots. The layers
+    of a span are its local gates by first layer after the local gates
+    they read, each in gate order. Returns the wires the output slots hold
+    at the end."""
+    lc = circ.levelized
+    ins = (*lc.in0_slots.tolist(), *lc.in1_slots.tolist())
+    assert len({cc.CONST0, cc.CONST1, *ins}) == 2 + len(ins)  # inputs and constants apart
+    holds = dict(zip((cc.CONST0, cc.CONST1, *ins), (cc.CONST0, cc.CONST1, *circ.inputs0,
+                                                    *circ.inputs1)))
+    b_of = np.where(circ.op == cc.NOT, cc.CONST1, circ.gb)
+    assert len(lc.spans) == len(lc.schedule)
+    for span, (locals_, ands) in zip(lc.spans, lc.schedule):
+        layer = {}  # wire -> its layer in this span
+        for g in locals_:
+            layer[circ.go[g]] = 1 + max(layer.get(circ.ga[g], 0), layer.get(b_of[g], 0))
+        groups = [[g for g in locals_ if layer[circ.go[g]] == k]
+                  for k in range(1, max(layer.values(), default=0) + 1)]
+        assert len(span.layers) == len(groups)
+        assert np.array_equal(span.ands, ands)
+        steps = [*zip(span.layers, groups), ((span.and_a, span.and_b, span.and_out), ands)]
+        for (a, b, o), gates in steps:
+            gates = np.asarray(gates, np.intp)
+            assert len(a) == len(b) == len(o) == len(gates)
+            assert max((*a, *b, *o), default=0) < lc.nslots
+            assert [holds[s] for s in a.tolist()] == circ.ga[gates].tolist()
+            assert [holds[s] for s in b.tolist()] == b_of[gates].tolist()
+            assert len(set(o.tolist())) == len(o)  # one slot per output of the step
+            holds.update(zip(o.tolist(), circ.go[gates].tolist()))
+    return [holds[s] for s in lc.out_slots.tolist()]
+
+
 @pytest.mark.parametrize("circ", [
     cc.build_by_name("add", 16, "size"), cc.build_by_name("sub", 16, "depth"), cc.build_by_name("cmp", 32, "size"),
     build_argmax(5, 8, "depth"), cc.build_by_name("mux", 8),
 ], ids=lambda c: c.name)
 def test_spans_layer_the_schedule(circ):
-    lc = cc.levelize(circ)
-    one = cc.CONST1  # a NOT gate is an XOR with the public 1
-    assert len(lc.spans) == len(lc.schedule)
-    for span, (locals_, ands) in zip(lc.spans, lc.schedule):
-        # the layers hold exactly the span's local gates, NOT reading `one`
-        order = np.concatenate([o for _, _, o in span.layers] + [np.zeros(0, np.intp)])
-        assert sorted(order.tolist()) == sorted(circ.go[locals_].tolist())
-        for g in locals_:
-            k = next(i for i, (_, _, o) in enumerate(span.layers) if circ.go[g] in o)
-            a, b, o = span.layers[k]
-            j = o.tolist().index(circ.go[g])
-            assert a[j] == circ.ga[g]
-            assert b[j] == (one if circ.op[g] == cc.NOT else circ.gb[g])
-        # no layer reads a wire written by itself or a later layer
-        for k, (a, b, _) in enumerate(span.layers):
-            later = set(np.concatenate([o for _, _, o in span.layers[k:]]).tolist())
-            assert not later & (set(a.tolist()) | set(b.tolist()))
-        assert np.array_equal(span.ands, ands)
-        assert np.array_equal(span.and_out, circ.go[ands])
+    # the spans' layers and AND levels run exactly the schedule's gates,
+    # each reading its own wires from their slots and none a wire written
+    # by its own or a later layer; the outputs end in their slots
+    assert _walk_slots(circ) == list(circ.outputs)
+    assert circ.levelized.nslots < circ.nwires
+
+
+def test_slots_hold_their_wires_in_every_netlist():
+    # every library netlist and every stage circuit the protocol runs
+    library = [cc.build_by_name(name, w, variant) for name in sorted(cc._LIBRARY)
+               for w in (8, 32) for variant in (cc.SIZE, cc.DEPTH)]
+    for circ in [*library, *_pinned_netlists()]:
+        assert _walk_slots(circ) == list(circ.outputs), circ.name
+
+
+# slots by liveness against wires, for the stages at w 32 and shift 12:
+# each of the first three stages never holds more rows than its inputs
+# and the two constants
+STAGE_SLOTS = {("identity", 1): (227, 66), ("relu", 1): (247, 66), ("sign", 1): (269, 66),
+               ("max", 4): (1391, 258), ("argmax", 10): (3678, 642)}
+
+
+@pytest.mark.parametrize("kind,nvals", list(STAGE_SLOTS))
+def test_stage_slots_pinned(kind, nvals):
+    circ = ml.stage_circuit(kind, 32, 12, nvals)
+    assert (circ.nwires, circ.levelized.nslots) == STAGE_SLOTS[(kind, nvals)]
 
 
 def test_levelized_is_computed_once():

@@ -291,6 +291,10 @@ def _nan_weights(path):
     ml.save_net(str(path), net, RingParams(32, 7, 12))
 
 
+def _no_argmax_weights(path):
+    ml.save_net(str(path), ml.NetSpec((1, 1, 4), [ml.Act()]), RingParams(32, 7, 12))
+
+
 # config: a dict written as JSON, raw file text, or None for no file
 @pytest.mark.parametrize("program, config", [
     ("svm", {"svm": {"d": 0}}), ("svm", {"svm": {"batch": 0}}), ("nn", {"nn": {"batch": -1}}),
@@ -300,16 +304,18 @@ def _nan_weights(path):
     ("svm", {"svm": 3}), ("svm", {"ring": []}), ("nn", {"seed": -1}),
     ("svm", {"ring": {"l": 32, "alpha": "7", "beta": 12}}), ("nn", {"nn": {"weights": 3}}),
     ("nn", {"nn": {"weights": "wide.bin"}}), ("nn", {"nn": {"weights": "huge.bin"}}),
+    ("nn", {"nn": {"weights": "no-argmax.bin"}}),
 ], ids=["svm-d", "svm-batch", "nn-batch", "nn-weights-missing", "nn-weights-nan",
         "not-json", "not-an-object", "no-such-file", "svm-d-string", "seed-string",
         "nn-batch-float", "svm-not-an-object", "ring-not-an-object", "seed-negative",
-        "ring-alpha-string", "nn-weights-int", "nn-weights-wide", "nn-input-wide"])
+        "ring-alpha-string", "nn-weights-int", "nn-weights-wide", "nn-input-wide",
+        "nn-weights-no-argmax"])
 def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config):
     # role 0 alone, with no peer to come: a config or section that is not
     # an object, a size, seed or ring field that is not an integer, a
     # negative seed, a size below 1, or a weight file that is not a name,
-    # does not load or plans more than a frame carries ends it at once,
-    # with one line on stderr
+    # does not load, plans more than a frame carries or has no final ArgMax
+    # ends it at once, with one line on stderr
     cfg = tmp_path / "cfg.json"
     if isinstance(config, str):
         cfg.write_text(config)
@@ -319,6 +325,7 @@ def test_bad_config_exits_before_waiting_for_the_peer(tmp_path, program, config)
             _nan_weights(tmp_path / "nan.bin")
             oversize_weights(tmp_path / "wide.bin", INPUT_WIDTH_AT)
             wide_input_weights(tmp_path / "huge.bin")
+            _no_argmax_weights(tmp_path / "no-argmax.bin")
         cfg.write_text(json.dumps(config))
     # under an 8 GiB address space, a party that drew huge.bin's 32 GiB of
     # images would fail at once instead of exhausting the host

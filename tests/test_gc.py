@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (closing, dealt_sessions, drbg_from, gc_sessions, new_offset, run_parties,
-                      zero_labels)
+from conftest import (closing, dealt_sessions, drbg_from, garble_frames, gc_sessions, new_offset,
+                      run_parties, zero_labels)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,16 +57,16 @@ def test_and_truth_table(channels):
 def test_xor_only_zero_ciphertexts():
     rng = np.random.default_rng(0)
     c = cc.build_by_name("bitxor", 16)
-    g = garble(c, new_offset(rng), *zero_labels(rng, c, 4), ninst=4)
-    assert len(g.tables) == 0
+    _, frames = garble_frames(c, new_offset(rng), *zero_labels(rng, c, 4), 4)
+    assert [f.nbytes for f in frames] == [0]
 
 
 def test_table_bytes_exact():
     rng = np.random.default_rng(0)
     for circ in (cc.build_by_name("add", 32, "size"), cc.build_by_name("cmp", 16, "depth")):
         for ninst in (1, 7):
-            g = garble(circ, new_offset(rng), *zero_labels(rng, circ, ninst), ninst=ninst)
-            assert len(g.tables) == 32 * circ.num_and * ninst
+            _, frames = garble_frames(circ, new_offset(rng), *zero_labels(rng, circ, ninst), ninst)
+            assert sum(f.nbytes for f in frames) == 32 * circ.num_and * ninst
 
 
 def test_garble_determinism():
@@ -73,8 +74,8 @@ def test_garble_determinism():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        g = garble(c, new_offset(rng), *zero_labels(rng, c, 3), ninst=3)
-        runs.append((bytes(g.tables), g.decode.tobytes()))
+        g, frames = garble_frames(c, new_offset(rng), *zero_labels(rng, c, 3), 3)
+        runs.append((b"".join(frames), g.decode.tobytes()))
     assert runs[0] == runs[1]
 
 
@@ -138,9 +139,9 @@ def test_short_table_buffer_rejected():
     circ = cc.build_by_name("add", 8, "size")
     rng = np.random.default_rng(9)
     R, zero = new_offset(rng), zero_labels(rng, circ, 2)
-    g = garble(circ, R, *zero, ninst=2)
+    _, frames = garble_frames(circ, R, *zero, 2)
     with pytest.raises(gc_mod.GcError):
-        evaluate(circ, [g.tables[:-8]], *zero, 2)
+        evaluate(circ, [b"".join(frames)[:-8]], *zero, 2)
 
 
 def test_more_than_one_cycle_rejected(channels):
@@ -298,11 +299,11 @@ def _garble_digest(jobs) -> str:
     for circ, ninst, seed in jobs:
         rng = np.random.default_rng(seed)
         R, zero = new_offset(rng), zero_labels(rng, circ, ninst)
-        g = garble(circ, R, *zero, ninst=ninst)
-        h.update(g.tables)
+        g, frames = garble_frames(circ, R, *zero, ninst)
+        h.update(b"".join(frames))
         for labels in (*zero, g.out_zero, g.decode):
             h.update(np.ascontiguousarray(labels).tobytes())
-        out = evaluate(circ, [g.tables], *zero, ninst)
+        out = evaluate(circ, frames, *zero, ninst)
         h.update(out.tobytes())
     return h.hexdigest()
 
@@ -343,14 +344,14 @@ def _interpreter_digest(circ, ninst, seed, preset):
         zero = (rng.integers(0, 256, (len(circ.inputs0), ninst, 16), dtype=np.uint8), pre)
     else:
         zero = zero_labels(rng, circ, ninst)
-    g = garble(circ, R, *zero, ninst=ninst)
+    g, frames = garble_frames(circ, R, *zero, ninst)
     in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
     in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
-    out = evaluate(circ, [g.tables], *_active(zero, R, in0, in1), ninst)
+    out = evaluate(circ, frames, *_active(zero, R, in0, in1), ninst)
     decoded = (out[..., 0] & 1) ^ g.decode
     assert np.array_equal(decoded.T, cc.simulate(circ, in0, in1))
     h = hashlib.sha256()
-    h.update(g.tables)
+    h.update(b"".join(frames))
     for arr in (*zero, g.out_zero, g.decode, out):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -443,8 +444,8 @@ def test_random_netlists_gc_and_gmw_match_simulate(circ, ninst, seed):
     expect = cc.simulate(circ, in0, in1)
     R = new_offset(rng)
     zero = zero_labels(rng, circ, ninst)
-    g = garble(circ, R, *zero, ninst=ninst)
-    out = evaluate(circ, [g.tables], *_active(zero, R, in0, in1), ninst)
+    g, frames = garble_frames(circ, R, *zero, ninst)
+    out = evaluate(circ, frames, *_active(zero, R, in0, in1), ninst)
     assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, expect)
     # the y2b reading: the two roles' label LSBs XOR to the outputs
     assert np.array_equal(((out[..., 0] ^ g.out_zero[..., 0]) & 1).T, expect)
@@ -528,8 +529,8 @@ def test_tables_stream_in_level_aligned_frames(channels, monkeypatch):
     assert channels[1].ledger.messages(msg_type=transport.GC_TABLES) == len(schedule)
     # the frames joined are the whole run's garbling, byte for byte
     zero = [b.labels for b in zero_binds(circ, 0, n)]
-    whole = garble(circ, g.R, *zero, ninst=n).tables
-    assert hashlib.sha256(b"".join(sent)).digest() == hashlib.sha256(whole).digest()
+    _, frames = garble_frames(circ, g.R, *zero, n)
+    assert hashlib.sha256(b"".join(sent)).digest() == hashlib.sha256(b"".join(frames)).digest()
     assert not out.any()  # zero labels at both roles: all-zero inputs, sum 0
 
 
@@ -610,7 +611,7 @@ def test_evaluator_pulls_a_frame_after_the_last_level_of_the_one_before(monkeypa
     circ, n = cc.build_by_name("add", 8, "size"), 12000
     rng = np.random.default_rng(12)
     R, zero = new_offset(rng), zero_labels(rng, circ, n)
-    g = garble(circ, R, *zero, ninst=n)
+    tables = b"".join(garble_frames(circ, R, *zero, n)[1])
     levels, pulls = [], []
     orig = gc_mod.run_spans
 
@@ -625,12 +626,37 @@ def test_evaluator_pulls_a_frame_after_the_last_level_of_the_one_before(monkeypa
         ends = itertools.accumulate(gc_mod.frame_schedule(circ, n), initial=0)
         for start, end in itertools.pairwise(ends):
             pulls.append(len(levels))
-            yield g.tables[start:end]
+            yield tables[start:end]
 
     monkeypatch.setattr(gc_mod, "run_spans", counting)
     out = evaluate(circ, frames(), *zero, n)
     assert pulls == [0, 3, 6] and len(levels) == 7
-    assert np.array_equal(out, evaluate(circ, [g.tables], *zero, n))
+    assert np.array_equal(out, evaluate(circ, [tables], *zero, n))
+
+
+def _traced_peak(f) -> int:
+    """Peak bytes that f() allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_garble_and_evaluate_hold_live_rows_and_one_frame():
+    # lan relu1's identity stage at 8 000 instances: its 227 wires would be
+    # 29.1 MB of label rows and its tables 7.9 MB in 7 frames, but a run
+    # holds only its 66 live slots, 8.4 MB, next to its output rows (2.6
+    # MB) and one 1 MiB frame; the inputs are the caller's
+    circ, n = cc.stage_circuit("identity", 32, 12), 8000
+    rng = np.random.default_rng(15)
+    R, zero = new_offset(rng), zero_labels(rng, circ, n)
+    _, frames = garble_frames(circ, R, *zero, n)
+    assert len(frames) == 7
+    garbled = _traced_peak(lambda: garble(circ, R, *zero, n, on_frame=lambda frame: None))
+    evaluated = _traced_peak(lambda: evaluate(circ, frames, *zero, n))
+    assert max(garbled, evaluated) < 16 << 20, (garbled, evaluated)
 
 
 @pytest.mark.parametrize("case,error", [("level-split", "crosses"), ("over", "run over"),
@@ -639,7 +665,7 @@ def test_misaligned_or_wrong_length_frames_rejected(case, error):
     circ, n = cc.build_by_name("add", 8, "size"), 4
     rng = np.random.default_rng(14)
     R, zero = new_offset(rng), zero_labels(rng, circ, n)
-    t = bytes(garble(circ, R, *zero, ninst=n).tables)
+    t = b"".join(garble_frames(circ, R, *zero, n)[1])
     level = 32 * n
     frames = {"level-split": [t[: level + 32], t[level + 32:]],
               "over": [t + bytes(32)],

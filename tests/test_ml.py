@@ -148,6 +148,15 @@ def test_net_must_end_in_exactly_one_argmax():
             ml.nn_infer(SimpleNamespace(ring=P32, role=1), net, np.zeros((1, 1, 2, 2)), 1)
 
 
+def test_weight_file_without_a_final_argmax_rejected(tmp_path):
+    # load_net walks the net as compile_nn does, ArgMax rule included, so
+    # a file that cannot be planned does not load
+    path = str(tmp_path / "net.bin")
+    ml.save_net(path, ml.NetSpec((1, 1, 4), [ml.Act()]), P32)
+    with pytest.raises(ml.MlError, match=r"layer 0 \(Act\): a net must end in exactly one ArgMax"):
+        ml.load_net(path)
+
+
 @pytest.mark.parametrize("profile", ["WAN", "Lan", "gmw", ""])
 def test_unknown_profile_rejected(profile):
     # any profile but "wan" used to run the lan protocol, so "WAN" silently
