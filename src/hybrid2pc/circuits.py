@@ -261,9 +261,11 @@ def run_spans(lc: LevelizedCircuit, one, in0, in1, and_level) -> np.ndarray:
     CONST1 holds one, the interpreter's public 1: R for the garbler, 0 for
     the evaluator, 1 at GMW role 0 and 0 at role 1. Every local layer is
     one XOR over the slot axis, NOT one with CONST1. Each AND level calls
-    and_level(span, a_vals, b_vals) for the output values.
+    and_level(span, a_vals, b_vals) for the output values. Only CONST0's
+    row is zeroed: every other slot is written before it is read.
     """
-    vals = np.zeros((lc.nslots, *in0.shape[1:]), in0.dtype)
+    vals = np.empty((lc.nslots, *in0.shape[1:]), in0.dtype)
+    vals[CONST0] = 0
     vals[CONST1] = one
     vals[lc.in0_slots] = in0
     vals[lc.in1_slots] = in1

@@ -17,8 +17,14 @@ pair. garble and evaluate are AND-level callbacks of circuits.run_spans,
 which owns the wire array. Under free XOR a public 1 is R for the garbler
 and 0 for the evaluator, so NOT is an XOR with it and a constant output
 decodes as any wire does. Each AND level hashes all its half-gate inputs
-in one AES call; rotation is linear, so the garbler gets 2(X ^ R) as
-2X ^ 2R.
+in one AES call; rotation is linear, so the garbler gets 2(X ^ R) ^ t as
+2X ^ t ^ 2R. Each pass of a level runs over contiguous u64 words, never
+along a pair, where numpy's inner loop would be two elements long: a call
+builds (ninst, 2) tiles of R, 2R, the low-word 1 that reads a permute bit
+and the high-word slot of an evaluator half once, permute masks are full
+width, and table halves cross a frame as 16-byte elements (_V16). A level
+computes in its hash block's rows once they are hashed; the evaluator
+copies the halves out of a frame and never writes into one.
 
 A run has one data shape: each input group's labels are its own
 (width, ninst, 16) array, a YaoShare in and out of GcSession.run, which
@@ -78,26 +84,13 @@ from .transport import Channel
 
 FIXED_KEY = b"hybrid2pc-fixkey"
 
-_SLOT_GEN = 0
-_SLOT_EVAL = 1
-
 _U64 = np.dtype("<u8")
-_ONE = np.uint64(1)
+_V16 = np.dtype("V16")  # a label or table half as one element
+_ONE, _63 = np.uint64(1), np.uint64(63)
 
 
 class GcError(RuntimeError):
     pass
-
-
-def _rotl1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One-bit left rotation of 128-bit labels held as (..., 2) u64 pairs."""
-    lo, hi = x[..., 0], x[..., 1]
-    out = np.empty_like(x) if out is None else out
-    np.left_shift(lo, _ONE, out=out[..., 0])
-    out[..., 0] |= hi >> np.uint64(63)
-    np.left_shift(hi, _ONE, out=out[..., 1])
-    out[..., 1] |= lo >> np.uint64(63)
-    return out
 
 
 # One fixed-key AES context per thread: keyed once, never shared, since
@@ -112,30 +105,50 @@ def _fixed_key_encrypt(blk: np.ndarray) -> np.ndarray:
     return enc(blk)
 
 
-def _hash(blk: np.ndarray, ids: np.ndarray, slots) -> np.ndarray:
-    """H(X, t) for blk = rotated labels of shape (k, ..., 2), in place.
+def _tile(pair, ninst: int) -> np.ndarray:
+    """A u64 pair repeated as a contiguous (ninst, 2) tile."""
+    return np.tile(np.asarray(pair, _U64), (ninst, 1))
 
-    ids: u64 tweak counters broadcast over the leading axis; slots: one
-    half-gate slot per entry of the leading axis.
-    """
-    blk[..., 0] ^= ids
-    for k, slot in enumerate(slots):
-        if slot:
-            blk[k, ..., 1] ^= np.uint64(slot)
+
+class _Words:
+    """A call's per-run tiles: lo1 reads a permute bit, hi1 is the
+    evaluator half's tweak slot 1 in the high word (the generator's is 0),
+    and inst + ands * ninst are a level's tweak counters."""
+
+    def __init__(self, ninst: int, tweak: int):
+        self.lo1, self.hi1 = _tile((1, 0), ninst), _tile((0, 1), ninst)
+        self.inst = np.arange(ninst, dtype=_U64) + np.uint64(tweak)
+
+    def hash_inputs(self, span, A, B, out: np.ndarray, carry: np.ndarray) -> None:
+        """Into out (2, g, ninst, 2): 2A ^ t and 2B ^ t', hash inputs of the
+        generator and evaluator halves on labels A and B. 2X shifts whole
+        words, then ORs each word's top bit, taken into carry (scratch of
+        out's shape), into the other; t enters as a zeroed pair array."""
+        for x, o, c in zip((A, B), out, carry):
+            np.left_shift(x, _ONE, out=o)
+            np.right_shift(x, _63, out=c)
+        out[..., 0] |= carry[..., 1]
+        out[..., 1] |= carry[..., 0]
+        tw = np.zeros(A.shape, _U64)
+        np.add((span.ands.astype(_U64) * np.uint64(len(self.inst)))[:, None], self.inst,
+               out=tw[..., 0])
+        out ^= tw
+        out[1] ^= self.hi1
+
+    def masks(self, xs, out: np.ndarray) -> None:
+        """Into out's rows: all-ones labels where each of xs has its permute
+        bit set, else 0."""
+        for x, o in zip(xs, out):
+            np.bitwise_and(x, self.lo1, out=o)
+        out[..., 1] = out[..., 0]
+        np.negative(out, out=out)
+
+
+def _hash(blk: np.ndarray) -> np.ndarray:
+    """H(X, t) = E(2X ^ t) ^ 2X ^ t for blk's rows of hash inputs 2X ^ t."""
     out = _fixed_key_encrypt(blk)
     out ^= blk
     return out
-
-
-def _ids(first: np.ndarray, ninst: int, base: int) -> np.ndarray:
-    """Tweak counters first * ninst + instance + base, shape (len(first), ninst)."""
-    return (first.astype(np.uint64)[:, None] * np.uint64(ninst)
-            + np.arange(ninst, dtype=np.uint64) + np.uint64(base))
-
-
-def _sel(x: np.ndarray) -> np.ndarray:
-    """All-ones u64 where the label's permute bit is set, else 0; (..., 1)."""
-    return np.uint64(0) - (x[..., :1] & _ONE)
 
 
 def _lsb(x: np.ndarray) -> np.ndarray:
@@ -143,8 +156,14 @@ def _lsb(x: np.ndarray) -> np.ndarray:
 
 
 def _mask16(bits: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """bits ? v : 0, broadcasting a byte-wise select over labels."""
-    return v * bits[..., None]
+    """bits ? v : 0 over labels, for 0/1 bits: all-ones words ANDed with a
+    tile of v, in an array that owns its bytes, which an XOR may reuse."""
+    out = np.empty(bits.shape + (16,), np.uint8)
+    words = out.view(_U64)
+    words[..., 0] = words[..., 1] = bits
+    np.negative(words, out=words)
+    words &= _tile(v.view(_U64), bits.shape[-1])
+    return out
 
 
 def tweak_span(c: Circuit, ninst: int) -> int:
@@ -204,7 +223,8 @@ def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
     which garble then drops: a run holds one frame of tables at a time.
     """
     R64 = R.view(_U64)
-    rR = _rotl1(R64)
+    Rt, rRt = _tile(R64, ninst), _tile(R64 << _ONE | (R64 >> _63)[::-1], ninst)
+    words = _Words(ninst, tweak)
     sizes = frame_schedule(c, ninst)
     frame = np.empty(sizes[0] // 8, _U64)  # the frame being garbled
     pos = 0  # u64 words of it garbled
@@ -220,24 +240,25 @@ def garble(c: Circuit, R: np.ndarray, zero0: np.ndarray, zero1: np.ndarray,
         nonlocal pos
         g = len(span.ands)
         blk = np.empty((4, g, ninst, 2), dtype=_U64)
-        _rotl1(A0, blk[0])
-        np.bitwise_xor(blk[0], rR, out=blk[1])
-        _rotl1(B0, blk[2])
-        np.bitwise_xor(blk[2], rR, out=blk[3])
-        ha0, ha1, hb0, hb1 = _hash(blk, _ids(span.ands, ninst, tweak),
-                                   (_SLOT_GEN, _SLOT_GEN, _SLOT_EVAL, _SLOT_EVAL))
-        pa, pb = _sel(A0), _sel(B0)
-        pair = frame[pos : pos + 4 * g * ninst].reshape(g, ninst, 2, 2)
-        pos += 4 * g * ninst
-        tg, te = pair[:, :, 0], pair[:, :, 1]
-        np.bitwise_xor(ha0, ha1, out=tg)
-        tg ^= R64 & pb
+        words.hash_inputs(span, A0, B0, blk[:2], blk[2:])
+        np.bitwise_xor(blk[:2], rRt, out=blk[2:])  # 2(X ^ R) ^ t = 2X ^ t ^ 2R
+        ha0, hb0, ha1, hb1 = _hash(blk)
+        pa, pb, tg, te = blk  # hashed: its rows take the masks and table halves
+        words.masks((A0, B0), blk[:2])
+        np.bitwise_and(pb, Rt, out=tg)
+        tg ^= ha0
+        tg ^= ha1
         hb1 ^= hb0  # te ^ A0
         np.bitwise_xor(hb1, A0, out=te)
+        pair = frame[pos : pos + 4 * g * ninst].view(_V16).reshape(g, ninst, 2)
+        pos += 4 * g * ninst
+        pair[..., 0] = tg.view(_V16)[..., 0]
+        pair[..., 1] = te.view(_V16)[..., 0]
         hb1 &= pb
         ha0 ^= hb0
         ha0 ^= hb1
-        ha0 ^= tg & pa
+        pa &= tg
+        ha0 ^= pa
         hand_on()
         return ha0
 
@@ -261,6 +282,7 @@ def evaluate(c: Circuit, frames, active0: np.ndarray, active1: np.ndarray,
     """
     frames = iter(frames)
     rest = memoryview(b"")  # the current buffer's unread bytes
+    words = _Words(ninst, tweak)
 
     def level_table(nbytes):
         nonlocal rest
@@ -272,20 +294,25 @@ def evaluate(c: Circuit, frames, active0: np.ndarray, active1: np.ndarray,
         if nbytes > len(rest):
             raise GcError("an AND level crosses the end of a table frame")
         table, rest = rest[:nbytes], rest[nbytes:]
-        return np.frombuffer(table, dtype=_U64)
+        return np.frombuffer(table, dtype=_V16)
 
     def evaluate_and(span, Aa, Ba):
         g = len(span.ands)
         blk = np.empty((2, g, ninst, 2), dtype=_U64)
-        _rotl1(Aa, blk[0])
-        _rotl1(Ba, blk[1])
-        ha, hb = _hash(blk, _ids(span.ands, ninst, tweak), (_SLOT_GEN, _SLOT_EVAL))
-        pair = level_table(32 * g * ninst).reshape(g, ninst, 2, 2)
-        te = pair[:, :, 1] ^ Aa
-        te &= _sel(Ba)
+        words.hash_inputs(span, Aa, Ba, blk, np.empty_like(blk))
+        ha, hb = _hash(blk)
+        pair = level_table(32 * g * ninst).reshape(g, ninst, 2)
+        half, mask = blk  # hashed: its rows take a half, copied out of the frame, and a mask
+        half.view(_V16)[..., 0] = pair[..., 0]
+        words.masks((Aa,), blk[1:])
+        half &= mask
+        ha ^= half
+        half.view(_V16)[..., 0] = pair[..., 1]
+        half ^= Aa
+        words.masks((Ba,), blk[1:])
+        half &= mask
+        ha ^= half
         ha ^= hb
-        ha ^= te
-        ha ^= pair[:, :, 0] & _sel(Aa)
         return ha
 
     out = run_spans(c.levelized, 0, active0.view(_U64), active1.view(_U64),

@@ -384,6 +384,48 @@ def test_interpreter_golden_digests(name, ninst, preset):
     assert got == _GOLDEN[(name, ninst, preset)]
 
 
+# Recorded on the interpreter whose AND levels broadcast along each label's
+# word pair, before they ran over whole u64 words, at shapes the benchmark
+# garbles: lan relu2's identity stage at 2 000 instances, two frames of 17
+# and 14 one-AND levels, and lan's argmax stage over 10 values at 20.
+_GOLDEN_STAGES = {
+    ("identity", 32, 12, 1, 2000): "b4275fafdfdeb540bb663b8e20e80e5a78dd72bb860c8f806a5675ee22993542",
+    ("argmax", 32, 12, 10, 20): "aa928c36d42ed530ecc9428d1372393209e333e79bcdd58591c229fde2a45042",
+}
+
+
+@pytest.mark.parametrize("stage", list(_GOLDEN_STAGES), ids=lambda s: "-".join(map(str, s)))
+def test_stage_golden_digests(stage):
+    *args, ninst = stage
+    circ = cc.stage_circuit(*args)
+    frames = {2000: [17 * 64000, 14 * 64000], 20: [657 * 32 * 20]}[ninst]
+    assert gc_mod.frame_schedule(circ, ninst) == frames
+    got = _interpreter_digest(circ, ninst, seed=ninst + 17, preset=False)
+    assert got == _GOLDEN_STAGES[stage]
+
+
+@pytest.mark.parametrize("ninst", [1, 7])
+@pytest.mark.parametrize("name", ["add8-size", "cmp32-depth"])
+def test_evaluate_leaves_its_frames_unchanged(name, ninst):
+    # the evaluator copies each table half out of a frame and computes in
+    # rows of its own: writable frames read back byte for byte after a run,
+    # on one-AND levels (add8's ripple carry) and on wide ones (cmp32)
+    kind, width, variant = {"add8-size": ("add", 8, "size"),
+                            "cmp32-depth": ("cmp", 32, "depth")}[name]
+    circ = cc.build_by_name(kind, width, variant)
+    rng = np.random.default_rng(ninst + 30)
+    R, zero = new_offset(rng), zero_labels(rng, circ, ninst)
+    g, frames = garble_frames(circ, R, *zero, ninst)
+    sent = [bytes(memoryview(f).cast("B")) for f in frames]
+    held = [bytearray(f) for f in sent]
+    aux = np.random.default_rng(ninst + 31)
+    in0 = aux.integers(0, 2, (ninst, len(circ.inputs0)), dtype=np.uint8)
+    in1 = aux.integers(0, 2, (ninst, len(circ.inputs1)), dtype=np.uint8)
+    out = evaluate(circ, held, *_active(zero, R, in0, in1), ninst)
+    assert [bytes(f) for f in held] == sent
+    assert np.array_equal(((out[..., 0] & 1) ^ g.decode).T, cc.simulate(circ, in0, in1))
+
+
 @st.composite
 def _netlists(draw):
     """Random combinational XOR/AND/NOT netlists in topological order."""
@@ -657,6 +699,20 @@ def test_garble_and_evaluate_hold_live_rows_and_one_frame():
     garbled = _traced_peak(lambda: garble(circ, R, *zero, n, on_frame=lambda frame: None))
     evaluated = _traced_peak(lambda: evaluate(circ, frames, *zero, n))
     assert max(garbled, evaluated) < 16 << 20, (garbled, evaluated)
+
+
+def test_garble_and_evaluate_allocate_no_level_temporaries():
+    # wan relu1's stage at 980 instances, one frame: each AND level works in
+    # its hash block's rows, so neither role peaks above the 6.32 / 3.71 MB
+    # its per-level temporaries reached before
+    circ, n = cc.stage_circuit("relu", 32, 12), 980
+    rng = np.random.default_rng(16)
+    R, zero = new_offset(rng), zero_labels(rng, circ, n)
+    _, frames = garble_frames(circ, R, *zero, n)
+    assert len(frames) == 1
+    garbled = _traced_peak(lambda: garble(circ, R, *zero, n, on_frame=lambda frame: None))
+    evaluated = _traced_peak(lambda: evaluate(circ, frames, *zero, n))
+    assert garbled < 6.32e6 and evaluated < 3.71e6, (garbled, evaluated)
 
 
 @pytest.mark.parametrize("case,error", [("level-split", "crosses"), ("over", "run over"),
