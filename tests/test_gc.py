@@ -702,9 +702,9 @@ def test_garble_and_evaluate_hold_live_rows_and_one_frame():
 
 
 def test_garble_and_evaluate_allocate_no_level_temporaries():
-    # wan relu1's stage at 980 instances, one frame: each AND level works in
-    # its hash block's rows, so neither role peaks above the 6.32 / 3.71 MB
-    # its per-level temporaries reached before
+    # wan relu1's stage at 980 instances, one frame: each AND level computes
+    # in its hash block's rows, so neither role may peak above the 6.31 /
+    # 3.70 MB that levels allocating fresh temporaries reached
     circ, n = cc.stage_circuit("relu", 32, 12), 980
     rng = np.random.default_rng(16)
     R, zero = new_offset(rng), zero_labels(rng, circ, n)
